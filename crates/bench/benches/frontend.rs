@@ -143,24 +143,37 @@ fn bench_batched(c: &mut Criterion) {
 }
 
 fn bench_batched_encoder(c: &mut Criterion) {
-    // The coalescing front-end's serialization path: one encode_jobs call
-    // over a warm fragment cache vs the same jobs encoded one by one. The
-    // batch variant resolves the cache under one lock round-trip and reuses
-    // one scratch buffer across prefixes and misses.
+    // The coalescing front-end's serialization path over a warm fragment
+    // cache, at the benchmark's shape (10k users x 100 items, k = 10,
+    // batches of 32 jobs): the whole `encode_jobs`, the same jobs encoded
+    // one by one, and its stages — `resolve` (cache lookups and stamp
+    // checks), `prefix` (compressing one job's dynamic prefix) and
+    // `assemble` (prefixes, fragment memcpys, CRC folds, trailers). Divide
+    // a median by 32 for the cost per job.
     let mut group = c.benchmark_group("encoder");
     group.sample_size(15);
     let population = build_population(10_000, 100, 10, 11);
-    const BATCH: usize = 256;
-    let users: Vec<UserId> = population.users[..BATCH].to_vec();
-    let jobs = population.server.build_jobs(&users);
-    let _ = population.encoder.encode_jobs(&jobs); // warm the cache
+    const BATCH: usize = 32;
+    const BATCHES: usize = 8;
+    let batches: Vec<Vec<_>> = population.users[..BATCH * BATCHES]
+        .chunks(BATCH)
+        .map(|users| population.server.build_jobs(users))
+        .collect();
+    for jobs in &batches {
+        let _ = population.encoder.encode_jobs(jobs); // warm the cache
+    }
+    let mut next = 0usize;
+    let mut cycle = || {
+        next = (next + 1) % BATCHES;
+        &batches[next]
+    };
 
     group.bench_with_input(
         BenchmarkId::new("scalar-encode", BATCH),
         &BATCH,
         |bench, _| {
             bench.iter(|| {
-                let bodies: Vec<_> = jobs
+                let bodies: Vec<_> = cycle()
                     .iter()
                     .map(|job| population.encoder.encode(job))
                     .collect();
@@ -172,7 +185,51 @@ fn bench_batched_encoder(c: &mut Criterion) {
         BenchmarkId::new("encode_jobs", BATCH),
         &BATCH,
         |bench, _| {
-            bench.iter(|| std::hint::black_box(population.encoder.encode_jobs(&jobs)));
+            bench.iter(|| std::hint::black_box(population.encoder.encode_jobs(cycle())));
+        },
+    );
+    group.bench_with_input(BenchmarkId::new("resolve", BATCH), &BATCH, |bench, _| {
+        bench.iter(|| std::hint::black_box(population.encoder.resolve(cycle())));
+    });
+    let resolved: Vec<_> = batches
+        .iter()
+        .map(|jobs| population.encoder.resolve(jobs))
+        .collect();
+    group.bench_with_input(BenchmarkId::new("assemble", BATCH), &BATCH, |bench, _| {
+        let mut i = 0usize;
+        bench.iter(|| {
+            i = (i + 1) % BATCHES;
+            std::hint::black_box(resolved[i].assemble(&batches[i]))
+        });
+    });
+
+    // One job's dynamic prefix as the encoder writes it (about 440 bytes
+    // at 100 liked items), compressed alone.
+    let job = &batches[0][0];
+    let items = |items: &mut dyn Iterator<Item = hyrec_core::ItemId>| {
+        items
+            .map(|item| item.raw().to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let prefix = format!(
+        "{{\"uid\":{},\"k\":{},\"r\":{},\"profile\":{{\"liked\":[{}],\"disliked\":[{}]}},\"candidates\":[null",
+        job.uid.raw(),
+        job.k,
+        job.r,
+        items(&mut job.profile.liked()),
+        items(&mut job.profile.disliked()),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("prefix", prefix.len()),
+        &prefix,
+        |bench, prefix| {
+            bench.iter(|| {
+                std::hint::black_box(hyrec_wire::deflate::compress_chunk(
+                    prefix.as_bytes(),
+                    hyrec_wire::deflate::lz77::Effort::FAST,
+                ))
+            });
         },
     );
     group.finish();

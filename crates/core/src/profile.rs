@@ -11,6 +11,7 @@
 use crate::id::ItemId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A user's binary opinion about one item.
 ///
@@ -60,13 +61,47 @@ pub type SharedProfile = std::sync::Arc<Profile>;
 /// assert!(!p.likes(ItemId(2)));
 /// assert!(p.contains(ItemId(2)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Profile {
     /// Sorted, deduplicated liked items.
     liked: Vec<ItemId>,
     /// Sorted, deduplicated disliked items.
     disliked: Vec<ItemId>,
+    /// Content version; see [`Profile::stamp`].
+    #[serde(skip)]
+    stamp: Stamp,
 }
+
+/// Source of profile version stamps: every value it hands out is unique
+/// for the life of the process.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// A profile's content version. `Default` draws a fresh value, so a
+/// profile built any way other than `Clone` never shares a stamp.
+#[derive(Debug, Clone, Copy)]
+struct Stamp(u64);
+
+impl Stamp {
+    fn fresh() -> Self {
+        Stamp(NEXT_STAMP.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Default for Stamp {
+    fn default() -> Self {
+        Self::fresh()
+    }
+}
+
+/// Equality is over the votes only: two profiles with the same liked and
+/// disliked sets are equal whatever their stamps.
+impl PartialEq for Profile {
+    fn eq(&self, other: &Self) -> bool {
+        self.liked == other.liked && self.disliked == other.disliked
+    }
+}
+
+impl Eq for Profile {}
 
 impl Profile {
     /// Creates an empty profile (a brand-new user).
@@ -94,6 +129,7 @@ impl Profile {
         Self {
             liked,
             disliked: Vec::new(),
+            stamp: Stamp::fresh(),
         }
     }
 
@@ -121,11 +157,45 @@ impl Profile {
         profile
     }
 
+    /// The profile's version stamp.
+    ///
+    /// Two profiles with the same stamp hold the same votes: every change
+    /// of content ([`Self::record`] returning `true`, a cutting
+    /// [`Self::truncate_liked`], [`Extend`]) and every constructor takes a
+    /// fresh stamp from a process-wide counter, and only `Clone` copies
+    /// one. Caches keyed on a profile's content (the job encoder's
+    /// compressed fragments) validate an entry with one integer compare
+    /// instead of rehashing the item lists.
+    ///
+    /// ```
+    /// use hyrec_core::{ItemId, Profile, Vote};
+    /// let mut p = Profile::from_liked([1u32, 2]);
+    /// let copy = p.clone();
+    /// assert_eq!(copy.stamp(), p.stamp());
+    /// assert!(!p.record(ItemId(2), Vote::Like)); // no change, same stamp
+    /// assert_eq!(copy.stamp(), p.stamp());
+    /// assert!(p.record(ItemId(3), Vote::Like));
+    /// assert_ne!(copy.stamp(), p.stamp());
+    /// ```
+    #[must_use]
+    pub fn stamp(&self) -> u64 {
+        self.stamp.0
+    }
+
     /// Records a vote, replacing any previous vote for the same item.
     ///
     /// Returns `true` if this vote changed the profile (new item, or the vote
     /// flipped), which is what triggers a new personalization job upstream.
     pub fn record(&mut self, item: ItemId, vote: Vote) -> bool {
+        let changed = self.apply_vote(item, vote);
+        if changed {
+            self.stamp = Stamp::fresh();
+        }
+        changed
+    }
+
+    /// [`Self::record`] without the stamp update.
+    fn apply_vote(&mut self, item: ItemId, vote: Vote) -> bool {
         match vote {
             Vote::Like => {
                 if let Ok(pos) = self.disliked.binary_search(&item) {
@@ -233,6 +303,7 @@ impl Profile {
         if self.liked.len() > max {
             let cut = self.liked.len() - max;
             self.liked.drain(..cut);
+            self.stamp = Stamp::fresh();
         }
     }
 }
@@ -245,8 +316,12 @@ impl FromIterator<ItemId> for Profile {
 
 impl Extend<ItemId> for Profile {
     fn extend<T: IntoIterator<Item = ItemId>>(&mut self, iter: T) {
+        let mut changed = false;
         for item in iter {
-            self.record(item, Vote::Like);
+            changed |= self.apply_vote(item, Vote::Like);
+        }
+        if changed {
+            self.stamp = Stamp::fresh();
         }
     }
 }
@@ -339,6 +414,56 @@ mod tests {
         // Truncating to a larger bound is a no-op.
         p.truncate_liked(10);
         assert_eq!(p.liked_len(), 2);
+    }
+
+    #[test]
+    fn mutated_clone_takes_a_fresh_stamp() {
+        let source = Profile::from_liked([1u32, 2]);
+        let mut copy = source.clone();
+        assert_eq!(copy.stamp(), source.stamp());
+        assert!(!copy.record(ItemId(1), Vote::Like));
+        assert_eq!(copy.stamp(), source.stamp(), "no-op vote keeps the stamp");
+        assert!(copy.record(ItemId(1), Vote::Dislike));
+        assert_ne!(copy.stamp(), source.stamp());
+        let mut extended = source.clone();
+        extended.extend([ItemId(2)]);
+        assert_eq!(extended.stamp(), source.stamp(), "no-op extend");
+        extended.extend([ItemId(9)]);
+        assert_ne!(extended.stamp(), source.stamp());
+    }
+
+    #[test]
+    fn capped_copy_never_shares_its_source_stamp() {
+        let source = Profile::from_liked([1u32, 2, 3, 4, 5]);
+        let mut uncut = source.clone();
+        uncut.truncate_liked(5);
+        assert_eq!(
+            uncut.stamp(),
+            source.stamp(),
+            "a non-cutting cap is a no-op"
+        );
+        let mut capped = source.clone();
+        capped.truncate_liked(3);
+        assert_ne!(capped.stamp(), source.stamp());
+        let mut again = source.clone();
+        again.truncate_liked(3);
+        assert_eq!(again, capped);
+        assert_ne!(
+            again.stamp(),
+            capped.stamp(),
+            "every cut draws a fresh stamp"
+        );
+    }
+
+    #[test]
+    fn equality_ignores_the_stamp() {
+        let a = Profile::from_votes([1u32, 2], [3u32]);
+        let b = Profile::from_votes([2u32, 1], [3u32]);
+        assert_ne!(a.stamp(), b.stamp());
+        assert_eq!(a, b);
+        assert_ne!(Profile::new().stamp(), Profile::new().stamp());
+        assert_eq!(Profile::new(), Profile::default());
+        assert_ne!(a, Profile::from_liked([1u32, 2]));
     }
 
     #[test]

@@ -7,13 +7,23 @@
 //! profile only changes when its owner rates something, this encoder caches
 //! each candidate's **already-compressed** DEFLATE chunk (zlib
 //! `Z_SYNC_FLUSH` framing, byte-aligned and freely concatenatable) together
-//! with its CRC-32 and a cached CRC shift operator. Serving a request then
-//! reduces to:
+//! with its CRC-32 and a CRC shift operator, keyed by candidate id.
+//!
+//! A cache entry is valid while the candidate's profile keeps the
+//! [`Profile::stamp`] the fragment was compressed from. Every change of a
+//! profile's votes draws a fresh stamp and clones keep theirs, so checking
+//! an entry is one integer compare — no pass over the item lists — and a
+//! hit costs that compare plus a reference-count bump. Serving a request
+//! then reduces to:
 //!
 //! 1. compress the tiny dynamic prefix (requester id + profile),
 //! 2. memcpy the cached candidate chunks,
 //! 3. fold the cached CRCs with [`hyrec_wire::crc::ShiftOp::combine`],
-//! 4. append the stream terminator and gzip trailer.
+//! 4. append the precomputed `]}` suffix chunk, the stream terminator and
+//!    the gzip trailer.
+//!
+//! [`JobEncoder::resolve`] and [`ResolvedBatch::assemble`] expose the two
+//! halves (cache work, then per-job assembly) so each can be timed alone.
 //!
 //! This is the engineering reason the HyRec front-end outruns the CRec
 //! front-end in Figure 8: CRec must recompute item popularity over every
@@ -33,7 +43,7 @@ use hyrec_wire::gzip;
 use hyrec_wire::PersonalizationJob;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Default bound on the number of cached candidate fragments.
 ///
@@ -43,67 +53,84 @@ use std::sync::Arc;
 /// [`JobEncoder::with_capacity`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024;
 
-/// FNV-1a over the profile's vote lists — cheap fingerprint for cache
-/// validation.
-fn fingerprint(profile: &Profile) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u32| {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+/// Appends `value` in decimal, with no intermediate allocation.
+fn push_uint(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
         }
-    };
-    for item in profile.liked() {
-        eat(item.raw());
     }
-    eat(u32::MAX); // separator
-    for item in profile.disliked() {
-        eat(item.raw());
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Appends comma-separated item ids.
+fn push_items(out: &mut Vec<u8>, items: impl Iterator<Item = hyrec_core::ItemId>) {
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_uint(out, u64::from(item.raw()));
     }
-    hash
 }
 
 /// Serializes one profile to the exact JSON shape of
 /// `hyrec_wire::messages` (`{"liked":[…],"disliked":[…]}`).
-fn profile_json(out: &mut String, profile: &Profile) {
-    out.push_str("{\"liked\":[");
-    for (i, item) in profile.liked().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&item.raw().to_string());
-    }
-    out.push_str("],\"disliked\":[");
-    for (i, item) in profile.disliked().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&item.raw().to_string());
-    }
-    out.push_str("]}");
+fn profile_json(out: &mut Vec<u8>, profile: &Profile) {
+    out.extend_from_slice(b"{\"liked\":[");
+    push_items(out, profile.liked());
+    out.extend_from_slice(b"],\"disliked\":[");
+    push_items(out, profile.disliked());
+    out.extend_from_slice(b"]}");
 }
 
-/// A cached, pre-compressed candidate fragment:
-/// `,{"uid":<uid>,"profile":{…}}` (leading comma — the array opens with a
-/// `null` sentinel so every candidate entry is comma-prefixed).
-struct CachedFragment {
-    fingerprint: u64,
-    chunk: Arc<Vec<u8>>,
+/// A pre-compressed piece of a job body: its DEFLATE chunk plus what the
+/// gzip trailer needs to account for it without touching the raw bytes.
+struct Fragment {
+    chunk: Vec<u8>,
     crc: u32,
     raw_len: u64,
     shift: ShiftOp,
+}
+
+impl Fragment {
+    fn compress(raw: &[u8]) -> Self {
+        Self {
+            chunk: compress_chunk(raw, Effort::FAST),
+            crc: crc32(raw),
+            raw_len: raw.len() as u64,
+            shift: ShiftOp::for_len(raw.len() as u64),
+        }
+    }
+
+    /// Appends the chunk to `out` and folds the raw bytes into the running
+    /// CRC and length.
+    #[inline]
+    fn append(&self, out: &mut Vec<u8>, crc: &mut u32, total_len: &mut u64) {
+        out.extend_from_slice(&self.chunk);
+        *crc = self.shift.combine(*crc, self.crc);
+        *total_len += self.raw_len;
+    }
+}
+
+/// The body's closing `]}`, identical in every job: compressed once per
+/// process.
+static SUFFIX: LazyLock<Fragment> = LazyLock::new(|| Fragment::compress(b"]}"));
+
+/// A cached candidate fragment: `,{"uid":<uid>,"profile":{…}}` (leading
+/// comma — the array opens with a `null` sentinel so every candidate entry
+/// is comma-prefixed).
+struct CachedFragment {
+    /// [`Profile::stamp`] of the profile the fragment was compressed from.
+    stamp: u64,
+    fragment: Fragment,
     /// Encoder tick of the last hit — the eviction clock. Atomic so cache
     /// hits can refresh it under the shard *read* lock.
     last_used: AtomicU64,
-}
-
-/// A fragment resolved for one batch: the cached metadata without the
-/// eviction clock.
-struct ResolvedFragment {
-    chunk: Arc<Vec<u8>>,
-    crc: u32,
-    raw_len: u64,
-    shift: ShiftOp,
 }
 
 /// Memoizing, chunk-assembling encoder for personalization jobs.
@@ -129,7 +156,7 @@ struct ResolvedFragment {
 /// # Ok::<(), hyrec_wire::WireError>(())
 /// ```
 pub struct JobEncoder {
-    cache: RwLock<FastHashMap<UserId, CachedFragment>>,
+    cache: RwLock<FastHashMap<UserId, Arc<CachedFragment>>>,
     /// Fragment-count bound; exceeding it triggers an epoch sweep back down
     /// to half the bound (amortized O(1) per insert).
     capacity: usize,
@@ -137,6 +164,14 @@ pub struct JobEncoder {
     /// encode/encode_jobs call, not per fragment — cheaper and just as good
     /// an LRU approximation).
     tick: AtomicU64,
+}
+
+/// Every candidate fragment of a batch of jobs, resolved against the
+/// cache by [`JobEncoder::resolve`]; [`ResolvedBatch::assemble`] turns it
+/// into bodies.
+pub struct ResolvedBatch {
+    /// One fragment per candidate, jobs in order.
+    fragments: Vec<Arc<CachedFragment>>,
 }
 
 impl Default for JobEncoder {
@@ -196,167 +231,100 @@ impl JobEncoder {
     /// member per job, byte-identical to encoding each job on its own.
     ///
     /// The batch amortizes what the scalar path pays per request: the
-    /// fragment cache is consulted under **one** read lock for all jobs
-    /// (per-fragment in the scalar path), freshly compressed fragments are
-    /// installed under one write lock, and the JSON scratch buffer is reused
-    /// across every miss and every prefix in the batch. Fragments shared by
-    /// several jobs of the batch — the common case once KNN tables converge
-    /// and candidate sets overlap — are resolved and (on miss) compressed
-    /// exactly once.
+    /// fragment cache is consulted under **one** read lock for all jobs,
+    /// freshly compressed fragments are installed under one write lock, and
+    /// one JSON scratch buffer serves all misses, another all prefixes. A
+    /// fragment missing for several jobs of the batch is compressed once.
     #[must_use]
     pub fn encode_jobs(&self, jobs: &[PersonalizationJob]) -> Vec<Vec<u8>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        self.resolve(jobs).assemble(jobs)
+    }
 
-        // Pass 1 — resolve every distinct (user, fingerprint) against the
-        // cache under a single read lock. Hits copy their metadata out;
-        // misses remember the profile to compress after the lock drops.
-        let mut slot_index: FastHashMap<(UserId, u64), u32> = FastHashMap::default();
-        let mut slots: Vec<Option<ResolvedFragment>> = Vec::new();
-        let mut misses: Vec<(UserId, &Profile, u64, u32)> = Vec::new();
-        let mut job_slots: Vec<Vec<u32>> = Vec::with_capacity(jobs.len());
+    /// First half of [`Self::encode_jobs`]: finds every candidate's
+    /// fragment, compressing and caching the ones that are missing or
+    /// stale.
+    #[must_use]
+    pub fn resolve(&self, jobs: &[PersonalizationJob]) -> ResolvedBatch {
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let total: usize = jobs.iter().map(|job| job.candidates.len()).sum();
+        let candidates = jobs.iter().flat_map(|job| job.candidates.iter());
+
+        // Pass 1 — under one read lock, a hit is a stamp compare and a
+        // refcount bump. A miss records its position and, once per
+        // distinct (user, stamp), the profile to compress after the lock
+        // drops.
+        let mut fragments: Vec<Option<Arc<CachedFragment>>> = Vec::with_capacity(total);
+        let mut misses: Vec<(UserId, &Profile)> = Vec::new();
+        let mut pending: Vec<(usize, usize)> = Vec::new();
+        let mut miss_index: FastHashMap<(UserId, u64), usize> = FastHashMap::default();
         {
             let cache = self.cache.read();
-            for job in jobs {
-                let mut per_job = Vec::with_capacity(job.candidates.len());
-                for candidate in job.candidates.iter() {
-                    let fp = fingerprint(&candidate.profile);
-                    let slot = match slot_index.entry((candidate.user, fp)) {
-                        std::collections::hash_map::Entry::Occupied(entry) => *entry.get(),
-                        std::collections::hash_map::Entry::Vacant(entry) => {
-                            let slot = slots.len() as u32;
-                            match cache.get(&candidate.user) {
-                                Some(hit) if hit.fingerprint == fp => {
-                                    hit.last_used.store(tick, Ordering::Relaxed);
-                                    slots.push(Some(ResolvedFragment {
-                                        chunk: Arc::clone(&hit.chunk),
-                                        crc: hit.crc,
-                                        raw_len: hit.raw_len,
-                                        shift: hit.shift,
-                                    }));
-                                }
-                                _ => {
-                                    slots.push(None);
-                                    misses.push((candidate.user, &candidate.profile, fp, slot));
-                                }
-                            }
-                            entry.insert(slot);
-                            slot
+            for candidate in candidates {
+                let stamp = candidate.profile.stamp();
+                match cache.get(&candidate.user) {
+                    Some(hit) if hit.stamp == stamp => {
+                        hit.last_used.store(tick, Ordering::Relaxed);
+                        fragments.push(Some(Arc::clone(hit)));
+                    }
+                    _ => {
+                        let next = misses.len();
+                        let miss = *miss_index.entry((candidate.user, stamp)).or_insert(next);
+                        if miss == next {
+                            misses.push((candidate.user, &candidate.profile));
                         }
-                    };
-                    per_job.push(slot);
+                        pending.push((fragments.len(), miss));
+                        fragments.push(None);
+                    }
                 }
-                job_slots.push(per_job);
             }
         }
 
-        // Pass 2 — compress the misses with no lock held, reusing one JSON
-        // scratch buffer for the whole batch.
-        let mut scratch = String::new();
-        for &(user, profile, _, slot) in &misses {
-            scratch.clear();
-            scratch.push_str(",{\"uid\":");
-            scratch.push_str(&user.raw().to_string());
-            scratch.push_str(",\"profile\":");
-            profile_json(&mut scratch, profile);
-            scratch.push('}');
-            let raw = scratch.as_bytes();
-            slots[slot as usize] = Some(ResolvedFragment {
-                chunk: Arc::new(compress_chunk(raw, Effort::FAST)),
-                crc: crc32(raw),
-                raw_len: raw.len() as u64,
-                shift: ShiftOp::for_len(raw.len() as u64),
-            });
-        }
-
-        // Pass 3 — install the misses under one write lock, then sweep if
-        // the bound is exceeded. (If the same user appears with two distinct
-        // fingerprints in one batch — impossible via `build_jobs`, which
-        // snapshots each profile once — the later insert wins, matching the
-        // bytes a sequential encode would produce for every job.)
         if !misses.is_empty() {
-            let mut cache = self.cache.write();
-            for &(user, _, fp, slot) in &misses {
-                let resolved = slots[slot as usize].as_ref().expect("miss compressed");
-                cache.insert(
-                    user,
-                    CachedFragment {
-                        fingerprint: fp,
-                        chunk: Arc::clone(&resolved.chunk),
-                        crc: resolved.crc,
-                        raw_len: resolved.raw_len,
-                        shift: resolved.shift,
+            // Pass 2 — compress the misses with no lock held.
+            let mut scratch = Vec::new();
+            let compressed: Vec<Arc<CachedFragment>> = misses
+                .iter()
+                .map(|&(user, profile)| {
+                    scratch.clear();
+                    scratch.extend_from_slice(b",{\"uid\":");
+                    push_uint(&mut scratch, u64::from(user.raw()));
+                    scratch.extend_from_slice(b",\"profile\":");
+                    profile_json(&mut scratch, profile);
+                    scratch.push(b'}');
+                    Arc::new(CachedFragment {
+                        stamp: profile.stamp(),
+                        fragment: Fragment::compress(&scratch),
                         last_used: AtomicU64::new(tick),
-                    },
-                );
+                    })
+                })
+                .collect();
+            for (position, miss) in pending {
+                fragments[position] = Some(Arc::clone(&compressed[miss]));
+            }
+
+            // Pass 3 — install under one write lock, then sweep if the
+            // bound is exceeded. (If one user appears with two stamps in a
+            // batch — impossible via `build_jobs`, which snapshots each
+            // profile once — the later insert wins; every body still
+            // carries the fragment of its own job's profile.)
+            let mut cache = self.cache.write();
+            for (&(user, _), fragment) in misses.iter().zip(compressed) {
+                cache.insert(user, fragment);
             }
             self.evict_excess(&mut cache);
         }
 
-        // Pass 4 — assemble each job's gzip member from the resolved
-        // fragments, reusing the scratch buffer for the dynamic prefixes.
-        const SUFFIX: &[u8] = b"]}";
-        let suffix_chunk = compress_chunk(SUFFIX, Effort::FAST);
-        let suffix_crc = crc32(SUFFIX);
-        let suffix_shift = ShiftOp::for_len(SUFFIX.len() as u64);
-
-        jobs.iter()
-            .zip(&job_slots)
-            .map(|(job, per_job)| {
-                // Dynamic prefix: requester id, parameters, requester
-                // profile, and the `null` sentinel that makes candidate
-                // fragments comma-prefixed.
-                scratch.clear();
-                scratch.push_str("{\"uid\":");
-                scratch.push_str(&job.uid.raw().to_string());
-                scratch.push_str(",\"k\":");
-                scratch.push_str(&job.k.to_string());
-                scratch.push_str(",\"r\":");
-                scratch.push_str(&job.r.to_string());
-                if job.lease != 0 || job.epoch != 0 {
-                    // Same conditional shape as `PersonalizationJob::to_json`:
-                    // unleased jobs keep the seed wire format byte-for-byte.
-                    scratch.push_str(",\"lease\":");
-                    scratch.push_str(&job.lease.to_string());
-                    scratch.push_str(",\"epoch\":");
-                    scratch.push_str(&job.epoch.to_string());
-                }
-                scratch.push_str(",\"profile\":");
-                profile_json(&mut scratch, &job.profile);
-                scratch.push_str(",\"candidates\":[null");
-                let prefix = scratch.as_bytes();
-
-                let mut out = Vec::with_capacity(1024 + job.candidates.len() * 256);
-                out.extend_from_slice(&gzip::HEADER);
-                out.extend_from_slice(&compress_chunk(prefix, Effort::FAST));
-
-                let mut crc = crc32(prefix);
-                let mut total_len = prefix.len() as u64;
-
-                for &slot in per_job {
-                    let frag = slots[slot as usize].as_ref().expect("slot resolved");
-                    out.extend_from_slice(&frag.chunk);
-                    crc = frag.shift.combine(crc, frag.crc);
-                    total_len += frag.raw_len;
-                }
-
-                out.extend_from_slice(&suffix_chunk);
-                crc = suffix_shift.combine(crc, suffix_crc);
-                total_len += SUFFIX.len() as u64;
-
-                out.extend_from_slice(&STREAM_TERMINATOR);
-                out.extend_from_slice(&crc.to_le_bytes());
-                out.extend_from_slice(&((total_len & 0xFFFF_FFFF) as u32).to_le_bytes());
-                out
-            })
-            .collect()
+        ResolvedBatch {
+            fragments: fragments
+                .into_iter()
+                .map(|fragment| fragment.expect("every miss compressed"))
+                .collect(),
+        }
     }
 
     /// Epoch sweep: when the cache exceeds its bound, drop the
     /// least-recently-used half so inserts stay amortized O(1).
-    fn evict_excess(&self, cache: &mut FastHashMap<UserId, CachedFragment>) {
+    fn evict_excess(&self, cache: &mut FastHashMap<UserId, Arc<CachedFragment>>) {
         if cache.len() <= self.capacity {
             return;
         }
@@ -370,6 +338,77 @@ impl JobEncoder {
         for &(_, user) in ages.iter().take(excess) {
             cache.remove(&user);
         }
+    }
+}
+
+impl ResolvedBatch {
+    /// Second half of [`JobEncoder::encode_jobs`]: one gzip member per job
+    /// from its dynamic prefix and the resolved fragments.
+    ///
+    /// # Panics
+    ///
+    /// If `jobs` are not the jobs this batch was resolved from.
+    #[must_use]
+    pub fn assemble(&self, jobs: &[PersonalizationJob]) -> Vec<Vec<u8>> {
+        let total: usize = jobs.iter().map(|job| job.candidates.len()).sum();
+        assert_eq!(total, self.fragments.len(), "jobs differ from the batch");
+        let suffix = &*SUFFIX;
+        let mut scratch = Vec::new();
+        let mut rest = &self.fragments[..];
+        jobs.iter()
+            .map(|job| {
+                let (fragments, tail) = rest.split_at(job.candidates.len());
+                rest = tail;
+
+                // Dynamic prefix: requester id, parameters, requester
+                // profile, and the `null` sentinel that makes candidate
+                // fragments comma-prefixed.
+                scratch.clear();
+                scratch.extend_from_slice(b"{\"uid\":");
+                push_uint(&mut scratch, u64::from(job.uid.raw()));
+                scratch.extend_from_slice(b",\"k\":");
+                push_uint(&mut scratch, job.k as u64);
+                scratch.extend_from_slice(b",\"r\":");
+                push_uint(&mut scratch, job.r as u64);
+                if job.lease != 0 || job.epoch != 0 {
+                    // Same conditional shape as `PersonalizationJob::to_json`:
+                    // unleased jobs keep the seed wire format byte-for-byte.
+                    scratch.extend_from_slice(b",\"lease\":");
+                    push_uint(&mut scratch, job.lease);
+                    scratch.extend_from_slice(b",\"epoch\":");
+                    push_uint(&mut scratch, job.epoch);
+                }
+                scratch.extend_from_slice(b",\"profile\":");
+                profile_json(&mut scratch, &job.profile);
+                scratch.extend_from_slice(b",\"candidates\":[null");
+                let prefix_chunk = compress_chunk(&scratch, Effort::FAST);
+
+                let body_len = gzip::HEADER.len()
+                    + prefix_chunk.len()
+                    + fragments
+                        .iter()
+                        .map(|cached| cached.fragment.chunk.len())
+                        .sum::<usize>()
+                    + suffix.chunk.len()
+                    + STREAM_TERMINATOR.len()
+                    + 8;
+                let mut out = Vec::with_capacity(body_len);
+                out.extend_from_slice(&gzip::HEADER);
+                out.extend_from_slice(&prefix_chunk);
+                let mut crc = crc32(&scratch);
+                let mut total_len = scratch.len() as u64;
+                for cached in fragments {
+                    cached.fragment.append(&mut out, &mut crc, &mut total_len);
+                }
+                suffix.append(&mut out, &mut crc, &mut total_len);
+
+                out.extend_from_slice(&STREAM_TERMINATOR);
+                out.extend_from_slice(&crc.to_le_bytes());
+                out.extend_from_slice(&((total_len & 0xFFFF_FFFF) as u32).to_le_bytes());
+                debug_assert_eq!(out.len(), body_len);
+                out
+            })
+            .collect()
     }
 }
 
@@ -472,10 +511,29 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_likes_from_dislikes() {
-        let liked = Profile::from_liked([1u32, 2]);
-        let disliked = Profile::from_votes(Vec::<u32>::new(), [1u32, 2]);
-        assert_ne!(fingerprint(&liked), fingerprint(&disliked));
+    fn stamp_distinguishes_likes_from_dislikes() {
+        // The same items flipped from liked to disliked: a new stamp, so
+        // the cached fragment for that candidate is recompressed.
+        let mut profile = Profile::from_liked([1u32, 2]);
+        let single = |profile: &Profile| {
+            let mut candidates = CandidateSet::new();
+            candidates.insert(UserId(2), profile.clone());
+            PersonalizationJob {
+                candidates,
+                ..job()
+            }
+        };
+        let encoder = JobEncoder::new();
+        let liked = encoder.encode(&single(&profile));
+        let stamp = profile.stamp();
+        assert!(profile.record(hyrec_core::ItemId(1), hyrec_core::Vote::Dislike));
+        assert!(profile.record(hyrec_core::ItemId(2), hyrec_core::Vote::Dislike));
+        assert_ne!(profile.stamp(), stamp);
+        let disliked_job = single(&profile);
+        let disliked = encoder.encode(&disliked_job);
+        assert_ne!(liked, disliked);
+        assert_eq!(disliked, JobEncoder::new().encode(&disliked_job));
+        assert_eq!(PersonalizationJob::decode(&disliked).unwrap(), disliked_job);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::anonymize::AnonymousMapping;
 use crate::config::HyRecConfig;
 use crate::sampler::{DefaultSampler, Sampler, SamplerContext, UserDirectory};
 use hyrec_core::{
-    CandidateSet, ItemId, KnnTable, Neighborhood, Profile, ProfileTable, UserId, Vote,
+    CandidateSet, FastHashMap, ItemId, KnnTable, Neighborhood, Profile, ProfileTable, UserId, Vote,
 };
 use hyrec_wire::{KnnUpdate, PersonalizationJob};
 use parking_lot::Mutex;
@@ -40,6 +40,12 @@ pub struct HyRecServer {
     directory: UserDirectory,
     sampler: Box<dyn Sampler>,
     anonymizer: Mutex<AnonymousMapping>,
+    /// Capped copies of over-cap candidate profiles, with the stamp of the
+    /// table profile each was cut from. Reusing a copy until its source
+    /// changes keeps its stamp, so the job encoder's fragment cache hits
+    /// under a profile cap too. Holds at most one copy per user; taken
+    /// only after `anonymizer`.
+    capped: Mutex<FastHashMap<UserId, (u64, Arc<Profile>)>>,
     rng: Mutex<StdRng>,
     requests_served: AtomicU64,
     updates_applied: AtomicU64,
@@ -86,6 +92,7 @@ impl HyRecServer {
             directory: UserDirectory::new(),
             sampler: Box::new(sampler),
             anonymizer: Mutex::new(AnonymousMapping::new(seed ^ 0xA11CE)),
+            capped: Mutex::new(FastHashMap::default()),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             requests_served: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
@@ -238,12 +245,18 @@ impl HyRecServer {
             return raw;
         }
         let mut anonymizer = self.anonymizer.lock();
-        self.finalize_with(raw, &mut anonymizer)
+        let mut capped = self.capped.lock();
+        self.finalize_with(raw, &mut anonymizer, &mut capped)
     }
 
-    /// [`Self::finalize_candidates`] with the anonymizer lock already held —
-    /// the batch path locks once for all jobs.
-    fn finalize_with(&self, raw: CandidateSet, anonymizer: &mut AnonymousMapping) -> CandidateSet {
+    /// [`Self::finalize_candidates`] with the anonymizer and capped-copy
+    /// locks already held — the batch path locks once for all jobs.
+    fn finalize_with(
+        &self,
+        raw: CandidateSet,
+        anonymizer: &mut AnonymousMapping,
+        capped: &mut FastHashMap<UserId, (u64, Arc<Profile>)>,
+    ) -> CandidateSet {
         let cap = self.config.profile_cap;
         // Pseudonymization is injective within an epoch and capping keeps
         // user ids untouched, so the input's uniqueness survives and the
@@ -252,7 +265,20 @@ impl HyRecServer {
             .into_vec()
             .into_iter()
             .map(|c| {
-                let profile = Self::capped(c.profile, cap);
+                let profile = match cap {
+                    Some(max) if c.profile.liked_len() > max => {
+                        let source = c.profile.stamp();
+                        match capped.get(&c.user) {
+                            Some((stamp, copy)) if *stamp == source => Arc::clone(copy),
+                            _ => {
+                                let copy = Self::capped(c.profile, cap);
+                                capped.insert(c.user, (source, Arc::clone(&copy)));
+                                copy
+                            }
+                        }
+                    }
+                    _ => c.profile,
+                };
                 let user = if self.config.anonymize_users {
                     anonymizer.pseudonymize(c.user)
                 } else {
@@ -299,9 +325,10 @@ impl HyRecServer {
         let finalized: Vec<CandidateSet> =
             if self.config.anonymize_users || self.config.profile_cap.is_some() {
                 let mut anonymizer = self.anonymizer.lock();
+                let mut capped = self.capped.lock();
                 candidate_sets
                     .into_iter()
-                    .map(|set| self.finalize_with(set, &mut anonymizer))
+                    .map(|set| self.finalize_with(set, &mut anonymizer, &mut capped))
                     .collect()
             } else {
                 candidate_sets
@@ -606,6 +633,49 @@ mod tests {
         for c in job.candidates.iter() {
             assert!(c.profile.liked_len() <= 3);
         }
+    }
+
+    #[test]
+    fn capped_candidates_keep_their_stamp_until_the_source_changes() {
+        let server = HyRecServer::with_config(
+            HyRecConfig::builder()
+                .k(2)
+                .anonymize_users(false)
+                .profile_cap(3)
+                .seed(1)
+                .build(),
+        );
+        for u in 0..5u32 {
+            for i in 0..50u32 {
+                server.record(UserId(u), ItemId(i), Vote::Like);
+            }
+        }
+        let finalized_stamps = || -> Vec<u64> {
+            let mut raw = CandidateSet::new();
+            for u in 1..5u32 {
+                raw.insert(UserId(u), server.profile_of(UserId(u)).unwrap());
+            }
+            let set = server.finalize_candidates(raw);
+            set.pairs()
+                .map(|(_, profile)| {
+                    assert_eq!(profile.liked_len(), 3);
+                    profile.stamp()
+                })
+                .collect()
+        };
+        let first = finalized_stamps();
+        assert_eq!(
+            finalized_stamps(),
+            first,
+            "unchanged sources reuse their copies"
+        );
+
+        // A vote on user 1's table profile cuts a fresh copy for user 1
+        // only.
+        assert!(server.record(UserId(1), ItemId(999), Vote::Like));
+        let after = finalized_stamps();
+        assert_ne!(after[0], first[0]);
+        assert_eq!(after[1..], first[1..]);
     }
 
     #[test]

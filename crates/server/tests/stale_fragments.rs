@@ -1,0 +1,165 @@
+//! The job encoder validates a cached fragment by the candidate profile's
+//! stamp alone, and under a profile cap the server reuses capped copies
+//! until their source changes. This suite drives random interleavings of
+//! votes (new likes, like→dislike flips, repeated votes; through `record`
+//! and `record_many`), profile caps, pseudonymization and batched encodes
+//! over overlapping user sets, and asserts that every job carries current
+//! profiles and that every body one long-lived encoder emits is
+//! byte-identical to a cold encoder's body for the same job — i.e. no
+//! stale fragment or capped copy is ever served.
+
+use hyrec_core::{ItemId, UserId, Vote};
+use hyrec_server::encoder::{JobEncoder, DEFAULT_CACHE_CAPACITY};
+use hyrec_server::{HyRecConfig, HyRecServer};
+use hyrec_wire::PersonalizationJob;
+use proptest::prelude::*;
+
+const USERS: u32 = 12;
+
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// Like an item nobody has rated yet.
+    NewLike,
+    /// Dislike one of the user's liked items.
+    Flip,
+    /// Repeat one of the user's existing votes (no change).
+    Repeat,
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Record(u32, u32, Kind),
+    RecordMany(Vec<(u32, u32, Kind)>),
+    /// Build and encode jobs for these users; with the flag set, the
+    /// previous batch's (possibly stale) jobs ride along in the same call.
+    Encode(Vec<u32>, bool),
+    RotatePseudonyms,
+}
+
+fn kind() -> impl Strategy<Value = Kind> {
+    prop_oneof![Just(Kind::NewLike), Just(Kind::Flip), Just(Kind::Repeat)]
+}
+
+fn vote() -> impl Strategy<Value = (u32, u32, Kind)> {
+    (0..USERS, any::<u32>(), kind())
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => vote().prop_map(|(u, s, k)| Op::Record(u, s, k)),
+        2 => proptest::collection::vec(vote(), 1..6).prop_map(Op::RecordMany),
+        4 => (proptest::collection::vec(0..USERS, 1..6), any::<bool>())
+            .prop_map(|(users, previous)| Op::Encode(users, previous)),
+        1 => Just(Op::RotatePseudonyms),
+    ]
+}
+
+/// Turns a generated vote into a concrete one against the current table.
+fn concrete(
+    server: &HyRecServer,
+    next_item: &mut u32,
+    (user, selector, kind): (u32, u32, Kind),
+) -> (UserId, ItemId, Vote) {
+    let user = UserId(user);
+    let profile = server.profile_of(user).unwrap_or_default();
+    let liked: Vec<ItemId> = profile.liked().collect();
+    let disliked: Vec<ItemId> = profile.disliked().collect();
+    let pick = |items: &[ItemId]| items[selector as usize % items.len()];
+    match kind {
+        Kind::Flip if !liked.is_empty() => (user, pick(&liked), Vote::Dislike),
+        Kind::Repeat if !liked.is_empty() && (disliked.is_empty() || selector % 2 == 0) => {
+            (user, pick(&liked), Vote::Like)
+        }
+        Kind::Repeat if !disliked.is_empty() => (user, pick(&disliked), Vote::Dislike),
+        _ => {
+            *next_item += 1;
+            (user, ItemId(*next_item), Vote::Like)
+        }
+    }
+}
+
+fn check_against_cold(encoder: &JobEncoder, jobs: &[PersonalizationJob]) -> TestCaseResult {
+    let bodies = encoder.encode_jobs(jobs);
+    prop_assert_eq!(bodies.len(), jobs.len());
+    for (job, body) in jobs.iter().zip(&bodies) {
+        let cold = JobEncoder::new().encode(job);
+        prop_assert!(
+            *body == cold,
+            "warm body for requester {} is stale",
+            job.uid
+        );
+        prop_assert_eq!(&PersonalizationJob::decode(body).unwrap(), job);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn warm_bodies_equal_cold_bodies(
+        anonymize in any::<bool>(),
+        cap in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
+        capacity in prop_oneof![Just(6usize), Just(DEFAULT_CACHE_CAPACITY)],
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(op(), 1..40),
+    ) {
+        let mut config = HyRecConfig::builder().k(3).r(3).anonymize_users(anonymize).seed(seed);
+        if let Some(cap) = cap {
+            config = config.profile_cap(cap);
+        }
+        let server = HyRecServer::with_config(config.build());
+        for u in 0..USERS {
+            for i in 0..4 {
+                server.record(UserId(u), ItemId((u * 3 + i) % 20), Vote::Like);
+            }
+        }
+        let encoder = JobEncoder::with_capacity(capacity);
+        let mut next_item = 1_000u32;
+        let mut previous: Vec<PersonalizationJob> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Record(u, s, k) => {
+                    let (user, item, vote) = concrete(&server, &mut next_item, (u, s, k));
+                    server.record(user, item, vote);
+                }
+                Op::RecordMany(votes) => {
+                    let batch: Vec<_> = votes
+                        .into_iter()
+                        .map(|v| concrete(&server, &mut next_item, v))
+                        .collect();
+                    let _ = server.record_many(&batch);
+                }
+                Op::Encode(users, with_previous) => {
+                    let users: Vec<UserId> = users.into_iter().map(UserId).collect();
+                    let fresh = server.build_jobs(&users);
+                    if !anonymize {
+                        // The jobs themselves are current: every candidate
+                        // carries its table profile, capped.
+                        for candidate in fresh.iter().flat_map(|job| job.candidates.iter()) {
+                            let mut expected =
+                                (*server.profile_of(candidate.user).unwrap_or_default()).clone();
+                            expected.truncate_liked(cap.unwrap_or(usize::MAX));
+                            prop_assert!(
+                                *candidate.profile == expected,
+                                "candidate {} is out of date",
+                                candidate.user
+                            );
+                        }
+                    }
+                    let mut jobs = if with_previous { previous.clone() } else { Vec::new() };
+                    jobs.extend(fresh.iter().cloned());
+                    check_against_cold(&encoder, &jobs)?;
+                    prop_assert!(encoder.cached_profiles() <= capacity);
+                    previous = fresh;
+                }
+                Op::RotatePseudonyms => server.rotate_pseudonyms(),
+            }
+        }
+        // A final pass over everyone, twice: all hits the second time.
+        let everyone: Vec<UserId> = (0..USERS).map(UserId).collect();
+        let jobs = server.build_jobs(&everyone);
+        check_against_cold(&encoder, &jobs)?;
+        check_against_cold(&encoder, &jobs)?;
+    }
+}

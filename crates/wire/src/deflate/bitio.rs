@@ -182,13 +182,9 @@ impl<'a> BitReader<'a> {
 /// ```
 #[must_use]
 pub fn reverse_bits(value: u32, count: u32) -> u32 {
-    let mut v = value;
-    let mut out = 0u32;
-    for _ in 0..count {
-        out = (out << 1) | (v & 1);
-        v >>= 1;
-    }
-    out
+    // Reverse all 32 bits, then drop the reversed high bits; a shift by 32
+    // (count 0) yields 0.
+    value.reverse_bits().checked_shr(32 - count).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -283,6 +279,17 @@ mod tests {
             fn double_reverse_is_identity(value in any::<u32>(), count in 0u32..=32) {
                 let masked = if count == 32 { value } else { value & ((1u32 << count) - 1) };
                 prop_assert_eq!(reverse_bits(reverse_bits(masked, count), count), masked);
+            }
+
+            #[test]
+            fn reverse_matches_bit_by_bit(value in any::<u32>(), count in 0u32..=32) {
+                let mut v = value;
+                let mut expected = 0u32;
+                for _ in 0..count {
+                    expected = (expected << 1) | (v & 1);
+                    v >>= 1;
+                }
+                prop_assert_eq!(reverse_bits(value, count), expected);
             }
         }
     }

@@ -6,6 +6,8 @@
 //! lazy evaluation and hash-insert density for speed, with the fast preset
 //! tuned for on-the-fly compression of dynamic responses.
 
+use std::cell::RefCell;
+
 /// Minimum match length DEFLATE can encode.
 pub const MIN_MATCH: usize = 3;
 /// Maximum match length DEFLATE can encode.
@@ -103,17 +105,49 @@ fn match_length(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     len
 }
 
-struct Matcher {
-    head: Vec<u32>,
+thread_local! {
+    /// Each thread's hash-head table, all zeros between calls, so that
+    /// compressing a small input (a job's dynamic prefix) does not
+    /// allocate and zero 128 KiB first.
+    static HEAD: RefCell<Vec<u32>> = RefCell::new(vec![0u32; HASH_SIZE]);
+}
+
+/// A borrowed head table that is returned to all zeros when dropped (also
+/// on unwind), so the next call starts from the state a fresh table has
+/// and emits the same tokens.
+struct ZeroOnDrop<'a> {
+    head: &'a mut [u32],
+    data: &'a [u8],
+}
+
+impl Drop for ZeroOnDrop<'_> {
+    fn drop(&mut self) {
+        // Small inputs touched at most one slot per position: clear just
+        // those. Past a few thousand positions one fill is cheaper.
+        if self.data.len() < HASH_SIZE / 8 {
+            for pos in 0..=self.data.len() - MIN_MATCH {
+                self.head[hash3(self.data, pos)] = 0;
+            }
+        } else {
+            self.head.fill(0);
+        }
+    }
+}
+
+struct Matcher<'a> {
+    head: &'a mut [u32],
+    /// Chain links, indexed by position modulo the window; only as long as
+    /// the input when that is shorter than the window. Every slot is
+    /// written by `insert` before a chain walk can read it.
     prev: Vec<u32>,
     effort: Effort,
 }
 
-impl Matcher {
-    fn new(effort: Effort) -> Self {
+impl<'a> Matcher<'a> {
+    fn new(head: &'a mut [u32], n: usize, effort: Effort) -> Self {
         Self {
-            head: vec![0u32; HASH_SIZE],
-            prev: vec![0u32; WINDOW_SIZE],
+            head,
+            prev: vec![0u32; n.min(WINDOW_SIZE)],
             effort,
         }
     }
@@ -167,6 +201,10 @@ impl Matcher {
 
 /// Tokenizes `data` into literals and back-references.
 ///
+/// The hash-head table is kept per thread and cleared after each call, so
+/// the token stream depends only on `data` and `effort`, never on earlier
+/// calls.
+///
 /// ```
 /// use hyrec_wire::deflate::lz77::{tokenize, Effort, Token};
 /// let tokens = tokenize(b"abcabcabcabc", Effort::DEFAULT);
@@ -175,12 +213,28 @@ impl Matcher {
 #[must_use]
 pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
     let n = data.len();
-    let mut tokens = Vec::with_capacity(n / 4 + 16);
     if n < MIN_MATCH + 1 {
-        tokens.extend(data.iter().map(|&b| Token::Literal(b)));
-        return tokens;
+        return data.iter().map(|&b| Token::Literal(b)).collect();
     }
-    let mut matcher = Matcher::new(effort);
+    HEAD.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut head) => {
+            let table = ZeroOnDrop {
+                head: &mut head[..],
+                data,
+            };
+            tokenize_with(data, effort, table.head)
+        }
+        // Unreachable in practice (tokenizing does not re-enter); a
+        // private table keeps the output identical anyway.
+        Err(_) => tokenize_with(data, effort, &mut vec![0u32; HASH_SIZE]),
+    })
+}
+
+/// The matching loop over a zeroed head table.
+fn tokenize_with(data: &[u8], effort: Effort, head: &mut [u32]) -> Vec<Token> {
+    let n = data.len();
+    let mut tokens = Vec::with_capacity(n / 4 + 16);
+    let mut matcher = Matcher::new(head, n, effort);
 
     let mut pos = 0usize;
     while pos < n {
@@ -305,6 +359,32 @@ mod tests {
     fn empty_input() {
         assert!(tokenize(b"", Effort::DEFAULT).is_empty());
         assert!(expand(&[]).is_empty());
+    }
+
+    #[test]
+    fn head_table_is_all_zeros_after_every_call() {
+        let text: Vec<u8> = (0..9000u32)
+            .flat_map(|i| format!("{},", i * 37 % 1009).into_bytes())
+            .collect();
+        // Both reset paths: inputs below and above the clear-all cutoff.
+        for len in [
+            4,
+            5,
+            64,
+            580,
+            HASH_SIZE / 8 - 1,
+            HASH_SIZE / 8,
+            20_000,
+            text.len(),
+        ] {
+            for effort in [Effort::FAST, Effort::DEFAULT, Effort::BEST] {
+                let _ = tokenize(&text[..len], effort);
+                HEAD.with(|cell| {
+                    let head = cell.borrow();
+                    assert!(head.iter().all(|&slot| slot == 0), "len {len}");
+                });
+            }
+        }
     }
 
     #[test]
