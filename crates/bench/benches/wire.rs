@@ -1,7 +1,14 @@
 //! Wire-substrate micro-benches: JSON codec and DEFLATE/gzip throughput
 //! (the per-message costs behind Figures 8 and 10).
+//!
+//! The `-assembled` cases decode what browsers actually receive: a body
+//! the fragment-caching `JobEncoder` assembles, with one dynamic Huffman
+//! block per candidate (about 120 at k = 10 and 100-item profiles) plus
+//! empty sync-flush blocks, rather than a single-stream `gzip::compress`
+//! body with one block.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hyrec_server::JobEncoder;
 use hyrec_sim::device::synthetic_job;
 use hyrec_wire::deflate::lz77::Effort;
 use hyrec_wire::json::JsonValue;
@@ -48,6 +55,10 @@ fn bench_gzip(c: &mut Criterion) {
             bench.iter(|| std::hint::black_box(gzip::decompress(&packed).unwrap()));
         });
     }
+    let assembled = assembled_body();
+    group.bench_function("decompress-assembled", |bench| {
+        bench.iter(|| std::hint::black_box(gzip::decompress(&assembled).unwrap()));
+    });
     group.finish();
 }
 
@@ -62,7 +73,17 @@ fn bench_messages(c: &mut Criterion) {
     group.bench_function("job-decode", |bench| {
         bench.iter(|| std::hint::black_box(PersonalizationJob::decode(&encoded).unwrap()));
     });
+    let assembled = assembled_body();
+    group.bench_function("job-decode-assembled", |bench| {
+        bench.iter(|| std::hint::black_box(PersonalizationJob::decode(&assembled).unwrap()));
+    });
     group.finish();
+}
+
+/// A 100-item, 120-candidate job as the fragment-caching encoder ships it.
+fn assembled_body() -> Vec<u8> {
+    let job = synthetic_job(100, 10, hyrec_core::candidate_set_bound(10));
+    JobEncoder::new().encode(&job)
 }
 
 criterion_group!(benches, bench_json, bench_gzip, bench_messages);

@@ -1,6 +1,12 @@
 //! CRC-32 (IEEE) with zlib-style combination.
 //!
-//! [`crc32`] is the table-driven checksum the gzip trailer uses.
+//! [`crc32`] is the checksum the gzip trailer uses. [`crc32_update`] runs
+//! slicing-by-8: eight 256-entry tables, built at compile time, where
+//! `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so one
+//! step folds eight input bytes with eight independent lookups instead of
+//! eight dependent ones. Fewer than eight trailing bytes go bytewise
+//! through `TABLES[0]`.
+//!
 //! [`crc32_combine`] merges the CRCs of two concatenated byte ranges
 //! without touching the bytes — the GF(2) matrix technique from zlib — and
 //! [`ShiftOp`] caches the per-length operator so a server can combine a
@@ -10,24 +16,38 @@
 /// CRC-32 polynomial (reflected).
 const POLY: u32 = 0xEDB8_8320;
 
-fn table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 == 1 {
-                    POLY ^ (crc >> 1)
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
+/// The slicing-by-8 tables: `TABLES[0]` is the classic bytewise table and
+/// `TABLES[k][b]` advances `TABLES[k - 1][b]` past one more zero byte.
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                POLY ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Computes the CRC-32 of `data` (IEEE 802.3, as used by gzip).
@@ -44,10 +64,23 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// xor with `0xFFFF_FFFF`).
 #[must_use]
 pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    let table = table();
+    let t = &TABLES;
     let mut crc = state;
-    for &byte in data {
-        crc = table[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = u32::from_le_bytes([word[0], word[1], word[2], word[3]]) ^ crc;
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = t[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
 }
@@ -269,11 +302,53 @@ mod tests {
         assert_eq!(crc, crc32(&raw));
     }
 
+    /// The one-table, one-byte-per-step CRC that slicing-by-8 replaces.
+    fn bytewise(state: u32, data: &[u8]) -> u32 {
+        data.iter().fold(state, |crc, &byte| {
+            TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8)
+        })
+    }
+
+    #[test]
+    fn slicing_by_8_matches_bytewise_at_every_length_and_offset() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 151 + 7) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[offset..offset + len];
+                for state in [0xFFFF_FFFF, 0, 0x1234_5678] {
+                    assert_eq!(
+                        crc32_update(state, data),
+                        bytewise(state, data),
+                        "offset {offset} len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_stream_matches_oneshot_at_every_cut() {
+        let data: Vec<u8> = (0..200u32).map(|i| ((i * 31) ^ (i >> 3)) as u8).collect();
+        for cut in 0..=data.len() {
+            let state = crc32_update(0xFFFF_FFFF, &data[..cut]);
+            let state = crc32_update(state, &data[cut..]);
+            assert_eq!(state ^ 0xFFFF_FFFF, crc32(&data), "cut {cut}");
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            #[test]
+            fn matches_bytewise_reference(
+                data in proptest::collection::vec(any::<u8>(), 0..300),
+                state in any::<u32>(),
+            ) {
+                prop_assert_eq!(crc32_update(state, &data), bytewise(state, &data));
+            }
+
             #[test]
             fn combine_is_correct(
                 a in proptest::collection::vec(any::<u8>(), 0..200),

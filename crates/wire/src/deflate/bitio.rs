@@ -73,12 +73,22 @@ impl BitWriter {
 }
 
 /// Reads bit fields LSB-first from a byte slice.
-#[derive(Debug)]
+///
+/// The buffer refills with one unaligned 8-byte little-endian load while
+/// at least 8 input bytes remain, and a byte at a time only within the
+/// last 8. After a refill at least 56 bits are buffered unless the input
+/// ran out — enough for a whole DEFLATE match (a 15-bit length code, 5
+/// extra bits, a 15-bit distance code and 13 extra bits).
+#[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    /// Next unread byte.
+    /// Next input byte not yet counted in `bit_count`.
     pos: usize,
+    /// Buffered bits, oldest lowest. Bits at and above `bit_count` are
+    /// either zero or the input's next bits (a word load may run ahead of
+    /// `pos`), so a later load that ORs the same bytes in changes nothing.
     bit_buf: u64,
+    /// Number of valid bits in `bit_buf` (at most 63).
     bit_count: u32,
 }
 
@@ -94,30 +104,60 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    fn refill(&mut self) {
-        while self.bit_count <= 56 && self.pos < self.bytes.len() {
+    /// Tops the buffer up to at least 56 bits, or to the end of input.
+    #[inline(always)]
+    pub(crate) fn refill(&mut self) {
+        if let Some(word) = self.bytes.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("slice of 8 bytes"));
+            self.bit_buf |= word << self.bit_count;
+            let whole_bytes = (63 - self.bit_count) / 8;
+            self.pos += whole_bytes as usize;
+            self.bit_count += whole_bytes * 8;
+        } else {
+            self.refill_tail();
+        }
+    }
+
+    #[cold]
+    fn refill_tail(&mut self) {
+        while self.bit_count < 56 && self.pos < self.bytes.len() {
             self.bit_buf |= u64::from(self.bytes[self.pos]) << self.bit_count;
             self.pos += 1;
             self.bit_count += 8;
         }
     }
 
+    /// The whole buffer, without refilling; bits past the end of input
+    /// read as zero.
+    #[inline(always)]
+    pub(crate) fn peek_word(&self) -> u64 {
+        self.bit_buf
+    }
+
+    /// Number of buffered bits.
+    #[inline(always)]
+    pub(crate) fn buffered(&self) -> u32 {
+        self.bit_count
+    }
+
+    /// Drops `count` buffered bits without refilling; `false` (consuming
+    /// nothing) if fewer are buffered.
+    #[inline(always)]
+    pub(crate) fn consume(&mut self, count: u32) -> bool {
+        if count > self.bit_count {
+            return false;
+        }
+        self.bit_buf >>= count;
+        self.bit_count -= count;
+        true
+    }
+
     /// Reads `count` bits (LSB-first); `None` if the input is exhausted.
     pub fn read_bits(&mut self, count: u32) -> Option<u32> {
         debug_assert!(count <= 32);
         self.refill();
-        if self.bit_count < count {
-            return None;
-        }
-        let mask = if count == 32 {
-            u32::MAX
-        } else {
-            (1u32 << count) - 1
-        };
-        let value = (self.bit_buf as u32) & mask;
-        self.bit_buf >>= count;
-        self.bit_count -= count;
-        Some(value)
+        let value = self.peek_bits_buffered(count);
+        self.consume(count).then_some(value)
     }
 
     /// Peeks up to `count` bits without consuming; missing high bits are zero
@@ -125,12 +165,11 @@ impl<'a> BitReader<'a> {
     pub fn peek_bits(&mut self, count: u32) -> u32 {
         debug_assert!(count <= 32);
         self.refill();
-        let mask = if count == 32 {
-            u32::MAX
-        } else {
-            (1u32 << count) - 1
-        };
-        (self.bit_buf as u32) & mask
+        self.peek_bits_buffered(count)
+    }
+
+    fn peek_bits_buffered(&self, count: u32) -> u32 {
+        (self.bit_buf & ((1u64 << count) - 1)) as u32
     }
 
     /// Consumes `count` bits previously peeked.
@@ -140,12 +179,7 @@ impl<'a> BitReader<'a> {
         if self.bit_count < count {
             self.refill();
         }
-        if self.bit_count < count {
-            return false;
-        }
-        self.bit_buf >>= count;
-        self.bit_count -= count;
-        true
+        self.consume(count)
     }
 
     /// Discards buffered bits to realign at a byte boundary (stored blocks).
@@ -155,15 +189,17 @@ impl<'a> BitReader<'a> {
         self.bit_count -= drop;
     }
 
-    /// Reads `len` whole bytes; the reader must be byte-aligned.
-    pub fn read_bytes(&mut self, len: usize) -> Option<Vec<u8>> {
+    /// Borrows the next `len` whole bytes; the reader must be byte-aligned.
+    /// `None` (consuming nothing) if fewer remain.
+    pub fn read_bytes(&mut self, len: usize) -> Option<&'a [u8]> {
         debug_assert_eq!(self.bit_count % 8, 0);
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            let b = self.read_bits(8)?;
-            out.push(b as u8);
-        }
-        Some(out)
+        // The buffered whole bytes are the ones just before `pos`.
+        let start = self.pos - (self.bit_count / 8) as usize;
+        let bytes = self.bytes.get(start..start.checked_add(len)?)?;
+        self.pos = start + len;
+        self.bit_buf = 0;
+        self.bit_count = 0;
+        Some(bytes)
     }
 
     /// True when every bit has been consumed (ignoring final-byte padding).
@@ -181,10 +217,14 @@ impl<'a> BitReader<'a> {
 /// assert_eq!(reverse_bits(0b1, 1), 0b1);
 /// ```
 #[must_use]
-pub fn reverse_bits(value: u32, count: u32) -> u32 {
-    // Reverse all 32 bits, then drop the reversed high bits; a shift by 32
-    // (count 0) yields 0.
-    value.reverse_bits().checked_shr(32 - count).unwrap_or(0)
+pub const fn reverse_bits(value: u32, count: u32) -> u32 {
+    // Reverse all 32 bits, then drop the reversed high bits (none survive
+    // for count 0).
+    if count == 0 {
+        0
+    } else {
+        value.reverse_bits() >> (32 - count)
+    }
 }
 
 #[cfg(test)]
@@ -217,7 +257,7 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(1), Some(1));
         r.align_to_byte();
-        assert_eq!(r.read_bytes(2), Some(vec![0xAB, 0xCD]));
+        assert_eq!(r.read_bytes(2), Some(&[0xAB, 0xCD][..]));
         assert!(r.is_exhausted());
     }
 

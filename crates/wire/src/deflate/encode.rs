@@ -2,7 +2,8 @@
 
 use super::bitio::BitWriter;
 use super::huffman::{
-    assign_codes, build_code_lengths, fixed_distance_lengths, fixed_literal_lengths, MAX_BITS,
+    assign_codes, build_code_lengths, FIXED_DISTANCE_CODES, FIXED_DISTANCE_LENGTHS,
+    FIXED_LITERAL_CODES, FIXED_LITERAL_LENGTHS, MAX_BITS,
 };
 use super::lz77::{tokenize, Effort, Token};
 use super::{dist_to_code, length_to_code, CLC_ORDER};
@@ -61,8 +62,8 @@ fn write_blocks(writer: &mut BitWriter, data: &[u8], effort: Effort, final_strea
     let tokens = tokenize(data, effort);
 
     // Symbol frequencies (including the mandatory end-of-block symbol 256).
-    let mut lit_freqs = vec![0u64; 286];
-    let mut dist_freqs = vec![0u64; 30];
+    let mut lit_freqs = [0u64; 286];
+    let mut dist_freqs = [0u64; 30];
     lit_freqs[256] = 1;
     for token in &tokens {
         match *token {
@@ -77,14 +78,11 @@ fn write_blocks(writer: &mut BitWriter, data: &[u8], effort: Effort, final_strea
     let dyn_lit_lengths = build_code_lengths(&lit_freqs, MAX_BITS);
     let dyn_dist_lengths = build_code_lengths(&dist_freqs, MAX_BITS);
 
-    let fixed_lit_lengths = fixed_literal_lengths();
-    let fixed_dist_lengths = fixed_distance_lengths();
-
     // Costs in bits.
     let fixed_cost = body_cost(
         &tokens,
-        &fixed_lit_lengths,
-        &fixed_dist_lengths,
+        &FIXED_LITERAL_LENGTHS,
+        &FIXED_DISTANCE_LENGTHS,
         &lit_freqs,
         &dist_freqs,
     );
@@ -105,12 +103,22 @@ fn write_blocks(writer: &mut BitWriter, data: &[u8], effort: Effort, final_strea
     } else if fixed_cost <= dyn_cost {
         writer.write_bits(bfinal, 1); // BFINAL
         writer.write_bits(0b01, 2); // fixed
-        write_body(writer, &tokens, &fixed_lit_lengths, &fixed_dist_lengths);
+        write_body(
+            writer,
+            &tokens,
+            (&FIXED_LITERAL_LENGTHS, &FIXED_LITERAL_CODES),
+            (&FIXED_DISTANCE_LENGTHS, &FIXED_DISTANCE_CODES),
+        );
     } else {
         writer.write_bits(bfinal, 1); // BFINAL
         writer.write_bits(0b10, 2); // dynamic
         write_dynamic_header(writer, &header);
-        write_body(writer, &tokens, &dyn_lit_lengths, &dyn_dist_lengths);
+        write_body(
+            writer,
+            &tokens,
+            (&dyn_lit_lengths, &assign_codes(&dyn_lit_lengths)),
+            (&dyn_dist_lengths, &assign_codes(&dyn_dist_lengths)),
+        );
     }
 }
 
@@ -166,31 +174,36 @@ fn write_stored(writer: &mut BitWriter, data: &[u8], final_stream: bool) {
     }
 }
 
-fn write_body(writer: &mut BitWriter, tokens: &[Token], lit_lengths: &[u8], dist_lengths: &[u8]) {
-    let lit_codes = assign_codes(lit_lengths);
-    let dist_codes = assign_codes(dist_lengths);
+/// Emits the tokens and the end-of-block symbol under the given codes,
+/// each a `(lengths, bit-reversed codes)` pair.
+fn write_body(
+    writer: &mut BitWriter,
+    tokens: &[Token],
+    (lit_lengths, lit_codes): (&[u8], &[u16]),
+    (dist_lengths, dist_codes): (&[u8], &[u16]),
+) {
     let emit = |w: &mut BitWriter, codes: &[u16], lengths: &[u8], symbol: usize| {
         debug_assert!(lengths[symbol] > 0, "emitting symbol with no code");
         w.write_bits(u32::from(codes[symbol]), u32::from(lengths[symbol]));
     };
     for token in tokens {
         match *token {
-            Token::Literal(b) => emit(writer, &lit_codes, lit_lengths, b as usize),
+            Token::Literal(b) => emit(writer, lit_codes, lit_lengths, b as usize),
             Token::Match { len, dist } => {
                 let (lcode, lextra, lvalue) = length_to_code(len);
-                emit(writer, &lit_codes, lit_lengths, lcode as usize);
+                emit(writer, lit_codes, lit_lengths, lcode as usize);
                 if lextra > 0 {
                     writer.write_bits(u32::from(lvalue), u32::from(lextra));
                 }
                 let (dcode, dextra, dvalue) = dist_to_code(dist);
-                emit(writer, &dist_codes, dist_lengths, dcode as usize);
+                emit(writer, dist_codes, dist_lengths, dcode as usize);
                 if dextra > 0 {
                     writer.write_bits(u32::from(dvalue), u32::from(dextra));
                 }
             }
         }
     }
-    emit(writer, &lit_codes, lit_lengths, 256); // end of block
+    emit(writer, lit_codes, lit_lengths, 256); // end of block
 }
 
 /// A precomputed dynamic header: the RLE-compressed code-length sequence plus

@@ -2,10 +2,13 @@
 //!
 //! The encoder side builds length-limited code lengths from symbol
 //! frequencies (Huffman tree + zlib-style depth fixup), then assigns
-//! canonical codes. The decoder side turns code lengths into a flat lookup
-//! table indexed by bit-reversed codes, matching the LSB-first bit reader.
+//! canonical codes. The decoder side turns code lengths into a two-level
+//! lookup table of packed entries indexed by bit-reversed codes, matching
+//! the LSB-first bit reader. The fixed code's lengths and codes are
+//! compile-time constants that the encoder and the decoder share.
 
 use super::bitio::{reverse_bits, BitReader};
+use super::{DIST_CODES, LENGTH_CODES};
 use crate::error::WireError;
 
 /// Maximum code length permitted by DEFLATE.
@@ -162,42 +165,181 @@ fn kraft_ok(lengths: &[u8], max_bits: usize) -> bool {
 ///
 /// Follows RFC 1951 §3.2.2 exactly: codes of the same length are consecutive
 /// integers in symbol order.
+///
+/// # Panics
+///
+/// Panics if a length exceeds [`MAX_BITS`].
 #[must_use]
 pub fn assign_codes(lengths: &[u8]) -> Vec<u16> {
-    let max = lengths.iter().copied().max().unwrap_or(0) as usize;
-    let mut bl_count = vec![0u16; max + 1];
-    for &l in lengths {
-        if l > 0 {
-            bl_count[l as usize] += 1;
-        }
-    }
-    let mut next_code = vec![0u16; max + 2];
-    let mut code = 0u16;
-    for bits in 1..=max {
-        code = (code + bl_count[bits - 1]) << 1;
-        next_code[bits] = code;
-    }
-    lengths
-        .iter()
-        .map(|&l| {
-            if l == 0 {
-                0
-            } else {
-                let c = next_code[l as usize];
-                next_code[l as usize] += 1;
-                reverse_bits(u32::from(c), u32::from(l)) as u16
-            }
-        })
-        .collect()
+    let mut codes = vec![0u16; lengths.len()];
+    fill_codes(lengths, &mut codes);
+    codes
 }
 
-/// A flat Huffman decoding table: peek [`MAX_BITS`] bits, look up, consume.
-#[derive(Debug, Clone)]
+/// [`assign_codes`] into a caller's buffer; `const` so the fixed tables
+/// below are computed at compile time.
+const fn fill_codes(lengths: &[u8], codes: &mut [u16]) {
+    let mut count = [0u32; MAX_BITS + 1];
+    let mut i = 0;
+    while i < lengths.len() {
+        assert!(
+            lengths[i] as usize <= MAX_BITS,
+            "code length exceeds 15 bits"
+        );
+        count[lengths[i] as usize] += 1;
+        i += 1;
+    }
+    let mut next_code = first_codes(&count);
+    let mut symbol = 0;
+    while symbol < lengths.len() {
+        let len = lengths[symbol] as usize;
+        if len > 0 {
+            codes[symbol] = reverse_bits(next_code[len], len as u32) as u16;
+            next_code[len] += 1;
+        }
+        symbol += 1;
+    }
+}
+
+/// The first canonical code of each length, given how many codes have
+/// each length in `count[1..=15]` (RFC 1951 §3.2.2, step 2).
+const fn first_codes(count: &[u32]) -> [u32; MAX_BITS + 1] {
+    let mut next_code = [0u32; MAX_BITS + 1];
+    let mut code = 0u32;
+    let mut bits = 2;
+    while bits <= MAX_BITS {
+        code = (code + count[bits - 1]) << 1;
+        next_code[bits] = code;
+        bits += 1;
+    }
+    next_code
+}
+
+/// The fixed literal/length code lengths of RFC 1951 §3.2.6.
+pub const FIXED_LITERAL_LENGTHS: [u8; 288] = {
+    let mut lengths = [8u8; 288];
+    let mut i = 144;
+    while i < 288 {
+        lengths[i] = match i {
+            144..=255 => 9,
+            256..=279 => 7,
+            _ => 8,
+        };
+        i += 1;
+    }
+    lengths
+};
+
+/// The fixed distance code lengths (all 5 bits, 30 codes + 2 reserved).
+pub const FIXED_DISTANCE_LENGTHS: [u8; 32] = [5; 32];
+
+/// The fixed literal/length codes, bit-reversed for the writer.
+pub(crate) static FIXED_LITERAL_CODES: [u16; 288] = {
+    let mut codes = [0u16; 288];
+    fill_codes(&FIXED_LITERAL_LENGTHS, &mut codes);
+    codes
+};
+
+/// The fixed distance codes, bit-reversed for the writer.
+pub(crate) static FIXED_DISTANCE_CODES: [u16; 32] = {
+    let mut codes = [0u16; 32];
+    fill_codes(&FIXED_DISTANCE_LENGTHS, &mut codes);
+    codes
+};
+
+/// Index width of a [`Decoder`]'s first-level table; longer codes continue
+/// in a second-level subtable.
+const PRIMARY_BITS: u32 = 10;
+
+/// Largest alphabet a [`Decoder`] accepts (the fixed literal/length code).
+const MAX_SYMBOLS: usize = 288;
+
+// Packed table entries (`u32`):
+//
+// | bits   | meaning                                                   |
+// |--------|-----------------------------------------------------------|
+// | 0..8   | code length in bits; 0 marks an index no code reaches     |
+// | 8..12  | extra bits after the code, or a subtable's index width    |
+// | 12..16 | flags below                                               |
+// | 16..32 | payload: symbol, literal byte, length or distance base, or |
+// |        | subtable offset                                           |
+
+/// Payload is a literal byte.
+pub(crate) const LITERAL: u32 = 1 << 12;
+/// The end-of-block symbol.
+pub(crate) const END_OF_BLOCK: u32 = 1 << 13;
+/// Payload is the offset of a subtable indexed by the bits after
+/// [`PRIMARY_BITS`].
+const SUBTABLE: u32 = 1 << 14;
+/// A symbol the alphabet reserves (literal/length 286–287, distance 30–31).
+pub(crate) const RESERVED: u32 = 1 << 15;
+
+/// Code length of an entry (0: invalid code).
+#[inline(always)]
+pub(crate) fn entry_len(entry: u32) -> u32 {
+    entry & 0xFF
+}
+
+/// Extra-bit count of a length or distance entry.
+#[inline(always)]
+pub(crate) fn entry_extra(entry: u32) -> u32 {
+    (entry >> 8) & 0xF
+}
+
+/// Payload of an entry.
+#[inline(always)]
+pub(crate) fn entry_value(entry: u32) -> u32 {
+    entry >> 16
+}
+
+/// What a [`Decoder`]'s entries carry besides the code length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Alphabet {
+    /// The bare symbol (code-length codes, [`Decoder::from_lengths`]).
+    Symbols = 0,
+    /// Literal byte, end of block, or length base plus extra-bit count.
+    LiteralLength = 1,
+    /// Distance base plus extra-bit count.
+    Distance = 2,
+}
+
+/// Every symbol's entry minus its code length, per [`Alphabet`].
+static PAYLOADS: [[u32; MAX_SYMBOLS]; 3] = {
+    let mut payloads = [[RESERVED; MAX_SYMBOLS]; 3];
+    let mut symbol = 0;
+    while symbol < MAX_SYMBOLS {
+        payloads[Alphabet::Symbols as usize][symbol] = (symbol as u32) << 16;
+        payloads[Alphabet::LiteralLength as usize][symbol] = match symbol {
+            0..=255 => LITERAL | ((symbol as u32) << 16),
+            256 => END_OF_BLOCK,
+            257..=285 => based(LENGTH_CODES[symbol - 257]),
+            _ => RESERVED,
+        };
+        if symbol < DIST_CODES.len() {
+            payloads[Alphabet::Distance as usize][symbol] = based(DIST_CODES[symbol]);
+        }
+        symbol += 1;
+    }
+    payloads
+};
+
+/// The payload of a length or distance code: base and extra-bit count.
+const fn based((base, extra): (u16, u8)) -> u32 {
+    ((base as u32) << 16) | ((extra as u32) << 8)
+}
+
+/// A two-level Huffman decoding table of packed entries, indexed by
+/// bit-reversed codes to match the LSB-first bit reader.
+///
+/// Codes of up to 10 bits resolve in one lookup of the first level; a
+/// longer code's first 10 bits select a subtable entry that the next bits
+/// index. Literal/length and distance tables fold the length or distance
+/// base and its extra-bit count into the entry, so the inflate loop reads
+/// a match's whole description from two lookups.
+#[derive(Debug, Clone, Default)]
 pub struct Decoder {
-    /// `entries[peeked_bits] = (symbol, code_length)`; length 0 = invalid.
-    entries: Vec<(u16, u8)>,
-    /// Table index width (= max code length used).
-    table_bits: u32,
+    table: Vec<u32>,
+    primary_bits: u32,
 }
 
 impl Decoder {
@@ -206,46 +348,142 @@ impl Decoder {
     /// # Errors
     ///
     /// Returns [`WireError::Deflate`] when the lengths oversubscribe the code
-    /// space (invalid dynamic header) or no symbol is used.
+    /// space (invalid dynamic header), no symbol is used, a length exceeds
+    /// 15 bits, or there are more than 288 symbols.
     pub fn from_lengths(lengths: &[u8]) -> Result<Self, WireError> {
-        let max = lengths.iter().copied().max().unwrap_or(0) as u32;
-        if max == 0 {
-            return Err(WireError::Deflate("huffman table with no codes".into()));
+        let mut decoder = Self::default();
+        decoder.rebuild(lengths, Alphabet::Symbols)?;
+        Ok(decoder)
+    }
+
+    /// Refills this decoder's table for new code lengths, reusing its
+    /// allocation.
+    pub(crate) fn rebuild(&mut self, lengths: &[u8], alphabet: Alphabet) -> Result<(), WireError> {
+        if lengths.len() > MAX_SYMBOLS {
+            return Err(WireError::Deflate("huffman alphabet too large".into()));
         }
-        if max as usize > MAX_BITS {
+        let mut coded = [(0u16, 0u8); MAX_SYMBOLS];
+        let mut used = 0;
+        for (symbol, &len) in lengths.iter().enumerate() {
+            if len != 0 {
+                coded[used] = (symbol as u16, len);
+                used += 1;
+            }
+        }
+        self.rebuild_coded(&coded[..used], 0, alphabet)
+    }
+
+    /// [`Self::rebuild`] from only the symbols that have a code: `(symbol,
+    /// length)` pairs in increasing symbol order, numbered from `first`.
+    /// Dynamic headers list a few dozen of up to 316 symbols, so the
+    /// table build never walks the unused ones.
+    pub(crate) fn rebuild_coded(
+        &mut self,
+        coded: &[(u16, u8)],
+        first: u16,
+        alphabet: Alphabet,
+    ) -> Result<(), WireError> {
+        // count[16] collects the lengths DEFLATE does not allow.
+        let mut count = [0u32; MAX_BITS + 2];
+        for &(_, len) in coded {
+            count[usize::from(len).min(MAX_BITS + 1)] += 1;
+        }
+        if count[MAX_BITS + 1] > 0 {
             return Err(WireError::Deflate("code length exceeds 15 bits".into()));
         }
-        // Oversubscription check (Kraft).
-        let mut kraft = 0u64;
-        for &l in lengths {
-            if l > 0 {
-                kraft += 1u64 << (MAX_BITS - l as usize);
-            }
-        }
-        if kraft > 1u64 << MAX_BITS {
+        let Some(max) = (1..=MAX_BITS).rev().find(|&len| count[len] > 0) else {
+            return Err(WireError::Deflate("huffman table with no codes".into()));
+        };
+        // Kraft: the code must not oversubscribe the code space. A complete
+        // one fills every table slot, so the old entries need clearing only
+        // for an incomplete code or where subtable widths collect.
+        let kraft: u32 = (1..=MAX_BITS)
+            .map(|len| count[len] << (MAX_BITS - len))
+            .sum();
+        if kraft > 1 << MAX_BITS {
             return Err(WireError::Deflate("oversubscribed huffman code".into()));
         }
+        let first_code = first_codes(&count);
+        let primary = (max as u32).min(PRIMARY_BITS);
+        let primary_size = 1usize << primary;
+        self.primary_bits = primary;
+        if kraft < 1 << MAX_BITS || max as u32 > primary {
+            self.table.clear();
+        }
+        self.table.truncate(primary_size);
+        self.table.resize(primary_size, 0);
 
-        let codes = assign_codes(lengths);
-        let mut entries = vec![(0u16, 0u8); 1 << max];
-        for (symbol, (&len, &code)) in lengths.iter().zip(codes.iter()).enumerate() {
-            if len == 0 {
-                continue;
+        if max as u32 > primary {
+            // Each first-level slot that long codes share gets a subtable
+            // wide enough for the longest of them; the widths collect in
+            // the slots themselves until the subtables are laid out.
+            let mut next = first_code;
+            let mut slots = [0u16; MAX_SYMBOLS];
+            let mut shared = 0;
+            for &(_, len) in coded {
+                let len = usize::from(len);
+                let code = reverse_bits(next[len], len as u32) as usize;
+                next[len] += 1;
+                if len as u32 > primary {
+                    let slot = code & (primary_size - 1);
+                    let width = len as u32 - primary;
+                    if self.table[slot] == 0 {
+                        slots[shared] = slot as u16;
+                        shared += 1;
+                    }
+                    self.table[slot] = self.table[slot].max(width);
+                }
             }
-            let len32 = u32::from(len);
-            // `code` is already bit-reversed; replicate across all indices
-            // that share its low `len` bits.
-            let step = 1usize << len32;
-            let mut index = code as usize;
-            while index < entries.len() {
-                entries[index] = (symbol as u16, len);
+            for &slot in &slots[..shared] {
+                let slot = usize::from(slot);
+                let width = self.table[slot];
+                let offset = self.table.len() as u32;
+                self.table.resize(self.table.len() + (1 << width), 0);
+                self.table[slot] = SUBTABLE | (width << 8) | (offset << 16) | primary;
+            }
+        }
+
+        let payloads = &PAYLOADS[alphabet as usize];
+        let mut next = first_code;
+        for &(symbol, len) in coded {
+            let len = u32::from(len);
+            let code = reverse_bits(next[len as usize], len) as usize;
+            next[len as usize] += 1;
+            let entry = payloads[usize::from(symbol - first)] | len;
+            // `code` is bit-reversed: replicate the entry across every
+            // index that shares its low bits.
+            let (start, end, step) = if len <= primary {
+                (code, primary_size, 1usize << len)
+            } else {
+                let pointer = self.table[code & (primary_size - 1)];
+                let base = entry_value(pointer) as usize;
+                let sub = code >> primary;
+                (
+                    base + sub,
+                    base + (1 << entry_extra(pointer)),
+                    1 << (len - primary),
+                )
+            };
+            let mut index = start;
+            while index < end {
+                self.table[index] = entry;
                 index += step;
             }
         }
-        Ok(Self {
-            entries,
-            table_bits: max,
-        })
+        Ok(())
+    }
+
+    /// The entry for the code at the bottom of `bits` (the reader's
+    /// buffer; bits past the end of input read as zero).
+    #[inline(always)]
+    pub(crate) fn entry(&self, bits: u64) -> u32 {
+        let mask = (1u64 << self.primary_bits) - 1;
+        let entry = self.table[(bits & mask) as usize];
+        if entry & SUBTABLE == 0 {
+            return entry;
+        }
+        let sub = (bits >> self.primary_bits) as usize & ((1 << entry_extra(entry)) - 1);
+        self.table[entry_value(entry) as usize + sub]
     }
 
     /// Decodes one symbol from the reader.
@@ -254,37 +492,16 @@ impl Decoder {
     ///
     /// Returns [`WireError::Deflate`] on invalid codes or truncated input.
     pub fn decode(&self, reader: &mut BitReader<'_>) -> Result<u16, WireError> {
-        let peeked = reader.peek_bits(self.table_bits);
-        let (symbol, len) = self.entries[peeked as usize];
-        if len == 0 {
+        reader.refill();
+        let entry = self.entry(reader.peek_word());
+        if entry_len(entry) == 0 {
             return Err(WireError::Deflate("invalid huffman code".into()));
         }
-        if !reader.consume_bits(u32::from(len)) {
+        if !reader.consume(entry_len(entry)) {
             return Err(WireError::Deflate("truncated huffman code".into()));
         }
-        Ok(symbol)
+        Ok(entry_value(entry) as u16)
     }
-}
-
-/// The fixed literal/length code lengths of RFC 1951 §3.2.6.
-#[must_use]
-pub fn fixed_literal_lengths() -> Vec<u8> {
-    let mut lengths = vec![0u8; 288];
-    for (i, l) in lengths.iter_mut().enumerate() {
-        *l = match i {
-            0..=143 => 8,
-            144..=255 => 9,
-            256..=279 => 7,
-            _ => 8,
-        };
-    }
-    lengths
-}
-
-/// The fixed distance code lengths (all 5 bits, 30 codes + 2 reserved).
-#[must_use]
-pub fn fixed_distance_lengths() -> Vec<u8> {
-    vec![5u8; 32]
 }
 
 #[cfg(test)]
@@ -385,18 +602,52 @@ mod tests {
 
     #[test]
     fn fixed_tables_have_correct_shape() {
-        let lit = fixed_literal_lengths();
-        assert_eq!(lit.len(), 288);
+        let lit = FIXED_LITERAL_LENGTHS;
         assert_eq!(lit[0], 8);
+        assert_eq!(lit[143], 8);
         assert_eq!(lit[144], 9);
+        assert_eq!(lit[255], 9);
         assert_eq!(lit[256], 7);
+        assert_eq!(lit[279], 7);
         assert_eq!(lit[280], 8);
-        let dist = fixed_distance_lengths();
-        assert_eq!(dist.len(), 32);
-        assert!(dist.iter().all(|&l| l == 5));
+        assert!(FIXED_DISTANCE_LENGTHS.iter().all(|&l| l == 5));
         // Both must form valid decoders.
         Decoder::from_lengths(&lit).unwrap();
-        Decoder::from_lengths(&dist).unwrap();
+        Decoder::from_lengths(&FIXED_DISTANCE_LENGTHS).unwrap();
+        // The compile-time codes are the canonical ones.
+        assert_eq!(FIXED_LITERAL_CODES.to_vec(), assign_codes(&lit));
+        assert_eq!(
+            FIXED_DISTANCE_CODES.to_vec(),
+            assign_codes(&FIXED_DISTANCE_LENGTHS)
+        );
+    }
+
+    #[test]
+    fn long_codes_decode_through_subtables() {
+        // Lengths 1..=15 plus a second 15: a complete code whose longest
+        // codes sit four levels below the first-level table.
+        let mut lengths: Vec<u8> = (1..=15).collect();
+        lengths.push(15);
+        let codes = assign_codes(&lengths);
+        let decoder = Decoder::from_lengths(&lengths).unwrap();
+        let symbols: Vec<u16> = (0..16u16).rev().chain(0..16).collect();
+        let mut w = BitWriter::new();
+        for &s in &symbols {
+            w.write_bits(u32::from(codes[s as usize]), u32::from(lengths[s as usize]));
+        }
+        let bytes = w.into_bytes();
+        let mut r = BitReader::new(&bytes);
+        for &s in &symbols {
+            assert_eq!(decoder.decode(&mut r).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn incomplete_code_rejects_unused_codes() {
+        // One 2-bit code: every other 2-bit pattern decodes to nothing.
+        let decoder = Decoder::from_lengths(&[0, 2]).unwrap();
+        let mut r = BitReader::new(&[0b11]);
+        assert!(decoder.decode(&mut r).is_err());
     }
 
     mod properties {

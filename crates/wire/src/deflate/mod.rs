@@ -23,6 +23,7 @@ mod decode;
 mod encode;
 
 pub use decode::decompress;
+pub(crate) use decode::{decompress_into, MAX_OUTPUT};
 pub use encode::{compress, compress_chunk, STREAM_TERMINATOR};
 
 /// Length-code table: `(base_length, extra_bits)` for codes 257..=285.

@@ -38,8 +38,9 @@ pub fn compress_with(data: &[u8], effort: Effort) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Gzip`] on bad magic/method/flags or trailer
-/// mismatches, and [`WireError::Deflate`] if the payload is malformed.
+/// Returns [`WireError::Gzip`] on bad magic/method/flags, a header that
+/// runs past the frame, or trailer mismatches, and [`WireError::Deflate`]
+/// if the payload is malformed.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
     if data.len() < 18 {
         return Err(WireError::Gzip(
@@ -53,19 +54,26 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
         return Err(WireError::Gzip(format!("unsupported method {}", data[2])));
     }
     let flags = data[3];
+    // Optional header fields lie between the fixed header and the trailer;
+    // every skip is checked against that span.
+    let (body, trailer) = data.split_at(data.len() - 8);
+    let truncated = |field: &str| WireError::Gzip(format!("truncated {field}"));
     let mut offset = 10usize;
     // FEXTRA
     if flags & 0x04 != 0 {
-        if data.len() < offset + 2 {
-            return Err(WireError::Gzip("truncated FEXTRA".into()));
-        }
-        let xlen = u16::from_le_bytes([data[offset], data[offset + 1]]) as usize;
+        let xlen = body
+            .get(offset..offset + 2)
+            .ok_or_else(|| truncated("FEXTRA"))?;
+        let xlen = usize::from(u16::from_le_bytes([xlen[0], xlen[1]]));
         offset += 2 + xlen;
+        if offset > body.len() {
+            return Err(truncated("FEXTRA"));
+        }
     }
     // FNAME, FCOMMENT: zero-terminated strings.
     for flag in [0x08u8, 0x10] {
         if flags & flag != 0 {
-            let end = data[offset..]
+            let end = body[offset..]
                 .iter()
                 .position(|&b| b == 0)
                 .ok_or_else(|| WireError::Gzip("unterminated name/comment".into()))?;
@@ -75,15 +83,15 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
     // FHCRC
     if flags & 0x02 != 0 {
         offset += 2;
+        if offset > body.len() {
+            return Err(truncated("FHCRC"));
+        }
     }
-    if data.len() < offset + 8 {
-        return Err(WireError::Gzip("truncated payload".into()));
-    }
-    let payload = &data[offset..data.len() - 8];
-    let out = deflate::decompress(payload)?;
-    let trailer = &data[data.len() - 8..];
+    let payload = &body[offset..];
     let expect_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
     let expect_len = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
+    let out = Vec::with_capacity(output_capacity(payload.len(), expect_len));
+    let out = deflate::decompress_into(payload, out)?;
     if crc32(&out) != expect_crc {
         return Err(WireError::Gzip("crc mismatch".into()));
     }
@@ -91,6 +99,20 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
         return Err(WireError::Gzip("length mismatch".into()));
     }
     Ok(out)
+}
+
+/// Most bytes one DEFLATE payload byte can inflate to: a 258-byte match
+/// coded in two bits.
+const MAX_EXPANSION: usize = 1032;
+
+/// Output capacity to reserve for a `payload_len`-byte DEFLATE payload
+/// whose trailer claims `isize` bytes: the claim, but never more than the
+/// payload could expand to or the inflate safety cap, since the trailer is
+/// untrusted until the CRC and length checks pass.
+pub(crate) fn output_capacity(payload_len: usize, isize: u32) -> usize {
+    (isize as usize)
+        .min(payload_len.saturating_mul(MAX_EXPANSION))
+        .min(deflate::MAX_OUTPUT)
 }
 
 #[cfg(test)]
@@ -157,12 +179,96 @@ mod tests {
         assert_eq!(decompress(&framed).unwrap(), b"hello world hello world");
     }
 
+    #[test]
+    fn oversized_fextra_is_an_error_not_a_panic() {
+        // FEXTRA | FNAME with XLEN = 0xFFFF in a 22-byte frame: the skip
+        // runs past the end, where the name scan must not slice.
+        let mut frame = vec![0x1F, 0x8B, 0x08, 0x0C, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF];
+        frame.extend_from_slice(&[0; 10]);
+        assert_eq!(frame.len(), 22);
+        assert!(matches!(decompress(&frame), Err(WireError::Gzip(_))));
+    }
+
+    #[test]
+    fn header_fields_past_the_payload_are_errors() {
+        let frame = |flags: u8, tail: &[u8]| {
+            let mut f = vec![0x1F, 0x8B, 0x08, flags, 0, 0, 0, 0, 0, 0xFF];
+            f.extend_from_slice(tail);
+            f
+        };
+        for bad in [
+            // FEXTRA whose XLEN reaches into the trailer.
+            frame(0x04, &[7, 0, 1, 2, 3, 4, 5, 6, 7, 8]),
+            // FHCRC with no room before the trailer.
+            frame(0x02, &[0; 9]),
+            // FNAME terminated only inside the trailer.
+            frame(0x08, &[b'a', 1, 1, 1, 0, 0, 0, 0, 0]),
+            // FCOMMENT never terminated.
+            frame(0x10, &[b'c'; 12]),
+        ] {
+            assert!(
+                matches!(decompress(&bad), Err(WireError::Gzip(_))),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn accepts_every_optional_header_field() {
+        let inner = compress(b"header fields");
+        let mut framed = vec![0x1F, 0x8B, 0x08, 0x1E, 0, 0, 0, 0, 0, 0xFF];
+        framed.extend_from_slice(&[3, 0, b'x', b'y', b'z']); // FEXTRA
+        framed.extend_from_slice(b"name\0comment\0"); // FNAME, FCOMMENT
+        framed.extend_from_slice(&[0xAB, 0xCD]); // FHCRC (not verified)
+        framed.extend_from_slice(&inner[10..]);
+        assert_eq!(decompress(&framed).unwrap(), b"header fields");
+    }
+
+    #[test]
+    fn lying_isize_is_a_length_mismatch_and_capacity_is_clamped() {
+        let mut packed = compress(b"tiny");
+        let payload_len = packed.len() - 18;
+        let n = packed.len();
+        packed[n - 4..].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        assert_eq!(
+            decompress(&packed),
+            Err(WireError::Gzip("length mismatch".into()))
+        );
+        assert_eq!(
+            output_capacity(payload_len, 0xFFFF_FFF0),
+            payload_len * MAX_EXPANSION
+        );
+        assert_eq!(output_capacity(payload_len, 4), 4);
+        assert_eq!(
+            output_capacity(usize::MAX, u32::MAX),
+            deflate::MAX_OUTPUT.min(u32::MAX as usize)
+        );
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn mutated_header_fields_never_panic(
+                flags in any::<u8>(),
+                xlen in any::<u16>(),
+                name in proptest::collection::vec(any::<u8>(), 0..12),
+                cut in any::<usize>(),
+            ) {
+                let inner = compress(b"{\"uid\":1,\"neighbors\":[]}");
+                let mut frame = inner[..10].to_vec();
+                frame[3] = flags;
+                frame.extend_from_slice(&xlen.to_le_bytes());
+                frame.extend_from_slice(&name);
+                frame.extend_from_slice(&inner[10..]);
+                let _ = decompress(&frame);
+                // Truncated anywhere, too.
+                let _ = decompress(&frame[..cut % (frame.len() + 1)]);
+            }
 
             #[test]
             fn gzip_round_trips(data in proptest::collection::vec(any::<u8>(), 0..4000)) {

@@ -11,6 +11,11 @@ use crate::error::WireError;
 /// Maximum container nesting depth accepted by the parser.
 const MAX_DEPTH: usize = 256;
 
+/// Longest integer literal the parser converts itself: every integer
+/// below 10^15 is below 2^53, so `u64 as f64` is exact and equals what
+/// `str::parse::<f64>` returns.
+const MAX_EXACT_DIGITS: usize = 15;
+
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 ///
 /// # Errors
@@ -20,6 +25,7 @@ pub fn parse(text: &str) -> Result<JsonValue, WireError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        items: Vec::new(),
     };
     parser.skip_ws();
     let value = parser.value(0)?;
@@ -33,6 +39,9 @@ pub fn parse(text: &str) -> Result<JsonValue, WireError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Elements of the arrays being parsed, innermost last; a finished
+    /// array moves its run into an exactly sized `Vec`.
+    items: Vec<JsonValue>,
 }
 
 impl<'a> Parser<'a> {
@@ -54,13 +63,11 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.peek() {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        let mut pos = self.pos;
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(pos) {
+            pos += 1;
         }
+        self.pos = pos;
     }
 
     fn expect(&mut self, b: u8) -> Result<(), WireError> {
@@ -125,19 +132,29 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self, depth: usize) -> Result<JsonValue, WireError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(JsonValue::Array(Vec::new()));
+        }
+        let mark = self.items.len();
+        if depth < MAX_DEPTH && self.integer_items() {
+            return Ok(JsonValue::Array(self.items.drain(mark..).collect()));
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            // Numbers skip the dispatch in `value`; the depth limit still
+            // applies to them.
+            let item = if depth < MAX_DEPTH && matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+                self.number()?
+            } else {
+                self.value(depth + 1)?
+            };
+            self.items.push(item);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(JsonValue::Array(items)),
+                Some(b']') => return Ok(JsonValue::Array(self.items.drain(mark..).collect())),
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
@@ -216,50 +233,128 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
+    /// Parses a number: a pure integer of at most [`MAX_EXACT_DIGITS`]
+    /// digits converts directly ([`scan_integer`]), everything else
+    /// through `f64` parsing.
+    #[inline(always)]
     fn number(&mut self) -> Result<JsonValue, WireError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        // Integer part: 0 | [1-9][0-9]*
-        match self.peek() {
-            Some(b'0') => {
-                self.pos += 1;
+        match scan_integer(self.bytes, self.pos) {
+            Some((value, end)) => {
+                self.pos = end;
+                Ok(value)
             }
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
+            None => self.float(),
+        }
+    }
+
+    /// The item-id list fast path: after an array's `[`, consumes a run of
+    /// integers each followed directly by `,` or, for the last, `]`, with
+    /// the cursor in a register. `true` when it consumed the whole array;
+    /// otherwise it stops before the first element it does not take, for
+    /// the general loop to continue from.
+    fn integer_items(&mut self) -> bool {
+        let bytes = self.bytes;
+        let mut pos = self.pos;
+        while let Some((value, end)) = scan_integer(bytes, pos) {
+            match bytes.get(end) {
+                Some(b',') => {
+                    self.items.push(value);
+                    pos = end + 1;
                 }
-            }
-            _ => return Err(self.err("invalid number")),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digit required after decimal point"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+                Some(b']') => {
+                    self.items.push(value);
+                    self.pos = end + 1;
+                    return true;
+                }
+                _ => break,
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digit required in exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+        self.pos = pos;
+        false
+    }
+
+    /// Any number, through `str::parse::<f64>`.
+    #[inline(never)]
+    fn float(&mut self) -> Result<JsonValue, WireError> {
+        let bytes = self.bytes;
+        let start = self.pos;
+        let mut pos = start + usize::from(bytes.get(start) == Some(&b'-'));
+        // Integer part: 0 | [1-9][0-9]*
+        match bytes.get(pos) {
+            Some(b'0') => pos += 1,
+            Some(b'1'..=b'9') => pos = skip_digits(bytes, pos),
+            _ => return Err(self.err_at(pos, "invalid number")),
+        }
+        if bytes.get(pos) == Some(&b'.') {
+            pos += 1;
+            let fraction = pos;
+            pos = skip_digits(bytes, pos);
+            if pos == fraction {
+                return Err(self.err_at(pos, "digit required after decimal point"));
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
+        if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+            pos += 1;
+            if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+                pos += 1;
+            }
+            let exponent = pos;
+            pos = skip_digits(bytes, pos);
+            if pos == exponent {
+                return Err(self.err_at(pos, "digit required in exponent"));
+            }
+        }
+        self.pos = pos;
+        let text = std::str::from_utf8(&bytes[start..pos]).expect("number bytes are ascii");
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.err("number out of range"))
     }
+
+    fn err_at(&mut self, pos: usize, message: &str) -> WireError {
+        self.pos = pos;
+        self.err(message)
+    }
+}
+
+/// Scans `-?(0|[1-9][0-9]*)` of at most [`MAX_EXACT_DIGITS`] digits at
+/// `pos`, not followed by a fraction or an exponent: the number and the
+/// position after it. `None` for anything else, including malformed input.
+#[inline(always)]
+fn scan_integer(bytes: &[u8], pos: usize) -> Option<(JsonValue, usize)> {
+    let negative = bytes.get(pos) == Some(&b'-');
+    let start = pos + usize::from(negative);
+    let mut end = start;
+    let mut magnitude = 0u64;
+    while let Some(&digit @ b'0'..=b'9') = bytes.get(end) {
+        // Wraps only past 19 digits, which the length check rejects.
+        magnitude = magnitude
+            .wrapping_mul(10)
+            .wrapping_add(u64::from(digit - b'0'));
+        end += 1;
+    }
+    let digits = end - start;
+    let leading_zero = digits > 1 && bytes[start] == b'0';
+    if digits == 0
+        || digits > MAX_EXACT_DIGITS
+        || leading_zero
+        || matches!(bytes.get(end), Some(b'.' | b'e' | b'E'))
+    {
+        return None;
+    }
+    // Exact (below 2^53; converting as `i64` is a single instruction);
+    // negating keeps the sign of `-0`.
+    let magnitude = magnitude as i64 as f64;
+    let value = JsonValue::Number(if negative { -magnitude } else { magnitude });
+    Some((value, end))
+}
+
+/// The position after the run of ASCII digits starting at `pos`.
+fn skip_digits(bytes: &[u8], mut pos: usize) -> usize {
+    while bytes.get(pos).is_some_and(u8::is_ascii_digit) {
+        pos += 1;
+    }
+    pos
 }
 
 #[cfg(test)]
@@ -321,6 +416,78 @@ mod tests {
     }
 
     #[test]
+    fn number_paths_agree_with_float_parse() {
+        for text in [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "999999999999999",
+            "-999999999999999",
+            // Not integers of at most 15 digits: these take the float parse.
+            "1e3",
+            "1.0",
+            "-0.0",
+            "1000000000000000",
+            "9007199254740993",
+            "12345678901234567890",
+        ] {
+            let parsed = parse(text).unwrap().as_f64().unwrap();
+            let expected = text.parse::<f64>().unwrap();
+            assert_eq!(parsed.to_bits(), expected.to_bits(), "{text}");
+        }
+        assert!(parse("-0").unwrap().as_f64().unwrap().is_sign_negative());
+    }
+
+    #[test]
+    fn integer_items_parse_exactly_and_reject_stray_bytes() {
+        // Each length from 1 to 9 digits: alone, as an array's first item
+        // and negated.
+        for len in 1..=9u32 {
+            let n = (1..=len).fold(0u64, |n, d| n * 10 + u64::from(d % 10));
+            for text in [
+                format!("{n}"),
+                format!("[{n},0,0,0,0,0]"),
+                format!("[-{n}]"),
+            ] {
+                let value = parse(&text).unwrap();
+                let got = value.at(0).unwrap_or(&value).as_f64().unwrap();
+                assert_eq!(got.abs(), n as f64, "{text}");
+            }
+        }
+        let v = parse("[0,7,10,99,100,12345678,012]");
+        assert!(v.is_err(), "leading zero must still be rejected");
+        // Any other byte inside a digit run ends the number, and the
+        // array then rejects it.
+        for c in (0u8..0x80).map(char::from) {
+            if c.is_ascii_digit()
+                || matches!(c, ',' | ']' | '.' | 'e' | 'E' | ' ' | '\t' | '\n' | '\r')
+            {
+                continue;
+            }
+            let text = format!("[12{c}34,0,0,0,0,0]");
+            assert!(parse(&text).is_err(), "{text:?}");
+        }
+        let v = parse("[0,7,10,99,100,12345678,1.5,2e3]").unwrap();
+        let items: Vec<f64> = v
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|x| x.as_f64().unwrap())
+            .collect();
+        assert_eq!(
+            items,
+            [0.0, 7.0, 10.0, 99.0, 100.0, 12_345_678.0, 1.5, 2000.0]
+        );
+    }
+
+    #[test]
+    fn nested_arrays_keep_their_own_items() {
+        let v = parse("[[1,[2,3]],[],[4],5]").unwrap();
+        assert_eq!(v.to_string(), "[[1,[2,3]],[],[4],5]");
+    }
+
+    #[test]
     fn rejects_excessive_depth() {
         let deep = "[".repeat(300) + &"]".repeat(300);
         assert!(matches!(parse(&deep), Err(WireError::Json { .. })));
@@ -376,6 +543,24 @@ mod tests {
             #[test]
             fn parser_never_panics(s in "\\PC{0,100}") {
                 let _ = parse(&s);
+            }
+
+            #[test]
+            fn integer_fast_path_matches_float_parse(
+                negative in any::<bool>(),
+                digits in "[1-9][0-9]{0,19}",
+            ) {
+                let text = if negative { format!("-{digits}") } else { digits };
+                let expected = text.parse::<f64>().unwrap();
+                let parsed = parse(&text).unwrap().as_f64().unwrap();
+                prop_assert_eq!(parsed.to_bits(), expected.to_bits());
+                // Inside an array and an object, followed by more input.
+                let padded = parse(&format!("[{text},1,2,3,4]")).unwrap();
+                let first = padded.at(0).unwrap().as_f64().unwrap();
+                prop_assert_eq!(first.to_bits(), expected.to_bits());
+                let object = parse(&format!("{{\"n\":{text},\"pad\":true}}")).unwrap();
+                let n = object.get("n").unwrap().as_f64().unwrap();
+                prop_assert_eq!(n.to_bits(), expected.to_bits());
             }
         }
     }

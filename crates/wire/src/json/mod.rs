@@ -13,6 +13,9 @@ pub use de::parse;
 use crate::error::WireError;
 use std::fmt;
 
+/// 2^53: integers up to here convert to and from `f64` exactly.
+const MAX_SAFE_INTEGER: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value.
 ///
 /// Objects preserve insertion order (like Jackson's default `ObjectNode`
@@ -94,8 +97,11 @@ impl JsonValue {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
+            // In range, the round trip through `u64` is exact exactly for
+            // integral values (a cast, not a call to `trunc`).
+            JsonValue::Number(n) if (0.0..=MAX_SAFE_INTEGER).contains(n) => {
+                let int = *n as u64;
+                (int as f64 == *n).then_some(int)
             }
             _ => None,
         }
@@ -105,7 +111,10 @@ impl JsonValue {
     #[must_use]
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            JsonValue::Number(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => Some(*n as i64),
+            JsonValue::Number(n) if (-MAX_SAFE_INTEGER..=MAX_SAFE_INTEGER).contains(n) => {
+                let int = *n as i64;
+                (int as f64 == *n).then_some(int)
+            }
             _ => None,
         }
     }
@@ -242,6 +251,22 @@ mod tests {
         assert_eq!(v.get("a").unwrap().at(0).unwrap().as_u64(), None);
         assert_eq!(v.get("missing"), None);
         assert_eq!(v.at(0), None);
+    }
+
+    #[test]
+    fn integer_accessors_reject_fractions_and_out_of_range() {
+        let n = |x: f64| JsonValue::Number(x);
+        assert_eq!(n(0.0).as_u64(), Some(0));
+        assert_eq!(n(-0.0).as_u64(), Some(0));
+        assert_eq!(n(2f64.powi(53)).as_u64(), Some(1 << 53));
+        assert_eq!(n(2f64.powi(53) + 2.0).as_u64(), None);
+        assert_eq!(n(0.5).as_u64(), None);
+        assert_eq!(n(-1.0).as_u64(), None);
+        assert_eq!(n(f64::NAN).as_u64(), None);
+        assert_eq!(n(f64::INFINITY).as_u64(), None);
+        assert_eq!(n(-(2f64.powi(53))).as_i64(), Some(-(1 << 53)));
+        assert_eq!(n(-2.5).as_i64(), None);
+        assert_eq!(n(f64::NEG_INFINITY).as_i64(), None);
     }
 
     #[test]

@@ -100,11 +100,11 @@ impl PersonalizationJob {
                 .get("profile")
                 .ok_or_else(|| WireError::Schema("missing `profile`".into()))?,
         )?;
-        let mut candidates = CandidateSet::new();
         let list = value
             .get("candidates")
             .and_then(JsonValue::as_array)
             .ok_or_else(|| WireError::Schema("missing `candidates` array".into()))?;
+        let mut candidates = CandidateSet::with_capacity(list.len());
         for entry in list {
             // Chunk-assembling encoders pad the array with `null` sentinels
             // (see `hyrec_server::encoder`); skip them.
@@ -302,25 +302,34 @@ fn optional_u64(value: &JsonValue, key: &str) -> Result<u64, WireError> {
 fn field_u32(value: &JsonValue, key: &str) -> Result<u32, WireError> {
     value
         .get(key)
-        .and_then(JsonValue::as_u64)
-        .and_then(|n| u32::try_from(n).ok())
+        .and_then(as_u32)
         .ok_or_else(|| WireError::Schema(format!("missing or invalid `{key}`")))
+}
+
+/// `value.as_u64()` narrowed to `u32`, converting through `u32` directly
+/// (ids are the bulk of a job, and the narrow conversions are cheaper).
+fn as_u32(value: &JsonValue) -> Option<u32> {
+    match value {
+        JsonValue::Number(n) if (0.0..=f64::from(u32::MAX)).contains(n) => {
+            let int = *n as u32;
+            (f64::from(int) == *n).then_some(int)
+        }
+        _ => None,
+    }
 }
 
 fn parse_profile(value: &JsonValue) -> Result<Profile, WireError> {
     let items = |key: &str| -> Result<Vec<ItemId>, WireError> {
-        value
+        let list = value
             .get(key)
             .and_then(JsonValue::as_array)
-            .ok_or_else(|| WireError::Schema(format!("profile missing `{key}`")))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .map(ItemId)
-                    .ok_or_else(|| WireError::Schema("non-integer item id".into()))
-            })
-            .collect()
+            .ok_or_else(|| WireError::Schema(format!("profile missing `{key}`")))?;
+        let mut ids = Vec::with_capacity(list.len());
+        for v in list {
+            let id = as_u32(v).ok_or_else(|| WireError::Schema("non-integer item id".into()))?;
+            ids.push(ItemId(id));
+        }
+        Ok(ids)
     };
     Ok(Profile::from_votes(items("liked")?, items("disliked")?))
 }
@@ -473,6 +482,24 @@ mod tests {
 
         let bad = JsonValue::parse(r#"{"uid": 1, "k": 1, "r": 1}"#).unwrap();
         assert!(PersonalizationJob::from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn ids_must_be_integers_that_fit_u32() {
+        for (id, ok) in [
+            ("0", true),
+            ("-0", true),
+            ("4294967295", true),
+            ("4294967296", false),
+            ("-1", false),
+            ("1.5", false),
+            ("1e3", true),
+            ("\"7\"", false),
+        ] {
+            let text = format!(r#"{{"uid":{id},"neighbors":[]}}"#);
+            let parsed = KnnUpdate::from_json(&JsonValue::parse(&text).unwrap());
+            assert_eq!(parsed.is_ok(), ok, "{id}");
+        }
     }
 
     #[test]
