@@ -50,7 +50,7 @@ impl RecommendationPolicy for MostPopular {
 /// surface (the paper motivates including random users' items for exactly
 /// this reason, Section 3.2).
 ///
-/// Ranks by `popularity^damping`, with ties broken deterministically.
+/// Ranks by `popularity^damping`; equal scores rank by ascending item id.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Serendipity {
     /// Exponent in `(0, 1]`; `1.0` degenerates to [`MostPopular`].
@@ -71,9 +71,7 @@ impl RecommendationPolicy for Serendipity {
         r: usize,
     ) -> Vec<Recommendation> {
         let counts = recommend::popularity_counts(profile, candidates.profiles());
-        recommend::rank_with(counts, r, |item, count| {
-            f64::from(count).powf(self.damping) - f64::from(item.raw()) * 1e-12
-        })
+        recommend::rank_with(counts, r, |_, count| f64::from(count).powf(self.damping))
     }
 
     fn name(&self) -> &'static str {

@@ -3,12 +3,18 @@
 //! Recommends to user `u` the `r` items most popular among the candidate
 //! profiles that `u` has not been exposed to. This runs in the browser widget
 //! in HyRec and on the front-end server in the CRec baseline.
+//!
+//! Cost: one hashed counter update per liked item of every candidate, one
+//! removal per item of the user's exposure, then a linear-time selection over
+//! the distinct items — expected `O(Σ|P_c| + |exposure| + distinct)`, plus
+//! `O(r log r)` to order the winners. Ranking compares the score (a count
+//! converts to `f64` exactly) and then the item id as a separate key, so the
+//! ascending-id tie-break is exact at any count.
 
+use crate::fast_hash::KeyedHashMap;
 use crate::id::ItemId;
 use crate::profile::Profile;
-use crate::topk::TopK;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One recommended item with the popularity evidence that ranked it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -24,7 +30,8 @@ pub struct Recommendation {
 /// Popularity counts how many candidate profiles *like* each item; items the
 /// target profile was already exposed to (liked or disliked) are excluded.
 /// Results are ranked by descending popularity; ties broken by ascending item
-/// id so the output is deterministic.
+/// id so the output is deterministic. Expected cost is
+/// `O(Σ|P_c| + |exposure| + distinct)` (see the module docs).
 ///
 /// ```
 /// use hyrec_core::{recommend, ItemId, Profile};
@@ -50,56 +57,70 @@ where
 /// Computes the raw popularity table of Algorithm 2 (lines 1–8): unseen item
 /// → number of candidate profiles that like it.
 ///
+/// Counts every liked item of every candidate into a table pre-sized to the
+/// total liked length, then removes the profile's exposure (liked and
+/// disliked items): `O(Σ|P_c| + |exposure|)` expected. Item ids are chosen
+/// by clients (they arrive through `/rate/`), so the table hashes with the
+/// per-process key of [`KeyedHashMap`]: ids crafted to share a bucket cannot
+/// turn counting quadratic.
+///
 /// Exposed for callers that need the intermediate result (C-INTERMEDIATE),
 /// e.g. to re-rank with a custom policy via [`rank_with`].
-pub fn popularity_counts<'a, I>(profile: &Profile, candidates: I) -> HashMap<ItemId, u32>
+pub fn popularity_counts<'a, I>(profile: &Profile, candidates: I) -> KeyedHashMap<ItemId, u32>
 where
     I: IntoIterator<Item = &'a Profile>,
 {
-    let mut popularity: HashMap<ItemId, u32> = HashMap::new();
+    let candidates: Vec<&Profile> = candidates.into_iter().collect();
+    let total = candidates.iter().map(|c| c.liked_len()).sum();
+    let mut popularity = KeyedHashMap::with_capacity_and_hasher(total, Default::default());
     for candidate in candidates {
-        for item in candidate.liked() {
-            if !profile.contains(item) {
-                *popularity.entry(item).or_insert(0) += 1;
-            }
+        for &item in candidate.liked_slice() {
+            *popularity.entry(item).or_insert(0) += 1;
         }
+    }
+    for item in profile.liked().chain(profile.disliked()) {
+        popularity.remove(&item);
     }
     popularity
 }
 
 /// Ranks a popularity table into the final top-`r` recommendation list
-/// (Algorithm 2, line 9: `subList(r, sort(popularity))`).
+/// (Algorithm 2, line 9: `subList(r, sort(popularity))`): descending
+/// popularity, ties by ascending item id, exactly.
 #[must_use]
-pub fn rank(counts: HashMap<ItemId, u32>, r: usize) -> Vec<Recommendation> {
-    // Tie-break by ascending item id for determinism: fold the id into the
-    // score so equal popularities order stably.
-    rank_with(counts, r, |item, count| {
-        f64::from(count) - f64::from(item.raw()) * 1e-12
-    })
+pub fn rank(counts: KeyedHashMap<ItemId, u32>, r: usize) -> Vec<Recommendation> {
+    rank_with(counts, r, |_, count| f64::from(count))
 }
 
 /// Ranks a popularity table with a caller-supplied scoring function — the
 /// `setRecommendedItems()` customization hook of Table 1 in the paper.
 ///
 /// `score(item, popularity)` returns the ranking key (higher = better).
-pub fn rank_with<F>(counts: HashMap<ItemId, u32>, r: usize, score: F) -> Vec<Recommendation>
+/// Equal scores rank by ascending item id; items scored NaN are dropped.
+pub fn rank_with<F>(counts: KeyedHashMap<ItemId, u32>, r: usize, score: F) -> Vec<Recommendation>
 where
     F: Fn(ItemId, u32) -> f64,
 {
-    let mut top = TopK::new(r);
-    for (item, count) in counts {
-        top.push(
-            Recommendation {
-                item,
-                popularity: count,
-            },
-            score(item, count),
-        );
+    if r == 0 {
+        return Vec::new();
     }
-    top.into_sorted_vec()
+    let mut scored: Vec<(f64, Recommendation)> = counts
         .into_iter()
-        .map(|(rec, _)| rec)
-        .collect()
+        .filter_map(|(item, popularity)| {
+            let key = score(item, popularity);
+            (!key.is_nan()).then_some((key, Recommendation { item, popularity }))
+        })
+        .collect();
+    // Linear-time selection of the r winners, then a sort of those only.
+    let order = |a: &(f64, Recommendation), b: &(f64, Recommendation)| {
+        b.0.total_cmp(&a.0).then(a.1.item.cmp(&b.1.item))
+    };
+    if scored.len() > r {
+        scored.select_nth_unstable_by(r - 1, order);
+        scored.truncate(r);
+    }
+    scored.sort_unstable_by(order);
+    scored.into_iter().map(|(_, rec)| rec).collect()
 }
 
 #[cfg(test)]
@@ -160,6 +181,45 @@ mod tests {
     }
 
     #[test]
+    fn ties_at_large_counts_break_by_ascending_item_id() {
+        // At tied counts this large a float key folding the id into the
+        // count (`count - id * 1e-12`) cannot tell adjacent ids apart.
+        let pool =
+            vec![Profile::from_liked([1_000_001u32, 1_000_002, 1_000_003, 1_000_004]); 16_384];
+        for _ in 0..20 {
+            let recs = most_popular(&Profile::new(), pool.iter(), 2);
+            assert_eq!(
+                recs,
+                vec![
+                    Recommendation {
+                        item: ItemId(1_000_001),
+                        popularity: 16_384
+                    },
+                    Recommendation {
+                        item: ItemId(1_000_002),
+                        popularity: 16_384
+                    },
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn colliding_item_ids_count_in_bounded_time() {
+        // Multiples of 2^16 share their low bits, and so their bucket under
+        // an unkeyed multiplicative hash.
+        let pool = [Profile::from_liked((0..30_000u32).map(|i| i << 16))];
+        let started = std::time::Instant::now();
+        let counts = popularity_counts(&Profile::new(), pool.iter());
+        let elapsed = started.elapsed();
+        assert_eq!(counts.len(), 30_000);
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "counting 30k colliding ids took {elapsed:?}"
+        );
+    }
+
+    #[test]
     fn custom_rank_hook_can_invert_order() {
         let me = Profile::new();
         let pool = candidates();
@@ -169,12 +229,43 @@ mod tests {
         assert_eq!(recs[0].popularity, 1);
     }
 
+    /// Naive Algorithm 2: flatten, sort, count runs, drop the exposure,
+    /// order by (count desc, id asc), truncate.
+    fn reference(me: &Profile, pool: &[Profile], r: usize) -> Vec<Recommendation> {
+        let mut items: Vec<ItemId> = pool.iter().flat_map(Profile::liked).collect();
+        items.sort_unstable();
+        let mut recs: Vec<Recommendation> = Vec::new();
+        for item in items {
+            match recs.last_mut() {
+                Some(last) if last.item == item => last.popularity += 1,
+                _ => recs.push(Recommendation {
+                    item,
+                    popularity: 1,
+                }),
+            }
+        }
+        recs.retain(|rec| !me.contains(rec.item));
+        recs.sort_by(|a, b| b.popularity.cmp(&a.popularity).then(a.item.cmp(&b.item)));
+        recs.truncate(r);
+        recs
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         fn arb_profile() -> impl Strategy<Value = Profile> {
             proptest::collection::vec(0u32..80, 0..25).prop_map(Profile::from_liked)
+        }
+
+        /// Liked and disliked ids from both ends of the id space.
+        fn arb_exposure() -> impl Strategy<Value = Profile> {
+            let id = || prop_oneof![0u32..40, (u32::MAX - 40)..=u32::MAX];
+            (
+                proptest::collection::vec(id(), 0..25),
+                proptest::collection::vec(id(), 0..10),
+            )
+                .prop_map(|(liked, disliked)| Profile::from_votes(liked, disliked))
         }
 
         proptest! {
@@ -201,6 +292,19 @@ mod tests {
                     let expect = pool.iter().filter(|p| p.likes(rec.item)).count() as u32;
                     prop_assert_eq!(rec.popularity, expect);
                 }
+            }
+
+            #[test]
+            fn matches_the_naive_reference(
+                me in arb_exposure(),
+                pool in proptest::collection::vec(arb_exposure(), 0..20),
+                r in prop_oneof![0usize..60, Just(usize::MAX)],
+            ) {
+                let expect = reference(&me, &pool, r);
+                prop_assert_eq!(most_popular(&me, pool.iter(), r), expect.clone());
+                let counts = popularity_counts(&me, pool.iter());
+                let hooked = rank_with(counts, r, |_, count| f64::from(count));
+                prop_assert_eq!(hooked, expect);
             }
 
             #[test]

@@ -1,11 +1,15 @@
 //! Generic bounded top-k selection.
 //!
-//! Both Algorithm 1 (`subList(k, sort(similarity))`) and Algorithm 2
-//! (`subList(r, sort(popularity))`) of the paper are "sort then take a
-//! prefix" operations. [`TopK`] implements them with a bounded min-heap so a
-//! client widget never materialises or sorts the full candidate score array —
-//! `O(n log k)` instead of `O(n log n)`, which matters on the smartphone-class
-//! devices of Section 5.6.
+//! Algorithm 1 of the paper (`subList(k, sort(similarity))`) is a "sort then
+//! take a prefix" operation over streamed scores. [`TopK`] implements it with
+//! a bounded min-heap so a client widget never materialises or sorts the full
+//! candidate score array — `O(n log k)` instead of `O(n log n)`, which
+//! matters on the smartphone-class devices of Section 5.6. The offline
+//! back-end's KNN sweep uses it too.
+//!
+//! Algorithm 2 (`subList(r, sort(popularity))`) no longer goes through here:
+//! `recommend` ranks its already-materialised popularity table in place,
+//! by score and then by item id.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

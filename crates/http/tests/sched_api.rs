@@ -263,6 +263,48 @@ fn neighbors_validation_is_identical_across_forms() {
     handle.stop();
 }
 
+/// A valid gzip member of 256 MiB of spaces in ~256 KiB: one sync-flushed
+/// chunk of 1 MiB repeated, with the matching CRC and length trailer.
+fn inflation_bomb() -> Vec<u8> {
+    use hyrec_wire::crc::{crc32, crc32_combine};
+    use hyrec_wire::deflate::{compress_chunk, lz77::Effort, STREAM_TERMINATOR};
+    const MIB: usize = 1 << 20;
+    let spaces = vec![b' '; MIB];
+    let chunk = compress_chunk(&spaces, Effort::FAST);
+    let chunk_crc = crc32(&spaces);
+    let mut body = hyrec_wire::gzip::HEADER.to_vec();
+    let mut crc = 0;
+    for _ in 0..256 {
+        body.extend_from_slice(&chunk);
+        crc = crc32_combine(crc, chunk_crc, MIB as u64);
+    }
+    body.extend_from_slice(&STREAM_TERMINATOR);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body.extend_from_slice(&((256 * MIB) as u32).to_le_bytes());
+    body
+}
+
+/// An update body that inflates far past `KnnUpdate::MAX_JSON_BYTES` is
+/// a 400 on both routers, like any other undecodable body, and the
+/// server keeps serving.
+#[test]
+fn inflation_bomb_gets_400_on_both_routers() {
+    let bomb = inflation_bomb();
+    let plain = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
+    let plain_addr = plain.local_addr();
+    let hyrec = populated_server(11);
+    let plain = plain.serve(hyrec_router(Arc::clone(&hyrec)));
+    let (scheduled, scheduled_client, _) = spawn_scheduled_reactor();
+    for client in [HttpClient::new(plain_addr), scheduled_client] {
+        let response = client.post("/neighbors/", &bomb).unwrap();
+        assert_eq!(response.status, 400);
+        assert_eq!(client.get("/online/?uid=1").unwrap().status, 200);
+    }
+    assert_eq!(hyrec.updates_applied(), 0);
+    plain.stop();
+    scheduled.stop();
+}
+
 /// Satellite: `/rate/` must 400 on any `like` that is not exactly `0` or
 /// `1`, and strict ids — no lenient coercion.
 #[test]

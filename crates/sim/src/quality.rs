@@ -181,14 +181,13 @@ pub fn quality_global_popularity(train: &Trace, test: &Trace, max_n: usize) -> Q
     for event in test.iter() {
         if event.vote == Vote::Like {
             let profile = profiles.get(&event.user).cloned().unwrap_or_default();
-            let recs = hyrec_core::recommend::rank_with(
+            let recs = hyrec_core::recommend::rank(
                 popularity
                     .iter()
                     .filter(|(item, _)| !profile.contains(**item))
                     .map(|(item, count)| (*item, *count))
                     .collect(),
                 max_n,
-                |item, count| f64::from(count) - f64::from(item.raw()) * 1e-12,
             );
             curve.credit(rank_of(&recs, event.item));
         }

@@ -23,10 +23,12 @@
 //!   double while the distance is shorter than the length. Stored blocks
 //!   copy as one slice.
 //! * **Output sizing.** The gzip frame reserves capacity from its `ISIZE`
-//!   trailer, clamped to what the payload can expand to and to the 1 GiB
-//!   cap (`gzip::output_capacity`), and room is zero-filled only as the
-//!   output grows, so a lying trailer buys neither a large allocation nor
-//!   touched memory.
+//!   trailer, clamped to what the payload can expand to and to the
+//!   caller's output limit (`gzip::output_capacity`), and room is
+//!   zero-filled only as the output grows and never past that limit, so
+//!   neither a lying trailer nor a bomb buys a large allocation or touched
+//!   memory. The limit is at most 1 GiB; `gzip::decompress_limited` takes a
+//!   smaller one for bodies whose size the route knows.
 
 use super::bitio::BitReader;
 use super::huffman::{
@@ -48,12 +50,22 @@ pub(crate) const MAX_OUTPUT: usize = 1 << 30;
 /// invalid Huffman tables, out-of-window distances, truncation, or output
 /// exceeding the 1 GiB safety cap.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
-    decompress_into(data, Vec::new())
+    decompress_into(data, Vec::new(), MAX_OUTPUT)
 }
 
-/// [`decompress`] into `out` (empty, with the capacity the caller sized).
-pub(crate) fn decompress_into(data: &[u8], out: Vec<u8>) -> Result<Vec<u8>, WireError> {
-    let mut out = Output { buf: out, pos: 0 };
+/// [`decompress`] into `out` (empty, with the capacity the caller sized),
+/// failing once the output would pass `limit` bytes (at most
+/// [`MAX_OUTPUT`]).
+pub(crate) fn decompress_into(
+    data: &[u8],
+    out: Vec<u8>,
+    limit: usize,
+) -> Result<Vec<u8>, WireError> {
+    let mut out = Output {
+        buf: out,
+        pos: 0,
+        limit: limit.min(MAX_OUTPUT),
+    };
     let mut reader = BitReader::new(data);
     let mut tables = DynamicTables::default();
     loop {
@@ -90,6 +102,8 @@ pub(crate) fn decompress_into(data: &[u8], out: Vec<u8>) -> Result<Vec<u8>, Wire
 struct Output {
     buf: Vec<u8>,
     pos: usize,
+    /// Most bytes the stream may inflate to; room never grows past it.
+    limit: usize,
 }
 
 impl Output {
@@ -97,7 +111,7 @@ impl Output {
     const MIN_ROOM: usize = 4096;
 
     /// Makes room for `extra` bytes past `pos` (plus [`COPY_SLACK`] where
-    /// the cap and the reserved capacity allow), or reports the safety cap.
+    /// the limit and the reserved capacity allow), or reports the limit.
     ///
     /// Room doubles, but stops at the reserved capacity while that still
     /// suffices, so an honest size hint is zero-filled exactly once and
@@ -105,8 +119,8 @@ impl Output {
     #[cold]
     fn grow(&mut self, extra: usize) -> Result<(), WireError> {
         let needed = self.pos + extra;
-        if needed > MAX_OUTPUT {
-            return Err(WireError::Deflate("output exceeds safety cap".into()));
+        if needed > self.limit {
+            return Err(WireError::Deflate("output exceeds size limit".into()));
         }
         let mut target = (needed + COPY_SLACK)
             .max(self.buf.len() * 2)
@@ -114,7 +128,7 @@ impl Output {
         if needed <= self.buf.capacity() {
             target = target.min(self.buf.capacity());
         }
-        self.buf.resize(target.min(MAX_OUTPUT), 0);
+        self.buf.resize(target.min(self.limit), 0);
         Ok(())
     }
 }

@@ -40,8 +40,20 @@ pub fn compress_with(data: &[u8], effort: Effort) -> Vec<u8> {
 ///
 /// Returns [`WireError::Gzip`] on bad magic/method/flags, a header that
 /// runs past the frame, or trailer mismatches, and [`WireError::Deflate`]
-/// if the payload is malformed.
+/// if the payload is malformed or inflates past the 1 GiB safety cap.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
+    decompress_limited(data, deflate::MAX_OUTPUT)
+}
+
+/// [`decompress`], failing with [`WireError::Deflate`] as soon as the
+/// output would pass `max_len` bytes: neither the output buffer nor the
+/// capacity reserved from the trailer ever exceeds `max_len`, so an
+/// untrusted body buys at most that much memory whatever it inflates to.
+///
+/// # Errors
+///
+/// As [`decompress`], plus output longer than `max_len`.
+pub fn decompress_limited(data: &[u8], max_len: usize) -> Result<Vec<u8>, WireError> {
     if data.len() < 18 {
         return Err(WireError::Gzip(
             "frame shorter than header + trailer".into(),
@@ -90,8 +102,8 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
     let payload = &body[offset..];
     let expect_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
     let expect_len = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
-    let out = Vec::with_capacity(output_capacity(payload.len(), expect_len));
-    let out = deflate::decompress_into(payload, out)?;
+    let out = Vec::with_capacity(output_capacity(payload.len(), expect_len, max_len));
+    let out = deflate::decompress_into(payload, out, max_len)?;
     if crc32(&out) != expect_crc {
         return Err(WireError::Gzip("crc mismatch".into()));
     }
@@ -107,11 +119,13 @@ const MAX_EXPANSION: usize = 1032;
 
 /// Output capacity to reserve for a `payload_len`-byte DEFLATE payload
 /// whose trailer claims `isize` bytes: the claim, but never more than the
-/// payload could expand to or the inflate safety cap, since the trailer is
-/// untrusted until the CRC and length checks pass.
-pub(crate) fn output_capacity(payload_len: usize, isize: u32) -> usize {
+/// payload could expand to, the caller's `max_len` or the inflate safety
+/// cap, since the trailer is untrusted until the CRC and length checks
+/// pass.
+pub(crate) fn output_capacity(payload_len: usize, isize: u32, max_len: usize) -> usize {
     (isize as usize)
         .min(payload_len.saturating_mul(MAX_EXPANSION))
+        .min(max_len)
         .min(deflate::MAX_OUTPUT)
 }
 
@@ -234,15 +248,28 @@ mod tests {
             decompress(&packed),
             Err(WireError::Gzip("length mismatch".into()))
         );
+        let max = deflate::MAX_OUTPUT;
         assert_eq!(
-            output_capacity(payload_len, 0xFFFF_FFF0),
+            output_capacity(payload_len, 0xFFFF_FFF0, max),
             payload_len * MAX_EXPANSION
         );
-        assert_eq!(output_capacity(payload_len, 4), 4);
+        assert_eq!(output_capacity(payload_len, 4, max), 4);
         assert_eq!(
-            output_capacity(usize::MAX, u32::MAX),
-            deflate::MAX_OUTPUT.min(u32::MAX as usize)
+            output_capacity(usize::MAX, u32::MAX, max),
+            max.min(u32::MAX as usize)
         );
+        assert_eq!(output_capacity(usize::MAX, u32::MAX, 1000), 1000);
+    }
+
+    #[test]
+    fn output_past_the_limit_is_an_error() {
+        let data = b" ".repeat(10_000);
+        let packed = compress(&data);
+        assert_eq!(decompress_limited(&packed, data.len()).unwrap(), data);
+        assert!(matches!(
+            decompress_limited(&packed, data.len() - 1),
+            Err(WireError::Deflate(_))
+        ));
     }
 
     mod properties {

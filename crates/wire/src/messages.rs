@@ -269,13 +269,20 @@ impl KnnUpdate {
         gzip::compress(&self.to_json().to_bytes())
     }
 
-    /// Decodes from gzipped JSON bytes.
+    /// Most JSON bytes [`KnnUpdate::decode`] inflates: 1 MiB, some twenty
+    /// times a k = 1000 update (~50 KB). Updates arrive as untrusted
+    /// `POST /neighbors/` bodies, and DEFLATE expands up to ~1000:1.
+    pub const MAX_JSON_BYTES: usize = 1 << 20;
+
+    /// Decodes from gzipped JSON bytes, inflating at most
+    /// [`KnnUpdate::MAX_JSON_BYTES`].
     ///
     /// # Errors
     ///
-    /// Propagates gzip, JSON and schema errors.
+    /// Propagates gzip, JSON and schema errors; a body that inflates past
+    /// the cap is a [`WireError::Deflate`].
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let raw = gzip::decompress(bytes)?;
+        let raw = gzip::decompress_limited(bytes, Self::MAX_JSON_BYTES)?;
         let text =
             String::from_utf8(raw).map_err(|_| WireError::Schema("message is not utf-8".into()))?;
         Self::from_json(&JsonValue::parse(&text)?)
