@@ -34,6 +34,18 @@ fn bench_json(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("parse", ps), &ps, |bench, _| {
             bench.iter(|| std::hint::black_box(JsonValue::parse(&text).unwrap()));
         });
+        // What the browser's decode stage costs: the tape plus the
+        // schema walk that builds the job.
+        group.bench_with_input(
+            BenchmarkId::new("parse-and-read-job", ps),
+            &ps,
+            |bench, _| {
+                bench.iter(|| {
+                    let doc = JsonValue::parse(&text).unwrap();
+                    std::hint::black_box(PersonalizationJob::from_json(&doc).unwrap())
+                });
+            },
+        );
     }
     group.finish();
 }

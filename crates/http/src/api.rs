@@ -31,7 +31,7 @@ use crate::router::{BatchPolicy, Router};
 use hyrec_core::{ItemId, Neighbor, UserId, Vote};
 use hyrec_sched::RejectReason;
 use hyrec_server::{HyRecServer, JobEncoder, ScheduledServer};
-use hyrec_wire::KnnUpdate;
+use hyrec_wire::{KnnUpdate, WireError};
 use std::sync::Arc;
 
 /// Builds the HyRec API router around a shared server, with a fresh
@@ -91,8 +91,9 @@ pub fn hyrec_router_with(
         }
     });
 
-    // POST /neighbors/ with a gzipped KnnUpdate body (our wire form).
-    // Gathered updates apply through one shard-grouped write-back.
+    // POST /neighbors/ with a gzipped KnnUpdate body (our wire form); one
+    // past the size cap is a 413. Gathered updates apply through one
+    // shard-grouped write-back.
     let post_server = Arc::clone(&server);
     router.route(
         "POST",
@@ -101,15 +102,16 @@ pub fn hyrec_router_with(
         move |requests: &[Request], out: &mut Vec<Response>| {
             let mut updates = Vec::with_capacity(requests.len());
             out.extend(requests.iter().map(|req| {
-                match KnnUpdate::decode(&req.body)
-                    .map_err(|err| err.to_string())
-                    .and_then(|update| validate_update(&update).map(|()| update))
-                {
+                match decode_update(&req.body).and_then(|update| {
+                    validate_update(&update)
+                        .map(|()| update)
+                        .map_err(|reason| Response::bad_request(&reason))
+                }) {
                     Ok(update) => {
                         updates.push(update);
                         Response::ok("application/json", b"{\"ok\":true}".to_vec())
                     }
-                    Err(reason) => Response::bad_request(&reason),
+                    Err(response) => response,
                 }
             }));
             post_server.apply_updates(&updates);
@@ -218,18 +220,19 @@ pub fn hyrec_scheduled_router(
         Err(reason) => Response::bad_request(&reason),
     });
 
-    // POST /neighbors/ — batched completions; decode errors are a 400,
-    // everything else goes through one batched lease-validation + apply
-    // pass (the scheduler's own payload validation, configured tolerance).
+    // POST /neighbors/ — batched completions; decode errors are a 400 (413
+    // past the size cap), everything else goes through one batched
+    // lease-validation + apply pass (the scheduler's own payload
+    // validation, configured tolerance).
     let post = Arc::clone(&scheduled);
     router.route(
         "POST",
         "/neighbors/",
         policy,
         move |requests: &[Request], out: &mut Vec<Response>| {
-            let parsed: Vec<Result<KnnUpdate, String>> = requests
+            let parsed: Vec<Result<KnnUpdate, Response>> = requests
                 .iter()
-                .map(|req| KnnUpdate::decode(&req.body).map_err(|err| err.to_string()))
+                .map(|req| decode_update(&req.body))
                 .collect();
             let updates: Vec<KnnUpdate> = parsed
                 .iter()
@@ -238,7 +241,7 @@ pub fn hyrec_scheduled_router(
             let mut outcomes = post.complete_updates(&updates, post.now_ms()).into_iter();
             out.extend(parsed.into_iter().map(|p| match p {
                 Ok(_) => completion_response(outcomes.next().expect("one outcome per update")),
-                Err(reason) => Response::bad_request(&reason),
+                Err(response) => response,
             }));
         },
     );
@@ -283,6 +286,16 @@ pub fn hyrec_scheduled_router(
     });
 
     router
+}
+
+/// Decodes a `POST /neighbors/` body: one that inflates past
+/// [`KnnUpdate::MAX_JSON_BYTES`] is a 413, any other undecodable body a
+/// 400.
+fn decode_update(body: &[u8]) -> Result<KnnUpdate, Response> {
+    KnnUpdate::decode(body).map_err(|err| match err {
+        WireError::TooLarge { .. } => Response::payload_too_large(&err.to_string()),
+        _ => Response::bad_request(&err.to_string()),
+    })
 }
 
 /// Maps a lease-validation outcome onto the wire: applied completions ack

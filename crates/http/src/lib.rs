@@ -81,7 +81,7 @@ pub mod threadpool;
 
 pub use client::HttpClient;
 pub use reactor::{AcceptSharding, ReactorServer};
-pub use request::Request;
+pub use request::{FrameError, Request};
 pub use response::{Disposition, Response};
 pub use router::{BatchPolicy, Handler, Router, Scalar};
 pub use server::HttpServer;

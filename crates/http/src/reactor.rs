@@ -646,9 +646,9 @@ fn parts_of(token: u64) -> (usize, u32) {
 enum FrameStep {
     /// A request was framed and assigned a sequence number.
     Frame(u64, Request),
-    /// The buffer can never frame a valid request; answer 400 at this
+    /// The buffer can never frame a valid request; answer at this
     /// sequence number and close.
-    Bad(u64, String),
+    Bad(u64, Response),
     /// Nothing (more) to frame right now.
     Stop,
 }
@@ -1093,7 +1093,7 @@ impl Shard {
                     buffer_pool,
                     token,
                     seq,
-                    Response::bad_request("request too large"),
+                    Response::payload_too_large("request too large"),
                 );
             }
             Pull::Data { eof } => {
@@ -1164,12 +1164,12 @@ impl Shard {
                             }
                             FrameStep::Stop
                         }
-                        Err(reason) => {
+                        Err(err) => {
                             let seq = conn.next_assign;
                             conn.next_assign += 1;
                             conn.closing = true;
                             conn.buf.clear();
-                            FrameStep::Bad(seq, reason)
+                            FrameStep::Bad(seq, err.response())
                         }
                     }
                 }
@@ -1182,15 +1182,8 @@ impl Shard {
                         .fetch_add(1, Ordering::Relaxed);
                     self.dispatch(epoll, slab, buffer_pool, token, seq, request, &mut burst);
                 }
-                FrameStep::Bad(seq, reason) => {
-                    self.queue_response(
-                        epoll,
-                        slab,
-                        buffer_pool,
-                        token,
-                        seq,
-                        Response::bad_request(&reason),
-                    );
+                FrameStep::Bad(seq, response) => {
+                    self.queue_response(epoll, slab, buffer_pool, token, seq, response);
                     break;
                 }
                 FrameStep::Stop => break,
@@ -1483,7 +1476,7 @@ enum Pull {
     Data { eof: bool },
     /// The socket failed or the peer vanished; drop the connection.
     Closed,
-    /// The accumulation buffer hit its hard cap; answer 400 and close.
+    /// The accumulation buffer hit its hard cap; answer 413 and close.
     TooLarge,
 }
 

@@ -1,12 +1,54 @@
 //! HTTP/1.1 request parsing.
 
+use crate::response::Response;
 use std::collections::HashMap;
+use std::fmt;
 use std::io::{BufRead, BufReader, Read};
 
 /// Maximum accepted header block size (DoS guard).
 const MAX_HEADER_BYTES: usize = 64 * 1024;
 /// Maximum accepted body size (DoS guard).
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+
+/// Why bytes can never frame a valid request. Either way the server
+/// answers and closes the connection.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameError {
+    /// The declared `Content-Length` is over the body cap: `413 Payload
+    /// Too Large`.
+    BodyTooLarge,
+    /// Malformed or otherwise oversized: `400 Bad Request` naming the
+    /// reason.
+    Malformed(String),
+}
+
+impl FrameError {
+    /// The response that answers the unframable request.
+    #[must_use]
+    pub fn response(&self) -> Response {
+        match self {
+            FrameError::BodyTooLarge => Response::payload_too_large(&self.to_string()),
+            FrameError::Malformed(reason) => Response::bad_request(reason),
+        }
+    }
+}
+
+impl From<String> for FrameError {
+    fn from(reason: String) -> Self {
+        FrameError::Malformed(reason)
+    }
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::BodyTooLarge => write!(f, "body larger than {MAX_BODY_BYTES} bytes"),
+            FrameError::Malformed(reason) => f.write_str(reason),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,9 +133,8 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns a descriptive string on malformed or oversized input (the
-    /// server maps it to `400 Bad Request`).
-    pub fn parse<R: Read>(stream: R) -> Result<Self, String> {
+    /// Returns a [`FrameError`] on malformed or oversized input.
+    pub fn parse<R: Read>(stream: R) -> Result<Self, FrameError> {
         Self::parse_from(&mut BufReader::new(stream))
     }
 
@@ -103,8 +144,8 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns a descriptive string on malformed or oversized input.
-    pub fn parse_from<R: BufRead>(reader: &mut R) -> Result<Self, String> {
+    /// Returns a [`FrameError`] on malformed or oversized input.
+    pub fn parse_from<R: BufRead>(reader: &mut R) -> Result<Self, FrameError> {
         let mut line = String::new();
         reader
             .read_line(&mut line)
@@ -140,7 +181,7 @@ impl Request {
                 .map_err(|e| format!("header read error: {e}"))?;
             header_bytes += header_line.len();
             if header_bytes > MAX_HEADER_BYTES {
-                return Err("header block too large".to_owned());
+                return Err("header block too large".to_owned().into());
             }
             let header_line = header_line.trim_end();
             if header_line.is_empty() {
@@ -157,7 +198,7 @@ impl Request {
                 if name == "content-length" {
                     if let Some(previous) = headers.get(&name) {
                         if previous != &value {
-                            return Err("conflicting content-length headers".to_owned());
+                            return Err("conflicting content-length headers".to_owned().into());
                         }
                     }
                 }
@@ -171,7 +212,7 @@ impl Request {
                     .parse()
                     .map_err(|_| "invalid content-length".to_owned())?;
                 if len > MAX_BODY_BYTES {
-                    return Err("body too large".to_owned());
+                    return Err(FrameError::BodyTooLarge);
                 }
                 let mut body = vec![0u8; len];
                 reader
@@ -199,21 +240,21 @@ impl Request {
     /// (read more and call again), `Ok(Some((request, consumed)))` when a
     /// full request occupies the first `consumed` bytes, and `Err` when the
     /// buffer can never become a valid request (oversized or malformed —
-    /// respond 400 and close).
+    /// respond with [`FrameError::response`] and close).
     ///
     /// # Errors
     ///
-    /// Returns a descriptive string on malformed or oversized input.
-    pub fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
+    /// Returns a [`FrameError`] on malformed or oversized input.
+    pub fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError> {
         // Locate the end of the header block.
         let Some(head_end) = find_subsequence(buf, b"\r\n\r\n") else {
             if buf.len() > MAX_HEADER_BYTES {
-                return Err("header block too large".to_owned());
+                return Err("header block too large".to_owned().into());
             }
             return Ok(None);
         };
         if head_end > MAX_HEADER_BYTES {
-            return Err("header block too large".to_owned());
+            return Err("header block too large".to_owned().into());
         }
         // Light scan for Content-Length to learn the total frame size; an
         // invalid value falls through to the full parser, which rejects it,
@@ -224,7 +265,7 @@ impl Request {
             .map_err(|()| "conflicting content-length headers".to_owned())?
             .unwrap_or(0);
         if body_len > MAX_BODY_BYTES {
-            return Err("body too large".to_owned());
+            return Err(FrameError::BodyTooLarge);
         }
         let total = head_end + 4 + body_len;
         if buf.len() < total {
@@ -318,7 +359,7 @@ fn percent_decode(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn parse_str(s: &str) -> Result<Request, String> {
+    fn parse_str(s: &str) -> Result<Request, FrameError> {
         Request::parse(s.as_bytes())
     }
 

@@ -95,6 +95,12 @@ impl Response {
         Self::error(400, reason)
     }
 
+    /// `413 Payload Too Large` with a reason: a body over a size cap.
+    #[must_use]
+    pub fn payload_too_large(reason: &str) -> Self {
+        Self::error(413, reason)
+    }
+
     /// Sets the connection disposition (builder form).
     #[must_use]
     pub fn with_disposition(mut self, disposition: Disposition) -> Self {
@@ -147,6 +153,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            413 => "Payload Too Large",
             500 => "Internal Server Error",
             _ => "Unknown",
         };
@@ -208,10 +215,11 @@ impl Response {
         let Some(length) = headers.get("content-length") else {
             return Ok(None); // Close-delimited body: needs EOF.
         };
-        let length: usize = length
-            .parse()
-            .map_err(|_| "bad content-length".to_owned())?;
-        let total = head_end + length;
+        let total = length
+            .parse::<usize>()
+            .ok()
+            .and_then(|length| head_end.checked_add(length))
+            .ok_or_else(|| "bad content-length".to_owned())?;
         if buf.len() < total {
             return Ok(None);
         }
@@ -323,6 +331,7 @@ mod tests {
         let bad = Response::bad_request("missing uid");
         assert_eq!(bad.status, 400);
         assert_eq!(bad.body, b"missing uid");
+        assert_eq!(Response::payload_too_large("cap").status, 413);
     }
 
     #[test]

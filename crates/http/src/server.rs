@@ -4,7 +4,7 @@
 //! expires, or the per-connection request budget runs out.
 
 use crate::request::Request;
-use crate::response::{Disposition, Response};
+use crate::response::Disposition;
 use crate::router::Router;
 use crate::threadpool::ThreadPool;
 use std::io::{self, BufRead, BufReader};
@@ -216,9 +216,9 @@ fn handle_connection(
                     return;
                 }
             }
-            Err(reason) => {
+            Err(err) => {
                 // Framing is unrecoverable mid-stream: answer and hang up.
-                let response = Response::bad_request(&reason).with_disposition(Disposition::Close);
+                let response = err.response().with_disposition(Disposition::Close);
                 let _ = response.write_to(reader.get_mut());
                 return;
             }
@@ -260,6 +260,7 @@ fn wait_for_request(
 mod tests {
     use super::*;
     use crate::client::HttpClient;
+    use crate::response::Response;
 
     fn ping_router() -> Router {
         let mut router = Router::new();

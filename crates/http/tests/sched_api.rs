@@ -285,19 +285,44 @@ fn inflation_bomb() -> Vec<u8> {
 }
 
 /// An update body that inflates far past `KnnUpdate::MAX_JSON_BYTES` is
-/// a 400 on both routers, like any other undecodable body, and the
-/// server keeps serving.
+/// a 413 on both routers, and so is a request whose `Content-Length` is
+/// over the framing cap; the server keeps serving.
 #[test]
-fn inflation_bomb_gets_400_on_both_routers() {
+fn inflation_bomb_gets_413_on_both_routers() {
+    use std::io::{Read, Write};
     let bomb = inflation_bomb();
     let plain = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
     let plain_addr = plain.local_addr();
     let hyrec = populated_server(11);
     let plain = plain.serve(hyrec_router(Arc::clone(&hyrec)));
-    let (scheduled, scheduled_client, _) = spawn_scheduled_reactor();
-    for client in [HttpClient::new(plain_addr), scheduled_client] {
+    let scheduled = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
+    let scheduled_addr = scheduled.local_addr();
+    let scheduled = scheduled.serve(hyrec_scheduled_router(
+        Arc::new(ScheduledServer::new(
+            Arc::clone(&hyrec),
+            SchedConfig::default(),
+        )),
+        Arc::new(JobEncoder::new()),
+        BatchPolicy::default(),
+        None,
+    ));
+    for addr in [plain_addr, scheduled_addr] {
+        let client = HttpClient::new(addr);
         let response = client.post("/neighbors/", &bomb).unwrap();
-        assert_eq!(response.status, 400);
+        assert_eq!(response.status, 413);
+        assert_eq!(client.get("/online/?uid=1").unwrap().status, 200);
+
+        // 16 MiB + 1 declared: refused from the header alone.
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"POST /neighbors/ HTTP/1.1\r\nContent-Length: 16777217\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("HTTP/1.1 413 Payload Too Large"),
+            "{reply}"
+        );
         assert_eq!(client.get("/online/?uid=1").unwrap().status, 200);
     }
     assert_eq!(hyrec.updates_applied(), 0);

@@ -147,6 +147,9 @@ struct UserState {
     in_reissue: bool,
     /// Whether the user sits in the fallback pen.
     in_fallback: bool,
+    /// Taken from the pen by [`Scheduler::take_fallback`]; the recompute
+    /// has not been reported back yet.
+    recomputing: bool,
 }
 
 impl UserState {
@@ -160,6 +163,7 @@ impl UserState {
             queue_version: 0,
             in_reissue: false,
             in_fallback: false,
+            recomputing: false,
         }
     }
 }
@@ -664,7 +668,8 @@ impl Scheduler {
 
     /// Drains the fallback pen: users whose escalation ladder is exhausted
     /// and who must now be recomputed server-side. The caller performs the
-    /// compute and reports back through [`Self::mark_refreshed`].
+    /// compute and reports back through [`Self::mark_refreshed`], which is
+    /// when the fallback counts.
     #[must_use]
     pub fn take_fallback(&self) -> Vec<UserId> {
         let mut guard = self.inner.lock();
@@ -679,7 +684,7 @@ impl Scheduler {
             // they sat in the pen; skip those.
             if state.in_fallback {
                 state.in_fallback = false;
-                self.stats.inc_fallbacks();
+                state.recomputing = true;
                 taken.push(user);
             }
         }
@@ -688,7 +693,8 @@ impl Scheduler {
 
     /// Records an out-of-band refresh (server-side fallback compute):
     /// resets the user's staleness and bumps their epoch so any straggler
-    /// browser completion is recognizably stale.
+    /// browser completion is recognizably stale. For a user taken from the
+    /// pen this counts the fallback.
     pub fn mark_refreshed(&self, user: UserId, now: Tick) {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
@@ -703,6 +709,9 @@ impl Scheduler {
         state.epoch += 1;
         state.in_reissue = false;
         state.in_fallback = false;
+        if std::mem::take(&mut state.recomputing) {
+            self.stats.inc_fallbacks();
+        }
         Self::requeue(&config, state, user, &mut inner.queue);
     }
 
@@ -962,12 +971,16 @@ mod tests {
         assert_eq!(report.reissue_backlog, 0);
         let fallback = sched.take_fallback();
         assert_eq!(fallback, vec![UserId(1)]);
-        assert_eq!(sched.stats().fallbacks(), 1);
         // The pen drains exactly once.
         assert!(sched.take_fallback().is_empty());
 
-        // Server-side compute reports back; the user is fresh again.
+        // Server-side compute reports back, which counts the fallback
+        // (once); the user is fresh again.
+        assert_eq!(sched.stats().fallbacks(), 0);
         sched.mark_refreshed(UserId(1), third.deadline + 2);
+        assert_eq!(sched.stats().fallbacks(), 1);
+        sched.mark_refreshed(UserId(1), third.deadline + 2);
+        assert_eq!(sched.stats().fallbacks(), 1);
         assert!(!sched
             .overdue_users(third.deadline + 3, 0)
             .contains(&UserId(1)));

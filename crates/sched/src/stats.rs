@@ -59,7 +59,8 @@ impl SchedStats {
         inc_expired
     );
     counter!(
-        /// Users surrendered to server-side fallback compute.
+        /// Server-side fallback recomputes, counted when the caller
+        /// reports one applied ([`crate::Scheduler::mark_refreshed`]).
         fallbacks,
         inc_fallbacks
     );

@@ -47,8 +47,8 @@ pub(crate) const MAX_OUTPUT: usize = 1 << 30;
 /// # Errors
 ///
 /// Returns [`WireError::Deflate`] on malformed streams: bad block types,
-/// invalid Huffman tables, out-of-window distances, truncation, or output
-/// exceeding the 1 GiB safety cap.
+/// invalid Huffman tables, out-of-window distances or truncation, and
+/// [`WireError::TooLarge`] on output exceeding the 1 GiB safety cap.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
     decompress_into(data, Vec::new(), MAX_OUTPUT)
 }
@@ -120,7 +120,7 @@ impl Output {
     fn grow(&mut self, extra: usize) -> Result<(), WireError> {
         let needed = self.pos + extra;
         if needed > self.limit {
-            return Err(WireError::Deflate("output exceeds size limit".into()));
+            return Err(WireError::TooLarge { limit: self.limit });
         }
         let mut target = (needed + COPY_SLACK)
             .max(self.buf.len() * 2)

@@ -20,6 +20,11 @@ pub enum WireError {
     Gzip(String),
     /// A message had valid JSON but the wrong shape.
     Schema(String),
+    /// Decompressed output would pass the caller's size limit.
+    TooLarge {
+        /// The limit, in bytes.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -31,6 +36,9 @@ impl fmt::Display for WireError {
             WireError::Deflate(msg) => write!(f, "deflate error: {msg}"),
             WireError::Gzip(msg) => write!(f, "gzip error: {msg}"),
             WireError::Schema(msg) => write!(f, "message schema error: {msg}"),
+            WireError::TooLarge { limit } => {
+                write!(f, "output exceeds size limit of {limit} bytes")
+            }
         }
     }
 }

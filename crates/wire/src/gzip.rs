@@ -39,13 +39,14 @@ pub fn compress_with(data: &[u8], effort: Effort) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`WireError::Gzip`] on bad magic/method/flags, a header that
-/// runs past the frame, or trailer mismatches, and [`WireError::Deflate`]
-/// if the payload is malformed or inflates past the 1 GiB safety cap.
+/// runs past the frame, or trailer mismatches, [`WireError::Deflate`] if
+/// the payload is malformed, and [`WireError::TooLarge`] if it inflates
+/// past the 1 GiB safety cap.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
     decompress_limited(data, deflate::MAX_OUTPUT)
 }
 
-/// [`decompress`], failing with [`WireError::Deflate`] as soon as the
+/// [`decompress`], failing with [`WireError::TooLarge`] as soon as the
 /// output would pass `max_len` bytes: neither the output buffer nor the
 /// capacity reserved from the trailer ever exceeds `max_len`, so an
 /// untrusted body buys at most that much memory whatever it inflates to.
@@ -266,10 +267,12 @@ mod tests {
         let data = b" ".repeat(10_000);
         let packed = compress(&data);
         assert_eq!(decompress_limited(&packed, data.len()).unwrap(), data);
-        assert!(matches!(
+        assert_eq!(
             decompress_limited(&packed, data.len() - 1),
-            Err(WireError::Deflate(_))
-        ));
+            Err(WireError::TooLarge {
+                limit: data.len() - 1
+            })
+        );
     }
 
     mod properties {

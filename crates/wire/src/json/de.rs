@@ -1,11 +1,18 @@
-//! Recursive-descent JSON parser (RFC 8259).
+//! Recursive-descent JSON parser (RFC 8259) that writes a tape.
 //!
 //! Handles the full grammar: nested containers, all escape sequences
 //! including `\uXXXX` surrogate pairs, and scientific-notation numbers.
 //! Depth is bounded to keep adversarial inputs from blowing the stack — the
 //! widget runs inside a browser tab and must never crash the page.
+//!
+//! Values are appended to the [`JsonValue`] tape as they are read: a
+//! container's node goes first and is filled in with its child count and
+//! subtree length when it closes, so no value is ever moved. String bytes
+//! are copied once, into the tape's string buffer. Integers of at most 15
+//! digits, the bulk of a personalization job, convert without `f64`
+//! parsing, and a run of them inside an array is read in one tight loop.
 
-use super::JsonValue;
+use super::{to_u32, JsonValue, Node};
 use crate::error::WireError;
 
 /// Maximum container nesting depth accepted by the parser.
@@ -20,28 +27,38 @@ const MAX_EXACT_DIGITS: usize = 15;
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Json`] with the byte offset of the failure.
+/// Returns [`WireError::Json`] with the byte offset of the failure; text
+/// longer than 4 GiB, which the tape cannot address, fails at offset 0.
 pub fn parse(text: &str) -> Result<JsonValue, WireError> {
+    if u32::try_from(text.len()).is_err() {
+        return Err(WireError::Json {
+            offset: 0,
+            message: "document exceeds 4 GiB".into(),
+        });
+    }
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
-        items: Vec::new(),
+        // A job body holds about one node per 6 bytes of text. Reserving
+        // one per 4 means the tape never regrows, so one allocation of a
+        // steady size is all a decode asks of the heap.
+        doc: JsonValue::with_capacity(text.len() / 4 + 1),
     };
     parser.skip_ws();
-    let value = parser.value(0)?;
+    parser.value(0)?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(parser.err("trailing characters after document"));
     }
-    Ok(value)
+    Ok(parser.doc)
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    /// Elements of the arrays being parsed, innermost last; a finished
-    /// array moves its run into an exactly sized `Vec`.
-    items: Vec<JsonValue>,
+    doc: JsonValue,
 }
 
 impl<'a> Parser<'a> {
@@ -79,107 +96,126 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue, WireError> {
+    fn value(&mut self, depth: usize) -> Result<(), WireError> {
         if depth > MAX_DEPTH {
             return Err(self.err("maximum nesting depth exceeded"));
         }
         match self.peek() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b'"') => self.string(),
+            Some(b't') => self.literal("true", Node::Bool(true)),
+            Some(b'f') => self.literal("false", Node::Bool(false)),
+            Some(b'n') => self.literal("null", Node::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected byte 0x{other:02x}"))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, WireError> {
+    fn literal(&mut self, word: &str, node: Node) -> Result<(), WireError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            self.doc.nodes.push(node);
+            Ok(())
         } else {
             Err(self.err(format!("expected `{word}`")))
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<JsonValue, WireError> {
+    fn object(&mut self, depth: usize) -> Result<(), WireError> {
         self.expect(b'{')?;
-        let mut entries = Vec::new();
+        let at = self.doc.open(Node::Object { len: 0, span: 0 });
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(entries));
+            self.doc.close(at, 0);
+            return Ok(());
         }
+        let mut len = 0;
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            entries.push((key, value));
+            self.value(depth + 1)?;
+            len += 1;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(JsonValue::Object(entries)),
+                Some(b'}') => {
+                    self.doc.close(at, len);
+                    return Ok(());
+                }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<JsonValue, WireError> {
+    fn array(&mut self, depth: usize) -> Result<(), WireError> {
         self.expect(b'[')?;
+        let at = self.doc.open(Node::Array { len: 0, span: 0 });
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(Vec::new()));
+            self.doc.close(at, 0);
+            return Ok(());
         }
-        let mark = self.items.len();
-        if depth < MAX_DEPTH && self.integer_items() {
-            return Ok(JsonValue::Array(self.items.drain(mark..).collect()));
+        let done = depth < MAX_DEPTH && self.integer_items();
+        // Each integer read so far is one node.
+        let mut len = self.doc.nodes.len() - at - 1;
+        if done {
+            self.doc.close(at, len);
+            return Ok(());
         }
         loop {
             self.skip_ws();
             // Numbers skip the dispatch in `value`; the depth limit still
             // applies to them.
-            let item = if depth < MAX_DEPTH && matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
-                self.number()?
+            if depth < MAX_DEPTH && matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+                self.number()?;
             } else {
-                self.value(depth + 1)?
-            };
-            self.items.push(item);
+                self.value(depth + 1)?;
+            }
+            len += 1;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(JsonValue::Array(self.items.drain(mark..).collect())),
+                Some(b']') => {
+                    self.doc.close(at, len);
+                    return Ok(());
+                }
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
+    /// Reads a string (a value or a key) into the tape's string buffer and
+    /// appends its node.
+    fn string(&mut self) -> Result<(), WireError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = to_u32(self.doc.strings.len());
         loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes.
+            let run = self.pos;
+            // Fast path: run of plain bytes. It starts and stops at ASCII
+            // bytes (or the end), so it is a whole `str` slice.
             while let Some(b) = self.peek() {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8 in string"))?;
-                out.push_str(chunk);
-            }
+            self.doc.strings.push_str(&self.text[run..self.pos]);
             match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => out.push(self.escape()?),
+                Some(b'"') => {
+                    self.doc.push_string_from(start);
+                    return Ok(());
+                }
+                Some(b'\\') => {
+                    let c = self.escape()?;
+                    self.doc.strings.push(c);
+                }
                 Some(_) => return Err(self.err("raw control character in string")),
                 None => return Err(self.err("unterminated string")),
             }
@@ -237,17 +273,19 @@ impl<'a> Parser<'a> {
     /// digits converts directly ([`scan_integer`]), everything else
     /// through `f64` parsing.
     #[inline(always)]
-    fn number(&mut self) -> Result<JsonValue, WireError> {
-        match scan_integer(self.bytes, self.pos) {
+    fn number(&mut self) -> Result<(), WireError> {
+        let value = match scan_integer(self.bytes, self.pos) {
             Some((value, end)) => {
                 self.pos = end;
-                Ok(value)
+                value
             }
-            None => self.float(),
-        }
+            None => self.float()?,
+        };
+        self.doc.nodes.push(Node::Number(value));
+        Ok(())
     }
 
-    /// The item-id list fast path: after an array's `[`, consumes a run of
+    /// The item-id list fast path: after an array's `[`, appends a run of
     /// integers each followed directly by `,` or, for the last, `]`, with
     /// the cursor in a register. `true` when it consumed the whole array;
     /// otherwise it stops before the first element it does not take, for
@@ -258,11 +296,11 @@ impl<'a> Parser<'a> {
         while let Some((value, end)) = scan_integer(bytes, pos) {
             match bytes.get(end) {
                 Some(b',') => {
-                    self.items.push(value);
+                    self.doc.nodes.push(Node::Number(value));
                     pos = end + 1;
                 }
                 Some(b']') => {
-                    self.items.push(value);
+                    self.doc.nodes.push(Node::Number(value));
                     self.pos = end + 1;
                     return true;
                 }
@@ -275,7 +313,7 @@ impl<'a> Parser<'a> {
 
     /// Any number, through `str::parse::<f64>`.
     #[inline(never)]
-    fn float(&mut self) -> Result<JsonValue, WireError> {
+    fn float(&mut self) -> Result<f64, WireError> {
         let bytes = self.bytes;
         let start = self.pos;
         let mut pos = start + usize::from(bytes.get(start) == Some(&b'-'));
@@ -307,7 +345,6 @@ impl<'a> Parser<'a> {
         self.pos = pos;
         let text = std::str::from_utf8(&bytes[start..pos]).expect("number bytes are ascii");
         text.parse::<f64>()
-            .map(JsonValue::Number)
             .map_err(|_| self.err("number out of range"))
     }
 
@@ -321,7 +358,7 @@ impl<'a> Parser<'a> {
 /// `pos`, not followed by a fraction or an exponent: the number and the
 /// position after it. `None` for anything else, including malformed input.
 #[inline(always)]
-fn scan_integer(bytes: &[u8], pos: usize) -> Option<(JsonValue, usize)> {
+fn scan_integer(bytes: &[u8], pos: usize) -> Option<(f64, usize)> {
     let negative = bytes.get(pos) == Some(&b'-');
     let start = pos + usize::from(negative);
     let mut end = start;
@@ -345,8 +382,7 @@ fn scan_integer(bytes: &[u8], pos: usize) -> Option<(JsonValue, usize)> {
     // Exact (below 2^53; converting as `i64` is a single instruction);
     // negating keeps the sign of `-0`.
     let magnitude = magnitude as i64 as f64;
-    let value = JsonValue::Number(if negative { -magnitude } else { magnitude });
-    Some((value, end))
+    Some((if negative { -magnitude } else { magnitude }, end))
 }
 
 /// The position after the run of ASCII digits starting at `pos`.
@@ -363,17 +399,18 @@ mod tests {
 
     #[test]
     fn parses_scalars() {
-        assert_eq!(parse("null").unwrap(), JsonValue::Null);
-        assert_eq!(parse("true").unwrap(), JsonValue::Bool(true));
-        assert_eq!(parse("false").unwrap(), JsonValue::Bool(false));
-        assert_eq!(parse("42").unwrap(), JsonValue::Number(42.0));
-        assert_eq!(parse("-0.5e2").unwrap(), JsonValue::Number(-50.0));
-        assert_eq!(parse(r#""hi""#).unwrap(), JsonValue::String("hi".into()));
+        assert_eq!(parse("null").unwrap(), JsonValue::null());
+        assert_eq!(parse("true").unwrap(), JsonValue::from(true));
+        assert_eq!(parse("false").unwrap(), JsonValue::from(false));
+        assert_eq!(parse("42").unwrap(), JsonValue::from(42.0));
+        assert_eq!(parse("-0.5e2").unwrap(), JsonValue::from(-50.0));
+        assert_eq!(parse(r#""hi""#).unwrap(), JsonValue::from("hi"));
     }
 
     #[test]
     fn parses_containers_with_whitespace() {
-        let v = parse(" { \"a\" : [ 1 , 2 ] , \"b\" : { } } ").unwrap();
+        let doc = parse(" { \"a\" : [ 1 , 2 ] , \"b\" : { } } ").unwrap();
+        let v = doc.root();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 2);
         assert_eq!(v.get("b").unwrap().as_object().unwrap().len(), 0);
     }
@@ -381,13 +418,13 @@ mod tests {
     #[test]
     fn parses_escapes() {
         let v = parse(r#""a\nb\t\"c\\dA""#).unwrap();
-        assert_eq!(v.as_str(), Some("a\nb\t\"c\\dA"));
+        assert_eq!(v.root().as_str(), Some("a\nb\t\"c\\dA"));
     }
 
     #[test]
     fn parses_surrogate_pairs() {
         let v = parse(r#""😀""#).unwrap();
-        assert_eq!(v.as_str(), Some("😀"));
+        assert_eq!(v.root().as_str(), Some("😀"));
     }
 
     #[test]
@@ -432,11 +469,16 @@ mod tests {
             "9007199254740993",
             "12345678901234567890",
         ] {
-            let parsed = parse(text).unwrap().as_f64().unwrap();
+            let parsed = parse(text).unwrap().root().as_f64().unwrap();
             let expected = text.parse::<f64>().unwrap();
             assert_eq!(parsed.to_bits(), expected.to_bits(), "{text}");
         }
-        assert!(parse("-0").unwrap().as_f64().unwrap().is_sign_negative());
+        assert!(parse("-0")
+            .unwrap()
+            .root()
+            .as_f64()
+            .unwrap()
+            .is_sign_negative());
     }
 
     #[test]
@@ -450,8 +492,9 @@ mod tests {
                 format!("[{n},0,0,0,0,0]"),
                 format!("[-{n}]"),
             ] {
-                let value = parse(&text).unwrap();
-                let got = value.at(0).unwrap_or(&value).as_f64().unwrap();
+                let doc = parse(&text).unwrap();
+                let value = doc.root();
+                let got = value.at(0).unwrap_or(value).as_f64().unwrap();
                 assert_eq!(got.abs(), n as f64, "{text}");
             }
         }
@@ -470,9 +513,9 @@ mod tests {
         }
         let v = parse("[0,7,10,99,100,12345678,1.5,2e3]").unwrap();
         let items: Vec<f64> = v
+            .root()
             .as_array()
             .unwrap()
-            .iter()
             .map(|x| x.as_f64().unwrap())
             .collect();
         assert_eq!(
@@ -509,11 +552,11 @@ mod tests {
 
         fn arb_json(depth: u32) -> BoxedStrategy<JsonValue> {
             let leaf = prop_oneof![
-                Just(JsonValue::Null),
-                any::<bool>().prop_map(JsonValue::Bool),
-                (-1e9f64..1e9).prop_map(JsonValue::Number),
-                any::<i32>().prop_map(|n| JsonValue::Number(f64::from(n))),
-                "[a-zA-Z0-9 _\\-\"\\\\\n\t\u{00e9}\u{4e16}]{0,20}".prop_map(JsonValue::String),
+                Just(JsonValue::null()),
+                any::<bool>().prop_map(JsonValue::from),
+                (-1e9f64..1e9).prop_map(JsonValue::from),
+                any::<i32>().prop_map(JsonValue::from),
+                "[a-zA-Z0-9 _\\-\"\\\\\n\t\u{00e9}\u{4e16}]{0,20}".prop_map(JsonValue::from),
             ];
             if depth == 0 {
                 leaf.boxed()
@@ -521,7 +564,7 @@ mod tests {
                 prop_oneof![
                     4 => leaf,
                     1 => proptest::collection::vec(arb_json(depth - 1), 0..5)
-                        .prop_map(JsonValue::Array),
+                        .prop_map(|items| items.into_iter().collect()),
                     1 => proptest::collection::vec(
                         ("[a-z]{1,8}", arb_json(depth - 1)),
                         0..5
@@ -552,14 +595,14 @@ mod tests {
             ) {
                 let text = if negative { format!("-{digits}") } else { digits };
                 let expected = text.parse::<f64>().unwrap();
-                let parsed = parse(&text).unwrap().as_f64().unwrap();
+                let parsed = parse(&text).unwrap().root().as_f64().unwrap();
                 prop_assert_eq!(parsed.to_bits(), expected.to_bits());
                 // Inside an array and an object, followed by more input.
                 let padded = parse(&format!("[{text},1,2,3,4]")).unwrap();
-                let first = padded.at(0).unwrap().as_f64().unwrap();
+                let first = padded.root().at(0).unwrap().as_f64().unwrap();
                 prop_assert_eq!(first.to_bits(), expected.to_bits());
                 let object = parse(&format!("{{\"n\":{text},\"pad\":true}}")).unwrap();
-                let n = object.get("n").unwrap().as_f64().unwrap();
+                let n = object.root().get("n").unwrap().as_f64().unwrap();
                 prop_assert_eq!(n.to_bits(), expected.to_bits());
             }
         }

@@ -4,19 +4,19 @@
 //! compact separators, integers without a fractional part, control characters
 //! escaped per RFC 8259.
 
-use super::JsonValue;
+use super::{JsonRef, Node};
 use std::fmt;
 
-pub(super) fn write_value(f: &mut fmt::Formatter<'_>, value: &JsonValue) -> fmt::Result {
-    match value {
-        JsonValue::Null => f.write_str("null"),
-        JsonValue::Bool(true) => f.write_str("true"),
-        JsonValue::Bool(false) => f.write_str("false"),
-        JsonValue::Number(n) => write_number(f, *n),
-        JsonValue::String(s) => write_string(f, s),
-        JsonValue::Array(items) => {
+pub(super) fn write_value(f: &mut fmt::Formatter<'_>, value: JsonRef<'_>) -> fmt::Result {
+    match value.node() {
+        Node::Null => f.write_str("null"),
+        Node::Bool(true) => f.write_str("true"),
+        Node::Bool(false) => f.write_str("false"),
+        Node::Number(n) => write_number(f, n),
+        Node::String { .. } => write_string(f, value.as_str().expect("string node")),
+        Node::Array { .. } => {
             f.write_str("[")?;
-            for (i, item) in items.iter().enumerate() {
+            for (i, item) in value.as_array().expect("array node").enumerate() {
                 if i > 0 {
                     f.write_str(",")?;
                 }
@@ -24,9 +24,9 @@ pub(super) fn write_value(f: &mut fmt::Formatter<'_>, value: &JsonValue) -> fmt:
             }
             f.write_str("]")
         }
-        JsonValue::Object(entries) => {
+        Node::Object { .. } => {
             f.write_str("{")?;
-            for (i, (key, item)) in entries.iter().enumerate() {
+            for (i, (key, item)) in value.as_object().expect("object node").enumerate() {
                 if i > 0 {
                     f.write_str(",")?;
                 }
@@ -76,24 +76,24 @@ mod tests {
 
     #[test]
     fn scalars() {
-        assert_eq!(JsonValue::Null.to_string(), "null");
-        assert_eq!(JsonValue::Bool(true).to_string(), "true");
-        assert_eq!(JsonValue::Bool(false).to_string(), "false");
-        assert_eq!(JsonValue::Number(3.0).to_string(), "3");
-        assert_eq!(JsonValue::Number(-2.5).to_string(), "-2.5");
-        assert_eq!(JsonValue::Number(f64::NAN).to_string(), "null");
-        assert_eq!(JsonValue::Number(f64::INFINITY).to_string(), "null");
+        assert_eq!(JsonValue::null().to_string(), "null");
+        assert_eq!(JsonValue::from(true).to_string(), "true");
+        assert_eq!(JsonValue::from(false).to_string(), "false");
+        assert_eq!(JsonValue::from(3.0).to_string(), "3");
+        assert_eq!(JsonValue::from(-2.5).to_string(), "-2.5");
+        assert_eq!(JsonValue::from(f64::NAN).to_string(), "null");
+        assert_eq!(JsonValue::from(f64::INFINITY).to_string(), "null");
     }
 
     #[test]
     fn string_escapes() {
-        let s = JsonValue::String("a\"b\\c\nd\te\u{0001}".into());
+        let s = JsonValue::from("a\"b\\c\nd\te\u{0001}");
         assert_eq!(s.to_string(), "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
     }
 
     #[test]
     fn unicode_passthrough() {
-        let s = JsonValue::String("héllo — 世界".into());
+        let s = JsonValue::from("héllo — 世界");
         assert_eq!(s.to_string(), "\"héllo — 世界\"");
     }
 
@@ -101,17 +101,16 @@ mod tests {
     fn nested_structure_is_compact() {
         let v = object([(
             "outer",
-            JsonValue::Array(vec![
-                object([("x", JsonValue::from(1u32))]),
-                JsonValue::Null,
-            ]),
+            [object([("x", 1u32)]), JsonValue::null()]
+                .into_iter()
+                .collect::<JsonValue>(),
         )]);
         assert_eq!(v.to_string(), r#"{"outer":[{"x":1},null]}"#);
     }
 
     #[test]
     fn large_integers_stay_integral() {
-        let v = JsonValue::Number(4_294_967_295.0); // u32::MAX
+        let v = JsonValue::from(4_294_967_295.0); // u32::MAX
         assert_eq!(v.to_string(), "4294967295");
     }
 }

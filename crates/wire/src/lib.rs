@@ -2,8 +2,9 @@
 //!
 //! The wire substrate of the HyRec reproduction, built entirely from scratch:
 //!
-//! * [`json`] — a JSON value model, serializer and parser. The paper's
-//!   implementation exchanges Jackson-produced JSON between the J2EE server
+//! * [`json`] — a JSON document stored as a flat tape, with a serializer
+//!   and a parser. The paper's implementation exchanges Jackson-produced
+//!   JSON between the J2EE server
 //!   and the jQuery widget (Section 4.2); our codec produces byte-identical
 //!   shapes so message-size measurements (Figure 10) are faithful.
 //! * [`deflate`] — a DEFLATE (RFC 1951) compressor and decompressor: LZ77
@@ -23,11 +24,11 @@
 //! widget-side decoder stays trivially `wasm32`-compatible.
 //!
 //! ```
-//! use hyrec_wire::json::JsonValue;
+//! use hyrec_wire::json::{JsonRef, JsonValue};
 //! use hyrec_wire::gzip;
 //!
 //! let doc = JsonValue::parse(r#"{"uid": 3, "profile": [1, 2, 3]}"#)?;
-//! assert_eq!(doc.get("uid").and_then(JsonValue::as_u64), Some(3));
+//! assert_eq!(doc.root().get("uid").and_then(JsonRef::as_u64), Some(3));
 //!
 //! let raw = doc.to_string().into_bytes();
 //! let packed = gzip::compress(&raw);

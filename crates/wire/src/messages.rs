@@ -15,7 +15,7 @@
 
 use crate::error::WireError;
 use crate::gzip;
-use crate::json::{object, JsonValue};
+use crate::json::{array, object_with, IntoJson, JsonRef, JsonValue};
 use hyrec_core::{CandidateSet, ItemId, Neighbor, Neighborhood, Profile, UserId};
 use std::sync::Arc;
 
@@ -46,50 +46,38 @@ pub struct PersonalizationJob {
 }
 
 impl PersonalizationJob {
-    /// Serializes to the compact JSON wire shape.
+    /// Serializes to the compact JSON wire shape, in one pass over the
+    /// tape.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
-        let profile_json = |p: &Profile| -> JsonValue {
-            object([
-                ("liked", p.liked().map(|i| i.raw()).collect::<JsonValue>()),
-                (
-                    "disliked",
-                    p.disliked().map(|i| i.raw()).collect::<JsonValue>(),
-                ),
-            ])
-        };
-        let mut fields = vec![
-            ("uid", JsonValue::from(self.uid.raw())),
-            ("k", JsonValue::from(self.k)),
-            ("r", JsonValue::from(self.r)),
-        ];
-        if self.lease != 0 || self.epoch != 0 {
-            fields.push(("lease", JsonValue::from(self.lease)));
-            fields.push(("epoch", JsonValue::from(self.epoch)));
-        }
-        fields.push(("profile", profile_json(&self.profile)));
-        fields.push((
-            "candidates",
-            self.candidates
-                .iter()
-                .map(|c| {
-                    object([
-                        ("uid", JsonValue::from(c.user.raw())),
-                        ("profile", profile_json(&c.profile)),
-                    ])
-                })
-                .collect::<JsonValue>(),
-        ));
-        object(fields)
+        JsonValue::from(object_with(|o| {
+            o.field("uid", self.uid.raw())
+                .field("k", self.k)
+                .field("r", self.r);
+            if self.lease != 0 || self.epoch != 0 {
+                o.field("lease", self.lease).field("epoch", self.epoch);
+            }
+            o.field("profile", profile_json(&self.profile)).field(
+                "candidates",
+                array(self.candidates.iter().map(|c| {
+                    object_with(move |o| {
+                        o.field("uid", c.user.raw())
+                            .field("profile", profile_json(&c.profile));
+                    })
+                })),
+            );
+        }))
     }
 
-    /// Parses a job from its JSON wire shape.
+    /// Reads a job from its parsed JSON wire shape, walking the tape once:
+    /// each id array folds straight into the profile's `Vec<ItemId>`.
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Schema`] when required fields are missing or of
     /// the wrong type.
-    pub fn from_json(value: &JsonValue) -> Result<Self, WireError> {
+    pub fn from_json(doc: &JsonValue) -> Result<Self, WireError> {
+        let value = doc.root();
         let uid = field_u32(value, "uid")?;
         let k = field_u32(value, "k")? as usize;
         let r = field_u32(value, "r")? as usize;
@@ -102,7 +90,7 @@ impl PersonalizationJob {
         )?;
         let list = value
             .get("candidates")
-            .and_then(JsonValue::as_array)
+            .and_then(JsonRef::as_array)
             .ok_or_else(|| WireError::Schema("missing `candidates` array".into()))?;
         let mut candidates = CandidateSet::with_capacity(list.len());
         for entry in list {
@@ -204,45 +192,43 @@ impl KnnUpdate {
     /// Serializes to the compact JSON wire shape.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![("uid", JsonValue::from(self.uid.raw()))];
-        if self.lease != 0 || self.epoch != 0 {
-            fields.push(("lease", JsonValue::from(self.lease)));
-            fields.push(("epoch", JsonValue::from(self.epoch)));
-        }
-        fields.push((
-            "neighbors",
-            self.neighbors
-                .iter()
-                .map(|n| {
-                    object([
-                        ("uid", JsonValue::from(n.user.raw())),
-                        ("sim", JsonValue::from(quantize(n.similarity))),
-                    ])
-                })
-                .collect::<JsonValue>(),
-        ));
-        object(fields)
+        JsonValue::from(object_with(|o| {
+            o.field("uid", self.uid.raw());
+            if self.lease != 0 || self.epoch != 0 {
+                o.field("lease", self.lease).field("epoch", self.epoch);
+            }
+            o.field(
+                "neighbors",
+                array(self.neighbors.iter().map(|n| {
+                    object_with(move |o| {
+                        o.field("uid", n.user.raw())
+                            .field("sim", quantize(n.similarity));
+                    })
+                })),
+            );
+        }))
     }
 
-    /// Parses an update from its JSON wire shape.
+    /// Reads an update from its parsed JSON wire shape.
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Schema`] on missing or mistyped fields.
-    pub fn from_json(value: &JsonValue) -> Result<Self, WireError> {
+    pub fn from_json(doc: &JsonValue) -> Result<Self, WireError> {
+        let value = doc.root();
         let uid = field_u32(value, "uid")?;
         let lease = optional_u64(value, "lease")?;
         let epoch = optional_u64(value, "epoch")?;
         let list = value
             .get("neighbors")
-            .and_then(JsonValue::as_array)
+            .and_then(JsonRef::as_array)
             .ok_or_else(|| WireError::Schema("missing `neighbors` array".into()))?;
         let mut neighbors = Vec::with_capacity(list.len());
         for entry in list {
             let nuid = field_u32(entry, "uid")?;
             let sim = entry
                 .get("sim")
-                .and_then(JsonValue::as_f64)
+                .and_then(JsonRef::as_f64)
                 .ok_or_else(|| WireError::Schema("neighbor missing `sim`".into()))?;
             neighbors.push(Neighbor {
                 user: UserId(nuid),
@@ -280,13 +266,21 @@ impl KnnUpdate {
     /// # Errors
     ///
     /// Propagates gzip, JSON and schema errors; a body that inflates past
-    /// the cap is a [`WireError::Deflate`].
+    /// the cap is a [`WireError::TooLarge`].
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let raw = gzip::decompress_limited(bytes, Self::MAX_JSON_BYTES)?;
         let text =
             String::from_utf8(raw).map_err(|_| WireError::Schema("message is not utf-8".into()))?;
         Self::from_json(&JsonValue::parse(&text)?)
     }
+}
+
+/// `{"liked":[…],"disliked":[…]}`, written in place.
+fn profile_json(p: &Profile) -> impl IntoJson + '_ {
+    object_with(move |o| {
+        o.field("liked", array(p.liked().map(|i| i.raw())))
+            .field("disliked", array(p.disliked().map(|i| i.raw())));
+    })
 }
 
 /// Rounds similarity to 6 decimal digits so the wire shape is compact and
@@ -297,7 +291,7 @@ fn quantize(sim: f64) -> f64 {
 
 /// Optional non-negative integer field: absent ⇒ `0`, present-but-mistyped
 /// ⇒ schema error (a lease must never be silently dropped).
-fn optional_u64(value: &JsonValue, key: &str) -> Result<u64, WireError> {
+fn optional_u64(value: JsonRef<'_>, key: &str) -> Result<u64, WireError> {
     match value.get(key) {
         None => Ok(0),
         Some(v) => v
@@ -306,7 +300,7 @@ fn optional_u64(value: &JsonValue, key: &str) -> Result<u64, WireError> {
     }
 }
 
-fn field_u32(value: &JsonValue, key: &str) -> Result<u32, WireError> {
+fn field_u32(value: JsonRef<'_>, key: &str) -> Result<u32, WireError> {
     value
         .get(key)
         .and_then(as_u32)
@@ -315,28 +309,27 @@ fn field_u32(value: &JsonValue, key: &str) -> Result<u32, WireError> {
 
 /// `value.as_u64()` narrowed to `u32`, converting through `u32` directly
 /// (ids are the bulk of a job, and the narrow conversions are cheaper).
-fn as_u32(value: &JsonValue) -> Option<u32> {
-    match value {
-        JsonValue::Number(n) if (0.0..=f64::from(u32::MAX)).contains(n) => {
-            let int = *n as u32;
-            (f64::from(int) == *n).then_some(int)
-        }
-        _ => None,
-    }
+fn as_u32(value: JsonRef<'_>) -> Option<u32> {
+    value.as_f64().and_then(to_u32)
 }
 
-fn parse_profile(value: &JsonValue) -> Result<Profile, WireError> {
+/// `n` as a `u32`, if it is one exactly.
+fn to_u32(n: f64) -> Option<u32> {
+    if !(0.0..=f64::from(u32::MAX)).contains(&n) {
+        return None;
+    }
+    let int = n as u32;
+    (f64::from(int) == n).then_some(int)
+}
+
+fn parse_profile(value: JsonRef<'_>) -> Result<Profile, WireError> {
     let items = |key: &str| -> Result<Vec<ItemId>, WireError> {
         let list = value
             .get(key)
-            .and_then(JsonValue::as_array)
+            .and_then(JsonRef::as_array)
             .ok_or_else(|| WireError::Schema(format!("profile missing `{key}`")))?;
-        let mut ids = Vec::with_capacity(list.len());
-        for v in list {
-            let id = as_u32(v).ok_or_else(|| WireError::Schema("non-integer item id".into()))?;
-            ids.push(ItemId(id));
-        }
-        Ok(ids)
+        list.collect_numbers(|n| to_u32(n).map(ItemId))
+            .ok_or_else(|| WireError::Schema("non-integer item id".into()))
     };
     Ok(Profile::from_votes(items("liked")?, items("disliked")?))
 }

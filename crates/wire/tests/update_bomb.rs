@@ -84,7 +84,12 @@ fn bomb_is_rejected_within_twice_the_cap() {
     let verdict = KnnUpdate::decode(&body);
     let largest = LARGEST.load(Ordering::Relaxed);
     assert!(
-        matches!(verdict, Err(WireError::Deflate(_))),
+        matches!(
+            verdict,
+            Err(WireError::TooLarge {
+                limit: KnnUpdate::MAX_JSON_BYTES
+            })
+        ),
         "bomb must fail to inflate: {verdict:?}"
     );
     assert!(
