@@ -1,14 +1,15 @@
 //! HTTP front-end load harness.
 //!
 //! * `http_load bench` — measures closed-loop `/online/` throughput of
-//!   three front-ends at several concurrency levels and prints
-//!   `BENCH_http.json`-style lines to stdout:
-//!   * `seed-threadpool` — the seed architecture: thread-per-connection
-//!     server, scalar `/online/` re-gzipping the whole job per request.
-//!   * `threadpool-cached` — the same blocking server, but `/online/`
-//!     served through the fragment-cache encoder (batch of one).
-//!   * `reactor-coalesced` — the epoll reactor gathering concurrent
-//!     requests into `build_jobs` + `encode_jobs` batches.
+//!   three route configurations on the reactor front-end at several
+//!   concurrency levels and prints `BENCH_http.json`-style lines to
+//!   stdout:
+//!   * `seed-scalar` — the seed's per-request work: scalar `/online/`
+//!     re-gzipping the whole job per request.
+//!   * `scalar-cached` — scalar `/online-fast/`, served through the
+//!     fragment-cache encoder (batch of one).
+//!   * `reactor-coalesced` — `/online/` gathering concurrent requests
+//!     into `build_jobs` + `encode_jobs` batches.
 //!
 //!   All three series run in `Connection: close` mode so the numbers stay
 //!   comparable with the recorded `BENCH_http.json` history.
@@ -43,7 +44,7 @@
 //! cargo run --release -p hyrec-bench --bin http_load -- smoke --keep-alive --reactors 4
 //! ```
 
-use hyrec_http::{BatchPolicy, HttpServer};
+use hyrec_http::{BatchPolicy, ReactorServer};
 use hyrec_sched::SchedConfig;
 use hyrec_sim::load::{
     build_population, measure_churn_loop, measure_throughput_with, seed_frontend_router,
@@ -59,7 +60,7 @@ const USERS: usize = 2_000;
 const PROFILE_SIZE: usize = 60;
 /// Neighbourhood size.
 const K: usize = 10;
-/// Worker threads for the blocking thread-pool server.
+/// Worker threads behind the scalar series' reactor.
 const POOL_WORKERS: usize = 8;
 /// Worker threads behind the reactor's event loop.
 const REACTOR_WORKERS: usize = 4;
@@ -223,8 +224,8 @@ fn bench() {
         let per_client = (TARGET_REQUESTS / clients).max(2);
         eprintln!("== {clients} concurrent connections ({per_client} requests each)");
 
-        // Baseline: the seed thread-per-connection front-end.
-        let seed = HttpServer::bind("127.0.0.1:0", POOL_WORKERS).expect("bind seed server");
+        // Baseline: the seed's scalar /online/ route.
+        let seed = ReactorServer::bind("127.0.0.1:0", POOL_WORKERS).expect("bind seed server");
         let addr = seed.local_addr();
         let handle = seed.serve(seed_frontend_router(Arc::clone(&population.server)));
         let result = measure_throughput_with(
@@ -235,11 +236,11 @@ fn bench() {
             per_client,
             LoadOptions::close_per_request(),
         );
-        emit("seed-threadpool", clients, &result);
+        emit("seed-scalar", clients, &result);
         handle.stop();
 
-        // Same blocking server, cached encoder (isolates the encoder win
-        // from the front-end win).
+        // Scalar again, cached encoder (isolates the encoder win from the
+        // coalescing win).
         let (handle, addr) = spawn_benchmark_server(&population, POOL_WORKERS);
         let result = measure_throughput_with(
             addr,
@@ -249,7 +250,7 @@ fn bench() {
             per_client,
             LoadOptions::close_per_request(),
         );
-        emit("threadpool-cached", clients, &result);
+        emit("scalar-cached", clients, &result);
         handle.stop();
 
         // The reactor + coalescing front-end.

@@ -1,7 +1,9 @@
 //! Figure 9: response time under growing concurrency.
 //!
-//! Closed-loop clients against the real HTTP stack. Paper: HyRec serves as
-//! many concurrent requests at ps=1000 as CRec at ps=10 (a 100-fold
+//! Closed-loop clients against the real HTTP stack: one epoll reactor
+//! serving the scalar `/online-fast/` and `/crecommend/` routes, so every
+//! request is one job on a fixed worker pool. Paper: HyRec serves as many
+//! concurrent requests at ps=1000 as CRec at ps=10 (a 100-fold
 //! scalability gain); both degrade as the worker pool saturates.
 
 use crate::{banner, header, RunOptions};
@@ -21,7 +23,9 @@ pub fn run(options: &RunOptions) {
         &[1, 2, 5, 10, 20, 50]
     };
     let requests_per_client = if options.full { 20 } else { 10 };
-    println!("({users} users, {workers} HTTP workers, {requests_per_client} req/client)");
+    println!(
+        "({users} users, 1 reactor + {workers} workers, scalar routes, {requests_per_client} req/client)"
+    );
 
     header(&[
         "clients",

@@ -20,9 +20,9 @@
 //! serialized by the batched, fragment-caching [`JobEncoder::encode_jobs`];
 //! `/rate/` bursts stage their votes through the shard-grouped
 //! [`HyRecServer::record_many`]; `POST /neighbors/` bursts apply through
-//! [`HyRecServer::apply_updates`]. On the thread-per-connection server the
-//! same routes run with batches of one, and every batched response is
-//! byte-identical to what the sequential scalar path produces.
+//! [`HyRecServer::apply_updates`]. A request that gathers alone runs as a
+//! batch of one, and every batched response is byte-identical to what the
+//! sequential scalar path produces.
 
 use crate::reactor::ReactorStats;
 use crate::request::Request;
@@ -453,11 +453,12 @@ fn parse_optional_u64(req: &Request, key: &str) -> Result<u64, String> {
 mod tests {
     use super::*;
     use crate::client::HttpClient;
-    use crate::server::HttpServer;
+    use crate::reactor::{ReactorHandle, ReactorServer};
     use hyrec_client::Widget;
     use hyrec_wire::PersonalizationJob;
 
-    fn spawn_api() -> (crate::server::ServerHandle, HttpClient, Arc<HyRecServer>) {
+    fn spawn_api_on(server: ReactorServer) -> (ReactorHandle, HttpClient, Arc<HyRecServer>) {
+        let addr = server.local_addr();
         let hyrec = Arc::new(
             hyrec_server::HyRecServer::builder()
                 .k(3)
@@ -471,32 +472,12 @@ mod tests {
                 hyrec.record(UserId(u), ItemId(u % 3 * 100 + i), Vote::Like);
             }
         }
-        let server = HttpServer::bind("127.0.0.1:0", 4).unwrap();
-        let addr = server.local_addr();
         let handle = server.serve(hyrec_router(Arc::clone(&hyrec)));
         (handle, HttpClient::new(addr), hyrec)
     }
 
-    #[test]
-    fn full_widget_round_trip_over_http() {
-        let (handle, client, hyrec) = spawn_api();
-
-        // 1. Client requests a personalization job.
-        let response = client.get("/online/?uid=1").unwrap();
-        assert_eq!(response.status, 200);
-        assert_eq!(response.header("content-encoding"), Some("gzip"));
-        let job = PersonalizationJob::decode(&response.body).unwrap();
-        assert_eq!(job.uid, UserId(1));
-        assert!(!job.candidates.is_empty());
-
-        // 2. Widget computes locally.
-        let out = Widget::new().run_job(&job);
-
-        // 3. Widget posts the update back (message form).
-        let response = client.post("/neighbors/", &out.update.encode()).unwrap();
-        assert_eq!(response.status, 200);
-        assert!(hyrec.knn_of(UserId(1)).is_some());
-        handle.stop();
+    fn spawn_api() -> (ReactorHandle, HttpClient, Arc<HyRecServer>) {
+        spawn_api_on(ReactorServer::bind("127.0.0.1:0", 4).unwrap())
     }
 
     #[test]
@@ -596,25 +577,33 @@ mod tests {
     }
 
     #[test]
+    fn full_widget_round_trip_over_http() {
+        let (handle, client, hyrec) = spawn_api();
+
+        // 1. Client requests a personalization job.
+        let response = client.get("/online/?uid=1").unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.header("content-encoding"), Some("gzip"));
+        let job = PersonalizationJob::decode(&response.body).unwrap();
+        assert_eq!(job.uid, UserId(1));
+        assert!(!job.candidates.is_empty());
+
+        // 2. Widget computes locally.
+        let out = Widget::new().run_job(&job);
+
+        // 3. Widget posts the update back (message form).
+        let response = client.post("/neighbors/", &out.update.encode()).unwrap();
+        assert_eq!(response.status, 200);
+        assert!(hyrec.knn_of(UserId(1)).is_some());
+        handle.stop();
+    }
+
+    #[test]
     fn full_widget_round_trip_over_reactor() {
-        // The same API served by the epoll reactor front-end.
-        let hyrec = Arc::new(
-            hyrec_server::HyRecServer::builder()
-                .k(3)
-                .r(5)
-                .anonymize_users(false)
-                .seed(5)
-                .build(),
-        );
-        for u in 0..12u32 {
-            for i in 0..5u32 {
-                hyrec.record(UserId(u), ItemId(u % 3 * 100 + i), Vote::Like);
-            }
-        }
-        let server = crate::reactor::ReactorServer::bind("127.0.0.1:0", 2).unwrap();
-        let addr = server.local_addr();
-        let handle = server.serve(hyrec_router(Arc::clone(&hyrec)));
-        let client = HttpClient::new(addr);
+        // The same round trip on a sharded reactor, plus a vote on the
+        // same keep-alive connection.
+        let (handle, client, hyrec) =
+            spawn_api_on(ReactorServer::bind_sharded("127.0.0.1:0", 2, 2).unwrap());
 
         let response = client.get("/online/?uid=1").unwrap();
         assert_eq!(response.status, 200);

@@ -4,21 +4,15 @@
 //! HyRec reproduction — the stand-in for the paper's J2EE servlets + Jetty
 //! (Section 4.1).
 //!
-//! The serving API is **connection-oriented**: both front-ends speak
-//! HTTP/1.1 keep-alive (with pipelining on the reactor), every route is a
-//! [`Handler`] behind a [`BatchPolicy`] (scalar routes are the policy-of-1
-//! special case), and each [`Response`] carries an explicit
+//! The serving API is **connection-oriented**: the front-end speaks
+//! HTTP/1.1 keep-alive with pipelining, every route is a [`Handler`]
+//! behind a [`BatchPolicy`] (scalar routes are the policy-of-1 special
+//! case), and each [`Response`] carries an explicit
 //! [`response::Disposition`] chosen per request from the parsed
 //! `Connection`/version fields, the connection's request budget and
 //! shutdown state — never a hardcoded header.
 //!
-//! Two interchangeable server front-ends speak the same protocol:
-//!
-//! * [`server`] — the seed architecture: blocking accept loop over a
-//!   fixed [`threadpool`]; each worker now loops on its connection until
-//!   close/idle-timeout/request-budget, so the pool size bounds concurrent
-//!   *connections* (the knob behind Figure 9's concurrency experiment).
-//! * [`reactor`] — the scaling architecture: N epoll readiness loops
+//! * [`reactor`] — the one server front-end: N epoll readiness loops
 //!   ("shards", raw bindings in a private `sys` module, no external deps)
 //!   with persistent per-connection state machines (rolling read buffer
 //!   holding pipelined requests, in-order response queue, idle sweep,
@@ -26,17 +20,13 @@
 //!   pool, and **process-wide request coalescing**: concurrent and
 //!   pipelined requests to batched routes are gathered — up to a cap,
 //!   within a gather window, across every shard — and handed to one
-//!   handler call. Connections shard across the loops via `SO_REUSEPORT`
-//!   kernel accept sharding, with a round-robin accept hand-off fallback
-//!   ([`reactor::AcceptSharding`]).
-//!
-//! Shared plumbing:
-//!
-//! * [`request`] / [`response`] — HTTP parsing (incremental
-//!   [`Request::try_parse`] for the reactor's rolling buffers, and the
-//!   mirror-image [`Response::try_parse`] for the client's) and
-//!   serialization with `Content-Encoding: gzip` handled by our own
-//!   `hyrec-wire` codec.
+//!   handler call. Every shard owns an `SO_REUSEPORT` listener and the
+//!   kernel spreads connections across them.
+//! * [`request`] / [`response`] — HTTP parsing (the one request parser,
+//!   [`Request::try_parse_resuming`], frames the reactor's rolling
+//!   buffers in time linear in the bytes received; the mirror-image
+//!   [`Response::try_parse`] frames the client's) and serialization with
+//!   `Content-Encoding: gzip` handled by our own `hyrec-wire` codec.
 //! * [`router`] — path-prefix routing over the unified [`Handler`] trait,
 //!   trailing slash optional.
 //! * [`client`] — a small blocking client holding one persistent
@@ -55,7 +45,7 @@
 //! use hyrec_server::HyRecServer;
 //!
 //! let hyrec = Arc::new(HyRecServer::new());
-//! // 4 reactor event loops (SO_REUSEPORT-sharded when the kernel allows)
+//! // 4 reactor event loops, each with its own SO_REUSEPORT listener,
 //! // over a shared pool of 4 × 2 workers and one process-wide gather.
 //! let server = ReactorServer::bind_sharded("127.0.0.1:0", 4, 2)?
 //!     .with_max_requests_per_conn(10_000);
@@ -75,13 +65,13 @@ pub mod reactor;
 pub mod request;
 pub mod response;
 pub mod router;
-pub mod server;
+#[cfg(test)]
+mod server;
 mod sys;
-pub mod threadpool;
+mod threadpool;
 
 pub use client::HttpClient;
-pub use reactor::{AcceptSharding, ReactorServer};
-pub use request::{FrameError, Request};
+pub use reactor::ReactorServer;
+pub use request::{FrameCursor, FrameError, Request};
 pub use response::{Disposition, Response};
 pub use router::{BatchPolicy, Handler, Router, Scalar};
-pub use server::HttpServer;

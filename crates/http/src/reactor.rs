@@ -2,16 +2,17 @@
 //! multiplexing its own subset of the connections, over one **shared**
 //! worker pool, router, and request-coalescing gather layer.
 //!
-//! The thread-per-connection [`crate::server::HttpServer`] holds one OS
-//! thread hostage per in-flight connection — fine for hundreds of browsers,
-//! fatal for the millions HyRec targets (Section 4's premise is that the
-//! front-end stays *cheap* as the population grows). The reactor replaces
-//! it with:
+//! A thread-per-connection server holds one OS thread hostage per
+//! in-flight connection — fine for hundreds of browsers, fatal for the
+//! millions HyRec targets (Section 4's premise is that the front-end stays
+//! *cheap* as the population grows). The reactor is built from:
 //!
 //! * **Persistent, pipelined connections.** Each connection owns a rolling
 //!   read buffer that may hold several back-to-back requests at once and a
 //!   staged write buffer; both are recycled through a buffer pool when the
-//!   connection closes. Requests are numbered per connection and responses
+//!   connection closes. Framing resumes where the previous read left off
+//!   ([`Request::try_parse_resuming`]), so however the network splits a
+//!   request, framing it costs time linear in its bytes. Requests are numbered per connection and responses
 //!   flush strictly in request order (a reorder queue holds completions
 //!   that finish early), so browsers holding one socket across many
 //!   Table 1 calls — and pipelining them — are served correctly and
@@ -24,14 +25,12 @@
 //!   not pin buffers.
 //! * **Multi-reactor accept sharding.** One event loop saturates a core
 //!   before the workers do, so [`ReactorServer::bind_sharded`] spins one
-//!   epoll loop per shard. With kernel support each shard owns a private
-//!   `SO_REUSEPORT` listener and the kernel hashes incoming connections
-//!   across them ([`AcceptSharding::ReusePort`]); without it, shard 0
-//!   doubles as the accept thread and hands accepted sockets off
-//!   round-robin to the other shards' inboxes
-//!   ([`AcceptSharding::HandOff`]). A connection lives on exactly one
-//!   shard for its whole lifetime either way, so the per-connection
-//!   ordering machinery needs no cross-shard coordination.
+//!   epoll loop per shard. Each shard owns a private `SO_REUSEPORT`
+//!   listener and the kernel hashes incoming connections across them, so
+//!   accepts never cross threads. A connection lives on exactly one shard
+//!   for its whole lifetime, so the per-connection ordering machinery
+//!   needs no cross-shard coordination. A kernel without `SO_REUSEPORT`
+//!   (Linux before 3.9) fails the bind.
 //! * **A readiness loop** per shard over raw `epoll` (see [`crate::sys`];
 //!   no external dependencies), level-triggered, with a wakeup `eventfd`
 //!   per shard for response completions coming back from the workers.
@@ -52,7 +51,7 @@
 //! responses are written out (stamped `Connection: close`), then each loop
 //! exits, the threads join deterministically, and the shared pool joins.
 
-use crate::request::Request;
+use crate::request::{FrameCursor, Request};
 use crate::response::{Disposition, Response};
 use crate::router::{Gather, GatheredBatch, Resolution, Route, Router};
 use crate::sys::{self, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
@@ -74,8 +73,8 @@ const WAKER_TOKEN: u64 = u64::MAX - 1;
 /// Read chunk size for the nonblocking read loop.
 const READ_CHUNK: usize = 16 * 1024;
 /// Hard cap on a connection's accumulated request bytes (headers + body
-/// caps plus framing slack; `Request::try_parse` rejects earlier in
-/// practice).
+/// caps plus framing slack; `Request::try_parse_resuming` rejects earlier
+/// in practice).
 const MAX_CONN_BUF: usize = 17 * 1024 * 1024;
 /// Default idle timeout: connections with nothing in flight that stay
 /// quiet longer than this are reaped.
@@ -100,29 +99,12 @@ const BUFFER_RECYCLE_MAX: usize = 64 * 1024;
 /// EMFILE (level-triggered readiness would otherwise busy-spin the loop).
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 /// Accept-queue depth requested from the kernel (clamped by
-/// `net.core.somaxconn`); per listener, so kernel-sharded binds get this
-/// much queue *per shard*.
+/// `net.core.somaxconn`); per listener, so every shard gets this much
+/// queue.
 const ACCEPT_BACKLOG: i32 = 4096;
 
 /// Destination of a response: (shard, connection token, sequence number).
 type Dest = (usize, u64, u64);
-
-/// How accepted connections are distributed across reactor shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcceptSharding {
-    /// Probe the kernel: [`AcceptSharding::ReusePort`] when supported
-    /// (Linux ≥ 3.9), [`AcceptSharding::HandOff`] otherwise.
-    Auto,
-    /// One `SO_REUSEPORT` listener per shard: the kernel hashes each
-    /// incoming connection onto one listener's private accept queue, so
-    /// accepts never cross threads and no shard is a bottleneck.
-    ReusePort,
-    /// A single listener owned by shard 0, which doubles as the accept
-    /// thread: it accepts every connection and hands the socket off
-    /// round-robin to the shards' inboxes (keep-alive makes the hand-off
-    /// cheap — it is paid once per *connection*, not per request).
-    HandOff,
-}
 
 /// Per-shard serving counters (one entry per reactor event loop).
 #[derive(Debug, Default)]
@@ -146,8 +128,8 @@ impl ShardStats {
 }
 
 /// Serving statistics: a process-wide atomic aggregate shared by every
-/// reactor shard, with per-shard breakdowns for observing the accept
-/// sharding (kernel hash or round-robin) actually spreading load.
+/// reactor shard, with per-shard breakdowns for observing the kernel's
+/// accept sharding actually spreading load.
 #[derive(Debug)]
 pub struct ReactorStats {
     requests: AtomicU64,
@@ -230,15 +212,10 @@ impl ReactorStats {
 
 /// An epoll-based nonblocking HTTP/1.1 server with persistent (keep-alive,
 /// pipelined) connections, optionally sharded across several reactor event
-/// loops — same protocol surface as [`crate::server::HttpServer`],
-/// different concurrency architecture.
+/// loops.
 pub struct ReactorServer {
-    /// One listener per shard in [`AcceptSharding::ReusePort`] mode;
-    /// exactly one (owned by shard 0) in [`AcceptSharding::HandOff`] mode.
+    /// One `SO_REUSEPORT` listener per shard, all on one address.
     listeners: Vec<TcpListener>,
-    /// Resolved mode — never [`AcceptSharding::Auto`].
-    mode: AcceptSharding,
-    reactors: usize,
     workers: usize,
     local_addr: SocketAddr,
     idle_timeout: Duration,
@@ -252,8 +229,7 @@ impl std::fmt::Debug for ReactorServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReactorServer")
             .field("addr", &self.local_addr)
-            .field("reactors", &self.reactors)
-            .field("accept_sharding", &self.mode)
+            .field("reactors", &self.listeners.len())
             .field("workers", &self.workers)
             .field("idle_timeout", &self.idle_timeout)
             .field("max_requests_per_conn", &self.max_requests_per_conn)
@@ -313,12 +289,6 @@ impl ReactorHandle {
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        // Belt and braces for the hand-off race: any socket still sitting
-        // in an inbox is closed now (prompt reset), not when the process
-        // tears the mailboxes down.
-        for mailbox in self.shared.mailboxes.iter() {
-            mailbox.handoff.lock().clear();
-        }
         // Dropping the handle's `Arc<Shared>` (the last one once every
         // shard thread has exited) runs `ThreadPool::drop`, which joins the
         // workers — so by the time `stop` returns, every thread is gone.
@@ -340,81 +310,40 @@ impl ReactorServer {
     ///
     /// Propagates socket errors from binding.
     pub fn bind<A: ToSocketAddrs>(addr: A, workers: usize) -> io::Result<Self> {
-        // One shard needs no kernel accept sharding: plain listener.
-        Self::bind_sharded_with(addr, 1, workers, AcceptSharding::HandOff)
+        Self::bind_sharded(addr, 1, workers)
     }
 
     /// Binds a server sharded across `reactors` epoll event loops over a
     /// **shared** pool of `reactors × workers_per_reactor` workers and one
     /// process-wide gather layer (so `/online/` coalescing still gathers
-    /// across the whole process, not per shard). Uses kernel accept
-    /// sharding (`SO_REUSEPORT`) when available, accept hand-off
-    /// otherwise.
+    /// across the whole process, not per shard). Every shard binds its own
+    /// `SO_REUSEPORT` listener on the same address.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from binding any of the listeners.
+    /// Propagates socket errors from binding any of the listeners; on a
+    /// kernel without `SO_REUSEPORT` that is the `setsockopt` errno
+    /// (`ENOPROTOOPT`).
     pub fn bind_sharded<A: ToSocketAddrs>(
         addr: A,
         reactors: usize,
         workers_per_reactor: usize,
     ) -> io::Result<Self> {
-        Self::bind_sharded_with(addr, reactors, workers_per_reactor, AcceptSharding::Auto)
-    }
-
-    /// [`ReactorServer::bind_sharded`] with an explicit accept-sharding
-    /// mode — tests force [`AcceptSharding::HandOff`] to exercise the
-    /// fallback on kernels that *do* support `SO_REUSEPORT`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from binding; requesting
-    /// [`AcceptSharding::ReusePort`] on a kernel without it surfaces the
-    /// `setsockopt` errno.
-    pub fn bind_sharded_with<A: ToSocketAddrs>(
-        addr: A,
-        reactors: usize,
-        workers_per_reactor: usize,
-        sharding: AcceptSharding,
-    ) -> io::Result<Self> {
         let reactors = reactors.max(1);
-        let mode = match sharding {
-            AcceptSharding::Auto => {
-                if reactors > 1 && sys::reuseport_supported() {
-                    AcceptSharding::ReusePort
-                } else {
-                    AcceptSharding::HandOff
-                }
-            }
-            explicit => explicit,
-        };
-        let (listeners, local_addr) = if mode == AcceptSharding::ReusePort {
-            let requested = addr
-                .to_socket_addrs()?
-                .next()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no socket address"))?;
-            // The first bind resolves an ephemeral port; the remaining
-            // shards bind the concrete address it landed on.
-            let first = sys::bind_reuseport(requested, ACCEPT_BACKLOG)?;
-            let concrete = first.local_addr()?;
-            let mut listeners = vec![first];
-            for _ in 1..reactors {
-                listeners.push(sys::bind_reuseport(concrete, ACCEPT_BACKLOG)?);
-            }
-            (listeners, concrete)
-        } else {
-            let listener = TcpListener::bind(addr)?;
-            // std listens with backlog 128; a reactor shares one thread
-            // between accepts and I/O, so connection bursts need real
-            // queue depth.
-            sys::widen_backlog(listener.as_raw_fd(), ACCEPT_BACKLOG)?;
-            let local_addr = listener.local_addr()?;
-            (vec![listener], local_addr)
-        };
+        let requested = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no socket address"))?;
+        // The first bind resolves an ephemeral port; the remaining shards
+        // bind the concrete address it landed on.
+        let first = sys::bind_reuseport(requested, ACCEPT_BACKLOG)?;
+        let local_addr = first.local_addr()?;
+        let mut listeners = vec![first];
+        for _ in 1..reactors {
+            listeners.push(sys::bind_reuseport(local_addr, ACCEPT_BACKLOG)?);
+        }
         Ok(Self {
             listeners,
-            mode,
-            reactors,
             workers: reactors * workers_per_reactor.max(1),
             local_addr,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
@@ -458,13 +387,7 @@ impl ReactorServer {
     /// Number of reactor event loops this server will run.
     #[must_use]
     pub fn reactors(&self) -> usize {
-        self.reactors
-    }
-
-    /// The resolved accept-sharding mode (never [`AcceptSharding::Auto`]).
-    #[must_use]
-    pub fn accept_sharding(&self) -> AcceptSharding {
-        self.mode
+        self.listeners.len()
     }
 
     /// Starts one event loop per shard on background threads; returns a
@@ -477,7 +400,7 @@ impl ReactorServer {
     #[must_use]
     pub fn serve(self, router: Router) -> ReactorHandle {
         let mailboxes: Arc<Vec<Mailbox>> =
-            Arc::new((0..self.reactors).map(|_| Mailbox::new()).collect());
+            Arc::new(self.listeners.iter().map(|_| Mailbox::new()).collect());
         let gather = Gather::new(&router);
         let shared = Arc::new(Shared {
             router,
@@ -489,24 +412,15 @@ impl ReactorServer {
             mailboxes,
             idle_timeout: self.idle_timeout,
             max_requests_per_conn: self.max_requests_per_conn,
-            reactors: self.reactors,
         });
-        // Assign listeners: one per shard under kernel sharding, shard 0
-        // only under hand-off.
-        let mut slots: Vec<Option<TcpListener>> = (0..self.reactors).map(|_| None).collect();
-        for (slot, listener) in slots.iter_mut().zip(self.listeners) {
-            *slot = Some(listener);
-        }
-        let distribute = matches!(self.mode, AcceptSharding::HandOff) && self.reactors > 1;
-        let threads = slots
+        let threads = self
+            .listeners
             .into_iter()
             .enumerate()
             .map(|(id, listener)| {
                 let shard = Shard {
                     id,
-                    listener,
-                    distribute,
-                    next_handoff: 0,
+                    listener: Some(listener),
                     shared: Arc::clone(&shared),
                 };
                 thread::Builder::new()
@@ -551,6 +465,8 @@ struct Conn {
     peer_eof: bool,
     /// Currently registered epoll interest.
     interest: u32,
+    /// Where framing resumes on `buf`.
+    framing: FrameCursor,
 }
 
 impl Conn {
@@ -653,14 +569,12 @@ enum FrameStep {
     Stop,
 }
 
-/// A shard's inbox: completions computed by the workers, plus (in hand-off
-/// mode) accepted sockets waiting to be adopted. Non-poisoning mutexes —
-/// a panicking worker must not wedge every live connection on the shard
-/// behind a poisoned queue (the panic itself is already translated into a
-/// 500 by the dispatch path).
+/// A shard's inbox of completions computed by the workers. A
+/// non-poisoning mutex — a panicking worker must not wedge every live
+/// connection on the shard behind a poisoned queue (the panic itself is
+/// already translated into a 500 by the dispatch path).
 struct Mailbox {
     completions: Mutex<Vec<(u64, u64, Response)>>,
-    handoff: Mutex<Vec<TcpStream>>,
     waker: Waker,
 }
 
@@ -668,7 +582,6 @@ impl Mailbox {
     fn new() -> Self {
         Self {
             completions: Mutex::new(Vec::new()),
-            handoff: Mutex::new(Vec::new()),
             waker: Waker::new().expect("create eventfd"),
         }
     }
@@ -690,19 +603,14 @@ struct Shared {
     mailboxes: Arc<Vec<Mailbox>>,
     idle_timeout: Duration,
     max_requests_per_conn: u64,
-    reactors: usize,
 }
 
-/// One reactor event loop: owns a subset of the connections (and, in
-/// kernel-sharded mode, a private listener).
+/// One reactor event loop: owns a private listener and the connections
+/// the kernel hashes onto it.
 struct Shard {
     id: usize,
-    /// This shard's listener; `None` for non-zero shards in hand-off mode,
-    /// and taken (closed) on every shard the moment draining starts.
+    /// This shard's listener, taken (closed) the moment draining starts.
     listener: Option<TcpListener>,
-    /// Hand-off mode: round-robin accepted sockets across all shards.
-    distribute: bool,
-    next_handoff: usize,
     shared: Arc<Shared>,
 }
 
@@ -782,17 +690,6 @@ impl Shard {
                 }
             }
 
-            // Adopt connections handed off by the accepting shard (dropped
-            // unserved if we are already draining — the racing-connect
-            // case; the client sees a prompt reset, not a hang).
-            let adopted: Vec<TcpStream> =
-                std::mem::take(&mut *self.shared.mailboxes[self.id].handoff.lock());
-            for stream in adopted {
-                if drain_started.is_none() {
-                    self.register_conn(&epoll, &mut slab, &mut buffer_pool, stream);
-                }
-            }
-
             // Responses computed by the workers since the last pass; after
             // queueing them, resume framing on those connections — their
             // pipelines may have been paused by the MAX_PIPELINE cap.
@@ -867,11 +764,6 @@ impl Shard {
                 accepting = false;
                 // Closing the fd also removes it from the epoll set.
                 drop(self.listener.take());
-                // Sockets handed off but not yet adopted are part of the
-                // same race; reset them now rather than serving nobody.
-                drop(std::mem::take(
-                    &mut *self.shared.mailboxes[self.id].handoff.lock(),
-                ));
                 for token in slab.live_tokens() {
                     let done = slab.get_mut(token).is_some_and(|conn| {
                         conn.closing = true;
@@ -920,29 +812,19 @@ impl Shard {
         }
     }
 
-    /// Drains the accept queue, distributing accepted sockets: with kernel
-    /// sharding every connection stays on this shard (each shard has its
-    /// own listener); in hand-off mode shard 0 round-robins them across
-    /// all shards' inboxes. Returns `false` when accepting failed in a way
-    /// that warrants backing the listener off (fd exhaustion and friends —
-    /// with level-triggered readiness, leaving the listener registered
-    /// would spin the loop at 100% CPU).
-    fn accept_ready(
-        &mut self,
-        epoll: &Epoll,
-        slab: &mut Slab,
-        buffer_pool: &mut Vec<Vec<u8>>,
-    ) -> bool {
+    /// Drains the accept queue into this shard. Returns `false` when
+    /// accepting failed in a way that warrants backing the listener off
+    /// (fd exhaustion and friends — with level-triggered readiness,
+    /// leaving the listener registered would spin the loop at 100% CPU).
+    fn accept_ready(&self, epoll: &Epoll, slab: &mut Slab, buffer_pool: &mut Vec<Vec<u8>>) -> bool {
+        let Some(listener) = &self.listener else {
+            return true;
+        };
         loop {
-            let Some(listener) = &self.listener else {
-                return true;
-            };
             match listener.accept() {
                 Ok((stream, _)) => {
                     // A connect racing the shutdown: drop it for a prompt
-                    // reset. Handing it to another shard could strand it —
-                    // that shard may have drained and exited already, and
-                    // nobody resets its inbox until the process tears down.
+                    // reset.
                     if self.shared.shutdown.load(Ordering::SeqCst) {
                         continue;
                     }
@@ -950,34 +832,7 @@ impl Shard {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let target = if self.distribute {
-                        let target = self.next_handoff % self.shared.reactors;
-                        self.next_handoff = self.next_handoff.wrapping_add(1);
-                        target
-                    } else {
-                        self.id
-                    };
-                    if target == self.id {
-                        self.register_conn(epoll, slab, buffer_pool, stream);
-                    } else {
-                        let mailbox = &self.shared.mailboxes[target];
-                        let mut inbox = mailbox.handoff.lock();
-                        // Re-check under the inbox lock: the target drains
-                        // this inbox (dropping streams) on every draining
-                        // iteration before it exits, so lock ordering makes
-                        // this airtight — either our push lands before the
-                        // target's final drain-and-drop pass, or that pass
-                        // happened first and the shutdown store it observed
-                        // is visible to us here and we drop the stream
-                        // ourselves. No racing connect can be pushed into a
-                        // mailbox nobody will ever empty.
-                        if self.shared.shutdown.load(Ordering::SeqCst) {
-                            continue;
-                        }
-                        inbox.push(stream);
-                        drop(inbox);
-                        mailbox.waker.wake();
-                    }
+                    self.register_conn(epoll, slab, buffer_pool, stream);
                 }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
@@ -1016,6 +871,7 @@ impl Shard {
             closing: false,
             peer_eof: false,
             interest: EPOLLIN,
+            framing: FrameCursor::default(),
         };
         let token = slab.insert(conn);
         let fd = slab
@@ -1138,7 +994,7 @@ impl Shard {
                 {
                     FrameStep::Stop
                 } else {
-                    match Request::try_parse(&conn.buf) {
+                    match Request::try_parse_resuming(&conn.buf, &mut conn.framing) {
                         Ok(Some((request, consumed))) => {
                             conn.buf.drain(..consumed);
                             conn.since = Instant::now();
@@ -1604,12 +1460,10 @@ mod tests {
 
     #[test]
     fn sharded_reactor_serves_across_shards() {
-        // Four event loops behind one address (kernel sharding when the
-        // host supports it, hand-off otherwise): every request is served,
+        // Four event loops behind one address: every request is served,
         // and the per-shard breakdowns sum to the aggregate.
         let server = ReactorServer::bind_sharded("127.0.0.1:0", 4, 1).unwrap();
         assert_eq!(server.reactors(), 4);
-        assert_ne!(server.accept_sharding(), AcceptSharding::Auto);
         let addr = server.local_addr();
         let handle = server.serve(ping_router());
 
@@ -1634,8 +1488,7 @@ mod tests {
         assert_eq!(shard_connections, stats.connections());
         assert_eq!(shard_requests, stats.requests());
         // 32 connections over 4 shards: all landing on one shard has
-        // probability ~4^-31 under kernel hashing, and is impossible under
-        // round-robin hand-off.
+        // probability ~4^-31 under kernel hashing.
         let active = stats
             .shards()
             .iter()
@@ -1645,28 +1498,51 @@ mod tests {
         handle.stop();
     }
 
-    #[test]
-    fn handoff_fallback_distributes_round_robin() {
-        let server =
-            ReactorServer::bind_sharded_with("127.0.0.1:0", 3, 1, AcceptSharding::HandOff).unwrap();
-        assert_eq!(server.accept_sharding(), AcceptSharding::HandOff);
-        let addr = server.local_addr();
-        let handle = server.serve(ping_router());
+    /// Opens connections to a running sharded server until every shard
+    /// has accepted `per_shard` of them, and returns them grouped by the
+    /// shard that owns each. Each connect waits for the accept to show in
+    /// the per-shard counters, so the grouping is observed, not assumed.
+    /// Surplus connections on an already-full shard are closed again.
+    fn connections_on_every_shard(handle: &ReactorHandle, per_shard: usize) -> Vec<Vec<TcpStream>> {
+        let shards = handle.stats().shards().len();
+        let mut groups: Vec<Vec<TcpStream>> = (0..shards).map(|_| Vec::new()).collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while groups.iter().any(|group| group.len() < per_shard) {
+            assert!(Instant::now() < deadline, "shards never all accepted");
+            let before: Vec<u64> = handle
+                .stats()
+                .shards()
+                .iter()
+                .map(ShardStats::connections)
+                .collect();
+            let stream = TcpStream::connect(handle.addr()).unwrap();
+            let shard = loop {
+                let now = handle.stats().shards();
+                if let Some(shard) = (0..shards).find(|&i| now[i].connections() > before[i]) {
+                    break shard;
+                }
+                assert!(Instant::now() < deadline, "connection never accepted");
+                thread::sleep(Duration::from_millis(1));
+            };
+            if groups[shard].len() < per_shard {
+                groups[shard].push(stream);
+            }
+        }
+        groups
+    }
 
-        // Sequential connections: shard 0 accepts each and deals them
-        // round-robin, so the split is deterministic.
-        for i in 0..6 {
-            let client = HttpClient::new(addr);
-            let response = client.get(&format!("/echo?msg=h{i}")).unwrap();
-            assert_eq!(response.body, format!("h{i}").into_bytes());
+    /// Reads exactly one response off a raw socket.
+    fn read_response(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Response {
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some((response, consumed)) = Response::try_parse(buf).unwrap() {
+                buf.drain(..consumed);
+                return response;
+            }
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "server closed early");
+            buf.extend_from_slice(&chunk[..n]);
         }
-        let stats = handle.stats();
-        assert_eq!(stats.connections(), 6);
-        for (id, shard) in stats.shards().iter().enumerate() {
-            assert_eq!(shard.connections(), 2, "shard {id} connection share");
-            assert_eq!(shard.requests(), 2, "shard {id} request share");
-        }
-        handle.stop();
     }
 
     #[test]
@@ -1734,10 +1610,10 @@ mod tests {
 
     #[test]
     fn sharded_gather_coalesces_across_shards() {
-        // Connections spread over 2 shards (round-robin hand-off for
-        // determinism) while both workers are pinned by slow requests: the
-        // batched requests arriving on *different* event loops must still
-        // gather into common flushes — the shared-gather design.
+        // Twelve connections on each of 2 shards while both workers are
+        // pinned by slow requests: the batched requests arriving on
+        // *different* event loops must still gather into common flushes —
+        // the shared-gather design.
         let mut router = Router::new();
         router.get("/slow", |_| {
             thread::sleep(Duration::from_millis(500));
@@ -1757,10 +1633,13 @@ mod tests {
                 }));
             },
         );
-        let server =
-            ReactorServer::bind_sharded_with("127.0.0.1:0", 2, 1, AcceptSharding::HandOff).unwrap();
+        let server = ReactorServer::bind_sharded("127.0.0.1:0", 2, 1).unwrap();
         let addr = server.local_addr();
         let handle = server.serve(router);
+        let mut streams: Vec<TcpStream> = connections_on_every_shard(&handle, 12)
+            .into_iter()
+            .flatten()
+            .collect();
 
         let mut joins = Vec::new();
         for _ in 0..2 {
@@ -1770,13 +1649,18 @@ mod tests {
             }));
         }
         thread::sleep(Duration::from_millis(100));
-        for uid in 0..24u32 {
-            joins.push(thread::spawn(move || {
-                let client = HttpClient::new(addr);
-                let response = client.get(&format!("/batch/?uid={uid}")).unwrap();
-                assert_eq!(response.status, 200);
-                assert_eq!(response.body, format!("u{uid}").into_bytes());
-            }));
+        for (uid, stream) in streams.iter_mut().enumerate() {
+            stream
+                .write_all(format!("GET /batch/?uid={uid} HTTP/1.1\r\nhost: x\r\n\r\n").as_bytes())
+                .unwrap();
+        }
+        for (uid, stream) in streams.iter_mut().enumerate() {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let response = read_response(stream, &mut Vec::new());
+            assert_eq!(response.status, 200);
+            assert_eq!(response.body, format!("u{uid}").into_bytes());
         }
         for j in joins {
             j.join().unwrap();
@@ -1792,7 +1676,7 @@ mod tests {
             stats.batches()
         );
         let active = stats.shards().iter().filter(|s| s.requests() > 0).count();
-        assert_eq!(active, 2, "round-robin should have loaded both shards");
+        assert_eq!(active, 2, "batch traffic should have loaded both shards");
         handle.stop();
     }
 
@@ -1861,9 +1745,9 @@ mod tests {
     #[test]
     fn sharded_pipelined_burst_stays_one_batch() {
         // The ready-made-batch property must survive sharding: a burst
-        // framed in one read on one shard enters the shared gather
-        // atomically (push_many), so a coordinator idle-flush on another
-        // loop cannot splinter it into per-request handler calls.
+        // framed in one read on shard 1 enters the shared gather
+        // atomically (push_many), so a coordinator idle-flush on shard 0
+        // cannot splinter it into per-request handler calls.
         let mut router = Router::new();
         router.route(
             "GET",
@@ -1880,12 +1764,11 @@ mod tests {
                 }));
             },
         );
-        let server =
-            ReactorServer::bind_sharded_with("127.0.0.1:0", 2, 1, AcceptSharding::HandOff).unwrap();
-        let addr = server.local_addr();
+        let server = ReactorServer::bind_sharded("127.0.0.1:0", 2, 1).unwrap();
         let handle = server.serve(router);
-
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = connections_on_every_shard(&handle, 1)
+            .swap_remove(1)
+            .swap_remove(0);
         let mut wire = Vec::new();
         for uid in 0..3 {
             wire.extend_from_slice(
@@ -1898,18 +1781,8 @@ mod tests {
             .unwrap();
 
         let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        let mut responses = Vec::new();
-        while responses.len() < 3 {
-            let n = stream.read(&mut chunk).unwrap();
-            assert!(n > 0, "server closed early");
-            buf.extend_from_slice(&chunk[..n]);
-            while let Some((response, consumed)) = Response::try_parse(&buf).unwrap() {
-                buf.drain(..consumed);
-                responses.push(response);
-            }
-        }
-        for (uid, response) in responses.iter().enumerate() {
+        for uid in 0..3 {
+            let response = read_response(&mut stream, &mut buf);
             assert_eq!(response.status, 200);
             assert_eq!(response.body, format!("u{uid}:n3").into_bytes());
         }
@@ -2034,23 +1907,21 @@ mod tests {
 
     #[test]
     fn sharded_stop_terminates_every_event_loop() {
-        for mode in [AcceptSharding::Auto, AcceptSharding::HandOff] {
-            let server = ReactorServer::bind_sharded_with("127.0.0.1:0", 4, 1, mode).unwrap();
-            let addr = server.local_addr();
-            let handle = server.serve(ping_router());
-            // Serve at least one request so the loops are demonstrably up.
-            let client = HttpClient::new(addr);
-            assert_eq!(client.get("/ping").unwrap().status, 200);
-            drop(client);
-            let started = Instant::now();
-            handle.stop();
-            assert!(
-                started.elapsed() < Duration::from_secs(2),
-                "sharded shutdown hung ({mode:?})"
-            );
-            let client = HttpClient::new(addr);
-            assert!(client.get("/ping").is_err(), "a shard kept serving");
-        }
+        let server = ReactorServer::bind_sharded("127.0.0.1:0", 4, 1).unwrap();
+        let addr = server.local_addr();
+        let handle = server.serve(ping_router());
+        // Serve at least one request so the loops are demonstrably up.
+        let client = HttpClient::new(addr);
+        assert_eq!(client.get("/ping").unwrap().status, 200);
+        drop(client);
+        let started = Instant::now();
+        handle.stop();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "sharded shutdown hung"
+        );
+        let client = HttpClient::new(addr);
+        assert!(client.get("/ping").is_err(), "a shard kept serving");
     }
 
     #[test]

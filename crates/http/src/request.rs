@@ -3,7 +3,6 @@
 use crate::response::Response;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read};
 
 /// Maximum accepted header block size (DoS guard).
 const MAX_HEADER_BYTES: usize = 64 * 1024;
@@ -110,7 +109,7 @@ impl Request {
     /// case-insensitive), otherwise HTTP/1.1 defaults to keep-alive and
     /// HTTP/1.0 to close.
     ///
-    /// The serving front-ends combine this with their own limits
+    /// The reactor combines this with its own limits
     /// (max-requests-per-connection, shutdown) to choose each response's
     /// [`crate::response::Disposition`].
     #[must_use]
@@ -129,149 +128,90 @@ impl Request {
         self.minor_version >= 1
     }
 
-    /// Parses one request from a stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FrameError`] on malformed or oversized input.
-    pub fn parse<R: Read>(stream: R) -> Result<Self, FrameError> {
-        Self::parse_from(&mut BufReader::new(stream))
-    }
-
-    /// Parses one request from an existing buffered reader — the blocking
-    /// server's keep-alive loop, where one `BufReader` must persist across
-    /// requests so pipelined bytes it has already buffered are not lost.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FrameError`] on malformed or oversized input.
-    pub fn parse_from<R: BufRead>(reader: &mut R) -> Result<Self, FrameError> {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read error: {e}"))?;
-        let line = line.trim_end();
-        let mut parts = line.split_whitespace();
-        let method = parts
-            .next()
-            .ok_or_else(|| "empty request line".to_owned())?
-            .to_ascii_uppercase();
-        let target = parts
-            .next()
-            .ok_or_else(|| "missing request target".to_owned())?;
-        let version = parts
-            .next()
-            .ok_or_else(|| "missing http version".to_owned())?;
-        let minor_version = version
-            .strip_prefix("HTTP/1.")
-            .and_then(|minor| minor.parse::<u8>().ok())
-            .ok_or_else(|| format!("unsupported version {version}"))?;
-
-        let (path, query) = match target.split_once('?') {
-            Some((p, q)) => (p.to_owned(), parse_query(q)),
-            None => (target.to_owned(), Vec::new()),
-        };
-
-        let mut headers = HashMap::new();
-        let mut header_bytes = 0usize;
-        loop {
-            let mut header_line = String::new();
-            reader
-                .read_line(&mut header_line)
-                .map_err(|e| format!("header read error: {e}"))?;
-            header_bytes += header_line.len();
-            if header_bytes > MAX_HEADER_BYTES {
-                return Err("header block too large".to_owned().into());
-            }
-            let header_line = header_line.trim_end();
-            if header_line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header_line.split_once(':') {
-                let name = name.trim().to_ascii_lowercase();
-                let value = value.trim().to_owned();
-                // Duplicate Content-Length headers that disagree are the
-                // classic request-smuggling vector: two parsers picking
-                // different occurrences frame the stream differently.
-                // Reject outright; identical repeats collapse to one
-                // (RFC 7230 §3.3.2 allows either).
-                if name == "content-length" {
-                    if let Some(previous) = headers.get(&name) {
-                        if previous != &value {
-                            return Err("conflicting content-length headers".to_owned().into());
-                        }
-                    }
-                }
-                headers.insert(name, value);
-            }
-        }
-
-        let body = match headers.get("content-length") {
-            Some(len) => {
-                let len: usize = len
-                    .parse()
-                    .map_err(|_| "invalid content-length".to_owned())?;
-                if len > MAX_BODY_BYTES {
-                    return Err(FrameError::BodyTooLarge);
-                }
-                let mut body = vec![0u8; len];
-                reader
-                    .read_exact(&mut body)
-                    .map_err(|e| format!("body read error: {e}"))?;
-                body
-            }
-            None => Vec::new(),
-        };
-
-        Ok(Request {
-            method,
-            path,
-            query,
-            headers,
-            body,
-            minor_version,
-        })
-    }
-
-    /// Incremental parse over an accumulation buffer — the reactor's
-    /// nonblocking read path.
-    ///
-    /// Returns `Ok(None)` when `buf` does not yet hold a complete request
-    /// (read more and call again), `Ok(Some((request, consumed)))` when a
-    /// full request occupies the first `consumed` bytes, and `Err` when the
+    /// One-shot incremental parse over an accumulation buffer: returns
+    /// `Ok(None)` when `buf` does not yet hold a complete request (read
+    /// more and call again), `Ok(Some((request, consumed)))` when a full
+    /// request occupies the first `consumed` bytes, and `Err` when the
     /// buffer can never become a valid request (oversized or malformed —
     /// respond with [`FrameError::response`] and close).
+    ///
+    /// Calling this on a buffer that grows a few bytes at a time rescans it
+    /// from the start on every call; a connection's read loop uses
+    /// [`Request::try_parse_resuming`] instead.
     ///
     /// # Errors
     ///
     /// Returns a [`FrameError`] on malformed or oversized input.
     pub fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, FrameError> {
-        // Locate the end of the header block.
-        let Some(head_end) = find_subsequence(buf, b"\r\n\r\n") else {
-            if buf.len() > MAX_HEADER_BYTES {
+        Self::try_parse_resuming(buf, &mut FrameCursor::default())
+    }
+
+    /// [`Request::try_parse`] that resumes where the previous call on the
+    /// same buffer stopped, so framing costs time linear in the bytes
+    /// received however the network splits them: the `\r\n\r\n` search
+    /// continues from the cursor, and once the head is complete later calls
+    /// only compare the buffer length against the frame length.
+    ///
+    /// Between calls the caller may only append to `buf`. After
+    /// `Ok(Some((_, consumed)))` the cursor is reset and the caller drains
+    /// the first `consumed` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`FrameError`] on malformed or oversized input.
+    pub fn try_parse_resuming(
+        buf: &[u8],
+        cursor: &mut FrameCursor,
+    ) -> Result<Option<(Request, usize)>, FrameError> {
+        if cursor.frame_len == 0 {
+            // A terminator straddling the previous end starts at most three
+            // bytes before it.
+            let Some(offset) = find_subsequence(&buf[cursor.scanned..], b"\r\n\r\n") else {
+                if buf.len() > MAX_HEADER_BYTES {
+                    return Err("header block too large".to_owned().into());
+                }
+                cursor.scanned = buf.len().saturating_sub(3);
+                return Ok(None);
+            };
+            let head_end = cursor.scanned + offset;
+            if head_end > MAX_HEADER_BYTES {
                 return Err("header block too large".to_owned().into());
             }
-            return Ok(None);
-        };
-        if head_end > MAX_HEADER_BYTES {
-            return Err("header block too large".to_owned().into());
+            cursor.head_len = head_end + 4;
+            cursor.frame_len = cursor.head_len + declared_body_len(&buf[..head_end])?;
         }
-        // Light scan for Content-Length to learn the total frame size; an
-        // invalid value falls through to the full parser, which rejects it,
-        // but *conflicting duplicates* are rejected right here — using
-        // either occurrence would frame the pipelined stream differently
-        // from a peer that picked the other (request smuggling).
-        let body_len = content_length(&buf[..head_end])
-            .map_err(|()| "conflicting content-length headers".to_owned())?
-            .unwrap_or(0);
-        if body_len > MAX_BODY_BYTES {
-            return Err(FrameError::BodyTooLarge);
-        }
-        let total = head_end + 4 + body_len;
-        if buf.len() < total {
+        if buf.len() < cursor.frame_len {
             return Ok(None);
         }
-        Self::parse(&buf[..total]).map(|request| Some((request, total)))
+        let frame = std::mem::take(cursor);
+        parse_frame(&buf[..frame.frame_len], frame.head_len)
+            .map(|request| Some((request, frame.frame_len)))
+    }
+}
+
+/// How far framing got on a connection's rolling buffer, carried between
+/// [`Request::try_parse_resuming`] calls so no byte is scanned twice.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct FrameCursor {
+    /// Offset where the search for the head's `\r\n\r\n` resumes.
+    scanned: usize,
+    /// Head length through the blank line; set once the head is complete.
+    head_len: usize,
+    /// Head plus declared body; `0` until the head is complete.
+    frame_len: usize,
+}
+
+impl FrameCursor {
+    /// Where the next call picks up: the head-search offset while the head
+    /// is incomplete, then the length the buffer must reach to hold the
+    /// whole frame.
+    #[must_use]
+    pub fn resume_point(&self) -> usize {
+        if self.frame_len == 0 {
+            self.scanned
+        } else {
+            self.frame_len
+        }
     }
 }
 
@@ -282,13 +222,14 @@ fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
         .position(|window| window == needle)
 }
 
-/// Extracts `Content-Length` from a raw header block (case-insensitive).
-/// Identical repeats collapse to one; occurrences whose *raw values*
-/// disagree return `Err(())` — the caller must refuse to frame the request
-/// (see `try_parse`). Values are compared textually, before parsing, so
-/// `07` vs `7` is already a conflict: two peers normalizing differently is
-/// exactly the smuggling hazard.
-fn content_length(head: &[u8]) -> Result<Option<usize>, ()> {
+/// The body length a complete head declares: its `Content-Length`, matched
+/// case-insensitively on every line of the head. Identical repeats collapse
+/// to one; occurrences whose *raw values* disagree are refused, because two
+/// peers picking different occurrences would frame a pipelined stream
+/// differently (request smuggling). Values are compared textually, before
+/// parsing, so `07` vs `7` is already a conflict. A missing or unparsable
+/// value frames no body ([`parse_frame`] rejects the unparsable one).
+fn declared_body_len(head: &[u8]) -> Result<usize, FrameError> {
     let mut seen: Option<&str> = None;
     for line in head.split(|&b| b == b'\n') {
         let Ok(line) = std::str::from_utf8(line) else {
@@ -298,13 +239,94 @@ fn content_length(head: &[u8]) -> Result<Option<usize>, ()> {
             if name.trim().eq_ignore_ascii_case("content-length") {
                 let value = value.trim();
                 if seen.is_some_and(|previous| previous != value) {
-                    return Err(());
+                    return Err("conflicting content-length headers".to_owned().into());
                 }
                 seen = Some(value);
             }
         }
     }
-    Ok(seen.and_then(|value| value.parse().ok()))
+    match seen.and_then(|value| value.parse::<usize>().ok()) {
+        Some(len) if len > MAX_BODY_BYTES => Err(FrameError::BodyTooLarge),
+        len => Ok(len.unwrap_or(0)),
+    }
+}
+
+/// Parses a complete frame: the request line, then header lines up to the
+/// first blank one (lines end at `\n`, trailing whitespace trimmed), then
+/// `Content-Length` bytes of body after it. The first `head_len` bytes
+/// hold the head.
+fn parse_frame(frame: &[u8], head_len: usize) -> Result<Request, FrameError> {
+    let head = &frame[..head_len];
+    let mut at = 0;
+    let line = next_line(head, &mut at)?;
+    let mut parts = line.split_whitespace();
+    let method = parts
+        .next()
+        .ok_or_else(|| "empty request line".to_owned())?
+        .to_ascii_uppercase();
+    let target = parts
+        .next()
+        .ok_or_else(|| "missing request target".to_owned())?;
+    let version = parts
+        .next()
+        .ok_or_else(|| "missing http version".to_owned())?;
+    let minor_version = version
+        .strip_prefix("HTTP/1.")
+        .and_then(|minor| minor.parse::<u8>().ok())
+        .ok_or_else(|| format!("unsupported version {version}"))?;
+    let (path, query) = match target.split_once('?') {
+        Some((p, q)) => (p.to_owned(), parse_query(q)),
+        None => (target.to_owned(), Vec::new()),
+    };
+
+    let mut headers = HashMap::new();
+    loop {
+        let line = next_line(head, &mut at)?;
+        if line.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_owned());
+        }
+    }
+
+    // `declared_body_len` framed this same value (it refuses conflicting
+    // or over-cap ones), so the body lies within the frame.
+    let body = match headers.get("content-length") {
+        Some(len) => {
+            let len: usize = len
+                .parse()
+                .map_err(|_| "invalid content-length".to_owned())?;
+            frame
+                .get(at..at + len)
+                .ok_or_else(|| "truncated body".to_owned())?
+                .to_vec()
+        }
+        None => Vec::new(),
+    };
+
+    Ok(Request {
+        method,
+        path,
+        query,
+        headers,
+        body,
+        minor_version,
+    })
+}
+
+/// The line of `head` starting at `*at` (through `\n`, or to the end),
+/// trailing whitespace trimmed; advances `*at` past it.
+fn next_line<'a>(head: &'a [u8], at: &mut usize) -> Result<&'a str, FrameError> {
+    let rest = &head[*at..];
+    let len = rest
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(rest.len(), |i| i + 1);
+    *at += len;
+    std::str::from_utf8(&rest[..len])
+        .map(str::trim_end)
+        .map_err(|_| "header line is not UTF-8".to_owned().into())
 }
 
 /// Decodes `k=v&k2=v2` with percent-encoding and `+`-as-space.
@@ -359,8 +381,11 @@ fn percent_decode(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Parses a buffer that must hold exactly one complete request.
     fn parse_str(s: &str) -> Result<Request, FrameError> {
-        Request::parse(s.as_bytes())
+        let (request, consumed) = Request::try_parse(s.as_bytes())?.expect("a complete frame");
+        assert_eq!(consumed, s.len());
+        Ok(request)
     }
 
     #[test]
@@ -404,7 +429,8 @@ mod tests {
 
     #[test]
     fn rejects_malformed_requests() {
-        assert!(parse_str("").is_err());
+        assert_eq!(Request::try_parse(b""), Ok(None));
+        assert!(parse_str("\r\n\r\n").is_err());
         assert!(parse_str("GET\r\n\r\n").is_err());
         assert!(parse_str("GET /x\r\n\r\n").is_err());
         assert!(parse_str("GET /x SPDY/3\r\n\r\n").is_err());
@@ -459,12 +485,10 @@ mod tests {
         // Mismatched duplicates are the smuggling shape: refuse to frame.
         let raw =
             "POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 11\r\n\r\nGET /smuggled";
-        assert!(parse_str(raw).is_err());
         assert!(Request::try_parse(raw.as_bytes()).is_err());
         // Textual disagreement counts even when the numbers agree: another
         // parser normalizing `07` differently would frame differently.
         let raw = "POST /x HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 07\r\n\r\n7 bytes";
-        assert!(parse_str(raw).is_err());
         assert!(Request::try_parse(raw.as_bytes()).is_err());
         // The error is final, not a plea for more bytes: a truncated buffer
         // that already shows the conflict must not parse as Partial.
@@ -474,11 +498,8 @@ mod tests {
 
     #[test]
     fn identical_duplicate_content_lengths_collapse() {
-        // RFC 7230 §3.3.2 allows collapsing identical repeats; both the
-        // incremental and the stream parser must agree on the framing.
+        // RFC 7230 §3.3.2 allows collapsing identical repeats.
         let raw = "POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhelloEXTRA";
-        let request = parse_str(&raw[..raw.len() - 5]).unwrap();
-        assert_eq!(request.body, b"hello");
         let (request, consumed) = Request::try_parse(raw.as_bytes()).unwrap().unwrap();
         assert_eq!(consumed, raw.len() - 5);
         assert_eq!(request.body, b"hello");
@@ -514,21 +535,23 @@ mod tests {
     }
 
     #[test]
-    fn parse_from_preserves_pipelined_bytes() {
-        // One persistent BufReader across requests: the second request must
-        // come out of the same reader intact.
+    fn try_parse_preserves_pipelined_bytes() {
+        // Two requests back to back: the first frame ends exactly where the
+        // second begins, and the second parses intact from there.
         let raw: &[u8] = b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi";
-        let mut reader = BufReader::new(raw);
-        let first = Request::parse_from(&mut reader).unwrap();
+        let (first, consumed) = Request::try_parse(raw).unwrap().unwrap();
         assert_eq!(first.path, "/a");
-        let second = Request::parse_from(&mut reader).unwrap();
+        let (second, rest) = Request::try_parse(&raw[consumed..]).unwrap().unwrap();
         assert_eq!(second.path, "/b");
         assert_eq!(second.body, b"hi");
+        assert_eq!(consumed + rest, raw.len());
     }
 
     #[test]
     fn rejects_truncated_body() {
-        assert!(parse_str("POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort").is_err());
+        // A short body never frames: it waits for the rest, not a request.
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
+        assert_eq!(Request::try_parse(raw), Ok(None));
     }
 
     #[test]
@@ -537,6 +560,9 @@ mod tests {
             "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(parse_str(&req).is_err());
+        assert_eq!(
+            Request::try_parse(req.as_bytes()),
+            Err(FrameError::BodyTooLarge)
+        );
     }
 }

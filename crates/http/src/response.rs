@@ -2,7 +2,6 @@
 //! encoding and an explicit connection [`Disposition`].
 
 use std::collections::HashMap;
-use std::io::{self, Write};
 
 /// What happens to the connection after this response — serialized as the
 /// `Connection` header.
@@ -171,19 +170,6 @@ impl Response {
         out.extend_from_slice(&self.body);
     }
 
-    /// Serializes onto a stream — one buffered write, one syscall in the
-    /// common case.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying stream.
-    pub fn write_to<W: Write>(&self, stream: &mut W) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(128 + self.body.len());
-        self.write_into(&mut buf);
-        stream.write_all(&buf)?;
-        stream.flush()
-    }
-
     /// Total bytes this response occupies on the wire (status line +
     /// headers + body) — the quantity metered in the bandwidth figures.
     #[must_use]
@@ -338,7 +324,7 @@ mod tests {
     fn write_to_produces_valid_http() {
         let response = Response::ok("text/plain", b"body".to_vec());
         let mut buf = Vec::new();
-        response.write_to(&mut buf).unwrap();
+        response.write_into(&mut buf);
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 4\r\n"));

@@ -8,9 +8,7 @@
 //! whose policy allows more than one request per call are *coalescable*:
 //! the reactor front-end gathers concurrent (and pipelined) requests to
 //! them — up to the policy cap, within the gather window — and hands whole
-//! bursts to one handler call. On the thread-per-connection server every
-//! route simply runs with batches of one, so the two server front-ends
-//! share one router type.
+//! bursts to one handler call.
 
 use crate::request::Request;
 use crate::response::Response;
@@ -18,8 +16,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A request handler: the one trait both server front-ends dispatch
-/// through.
+/// A request handler: the one trait the reactor dispatches through.
 ///
 /// `handle` must push exactly one response per request onto `out`, in
 /// input order. Closures of shape `Fn(&[Request], &mut Vec<Response>)`
@@ -146,12 +143,14 @@ pub enum Resolution {
 /// trailing slash interchangeably.
 ///
 /// ```
+/// use hyrec_http::router::Resolution;
 /// use hyrec_http::{Request, Response, Router};
 ///
 /// let mut router = Router::new();
 /// router.get("/ping", |_req| Response::ok("text/plain", b"pong".to_vec()));
-/// let req = Request::parse("GET /ping HTTP/1.1\r\n\r\n".as_bytes()).unwrap();
-/// assert_eq!(router.dispatch(&req).body, b"pong");
+/// let (req, _) = Request::try_parse(b"GET /ping HTTP/1.1\r\n\r\n").unwrap().unwrap();
+/// let Resolution::Route(index) = router.resolve(&req) else { panic!("unrouted") };
+/// assert_eq!(router.route_at(index).run(&[req])[0].body, b"pong");
 /// ```
 #[derive(Clone, Default)]
 pub struct Router {
@@ -194,7 +193,7 @@ fn path_matches(prefix: &str, path: &str) -> bool {
 }
 
 impl Router {
-    /// An empty router (dispatches everything to 404).
+    /// An empty router (resolves everything to [`Resolution::NotFound`]).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -280,21 +279,6 @@ impl Router {
             Some((index, _)) => Resolution::Route(index),
             None if path_matched => Resolution::MethodNotAllowed,
             None => Resolution::NotFound,
-        }
-    }
-
-    /// Dispatches a request to the longest matching prefix; `404` when
-    /// nothing matches, `405` when the path matches but the method does
-    /// not. Every route runs with a batch of one.
-    #[must_use]
-    pub fn dispatch(&self, request: &Request) -> Response {
-        match self.resolve(request) {
-            Resolution::Route(index) => {
-                let mut responses = self.routes[index].run(std::slice::from_ref(request));
-                responses.pop().expect("one response per request")
-            }
-            Resolution::MethodNotAllowed => Response::error(405, "method not allowed"),
-            Resolution::NotFound => Response::not_found(),
         }
     }
 }
@@ -481,7 +465,21 @@ mod tests {
     use super::*;
 
     fn req(method: &str, target: &str) -> Request {
-        Request::parse(format!("{method} {target} HTTP/1.1\r\n\r\n").as_bytes()).unwrap()
+        let wire = format!("{method} {target} HTTP/1.1\r\n\r\n");
+        Request::try_parse(wire.as_bytes()).unwrap().unwrap().0
+    }
+
+    /// Serves one request the way the reactor does: resolve, then run the
+    /// route on a batch of one; misses answer 404 or 405.
+    fn dispatch(router: &Router, request: &Request) -> Response {
+        match router.resolve(request) {
+            Resolution::Route(index) => {
+                let mut responses = router.route_at(index).run(std::slice::from_ref(request));
+                responses.pop().expect("one response per request")
+            }
+            Resolution::MethodNotAllowed => Response::error(405, "method not allowed"),
+            Resolution::NotFound => Response::not_found(),
+        }
     }
 
     #[test]
@@ -493,23 +491,23 @@ mod tests {
             Response::ok("text/plain", b"deep".to_vec())
         });
 
-        assert_eq!(router.dispatch(&req("GET", "/x")).body, b"root");
-        assert_eq!(router.dispatch(&req("GET", "/api/online")).body, b"api");
-        assert_eq!(router.dispatch(&req("GET", "/api/deep/1")).body, b"deep");
+        assert_eq!(dispatch(&router, &req("GET", "/x")).body, b"root");
+        assert_eq!(dispatch(&router, &req("GET", "/api/online")).body, b"api");
+        assert_eq!(dispatch(&router, &req("GET", "/api/deep/1")).body, b"deep");
     }
 
     #[test]
     fn unknown_path_is_404() {
         let mut router = Router::new();
         router.get("/only/", |_| Response::ok("text/plain", Vec::new()));
-        assert_eq!(router.dispatch(&req("GET", "/nope")).status, 404);
+        assert_eq!(dispatch(&router, &req("GET", "/nope")).status, 404);
     }
 
     #[test]
     fn wrong_method_is_405() {
         let mut router = Router::new();
         router.get("/thing", |_| Response::ok("text/plain", Vec::new()));
-        assert_eq!(router.dispatch(&req("POST", "/thing")).status, 405);
+        assert_eq!(dispatch(&router, &req("POST", "/thing")).status, 405);
     }
 
     #[test]
@@ -517,8 +515,8 @@ mod tests {
         let mut router = Router::new();
         router.get("/dual", |_| Response::ok("text/plain", b"get".to_vec()));
         router.post("/dual", |_| Response::ok("text/plain", b"post".to_vec()));
-        assert_eq!(router.dispatch(&req("GET", "/dual")).body, b"get");
-        assert_eq!(router.dispatch(&req("POST", "/dual")).body, b"post");
+        assert_eq!(dispatch(&router, &req("GET", "/dual")).body, b"get");
+        assert_eq!(dispatch(&router, &req("POST", "/dual")).body, b"post");
     }
 
     #[test]
@@ -529,14 +527,14 @@ mod tests {
         router.get("/online/", |_| Response::ok("text/plain", b"on".to_vec()));
         router.get("/rate", |_| Response::ok("text/plain", b"rt".to_vec()));
 
-        assert_eq!(router.dispatch(&req("GET", "/online/")).body, b"on");
-        assert_eq!(router.dispatch(&req("GET", "/online")).body, b"on");
-        assert_eq!(router.dispatch(&req("GET", "/online/?uid=1")).body, b"on");
-        assert_eq!(router.dispatch(&req("GET", "/rate")).body, b"rt");
-        assert_eq!(router.dispatch(&req("GET", "/rate/")).body, b"rt");
+        assert_eq!(dispatch(&router, &req("GET", "/online/")).body, b"on");
+        assert_eq!(dispatch(&router, &req("GET", "/online")).body, b"on");
+        assert_eq!(dispatch(&router, &req("GET", "/online/?uid=1")).body, b"on");
+        assert_eq!(dispatch(&router, &req("GET", "/rate")).body, b"rt");
+        assert_eq!(dispatch(&router, &req("GET", "/rate/")).body, b"rt");
         // But unrelated longer segments must not match the bare form.
-        assert_eq!(router.dispatch(&req("GET", "/onlinex")).status, 404);
-        assert_eq!(router.dispatch(&req("GET", "/ratex")).status, 404);
+        assert_eq!(dispatch(&router, &req("GET", "/onlinex")).status, 404);
+        assert_eq!(dispatch(&router, &req("GET", "/ratex")).status, 404);
     }
 
     #[test]
@@ -554,10 +552,10 @@ mod tests {
             },
         );
         assert_eq!(
-            router.dispatch(&req("GET", "/batch/?uid=7")).body,
+            dispatch(&router, &req("GET", "/batch/?uid=7")).body,
             b"batched:7"
         );
-        assert_eq!(router.dispatch(&req("POST", "/batch/")).status, 405);
+        assert_eq!(dispatch(&router, &req("POST", "/batch/")).status, 405);
         assert_eq!(router.route_count(), 1);
         assert!(router.route_at(0).policy().is_batched());
     }
@@ -593,7 +591,7 @@ mod tests {
         match router.resolve(&req("GET", "/a/only")) {
             Resolution::Route(index) => {
                 assert!(!router.route_at(index).policy().is_batched());
-                assert_eq!(router.dispatch(&req("GET", "/a/only")).body, b"scalar");
+                assert_eq!(dispatch(&router, &req("GET", "/a/only")).body, b"scalar");
             }
             _ => panic!("expected route resolution"),
         }
@@ -615,7 +613,7 @@ mod tests {
                 );
             },
         );
-        assert_eq!(router.dispatch(&req("GET", "/same/")).body, b"batch");
+        assert_eq!(dispatch(&router, &req("GET", "/same/")).body, b"batch");
     }
 
     #[test]
@@ -693,6 +691,6 @@ mod tests {
             BatchPolicy::default(),
             |_: &[Request], _: &mut Vec<Response>| {},
         );
-        let _ = router.dispatch(&req("GET", "/bad/"));
+        let _ = dispatch(&router, &req("GET", "/bad/"));
     }
 }

@@ -32,6 +32,7 @@ const AF_INET6: i32 = 10;
 const SOCK_STREAM: i32 = 1;
 const SOCK_CLOEXEC: i32 = 0x80000;
 const SOL_SOCKET: i32 = 1;
+const SO_REUSEADDR: i32 = 2;
 const SO_REUSEPORT: i32 = 15;
 
 /// One readiness event. Mirrors the kernel's `struct epoll_event`, which is
@@ -104,7 +105,7 @@ struct SockAddrIn6 {
 /// Creates a listening TCP socket with `SO_REUSEPORT` set *before* bind —
 /// the accept-sharding primitive: N listeners bound to one address, each
 /// owned by one reactor event loop, with the kernel hashing incoming
-/// connections across them (no shared accept queue, no hand-off).
+/// connections across them (no shared accept queue).
 ///
 /// `std::net::TcpListener` cannot express this (it binds inside
 /// `TcpListener::bind` with no hook to set options first), so the socket is
@@ -113,9 +114,7 @@ struct SockAddrIn6 {
 /// # Errors
 ///
 /// Propagates the first failing syscall's errno. On kernels without
-/// `SO_REUSEPORT` (pre-3.9) the `setsockopt` fails with `ENOPROTOOPT`;
-/// callers should fall back to accept hand-off (see
-/// [`reuseport_supported`]).
+/// `SO_REUSEPORT` (pre-3.9) the `setsockopt` fails with `ENOPROTOOPT`.
 pub fn bind_reuseport(addr: SocketAddr, backlog: i32) -> io::Result<TcpListener> {
     let family = match addr {
         SocketAddr::V4(_) => AF_INET,
@@ -127,16 +126,21 @@ pub fn bind_reuseport(addr: SocketAddr, backlog: i32) -> io::Result<TcpListener>
     // SAFETY: `raw` is a valid fd owned by nobody else.
     let fd = unsafe { OwnedFd::from_raw_fd(raw) };
     let one: i32 = 1;
-    // SAFETY: passes a live 4-byte value with its correct length.
-    cvt(unsafe {
-        setsockopt(
-            fd.as_raw_fd(),
-            SOL_SOCKET,
-            SO_REUSEPORT,
-            std::ptr::addr_of!(one).cast(),
-            4,
-        )
-    })?;
+    // `SO_REUSEADDR` as `std::net::TcpListener::bind` sets it, so a
+    // restarted server can rebind a port its old connections hold in
+    // TIME_WAIT.
+    for option in [SO_REUSEADDR, SO_REUSEPORT] {
+        // SAFETY: passes a live 4-byte value with its correct length.
+        cvt(unsafe {
+            setsockopt(
+                fd.as_raw_fd(),
+                SOL_SOCKET,
+                option,
+                std::ptr::addr_of!(one).cast(),
+                4,
+            )
+        })?;
+    }
     match addr {
         SocketAddr::V4(v4) => {
             let sa = SockAddrIn {
@@ -175,44 +179,6 @@ pub fn bind_reuseport(addr: SocketAddr, backlog: i32) -> io::Result<TcpListener>
     // SAFETY: listen takes no pointers; `fd` is a live, bound socket.
     cvt(unsafe { listen(fd.as_raw_fd(), backlog) })?;
     Ok(TcpListener::from(fd))
-}
-
-/// Whether this kernel accepts `SO_REUSEPORT` (Linux ≥ 3.9). Probed once
-/// per call with a throwaway socket; callers decide between kernel accept
-/// sharding and the hand-off fallback.
-#[must_use]
-pub fn reuseport_supported() -> bool {
-    // SAFETY: socket takes no pointers.
-    let Ok(raw) = cvt(unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) }) else {
-        return false;
-    };
-    // SAFETY: `raw` is a valid fd owned by nobody else (closed on drop).
-    let fd = unsafe { OwnedFd::from_raw_fd(raw) };
-    let one: i32 = 1;
-    // SAFETY: passes a live 4-byte value with its correct length.
-    cvt(unsafe {
-        setsockopt(
-            fd.as_raw_fd(),
-            SOL_SOCKET,
-            SO_REUSEPORT,
-            std::ptr::addr_of!(one).cast(),
-            4,
-        )
-    })
-    .is_ok()
-}
-
-/// Re-issues `listen(2)` on an already-listening socket to widen its accept
-/// backlog (`std::net::TcpListener` hard-codes 128, which overflows — and,
-/// with syncookies, silently resets clients — under thousand-connection
-/// bursts; Linux allows updating the backlog in place).
-///
-/// # Errors
-///
-/// Propagates the `listen` errno.
-pub fn widen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
-    // SAFETY: `listen` takes no pointers; the caller passes a live socket fd.
-    cvt(unsafe { listen(fd, backlog) }).map(|_| ())
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -398,9 +364,6 @@ mod tests {
         use std::net::TcpStream;
         use std::time::{Duration, Instant};
 
-        if !reuseport_supported() {
-            return; // pre-3.9 kernel: the reactor falls back to hand-off
-        }
         let first = bind_reuseport("127.0.0.1:0".parse().unwrap(), 16).unwrap();
         let addr = first.local_addr().unwrap();
         // A second listener on the *same* concrete port succeeds only with

@@ -1,11 +1,9 @@
-//! A fixed-size thread pool shared by both front-ends.
+//! The reactor's fixed-size worker pool.
 //!
 //! Deliberately simple: a bounded crew of workers pulling closures off a
-//! shared channel. Behind the blocking [`crate::server::HttpServer`] a job
-//! is a whole keep-alive *connection* (the pool bounds concurrent
-//! connections — the mechanism behind the response-time knee in Figure 9);
-//! behind the [`crate::reactor::ReactorServer`] a job is one request or
-//! one coalesced batch, so persistent connections never pin a worker.
+//! shared channel. A job is one request or one coalesced batch, so
+//! persistent connections never pin a worker; the pool size bounds
+//! concurrent handler work.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -14,33 +12,10 @@ use std::thread;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size worker pool.
-///
-/// ```
-/// use hyrec_http::threadpool::ThreadPool;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::Arc;
-///
-/// let pool = ThreadPool::new(4);
-/// let counter = Arc::new(AtomicUsize::new(0));
-/// for _ in 0..100 {
-///     let counter = Arc::clone(&counter);
-///     pool.execute(move || { counter.fetch_add(1, Ordering::SeqCst); });
-/// }
-/// pool.join();
-/// assert_eq!(counter.load(Ordering::SeqCst), 100);
-/// ```
+/// A fixed-size worker pool; dropping it waits for every submitted job.
 pub struct ThreadPool {
     workers: Vec<thread::JoinHandle<()>>,
     sender: Option<mpsc::Sender<Job>>,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("workers", &self.workers.len())
-            .finish()
-    }
 }
 
 impl ThreadPool {
@@ -71,8 +46,8 @@ impl ThreadPool {
                     };
                     match job {
                         // A panicking job must cost only itself, never the
-                        // worker: the front-ends size their pools assuming
-                        // every member stays alive (one bad handler taking
+                        // worker: the reactor sizes its pool assuming every
+                        // member stays alive (one bad handler taking
                         // a worker down would wedge a 1-worker reactor).
                         Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
                         Err(_) => break, // channel closed: shut down
@@ -86,35 +61,18 @@ impl ThreadPool {
         }
     }
 
-    /// Number of workers.
-    #[must_use]
-    pub fn size(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Submits a job; it runs as soon as a worker is free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`ThreadPool::join`].
     pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
         self.sender
             .as_ref()
-            .expect("pool already joined")
+            .expect("the sender lives until drop")
             .send(Box::new(job))
             .expect("workers are alive while sender exists");
-    }
-
-    /// Closes the queue and waits for all submitted jobs to finish.
-    pub fn join(mut self) {
-        drop(self.sender.take());
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
     }
 }
 
 impl Drop for ThreadPool {
+    /// Closes the queue and waits for all submitted jobs to finish.
     fn drop(&mut self) {
         drop(self.sender.take());
         for worker in self.workers.drain(..) {
@@ -139,7 +97,7 @@ mod tests {
                 counter.fetch_add(1, Ordering::SeqCst);
             });
         }
-        pool.join();
+        drop(pool);
         assert_eq!(counter.load(Ordering::SeqCst), 200);
     }
 
@@ -158,7 +116,7 @@ mod tests {
                 active.fetch_sub(1, Ordering::SeqCst);
             });
         }
-        pool.join();
+        drop(pool);
         assert!(peak.load(Ordering::SeqCst) <= 2);
     }
 
@@ -171,7 +129,7 @@ mod tests {
     #[test]
     fn workers_survive_panicking_jobs() {
         // A 1-worker pool: if the panicking job killed its worker, the
-        // follow-up jobs would never run and join() would still return
+        // follow-up jobs would never run and drop would still return
         // (channel closed) with the counter short.
         let pool = ThreadPool::new(1);
         let counter = Arc::new(AtomicUsize::new(0));
@@ -184,7 +142,7 @@ mod tests {
                 counter.fetch_add(1, Ordering::SeqCst);
             });
         }
-        pool.join();
+        drop(pool);
         assert_eq!(counter.load(Ordering::SeqCst), 3);
     }
 

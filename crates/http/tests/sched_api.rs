@@ -6,7 +6,7 @@
 use hyrec_client::Widget;
 use hyrec_core::{ItemId, UserId, Vote};
 use hyrec_http::api::{hyrec_router, hyrec_scheduled_router};
-use hyrec_http::{BatchPolicy, HttpClient, HttpServer, ReactorServer};
+use hyrec_http::{BatchPolicy, HttpClient, ReactorServer};
 use hyrec_sched::SchedConfig;
 use hyrec_server::{HyRecServer, JobEncoder, ScheduledServer};
 use hyrec_wire::{KnnUpdate, PersonalizationJob};
@@ -200,7 +200,7 @@ fn scheduler_pick_overrides_the_requested_uid() {
 #[test]
 fn neighbors_validation_is_identical_across_forms() {
     let hyrec = populated_server(9);
-    let server = HttpServer::bind("127.0.0.1:0", 2).unwrap();
+    let server = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
     let addr = server.local_addr();
     let handle = server.serve(hyrec_router(Arc::clone(&hyrec)));
     let client = HttpClient::new(addr);
@@ -335,7 +335,7 @@ fn inflation_bomb_gets_413_on_both_routers() {
 #[test]
 fn rate_is_strict_about_votes() {
     let hyrec = populated_server(13);
-    let server = HttpServer::bind("127.0.0.1:0", 2).unwrap();
+    let server = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
     let addr = server.local_addr();
     let handle = server.serve(hyrec_router(Arc::clone(&hyrec)));
     let client = HttpClient::new(addr);

@@ -10,11 +10,14 @@
 //!   front-end) and encode the small result.
 //! * **Online Ideal**: brute-force KNN over every user, then recommend.
 //!
-//! Figure 9 drives the real HTTP stack with closed-loop clients and
-//! measures latency as concurrency grows.
+//! Figure 9 drives the real HTTP stack (the epoll reactor) with
+//! closed-loop clients and measures latency as concurrency grows. It uses
+//! only the scalar `/online-fast/` and `/crecommend/` routes, so each
+//! request is one job on the reactor's worker pool and the pool size
+//! bounds concurrent handler work, as the paper's servlet pool did.
 
 use hyrec_core::{recommend, ItemId, Neighbor, Neighborhood, UserId, Vote};
-use hyrec_http::{api, BatchPolicy, HttpClient, HttpServer, ReactorServer, Response, Router};
+use hyrec_http::{api, BatchPolicy, HttpClient, ReactorServer, Response, Router};
 use hyrec_sched::SchedConfig;
 use hyrec_server::{
     HyRecConfig, HyRecServer, JobEncoder, OnlineIdeal, ScheduledServer, SweeperHandle,
@@ -376,13 +379,15 @@ pub fn closed_loop(
     LatencyStats::from_samples(all)
 }
 
-/// Convenience: spin up a benchmark server and return (handle, addr).
+/// Convenience: spin up a single-reactor server over
+/// [`benchmark_router`] with `workers` handler threads and return
+/// (handle, addr).
 #[must_use]
 pub fn spawn_benchmark_server(
     population: &Population,
     workers: usize,
-) -> (hyrec_http::server::ServerHandle, std::net::SocketAddr) {
-    let server = HttpServer::bind("127.0.0.1:0", workers).expect("bind benchmark server");
+) -> (hyrec_http::reactor::ReactorHandle, std::net::SocketAddr) {
+    let server = ReactorServer::bind("127.0.0.1:0", workers).expect("bind benchmark server");
     let addr = server.local_addr();
     let handle = server.serve(benchmark_router(population));
     (handle, addr)
@@ -420,9 +425,9 @@ pub fn spawn_reactor_server(
 }
 
 /// Spins up the reactor front-end sharded across `reactors` event loops
-/// (`SO_REUSEPORT` kernel accept sharding when available, hand-off
-/// otherwise) over a shared pool of `reactors × workers_per_reactor`
-/// workers — the multi-core scaling configuration.
+/// (one `SO_REUSEPORT` listener each) over a shared pool of
+/// `reactors × workers_per_reactor` workers — the multi-core scaling
+/// configuration.
 #[must_use]
 pub fn spawn_sharded_reactor_server(
     population: &Population,
@@ -968,7 +973,7 @@ mod tests {
     #[test]
     fn seed_router_replicates_seed_online_semantics() {
         let population = build_population(20, 10, 3, 9);
-        let server = HttpServer::bind("127.0.0.1:0", 2).expect("bind");
+        let server = ReactorServer::bind("127.0.0.1:0", 2).expect("bind");
         let addr = server.local_addr();
         let handle = server.serve(seed_frontend_router(Arc::clone(&population.server)));
         let client = HttpClient::new(addr);

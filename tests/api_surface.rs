@@ -2,7 +2,7 @@
 //! from outside the workspace crates exactly as a content provider would.
 
 use hyrec::client::{RecommendationPolicy, Widget};
-use hyrec::http::{api, HttpClient, HttpServer};
+use hyrec::http::{api, HttpClient, ReactorServer};
 use hyrec::prelude::*;
 use hyrec::server::sampler::{Sampler, SamplerContext};
 use hyrec_core::{CandidateSet, Recommendation};
@@ -147,7 +147,7 @@ fn web_api_covers_table_1() {
             hyrec.record(UserId(u), ItemId(i), Vote::Like);
         }
     }
-    let server = HttpServer::bind("127.0.0.1:0", 2).expect("bind");
+    let server = ReactorServer::bind("127.0.0.1:0", 2).expect("bind");
     let addr = server.local_addr();
     let handle = server.serve(api::hyrec_router(Arc::clone(&hyrec)));
     let client = HttpClient::new(addr);
