@@ -149,7 +149,8 @@ fn bench_batched_encoder(c: &mut Criterion) {
     // one by one, and its stages — `resolve` (cache lookups and stamp
     // checks), `prefix` (compressing one job's dynamic prefix) and
     // `assemble` (prefixes, fragment memcpys, CRC folds, trailers). Divide
-    // a median by 32 for the cost per job.
+    // a median by 32 for the cost per job. `fragment-miss` is what a
+    // changed candidate profile adds to `resolve`.
     let mut group = c.benchmark_group("encoder");
     group.sample_size(15);
     let population = build_population(10_000, 100, 10, 11);
@@ -228,6 +229,43 @@ fn bench_batched_encoder(c: &mut Criterion) {
                 std::hint::black_box(hyrec_wire::deflate::compress_chunk(
                     prefix.as_bytes(),
                     hyrec_wire::deflate::lz77::Effort::FAST,
+                ))
+            });
+        },
+    );
+
+    // A fragment miss as `JobEncoder::resolve` handles one: a candidate's
+    // fragment (about 650 bytes at 100 liked items) compressed, its CRC-32
+    // taken and its CRC shift operator built. Candidate order is hashed,
+    // so the job's longest fragment (lowest uid on ties) is timed: the
+    // same input on every run.
+    let (fragment, _) = job
+        .candidates
+        .iter()
+        .map(|candidate| {
+            let fragment = format!(
+                ",{{\"uid\":{},\"profile\":{{\"liked\":[{}],\"disliked\":[{}]}}}}",
+                candidate.user.raw(),
+                items(&mut candidate.profile.liked()),
+                items(&mut candidate.profile.disliked()),
+            );
+            (fragment, candidate.user)
+        })
+        .max_by_key(|(fragment, user)| (fragment.len(), std::cmp::Reverse(*user)))
+        .expect("jobs have candidates");
+    group.bench_with_input(
+        BenchmarkId::new("fragment-miss", fragment.len()),
+        &fragment,
+        |bench, fragment| {
+            let raw = fragment.as_bytes();
+            bench.iter(|| {
+                std::hint::black_box((
+                    hyrec_wire::deflate::compress_chunk(
+                        raw,
+                        hyrec_wire::deflate::lz77::Effort::FAST,
+                    ),
+                    hyrec_wire::crc::crc32(raw),
+                    hyrec_wire::crc::ShiftOp::for_len(raw.len() as u64),
                 ))
             });
         },

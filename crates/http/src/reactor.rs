@@ -442,7 +442,7 @@ struct Conn {
     stream: TcpStream,
     /// Rolling read buffer; may hold several pipelined requests (recycled
     /// through the buffer pool).
-    buf: Vec<u8>,
+    buf: ReadBuf,
     /// Staged response bytes (recycled through the buffer pool).
     out: Vec<u8>,
     written: usize,
@@ -467,6 +467,56 @@ struct Conn {
     interest: u32,
     /// Where framing resumes on `buf`.
     framing: FrameCursor,
+}
+
+/// A connection's rolling read buffer: the bytes not yet framed are
+/// `bytes[start..]`. Framing a request advances `start`; the framed front
+/// is dropped in one move once it passes half the buffer. Each move then
+/// shifts fewer bytes than were framed since the last, so a pipelined
+/// burst costs moves linear in the bytes received, not one move of
+/// everything still buffered per request.
+#[derive(Debug, Default)]
+struct ReadBuf {
+    bytes: Vec<u8>,
+    start: usize,
+}
+
+impl ReadBuf {
+    /// The bytes received and not yet framed.
+    fn unread(&self) -> &[u8] {
+        &self.bytes[self.start..]
+    }
+
+    fn extend(&mut self, data: &[u8]) {
+        self.bytes.extend_from_slice(data);
+    }
+
+    /// Drops the first `n` unread bytes (a framed request) and returns how
+    /// many bytes that moved.
+    fn consume(&mut self, n: usize) -> usize {
+        self.start += n;
+        debug_assert!(self.start <= self.bytes.len());
+        if self.start == self.bytes.len() {
+            self.clear();
+            0
+        } else if self.start > self.bytes.len() / 2 {
+            self.bytes.drain(..self.start);
+            self.start = 0;
+            self.bytes.len()
+        } else {
+            0
+        }
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.start = 0;
+    }
+
+    /// The allocation, for the buffer pool.
+    fn into_vec(self) -> Vec<u8> {
+        self.bytes
+    }
 }
 
 impl Conn {
@@ -861,7 +911,10 @@ impl Shard {
             .fetch_add(1, Ordering::Relaxed);
         let conn = Conn {
             stream,
-            buf: buffer_pool.pop().unwrap_or_default(),
+            buf: ReadBuf {
+                bytes: buffer_pool.pop().unwrap_or_default(),
+                start: 0,
+            },
             out: buffer_pool.pop().unwrap_or_default(),
             written: 0,
             since: Instant::now(),
@@ -994,9 +1047,9 @@ impl Shard {
                 {
                     FrameStep::Stop
                 } else {
-                    match Request::try_parse_resuming(&conn.buf, &mut conn.framing) {
+                    match Request::try_parse_resuming(conn.buf.unread(), &mut conn.framing) {
                         Ok(Some((request, consumed))) => {
-                            conn.buf.drain(..consumed);
+                            conn.buf.consume(consumed);
                             conn.since = Instant::now();
                             let seq = conn.next_assign;
                             conn.next_assign += 1;
@@ -1316,7 +1369,8 @@ impl Shard {
     ) {
         if let Some(mut conn) = slab.remove(token) {
             let _ = epoll.delete(conn.stream.as_raw_fd());
-            for mut buf in [std::mem::take(&mut conn.buf), std::mem::take(&mut conn.out)] {
+            let read = std::mem::take(&mut conn.buf).into_vec();
+            for mut buf in [read, std::mem::take(&mut conn.out)] {
                 if buffer_pool.len() < BUFFER_POOL_CAP && buf.capacity() <= BUFFER_RECYCLE_MAX {
                     buf.clear();
                     buffer_pool.push(buf);
@@ -1350,11 +1404,11 @@ fn pull_bytes(conn: &mut Conn) -> Pull {
                 break;
             }
             Ok(n) => {
-                conn.buf.extend_from_slice(&chunk[..n]);
+                conn.buf.extend(&chunk[..n]);
                 // Progress resets the idle clock: the sweep drops stalled
                 // connections, not slow-but-active ones.
                 conn.since = Instant::now();
-                if conn.buf.len() > MAX_CONN_BUF {
+                if conn.buf.unread().len() > MAX_CONN_BUF {
                     return Pull::TooLarge;
                 }
             }
@@ -1677,6 +1731,103 @@ mod tests {
         );
         let active = stats.shards().iter().filter(|s| s.requests() > 0).count();
         assert_eq!(active, 2, "batch traffic should have loaded both shards");
+        handle.stop();
+    }
+
+    /// Frames every complete request in `buf`, at most `cap` of them,
+    /// and returns how many it framed and how many bytes that moved.
+    fn frame_pass(buf: &mut ReadBuf, cursor: &mut FrameCursor, cap: u64) -> (u64, usize) {
+        let (mut framed, mut moved) = (0, 0);
+        while framed < cap {
+            match Request::try_parse_resuming(buf.unread(), cursor).unwrap() {
+                Some((_, consumed)) => {
+                    moved += buf.consume(consumed);
+                    framed += 1;
+                }
+                None => break,
+            }
+        }
+        (framed, moved)
+    }
+
+    #[test]
+    fn read_buffer_moves_stay_linear_on_pipelined_bursts() {
+        const REQUESTS: u64 = 20_000;
+        let wire = b"GET / HTTP/1.1\r\n\r\n".repeat(REQUESTS as usize);
+
+        // The whole burst buffered before framing resumes (the pipeline
+        // cap pauses it), then framed MAX_PIPELINE requests per pass.
+        // Draining each request from the front would move ~3.6 GB here.
+        let mut buf = ReadBuf::default();
+        let mut cursor = FrameCursor::default();
+        for chunk in wire.chunks(READ_CHUNK) {
+            buf.extend(chunk);
+        }
+        let (mut framed, mut moved) = (0, 0);
+        loop {
+            let (n, m) = frame_pass(&mut buf, &mut cursor, MAX_PIPELINE);
+            if n == 0 {
+                break;
+            }
+            framed += n;
+            moved += m;
+        }
+        assert_eq!(framed, REQUESTS);
+        assert!(buf.unread().is_empty());
+        assert!(moved <= wire.len(), "moved {moved} of {} bytes", wire.len());
+
+        // Framing between reads, with reads that split requests.
+        let mut buf = ReadBuf::default();
+        let (mut framed, mut moved) = (0, 0);
+        for chunk in wire.chunks(READ_CHUNK - 5) {
+            buf.extend(chunk);
+            let (n, m) = frame_pass(&mut buf, &mut cursor, u64::MAX);
+            framed += n;
+            moved += m;
+        }
+        assert_eq!(framed, REQUESTS);
+        assert!(buf.unread().is_empty());
+        assert!(moved <= wire.len(), "moved {moved} of {} bytes", wire.len());
+    }
+
+    #[test]
+    fn pipelined_burst_of_20k_requests_is_answered_in_order() {
+        const REQUESTS: usize = 20_000;
+        let server = ReactorServer::bind("127.0.0.1:0", 1).unwrap();
+        let addr = server.local_addr();
+        let handle = server.serve(ping_router());
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut wire = Vec::new();
+        for i in 0..REQUESTS {
+            wire.extend_from_slice(format!("GET /echo?msg={i} HTTP/1.1\r\n\r\n").as_bytes());
+        }
+        // One write, from its own thread so reading can start at once.
+        let mut writer = stream.try_clone().unwrap();
+        let sender = thread::spawn(move || writer.write_all(&wire).unwrap());
+
+        let mut buf = Vec::new();
+        let mut start = 0;
+        let mut chunk = [0u8; 64 * 1024];
+        let mut answered = 0;
+        while answered < REQUESTS {
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "server closed after {answered} responses");
+            buf.drain(..start);
+            start = 0;
+            buf.extend_from_slice(&chunk[..n]);
+            while let Some((response, consumed)) = Response::try_parse(&buf[start..]).unwrap() {
+                start += consumed;
+                assert_eq!(response.status, 200);
+                assert_eq!(response.body, answered.to_string().into_bytes());
+                answered += 1;
+            }
+        }
+        sender.join().unwrap();
+        assert_eq!(handle.stats().connections(), 1);
         handle.stop();
     }
 

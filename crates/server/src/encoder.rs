@@ -13,17 +13,23 @@
 //! [`Profile::stamp`] the fragment was compressed from. Every change of a
 //! profile's votes draws a fresh stamp and clones keep theirs, so checking
 //! an entry is one integer compare — no pass over the item lists — and a
-//! hit costs that compare plus a reference-count bump. Serving a request
+//! hit costs that compare plus a reference-count bump. A miss (the
+//! candidate voted since its fragment was cached) recompresses the
+//! fragment, takes its CRC-32 and builds its shift operator (an
+//! O(log n) polynomial power, well under a microsecond). Serving a request
 //! then reduces to:
 //!
-//! 1. compress the tiny dynamic prefix (requester id + profile),
+//! 1. compress the tiny dynamic prefix (requester id + profile) — one
+//!    `compress_chunk` of a few hundred bytes, which allocates only the
+//!    exact-size chunk it returns,
 //! 2. memcpy the cached candidate chunks,
 //! 3. fold the cached CRCs with [`hyrec_wire::crc::ShiftOp::combine`],
 //! 4. append the precomputed `]}` suffix chunk, the stream terminator and
 //!    the gzip trailer.
 //!
 //! [`JobEncoder::resolve`] and [`ResolvedBatch::assemble`] expose the two
-//! halves (cache work, then per-job assembly) so each can be timed alone.
+//! halves (cache work, then per-job assembly) so each can be timed alone;
+//! [`JobEncoder::stats`] counts the cache's hits, misses and evictions.
 //!
 //! This is the engineering reason the HyRec front-end outruns the CRec
 //! front-end in Figure 8: CRec must recompute item popularity over every
@@ -157,6 +163,10 @@ struct CachedFragment {
 /// ```
 pub struct JobEncoder {
     cache: RwLock<FastHashMap<UserId, Arc<CachedFragment>>>,
+    /// Totals behind [`Self::stats`], one relaxed add each per batch.
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
     /// Fragment-count bound; exceeding it triggers an epoch sweep back down
     /// to half the bound (amortized O(1) per insert).
     capacity: usize,
@@ -164,6 +174,19 @@ pub struct JobEncoder {
     /// encode/encode_jobs call, not per fragment — cheaper and just as good
     /// an LRU approximation).
     tick: AtomicU64,
+}
+
+/// Fragment-cache totals of a [`JobEncoder`] since it was created.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EncoderStats {
+    /// Candidates served from a cached fragment.
+    pub hits: u64,
+    /// Candidates whose fragment was missing or stale. A fragment missing
+    /// for several jobs of one batch is compressed once but counted once
+    /// per candidate.
+    pub misses: u64,
+    /// Fragments dropped by the capacity sweep.
+    pub evictions: u64,
 }
 
 /// Every candidate fragment of a batch of jobs, resolved against the
@@ -202,6 +225,9 @@ impl JobEncoder {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             cache: RwLock::new(FastHashMap::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
             capacity: capacity.max(1),
             tick: AtomicU64::new(0),
         }
@@ -217,6 +243,16 @@ impl JobEncoder {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// A snapshot of the fragment-cache counters.
+    #[must_use]
+    pub fn stats(&self) -> EncoderStats {
+        EncoderStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
     }
 
     /// Encodes a job to a gzip member assembled from cached fragments.
@@ -278,6 +314,10 @@ impl JobEncoder {
                 }
             }
         }
+        self.hits
+            .fetch_add((total - pending.len()) as u64, Ordering::Relaxed);
+        self.misses
+            .fetch_add(pending.len() as u64, Ordering::Relaxed);
 
         if !misses.is_empty() {
             // Pass 2 — compress the misses with no lock held.
@@ -338,6 +378,7 @@ impl JobEncoder {
         for &(_, user) in ages.iter().take(excess) {
             cache.remove(&user);
         }
+        self.evictions.fetch_add(excess as u64, Ordering::Relaxed);
     }
 }
 
@@ -464,6 +505,59 @@ mod tests {
         let b = encoder.encode(&job);
         assert_eq!(a, b);
         assert_eq!(encoder.cached_profiles(), 2);
+    }
+
+    #[test]
+    fn stats_count_hits_misses_and_evictions() {
+        let encoder = JobEncoder::with_capacity(3);
+        let warm = job();
+        // Cold batch: the second job's two candidates repeat the first's,
+        // compressed once but counted as misses per candidate.
+        let _ = encoder.encode_jobs(&[warm.clone(), warm.clone()]);
+        assert_eq!(
+            encoder.stats(),
+            EncoderStats {
+                hits: 0,
+                misses: 4,
+                evictions: 0
+            }
+        );
+        // Warm batch: every candidate hits.
+        let _ = encoder.encode_jobs(&[warm.clone(), warm.clone()]);
+        assert_eq!(encoder.stats().hits, 4);
+        assert_eq!(encoder.stats().misses, 4);
+
+        // Changed profile (a clone keeps its stamp until it records a
+        // vote): one candidate misses, one hits.
+        let mut changed = warm.clone();
+        changed.candidates = CandidateSet::new();
+        for candidate in warm.candidates.iter() {
+            let mut profile = Profile::clone(&candidate.profile);
+            if candidate.user == UserId(2) {
+                profile.record(hyrec_core::ItemId(77), hyrec_core::Vote::Like);
+            }
+            changed.candidates.insert(candidate.user, profile);
+        }
+        let _ = encoder.encode_jobs(&[changed]);
+        assert_eq!(
+            encoder.stats(),
+            EncoderStats {
+                hits: 5,
+                misses: 5,
+                evictions: 0
+            }
+        );
+
+        // Two new users overflow the bound of 3: the sweep keeps 1.
+        let mut crowd = job();
+        let mut candidates = CandidateSet::new();
+        candidates.insert(UserId(8), Profile::from_liked([1u32]));
+        candidates.insert(UserId(9), Profile::from_liked([2u32]));
+        crowd.candidates = candidates;
+        let _ = encoder.encode_jobs(&[crowd]);
+        assert_eq!(encoder.stats().misses, 7);
+        assert_eq!(encoder.stats().evictions, 3);
+        assert_eq!(encoder.cached_profiles(), 1);
     }
 
     #[test]

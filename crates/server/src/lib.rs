@@ -66,7 +66,7 @@ pub mod server;
 
 pub use config::{HyRecConfig, HyRecConfigBuilder};
 pub use crec::CRecFrontEnd;
-pub use encoder::JobEncoder;
+pub use encoder::{EncoderStats, JobEncoder};
 pub use offline::{CRecBackend, ExhaustiveBackend, MahoutLikeBackend, OfflineBackend};
 pub use online_ideal::OnlineIdeal;
 pub use sampler::{DefaultSampler, NoRandomSampler, RandomOnlySampler, Sampler};

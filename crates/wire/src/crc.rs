@@ -8,10 +8,12 @@
 //! through `TABLES[0]`.
 //!
 //! [`crc32_combine`] merges the CRCs of two concatenated byte ranges
-//! without touching the bytes — the GF(2) matrix technique from zlib — and
-//! [`ShiftOp`] caches the per-length operator so a server can combine a
-//! request's worth of cached fragments in nanoseconds each. This is what
-//! makes the fragment-cached job encoder viable.
+//! without touching the bytes. Appending `n` bytes multiplies the first
+//! CRC by x^(8n) modulo the CRC polynomial; as in zlib, that power comes
+//! from a table of x^(2^k) mod P in about log2(8n) polynomial products.
+//! [`ShiftOp`] caches the operator as a 32×32 GF(2) matrix so a server can
+//! combine a request's worth of cached fragments in nanoseconds each. This
+//! is what makes the fragment-cached job encoder viable.
 
 /// CRC-32 polynomial (reflected).
 const POLY: u32 = 0xEDB8_8320;
@@ -101,76 +103,60 @@ fn matrix_times(mat: &Matrix, vec: u32) -> u32 {
     sum
 }
 
-fn matrix_square(square: &mut Matrix, mat: &Matrix) {
-    for n in 0..32 {
-        square[n] = matrix_times(mat, mat[n]);
+// Polynomials over GF(2) modulo P, in the CRC's reflected bit order: bit
+// 31 is the coefficient of x^0 and bit 0 that of x^31.
+
+/// `b · x mod P`.
+const fn times_x(b: u32) -> u32 {
+    if b & 1 == 1 {
+        POLY ^ (b >> 1)
+    } else {
+        b >> 1
     }
 }
 
-fn matrix_mul(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = [0u32; 32];
-    for n in 0..32 {
-        out[n] = matrix_times(a, b[n]);
-    }
-    out
-}
-
-fn identity() -> Matrix {
-    let mut m = [0u32; 32];
-    for (n, entry) in m.iter_mut().enumerate() {
-        *entry = 1u32 << n;
-    }
-    m
-}
-
-/// Runs the zlib combine loop, optionally accumulating the total operator.
-fn combine_impl(mut crc1: u32, len2: u64, accumulate: Option<&mut Matrix>) -> u32 {
-    if len2 == 0 {
-        return crc1;
-    }
-    let mut even: Matrix = [0u32; 32];
-    let mut odd: Matrix = [0u32; 32];
-
-    // Operator for one zero bit.
-    odd[0] = POLY;
-    let mut row = 1u32;
-    for entry in odd.iter_mut().skip(1) {
-        *entry = row;
-        row <<= 1;
-    }
-    matrix_square(&mut even, &odd); // two zero bits
-    matrix_square(&mut odd, &even); // four zero bits
-
-    let mut acc = accumulate.map(|m| (m, identity()));
-    let mut len2 = len2;
+/// `a · b mod P` for nonzero `a` (zlib's `multmodp`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
     loop {
-        matrix_square(&mut even, &odd); // eight, thirty-two, ... zero bits
-        if len2 & 1 != 0 {
-            crc1 = matrix_times(&even, crc1);
-            if let Some((_, total)) = acc.as_mut() {
-                *total = matrix_mul(&even, total);
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
             }
         }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
-        matrix_square(&mut odd, &even);
-        if len2 & 1 != 0 {
-            crc1 = matrix_times(&odd, crc1);
-            if let Some((_, total)) = acc.as_mut() {
-                *total = matrix_mul(&odd, total);
-            }
-        }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
+        m >>= 1;
+        b = times_x(b);
     }
-    if let Some((out, total)) = acc {
-        *out = total;
+}
+
+/// `X2N[k]` is x^(2^k) mod P. The sequence repeats with period 32, so
+/// `X2N[k & 31]` serves every k.
+static X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    table[0] = p;
+    let mut k = 1;
+    while k < 32 {
+        p = multmodp(p, p);
+        table[k] = p;
+        k += 1;
     }
-    crc1
+    table
+};
+
+/// x^(n · 2^k) mod P (zlib's `x2nmodp`).
+fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    while n != 0 {
+        if n & 1 == 1 {
+            p = multmodp(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
 }
 
 /// Combines `crc32(a)` and `crc32(b)` into `crc32(a ++ b)` where
@@ -184,12 +170,15 @@ fn combine_impl(mut crc1: u32, len2: u64, accumulate: Option<&mut Matrix>) -> u3
 /// ```
 #[must_use]
 pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
-    combine_impl(crc1, len2, None) ^ crc2
+    // x^(8 · len2): k = 3 scales the byte count to bits.
+    multmodp(x2nmodp(len2, 3), crc1) ^ crc2
 }
 
 /// A cached "advance CRC past `len` zero bytes" operator.
 ///
-/// Computing the operator costs a few microseconds; applying it costs one
+/// Building the operator costs one x^(8·len) mod P (about log2(len)
+/// polynomial products) and 31 multiplications by x to spread it into
+/// matrix columns, a fraction of a microsecond; applying it costs one
 /// branchless 32-column matrix-vector product (~15 ns on a 2-vCPU x86-64
 /// VM), so callers that repeatedly append the *same* fragment amortize the
 /// cost to nothing.
@@ -203,9 +192,14 @@ impl ShiftOp {
     /// Builds the operator for appending `len` bytes.
     #[must_use]
     pub fn for_len(len: u64) -> Self {
-        let mut matrix = identity();
-        if len > 0 {
-            let _ = combine_impl(0, len, Some(&mut matrix));
+        // Column i is the image of bit i, the polynomial x^(31 − i): the
+        // operator's power times x^(31 − i), so each column is the next
+        // one times x.
+        let mut matrix = [0u32; 32];
+        let mut column = x2nmodp(len, 3);
+        for entry in matrix.iter_mut().rev() {
+            *entry = column;
+            column = times_x(column);
         }
         Self { matrix, len }
     }

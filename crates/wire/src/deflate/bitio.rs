@@ -6,12 +6,18 @@
 //! bit-reversing codes before writing ([`reverse_bits`]).
 
 /// Writes bit fields LSB-first into a byte vector.
+///
+/// Fields collect in a 64-bit accumulator that is stored to the buffer a
+/// whole little-endian word at a time; [`Self::align_to_byte`] and
+/// [`Self::into_bytes`] store what remains of the last word. A writer made
+/// by `with_capacity` with a block's exact size never reallocates
+/// and hands back an exact-size buffer.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits accumulated but not yet flushed (low bits are oldest).
+    /// Bits accumulated but not yet stored (low bits are oldest).
     bit_buf: u64,
-    /// Number of valid bits in `bit_buf` (< 8 after `flush_bytes`).
+    /// Number of valid bits in `bit_buf` (always < 64).
     bit_count: u32,
 }
 
@@ -22,6 +28,16 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates an empty writer whose buffer holds `bytes` bytes before it
+    /// grows.
+    #[must_use]
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Self {
+            bytes: Vec::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
     /// Appends the low `count` bits of `value`, LSB-first.
     ///
     /// # Panics
@@ -30,22 +46,33 @@ impl BitWriter {
     pub fn write_bits(&mut self, value: u32, count: u32) {
         assert!(count <= 32, "bit field too wide: {count}");
         debug_assert!(count == 32 || u64::from(value) < (1u64 << count));
-        self.bit_buf |= u64::from(value) << self.bit_count;
+        self.put(u64::from(value), count);
+    }
+
+    /// Appends `count < 64` bits; `value` must have no bits above them.
+    /// A whole match (length code and extra bits, distance code and extra
+    /// bits: at most 48 bits) goes in one call.
+    #[inline(always)]
+    pub(crate) fn put(&mut self, value: u64, count: u32) {
+        debug_assert!(count < 64 && value >> count == 0);
+        self.bit_buf |= value << self.bit_count;
         self.bit_count += count;
-        while self.bit_count >= 8 {
-            self.bytes.push((self.bit_buf & 0xFF) as u8);
-            self.bit_buf >>= 8;
-            self.bit_count -= 8;
+        if self.bit_count >= 64 {
+            self.bytes.extend_from_slice(&self.bit_buf.to_le_bytes());
+            self.bit_count -= 64;
+            // The high bits of `value` that did not fit in the stored word
+            // (none when it filled the word exactly).
+            self.bit_buf = value >> (count - self.bit_count);
         }
     }
 
     /// Pads with zero bits to the next byte boundary (stored-block headers).
     pub fn align_to_byte(&mut self) {
-        if self.bit_count > 0 {
-            self.bytes.push((self.bit_buf & 0xFF) as u8);
-            self.bit_buf = 0;
-            self.bit_count = 0;
-        }
+        let whole = self.bit_count.div_ceil(8) as usize;
+        self.bytes
+            .extend_from_slice(&self.bit_buf.to_le_bytes()[..whole]);
+        self.bit_buf = 0;
+        self.bit_count = 0;
     }
 
     /// Appends whole bytes; the writer must be byte-aligned.
@@ -54,14 +81,15 @@ impl BitWriter {
     ///
     /// Panics if called while not at a byte boundary.
     pub fn write_bytes(&mut self, data: &[u8]) {
-        assert_eq!(self.bit_count, 0, "write_bytes requires byte alignment");
+        assert_eq!(self.bit_count % 8, 0, "write_bytes requires byte alignment");
+        self.align_to_byte();
         self.bytes.extend_from_slice(data);
     }
 
     /// Number of complete bytes written so far.
     #[must_use]
     pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+        self.bytes.len() + self.bit_count as usize / 8
     }
 
     /// Finishes the stream, flushing any partial byte (zero-padded).

@@ -1,12 +1,19 @@
 //! The DEFLATE compressor: token stream → smallest of stored / fixed / dynamic.
+//!
+//! One call tokenizes on its thread's reused tables (see [`super::lz77`]),
+//! which also count the symbols; builds both dynamic codes, the dynamic
+//! header and the canonical codes in stack arrays; prices the stored, fixed
+//! and dynamic encodings in bits; and writes the cheapest through a 64-bit
+//! [`BitWriter`] sized from that exact cost. The only allocation is the
+//! returned buffer, and its length equals its capacity.
 
 use super::bitio::BitWriter;
 use super::huffman::{
-    assign_codes, build_code_lengths, FIXED_DISTANCE_CODES, FIXED_DISTANCE_LENGTHS,
+    fill_code_lengths, fill_codes, FIXED_DISTANCE_CODES, FIXED_DISTANCE_LENGTHS,
     FIXED_LITERAL_CODES, FIXED_LITERAL_LENGTHS, MAX_BITS,
 };
-use super::lz77::{tokenize, Effort, Token};
-use super::{dist_to_code, length_to_code, CLC_ORDER};
+use super::lz77::{self, Effort, Packed, SymbolCounts};
+use super::{dist_index, CLC_ORDER, DIST_CODES, LENGTH_CODES, LENGTH_INDEX};
 
 /// Compresses `data` into a raw DEFLATE stream.
 ///
@@ -15,9 +22,7 @@ use super::{dist_to_code, length_to_code, CLC_ORDER};
 /// dynamic-Huffman encodings is smallest.
 #[must_use]
 pub fn compress(data: &[u8], effort: Effort) -> Vec<u8> {
-    let mut writer = BitWriter::new();
-    write_blocks(&mut writer, data, effort, true);
-    writer.into_bytes()
+    encode(data, effort, true)
 }
 
 /// Compresses `data` as a **non-final, byte-aligned chunk** — the
@@ -41,131 +46,111 @@ pub fn compress(data: &[u8], effort: Effort) -> Vec<u8> {
 /// ```
 #[must_use]
 pub fn compress_chunk(data: &[u8], effort: Effort) -> Vec<u8> {
-    let mut writer = BitWriter::new();
-    write_blocks(&mut writer, data, effort, false);
-    // Sync flush: empty non-final stored block. Its header bits continue
-    // the stream wherever the previous block ended; the stored framing then
-    // realigns to a byte boundary, so the result is exactly byte-aligned.
-    writer.write_bits(0, 1); // BFINAL = 0
-    writer.write_bits(0b00, 2); // stored
-    writer.align_to_byte();
-    writer.write_bytes(&0u16.to_le_bytes());
-    writer.write_bytes(&(!0u16).to_le_bytes());
-    writer.into_bytes()
+    encode(data, effort, false)
 }
 
 /// The 5-byte empty **final** stored block terminating a stream assembled
 /// from [`compress_chunk`] pieces.
 pub const STREAM_TERMINATOR: [u8; 5] = [0x01, 0x00, 0x00, 0xFF, 0xFF];
 
-fn write_blocks(writer: &mut BitWriter, data: &[u8], effort: Effort, final_stream: bool) {
-    let tokens = tokenize(data, effort);
+/// Largest payload of one stored block.
+const STORED_MAX: usize = 65535;
 
-    // Symbol frequencies (including the mandatory end-of-block symbol 256).
-    let mut lit_freqs = [0u64; 286];
-    let mut dist_freqs = [0u64; 30];
-    lit_freqs[256] = 1;
-    for token in &tokens {
-        match *token {
-            Token::Literal(b) => lit_freqs[b as usize] += 1,
-            Token::Match { len, dist } => {
-                lit_freqs[length_to_code(len).0 as usize] += 1;
-                dist_freqs[dist_to_code(dist).0 as usize] += 1;
-            }
+fn encode(data: &[u8], effort: Effort, final_stream: bool) -> Vec<u8> {
+    lz77::with_tokens(data, effort, |tokens, counts| {
+        let mut lit_lengths = [0u8; 286];
+        let mut dist_lengths = [0u8; 30];
+        fill_code_lengths(&counts.lit, MAX_BITS, &mut lit_lengths);
+        fill_code_lengths(&counts.dist, MAX_BITS, &mut dist_lengths);
+
+        // Costs in bits, each exact.
+        let fixed_cost = body_cost(&FIXED_LITERAL_LENGTHS, &FIXED_DISTANCE_LENGTHS, counts);
+        let header = DynamicHeader::new(&lit_lengths, &dist_lengths);
+        let dyn_cost = header.cost + body_cost(&lit_lengths, &dist_lengths, counts);
+        let stored_blocks = data.len().div_ceil(STORED_MAX).max(1);
+        // The choice prices a stored block with up to 7 alignment bits (an
+        // overestimate); which block wins, and so every output byte,
+        // depends on this formula.
+        let stored_cost =
+            (data.len() / STORED_MAX + 1) as u64 * (7 + 3 + 32) + data.len() as u64 * 8;
+
+        let stored = stored_cost <= fixed_cost.min(dyn_cost);
+        // The exact output size. A stored block is a header byte, LEN/NLEN
+        // and the payload; a chunk's sync flush adds 3 header bits, the
+        // alignment and LEN/NLEN.
+        let (bits, flush) = if final_stream { (0, 0) } else { (3, 4) };
+        let size = if stored {
+            stored_blocks * 5 + data.len() + (bits as usize).div_ceil(8) + flush
+        } else {
+            (fixed_cost.min(dyn_cost) + bits).div_ceil(8) as usize + flush
+        };
+        let mut writer = BitWriter::with_capacity(size);
+        let bfinal = u64::from(final_stream);
+        if stored {
+            write_stored(&mut writer, data, final_stream);
+        } else if fixed_cost <= dyn_cost {
+            writer.put(bfinal | 0b01 << 1, 3);
+            write_body(
+                &mut writer,
+                tokens,
+                (&FIXED_LITERAL_LENGTHS, &FIXED_LITERAL_CODES),
+                (&FIXED_DISTANCE_LENGTHS, &FIXED_DISTANCE_CODES),
+            );
+        } else {
+            writer.put(bfinal | 0b10 << 1, 3);
+            header.write(&mut writer);
+            let mut lit_codes = [0u16; 286];
+            let mut dist_codes = [0u16; 30];
+            fill_codes(&lit_lengths, &mut lit_codes);
+            fill_codes(&dist_lengths, &mut dist_codes);
+            write_body(
+                &mut writer,
+                tokens,
+                (&lit_lengths, &lit_codes),
+                (&dist_lengths, &dist_codes),
+            );
         }
-    }
-
-    let dyn_lit_lengths = build_code_lengths(&lit_freqs, MAX_BITS);
-    let dyn_dist_lengths = build_code_lengths(&dist_freqs, MAX_BITS);
-
-    // Costs in bits.
-    let fixed_cost = body_cost(
-        &tokens,
-        &FIXED_LITERAL_LENGTHS,
-        &FIXED_DISTANCE_LENGTHS,
-        &lit_freqs,
-        &dist_freqs,
-    );
-    let (header, dyn_header_cost) = dynamic_header(&dyn_lit_lengths, &dyn_dist_lengths);
-    let dyn_cost = dyn_header_cost
-        + body_cost(
-            &tokens,
-            &dyn_lit_lengths,
-            &dyn_dist_lengths,
-            &lit_freqs,
-            &dist_freqs,
-        );
-    let stored_cost = stored_cost_bits(data.len());
-
-    let bfinal = u32::from(final_stream);
-    if stored_cost <= fixed_cost.min(dyn_cost) {
-        write_stored(writer, data, final_stream);
-    } else if fixed_cost <= dyn_cost {
-        writer.write_bits(bfinal, 1); // BFINAL
-        writer.write_bits(0b01, 2); // fixed
-        write_body(
-            writer,
-            &tokens,
-            (&FIXED_LITERAL_LENGTHS, &FIXED_LITERAL_CODES),
-            (&FIXED_DISTANCE_LENGTHS, &FIXED_DISTANCE_CODES),
-        );
-    } else {
-        writer.write_bits(bfinal, 1); // BFINAL
-        writer.write_bits(0b10, 2); // dynamic
-        write_dynamic_header(writer, &header);
-        write_body(
-            writer,
-            &tokens,
-            (&dyn_lit_lengths, &assign_codes(&dyn_lit_lengths)),
-            (&dyn_dist_lengths, &assign_codes(&dyn_dist_lengths)),
-        );
-    }
+        if !final_stream {
+            // Sync flush: empty non-final stored block. Its header bits
+            // continue the stream wherever the previous block ended; the
+            // stored framing then realigns to a byte boundary, so the
+            // result is exactly byte-aligned.
+            writer.put(0, 3);
+            writer.align_to_byte();
+            writer.write_bytes(&[0x00, 0x00, 0xFF, 0xFF]);
+        }
+        let bytes = writer.into_bytes();
+        debug_assert_eq!(bytes.len(), bytes.capacity());
+        bytes
+    })
 }
 
-/// Bits needed to emit the token body under the given code lengths.
-fn body_cost(
-    _tokens: &[Token],
-    lit_lengths: &[u8],
-    dist_lengths: &[u8],
-    lit_freqs: &[u64],
-    dist_freqs: &[u64],
-) -> u64 {
-    let mut bits = 0u64;
-    for (symbol, &freq) in lit_freqs.iter().enumerate() {
-        if freq == 0 {
-            continue;
-        }
-        let mut per = u64::from(lit_lengths[symbol]);
-        if symbol >= 257 {
-            per += u64::from(super::LENGTH_CODES[symbol - 257].1);
-        }
-        bits += freq * per;
+/// Bits needed to emit a block of the counted symbols under the given code
+/// lengths, the 3 block-header bits included.
+fn body_cost(lit_lengths: &[u8], dist_lengths: &[u8], counts: &SymbolCounts) -> u64 {
+    let mut bits = 3u64;
+    for (&freq, &len) in counts.lit[..257].iter().zip(lit_lengths) {
+        bits += freq * u64::from(len);
     }
-    for (symbol, &freq) in dist_freqs.iter().enumerate() {
-        if freq == 0 {
-            continue;
-        }
-        bits += freq * (u64::from(dist_lengths[symbol]) + u64::from(super::DIST_CODES[symbol].1));
+    for ((&freq, &len), &(_, extra)) in counts.lit[257..]
+        .iter()
+        .zip(&lit_lengths[257..])
+        .zip(&LENGTH_CODES)
+    {
+        bits += freq * u64::from(len + extra);
     }
-    bits + 3 // block header
-}
-
-fn stored_cost_bits(len: usize) -> u64 {
-    // Each stored block: up to byte-align (≤7) + 3 header bits + 32 bits
-    // LEN/NLEN + payload; blocks cap at 65535 bytes.
-    let blocks = (len / 65535 + 1) as u64;
-    blocks * (7 + 3 + 32) + (len as u64) * 8
+    for ((&freq, &len), &(_, extra)) in counts.dist.iter().zip(dist_lengths).zip(&DIST_CODES) {
+        bits += freq * u64::from(len + extra);
+    }
+    bits
 }
 
 fn write_stored(writer: &mut BitWriter, data: &[u8], final_stream: bool) {
-    let mut chunks: Vec<&[u8]> = data.chunks(65535).collect();
-    if chunks.is_empty() {
-        chunks.push(&[]);
-    }
-    let last = chunks.len() - 1;
-    for (i, chunk) in chunks.iter().enumerate() {
-        writer.write_bits(u32::from(i == last && final_stream), 1); // BFINAL
-        writer.write_bits(0b00, 2); // stored
+    let blocks = data.len().div_ceil(STORED_MAX).max(1);
+    for i in 0..blocks {
+        let chunk = &data[i * STORED_MAX..((i + 1) * STORED_MAX).min(data.len())];
+        // BFINAL, then block type 00 (stored).
+        writer.put(u64::from(i == blocks - 1 && final_stream), 3);
         writer.align_to_byte();
         let len = chunk.len() as u16;
         writer.write_bytes(&len.to_le_bytes());
@@ -178,146 +163,171 @@ fn write_stored(writer: &mut BitWriter, data: &[u8], final_stream: bool) {
 /// each a `(lengths, bit-reversed codes)` pair.
 fn write_body(
     writer: &mut BitWriter,
-    tokens: &[Token],
+    tokens: &[Packed],
     (lit_lengths, lit_codes): (&[u8], &[u16]),
     (dist_lengths, dist_codes): (&[u8], &[u16]),
 ) {
-    let emit = |w: &mut BitWriter, codes: &[u16], lengths: &[u8], symbol: usize| {
-        debug_assert!(lengths[symbol] > 0, "emitting symbol with no code");
-        w.write_bits(u32::from(codes[symbol]), u32::from(lengths[symbol]));
-    };
-    for token in tokens {
-        match *token {
-            Token::Literal(b) => emit(writer, lit_codes, lit_lengths, b as usize),
-            Token::Match { len, dist } => {
-                let (lcode, lextra, lvalue) = length_to_code(len);
-                emit(writer, lit_codes, lit_lengths, lcode as usize);
-                if lextra > 0 {
-                    writer.write_bits(u32::from(lvalue), u32::from(lextra));
-                }
-                let (dcode, dextra, dvalue) = dist_to_code(dist);
-                emit(writer, dist_codes, dist_lengths, dcode as usize);
-                if dextra > 0 {
-                    writer.write_bits(u32::from(dvalue), u32::from(dextra));
-                }
-            }
+    for &token in tokens {
+        if token < 256 {
+            let symbol = token as usize;
+            writer.put(u64::from(lit_codes[symbol]), u32::from(lit_lengths[symbol]));
+            continue;
         }
+        // A whole match in one write: length code, its extra bits,
+        // distance code, its extra bits (at most 15 + 5 + 15 + 13 bits).
+        let len = (token >> 16) as usize;
+        let distance = (token & 0xFFFF) as usize;
+        let index = usize::from(LENGTH_INDEX[len]);
+        let (len_base, len_extra) = LENGTH_CODES[index];
+        let symbol = 257 + index;
+        let mut bits = u64::from(lit_codes[symbol]);
+        let mut count = u32::from(lit_lengths[symbol]);
+        bits |= ((len - usize::from(len_base)) as u64) << count;
+        count += u32::from(len_extra);
+        let code = dist_index(distance);
+        let (dist_base, dist_extra) = DIST_CODES[code];
+        bits |= u64::from(dist_codes[code]) << count;
+        count += u32::from(dist_lengths[code]);
+        bits |= ((distance - usize::from(dist_base)) as u64) << count;
+        count += u32::from(dist_extra);
+        writer.put(bits, count);
     }
-    emit(writer, lit_codes, lit_lengths, 256); // end of block
+    writer.put(u64::from(lit_codes[256]), u32::from(lit_lengths[256])); // end of block
 }
 
-/// A precomputed dynamic header: the RLE-compressed code-length sequence plus
-/// the code-length-code tables.
+/// Most code lengths a dynamic header lists: 286 literal/length plus 30
+/// distance codes.
+const MAX_HEADER_LENGTHS: usize = 286 + 30;
+
+/// A dynamic block header: the RLE-compressed code-length sequence plus the
+/// code-length code, and its cost in bits.
 struct DynamicHeader {
     hlit: usize,
     hdist: usize,
     hclen: usize,
-    clc_lengths: Vec<u8>,
-    clc_codes: Vec<u16>,
-    /// `(symbol, extra_bits, extra_value)` triples of the RLE stream.
-    rle: Vec<(u8, u8, u8)>,
+    clc_lengths: [u8; 19],
+    clc_codes: [u16; 19],
+    /// `(symbol, extra_value)` pairs of the RLE stream.
+    rle: [(u8, u8); MAX_HEADER_LENGTHS],
+    rle_len: usize,
+    cost: u64,
 }
 
-/// Builds the dynamic header and returns it with its cost in bits.
-fn dynamic_header(lit_lengths: &[u8], dist_lengths: &[u8]) -> (DynamicHeader, u64) {
-    // DEFLATE requires hlit >= 257 and hdist >= 1; unused trailing codes trimmed.
-    let hlit = (257..=286)
-        .rev()
-        .find(|&n| n == 257 || lit_lengths[n - 1] != 0)
-        .unwrap_or(257);
-    let hdist = (1..=30)
-        .rev()
-        .find(|&n| n == 1 || dist_lengths[n - 1] != 0)
-        .unwrap_or(1);
+/// Extra bits after a code-length-code symbol: 16 repeats the previous
+/// length 3–6 times, 17 and 18 write 3–10 and 11–138 zeros.
+fn clc_extra_bits(symbol: u8) -> u32 {
+    match symbol {
+        16 => 2,
+        17 => 3,
+        18 => 7,
+        _ => 0,
+    }
+}
 
-    // Concatenate and RLE-encode with symbols 16 (repeat prev 3-6),
-    // 17 (zeros 3-10), 18 (zeros 11-138).
-    let mut all = Vec::with_capacity(hlit + hdist);
-    all.extend_from_slice(&lit_lengths[..hlit]);
-    all.extend_from_slice(&dist_lengths[..hdist]);
+impl DynamicHeader {
+    fn new(lit_lengths: &[u8; 286], dist_lengths: &[u8; 30]) -> Self {
+        // DEFLATE requires hlit >= 257 and hdist >= 1; unused trailing codes
+        // are trimmed.
+        let hlit = 257
+            + lit_lengths[257..]
+                .iter()
+                .rposition(|&l| l != 0)
+                .map_or(0, |i| i + 1);
+        let hdist = 1 + dist_lengths[1..]
+            .iter()
+            .rposition(|&l| l != 0)
+            .map_or(0, |i| i + 1);
 
-    let mut rle: Vec<(u8, u8, u8)> = Vec::new();
-    let mut i = 0usize;
-    while i < all.len() {
-        let value = all[i];
-        let mut run = 1usize;
-        while i + run < all.len() && all[i + run] == value {
-            run += 1;
-        }
-        if value == 0 {
+        let mut all = [0u8; MAX_HEADER_LENGTHS];
+        all[..hlit].copy_from_slice(&lit_lengths[..hlit]);
+        all[hlit..hlit + hdist].copy_from_slice(&dist_lengths[..hdist]);
+        let all = &all[..hlit + hdist];
+
+        // Run-length encode with symbols 16 (repeat previous 3-6), 17
+        // (zeros 3-10) and 18 (zeros 11-138).
+        let mut rle = [(0u8, 0u8); MAX_HEADER_LENGTHS];
+        let mut rle_len = 0;
+        let mut push = |symbol: u8, extra_value: u8| {
+            rle[rle_len] = (symbol, extra_value);
+            rle_len += 1;
+        };
+        let mut i = 0usize;
+        while i < all.len() {
+            let value = all[i];
+            let run = 1 + all[i + 1..].iter().take_while(|&&l| l == value).count();
             let mut remaining = run;
-            while remaining >= 11 {
-                let take = remaining.min(138);
-                rle.push((18, 7, (take - 11) as u8));
-                remaining -= take;
-            }
-            if remaining >= 3 {
-                rle.push((17, 3, (remaining - 3) as u8));
-                remaining = 0;
+            if value == 0 {
+                while remaining >= 11 {
+                    let take = remaining.min(138);
+                    push(18, (take - 11) as u8);
+                    remaining -= take;
+                }
+                if remaining >= 3 {
+                    push(17, (remaining - 3) as u8);
+                    remaining = 0;
+                }
+            } else {
+                push(value, 0);
+                remaining -= 1;
+                while remaining >= 3 {
+                    let take = remaining.min(6);
+                    push(16, (take - 3) as u8);
+                    remaining -= take;
+                }
             }
             for _ in 0..remaining {
-                rle.push((0, 0, 0));
+                push(value, 0);
             }
-        } else {
-            rle.push((value, 0, 0));
-            let mut remaining = run - 1;
-            while remaining >= 3 {
-                let take = remaining.min(6);
-                rle.push((16, 2, (take - 3) as u8));
-                remaining -= take;
-            }
-            for _ in 0..remaining {
-                rle.push((value, 0, 0));
-            }
+            i += run;
         }
-        i += run;
-    }
 
-    // Code-length-code table from RLE symbol frequencies.
-    let mut clc_freqs = vec![0u64; 19];
-    for &(symbol, _, _) in &rle {
-        clc_freqs[symbol as usize] += 1;
-    }
-    let clc_lengths = build_code_lengths(&clc_freqs, 7);
-    let clc_codes = assign_codes(&clc_lengths);
+        // The code-length code, from the RLE symbol frequencies.
+        let mut clc_freqs = [0u64; 19];
+        for &(symbol, _) in &rle[..rle_len] {
+            clc_freqs[usize::from(symbol)] += 1;
+        }
+        let mut clc_lengths = [0u8; 19];
+        fill_code_lengths(&clc_freqs, 7, &mut clc_lengths);
+        let mut clc_codes = [0u16; 19];
+        fill_codes(&clc_lengths, &mut clc_codes);
+        let hclen = 4 + CLC_ORDER[4..]
+            .iter()
+            .rposition(|&s| clc_lengths[s] != 0)
+            .map_or(0, |i| i + 1);
 
-    let hclen = (4..=19)
-        .rev()
-        .find(|&n| n == 4 || clc_lengths[CLC_ORDER[n - 1]] != 0)
-        .unwrap_or(4);
+        let mut cost = 5 + 5 + 4 + 3 * hclen as u64;
+        for (&freq, (symbol, &len)) in clc_freqs.iter().zip(clc_lengths.iter().enumerate()) {
+            cost += freq * u64::from(u32::from(len) + clc_extra_bits(symbol as u8));
+        }
 
-    let mut cost = 5 + 5 + 4 + 3 * hclen as u64;
-    for &(symbol, extra, _) in &rle {
-        cost += u64::from(clc_lengths[symbol as usize]) + u64::from(extra);
-    }
-
-    (
-        DynamicHeader {
+        Self {
             hlit,
             hdist,
             hclen,
             clc_lengths,
             clc_codes,
             rle,
-        },
-        cost,
-    )
-}
-
-fn write_dynamic_header(writer: &mut BitWriter, header: &DynamicHeader) {
-    writer.write_bits((header.hlit - 257) as u32, 5);
-    writer.write_bits((header.hdist - 1) as u32, 5);
-    writer.write_bits((header.hclen - 4) as u32, 4);
-    for &order in CLC_ORDER.iter().take(header.hclen) {
-        writer.write_bits(u32::from(header.clc_lengths[order]), 3);
+            rle_len,
+            cost,
+        }
     }
-    for &(symbol, extra, value) in &header.rle {
-        writer.write_bits(
-            u32::from(header.clc_codes[symbol as usize]),
-            u32::from(header.clc_lengths[symbol as usize]),
+
+    fn write(&self, writer: &mut BitWriter) {
+        writer.put(
+            (self.hlit - 257) as u64
+                | ((self.hdist - 1) as u64) << 5
+                | ((self.hclen - 4) as u64) << 10,
+            14,
         );
-        if extra > 0 {
-            writer.write_bits(u32::from(value), u32::from(extra));
+        for &symbol in &CLC_ORDER[..self.hclen] {
+            writer.put(u64::from(self.clc_lengths[symbol]), 3);
+        }
+        for &(symbol, extra_value) in &self.rle[..self.rle_len] {
+            let len = u32::from(self.clc_lengths[usize::from(symbol)]);
+            writer.put(
+                u64::from(self.clc_codes[usize::from(symbol)]) | u64::from(extra_value) << len,
+                len + clc_extra_bits(symbol),
+            );
         }
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! The encoder side builds length-limited code lengths from symbol
 //! frequencies (Huffman tree + zlib-style depth fixup), then assigns
-//! canonical codes. The decoder side turns code lengths into a two-level
+//! canonical codes, all in stack arrays: the builder's heap holds integer
+//! keys that pop in a fixed order, so the lengths are a function of the
+//! frequencies alone. The decoder side turns code lengths into a two-level
 //! lookup table of packed entries indexed by bit-reversed codes, matching
 //! the LSB-first bit reader. The fixed code's lengths and codes are
 //! compile-time constants that the encoder and the decoder share.
@@ -26,128 +28,168 @@ pub const MAX_BITS: usize = 15;
 /// # Panics
 ///
 /// Panics if `max_bits` cannot accommodate the alphabet
-/// (`symbols > 2^max_bits`), which static call sites never do.
+/// (`symbols > 2^max_bits`), if the alphabet is larger than DEFLATE's
+/// 288 literal/length symbols, or if a frequency reaches 2^45; static
+/// call sites never do.
 #[must_use]
 pub fn build_code_lengths(freqs: &[u64], max_bits: usize) -> Vec<u8> {
+    let mut lengths = vec![0u8; freqs.len()];
+    fill_code_lengths(freqs, max_bits, &mut lengths);
+    lengths
+}
+
+/// A heap key: lower frequency first and, among equal frequencies, the
+/// node created later. That is exactly the order in which a
+/// `BinaryHeap<(Reverse(freq), node)>` pops, so the tree (and the lengths)
+/// are those of the classic construction.
+#[inline(always)]
+fn heap_key(freq: u64, node: usize) -> u64 {
+    (freq << 10) | (1023 - node as u64)
+}
+
+/// Restores the min-heap property below `i`.
+#[inline(always)]
+fn sift_down(heap: &mut [u64], mut i: usize) {
+    loop {
+        let left = 2 * i + 1;
+        if left >= heap.len() {
+            return;
+        }
+        let child = if left + 1 < heap.len() && heap[left + 1] < heap[left] {
+            left + 1
+        } else {
+            left
+        };
+        if heap[i] <= heap[child] {
+            return;
+        }
+        heap.swap(i, child);
+        i = child;
+    }
+}
+
+/// [`build_code_lengths`] into `lengths` (one per frequency).
+pub(crate) fn fill_code_lengths(freqs: &[u64], max_bits: usize, lengths: &mut [u8]) {
     let n = freqs.len();
+    assert!(n <= MAX_SYMBOLS, "alphabet larger than DEFLATE's");
     assert!(n <= (1usize << max_bits), "alphabet too large for max_bits");
-    let used: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
-    let mut lengths = vec![0u8; n];
-    match used.len() {
-        0 => return lengths,
+    debug_assert_eq!(lengths.len(), n);
+    lengths.fill(0);
+
+    // Leaf i is the i-th used symbol; internal nodes follow in creation
+    // order. At most 2 · 288 − 1 < 1024 nodes fit the key's index field,
+    // and frequencies below 2^45 keep every sum below 2^54.
+    let mut symbols = [0u16; MAX_SYMBOLS];
+    let mut heap = [0u64; MAX_SYMBOLS];
+    let mut used = 0;
+    for (symbol, &freq) in freqs.iter().enumerate() {
+        if freq > 0 {
+            assert!(freq < 1 << 45, "symbol frequency too large");
+            symbols[used] = symbol as u16;
+            heap[used] = heap_key(freq, used);
+            used += 1;
+        }
+    }
+    match used {
+        0 => return,
         1 => {
-            lengths[used[0]] = 1;
-            return lengths;
+            lengths[usize::from(symbols[0])] = 1;
+            return;
         }
         _ => {}
     }
 
-    // Standard Huffman via two-queue / heap construction.
-    #[derive(Debug)]
-    struct Node {
-        freq: u64,
-        // Leaf: symbol index; Internal: children indices into `nodes`.
-        kind: NodeKind,
+    let mut size = used;
+    for i in (0..size / 2).rev() {
+        sift_down(&mut heap[..size], i);
     }
-    #[derive(Debug)]
-    enum NodeKind {
-        Leaf(usize),
-        Internal(usize, usize),
-    }
-
-    let mut nodes: Vec<Node> = used
-        .iter()
-        .map(|&s| Node {
-            freq: freqs[s],
-            kind: NodeKind::Leaf(s),
-        })
-        .collect();
-
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<(Reverse<u64>, usize)> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| (Reverse(node.freq), i))
-        .collect();
-
-    while heap.len() > 1 {
-        let (Reverse(fa), a) = heap.pop().expect("heap len checked");
-        let (Reverse(fb), b) = heap.pop().expect("heap len checked");
-        let merged = Node {
-            freq: fa + fb,
-            kind: NodeKind::Internal(a, b),
-        };
-        nodes.push(merged);
-        heap.push((Reverse(fa + fb), nodes.len() - 1));
-    }
-    let root = heap.pop().expect("at least one node").1;
-
-    // Depth-first to find leaf depths.
-    let mut depth_of_symbol: Vec<(usize, usize)> = Vec::with_capacity(used.len());
-    let mut stack = vec![(root, 0usize)];
-    while let Some((idx, depth)) = stack.pop() {
-        match nodes[idx].kind {
-            NodeKind::Leaf(symbol) => depth_of_symbol.push((symbol, depth.max(1))),
-            NodeKind::Internal(a, b) => {
-                stack.push((a, depth + 1));
-                stack.push((b, depth + 1));
-            }
-        }
+    let mut children = [(0u16, 0u16); MAX_SYMBOLS];
+    let mut nodes = used;
+    while size > 1 {
+        let a = heap[0];
+        size -= 1;
+        heap[0] = heap[size];
+        sift_down(&mut heap[..size], 0);
+        let b = heap[0];
+        let node = |key: u64| 1023 - (key & 1023) as u16;
+        children[nodes - used] = (node(a), node(b));
+        // Replacing the top by the merged node is a pop and a push.
+        heap[0] = heap_key((a >> 10) + (b >> 10), nodes);
+        sift_down(&mut heap[..size], 0);
+        nodes += 1;
     }
 
-    // Clamp overlong codes to max_bits, then repair Kraft directly.
-    for &(symbol, depth) in &depth_of_symbol {
-        lengths[symbol] = depth.min(max_bits) as u8;
+    // Depths: every node is created after its children, so walking the
+    // internal nodes from the root (the last one) down reaches a node's
+    // parent before the node.
+    let mut depth = [0u16; 2 * MAX_SYMBOLS];
+    for internal in (used..nodes).rev() {
+        let (a, b) = children[internal - used];
+        let d = depth[internal] + 1;
+        depth[usize::from(a)] = d;
+        depth[usize::from(b)] = d;
+    }
+    let leaves = &symbols[..used];
+    for (&symbol, &d) in leaves.iter().zip(&depth) {
+        lengths[usize::from(symbol)] = usize::from(d).min(max_bits) as u8;
     }
 
-    // Kraft sum in units of 2^-max_bits; the code is feasible iff k <= cap
-    // and complete (required for DEFLATE dynamic blocks) iff k == cap.
+    // Clamping overlong codes to max_bits can oversubscribe the code;
+    // repair Kraft directly. Sums are in units of 2^-max_bits: the code is
+    // feasible iff k <= cap and complete (required for DEFLATE dynamic
+    // blocks) iff k == cap.
     let cap = 1u64 << max_bits;
-    let weight = |l: u8| 1u64 << (max_bits - l as usize);
-    let mut k: u64 = used.iter().map(|&s| weight(lengths[s])).sum();
+    let weight = |l: u8| 1u64 << (max_bits - usize::from(l));
+    let mut k: u64 = leaves
+        .iter()
+        .map(|&s| weight(lengths[usize::from(s)]))
+        .sum();
 
-    // Phase 1 — oversubscribed: lengthen codes until k <= cap. Lengthening
-    // the least frequent symbol costs the least compression; a symbol with
-    // length < max_bits always exists while k > cap (if all codes were at
-    // max_bits, k = used.len() <= cap by the alphabet-size assertion).
+    // Phase 1 — oversubscribed: lengthen codes until k <= cap, the least
+    // frequent symbol first (it costs the least compression), each until
+    // it reaches max_bits. While k > cap a code shorter than max_bits
+    // exists (all at max_bits gives k = used <= cap).
     if k > cap {
-        let mut by_rarity: Vec<usize> = used.clone();
-        by_rarity.sort_by(|&a, &b| freqs[a].cmp(&freqs[b]).then(a.cmp(&b)));
-        'outer: while k > cap {
-            for &s in &by_rarity {
-                if (lengths[s] as usize) < max_bits {
-                    k -= weight(lengths[s]) / 2; // halving the weight
-                    lengths[s] += 1;
-                    continue 'outer;
-                }
+        let mut by_rarity = symbols;
+        let by_rarity = &mut by_rarity[..used];
+        by_rarity.sort_unstable_by_key(|&s| (freqs[usize::from(s)], s));
+        for &s in by_rarity.iter() {
+            let length = &mut lengths[usize::from(s)];
+            while k > cap && usize::from(*length) < max_bits {
+                k -= weight(*length) / 2; // halving the weight
+                *length += 1;
             }
-            unreachable!("feasible code must exist for n <= 2^max_bits");
+            if k <= cap {
+                break;
+            }
         }
     }
 
     // Phase 2 — undersubscribed: shorten codes until k == cap. All weights
-    // are multiples of the smallest weight (the longest code), so the gap is
-    // always absorbable by shortening a longest code; prefer the most
-    // frequent symbol among them for compression.
+    // are multiples of the smallest weight (the longest code), so the gap
+    // is always absorbable by shortening a longest code; prefer the most
+    // frequent symbol among them (the lowest symbol on ties).
     while k < cap {
         let gap = cap - k;
-        let candidate = used
-            .iter()
-            .copied()
-            .filter(|&s| lengths[s] > 1 && weight(lengths[s]) <= gap)
-            .max_by_key(|&s| (lengths[s], freqs[s], std::cmp::Reverse(s)));
-        match candidate {
-            Some(s) => {
-                k += weight(lengths[s]); // doubling the weight
+        let mut best: Option<(u8, u64, usize)> = None;
+        for &s in leaves {
+            let s = usize::from(s);
+            let l = lengths[s];
+            if l > 1 && weight(l) <= gap && best.is_none_or(|(bl, bf, _)| (l, freqs[s]) > (bl, bf))
+            {
+                best = Some((l, freqs[s], s));
+            }
+        }
+        match best {
+            Some((l, _, s)) => {
+                k += weight(l); // doubling the weight
                 lengths[s] -= 1;
             }
             None => break, // only length-1 codes remain; k == cap for n >= 2
         }
     }
 
-    debug_assert!(kraft_ok(&lengths, max_bits));
-    lengths
+    debug_assert!(kraft_ok(lengths, max_bits));
 }
 
 fn kraft_ok(lengths: &[u8], max_bits: usize) -> bool {
@@ -178,7 +220,7 @@ pub fn assign_codes(lengths: &[u8]) -> Vec<u16> {
 
 /// [`assign_codes`] into a caller's buffer; `const` so the fixed tables
 /// below are computed at compile time.
-const fn fill_codes(lengths: &[u8], codes: &mut [u16]) {
+pub(crate) const fn fill_codes(lengths: &[u8], codes: &mut [u16]) {
     let mut count = [0u32; MAX_BITS + 1];
     let mut i = 0;
     while i < lengths.len() {

@@ -5,7 +5,16 @@
 //! structure: a 3-byte hash chains positions; [`Effort`] trades chain depth,
 //! lazy evaluation and hash-insert density for speed, with the fast preset
 //! tuned for on-the-fly compression of dynamic responses.
+//!
+//! A call allocates nothing once its thread has compressed an input as
+//! large: the hash heads, the chain links and the token buffer live in a
+//! per-thread `Tables`. Positions are stored offset by a per-call base,
+//! so entries an earlier call left behind read as empty without clearing
+//! the 32K-entry head table; it is cleared only when the base wraps. The
+//! tokenizer counts each token's Huffman symbol as it emits it, so the
+//! encoder never walks the tokens to build its histogram.
 
+use super::{dist_index, LENGTH_INDEX};
 use std::cell::RefCell;
 
 /// Minimum match length DEFLATE can encode.
@@ -78,11 +87,23 @@ impl Default for Effort {
 const HASH_BITS: usize = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
-#[inline]
+/// A token buffer that grew past this many tokens is released after the
+/// call instead of being kept for the thread's next input.
+const MAX_KEPT_TOKENS: usize = 16 * 1024;
+
+/// The hash of the 3 bytes at `pos` (the first byte most significant),
+/// read with one 4-byte load where the input has a byte to spare.
+#[inline(always)]
 fn hash3(data: &[u8], pos: usize) -> usize {
-    let h =
-        (u32::from(data[pos]) << 16) ^ (u32::from(data[pos + 1]) << 8) ^ u32::from(data[pos + 2]);
-    ((h.wrapping_mul(2_654_435_761)) >> (32 - HASH_BITS)) as usize & (HASH_SIZE - 1)
+    let key = match data.get(pos..pos + 4) {
+        Some(word) => u32::from_be_bytes(word.try_into().expect("4 bytes")) >> 8,
+        None => {
+            (u32::from(data[pos]) << 16)
+                | (u32::from(data[pos + 1]) << 8)
+                | u32::from(data[pos + 2])
+        }
+    };
+    (key.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
 }
 
 /// Length of the common prefix of `data[a..]` and `data[b..]`, up to `max`,
@@ -105,74 +126,226 @@ fn match_length(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     len
 }
 
-thread_local! {
-    /// Each thread's hash-head table, all zeros between calls, so that
-    /// compressing a small input (a job's dynamic prefix) does not
-    /// allocate and zero 128 KiB first.
-    static HEAD: RefCell<Vec<u32>> = RefCell::new(vec![0u32; HASH_SIZE]);
-}
+/// A token packed into a `u32`: a literal is its byte (`< 256`), a match
+/// is `len << 16 | dist` (`len >= 3`, so never below 256).
+pub(crate) type Packed = u32;
 
-/// A borrowed head table that is returned to all zeros when dropped (also
-/// on unwind), so the next call starts from the state a fresh table has
-/// and emits the same tokens.
-struct ZeroOnDrop<'a> {
-    head: &'a mut [u32],
-    data: &'a [u8],
-}
-
-impl Drop for ZeroOnDrop<'_> {
-    fn drop(&mut self) {
-        // Small inputs touched at most one slot per position: clear just
-        // those. Past a few thousand positions one fill is cheaper.
-        if self.data.len() < HASH_SIZE / 8 {
-            for pos in 0..=self.data.len() - MIN_MATCH {
-                self.head[hash3(self.data, pos)] = 0;
-            }
-        } else {
-            self.head.fill(0);
+/// Unpacks a [`Packed`] token.
+#[inline]
+fn unpack(token: Packed) -> Token {
+    if token < 256 {
+        Token::Literal(token as u8)
+    } else {
+        Token::Match {
+            len: (token >> 16) as u16,
+            dist: token as u16,
         }
     }
+}
+
+/// How often a block of the tokens uses each literal/length and distance
+/// symbol, the one end-of-block symbol included.
+pub(crate) struct SymbolCounts {
+    /// Literal/length symbols 0..=285.
+    pub(crate) lit: [u64; 286],
+    /// Distance symbols 0..=29.
+    pub(crate) dist: [u64; 30],
+}
+
+impl SymbolCounts {
+    fn new() -> Self {
+        let mut lit = [0; 286];
+        lit[256] = 1;
+        Self { lit, dist: [0; 30] }
+    }
+
+    #[inline(always)]
+    fn literal(&mut self, tokens: &mut Vec<Packed>, byte: u8) {
+        self.lit[usize::from(byte)] += 1;
+        tokens.push(Packed::from(byte));
+    }
+
+    #[inline(always)]
+    fn matched(&mut self, tokens: &mut Vec<Packed>, len: usize, dist: usize) {
+        self.lit[257 + usize::from(LENGTH_INDEX[len])] += 1;
+        self.dist[dist_index(dist)] += 1;
+        tokens.push(((len as u32) << 16) | dist as u32);
+    }
+}
+
+/// A thread's matcher state, reused by every call on that thread.
+struct Tables {
+    /// Latest position per hash, stored as `base + pos + 1`; an entry at
+    /// or below the current call's `base` is empty.
+    head: Box<[u32; HASH_SIZE]>,
+    /// Chain links (stored like `head`), indexed by position modulo the
+    /// window; grown to the largest input seen, up to the window. A call
+    /// reads only the links of positions it inserted itself.
+    prev: Vec<u32>,
+    /// Every entry written so far is at most `base`.
+    base: u32,
+    /// The token buffer.
+    tokens: Vec<Packed>,
+}
+
+impl Tables {
+    fn new() -> Self {
+        Self {
+            head: vec![0; HASH_SIZE]
+                .into_boxed_slice()
+                .try_into()
+                .expect("HASH_SIZE entries"),
+            prev: Vec::new(),
+            base: 0,
+            tokens: Vec::new(),
+        }
+    }
+}
+
+thread_local! {
+    static TABLES: RefCell<Tables> = RefCell::new(Tables::new());
+}
+
+/// Tokenizes `data` on this thread's tables and hands the tokens and their
+/// symbol counts to `f`.
+pub(crate) fn with_tokens<R>(
+    data: &[u8],
+    effort: Effort,
+    f: impl FnOnce(&[Packed], &SymbolCounts) -> R,
+) -> R {
+    TABLES.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut tables) => {
+            let counts = tokenize_into(&mut tables, data, effort);
+            let result = f(&tables.tokens, &counts);
+            if tables.tokens.capacity() > MAX_KEPT_TOKENS {
+                tables.tokens = Vec::new();
+            }
+            result
+        }
+        // Unreachable in practice (`f` does not tokenize); private tables
+        // give the same tokens.
+        Err(_) => {
+            let mut tables = Tables::new();
+            let counts = tokenize_into(&mut tables, data, effort);
+            f(&tables.tokens, &counts)
+        }
+    })
+}
+
+/// Tokenizes `data` into literals and back-references.
+///
+/// The hash tables are kept per thread, and a call never sees the entries
+/// of an earlier one, so the token stream depends only on `data` and
+/// `effort`.
+///
+/// ```
+/// use hyrec_wire::deflate::lz77::{tokenize, Effort, Token};
+/// let tokens = tokenize(b"abcabcabcabc", Effort::DEFAULT);
+/// assert!(tokens.iter().any(|t| matches!(t, Token::Match { .. })));
+/// ```
+#[must_use]
+pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
+    with_tokens(data, effort, |tokens, _| {
+        tokens.iter().map(|&t| unpack(t)).collect()
+    })
+}
+
+/// The matching loop: fills `tables.tokens` and returns the symbol counts.
+fn tokenize_into(tables: &mut Tables, data: &[u8], effort: Effort) -> SymbolCounts {
+    let n = data.len();
+    let mut counts = SymbolCounts::new();
+    let tokens = &mut tables.tokens;
+    tokens.clear();
+    tokens.reserve(n / 4 + 16);
+    if n < MIN_MATCH + 1 {
+        for &byte in data {
+            counts.literal(tokens, byte);
+        }
+        return counts;
+    }
+
+    // Claim the stored values base + 1 ..= base + n for this call.
+    if n as u64 > u64::from(u32::MAX - tables.base) {
+        tables.head.fill(0);
+        tables.base = 0;
+    }
+    let base = tables.base;
+    tables.base += n as u32;
+    let window = n.min(WINDOW_SIZE);
+    if tables.prev.len() < window {
+        tables.prev.resize(window, 0);
+    }
+    let mut matcher = Matcher {
+        head: &mut tables.head,
+        prev: &mut tables.prev[..],
+        base,
+        effort,
+    };
+
+    // The last position that starts a 3-byte string.
+    let last = n - MIN_MATCH;
+    let mut pos = 0usize;
+    while pos <= last {
+        let hash = hash3(data, pos);
+        let found = matcher.best_match(data, pos, hash);
+        matcher.insert(pos, hash);
+        let Some((len, dist)) = found else {
+            counts.literal(tokens, data[pos]);
+            pos += 1;
+            continue;
+        };
+        if effort.lazy && pos < last {
+            // One-step lazy: if the next position matches strictly
+            // longer, emit a literal and let it win on the next turn.
+            let next = matcher.best_match(data, pos + 1, hash3(data, pos + 1));
+            if next.is_some_and(|(lazy_len, _)| lazy_len > len) {
+                counts.literal(tokens, data[pos]);
+                pos += 1;
+                continue;
+            }
+        }
+        counts.matched(tokens, len, dist);
+        if effort.dense_insert {
+            for p in pos + 1..(pos + len).min(last + 1) {
+                matcher.insert(p, hash3(data, p));
+            }
+        } else if pos + len - 1 <= last {
+            // Sparse insertion: just the match end, so runs still chain
+            // reasonably.
+            let tail = pos + len - 1;
+            matcher.insert(tail, hash3(data, tail));
+        }
+        pos += len;
+    }
+    for &byte in &data[pos..] {
+        counts.literal(tokens, byte);
+    }
+    counts
 }
 
 struct Matcher<'a> {
-    head: &'a mut [u32],
-    /// Chain links, indexed by position modulo the window; only as long as
-    /// the input when that is shorter than the window. Every slot is
-    /// written by `insert` before a chain walk can read it.
-    prev: Vec<u32>,
+    head: &'a mut [u32; HASH_SIZE],
+    prev: &'a mut [u32],
+    base: u32,
     effort: Effort,
 }
 
-impl<'a> Matcher<'a> {
-    fn new(head: &'a mut [u32], n: usize, effort: Effort) -> Self {
-        Self {
-            head,
-            prev: vec![0u32; n.min(WINDOW_SIZE)],
-            effort,
-        }
+impl Matcher<'_> {
+    #[inline(always)]
+    fn insert(&mut self, pos: usize, hash: usize) {
+        self.prev[pos % WINDOW_SIZE] = self.head[hash];
+        self.head[hash] = self.base + pos as u32 + 1;
     }
 
-    #[inline]
-    fn insert(&mut self, data: &[u8], pos: usize) {
-        if pos + MIN_MATCH <= data.len() {
-            let h = hash3(data, pos);
-            self.prev[pos % WINDOW_SIZE] = self.head[h];
-            self.head[h] = pos as u32 + 1;
-        }
-    }
-
-    #[inline]
-    fn best_match(&self, data: &[u8], pos: usize) -> Option<(usize, usize)> {
-        if pos + MIN_MATCH > data.len() {
-            return None;
-        }
+    #[inline(always)]
+    fn best_match(&self, data: &[u8], pos: usize, hash: usize) -> Option<(usize, usize)> {
         let max_len = (data.len() - pos).min(MAX_MATCH);
-        let mut candidate = self.head[hash3(data, pos)];
+        let mut candidate = self.head[hash];
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
         let mut chain = self.effort.max_chain;
-        while candidate != 0 && chain > 0 {
-            let cand = (candidate - 1) as usize;
+        while candidate > self.base && chain > 0 {
+            let cand = (candidate - self.base - 1) as usize;
             if cand >= pos || pos - cand > WINDOW_SIZE {
                 break;
             }
@@ -191,100 +364,8 @@ impl<'a> Matcher<'a> {
             candidate = self.prev[cand % WINDOW_SIZE];
             chain -= 1;
         }
-        if best_len >= MIN_MATCH {
-            Some((best_len, best_dist))
-        } else {
-            None
-        }
+        (best_len >= MIN_MATCH).then_some((best_len, best_dist))
     }
-}
-
-/// Tokenizes `data` into literals and back-references.
-///
-/// The hash-head table is kept per thread and cleared after each call, so
-/// the token stream depends only on `data` and `effort`, never on earlier
-/// calls.
-///
-/// ```
-/// use hyrec_wire::deflate::lz77::{tokenize, Effort, Token};
-/// let tokens = tokenize(b"abcabcabcabc", Effort::DEFAULT);
-/// assert!(tokens.iter().any(|t| matches!(t, Token::Match { .. })));
-/// ```
-#[must_use]
-pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
-    let n = data.len();
-    if n < MIN_MATCH + 1 {
-        return data.iter().map(|&b| Token::Literal(b)).collect();
-    }
-    HEAD.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut head) => {
-            let table = ZeroOnDrop {
-                head: &mut head[..],
-                data,
-            };
-            tokenize_with(data, effort, table.head)
-        }
-        // Unreachable in practice (tokenizing does not re-enter); a
-        // private table keeps the output identical anyway.
-        Err(_) => tokenize_with(data, effort, &mut vec![0u32; HASH_SIZE]),
-    })
-}
-
-/// The matching loop over a zeroed head table.
-fn tokenize_with(data: &[u8], effort: Effort, head: &mut [u32]) -> Vec<Token> {
-    let n = data.len();
-    let mut tokens = Vec::with_capacity(n / 4 + 16);
-    let mut matcher = Matcher::new(head, n, effort);
-
-    let mut pos = 0usize;
-    while pos < n {
-        match matcher.best_match(data, pos) {
-            None => {
-                tokens.push(Token::Literal(data[pos]));
-                matcher.insert(data, pos);
-                pos += 1;
-            }
-            Some((mut len, mut dist)) => {
-                matcher.insert(data, pos);
-                if effort.lazy && pos + 1 < n {
-                    // One-step lazy: if the next position matches strictly
-                    // longer, emit a literal and let it win.
-                    if let Some((lazy_len, _)) = matcher.best_match(data, pos + 1) {
-                        if lazy_len > len {
-                            tokens.push(Token::Literal(data[pos]));
-                            pos += 1;
-                            // Reuse the lazy result next iteration via the
-                            // normal path (hash state already consistent).
-                            continue;
-                        }
-                    }
-                }
-                // Clamp pathological overlaps near the window edge.
-                if dist > WINDOW_SIZE {
-                    dist = WINDOW_SIZE;
-                }
-                if len > MAX_MATCH {
-                    len = MAX_MATCH;
-                }
-                tokens.push(Token::Match {
-                    len: len as u16,
-                    dist: dist as u16,
-                });
-                if effort.dense_insert {
-                    for p in pos + 1..pos + len {
-                        matcher.insert(data, p);
-                    }
-                } else {
-                    // Sparse insertion: just the match end, so runs still
-                    // chain reasonably.
-                    let tail = pos + len - 1;
-                    matcher.insert(data, tail);
-                }
-                pos += len;
-            }
-        }
-    }
-    tokens
 }
 
 /// Expands a token stream back into bytes (reference decoder for tests).
@@ -362,27 +443,33 @@ mod tests {
     }
 
     #[test]
-    fn head_table_is_all_zeros_after_every_call() {
+    fn earlier_calls_and_base_wraps_do_not_change_tokens() {
         let text: Vec<u8> = (0..9000u32)
             .flat_map(|i| format!("{},", i * 37 % 1009).into_bytes())
             .collect();
-        // Both reset paths: inputs below and above the clear-all cutoff.
-        for len in [
-            4,
-            5,
-            64,
-            580,
-            HASH_SIZE / 8 - 1,
-            HASH_SIZE / 8,
-            20_000,
-            text.len(),
-        ] {
-            for effort in [Effort::FAST, Effort::DEFAULT, Effort::BEST] {
-                let _ = tokenize(&text[..len], effort);
-                HEAD.with(|cell| {
-                    let head = cell.borrow();
-                    assert!(head.iter().all(|&slot| slot == 0), "len {len}");
-                });
+        let lens = [4, 5, 64, 580, 20_000, text.len()];
+        let fresh = |len: usize, effort: Effort| {
+            let input = text[..len].to_vec();
+            std::thread::spawn(move || tokenize(&input, effort))
+                .join()
+                .unwrap()
+        };
+        for effort in [Effort::FAST, Effort::DEFAULT, Effort::BEST] {
+            let expected: Vec<Vec<Token>> = lens.iter().map(|&len| fresh(len, effort)).collect();
+            // Every input after every other one on this thread.
+            for (&len, want) in lens.iter().zip(&expected) {
+                assert_eq!(&tokenize(&text[..len], effort), want, "len {len}");
+            }
+            // A base about to wrap: the next large input clears the table
+            // and starts again from zero.
+            for (&len, want) in lens.iter().zip(&expected) {
+                TABLES.with(|cell| cell.borrow_mut().base = u32::MAX - 10_000);
+                assert_eq!(&tokenize(&text[..len], effort), want, "len {len} at wrap");
+                assert_eq!(
+                    &tokenize(&text[..len], effort),
+                    want,
+                    "len {len} after wrap"
+                );
             }
         }
     }

@@ -98,42 +98,75 @@ pub(crate) const CLC_ORDER: [usize; 19] = [
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
 ];
 
-/// Finds the length code for `len` (3..=258): returns `(symbol, extra_bits, extra_value)`.
-pub(crate) fn length_to_code(len: u16) -> (u16, u8, u16) {
-    debug_assert!((3..=258).contains(&len));
-    // Last matching entry (base <= len); codes are sorted by base.
-    let mut idx = LENGTH_CODES.len() - 1;
-    for (i, &(base, _)) in LENGTH_CODES.iter().enumerate() {
-        if base > len {
-            idx = i - 1;
-            break;
+/// Length-code index (symbol − 257) of every match length `3..=258`,
+/// zlib's `_length_code`. Length 258 has its own code 285 (not 284 with
+/// extra value 31).
+pub(crate) static LENGTH_INDEX: [u8; 259] = {
+    let mut table = [0u8; 259];
+    let mut idx = 0;
+    while idx < LENGTH_CODES.len() {
+        let (base, extra) = LENGTH_CODES[idx];
+        let mut len = base as usize;
+        while len < base as usize + (1 << extra) && len <= 258 {
+            table[len] = idx as u8;
+            len += 1;
         }
+        idx += 1;
     }
-    // Special case: len==258 must use code 285 (extra 0), not 284+31.
-    if len == 258 {
-        idx = 28;
-    }
-    let (base, extra) = LENGTH_CODES[idx];
-    (257 + idx as u16, extra, len - base)
-}
+    table
+};
 
-/// Finds the distance code for `dist` (1..=32768).
-pub(crate) fn dist_to_code(dist: u16) -> (u16, u8, u16) {
-    debug_assert!(dist >= 1);
-    let mut idx = DIST_CODES.len() - 1;
-    for (i, &(base, _)) in DIST_CODES.iter().enumerate() {
-        if base > dist {
-            idx = i - 1;
-            break;
+/// Distance code of every distance, zlib's `_dist_code`: entry `d` for
+/// `dist − 1 = d < 256`, entry `256 + (d >> 7)` above, where every code's
+/// range is a multiple of 128 wide.
+static DIST_INDEX: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut code = 0;
+    while code < DIST_CODES.len() {
+        let (base, extra) = DIST_CODES[code];
+        let mut d = base as usize - 1;
+        while d < base as usize - 1 + (1 << extra) {
+            if d < 256 {
+                table[d] = code as u8;
+            } else {
+                table[256 + (d >> 7)] = code as u8;
+            }
+            d += 1;
         }
+        code += 1;
     }
-    let (base, extra) = DIST_CODES[idx];
-    (idx as u16, extra, dist - base)
+    table
+};
+
+/// The distance code of `dist` (1..=32768).
+#[inline(always)]
+pub(crate) fn dist_index(dist: usize) -> usize {
+    debug_assert!((1..=32768).contains(&dist));
+    let d = dist - 1;
+    usize::from(if d < 256 {
+        DIST_INDEX[d]
+    } else {
+        DIST_INDEX[256 + (d >> 7)]
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Finds the length code for `len` (3..=258): returns `(symbol, extra_bits, extra_value)`.
+    fn length_to_code(len: u16) -> (u16, u8, u16) {
+        let idx = usize::from(LENGTH_INDEX[usize::from(len)]);
+        let (base, extra) = LENGTH_CODES[idx];
+        (257 + idx as u16, extra, len - base)
+    }
+
+    /// Finds the distance code for `dist` (1..=32768).
+    fn dist_to_code(dist: u16) -> (u16, u8, u16) {
+        let idx = dist_index(usize::from(dist));
+        let (base, extra) = DIST_CODES[idx];
+        (idx as u16, extra, dist - base)
+    }
 
     #[test]
     fn length_codes_cover_whole_range() {
