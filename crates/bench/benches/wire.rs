@@ -10,6 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyrec_server::JobEncoder;
 use hyrec_sim::device::synthetic_job;
+use hyrec_wire::crc::crc32;
 use hyrec_wire::deflate::lz77::Effort;
 use hyrec_wire::json::JsonValue;
 use hyrec_wire::{gzip, PersonalizationJob};
@@ -74,6 +75,19 @@ fn bench_gzip(c: &mut Criterion) {
     group.finish();
 }
 
+/// The gzip trailer check a browser runs on every job: CRC-32 of the
+/// ~70 kB decoded assembled body.
+fn bench_crc(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc");
+    group.sample_size(20);
+    let raw = gzip::decompress(&assembled_body()).unwrap();
+    group.throughput(Throughput::Bytes(raw.len() as u64));
+    group.bench_function("crc32-assembled", |bench| {
+        bench.iter(|| std::hint::black_box(crc32(std::hint::black_box(&raw))));
+    });
+    group.finish();
+}
+
 fn bench_messages(c: &mut Criterion) {
     let mut group = c.benchmark_group("messages");
     group.sample_size(20);
@@ -98,5 +112,5 @@ fn assembled_body() -> Vec<u8> {
     JobEncoder::new().encode(&job)
 }
 
-criterion_group!(benches, bench_json, bench_gzip, bench_messages);
+criterion_group!(benches, bench_json, bench_gzip, bench_crc, bench_messages);
 criterion_main!(benches);

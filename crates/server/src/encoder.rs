@@ -496,6 +496,29 @@ mod tests {
     }
 
     #[test]
+    fn job_and_update_bodies_end_at_their_trailers() {
+        // gzip rejects bytes between a member's last block and its
+        // trailer, so an assembled job body and an update body must each
+        // end their DEFLATE stream exactly there.
+        let job = job();
+        let bytes = JobEncoder::new().encode(&job);
+        assert_eq!(PersonalizationJob::decode(&bytes).unwrap(), job);
+        let update = hyrec_wire::KnnUpdate {
+            uid: UserId(1),
+            lease: 4,
+            epoch: 2,
+            neighbors: vec![hyrec_core::Neighbor {
+                user: UserId(3),
+                similarity: 0.5,
+            }],
+        };
+        assert_eq!(
+            hyrec_wire::KnnUpdate::decode(&update.encode()).unwrap(),
+            update
+        );
+    }
+
+    #[test]
     fn cache_hits_on_unchanged_profiles() {
         let job = job();
         let encoder = JobEncoder::new();

@@ -7,6 +7,15 @@
 //! eight dependent ones. Fewer than eight trailing bytes go bytewise
 //! through `TABLES[0]`.
 //!
+//! **Lanes.** Each step still waits on the previous step's CRC. Inputs of
+//! at least 1.5 kB (a browser's decoded job body) split into three equal
+//! lanes of whole words that advance together: three independent chains
+//! the CPU overlaps, 2.5× the single-lane speed on a 2-vCPU x86-64 VM
+//! (48 → 18 µs for a 70 kB body). The lanes are joined with the x^(8n)
+//! mod P products [`crc32_combine`] uses, and the last few bytes follow on
+//! one lane. Shorter inputs, every fragment and prefix a server checksums
+//! among them, stay on one lane.
+//!
 //! [`crc32_combine`] merges the CRCs of two concatenated byte ranges
 //! without touching the bytes. Appending `n` bytes multiplies the first
 //! CRC by x^(8n) modulo the CRC polynomial; as in zlib, that power comes
@@ -62,29 +71,72 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
+/// Inputs at least this long run three interleaved lanes. The threshold
+/// keeps every cached fragment and job prefix a server checksums on the
+/// one-lane loop, although the join (about 0.1 µs) already pays for itself
+/// from a few hundred bytes: at 1536 bytes three lanes take 0.45 µs where
+/// one takes 0.99 µs (2-vCPU x86-64 VM).
+const LANES_MIN_LEN: usize = 1536;
+
 /// Streaming form: feed `state` (start from `0xFFFF_FFFF`, finalize by
 /// xor with `0xFFFF_FFFF`).
 #[must_use]
 pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    let t = &TABLES;
+    if data.len() < LANES_MIN_LEN {
+        return crc32_lane(state, data);
+    }
+    // Three equal lanes of whole words run as independent dependency
+    // chains; the remainder (under 24 bytes) follows on one lane.
+    let lane = data.len() / 24 * 8;
+    let (a, rest) = data.split_at(lane);
+    let (b, rest) = rest.split_at(lane);
+    let (c, tail) = rest.split_at(lane);
+    let (mut crc_a, mut crc_b, mut crc_c) = (state, 0, 0);
+    for ((a, b), c) in a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .zip(c.chunks_exact(8))
+    {
+        crc_a = fold_word(crc_a, a);
+        crc_b = fold_word(crc_b, b);
+        crc_c = fold_word(crc_c, c);
+    }
+    // The register is linear in its state: running `state` over a lane is
+    // `state · x^(8 · lane)` xor running 0 over it, so the lanes join as
+    // ((crc_a · x^(8 · lane)) ^ crc_b) · x^(8 · lane) ^ crc_c.
+    let shift = x2nmodp(lane as u64, 3);
+    let crc = multmodp(shift, multmodp(shift, crc_a) ^ crc_b) ^ crc_c;
+    crc32_lane(crc, tail)
+}
+
+/// One slicing-by-8 lane, then the last bytes one at a time.
+fn crc32_lane(state: u32, data: &[u8]) -> u32 {
     let mut crc = state;
     let mut words = data.chunks_exact(8);
     for word in &mut words {
-        let lo = u32::from_le_bytes([word[0], word[1], word[2], word[3]]) ^ crc;
-        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        crc = fold_word(crc, word);
     }
     for &byte in words.remainder() {
-        crc = t[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
+        crc = TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
+}
+
+/// Advances `crc` past the eight bytes of `word` with eight independent
+/// table lookups.
+#[inline(always)]
+fn fold_word(crc: u32, word: &[u8]) -> u32 {
+    let t = &TABLES;
+    let lo = u32::from_le_bytes([word[0], word[1], word[2], word[3]]) ^ crc;
+    let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
 }
 
 /// A 32×32 GF(2) matrix as 32 column vectors.
@@ -330,9 +382,77 @@ mod tests {
         }
     }
 
+    /// Bytes from a xorshift generator.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lanes_match_bytewise_at_every_length_to_4096() {
+        let data = noise(1, 4096 + 7);
+        for len in 0..=4096 {
+            // Unaligned starts too: the lanes split at byte offsets.
+            let offset = len % 8;
+            let data = &data[offset..offset + len];
+            assert_eq!(
+                crc32_update(0xFFFF_FFFF, data),
+                bytewise(0xFFFF_FFFF, data),
+                "len {len}"
+            );
+        }
+        for state in [0, 0x1234_5678, 0xFFFF_FFFF] {
+            for len in [LANES_MIN_LEN - 1, LANES_MIN_LEN, LANES_MIN_LEN + 23, 4096] {
+                let data = &data[..len];
+                assert_eq!(crc32_update(state, data), bytewise(state, data), "{len}");
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn lanes_match_bytewise_up_to_256k(
+                seed in any::<u64>(),
+                len in prop_oneof![0usize..4096, 0usize..=256 * 1024],
+                state in any::<u32>(),
+            ) {
+                let data = noise(seed, len);
+                prop_assert_eq!(crc32_update(state, &data), bytewise(state, &data));
+            }
+
+            #[test]
+            fn streamed_in_arbitrary_splits_matches_oneshot(
+                seed in any::<u64>(),
+                len in 0usize..40_000,
+                cuts in proptest::collection::vec(any::<usize>(), 0..6),
+            ) {
+                let data = noise(seed, len);
+                let mut cuts: Vec<usize> = cuts.iter().map(|&c| c % (len + 1)).collect();
+                cuts.push(len);
+                cuts.sort_unstable();
+                let mut state = 0xFFFF_FFFF;
+                let mut start = 0;
+                for cut in cuts {
+                    state = crc32_update(state, &data[start..cut]);
+                    start = cut;
+                }
+                prop_assert_eq!(state ^ 0xFFFF_FFFF, crc32(&data));
+                prop_assert_eq!(crc32(&data), bytewise(0xFFFF_FFFF, &data) ^ 0xFFFF_FFFF);
+            }
+        }
 
         proptest! {
             #[test]

@@ -230,6 +230,13 @@ impl<'a> BitReader<'a> {
         Some(bytes)
     }
 
+    /// Input bytes consumed so far, counting a partly consumed byte whole.
+    pub(crate) fn consumed_bytes(&self) -> usize {
+        // The buffered bits are the last ones loaded before `pos`; whole
+        // buffered bytes are not consumed yet.
+        self.pos - (self.bit_count / 8) as usize
+    }
+
     /// True when every bit has been consumed (ignoring final-byte padding).
     #[must_use]
     pub fn is_exhausted(&self) -> bool {

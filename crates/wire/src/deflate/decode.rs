@@ -9,8 +9,22 @@
 //!   packed `u32` entries (see [`Decoder`]): code length, flags, extra-bit
 //!   count, and a payload that is already the literal byte, the length base
 //!   or the distance base. The fixed code's two tables are built once per
-//!   process; a dynamic block's header is decoded into stack arrays and
-//!   rebuilds three tables whose allocations live for the whole stream.
+//!   process. A dynamic block rebuilds two fixed-size tables that live for
+//!   the whole stream, made on the stream's first dynamic block.
+//! * **Dynamic headers.** Most of a small block's cost is its header, so
+//!   the reader keeps it to fixed work. HLIT, HDIST, HCLEN and the
+//!   code-length-code lengths come from two refills. The code-length code
+//!   decodes through a stack table as wide as its longest code (at most
+//!   128 entries), and a plain length (0–15) skips the repeat handling.
+//!   Each decoded length files its symbol under that length in a
+//!   per-stream array, so the literal/length and distance table builds
+//!   find their symbols grouped and counted and run no counting or sorting
+//!   pass of their own; the Kraft check rides along the build's per-length
+//!   loop. The builds write each code once and double the table between
+//!   lengths (see [`Decoder`]).
+//! * **End of stream.** [`decompress_into`] reports the bytes the stream
+//!   took (the final block's last byte counted whole), so the gzip frame
+//!   can refuse bytes between the stream and its trailer.
 //! * **Refill.** The bit reader tops its 64-bit buffer up with one 8-byte
 //!   little-endian load (a byte at a time only within the last 8 input
 //!   bytes). One refill per symbol covers a whole match: the length code
@@ -32,8 +46,8 @@
 
 use super::bitio::BitReader;
 use super::huffman::{
-    entry_extra, entry_len, entry_value, Alphabet, Decoder, END_OF_BLOCK, FIXED_DISTANCE_LENGTHS,
-    FIXED_LITERAL_LENGTHS, LITERAL, MAX_BITS, RESERVED,
+    code_length_table, entry_extra, entry_len, entry_value, Alphabet, Decoder, Groups,
+    END_OF_BLOCK, FIXED_DISTANCE_LENGTHS, FIXED_LITERAL_LENGTHS, LITERAL, MAX_BITS, RESERVED,
 };
 use super::CLC_ORDER;
 use crate::error::WireError;
@@ -50,41 +64,43 @@ pub(crate) const MAX_OUTPUT: usize = 1 << 30;
 /// invalid Huffman tables, out-of-window distances or truncation, and
 /// [`WireError::TooLarge`] on output exceeding the 1 GiB safety cap.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
-    decompress_into(data, Vec::new(), MAX_OUTPUT)
+    decompress_into(data, Vec::new(), MAX_OUTPUT).map(|(out, _)| out)
 }
 
 /// [`decompress`] into `out` (empty, with the capacity the caller sized),
 /// failing once the output would pass `limit` bytes (at most
-/// [`MAX_OUTPUT`]).
+/// [`MAX_OUTPUT`]). Also returns how many bytes of `data` the stream
+/// took, counting the final block's last byte (and its padding bits)
+/// whole, so a caller can reject bytes that follow the stream.
 pub(crate) fn decompress_into(
     data: &[u8],
     out: Vec<u8>,
     limit: usize,
-) -> Result<Vec<u8>, WireError> {
+) -> Result<(Vec<u8>, usize), WireError> {
     let mut out = Output {
         buf: out,
         pos: 0,
         limit: limit.min(MAX_OUTPUT),
     };
     let mut reader = BitReader::new(data);
-    let mut tables = DynamicTables::default();
+    // Built on the first dynamic block: short bodies (fixed-code updates)
+    // never pay for zeroing its arrays.
+    let mut tables: Option<DynamicTables> = None;
     loop {
-        let bfinal = reader
-            .read_bits(1)
+        let header = reader
+            .read_bits(3)
             .ok_or_else(|| WireError::Deflate("missing block header".into()))?;
-        let btype = reader
-            .read_bits(2)
-            .ok_or_else(|| WireError::Deflate("missing block type".into()))?;
+        let (bfinal, btype) = (header & 1, header >> 1);
         match btype {
             0b00 => inflate_stored(&mut reader, &mut out)?,
             0b01 => {
                 let (lit, dist) = fixed_tables();
-                inflate_block(&mut reader, &mut out, lit, Some(dist))?;
+                inflate_block(&mut reader, &mut out, lit, dist)?;
             }
             0b10 => {
-                let has_distances = tables.read(&mut reader)?;
-                let dist = has_distances.then_some(&tables.dist);
-                inflate_block(&mut reader, &mut out, &tables.lit, dist)?;
+                let tables = tables.get_or_insert_with(DynamicTables::default);
+                tables.read(&mut reader)?;
+                inflate_block(&mut reader, &mut out, &tables.lit, &tables.dist)?;
             }
             _ => return Err(WireError::Deflate("reserved block type 11".into())),
         }
@@ -93,7 +109,7 @@ pub(crate) fn decompress_into(
         }
     }
     out.buf.truncate(out.pos);
-    Ok(out.buf)
+    Ok((out.buf, reader.consumed_bytes()))
 }
 
 /// Output under construction: `buf[..pos]` is inflated, `buf[pos..]` is
@@ -169,101 +185,163 @@ fn inflate_stored(reader: &mut BitReader<'_>, out: &mut Output) -> Result<(), Wi
     Ok(())
 }
 
-/// A dynamic block's three tables, rebuilt in place for every block.
-#[derive(Default)]
+/// Longest dynamic header: 286 literal/length and 30 distance lengths.
+const MAX_HEADER_LENGTHS: usize = 286 + 30;
+
+/// A dynamic block's two tables and the header reader's scratch, all
+/// fixed arrays that live for the whole stream: a block's header rewrites
+/// what it uses and clears nothing.
 struct DynamicTables {
-    code_lengths: Decoder,
     lit: Decoder,
     dist: Decoder,
+    /// `by_length[len]` starts with the symbols the header gives a
+    /// `len`-bit code, in symbol order: literal/length symbols, then
+    /// distance symbols numbered from HLIT. Row 0 is unused.
+    by_length: [[u16; MAX_HEADER_LENGTHS]; MAX_BITS + 1],
+}
+
+impl Default for DynamicTables {
+    fn default() -> Self {
+        Self {
+            lit: Decoder::default(),
+            dist: Decoder::default(),
+            by_length: [[0; MAX_HEADER_LENGTHS]; MAX_BITS + 1],
+        }
+    }
 }
 
 impl DynamicTables {
-    /// Reads a dynamic block header into the tables; `false` when the
-    /// block has no distance codes.
-    fn read(&mut self, stream: &mut BitReader<'_>) -> Result<bool, WireError> {
+    /// Reads a dynamic block header into the tables.
+    fn read(&mut self, stream: &mut BitReader<'_>) -> Result<(), WireError> {
         let trunc = || WireError::Deflate("truncated dynamic header".into());
         // A register-resident copy, as in `inflate_block`.
         let mut reader = stream.clone();
         let reader = &mut reader;
-        let hlit = reader.read_bits(5).ok_or_else(trunc)? as usize + 257;
-        let hdist = reader.read_bits(5).ok_or_else(trunc)? as usize + 1;
-        let hclen = reader.read_bits(4).ok_or_else(trunc)? as usize + 4;
+
+        // One refill (at least 56 bits) covers HLIT, HDIST and HCLEN (14
+        // bits) and the first 14 code-length-code lengths (3 bits each), a
+        // second one the other five.
+        reader.refill();
+        let bits = reader.peek_word();
+        let hlit = low_bits(bits, 5) + 257;
+        let hdist = low_bits(bits >> 5, 5) + 1;
+        let hclen = low_bits(bits >> 10, 4) + 4;
+        if !reader.consume(14) {
+            return Err(trunc());
+        }
         if hlit > 286 || hdist > 30 {
             return Err(WireError::Deflate(
                 "dynamic header counts out of range".into(),
             ));
         }
-
         let mut clc_lengths = [0u8; 19];
-        for &order in CLC_ORDER.iter().take(hclen) {
-            clc_lengths[order] = reader.read_bits(3).ok_or_else(trunc)? as u8;
+        let (head, tail) = CLC_ORDER[..hclen].split_at(hclen.min(14));
+        for order in [head, tail] {
+            if order.is_empty() {
+                break;
+            }
+            let bits = reader.peek_word();
+            for (i, &symbol) in order.iter().enumerate() {
+                clc_lengths[symbol] = low_bits(bits >> (3 * i), 3) as u8;
+            }
+            if !reader.consume(3 * order.len() as u32) {
+                return Err(trunc());
+            }
+            reader.refill();
         }
-        self.code_lengths.rebuild(&clc_lengths, Alphabet::Symbols)?;
+        let (clc, clc_bits) = code_length_table(&clc_lengths)?;
 
         // Decode hlit + hdist code lengths with the code-length code,
-        // keeping only the symbols that get a code.
+        // listing each symbol that gets a code under its length, so the
+        // table builds find their symbols already grouped and counted.
         let total = hlit + hdist;
-        let mut coded = [(0u16, 0u8); 286 + 30];
-        let mut used = 0;
-        let mut filled = 0usize;
-        let mut prev = None;
+        let by_length = &mut self.by_length;
+        let mut count = [0usize; MAX_BITS + 1];
+        let mut end_of_block = 0;
+        let mut filled = 0;
+        let mut prev = 0;
         while filled < total {
-            // One refill covers a code (at most 7 bits) and its repeat
+            // A refill covers a code (at most 7 bits) and its repeat
             // count (at most 7).
-            reader.refill();
+            if reader.buffered() < 14 {
+                reader.refill();
+            }
             let bits = reader.peek_word();
-            let entry = self.code_lengths.entry(bits);
-            let code_len = entry_len(entry);
+            let entry = clc[low_bits(bits, clc_bits) & 127];
+            let code_len = u32::from(entry & 0xF);
             if code_len == 0 {
                 return Err(WireError::Deflate("invalid huffman code".into()));
             }
-            let symbol = entry_value(entry);
-            let (value, base, extra) = match symbol {
-                0..=15 => (symbol as u8, 1, 0),
-                16 => {
-                    let prev = prev.ok_or_else(|| {
-                        WireError::Deflate("repeat with no previous length".into())
-                    })?;
-                    (prev, 3, 2)
+            let symbol = usize::from(entry >> 4);
+            if symbol < 16 {
+                // A length on its own. Zero lengths collect in row 0,
+                // which no build reads.
+                if !reader.consume(code_len) {
+                    return Err(trunc());
                 }
+                by_length[symbol][count[symbol]] = filled as u16;
+                count[symbol] += 1;
+                if filled == 256 {
+                    end_of_block = symbol;
+                }
+                filled += 1;
+                prev = symbol;
+                continue;
+            }
+            let (value, base, extra) = match symbol {
+                16 if filled == 0 => {
+                    return Err(WireError::Deflate("repeat with no previous length".into()))
+                }
+                16 => (prev, 3, 2),
                 17 => (0, 3, 3),
-                18 => (0, 11, 7),
-                _ => return Err(WireError::Deflate("invalid code-length symbol".into())),
+                _ => (0, 11, 7),
             };
             if !reader.consume(code_len + extra) {
                 return Err(trunc());
             }
-            let count = base + low_bits(bits >> code_len, extra);
-            if filled + count > total {
+            let run = base + low_bits(bits >> code_len, extra);
+            if filled + run > total {
                 return Err(WireError::Deflate(
                     "code-length run overflows header".into(),
                 ));
             }
             if value != 0 {
-                for symbol in filled..filled + count {
-                    coded[used] = (symbol as u16, value);
-                    used += 1;
+                for symbol in filled..filled + run {
+                    by_length[value][count[value]] = symbol as u16;
+                    count[value] += 1;
                 }
             }
-            filled += count;
-            prev = Some(value);
+            if (filled..filled + run).contains(&256) {
+                end_of_block = value;
+            }
+            filled += run;
+            prev = value;
         }
 
         *stream = reader.clone();
 
-        let coded = &coded[..used];
-        let (lit, dist) = coded.split_at(coded.partition_point(|&(s, _)| usize::from(s) < hlit));
-        if lit.binary_search_by_key(&256, |&(s, _)| s).is_err() {
+        if end_of_block == 0 {
             return Err(WireError::Deflate("end-of-block symbol has no code".into()));
         }
-        self.lit.rebuild_coded(lit, 0, Alphabet::LiteralLength)?;
-        // A block with no back-references legally has zero distance codes.
-        if dist.is_empty() {
-            return Ok(false);
+        // Each row lists literal/length symbols before distance symbols.
+        let mut lit: Groups<'_> = [&[]; MAX_BITS + 1];
+        let mut dist: Groups<'_> = [&[]; MAX_BITS + 1];
+        for (len, row) in by_length.iter().enumerate().skip(1) {
+            let row = &row[..count[len]];
+            let mut split = row.len();
+            while split > 0 && usize::from(row[split - 1]) >= hlit {
+                split -= 1;
+            }
+            (lit[len], dist[len]) = row.split_at(split);
         }
-        self.dist
-            .rebuild_coded(dist, hlit as u16, Alphabet::Distance)?;
-        Ok(true)
+        self.lit.build(&lit, 0, Alphabet::LiteralLength)?;
+        // A block with no back-references legally has zero distance codes;
+        // a match in it then finds no valid distance code.
+        if dist.iter().all(|group| group.is_empty()) {
+            self.dist.clear();
+            return Ok(());
+        }
+        self.dist.build(&dist, hlit as u16, Alphabet::Distance)
     }
 }
 
@@ -282,7 +360,7 @@ fn inflate_block(
     stream: &mut BitReader<'_>,
     out: &mut Output,
     lit: &Decoder,
-    dist: Option<&Decoder>,
+    dist: &Decoder,
 ) -> Result<(), WireError> {
     let trunc = || WireError::Deflate("truncated block body".into());
     let mut reader = stream.clone();
@@ -308,8 +386,11 @@ fn inflate_block(
             }
             entry = lit.entry(reader.peek_word());
         }
-        // A match needs up to 48 bits: refill (the code's bits stay put).
-        reader.refill();
+        // A match needs up to 48 bits: refill (the code's bits stay put)
+        // unless the loop's own refill left enough.
+        if reader.buffered() < 48 {
+            reader.refill();
+        }
         let bits = reader.peek_word();
         let code_len = entry_len(entry);
         if code_len == 0 {
@@ -333,8 +414,6 @@ fn inflate_block(
         }
         let len = entry_value(entry) as usize + low_bits(bits >> code_len, extra);
 
-        let dist =
-            dist.ok_or_else(|| WireError::Deflate("match in block with no distance code".into()))?;
         let bits = reader.peek_word();
         let entry = dist.entry(bits);
         let code_len = entry_len(entry);
@@ -376,9 +455,11 @@ fn copy_match(buf: &mut [u8], pos: usize, distance: usize, len: usize) {
     let start = pos - distance;
     if distance >= 8 && len <= 16 && buf.len() - pos >= 2 * 8 {
         // A short match as two words: each word's source ends at or before
-        // its destination starts, so it reads only finished bytes.
-        buf.copy_within(start..start + 8, pos);
-        buf.copy_within(start + 8..start + 16, pos + 8);
+        // its destination starts, so it reads only finished bytes. Both
+        // copies stay inside one window, checked once.
+        let window = &mut buf[start..pos + 16];
+        window.copy_within(..8, distance);
+        window.copy_within(8..16, distance + 8);
     } else {
         // Each pass copies everything from `start` so far, a whole number
         // of periods, so the chunk doubles until the match is done (one
@@ -441,6 +522,30 @@ mod tests {
                 })
                 .collect();
             let _ = decompress(&bytes); // must not panic
+        }
+    }
+
+    #[test]
+    fn reports_the_bytes_the_stream_took() {
+        let mut state = 7u32;
+        let noise: Vec<u8> = (0..70_000)
+            .map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (state >> 24) as u8
+            })
+            .collect();
+        let text = b"{\"uid\":3,\"profile\":[1,2,3]}".repeat(40);
+        for data in [&b""[..], b"x", &text, &noise] {
+            for effort in [Effort::FAST, Effort::DEFAULT, Effort::BEST] {
+                // Fixed, dynamic and stored final blocks, each ending at
+                // a byte boundary or inside its last byte.
+                let packed = crate::deflate::compress(data, effort);
+                let mut padded = packed.clone();
+                padded.extend_from_slice(&[0xEE; 9]);
+                let (out, consumed) = decompress_into(&padded, Vec::new(), MAX_OUTPUT).unwrap();
+                assert_eq!(out, data);
+                assert_eq!(consumed, packed.len(), "{} bytes", data.len());
+            }
         }
     }
 

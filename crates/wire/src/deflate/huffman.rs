@@ -6,8 +6,11 @@
 //! keys that pop in a fixed order, so the lengths are a function of the
 //! frequencies alone. The decoder side turns code lengths into a two-level
 //! lookup table of packed entries indexed by bit-reversed codes, matching
-//! the LSB-first bit reader. The fixed code's lengths and codes are
-//! compile-time constants that the encoder and the decoder share.
+//! the LSB-first bit reader, from symbols already grouped by length: each
+//! code is written once and the table doubles between lengths, so a build
+//! costs one copy of the first level plus a write per code. The fixed
+//! code's lengths and codes are compile-time constants that the encoder
+//! and the decoder share.
 
 use super::bitio::{reverse_bits, BitReader};
 use super::{DIST_CODES, LENGTH_CODES};
@@ -370,6 +373,154 @@ const fn based((base, extra): (u16, u8)) -> u32 {
     ((base as u32) << 16) | ((extra as u32) << 8)
 }
 
+/// First-level slots of the widest [`Decoder`] table.
+const PRIMARY_SIZE: usize = 1 << PRIMARY_BITS;
+
+/// Entries a [`Decoder`] holds: the widest first level plus the most
+/// subtable entries a code of up to [`MAX_SYMBOLS`] symbols needs (zlib's
+/// `ENOUGH`, bounded here for incomplete codes too). Codes longer than
+/// [`PRIMARY_BITS`] are consecutive in canonical order, leave no gaps and
+/// never get shorter along it, so a subtable whose codes all have one
+/// length holds exactly as many entries as codes. Only a subtable that
+/// spans a change of length (at most four among 11–15 bits) or ends an
+/// incomplete code differs, and it holds at most 2^5 entries.
+const TABLE_SIZE: usize = PRIMARY_SIZE + MAX_SYMBOLS + 5 * 32;
+
+/// A code's symbols grouped by length: `groups[len]` lists the symbols
+/// whose code is `len` bits long, in symbol order, which is the order of
+/// their canonical codes (`groups[0]` is ignored).
+pub(crate) type Groups<'a> = [&'a [u16]; MAX_BITS + 1];
+
+/// Where a table build stands after its first level: the next canonical
+/// code (MSB-first) and the unused code space, in units of that length's
+/// codes.
+#[derive(Debug, Clone, Copy)]
+struct Canonical {
+    code: u32,
+    left: i32,
+}
+
+fn oversubscribed() -> WireError {
+    WireError::Deflate("oversubscribed huffman code".into())
+}
+
+/// Fills `table[..1 << width]` with the codes of up to `width` bits by
+/// doubling: before each length's codes go in, the table built so far is
+/// copied onto the next `2^(len - 1)` slots, so each code is written once,
+/// at the index of its bit-reversed code, and every shorter code already
+/// repeats at each index that shares its bits. The table starts as the
+/// invalid entry 0 at one bit less than the shortest code, and doubling
+/// spreads it to every index an incomplete code leaves unused, so no slot
+/// needs clearing first.
+///
+/// The Kraft check runs per length before that length's codes are
+/// written, so no code of an oversubscribed set is ever placed.
+fn fill_doubling(
+    table: &mut [u32],
+    width: usize,
+    groups: &Groups<'_>,
+    entry: impl Fn(u16, usize) -> u32,
+) -> Result<Canonical, WireError> {
+    let shortest = (1..=width)
+        .find(|&len| !groups[len].is_empty())
+        .unwrap_or(width);
+    table[..1 << (shortest - 1)].fill(0);
+    let mut at = Canonical {
+        code: 0,
+        left: 1 << (shortest - 1),
+    };
+    for (len, group) in groups.iter().enumerate().take(width + 1).skip(shortest) {
+        let half = 1 << (len - 1);
+        table.copy_within(..half, half);
+        at.left = 2 * at.left - group.len() as i32;
+        if at.left < 0 {
+            return Err(oversubscribed());
+        }
+        at.code <<= 1;
+        for &symbol in *group {
+            table[reverse_bits(at.code, len as u32) as usize] = entry(symbol, len);
+            at.code += 1;
+        }
+    }
+    Ok(at)
+}
+
+/// Lists the symbols `0..lengths.len()` by code length, then symbol,
+/// into `sorted` (a counting sort) and returns the groups.
+fn group<'a>(lengths: &[u8], sorted: &'a mut [u16]) -> Groups<'a> {
+    let mut end = [0usize; MAX_BITS + 1];
+    for &len in lengths {
+        end[usize::from(len)] += 1;
+    }
+    // `end[len]` becomes where the group starts, then, after the scatter,
+    // where it ends.
+    let mut total = 0;
+    for slot in &mut end[1..] {
+        (*slot, total) = (total, total + *slot);
+    }
+    for (symbol, &len) in (0..).zip(lengths) {
+        if len != 0 {
+            let at = &mut end[usize::from(len)];
+            sorted[*at] = symbol;
+            *at += 1;
+        }
+    }
+    let sorted: &'a [u16] = sorted;
+    let mut groups: Groups<'a> = [&[]; MAX_BITS + 1];
+    let mut start = 0;
+    for (group, &end) in groups.iter_mut().zip(&end).skip(1) {
+        *group = &sorted[start..end];
+        start = end;
+    }
+    groups
+}
+
+/// The code-length code's table (RFC 1951 §3.2.7) and its index width,
+/// the longest code's length: entry `i` (for `i < 2^width`) is
+/// `symbol << 4 | length` for the code that the low bits of `i` start
+/// with, or 0 where no code does. An incomplete code is accepted; its
+/// unused indices decode to 0.
+///
+/// With 19 symbols and at most 128 slots, writing each code at every
+/// index that shares its bits beats grouping the symbols for
+/// [`fill_doubling`].
+pub(crate) fn code_length_table(lengths: &[u8; 19]) -> Result<([u16; 128], u32), WireError> {
+    let mut count = [0i32; 8];
+    for &len in lengths {
+        count[usize::from(len & 7)] += 1;
+    }
+    count[0] = 0;
+    // The first canonical code of each length, and the Kraft check.
+    let mut next = [0u32; 8];
+    let mut code = 0;
+    let mut left = 1;
+    for len in 1..8 {
+        code = (code + count[len - 1] as u32) << 1;
+        next[len] = code;
+        left = 2 * left - count[len];
+        if left < 0 {
+            return Err(oversubscribed());
+        }
+    }
+    let Some(width) = (1..8).rev().find(|&len| count[len] > 0) else {
+        return Err(WireError::Deflate("huffman table with no codes".into()));
+    };
+    let mut table = [0u16; 128];
+    for (symbol, &len) in (0u16..).zip(lengths) {
+        let len = usize::from(len & 7);
+        if len == 0 {
+            continue;
+        }
+        let mut index = reverse_bits(next[len], len as u32) as usize;
+        next[len] += 1;
+        while index < 1 << width {
+            table[index] = (symbol << 4) | len as u16;
+            index += 1 << len;
+        }
+    }
+    Ok((table, width as u32))
+}
+
 /// A two-level Huffman decoding table of packed entries, indexed by
 /// bit-reversed codes to match the LSB-first bit reader.
 ///
@@ -378,10 +529,29 @@ const fn based((base, extra): (u16, u8)) -> u32 {
 /// index. Literal/length and distance tables fold the length or distance
 /// base and its extra-bit count into the entry, so the inflate loop reads
 /// a match's whole description from two lookups.
-#[derive(Debug, Clone, Default)]
+///
+/// Layout: one fixed array sized for the worst case (`TABLE_SIZE`).
+/// The first level fills `table[..2^primary_bits]`, as wide as the
+/// longest code up to 10 bits; each subtable follows it, `2^w` entries
+/// for a slot whose longest code has `10 + w` bits, reached through a
+/// pointer entry in that slot. A build writes the first level by doubling
+/// (see `fill_doubling`) and zero-fills each subtable it lays out, so
+/// every entry a lookup can reach is written by the build that made it: a
+/// decoder reused block after block never clears, allocates or resizes.
+#[derive(Debug, Clone)]
 pub struct Decoder {
-    table: Vec<u32>,
+    table: [u32; TABLE_SIZE],
     primary_bits: u32,
+}
+
+impl Default for Decoder {
+    /// A decoder whose every code is invalid.
+    fn default() -> Self {
+        Self {
+            table: [0; TABLE_SIZE],
+            primary_bits: 0,
+        }
+    }
 }
 
 impl Decoder {
@@ -398,118 +568,113 @@ impl Decoder {
         Ok(decoder)
     }
 
-    /// Refills this decoder's table for new code lengths, reusing its
-    /// allocation.
+    /// Refills this decoder's table for new code lengths.
     pub(crate) fn rebuild(&mut self, lengths: &[u8], alphabet: Alphabet) -> Result<(), WireError> {
         if lengths.len() > MAX_SYMBOLS {
             return Err(WireError::Deflate("huffman alphabet too large".into()));
         }
-        let mut coded = [(0u16, 0u8); MAX_SYMBOLS];
-        let mut used = 0;
-        for (symbol, &len) in lengths.iter().enumerate() {
-            if len != 0 {
-                coded[used] = (symbol as u16, len);
-                used += 1;
-            }
+        if lengths.iter().any(|&len| usize::from(len) > MAX_BITS) {
+            return Err(WireError::Deflate("code length exceeds 15 bits".into()));
         }
-        self.rebuild_coded(&coded[..used], 0, alphabet)
+        let mut sorted = [0u16; MAX_SYMBOLS];
+        let groups = group(lengths, &mut sorted);
+        self.build(&groups, 0, alphabet)
     }
 
-    /// [`Self::rebuild`] from only the symbols that have a code: `(symbol,
-    /// length)` pairs in increasing symbol order, numbered from `first`.
-    /// Dynamic headers list a few dozen of up to 316 symbols, so the
-    /// table build never walks the unused ones.
-    pub(crate) fn rebuild_coded(
+    /// Refills this decoder's table from symbols grouped by code length,
+    /// numbered from `first`. A dynamic header groups its lengths as it
+    /// decodes them, so the build needs no counting or sorting pass of its
+    /// own, and canonical codes come from a running counter.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::Deflate`] when no symbol has a code or the
+    /// lengths oversubscribe the code space. Incomplete codes are
+    /// accepted; the codes they leave unused decode to invalid entries.
+    pub(crate) fn build(
         &mut self,
-        coded: &[(u16, u8)],
+        groups: &Groups<'_>,
         first: u16,
         alphabet: Alphabet,
     ) -> Result<(), WireError> {
-        // count[16] collects the lengths DEFLATE does not allow.
-        let mut count = [0u32; MAX_BITS + 2];
-        for &(_, len) in coded {
-            count[usize::from(len).min(MAX_BITS + 1)] += 1;
-        }
-        if count[MAX_BITS + 1] > 0 {
-            return Err(WireError::Deflate("code length exceeds 15 bits".into()));
-        }
-        let Some(max) = (1..=MAX_BITS).rev().find(|&len| count[len] > 0) else {
+        let Some(max) = (1..=MAX_BITS).rev().find(|&len| !groups[len].is_empty()) else {
             return Err(WireError::Deflate("huffman table with no codes".into()));
         };
-        // Kraft: the code must not oversubscribe the code space. A complete
-        // one fills every table slot, so the old entries need clearing only
-        // for an incomplete code or where subtable widths collect.
-        let kraft: u32 = (1..=MAX_BITS)
-            .map(|len| count[len] << (MAX_BITS - len))
-            .sum();
-        if kraft > 1 << MAX_BITS {
-            return Err(WireError::Deflate("oversubscribed huffman code".into()));
-        }
-        let first_code = first_codes(&count);
-        let primary = (max as u32).min(PRIMARY_BITS);
-        let primary_size = 1usize << primary;
-        self.primary_bits = primary;
-        if kraft < 1 << MAX_BITS || max as u32 > primary {
-            self.table.clear();
-        }
-        self.table.truncate(primary_size);
-        self.table.resize(primary_size, 0);
-
-        if max as u32 > primary {
-            // Each first-level slot that long codes share gets a subtable
-            // wide enough for the longest of them; the widths collect in
-            // the slots themselves until the subtables are laid out.
-            let mut next = first_code;
-            let mut slots = [0u16; MAX_SYMBOLS];
-            let mut shared = 0;
-            for &(_, len) in coded {
-                let len = usize::from(len);
-                let code = reverse_bits(next[len], len as u32) as usize;
-                next[len] += 1;
-                if len as u32 > primary {
-                    let slot = code & (primary_size - 1);
-                    let width = len as u32 - primary;
-                    if self.table[slot] == 0 {
-                        slots[shared] = slot as u16;
-                        shared += 1;
-                    }
-                    self.table[slot] = self.table[slot].max(width);
-                }
-            }
-            for &slot in &slots[..shared] {
-                let slot = usize::from(slot);
-                let width = self.table[slot];
-                let offset = self.table.len() as u32;
-                self.table.resize(self.table.len() + (1 << width), 0);
-                self.table[slot] = SUBTABLE | (width << 8) | (offset << 16) | primary;
-            }
-        }
-
+        let primary = max.min(PRIMARY_BITS as usize);
+        self.primary_bits = primary as u32;
         let payloads = &PAYLOADS[alphabet as usize];
-        let mut next = first_code;
-        for &(symbol, len) in coded {
-            let len = u32::from(len);
-            let code = reverse_bits(next[len as usize], len) as usize;
-            next[len as usize] += 1;
-            let entry = payloads[usize::from(symbol - first)] | len;
-            // `code` is bit-reversed: replicate the entry across every
-            // index that shares its low bits.
-            let (start, end, step) = if len <= primary {
-                (code, primary_size, 1usize << len)
-            } else {
-                let pointer = self.table[code & (primary_size - 1)];
+        let entry = |symbol: u16, len: usize| payloads[usize::from(symbol - first)] | len as u32;
+        let at = fill_doubling(&mut self.table, primary, groups, entry)?;
+        if max > primary {
+            self.fill_subtables(at, max, groups, entry)?;
+        }
+        Ok(())
+    }
+
+    /// Empties the code: every lookup finds the invalid entry.
+    pub(crate) fn clear(&mut self) {
+        self.primary_bits = 0;
+        self.table[0] = 0;
+    }
+
+    /// Gives each first-level slot that codes longer than [`PRIMARY_BITS`]
+    /// share a subtable as wide as the longest of them, laid out after the
+    /// first level, and writes those codes; `at` is where the first level's
+    /// build stopped.
+    fn fill_subtables(
+        &mut self,
+        at: Canonical,
+        max: usize,
+        groups: &Groups<'_>,
+        entry: impl Fn(u16, usize) -> u32,
+    ) -> Result<(), WireError> {
+        const PRIMARY: usize = PRIMARY_BITS as usize;
+        let long = &groups[PRIMARY + 1..=max];
+        let mut left = at.left;
+        for group in long {
+            left = 2 * left - group.len() as i32;
+            if left < 0 {
+                return Err(oversubscribed());
+            }
+        }
+        let table = &mut self.table;
+        // No shorter code reaches the slots long codes share, so they hold
+        // the invalid entry 0 and can collect each subtable's width
+        // (1..=5) until the layout pass replaces it with a pointer.
+        let mut code = at.code;
+        for (len, group) in (PRIMARY + 1..).zip(long) {
+            code <<= 1;
+            for _ in *group {
+                let slot = reverse_bits(code, len as u32) as usize & (PRIMARY_SIZE - 1);
+                table[slot] = table[slot].max((len - PRIMARY) as u32);
+                code += 1;
+            }
+        }
+        let mut code = at.code;
+        let mut end = PRIMARY_SIZE;
+        for (len, group) in (PRIMARY + 1..).zip(long) {
+            code <<= 1;
+            for &symbol in *group {
+                let reversed = reverse_bits(code, len as u32) as usize;
+                code += 1;
+                let slot = reversed & (PRIMARY_SIZE - 1);
+                let mut pointer = table[slot];
+                if pointer & SUBTABLE == 0 {
+                    let width = pointer;
+                    table[end..end + (1 << width)].fill(0);
+                    pointer = SUBTABLE | (width << 8) | ((end as u32) << 16) | PRIMARY_BITS;
+                    table[slot] = pointer;
+                    end += 1 << width;
+                }
+                // Replicate across every subtable index that shares the
+                // code's bits past the first level.
                 let base = entry_value(pointer) as usize;
-                let sub = code >> primary;
-                (
-                    base + sub,
-                    base + (1 << entry_extra(pointer)),
-                    1 << (len - primary),
-                )
-            };
-            let mut index = start;
-            while index < end {
-                self.table[index] = entry;
-                index += step;
+                let stop = base + (1 << entry_extra(pointer));
+                let mut index = base + (reversed >> PRIMARY);
+                while index < stop {
+                    table[index] = entry(symbol, len);
+                    index += 1 << (len - PRIMARY);
+                }
             }
         }
         Ok(())

@@ -39,7 +39,8 @@ pub fn compress_with(data: &[u8], effort: Effort) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`WireError::Gzip`] on bad magic/method/flags, a header that
-/// runs past the frame, or trailer mismatches, [`WireError::Deflate`] if
+/// runs past the frame, bytes between the end of the DEFLATE stream and
+/// the trailer (a second member included), or trailer mismatches, [`WireError::Deflate`] if
 /// the payload is malformed, and [`WireError::TooLarge`] if it inflates
 /// past the 1 GiB safety cap.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
@@ -104,7 +105,12 @@ pub fn decompress_limited(data: &[u8], max_len: usize) -> Result<Vec<u8>, WireEr
     let expect_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
     let expect_len = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
     let out = Vec::with_capacity(output_capacity(payload.len(), expect_len, max_len));
-    let out = deflate::decompress_into(payload, out, max_len)?;
+    let (out, consumed) = deflate::decompress_into(payload, out, max_len)?;
+    if consumed != payload.len() {
+        return Err(WireError::Gzip(
+            "bytes between the deflate stream and the trailer".into(),
+        ));
+    }
     if crc32(&out) != expect_crc {
         return Err(WireError::Gzip("crc mismatch".into()));
     }
@@ -273,6 +279,30 @@ mod tests {
                 limit: data.len() - 1
             })
         );
+    }
+
+    #[test]
+    fn bytes_between_the_final_block_and_the_trailer_are_an_error() {
+        let data = b"{\"uid\":7,\"neighbors\":[8,9]}".repeat(3);
+        let packed = compress(&data);
+        let (front, trailer) = packed.split_at(packed.len() - 8);
+        let mut padded = front.to_vec();
+        padded.extend_from_slice(&[0xA5; 1000]);
+        padded.extend_from_slice(trailer);
+        assert!(matches!(decompress(&padded), Err(WireError::Gzip(_))));
+        // One stray byte, even a zero one, is enough.
+        let mut padded = front.to_vec();
+        padded.push(0);
+        padded.extend_from_slice(trailer);
+        assert!(matches!(decompress(&padded), Err(WireError::Gzip(_))));
+        assert_eq!(decompress(&packed).unwrap(), data);
+    }
+
+    #[test]
+    fn concatenated_members_are_an_error() {
+        let packed = compress(b"one member, then the same member again");
+        let twice = [packed.as_slice(), packed.as_slice()].concat();
+        assert!(matches!(decompress(&twice), Err(WireError::Gzip(_))));
     }
 
     mod properties {

@@ -12,27 +12,36 @@ use hyrec_wire::deflate::{compress_chunk, STREAM_TERMINATOR};
 use hyrec_wire::gzip;
 use hyrec_wire::{KnnUpdate, WireError};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-/// The system allocator, recording the largest block it hands out.
+/// The system allocator, recording the largest block each thread asks
+/// for: tests run on parallel threads, and another test's allocations
+/// must not count against the bomb's.
 struct Counting;
 
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: allocations during thread teardown find no slot.
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        note(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        note(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -80,9 +89,9 @@ fn bomb_is_rejected_within_twice_the_cap() {
     };
     let honest = update.encode();
 
-    LARGEST.store(0, Ordering::Relaxed);
+    LARGEST.with(|largest| largest.set(0));
     let verdict = KnnUpdate::decode(&body);
-    let largest = LARGEST.load(Ordering::Relaxed);
+    let largest = LARGEST.with(Cell::get);
     assert!(
         matches!(
             verdict,
