@@ -143,14 +143,15 @@ fn bench_batched(c: &mut Criterion) {
 }
 
 fn bench_batched_encoder(c: &mut Criterion) {
-    // The coalescing front-end's serialization path over a warm fragment
-    // cache, at the benchmark's shape (10k users x 100 items, k = 10,
-    // batches of 32 jobs): the whole `encode_jobs`, the same jobs encoded
-    // one by one, and its stages — `resolve` (cache lookups and stamp
-    // checks), `prefix` (compressing one job's dynamic prefix) and
-    // `assemble` (prefixes, fragment memcpys, CRC folds, trailers). Divide
-    // a median by 32 for the cost per job. `fragment-miss` is what a
-    // changed candidate profile adds to `resolve`.
+    // The coalescing front-end's serialization path over a warm cache, at
+    // the benchmark's shape (10k users x 100 items, k = 10, batches of 32
+    // jobs): the whole `encode_jobs`, the same jobs encoded one by one, and
+    // its stages — `resolve` (cache lookups and stamp checks for each
+    // job's requester chunk and candidate fragments) and `assemble` (stored
+    // heads, memcpys, CRC folds, trailers). Divide a median by 32 for the
+    // cost per job. `requester-miss` and `fragment-miss` are what a vote
+    // adds to `resolve` when the voter next requests a job or next appears
+    // as a candidate.
     let mut group = c.benchmark_group("encoder");
     group.sample_size(15);
     let population = build_population(10_000, 100, 10, 11);
@@ -204,8 +205,11 @@ fn bench_batched_encoder(c: &mut Criterion) {
         });
     });
 
-    // One job's dynamic prefix as the encoder writes it (about 440 bytes
-    // at 100 liked items), compressed alone.
+    // A requester-chunk miss as `JobEncoder::resolve` handles one: the
+    // requester's profile and the opening of the candidates array (about
+    // 400 bytes at 100 liked items) compressed and its CRC-32 taken. Its
+    // shift operator is interned by length, built only for a length no
+    // cached piece has.
     let job = &batches[0][0];
     let items = |items: &mut dyn Iterator<Item = hyrec_core::ItemId>| {
         items
@@ -213,22 +217,23 @@ fn bench_batched_encoder(c: &mut Criterion) {
             .collect::<Vec<_>>()
             .join(",")
     };
-    let prefix = format!(
-        "{{\"uid\":{},\"k\":{},\"r\":{},\"profile\":{{\"liked\":[{}],\"disliked\":[{}]}},\"candidates\":[null",
-        job.uid.raw(),
-        job.k,
-        job.r,
+    let requester = format!(
+        "{{\"liked\":[{}],\"disliked\":[{}]}},\"candidates\":[null",
         items(&mut job.profile.liked()),
         items(&mut job.profile.disliked()),
     );
     group.bench_with_input(
-        BenchmarkId::new("prefix", prefix.len()),
-        &prefix,
-        |bench, prefix| {
+        BenchmarkId::new("requester-miss", requester.len()),
+        &requester,
+        |bench, requester| {
+            let raw = requester.as_bytes();
             bench.iter(|| {
-                std::hint::black_box(hyrec_wire::deflate::compress_chunk(
-                    prefix.as_bytes(),
-                    hyrec_wire::deflate::lz77::Effort::FAST,
+                std::hint::black_box((
+                    hyrec_wire::deflate::compress_chunk(
+                        raw,
+                        hyrec_wire::deflate::lz77::Effort::FAST,
+                    ),
+                    hyrec_wire::crc::crc32(raw),
                 ))
             });
         },
@@ -236,7 +241,8 @@ fn bench_batched_encoder(c: &mut Criterion) {
 
     // A fragment miss as `JobEncoder::resolve` handles one: a candidate's
     // fragment (about 650 bytes at 100 liked items) compressed, its CRC-32
-    // taken and its CRC shift operator built. Candidate order is hashed,
+    // taken and its CRC shift operator built (as for a length no cached
+    // piece has; other lengths reuse an interned one). Candidate order is hashed,
     // so the job's longest fragment (lowest uid on ties) is timed: the
     // same input on every run.
     let (fragment, _) = job

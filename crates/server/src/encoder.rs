@@ -3,43 +3,57 @@
 //! The orchestrator's per-request work is "retrieve a candidate set … and
 //! build a personalization job" (Section 3.1) — crucially *not* any
 //! recommendation computation. The dominant cost of shipping a job is
-//! serializing and gzip-compressing ~120 candidate profiles; since a
-//! profile only changes when its owner rates something, this encoder caches
-//! each candidate's **already-compressed** DEFLATE chunk (zlib
-//! `Z_SYNC_FLUSH` framing, byte-aligned and freely concatenatable) together
-//! with its CRC-32 and a CRC shift operator, keyed by candidate id.
+//! serializing and gzip-compressing ~120 candidate profiles plus the
+//! requester's own; since a profile only changes when its owner rates
+//! something, this encoder caches **already-compressed** DEFLATE chunks
+//! (zlib `Z_SYNC_FLUSH` framing, byte-aligned and freely concatenatable),
+//! each with its CRC-32 and a CRC shift operator. The cache holds one entry
+//! per user with two slots, each filled on first use:
 //!
-//! A cache entry is valid while the candidate's profile keeps the
-//! [`Profile::stamp`] the fragment was compressed from. Every change of a
-//! profile's votes draws a fresh stamp and clones keep theirs, so checking
-//! an entry is one integer compare — no pass over the item lists — and a
-//! hit costs that compare plus a reference-count bump. A miss (the
-//! candidate voted since its fragment was cached) recompresses the
-//! fragment, takes its CRC-32 and builds its shift operator (an
-//! O(log n) polynomial power, well under a microsecond). Serving a request
-//! then reduces to:
+//! - the *candidate fragment* `,{"uid":<uid>,"profile":{…}}`, served
+//!   whenever the user is a candidate in someone's job;
+//! - the *requester chunk* `{"liked":[…],"disliked":[…]},"candidates":[null`,
+//!   served whenever the user asks for a job of their own.
 //!
-//! 1. compress the tiny dynamic prefix (requester id + profile) — one
-//!    `compress_chunk` of a few hundred bytes, which allocates only the
-//!    exact-size chunk it returns,
-//! 2. memcpy the cached candidate chunks,
-//! 3. fold the cached CRCs with [`hyrec_wire::crc::ShiftOp::combine`],
-//! 4. append the precomputed `]}` suffix chunk, the stream terminator and
-//!    the gzip trailer.
+//! A slot is valid while the profile keeps the [`Profile::stamp`] the slot
+//! was compressed from. Every change of a profile's votes draws a fresh
+//! stamp and clones keep theirs, so checking a slot is one integer compare
+//! — no pass over the item lists — and a hit costs that compare plus a
+//! reference-count bump. A miss (the user voted since the slot was filled)
+//! recompresses that slot and takes its CRC-32. Shift operators are
+//! interned per raw length, so fragments of one length share one. A
+//! requester with an empty profile (a user the server has never seen) gets
+//! one process-wide constant chunk and creates no entry, so a stream of
+//! fresh uids cannot evict real fragments.
 //!
+//! A body is then, in order:
+//!
+//! 1. the gzip header;
+//! 2. the per-request head
+//!    `{"uid":…,"k":…,"r":…[,"lease":…,"epoch":…],"profile":`, written as
+//!    one non-final *stored* block — a copy, no Huffman work;
+//! 3. the requester's cached chunk;
+//! 4. the cached candidate fragments, memcpy'd;
+//! 5. the precomputed `]}` suffix chunk, the stream terminator and the
+//!    gzip trailer, whose CRC folds the cached CRCs with
+//!    [`hyrec_wire::crc::ShiftOp::combine`].
+//!
+//! On a warm cache a request runs no compressor, leased or not: a CRC-32 of
+//! the few dozen head bytes, memcpys and CRC folds.
 //! [`JobEncoder::resolve`] and [`ResolvedBatch::assemble`] expose the two
 //! halves (cache work, then per-job assembly) so each can be timed alone;
 //! [`JobEncoder::stats`] counts the cache's hits, misses and evictions.
 //!
 //! This is the engineering reason the HyRec front-end outruns the CRec
 //! front-end in Figure 8: CRec must recompute item popularity over every
-//! candidate profile per request, while HyRec's per-request CPU is a small
-//! compress plus memcpys.
+//! candidate profile per request, while HyRec's per-request CPU is
+//! memcpys.
 //!
 //! The emitted JSON is schema-compatible with
 //! [`PersonalizationJob::decode`]: the candidates array carries a leading
 //! `null` sentinel (chunk-alignment artifact) which the decoder skips.
 
+use hyrec_core::fast_hash::KeyedHashMap;
 use hyrec_core::FastHashMap;
 use hyrec_core::{Profile, UserId};
 use hyrec_wire::crc::{crc32, ShiftOp};
@@ -51,11 +65,11 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
 
-/// Default bound on the number of cached candidate fragments.
+/// Default bound on the number of cached users.
 ///
-/// At typical profile sizes a fragment is a few hundred bytes, so the
-/// default bound keeps the cache in the tens of megabytes; million-user
-/// deployments should size it to their hot set via
+/// At typical profile sizes a user's two slots are a few hundred bytes
+/// each, so the default bound keeps the cache in the tens of megabytes;
+/// million-user deployments should size it to their hot set via
 /// [`JobEncoder::with_capacity`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024;
 
@@ -94,22 +108,38 @@ fn profile_json(out: &mut Vec<u8>, profile: &Profile) {
     out.extend_from_slice(b"]}");
 }
 
+/// Appends `data` as one non-final stored DEFLATE block (RFC 1951 §3.2.4):
+/// a header byte with BFINAL = 0 and BTYPE = 00, whose padding bits align
+/// the block, then LEN, NLEN and the bytes as they are. It follows the
+/// gzip header or a byte-aligned chunk, so it starts on a byte boundary.
+fn push_stored_block(out: &mut Vec<u8>, data: &[u8]) {
+    let len = u16::try_from(data.len()).expect("a job head fits one stored block");
+    out.push(0);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&(!len).to_le_bytes());
+    out.extend_from_slice(data);
+}
+
+/// Bytes a stored block adds to its payload: header byte, LEN and NLEN.
+const STORED_OVERHEAD: usize = 5;
+
 /// A pre-compressed piece of a job body: its DEFLATE chunk plus what the
 /// gzip trailer needs to account for it without touching the raw bytes.
 struct Fragment {
-    chunk: Vec<u8>,
+    chunk: Box<[u8]>,
     crc: u32,
-    raw_len: u64,
-    shift: ShiftOp,
+    /// Advances a CRC past the raw bytes; its `len()` is their length.
+    shift: Arc<ShiftOp>,
 }
 
 impl Fragment {
+    /// Compresses `raw` with an operator of its own (for the process-wide
+    /// constants; cached fragments share interned operators).
     fn compress(raw: &[u8]) -> Self {
         Self {
-            chunk: compress_chunk(raw, Effort::FAST),
+            chunk: compress_chunk(raw, Effort::FAST).into_boxed_slice(),
             crc: crc32(raw),
-            raw_len: raw.len() as u64,
-            shift: ShiftOp::for_len(raw.len() as u64),
+            shift: Arc::new(ShiftOp::for_len(raw.len() as u64)),
         }
     }
 
@@ -119,7 +149,7 @@ impl Fragment {
     fn append(&self, out: &mut Vec<u8>, crc: &mut u32, total_len: &mut u64) {
         out.extend_from_slice(&self.chunk);
         *crc = self.shift.combine(*crc, self.crc);
-        *total_len += self.raw_len;
+        *total_len += self.shift.len();
     }
 }
 
@@ -127,16 +157,71 @@ impl Fragment {
 /// process.
 static SUFFIX: LazyLock<Fragment> = LazyLock::new(|| Fragment::compress(b"]}"));
 
-/// A cached candidate fragment: `,{"uid":<uid>,"profile":{…}}` (leading
-/// comma — the array opens with a `null` sentinel so every candidate entry
-/// is comma-prefixed).
-struct CachedFragment {
-    /// [`Profile::stamp`] of the profile the fragment was compressed from.
+/// The requester chunk of an empty profile, identical for every user the
+/// server has never seen: compressed once per process and never cached, so
+/// its stamp is never compared.
+static EMPTY_REQUESTER: LazyLock<Arc<Cached>> = LazyLock::new(|| {
+    let mut raw = Vec::new();
+    slot_json(&mut raw, Slot::Requester, UserId(0), &Profile::new());
+    Arc::new(Cached {
+        stamp: 0,
+        fragment: Fragment::compress(&raw),
+    })
+});
+
+/// Which of a user's two cached pieces a body needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot {
+    /// `,{"uid":<uid>,"profile":{…}}` (leading comma — the array opens
+    /// with a `null` sentinel so every candidate entry is comma-prefixed).
+    Candidate,
+    /// `{…},"candidates":[null`: the requester's profile, closing the
+    /// head's `"profile":` key and opening the candidates array.
+    Requester,
+}
+
+/// Serializes the raw bytes of `user`'s `slot`.
+fn slot_json(out: &mut Vec<u8>, slot: Slot, user: UserId, profile: &Profile) {
+    match slot {
+        Slot::Candidate => {
+            out.extend_from_slice(b",{\"uid\":");
+            push_uint(out, u64::from(user.raw()));
+            out.extend_from_slice(b",\"profile\":");
+            profile_json(out, profile);
+            out.push(b'}');
+        }
+        Slot::Requester => {
+            profile_json(out, profile);
+            out.extend_from_slice(b",\"candidates\":[null");
+        }
+    }
+}
+
+/// A filled slot: a fragment and the [`Profile::stamp`] of the profile it
+/// was compressed from.
+struct Cached {
     stamp: u64,
     fragment: Fragment,
-    /// Encoder tick of the last hit — the eviction clock. Atomic so cache
-    /// hits can refresh it under the shard *read* lock.
+}
+
+/// One cached user.
+struct Entry {
+    /// Indexed by [`Slot`].
+    slots: [Option<Arc<Cached>>; 2],
+    /// Encoder tick of the last hit on either slot — the eviction clock.
+    /// Atomic so cache hits can refresh it under the *read* lock.
     last_used: AtomicU64,
+}
+
+/// The cache behind one lock: entries keyed by the client-chosen user ids
+/// (hence the keyed hasher), and the shift operators they share.
+#[derive(Default)]
+struct Cache {
+    entries: KeyedHashMap<UserId, Entry>,
+    /// One operator per raw length in use: fragment lengths take a few
+    /// hundred distinct values, so sharing them saves a 136-byte matrix per
+    /// fragment.
+    shifts: FastHashMap<u64, Arc<ShiftOp>>,
 }
 
 /// Memoizing, chunk-assembling encoder for personalization jobs.
@@ -162,12 +247,14 @@ struct CachedFragment {
 /// # Ok::<(), hyrec_wire::WireError>(())
 /// ```
 pub struct JobEncoder {
-    cache: RwLock<FastHashMap<UserId, Arc<CachedFragment>>>,
+    cache: RwLock<Cache>,
     /// Totals behind [`Self::stats`], one relaxed add each per batch.
     hits: AtomicU64,
     misses: AtomicU64,
+    requester_hits: AtomicU64,
+    requester_misses: AtomicU64,
     evictions: AtomicU64,
-    /// Fragment-count bound; exceeding it triggers an epoch sweep back down
+    /// Entry-count bound; exceeding it triggers an epoch sweep back down
     /// to half the bound (amortized O(1) per insert).
     capacity: usize,
     /// Monotonic batch counter driving `last_used` (one tick per
@@ -176,7 +263,7 @@ pub struct JobEncoder {
     tick: AtomicU64,
 }
 
-/// Fragment-cache totals of a [`JobEncoder`] since it was created.
+/// Cache totals of a [`JobEncoder`] since it was created.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EncoderStats {
     /// Candidates served from a cached fragment.
@@ -185,16 +272,23 @@ pub struct EncoderStats {
     /// for several jobs of one batch is compressed once but counted once
     /// per candidate.
     pub misses: u64,
-    /// Fragments dropped by the capacity sweep.
+    /// Jobs whose requester chunk was served from the cache.
+    pub requester_hits: u64,
+    /// Jobs whose requester chunk was missing or stale, counted per job
+    /// like `misses`. A requester with an empty profile uses the shared
+    /// constant chunk and counts as neither hit nor miss.
+    pub requester_misses: u64,
+    /// Entries (users) dropped by the capacity sweep.
     pub evictions: u64,
 }
 
-/// Every candidate fragment of a batch of jobs, resolved against the
-/// cache by [`JobEncoder::resolve`]; [`ResolvedBatch::assemble`] turns it
-/// into bodies.
+/// Every cached piece of a batch of jobs, resolved against the cache by
+/// [`JobEncoder::resolve`]; [`ResolvedBatch::assemble`] turns it into
+/// bodies.
 pub struct ResolvedBatch {
-    /// One fragment per candidate, jobs in order.
-    fragments: Vec<Arc<CachedFragment>>,
+    /// Per job, in order: its requester chunk, then one fragment per
+    /// candidate.
+    slots: Vec<Arc<Cached>>,
 }
 
 impl Default for JobEncoder {
@@ -206,51 +300,56 @@ impl Default for JobEncoder {
 impl std::fmt::Debug for JobEncoder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobEncoder")
-            .field("cached_profiles", &self.cache.read().len())
+            .field("cached_profiles", &self.cached_profiles())
             .field("capacity", &self.capacity)
             .finish()
     }
 }
 
 impl JobEncoder {
-    /// Creates an empty encoder with the default fragment-cache bound.
+    /// Creates an empty encoder with the default cache bound.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty encoder bounded to at most `capacity` cached
-    /// fragments (minimum 1).
+    /// Creates an empty encoder bounded to at most `capacity` cached users
+    /// (minimum 1).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            cache: RwLock::new(FastHashMap::default()),
+            cache: RwLock::new(Cache::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            requester_hits: AtomicU64::new(0),
+            requester_misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             capacity: capacity.max(1),
             tick: AtomicU64::new(0),
         }
     }
 
-    /// Number of cached candidate fragments.
+    /// Number of cached users: entries holding a candidate fragment, a
+    /// requester chunk or both.
     #[must_use]
     pub fn cached_profiles(&self) -> usize {
-        self.cache.read().len()
+        self.cache.read().entries.len()
     }
 
-    /// The fragment-cache bound.
+    /// The cache bound, in users.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// A snapshot of the fragment-cache counters.
+    /// A snapshot of the cache counters.
     #[must_use]
     pub fn stats(&self) -> EncoderStats {
         EncoderStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            requester_hits: self.requester_hits.load(Ordering::Relaxed),
+            requester_misses: self.requester_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
@@ -267,166 +366,212 @@ impl JobEncoder {
     /// member per job, byte-identical to encoding each job on its own.
     ///
     /// The batch amortizes what the scalar path pays per request: the
-    /// fragment cache is consulted under **one** read lock for all jobs,
-    /// freshly compressed fragments are installed under one write lock, and
-    /// one JSON scratch buffer serves all misses, another all prefixes. A
-    /// fragment missing for several jobs of the batch is compressed once.
+    /// cache is consulted under **one** read lock for all jobs, freshly
+    /// compressed pieces are installed under one write lock, and one JSON
+    /// scratch buffer serves all misses, another all heads. A piece
+    /// missing for several jobs of the batch is compressed once.
     #[must_use]
     pub fn encode_jobs(&self, jobs: &[PersonalizationJob]) -> Vec<Vec<u8>> {
         self.resolve(jobs).assemble(jobs)
     }
 
-    /// First half of [`Self::encode_jobs`]: finds every candidate's
-    /// fragment, compressing and caching the ones that are missing or
-    /// stale.
+    /// First half of [`Self::encode_jobs`]: finds every job's requester
+    /// chunk and candidate fragments, compressing and caching the ones
+    /// that are missing or stale.
     #[must_use]
     pub fn resolve(&self, jobs: &[PersonalizationJob]) -> ResolvedBatch {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let total: usize = jobs.iter().map(|job| job.candidates.len()).sum();
-        let candidates = jobs.iter().flat_map(|job| job.candidates.iter());
+        let candidates: usize = jobs.iter().map(|job| job.candidates.len()).sum();
+        let wanted = jobs.iter().flat_map(|job| {
+            std::iter::once((Slot::Requester, job.uid, &*job.profile)).chain(
+                job.candidates
+                    .iter()
+                    .map(|candidate| (Slot::Candidate, candidate.user, &*candidate.profile)),
+            )
+        });
 
         // Pass 1 — under one read lock, a hit is a stamp compare and a
         // refcount bump. A miss records its position and, once per
-        // distinct (user, stamp), the profile to compress after the lock
-        // drops.
-        let mut fragments: Vec<Option<Arc<CachedFragment>>> = Vec::with_capacity(total);
-        let mut misses: Vec<(UserId, &Profile)> = Vec::new();
+        // distinct (slot, user, stamp), the profile to compress after the
+        // lock drops.
+        let mut slots: Vec<Option<Arc<Cached>>> = Vec::with_capacity(jobs.len() + candidates);
+        let mut misses: Vec<(Slot, UserId, &Profile)> = Vec::new();
         let mut pending: Vec<(usize, usize)> = Vec::new();
-        let mut miss_index: FastHashMap<(UserId, u64), usize> = FastHashMap::default();
+        let mut miss_index: KeyedHashMap<(Slot, UserId, u64), usize> = KeyedHashMap::default();
+        let mut requesters = 0u64;
+        let mut requester_misses = 0u64;
         {
             let cache = self.cache.read();
-            for candidate in candidates {
-                let stamp = candidate.profile.stamp();
-                match cache.get(&candidate.user) {
-                    Some(hit) if hit.stamp == stamp => {
-                        hit.last_used.store(tick, Ordering::Relaxed);
-                        fragments.push(Some(Arc::clone(hit)));
+            for (slot, user, profile) in wanted {
+                if slot == Slot::Requester {
+                    if profile.is_empty() {
+                        slots.push(Some(Arc::clone(&EMPTY_REQUESTER)));
+                        continue;
                     }
-                    _ => {
-                        let next = misses.len();
-                        let miss = *miss_index.entry((candidate.user, stamp)).or_insert(next);
-                        if miss == next {
-                            misses.push((candidate.user, &candidate.profile));
-                        }
-                        pending.push((fragments.len(), miss));
-                        fragments.push(None);
+                    requesters += 1;
+                }
+                let stamp = profile.stamp();
+                if let Some(entry) = cache.entries.get(&user) {
+                    if let Some(hit) = entry.slots[slot as usize]
+                        .as_ref()
+                        .filter(|hit| hit.stamp == stamp)
+                    {
+                        entry.last_used.store(tick, Ordering::Relaxed);
+                        slots.push(Some(Arc::clone(hit)));
+                        continue;
                     }
                 }
+                if slot == Slot::Requester {
+                    requester_misses += 1;
+                }
+                let next = misses.len();
+                let miss = *miss_index.entry((slot, user, stamp)).or_insert(next);
+                if miss == next {
+                    misses.push((slot, user, profile));
+                }
+                pending.push((slots.len(), miss));
+                slots.push(None);
             }
         }
+        let candidate_misses = pending.len() as u64 - requester_misses;
         self.hits
-            .fetch_add((total - pending.len()) as u64, Ordering::Relaxed);
-        self.misses
-            .fetch_add(pending.len() as u64, Ordering::Relaxed);
+            .fetch_add(candidates as u64 - candidate_misses, Ordering::Relaxed);
+        self.misses.fetch_add(candidate_misses, Ordering::Relaxed);
+        self.requester_hits
+            .fetch_add(requesters - requester_misses, Ordering::Relaxed);
+        self.requester_misses
+            .fetch_add(requester_misses, Ordering::Relaxed);
 
         if !misses.is_empty() {
             // Pass 2 — compress the misses with no lock held.
             let mut scratch = Vec::new();
-            let compressed: Vec<Arc<CachedFragment>> = misses
+            let compressed: Vec<(Box<[u8]>, u32, u64)> = misses
                 .iter()
-                .map(|&(user, profile)| {
+                .map(|&(slot, user, profile)| {
                     scratch.clear();
-                    scratch.extend_from_slice(b",{\"uid\":");
-                    push_uint(&mut scratch, u64::from(user.raw()));
-                    scratch.extend_from_slice(b",\"profile\":");
-                    profile_json(&mut scratch, profile);
-                    scratch.push(b'}');
-                    Arc::new(CachedFragment {
-                        stamp: profile.stamp(),
-                        fragment: Fragment::compress(&scratch),
-                        last_used: AtomicU64::new(tick),
-                    })
+                    slot_json(&mut scratch, slot, user, profile);
+                    (
+                        compress_chunk(&scratch, Effort::FAST).into_boxed_slice(),
+                        crc32(&scratch),
+                        scratch.len() as u64,
+                    )
                 })
                 .collect();
-            for (position, miss) in pending {
-                fragments[position] = Some(Arc::clone(&compressed[miss]));
-            }
 
-            // Pass 3 — install under one write lock, then sweep if the
-            // bound is exceeded. (If one user appears with two stamps in a
-            // batch — impossible via `build_jobs`, which snapshots each
-            // profile once — the later insert wins; every body still
-            // carries the fragment of its own job's profile.)
+            // Pass 3 — under one write lock, intern each shift operator
+            // and fill each slot, then sweep if the bound is exceeded. (If
+            // one user's slot appears with two stamps in a batch —
+            // impossible via `build_jobs`, which snapshots each profile
+            // once — the later fill wins; every body still carries the
+            // piece of its own job's profile.)
             let mut cache = self.cache.write();
-            for (&(user, _), fragment) in misses.iter().zip(compressed) {
-                cache.insert(user, fragment);
-            }
+            let Cache { entries, shifts } = &mut *cache;
+            let filled: Vec<Arc<Cached>> = misses
+                .iter()
+                .zip(compressed)
+                .map(|(&(slot, user, profile), (chunk, crc, len))| {
+                    let shift = shifts
+                        .entry(len)
+                        .or_insert_with(|| Arc::new(ShiftOp::for_len(len)));
+                    let cached = Arc::new(Cached {
+                        stamp: profile.stamp(),
+                        fragment: Fragment {
+                            chunk,
+                            crc,
+                            shift: Arc::clone(shift),
+                        },
+                    });
+                    let entry = entries.entry(user).or_insert_with(|| Entry {
+                        slots: [None, None],
+                        last_used: AtomicU64::new(tick),
+                    });
+                    *entry.last_used.get_mut() = tick;
+                    entry.slots[slot as usize] = Some(Arc::clone(&cached));
+                    cached
+                })
+                .collect();
             self.evict_excess(&mut cache);
+            drop(cache);
+            for (position, miss) in pending {
+                slots[position] = Some(Arc::clone(&filled[miss]));
+            }
         }
 
         ResolvedBatch {
-            fragments: fragments
+            slots: slots
                 .into_iter()
-                .map(|fragment| fragment.expect("every miss compressed"))
+                .map(|slot| slot.expect("every miss compressed"))
                 .collect(),
         }
     }
 
     /// Epoch sweep: when the cache exceeds its bound, drop the
-    /// least-recently-used half so inserts stay amortized O(1).
-    fn evict_excess(&self, cache: &mut FastHashMap<UserId, Arc<CachedFragment>>) {
-        if cache.len() <= self.capacity {
+    /// least-recently-used half so inserts stay amortized O(1), then the
+    /// shift operators no remaining fragment uses.
+    fn evict_excess(&self, cache: &mut Cache) {
+        if cache.entries.len() <= self.capacity {
             return;
         }
         let target = self.capacity / 2;
         let mut ages: Vec<(u64, UserId)> = cache
+            .entries
             .iter()
             .map(|(user, entry)| (entry.last_used.load(Ordering::Relaxed), *user))
             .collect();
         ages.sort_unstable();
-        let excess = cache.len() - target;
+        let excess = cache.entries.len() - target;
         for &(_, user) in ages.iter().take(excess) {
-            cache.remove(&user);
+            cache.entries.remove(&user);
         }
+        // An operator only the table holds belongs to no fragment, cached
+        // or in flight; new holders appear only under this write lock.
+        cache.shifts.retain(|_, shift| Arc::strong_count(shift) > 1);
         self.evictions.fetch_add(excess as u64, Ordering::Relaxed);
     }
 }
 
 impl ResolvedBatch {
     /// Second half of [`JobEncoder::encode_jobs`]: one gzip member per job
-    /// from its dynamic prefix and the resolved fragments.
+    /// from its head and the resolved pieces.
     ///
     /// # Panics
     ///
     /// If `jobs` are not the jobs this batch was resolved from.
     #[must_use]
     pub fn assemble(&self, jobs: &[PersonalizationJob]) -> Vec<Vec<u8>> {
-        let total: usize = jobs.iter().map(|job| job.candidates.len()).sum();
-        assert_eq!(total, self.fragments.len(), "jobs differ from the batch");
+        let total: usize = jobs.iter().map(|job| 1 + job.candidates.len()).sum();
+        assert_eq!(total, self.slots.len(), "jobs differ from the batch");
         let suffix = &*SUFFIX;
-        let mut scratch = Vec::new();
-        let mut rest = &self.fragments[..];
+        let mut head = Vec::new();
+        let mut rest = &self.slots[..];
         jobs.iter()
             .map(|job| {
-                let (fragments, tail) = rest.split_at(job.candidates.len());
+                let (pieces, tail) = rest.split_at(1 + job.candidates.len());
                 rest = tail;
 
-                // Dynamic prefix: requester id, parameters, requester
-                // profile, and the `null` sentinel that makes candidate
-                // fragments comma-prefixed.
-                scratch.clear();
-                scratch.extend_from_slice(b"{\"uid\":");
-                push_uint(&mut scratch, u64::from(job.uid.raw()));
-                scratch.extend_from_slice(b",\"k\":");
-                push_uint(&mut scratch, job.k as u64);
-                scratch.extend_from_slice(b",\"r\":");
-                push_uint(&mut scratch, job.r as u64);
+                // Per-request head: requester id, parameters and the key
+                // the requester chunk completes.
+                head.clear();
+                head.extend_from_slice(b"{\"uid\":");
+                push_uint(&mut head, u64::from(job.uid.raw()));
+                head.extend_from_slice(b",\"k\":");
+                push_uint(&mut head, job.k as u64);
+                head.extend_from_slice(b",\"r\":");
+                push_uint(&mut head, job.r as u64);
                 if job.lease != 0 || job.epoch != 0 {
                     // Same conditional shape as `PersonalizationJob::to_json`:
                     // unleased jobs keep the seed wire format byte-for-byte.
-                    scratch.extend_from_slice(b",\"lease\":");
-                    push_uint(&mut scratch, job.lease);
-                    scratch.extend_from_slice(b",\"epoch\":");
-                    push_uint(&mut scratch, job.epoch);
+                    head.extend_from_slice(b",\"lease\":");
+                    push_uint(&mut head, job.lease);
+                    head.extend_from_slice(b",\"epoch\":");
+                    push_uint(&mut head, job.epoch);
                 }
-                scratch.extend_from_slice(b",\"profile\":");
-                profile_json(&mut scratch, &job.profile);
-                scratch.extend_from_slice(b",\"candidates\":[null");
-                let prefix_chunk = compress_chunk(&scratch, Effort::FAST);
+                head.extend_from_slice(b",\"profile\":");
 
                 let body_len = gzip::HEADER.len()
-                    + prefix_chunk.len()
-                    + fragments
+                    + STORED_OVERHEAD
+                    + head.len()
+                    + pieces
                         .iter()
                         .map(|cached| cached.fragment.chunk.len())
                         .sum::<usize>()
@@ -435,10 +580,10 @@ impl ResolvedBatch {
                     + 8;
                 let mut out = Vec::with_capacity(body_len);
                 out.extend_from_slice(&gzip::HEADER);
-                out.extend_from_slice(&prefix_chunk);
-                let mut crc = crc32(&scratch);
-                let mut total_len = scratch.len() as u64;
-                for cached in fragments {
+                push_stored_block(&mut out, &head);
+                let mut crc = crc32(&head);
+                let mut total_len = head.len() as u64;
+                for cached in pieces {
                     cached.fragment.append(&mut out, &mut crc, &mut total_len);
                 }
                 suffix.append(&mut out, &mut crc, &mut total_len);
@@ -523,32 +668,37 @@ mod tests {
         let job = job();
         let encoder = JobEncoder::new();
         let _ = encoder.encode(&job);
-        assert_eq!(encoder.cached_profiles(), 2);
+        // Two candidates and the requester, one entry each.
+        assert_eq!(encoder.cached_profiles(), 3);
         let a = encoder.encode(&job);
         let b = encoder.encode(&job);
         assert_eq!(a, b);
-        assert_eq!(encoder.cached_profiles(), 2);
+        assert_eq!(encoder.cached_profiles(), 3);
     }
 
     #[test]
     fn stats_count_hits_misses_and_evictions() {
         let encoder = JobEncoder::with_capacity(3);
         let warm = job();
-        // Cold batch: the second job's two candidates repeat the first's,
-        // compressed once but counted as misses per candidate.
+        // Cold batch: the second job repeats the first, so its requester
+        // chunk and two candidates are compressed once but counted as
+        // misses per job and per candidate.
         let _ = encoder.encode_jobs(&[warm.clone(), warm.clone()]);
         assert_eq!(
             encoder.stats(),
             EncoderStats {
                 hits: 0,
                 misses: 4,
+                requester_hits: 0,
+                requester_misses: 2,
                 evictions: 0
             }
         );
-        // Warm batch: every candidate hits.
+        // Warm batch: every candidate and both requesters hit.
         let _ = encoder.encode_jobs(&[warm.clone(), warm.clone()]);
         assert_eq!(encoder.stats().hits, 4);
         assert_eq!(encoder.stats().misses, 4);
+        assert_eq!(encoder.stats().requester_hits, 2);
 
         // Changed profile (a clone keeps its stamp until it records a
         // vote): one candidate misses, one hits.
@@ -561,17 +711,38 @@ mod tests {
             }
             changed.candidates.insert(candidate.user, profile);
         }
-        let _ = encoder.encode_jobs(&[changed]);
+        let _ = encoder.encode_jobs(&[changed.clone()]);
         assert_eq!(
             encoder.stats(),
             EncoderStats {
                 hits: 5,
                 misses: 5,
+                requester_hits: 3,
+                requester_misses: 2,
                 evictions: 0
             }
         );
 
-        // Two new users overflow the bound of 3: the sweep keeps 1.
+        // The requester votes: its chunk misses in both jobs, its
+        // candidates hit.
+        let mut voted = changed;
+        let mut profile = Profile::clone(&voted.profile);
+        profile.record(hyrec_core::ItemId(78), hyrec_core::Vote::Like);
+        voted.profile = profile.into();
+        let _ = encoder.encode_jobs(&[voted.clone(), voted]);
+        assert_eq!(
+            encoder.stats(),
+            EncoderStats {
+                hits: 9,
+                misses: 5,
+                requester_hits: 3,
+                requester_misses: 4,
+                evictions: 0
+            }
+        );
+
+        // Two new users overflow the bound of 3 users (requester 1 plus
+        // candidates 2, 3, 8 and 9): the sweep keeps 1.
         let mut crowd = job();
         let mut candidates = CandidateSet::new();
         candidates.insert(UserId(8), Profile::from_liked([1u32]));
@@ -579,8 +750,72 @@ mod tests {
         crowd.candidates = candidates;
         let _ = encoder.encode_jobs(&[crowd]);
         assert_eq!(encoder.stats().misses, 7);
-        assert_eq!(encoder.stats().evictions, 3);
+        assert_eq!(encoder.stats().requester_misses, 5);
+        assert_eq!(encoder.stats().evictions, 4);
         assert_eq!(encoder.cached_profiles(), 1);
+    }
+
+    #[test]
+    fn unknown_requesters_never_enter_the_cache() {
+        // Fresh uids carry empty profiles: they share one constant chunk,
+        // so however many arrive they neither fill nor evict entries.
+        let encoder = JobEncoder::with_capacity(4);
+        let known = job();
+        let _ = encoder.encode(&known);
+        let (cached, before) = (encoder.cached_profiles(), encoder.stats());
+        assert_eq!(cached, 3);
+        for batch in 0..100u32 {
+            let jobs: Vec<PersonalizationJob> = (0..100u32)
+                .map(|i| PersonalizationJob {
+                    uid: UserId(1_000_000 + batch * 100 + i),
+                    profile: Profile::new().into(),
+                    ..known.clone()
+                })
+                .collect();
+            let bodies = encoder.encode_jobs(&jobs);
+            assert_eq!(PersonalizationJob::decode(&bodies[7]).unwrap(), jobs[7]);
+            assert_eq!(bodies[7], JobEncoder::new().encode(&jobs[7]));
+        }
+        assert_eq!(encoder.cached_profiles(), cached);
+        let after = encoder.stats();
+        assert_eq!(after.evictions, before.evictions);
+        assert_eq!(
+            (after.requester_hits, after.requester_misses),
+            (before.requester_hits, before.requester_misses)
+        );
+        assert_eq!(after.hits, before.hits + 2 * 10_000);
+    }
+
+    #[test]
+    fn racing_requester_fills_give_equal_bodies() {
+        // Two threads miss on the same requester chunk at once, every
+        // round with a fresh stamp: both compress, both install, and the
+        // bodies agree with each other and with a cold encoder's.
+        let encoder = JobEncoder::new();
+        let barrier = std::sync::Barrier::new(2);
+        let mut profile = Profile::from_liked([1u32, 2]);
+        for round in 0..200u32 {
+            profile.record(hyrec_core::ItemId(100 + round), hyrec_core::Vote::Like);
+            let racing = PersonalizationJob {
+                profile: profile.clone().into(),
+                ..job()
+            };
+            let (a, b) = std::thread::scope(|scope| {
+                let race = || {
+                    barrier.wait();
+                    encoder.encode(&racing)
+                };
+                let a = scope.spawn(race);
+                let b = scope.spawn(race);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!(a, b, "round {round}");
+            assert_eq!(a, JobEncoder::new().encode(&racing), "round {round}");
+        }
+        let stats = encoder.stats();
+        assert_eq!(stats.requester_hits + stats.requester_misses, 400);
+        assert!(stats.requester_misses >= 200, "every round misses once");
+        assert_eq!(encoder.cached_profiles(), 3);
     }
 
     #[test]

@@ -40,11 +40,11 @@ pub struct HyRecServer {
     directory: UserDirectory,
     sampler: Box<dyn Sampler>,
     anonymizer: Mutex<AnonymousMapping>,
-    /// Capped copies of over-cap candidate profiles, with the stamp of the
-    /// table profile each was cut from. Reusing a copy until its source
-    /// changes keeps its stamp, so the job encoder's fragment cache hits
-    /// under a profile cap too. Holds at most one copy per user; taken
-    /// only after `anonymizer`.
+    /// Capped copies of over-cap profiles, requesters' and candidates'
+    /// alike, with the stamp of the table profile each was cut from.
+    /// Reusing a copy until its source changes keeps its stamp, so the job
+    /// encoder's cache hits under a profile cap too. Holds at most one copy
+    /// per user; taken only after `anonymizer`.
     capped: Mutex<FastHashMap<UserId, (u64, Arc<Profile>)>>,
     rng: Mutex<StdRng>,
     requests_served: AtomicU64,
@@ -207,10 +207,11 @@ impl HyRecServer {
             )
         };
 
-        let profile = Self::capped(
-            self.profiles.get(user).unwrap_or_default(),
-            self.config.profile_cap,
-        );
+        let profile = self.profiles.get(user).unwrap_or_default();
+        let profile = match self.config.profile_cap {
+            Some(_) => self.cap_profile(user, profile, &mut self.capped.lock()),
+            None => profile,
+        };
         let candidates = self.finalize_candidates(candidates);
         PersonalizationJob {
             uid: user,
@@ -223,19 +224,37 @@ impl HyRecServer {
         }
     }
 
-    /// Applies the optional profile cap to a shared handle.
+    /// Applies the optional profile cap to `user`'s shared handle.
     ///
     /// Uncapped (the default) or already-small profiles pass through as the
-    /// same `Arc` — no copy. Only an over-cap profile is cloned, because
-    /// truncation must not mutate the table's stored profile.
-    fn capped(profile: Arc<Profile>, cap: Option<usize>) -> Arc<Profile> {
-        match cap {
-            Some(cap) if profile.liked_len() > cap => {
+    /// same `Arc` — no copy. An over-cap profile is cut once per version of
+    /// its source: the copy is kept in `capped` beside the source's stamp
+    /// and reused until the source changes, so the copy keeps its stamp and
+    /// the job encoder's cache hits under a cap too. Truncation never
+    /// mutates the table's stored profile.
+    fn cap_profile(
+        &self,
+        user: UserId,
+        profile: Arc<Profile>,
+        capped: &mut FastHashMap<UserId, (u64, Arc<Profile>)>,
+    ) -> Arc<Profile> {
+        let Some(cap) = self
+            .config
+            .profile_cap
+            .filter(|&cap| profile.liked_len() > cap)
+        else {
+            return profile;
+        };
+        let source = profile.stamp();
+        match capped.get(&user) {
+            Some((stamp, copy)) if *stamp == source => Arc::clone(copy),
+            _ => {
                 let mut owned = (*profile).clone();
                 owned.truncate_liked(cap);
-                Arc::new(owned)
+                let copy = Arc::new(owned);
+                capped.insert(user, (source, Arc::clone(&copy)));
+                copy
             }
-            _ => profile,
         }
     }
 
@@ -257,7 +276,6 @@ impl HyRecServer {
         anonymizer: &mut AnonymousMapping,
         capped: &mut FastHashMap<UserId, (u64, Arc<Profile>)>,
     ) -> CandidateSet {
-        let cap = self.config.profile_cap;
         // Pseudonymization is injective within an epoch and capping keeps
         // user ids untouched, so the input's uniqueness survives and the
         // output set needs no re-hashed dedup index.
@@ -265,20 +283,7 @@ impl HyRecServer {
             .into_vec()
             .into_iter()
             .map(|c| {
-                let profile = match cap {
-                    Some(max) if c.profile.liked_len() > max => {
-                        let source = c.profile.stamp();
-                        match capped.get(&c.user) {
-                            Some((stamp, copy)) if *stamp == source => Arc::clone(copy),
-                            _ => {
-                                let copy = Self::capped(c.profile, cap);
-                                capped.insert(c.user, (source, Arc::clone(&copy)));
-                                copy
-                            }
-                        }
-                    }
-                    _ => c.profile,
-                };
+                let profile = self.cap_profile(c.user, c.profile, capped);
                 let user = if self.config.anonymize_users {
                     anonymizer.pseudonymize(c.user)
                 } else {
@@ -322,16 +327,31 @@ impl HyRecServer {
         };
 
         let profiles = self.profiles.get_many(users);
-        let finalized: Vec<CandidateSet> =
+        let (profiles, finalized): (Vec<Arc<Profile>>, Vec<CandidateSet>) =
             if self.config.anonymize_users || self.config.profile_cap.is_some() {
                 let mut anonymizer = self.anonymizer.lock();
                 let mut capped = self.capped.lock();
-                candidate_sets
-                    .into_iter()
-                    .map(|set| self.finalize_with(set, &mut anonymizer, &mut capped))
-                    .collect()
+                (
+                    users
+                        .iter()
+                        .zip(profiles)
+                        .map(|(&user, profile)| {
+                            self.cap_profile(user, profile.unwrap_or_default(), &mut capped)
+                        })
+                        .collect(),
+                    candidate_sets
+                        .into_iter()
+                        .map(|set| self.finalize_with(set, &mut anonymizer, &mut capped))
+                        .collect(),
+                )
             } else {
-                candidate_sets
+                (
+                    profiles
+                        .into_iter()
+                        .map(Option::unwrap_or_default)
+                        .collect(),
+                    candidate_sets,
+                )
             };
 
         users
@@ -344,7 +364,7 @@ impl HyRecServer {
                 r: self.config.r,
                 lease: 0,
                 epoch: 0,
-                profile: Self::capped(profile.unwrap_or_default(), self.config.profile_cap),
+                profile,
                 candidates,
             })
             .collect()
@@ -676,6 +696,37 @@ mod tests {
         let after = finalized_stamps();
         assert_ne!(after[0], first[0]);
         assert_eq!(after[1..], first[1..]);
+    }
+
+    #[test]
+    fn capped_requesters_keep_their_copy_until_they_vote() {
+        let server = HyRecServer::with_config(
+            HyRecConfig::builder()
+                .k(2)
+                .anonymize_users(false)
+                .profile_cap(3)
+                .seed(1)
+                .build(),
+        );
+        for u in 0..5u32 {
+            for i in 0..50u32 {
+                server.record(UserId(u), ItemId(i), Vote::Like);
+            }
+        }
+        let own = |jobs: Vec<PersonalizationJob>| Arc::clone(&jobs[0].profile);
+        let first = own(server.build_jobs(&[UserId(0)]));
+        assert_eq!(first.liked_len(), 3);
+        let second = own(server.build_jobs(&[UserId(0)]));
+        assert!(Arc::ptr_eq(&first, &second), "unchanged requester recut");
+        // The scalar path shares the same copy.
+        assert!(Arc::ptr_eq(&first, &server.build_job(UserId(0)).profile));
+
+        // A vote cuts one fresh copy, then that copy is reused.
+        assert!(server.record(UserId(0), ItemId(999), Vote::Like));
+        let voted = own(server.build_jobs(&[UserId(0)]));
+        assert!(!Arc::ptr_eq(&first, &voted));
+        assert_ne!(voted.stamp(), first.stamp());
+        assert!(Arc::ptr_eq(&voted, &own(server.build_jobs(&[UserId(0)]))));
     }
 
     #[test]

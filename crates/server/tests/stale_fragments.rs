@@ -1,12 +1,14 @@
-//! The job encoder validates a cached fragment by the candidate profile's
-//! stamp alone, and under a profile cap the server reuses capped copies
-//! until their source changes. This suite drives random interleavings of
-//! votes (new likes, like→dislike flips, repeated votes; through `record`
-//! and `record_many`), profile caps, pseudonymization and batched encodes
-//! over overlapping user sets, and asserts that every job carries current
-//! profiles and that every body one long-lived encoder emits is
-//! byte-identical to a cold encoder's body for the same job — i.e. no
-//! stale fragment or capped copy is ever served.
+//! The job encoder validates a cached candidate fragment or requester
+//! chunk by the profile's stamp alone, and under a profile cap the server
+//! reuses capped copies until their source changes. This suite drives
+//! random interleavings of votes (new likes, like→dislike flips, repeated
+//! votes; through `record` and `record_many`, including a requester voting
+//! between its own encodes), profile caps, pseudonymization and batched
+//! encodes over overlapping user sets (including a user who is both
+//! requester and candidate in one batch), and asserts that every job
+//! carries current profiles and that every body one long-lived encoder
+//! emits is byte-identical to a cold encoder's body for the same job —
+//! i.e. no stale fragment, requester chunk or capped copy is ever served.
 
 use hyrec_core::{ItemId, UserId, Vote};
 use hyrec_server::encoder::{JobEncoder, DEFAULT_CACHE_CAPACITY};
@@ -34,6 +36,12 @@ enum Op {
     /// previous batch's (possibly stale) jobs ride along in the same call.
     Encode(Vec<u32>, bool),
     RotatePseudonyms,
+    /// Encode this user's job, let the user vote, encode it again.
+    VoteBetween(u32, u32, Kind),
+    /// Build jobs for both users and add the first, under its own uid and
+    /// its job's profile, to the second's candidates: one user fills both
+    /// of its cache slots in one batch.
+    SelfCandidate(u32, u32),
 }
 
 fn kind() -> impl Strategy<Value = Kind> {
@@ -51,6 +59,8 @@ fn op() -> impl Strategy<Value = Op> {
         4 => (proptest::collection::vec(0..USERS, 1..6), any::<bool>())
             .prop_map(|(users, previous)| Op::Encode(users, previous)),
         1 => Just(Op::RotatePseudonyms),
+        2 => vote().prop_map(|(u, s, k)| Op::VoteBetween(u, s, k)),
+        2 => (0..USERS, 0..USERS).prop_map(|(u, v)| Op::SelfCandidate(u, v)),
     ]
 }
 
@@ -154,6 +164,23 @@ proptest! {
                     previous = fresh;
                 }
                 Op::RotatePseudonyms => server.rotate_pseudonyms(),
+                Op::VoteBetween(u, s, k) => {
+                    check_against_cold(&encoder, &server.build_jobs(&[UserId(u)]))?;
+                    let (user, item, vote) = concrete(&server, &mut next_item, (u, s, k));
+                    server.record(user, item, vote);
+                    let jobs = server.build_jobs(&[UserId(u)]);
+                    // The requester's own profile is current, capped.
+                    let mut expected = (*server.profile_of(user).unwrap_or_default()).clone();
+                    expected.truncate_liked(cap.unwrap_or(usize::MAX));
+                    prop_assert!(*jobs[0].profile == expected, "requester {} is stale", u);
+                    check_against_cold(&encoder, &jobs)?;
+                }
+                Op::SelfCandidate(u, v) => {
+                    let mut jobs = server.build_jobs(&[UserId(u), UserId(v)]);
+                    let own = std::sync::Arc::clone(&jobs[0].profile);
+                    jobs[1].candidates.insert(UserId(u), own);
+                    check_against_cold(&encoder, &jobs)?;
+                }
             }
         }
         // A final pass over everyone, twice: all hits the second time.
