@@ -61,7 +61,8 @@ fn main() {
             "fig4",
             "fig5",
             "fig6",
-            "fig7+table3",
+            "fig7",
+            "table3",
             "fig8",
             "fig9",
             "fig10",
@@ -75,6 +76,9 @@ fn main() {
         .collect();
     }
 
+    // Table 3 is priced from Figure 7's measurements, so Figure 7 runs (and
+    // prints) at most once per invocation, whichever of the two comes first.
+    let mut fig7 = None;
     for target in &targets {
         match target.as_str() {
             "table2" => figures::table2::run(&options),
@@ -83,13 +87,11 @@ fn main() {
             "fig5" => figures::fig5::run(&options),
             "fig6" => figures::fig6::run(&options),
             "fig7" => {
-                let _ = figures::fig7::run(&options);
+                fig7.get_or_insert_with(|| figures::fig7::run(&options));
             }
-            "table3" => figures::table3::run(&options),
-            // Shared run: fig7's measurements feed table3 directly.
-            "fig7+table3" => {
-                let results = figures::fig7::run(&options);
-                figures::table3::run_with(&results);
+            "table3" => {
+                let results = fig7.get_or_insert_with(|| figures::fig7::run(&options));
+                figures::table3::run_with(results);
             }
             "fig8" => figures::fig8::run(&options),
             "fig9" => figures::fig9::run(&options),

@@ -7,15 +7,9 @@
 //! ML3 49.2% flat (reserved cap), Digg 2.5/5.0/9.5%.
 
 use crate::figures::fig7::Fig7Results;
-use crate::{banner, header, RunOptions};
+use crate::{banner, header};
 use hyrec_sim::cost::{cost_reduction, Ec2Pricing};
 use std::time::Duration;
-
-/// Runs the Table 3 regeneration from fresh Figure 7 measurements.
-pub fn run(options: &RunOptions) {
-    let fig7 = crate::figures::fig7::run(options);
-    run_with(&fig7);
-}
 
 /// The paper's own CRec back-end runtimes (2014 Java/map-reduce stack),
 /// read off Figure 7's log axis and cross-checked against the Table 3

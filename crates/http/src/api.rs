@@ -6,19 +6,29 @@
 //! | `GET /neighbors/?uid=<uid>&id0=<fid0>&sim0=…&id1=…` | Update KNN selection |
 //! | `POST /neighbors/` (gzipped [`KnnUpdate`] body) | Same update, message form |
 //! | `` GET /rate/?uid=&item=&like=0|1 `` | Record a rating (profile update) |
+//! | `GET /stats/` | Scheduler (and reactor) counters as JSON |
 //!
 //! The `/online` + `/neighbors` pair is verbatim from the paper; `/rate` is
 //! the profile-update entry point the paper folds into "the server first
 //! updates u's profile".
+//!
+//! ## One router, leased or unleased
+//!
+//! [`hyrec_scheduled_router`] holds the only handlers. It serves a
+//! [`ScheduledServer`], and that server decides whether jobs are leased:
+//! [`hyrec_router`] and [`hyrec_router_with`] wrap a bare [`HyRecServer`]
+//! as [`ScheduledServer::unleased`], whose jobs carry no lease and whose
+//! completions pass the scheduler's payload check alone.
 //!
 //! ## Coalescing
 //!
 //! The hot endpoints register [`crate::Handler`]s with batched
 //! [`BatchPolicy`]s: under the reactor front-end, concurrent — and, with
 //! keep-alive, *pipelined* — `/online/` requests inside a gather window
-//! funnel into a single [`HyRecServer::build_jobs`] call whose outputs are
-//! serialized by the batched, fragment-caching [`JobEncoder::encode_jobs`];
-//! `/rate/` bursts stage their votes through the shard-grouped
+//! funnel into a single [`ScheduledServer::issue_jobs`] call (one
+//! [`HyRecServer::build_jobs`]) whose outputs are serialized by the
+//! batched, fragment-caching [`JobEncoder::encode_jobs`]; `/rate/` bursts
+//! stage their votes through the shard-grouped
 //! [`HyRecServer::record_many`]; `POST /neighbors/` bursts apply through
 //! [`HyRecServer::apply_updates`]. A request that gathers alone runs as a
 //! batch of one, and every batched response is byte-identical to what the
@@ -34,136 +44,49 @@ use hyrec_server::{HyRecServer, JobEncoder, ScheduledServer};
 use hyrec_wire::{KnnUpdate, WireError};
 use std::sync::Arc;
 
-/// Builds the HyRec API router around a shared server, with a fresh
-/// fragment-cache encoder and default coalescing policy.
+/// Builds the unleased HyRec API router around a shared server, with a
+/// fresh fragment-cache encoder and default coalescing policy.
 #[must_use]
 pub fn hyrec_router(server: Arc<HyRecServer>) -> Router {
     hyrec_router_with(server, Arc::new(JobEncoder::new()), BatchPolicy::default())
 }
 
-/// Builds the HyRec API router around a shared server and a shared
-/// [`JobEncoder`] (so load harnesses and multiple front-ends reuse one
-/// fragment cache), with an explicit coalescing policy for the batch
-/// routes.
+/// Builds the unleased HyRec API router around a shared server and a
+/// shared [`JobEncoder`] (so several front-ends reuse one fragment cache),
+/// with an explicit coalescing policy for the batch routes: the server is
+/// wrapped as [`ScheduledServer::unleased`] and served by
+/// [`hyrec_scheduled_router`].
 #[must_use]
 pub fn hyrec_router_with(
     server: Arc<HyRecServer>,
     encoder: Arc<JobEncoder>,
     policy: BatchPolicy,
 ) -> Router {
-    let mut router = Router::new();
-
-    // GET /online/?uid=N — the "Client request" row of Table 1. Gathered
-    // requests become one build_jobs + encode_jobs round; arrival order is
-    // batch order, so the RNG stream matches the sequential path.
-    let online_server = Arc::clone(&server);
-    let online_encoder = Arc::clone(&encoder);
-    router.route(
-        "GET",
-        "/online/",
+    hyrec_scheduled_router(
+        Arc::new(ScheduledServer::unleased(server)),
+        encoder,
         policy,
-        move |requests: &[Request], out: &mut Vec<Response>| {
-            let parsed: Vec<Result<UserId, String>> = requests.iter().map(parse_uid).collect();
-            let uids: Vec<UserId> = parsed
-                .iter()
-                .filter_map(|p| p.as_ref().ok().copied())
-                .collect();
-            let jobs = online_server.build_jobs(&uids);
-            let mut bodies = online_encoder.encode_jobs(&jobs).into_iter();
-            out.extend(parsed.into_iter().map(|p| match p {
-                Ok(_) => Response::ok_pregzipped_json(
-                    bodies.next().expect("one encoded body per valid uid"),
-                ),
-                Err(reason) => Response::bad_request(&reason),
-            }));
-        },
-    );
-
-    // GET /neighbors/?uid=N&id0=..&sim0=.. — "Update KNN selection".
-    let neighbors_server = Arc::clone(&server);
-    router.get("/neighbors/", move |req| {
-        match parse_knn_query(req).and_then(|update| validate_update(&update).map(|()| update)) {
-            Ok(update) => {
-                neighbors_server.apply_update(&update);
-                Response::ok("application/json", b"{\"ok\":true}".to_vec())
-            }
-            Err(reason) => Response::bad_request(&reason),
-        }
-    });
-
-    // POST /neighbors/ with a gzipped KnnUpdate body (our wire form); one
-    // past the size cap is a 413. Gathered updates apply through one
-    // shard-grouped write-back.
-    let post_server = Arc::clone(&server);
-    router.route(
-        "POST",
-        "/neighbors/",
-        policy,
-        move |requests: &[Request], out: &mut Vec<Response>| {
-            let mut updates = Vec::with_capacity(requests.len());
-            out.extend(requests.iter().map(|req| {
-                match decode_update(&req.body).and_then(|update| {
-                    validate_update(&update)
-                        .map(|()| update)
-                        .map_err(|reason| Response::bad_request(&reason))
-                }) {
-                    Ok(update) => {
-                        updates.push(update);
-                        Response::ok("application/json", b"{\"ok\":true}".to_vec())
-                    }
-                    Err(response) => response,
-                }
-            }));
-            post_server.apply_updates(&updates);
-        },
-    );
-
-    // GET /rate/?uid=N&item=I&like=0|1 — profile update. Gathered votes
-    // ingest through record_many: one write lock per touched shard.
-    let rate_server = Arc::clone(&server);
-    router.route(
-        "GET",
-        "/rate/",
-        policy,
-        move |requests: &[Request], out: &mut Vec<Response>| {
-            let parsed: Vec<Result<(UserId, ItemId, Vote), String>> =
-                requests.iter().map(parse_rate).collect();
-            let votes: Vec<(UserId, ItemId, Vote)> = parsed
-                .iter()
-                .filter_map(|p| p.as_ref().ok().copied())
-                .collect();
-            let mut changed = rate_server.record_many(&votes).into_iter();
-            out.extend(parsed.into_iter().map(|p| match p {
-                Ok(_) => {
-                    let flag = changed.next().expect("one change flag per valid vote");
-                    Response::ok(
-                        "application/json",
-                        format!("{{\"ok\":true,\"changed\":{flag}}}").into_bytes(),
-                    )
-                }
-                Err(reason) => Response::bad_request(&reason),
-            }));
-        },
-    );
-
-    router
+        None,
+    )
 }
 
-/// Builds the *scheduled* HyRec API router: the same Table 1 surface, but
-/// with every job issue and update apply routed through the job-lifecycle
-/// scheduler of [`ScheduledServer`].
+/// Builds the HyRec API router over a [`ScheduledServer`], leased
+/// ([`ScheduledServer::new`]) or unleased ([`ScheduledServer::unleased`]).
 ///
-/// Differences from [`hyrec_router_with`]:
-///
-/// * `GET /online/` serves the **scheduler's pick** — the churn backlog or
-///   the staleness queue may override the requested uid — and every job
-///   carries `lease`/`epoch` credentials the widget must echo.
-/// * Both `/neighbors/` forms present those credentials (query params
-///   `lease=&epoch=` on GET, message fields on POST). Malformed payloads
-///   are a 400 exactly as in the plain router; a well-formed completion
+/// * `GET /online/` serves [`ScheduledServer::issue_jobs`]. Leased, that is
+///   the **scheduler's pick** — the churn backlog or the staleness queue
+///   may override the requested uid — and every job carries
+///   `lease`/`epoch` credentials the widget must echo. Unleased, it is the
+///   job of the uid asked for, at the seed wire shape.
+/// * Both `/neighbors/` forms go through
+///   [`ScheduledServer::complete_updates`] (leased: query params
+///   `lease=&epoch=` on GET, message fields on POST). A structurally
+///   malformed query or body is a 400 (a body past the size cap a 413); a
+///   NaN or out-of-range similarity is a 400 and a well-formed completion
 ///   whose lease is dead (expired, superseded, already consumed, wrong
-///   user, fabricated neighbour) is a 409 naming the reason, and is never
-///   applied.
+///   user, fabricated neighbour) a 409, both with an
+///   `{"ok":false,"reject":"<reason>"}` body, and neither is applied.
+/// * `GET /rate/` records votes (leased: bumping staleness priorities).
 /// * `GET /stats/` exposes the scheduler's [`hyrec_sched::SchedStats`]
 ///   (and, when a handle is supplied, the reactor's [`ReactorStats`]).
 ///
@@ -179,10 +102,10 @@ pub fn hyrec_scheduled_router(
 ) -> Router {
     let mut router = Router::new();
 
-    // GET /online/?uid=N — leased job issue, coalesced through one
-    // issue_jobs + encode_jobs round per gathered batch.
+    // GET /online/?uid=N — the "Client request" row of Table 1. Gathered
+    // requests become one issue_jobs + encode_jobs round; arrival order is
+    // batch order, so the RNG stream matches the sequential path.
     let online = Arc::clone(&scheduled);
-    let online_encoder = Arc::clone(&encoder);
     router.route(
         "GET",
         "/online/",
@@ -194,7 +117,7 @@ pub fn hyrec_scheduled_router(
                 .filter_map(|p| p.as_ref().ok().copied())
                 .collect();
             let jobs = online.issue_jobs(&uids, online.now_ms());
-            let mut bodies = online_encoder.encode_jobs(&jobs).into_iter();
+            let mut bodies = encoder.encode_jobs(&jobs).into_iter();
             out.extend(parsed.into_iter().map(|p| match p {
                 Ok(_) => Response::ok_pregzipped_json(
                     bodies.next().expect("one encoded body per valid uid"),
@@ -204,10 +127,10 @@ pub fn hyrec_scheduled_router(
         },
     );
 
-    // GET /neighbors/?uid=&lease=&epoch=&id0=&sim0=… — scalar completion
-    // (the Table 1 query form). Payload validation happens inside the
-    // scheduler with the *configured* similarity tolerance, so the HTTP
-    // layer only rejects structurally malformed queries here.
+    // GET /neighbors/?uid=&lease=&epoch=&id0=&sim0=… — "Update KNN
+    // selection" (the Table 1 query form). The HTTP layer rejects only
+    // structurally malformed queries; payload checks run in the scheduler
+    // with its configured similarity tolerance.
     let neighbors = Arc::clone(&scheduled);
     router.get("/neighbors/", move |req| match parse_knn_query(req) {
         Ok(update) => {
@@ -220,10 +143,9 @@ pub fn hyrec_scheduled_router(
         Err(reason) => Response::bad_request(&reason),
     });
 
-    // POST /neighbors/ — batched completions; decode errors are a 400 (413
-    // past the size cap), everything else goes through one batched
-    // lease-validation + apply pass (the scheduler's own payload
-    // validation, configured tolerance).
+    // POST /neighbors/ with a gzipped KnnUpdate body (our wire form):
+    // decode errors are a 400 (413 past the size cap); gathered updates go
+    // through one batched validation + apply pass.
     let post = Arc::clone(&scheduled);
     router.route(
         "POST",
@@ -246,8 +168,8 @@ pub fn hyrec_scheduled_router(
         },
     );
 
-    // GET /rate/ — strict votes, staleness bumps coalesced with the
-    // profile writes.
+    // GET /rate/?uid=N&item=I&like=0|1 — profile update. Gathered votes
+    // ingest through one record_many: one write lock per touched shard.
     let rate = Arc::clone(&scheduled);
     router.route(
         "GET",
@@ -275,9 +197,8 @@ pub fn hyrec_scheduled_router(
     );
 
     // GET /stats/ — scheduler + (optional) reactor observability.
-    let stats_server = Arc::clone(&scheduled);
     router.get("/stats/", move |_req| {
-        let sched = stats_server.scheduler().stats().snapshot().to_json();
+        let sched = scheduled.scheduler().stats().snapshot().to_json();
         let body = match &reactor_stats {
             Some(reactor) => format!("{{\"sched\":{sched},\"reactor\":{}}}", reactor.to_json()),
             None => format!("{{\"sched\":{sched}}}"),
@@ -298,10 +219,9 @@ fn decode_update(body: &[u8]) -> Result<KnnUpdate, Response> {
     })
 }
 
-/// Maps a lease-validation outcome onto the wire: applied completions ack
-/// like the plain router; malformed payloads (NaN / out-of-range
-/// similarities) are a 400 exactly as on the plain router, and dead-lease
-/// conflicts are a 409 — both naming the (counted) reason.
+/// Maps a completion outcome onto the wire: applied completions ack;
+/// malformed payloads (NaN / out-of-range similarities) are a 400 and
+/// dead-lease conflicts a 409, both naming the (counted) reason.
 fn completion_response(outcome: Result<(), RejectReason>) -> Response {
     match outcome {
         Ok(()) => Response::ok("application/json", b"{\"ok\":true}".to_vec()),
@@ -349,12 +269,11 @@ fn parse_uid(req: &Request) -> Result<UserId, String> {
 /// Parses the Table 1 query form: `id0=..&sim0=..&id1=..&sim1=..`, plus
 /// the scheduler's optional `lease=..&epoch=..` credentials.
 ///
-/// Structural strictness shared by both routers: malformed id/sim pairs —
-/// more sims than ids, or `idN`/`simN` keys outside the contiguous run
-/// from 0 (a gap would silently drop the keys after it) — are an error,
-/// never silently applied. Similarity *range* validation lives in
-/// [`validate_update`] (plain router) or in the scheduler's configured
-/// check (scheduled router).
+/// Structural strictness: malformed id/sim pairs — more sims than ids, or
+/// `idN`/`simN` keys outside the contiguous run from 0 (a gap would
+/// silently drop the keys after it) — are an error, never silently
+/// applied. Similarity *range* validation is the scheduler's payload
+/// check, leased or not ([`ScheduledServer::complete_updates`]).
 fn parse_knn_query(req: &Request) -> Result<KnnUpdate, String> {
     let uid = parse_uid(req)?;
     let lease = parse_optional_u64(req, "lease")?;
@@ -409,24 +328,6 @@ fn indexed_key_count(req: &Request, prefix: &str) -> usize {
                 .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
         })
         .count()
-}
-
-/// Payload validation for the *plain* router's `/neighbors/` forms: every
-/// reported similarity must be a finite number in `[0, 1]`, with the same
-/// default tolerance the scheduler's own validation uses (single
-/// definition in `hyrec-sched`; the scheduled router validates inside the
-/// scheduler so a configured tolerance applies there).
-fn validate_update(update: &KnnUpdate) -> Result<(), String> {
-    for (index, neighbor) in update.neighbors.iter().enumerate() {
-        let sim = neighbor.similarity;
-        if sim.is_nan() {
-            return Err(format!("sim{index} is NaN"));
-        }
-        if !(0.0..=1.0 + hyrec_sched::DEFAULT_SIMILARITY_TOLERANCE).contains(&sim) {
-            return Err(format!("sim{index} out of range [0, 1]: {sim}"));
-        }
-    }
-    Ok(())
 }
 
 /// Strict `u32` parse: ASCII digits only (no sign, no whitespace — the

@@ -1,11 +1,13 @@
-//! Live-socket tests for the scheduled API surface: leases threaded
-//! through `/online/` and both `/neighbors/` forms, identical validation
-//! on the query and message forms, strict `/rate/` parsing (scalar and
-//! coalesced), and the `/stats/` observability route.
+//! Live-socket tests for the API router in both of its configurations:
+//! leases threaded through `/online/` and both `/neighbors/` forms,
+//! identical validation on the query and message forms, leased and
+//! unleased, strict `/rate/` parsing (scalar and coalesced), and the
+//! `/stats/` observability route.
 
 use hyrec_client::Widget;
 use hyrec_core::{ItemId, UserId, Vote};
 use hyrec_http::api::{hyrec_router, hyrec_scheduled_router};
+use hyrec_http::reactor::ReactorHandle;
 use hyrec_http::{BatchPolicy, HttpClient, ReactorServer};
 use hyrec_sched::SchedConfig;
 use hyrec_server::{HyRecServer, JobEncoder, ScheduledServer};
@@ -30,15 +32,23 @@ fn populated_server(seed: u64) -> Arc<HyRecServer> {
     server
 }
 
-fn spawn_scheduled_reactor() -> (
-    hyrec_http::reactor::ReactorHandle,
-    HttpClient,
-    Arc<ScheduledServer>,
-) {
-    let scheduled = Arc::new(ScheduledServer::new(
-        populated_server(5),
-        SchedConfig::default(),
-    ));
+/// The two configurations of the API router.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leases {
+    Off,
+    On,
+}
+
+/// Serves `hyrec` through the API router, leased or unleased, with the
+/// reactor's stats on `/stats/`.
+fn spawn_router(
+    hyrec: Arc<HyRecServer>,
+    leases: Leases,
+) -> (ReactorHandle, HttpClient, Arc<ScheduledServer>) {
+    let scheduled = Arc::new(match leases {
+        Leases::Off => ScheduledServer::unleased(hyrec),
+        Leases::On => ScheduledServer::new(hyrec, SchedConfig::default()),
+    });
     let server = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
     let addr = server.local_addr();
     let stats = server.stats_handle();
@@ -49,6 +59,10 @@ fn spawn_scheduled_reactor() -> (
         Some(stats),
     ));
     (handle, HttpClient::new(addr), scheduled)
+}
+
+fn spawn_scheduled_reactor() -> (ReactorHandle, HttpClient, Arc<ScheduledServer>) {
+    spawn_router(populated_server(5), Leases::On)
 }
 
 #[test]
@@ -119,7 +133,7 @@ fn get_form_presents_lease_credentials() {
     let response = client.get("/neighbors/?uid=3&id0=5&sim0=0.5").unwrap();
     assert_eq!(response.status, 409);
 
-    // Malformed payloads stay a 400 on the scheduled router too (the
+    // Malformed payloads stay a 400 on the leased router too (the
     // scheduler's own validation, surfaced with the reject reason). The
     // lease must be live — payload probing without one is just a 409, so
     // unauthenticated clients learn nothing about ids.
@@ -193,73 +207,178 @@ fn scheduler_pick_overrides_the_requested_uid() {
     handle.stop();
 }
 
-/// Satellite: `GET /neighbors/` query-form and `POST /neighbors/` body
-/// must validate identically on the *plain* router — NaN, negative and
-/// `> 1` similarities and malformed id/sim pairs are a 400 and are never
-/// applied.
+/// `GET /neighbors/` query-form and `POST /neighbors/` body must validate
+/// identically, unleased and leased — NaN, negative and `> 1`
+/// similarities and malformed id/sim pairs are a 400 and are never
+/// applied. Leased, every payload case presents a live lease, so the 400
+/// is the payload's verdict and not a missing lease's 409.
 #[test]
 fn neighbors_validation_is_identical_across_forms() {
-    let hyrec = populated_server(9);
-    let server = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
-    let addr = server.local_addr();
-    let handle = server.serve(hyrec_router(Arc::clone(&hyrec)));
-    let client = HttpClient::new(addr);
+    for leases in [Leases::Off, Leases::On] {
+        let hyrec = populated_server(9);
+        let (handle, client, _) = spawn_router(Arc::clone(&hyrec), leases);
+        // User 4's credentials: none unleased, a live lease leased (a
+        // payload reject leaves it live; an applied update consumes it).
+        let credentials = || match leases {
+            Leases::Off => (0, 0),
+            Leases::On => {
+                let body = client.get("/online/?uid=4").unwrap().body;
+                let job = PersonalizationJob::decode(&body).unwrap();
+                assert_eq!(job.uid, UserId(4));
+                (job.lease, job.epoch)
+            }
+        };
+        let query = |path: &str, (lease, epoch): (u64, u64)| match leases {
+            Leases::Off => path.to_owned(),
+            Leases::On => format!("{path}&lease={lease}&epoch={epoch}"),
+        };
+        let update = |sim: f64, (lease, epoch): (u64, u64)| KnnUpdate {
+            uid: UserId(4),
+            lease,
+            epoch,
+            neighbors: vec![hyrec_core::Neighbor {
+                user: UserId(5),
+                similarity: sim,
+            }],
+        };
+        let live = credentials();
 
-    let bad_update = |sim: f64| KnnUpdate {
+        // Query form.
+        for path in [
+            "/neighbors/?uid=4&id0=5&sim0=NaN",
+            "/neighbors/?uid=4&id0=5&sim0=-0.25",
+            "/neighbors/?uid=4&id0=5&sim0=1.5",
+            "/neighbors/?uid=4&id0=5&sim0=inf",
+            "/neighbors/?uid=4&id0=5&sim0=0.5&sim1=0.5", // sim without id
+            "/neighbors/?uid=4&id0=+5&sim0=0.5",         // sloppy id
+            "/neighbors/?uid=4&id0=5&id1=6&sim1=0.9",    // gapped sim run
+            "/neighbors/?uid=4&id0=5&id2=6&sim0=0.5",    // gapped id run
+        ] {
+            let response = client.get(&query(path, live)).unwrap();
+            assert_eq!(response.status, 400, "{path} must be rejected ({leases:?})");
+        }
+
+        // Body form: the same out-of-range payloads, same verdict. (NaN is
+        // unrepresentable in JSON, so its body-form twin dies in decoding —
+        // also a 400.)
+        for sim in [-0.25, 1.5, f64::INFINITY] {
+            let response = client
+                .post("/neighbors/", &update(sim, live).encode())
+                .unwrap();
+            assert_eq!(
+                response.status, 400,
+                "sim {sim} must be rejected ({leases:?})"
+            );
+        }
+
+        // Nothing was applied by any of the rejected forms.
+        assert!(hyrec.knn_of(UserId(4)).is_none());
+        assert_eq!(hyrec.updates_applied(), 0);
+
+        // The valid twin passes on both forms.
+        assert_eq!(
+            client
+                .get(&query("/neighbors/?uid=4&id0=5&sim0=0.75", live))
+                .unwrap()
+                .status,
+            200
+        );
+        assert_eq!(
+            client
+                .post("/neighbors/", &update(0.75, credentials()).encode())
+                .unwrap()
+                .status,
+            200
+        );
+        assert_eq!(hyrec.updates_applied(), 2);
+        handle.stop();
+    }
+}
+
+/// Unleased, `GET /stats/` has the leased router's schema, and a NaN or
+/// out-of-range completion is counted under its reject reason.
+#[test]
+fn unleased_stats_match_the_leased_schema_and_count_payload_rejects() {
+    /// The body with every number replaced by `#`.
+    fn schema(body: &[u8]) -> String {
+        let mut out = String::new();
+        for c in String::from_utf8_lossy(body).chars() {
+            if !c.is_ascii_digit() {
+                out.push(c);
+            } else if !out.ends_with('#') {
+                out.push('#');
+            }
+        }
+        out
+    }
+    let (handle, client, scheduled) = spawn_router(populated_server(17), Leases::Off);
+    let response = client.get("/neighbors/?uid=4&id0=5&sim0=NaN").unwrap();
+    assert_eq!(response.status, 400);
+    let body = String::from_utf8_lossy(&response.body).to_string();
+    assert_eq!(body, "{\"ok\":false,\"reject\":\"nan_similarity\"}");
+    let out_of_range = KnnUpdate {
         uid: UserId(4),
         lease: 0,
         epoch: 0,
         neighbors: vec![hyrec_core::Neighbor {
             user: UserId(5),
-            similarity: sim,
+            similarity: 1.5,
         }],
     };
-
-    // Query form.
-    for query in [
-        "/neighbors/?uid=4&id0=5&sim0=NaN",
-        "/neighbors/?uid=4&id0=5&sim0=-0.25",
-        "/neighbors/?uid=4&id0=5&sim0=1.5",
-        "/neighbors/?uid=4&id0=5&sim0=inf",
-        "/neighbors/?uid=4&id0=5&sim0=0.5&sim1=0.5", // sim without id
-        "/neighbors/?uid=4&id0=+5&sim0=0.5",         // sloppy id
-        "/neighbors/?uid=4&id0=5&id1=6&sim1=0.9",    // gapped sim run
-        "/neighbors/?uid=4&id0=5&id2=6&sim0=0.5",    // gapped id run
-    ] {
-        let response = client.get(query).unwrap();
-        assert_eq!(response.status, 400, "{query} must be rejected");
-    }
-
-    // Body form: the same out-of-range payloads, same verdict. (NaN is
-    // unrepresentable in JSON, so its body-form twin dies in decoding —
-    // also a 400.)
-    for sim in [-0.25, 1.5, f64::INFINITY] {
-        let response = client
-            .post("/neighbors/", &bad_update(sim).encode())
-            .unwrap();
-        assert_eq!(response.status, 400, "sim {sim} must be rejected");
-    }
-
-    // Nothing was applied by any of the rejected forms.
-    assert!(hyrec.knn_of(UserId(4)).is_none());
-    assert_eq!(hyrec.updates_applied(), 0);
-
-    // The valid twin passes on both forms.
-    assert_eq!(
-        client
-            .get("/neighbors/?uid=4&id0=5&sim0=0.75")
-            .unwrap()
-            .status,
-        200
+    let response = client.post("/neighbors/", &out_of_range.encode()).unwrap();
+    assert_eq!(response.status, 400);
+    let body = String::from_utf8_lossy(&response.body).to_string();
+    assert!(
+        body.contains("\"reject\":\"out_of_range_similarity\""),
+        "body: {body}"
     );
-    assert_eq!(
-        client
-            .post("/neighbors/", &bad_update(0.75).encode())
-            .unwrap()
-            .status,
-        200
+
+    let stats = scheduled.scheduler().stats();
+    assert_eq!(stats.rejected_nan_similarity(), 1);
+    assert_eq!(stats.rejected_out_of_range_similarity(), 1);
+    assert_eq!(stats.rejected_total(), 2);
+    assert_eq!(scheduled.server().updates_applied(), 0);
+
+    let unleased = client.get("/stats/").unwrap();
+    assert_eq!(unleased.status, 200);
+    let body = String::from_utf8_lossy(&unleased.body).to_string();
+    assert!(body.contains("\"nan_similarity\":1"), "body: {body}");
+    assert!(
+        body.contains("\"out_of_range_similarity\":1"),
+        "body: {body}"
     );
-    assert_eq!(hyrec.updates_applied(), 2);
+    let (leased_handle, leased_client, _) = spawn_scheduled_reactor();
+    let leased = leased_client.get("/stats/").unwrap();
+    assert_eq!(schema(&unleased.body), schema(&leased.body));
+    assert!(
+        schema(&unleased.body).starts_with("{\"sched\":{\"issued\":#,"),
+        "body: {body}"
+    );
+    assert!(body.contains(",\"reactor\":{\"requests\":"), "body: {body}");
+    leased_handle.stop();
+    handle.stop();
+}
+
+/// Unleased, a vote from a never-seen uid writes the profile tables and
+/// mints no scheduler state.
+#[test]
+fn unleased_rate_mints_no_scheduler_state() {
+    let hyrec = populated_server(19);
+    let (handle, client, scheduled) = spawn_router(Arc::clone(&hyrec), Leases::Off);
+    let response = client.get("/rate/?uid=4000000000&item=5&like=1").unwrap();
+    assert_eq!(response.status, 200);
+    assert!(hyrec
+        .profile_of(UserId(4_000_000_000))
+        .is_some_and(|p| p.likes(ItemId(5))));
+    assert_eq!(scheduled.scheduler().user_count(), 0);
+    // Its job is unleased, and fetching it registers nothing either.
+    let body = client.get("/online/?uid=4000000000").unwrap().body;
+    let job = PersonalizationJob::decode(&body).unwrap();
+    assert_eq!(
+        (job.uid, job.lease, job.epoch),
+        (UserId(4_000_000_000), 0, 0)
+    );
+    assert_eq!(scheduled.scheduler().user_count(), 0);
     handle.stop();
 }
 
@@ -285,16 +404,16 @@ fn inflation_bomb() -> Vec<u8> {
 }
 
 /// An update body that inflates far past `KnnUpdate::MAX_JSON_BYTES` is
-/// a 413 on both routers, and so is a request whose `Content-Length` is
-/// over the framing cap; the server keeps serving.
+/// a 413 unleased (`hyrec_router`) and leased, and so is a request whose
+/// `Content-Length` is over the framing cap; the server keeps serving.
 #[test]
 fn inflation_bomb_gets_413_on_both_routers() {
     use std::io::{Read, Write};
     let bomb = inflation_bomb();
-    let plain = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
-    let plain_addr = plain.local_addr();
+    let unleased = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
+    let unleased_addr = unleased.local_addr();
     let hyrec = populated_server(11);
-    let plain = plain.serve(hyrec_router(Arc::clone(&hyrec)));
+    let unleased = unleased.serve(hyrec_router(Arc::clone(&hyrec)));
     let scheduled = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
     let scheduled_addr = scheduled.local_addr();
     let scheduled = scheduled.serve(hyrec_scheduled_router(
@@ -306,7 +425,7 @@ fn inflation_bomb_gets_413_on_both_routers() {
         BatchPolicy::default(),
         None,
     ));
-    for addr in [plain_addr, scheduled_addr] {
+    for addr in [unleased_addr, scheduled_addr] {
         let client = HttpClient::new(addr);
         let response = client.post("/neighbors/", &bomb).unwrap();
         assert_eq!(response.status, 413);
@@ -326,7 +445,7 @@ fn inflation_bomb_gets_413_on_both_routers() {
         assert_eq!(client.get("/online/?uid=1").unwrap().status, 200);
     }
     assert_eq!(hyrec.updates_applied(), 0);
-    plain.stop();
+    unleased.stop();
     scheduled.stop();
 }
 

@@ -12,10 +12,34 @@ use std::collections::{BinaryHeap, VecDeque};
 pub type Tick = u64;
 
 /// Default slack above `1.0` tolerated in completion similarities
-/// (floating point: the widget's cosine can land at `1.0 + ulp`). The
-/// single definition every validation site — scheduler and HTTP routers —
-/// derives from.
+/// (floating point: the widget's cosine can land at `1.0 + ulp`).
+/// [`SchedConfig::default`] takes it, so the payload check of leased
+/// ([`Scheduler::complete`]) and unleased ([`Scheduler::check_unleased`])
+/// completions uses it unless a config overrides it.
 pub const DEFAULT_SIMILARITY_TOLERANCE: f64 = 1e-6;
+
+/// The payload check every completion passes, leased or not: each
+/// neighbour's similarity is a number in `[0, 1 + tolerance]` and its id
+/// satisfies `known`, checked in that order per neighbour, in list order.
+/// Returns the first failing check's reason.
+fn check_payload<I, F>(neighbors: I, tolerance: f64, mut known: F) -> Result<(), RejectReason>
+where
+    I: IntoIterator<Item = (UserId, f64)>,
+    F: FnMut(UserId) -> bool,
+{
+    for (neighbor, similarity) in neighbors {
+        if similarity.is_nan() {
+            return Err(RejectReason::NanSimilarity);
+        }
+        if !(0.0..=1.0 + tolerance).contains(&similarity) {
+            return Err(RejectReason::OutOfRangeSimilarity);
+        }
+        if !known(neighbor) {
+            return Err(RejectReason::UnknownNeighbor);
+        }
+    }
+    Ok(())
+}
 
 /// Scheduling parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -529,18 +553,11 @@ impl Scheduler {
             // Payload validation last, under a proven-live lease. A
             // malformed payload does not consume the lease (the browser
             // may retry; expiry re-issues otherwise).
-            for &(neighbor, similarity) in neighbors {
-                if similarity.is_nan() {
-                    return Err(RejectReason::NanSimilarity);
-                }
-                if !(0.0..=1.0 + self.config.similarity_tolerance).contains(&similarity) {
-                    return Err(RejectReason::OutOfRangeSimilarity);
-                }
-                if !known(neighbor) {
-                    return Err(RejectReason::UnknownNeighbor);
-                }
-            }
-            Ok(())
+            check_payload(
+                neighbors.iter().copied(),
+                self.config.similarity_tolerance,
+                &mut known,
+            )
         })();
         match verdict {
             Ok(()) => {
@@ -564,6 +581,23 @@ impl Scheduler {
                 Err(reason)
             }
         }
+    }
+
+    /// Validates the payload of a completion that carries no lease (the
+    /// unleased configuration): the same NaN and range checks as
+    /// [`Self::complete`], with every neighbour id accepted, the reject
+    /// counted in [`SchedStats`]. Takes no lock.
+    ///
+    /// # Errors
+    ///
+    /// Returns the NaN or out-of-range [`RejectReason`] of the first bad
+    /// similarity.
+    pub fn check_unleased<I>(&self, neighbors: I) -> Result<(), RejectReason>
+    where
+        I: IntoIterator<Item = (UserId, f64)>,
+    {
+        check_payload(neighbors, self.config.similarity_tolerance, |_| true)
+            .inspect_err(|&reason| self.stats.inc_reject(reason))
     }
 
     /// Expires overdue leases, climbing each user one rung up the

@@ -20,6 +20,12 @@
 //! * `spawn_sweeper` runs that recovery on a timer thread for live
 //!   deployments; harnesses with logical clocks call the explicit-`now`
 //!   methods directly.
+//!
+//! [`ScheduledServer::unleased`] is the same surface with leases off: jobs
+//! are built for the uid asked for, votes touch no scheduler state, and a
+//! completion passes the payload check alone
+//! ([`Scheduler::check_unleased`]) before it is applied. Nothing on that
+//! path takes the scheduler's lock.
 
 use crate::server::HyRecServer;
 use hyrec_client::Widget;
@@ -55,6 +61,9 @@ use std::time::{Duration, Instant};
 pub struct ScheduledServer {
     inner: Arc<HyRecServer>,
     sched: Scheduler,
+    /// Whether jobs are leased and completions validated against the
+    /// lease table ([`Self::new`]) or not ([`Self::unleased`]).
+    leased: bool,
     /// Server-side widget kernel for escalation-exhausted users (the
     /// centralized fallback — same algorithms the browser would run).
     fallback_widget: Widget,
@@ -73,6 +82,7 @@ impl std::fmt::Debug for ScheduledServer {
         f.debug_struct("ScheduledServer")
             .field("server", &self.inner)
             .field("sched", &self.sched.config())
+            .field("leased", &self.leased)
             .finish()
     }
 }
@@ -84,9 +94,24 @@ impl ScheduledServer {
         Self {
             inner: server,
             sched: Scheduler::new(config),
+            leased: true,
             fallback_widget: Widget::new(),
             apply_order: parking_lot::Mutex::new(()),
             origin: Instant::now(),
+        }
+    }
+
+    /// Wraps a server with leases off: [`Self::issue_jobs`] is
+    /// [`HyRecServer::build_jobs`], [`Self::record`] and
+    /// [`Self::record_many`] write the profile tables only, and
+    /// [`Self::complete_updates`] applies every completion whose payload
+    /// passes [`Scheduler::check_unleased`]. The scheduler only counts
+    /// payload rejects.
+    #[must_use]
+    pub fn unleased(server: Arc<HyRecServer>) -> Self {
+        Self {
+            leased: false,
+            ..Self::new(server, SchedConfig::default())
         }
     }
 
@@ -109,20 +134,24 @@ impl ScheduledServer {
         u64::try_from(self.origin.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
-    /// Records a rating and bumps the user's staleness priority.
+    /// Records a rating and, leased, bumps the user's staleness priority.
     pub fn record(&self, user: UserId, item: ItemId, vote: Vote, now: Tick) -> bool {
         let changed = self.inner.record(user, item, vote);
-        self.sched.note_vote(user, now);
+        if self.leased {
+            self.sched.note_vote(user, now);
+        }
         changed
     }
 
-    /// Batched [`Self::record`]: one scheduler lock + one table sweep for
-    /// a coalesced `/rate/` burst.
+    /// Batched [`Self::record`]: one table sweep (and, leased, one
+    /// scheduler lock) for a coalesced `/rate/` burst.
     #[must_use]
     pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)], now: Tick) -> Vec<bool> {
         let changed = self.inner.record_many(votes);
-        let users: Vec<UserId> = votes.iter().map(|&(user, _, _)| user).collect();
-        self.sched.note_votes(&users, now);
+        if self.leased {
+            let users: Vec<UserId> = votes.iter().map(|&(user, _, _)| user).collect();
+            self.sched.note_votes(&users, now);
+        }
         changed
     }
 
@@ -141,8 +170,13 @@ impl ScheduledServer {
     /// exists, and otherwise with an *unleased* cold-start job — the
     /// paper's semantics for unknown users, at the seed wire shape. The
     /// user becomes leasable with their first recorded vote.
+    ///
+    /// Unleased, each slot gets the requested uid's job, with no lease.
     #[must_use]
     pub fn issue_jobs(&self, requested: &[UserId], now: Tick) -> Vec<PersonalizationJob> {
+        if !self.leased {
+            return self.inner.build_jobs(requested);
+        }
         let slots: Vec<Option<UserId>> = requested
             .iter()
             .map(|&uid| self.inner.profile_of(uid).is_some().then_some(uid))
@@ -172,7 +206,14 @@ impl ScheduledServer {
         updates: &[KnnUpdate],
         now: Tick,
     ) -> Vec<Result<(), RejectReason>> {
-        let mut accepted = Vec::with_capacity(updates.len());
+        if !self.leased {
+            let outcomes: Vec<Result<(), RejectReason>> = updates
+                .iter()
+                .map(|update| self.sched.check_unleased(neighbor_pairs(update)))
+                .collect();
+            self.apply_accepted(updates, &outcomes);
+            return outcomes;
+        }
         // Admission (scheduler) and application (KNN table) must be
         // ordered together: see the `apply_order` field.
         let _ordered = self.apply_order.lock();
@@ -182,28 +223,31 @@ impl ScheduledServer {
             updates
                 .iter()
                 .map(|update| {
-                    let neighbors: Vec<(UserId, f64)> = update
-                        .neighbors
-                        .iter()
-                        .map(|n| (n.user, n.similarity))
-                        .collect();
-                    let verdict = self.sched.complete(
+                    let neighbors: Vec<(UserId, f64)> = neighbor_pairs(update).collect();
+                    self.sched.complete(
                         update.uid,
                         update.lease,
                         update.epoch,
                         &neighbors,
                         now,
                         &mut *known,
-                    );
-                    if verdict.is_ok() {
-                        accepted.push(update.clone());
-                    }
-                    verdict
+                    )
                 })
                 .collect()
         });
-        self.inner.apply_updates(&accepted);
+        self.apply_accepted(updates, &outcomes);
         outcomes
+    }
+
+    /// Applies the updates whose outcome is `Ok` in one batch.
+    fn apply_accepted(&self, updates: &[KnnUpdate], outcomes: &[Result<(), RejectReason>]) {
+        let accepted: Vec<KnnUpdate> = updates
+            .iter()
+            .zip(outcomes)
+            .filter(|(_, outcome)| outcome.is_ok())
+            .map(|(update, _)| update.clone())
+            .collect();
+        self.inner.apply_updates(&accepted);
     }
 
     /// Expires overdue leases and immediately recomputes every user whose
@@ -260,6 +304,12 @@ impl ScheduledServer {
             thread: Some(thread),
         }
     }
+}
+
+/// A completion's `(neighbour, similarity)` pairs, as the scheduler's
+/// payload check reads them.
+fn neighbor_pairs(update: &KnnUpdate) -> impl Iterator<Item = (UserId, f64)> + '_ {
+    update.neighbors.iter().map(|n| (n.user, n.similarity))
 }
 
 /// Handle owning the background sweeper thread.
