@@ -437,6 +437,143 @@ mod tests {
         assert!(stats.mean > Duration::from_millis(45));
     }
 
+    /// Tallies of a churn loop: `/online/` fetches answered 200,
+    /// completions answered 200 and 409, jobs abandoned, hard failures.
+    #[derive(Debug, Default)]
+    struct Churn {
+        fetched: usize,
+        completed: usize,
+        superseded: usize,
+        abandoned: usize,
+        errors: usize,
+    }
+
+    /// `clients` keep-alive connections each run `per_client` browser
+    /// interactions: fetch a job, then with probability `abandon` vanish,
+    /// otherwise post a completion echoing the job's lease.
+    fn churn_loop(
+        addr: std::net::SocketAddr,
+        users: usize,
+        clients: usize,
+        per_client: usize,
+        abandon: f64,
+        seed: u64,
+    ) -> Churn {
+        let threads: Vec<_> = (0..clients)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let client = HttpClient::new(addr).with_timeout(Duration::from_secs(60));
+                    let mut rng = StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9E37));
+                    let mut out = Churn::default();
+                    for _ in 0..per_client {
+                        let uid = rng.gen_range(0..users);
+                        let job = match client.get(&format!("/online/?uid={uid}")) {
+                            Ok(response) if response.status == 200 => {
+                                hyrec_wire::PersonalizationJob::decode(&response.body).ok()
+                            }
+                            _ => None,
+                        };
+                        let Some(job) = job else {
+                            out.errors += 1;
+                            continue;
+                        };
+                        out.fetched += 1;
+                        if rng.gen_bool(abandon) {
+                            out.abandoned += 1;
+                            continue;
+                        }
+                        let update = hyrec_wire::KnnUpdate {
+                            uid: job.uid,
+                            lease: job.lease,
+                            epoch: job.epoch,
+                            neighbors: job
+                                .candidates
+                                .iter()
+                                .take(job.k)
+                                .map(|cand| Neighbor {
+                                    user: cand.user,
+                                    similarity: 0.5,
+                                })
+                                .collect(),
+                        };
+                        match client.post("/neighbors/", &update.encode()) {
+                            Ok(response) if response.status == 200 => out.completed += 1,
+                            Ok(response) if response.status == 409 => out.superseded += 1,
+                            _ => out.errors += 1,
+                        }
+                    }
+                    out
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .fold(Churn::default(), |mut total, thread| {
+                let part = thread.join().expect("churn client thread panicked");
+                total.fetched += part.fetched;
+                total.completed += part.completed;
+                total.superseded += part.superseded;
+                total.abandoned += part.abandoned;
+                total.errors += part.errors;
+                total
+            })
+    }
+
+    #[test]
+    fn churn_loop_drives_scheduled_and_plain_routers() {
+        use hyrec_http::{api, BatchPolicy};
+        use hyrec_sched::SchedConfig;
+        use hyrec_server::ScheduledServer;
+
+        let population = build_population(40, 10, 3, 6);
+        // Scheduled: leases enforced, abandonment recovered by the sweeper.
+        let scheduled = Arc::new(ScheduledServer::new(
+            Arc::clone(&population.server),
+            SchedConfig {
+                lease_timeout: 50,
+                max_reissues: 1,
+                ..SchedConfig::default()
+            },
+        ));
+        let server = ReactorServer::bind("127.0.0.1:0", 2).expect("bind scheduled reactor");
+        let addr = server.local_addr();
+        let stats = server.stats_handle();
+        let handle = server.serve(api::hyrec_scheduled_router(
+            Arc::clone(&scheduled),
+            Arc::clone(&population.encoder),
+            BatchPolicy::default(),
+            Some(stats),
+        ));
+        let sweeper = scheduled.spawn_sweeper(Duration::from_millis(20));
+        let churn = churn_loop(addr, 40, 4, 6, 0.5, 11);
+        assert_eq!(churn.fetched, 24);
+        assert_eq!(churn.errors, 0, "{churn:?}");
+        assert!(churn.abandoned > 0, "{churn:?}");
+        assert_eq!(
+            churn.completed + churn.superseded + churn.abandoned,
+            24,
+            "{churn:?}"
+        );
+        assert!(scheduled.scheduler().stats().issued() >= 24);
+        sweeper.stop();
+        handle.stop();
+
+        // The same loop against the unleased router: lease fields are zero
+        // and every posted completion lands (no 409s possible).
+        let server = ReactorServer::bind("127.0.0.1:0", 2).expect("bind reactor");
+        let addr = server.local_addr();
+        let handle = server.serve(api::hyrec_router_with(
+            Arc::clone(&population.server),
+            Arc::clone(&population.encoder),
+            BatchPolicy::default(),
+        ));
+        let plain = churn_loop(addr, 40, 4, 6, 0.25, 12);
+        assert_eq!(plain.fetched, 24);
+        assert_eq!(plain.errors, 0, "{plain:?}");
+        assert_eq!(plain.superseded, 0, "{plain:?}");
+        handle.stop();
+    }
+
     #[test]
     fn closed_loop_over_real_http() {
         let population = build_population(40, 10, 3, 6);
