@@ -71,7 +71,9 @@ fn bench_batched(c: &mut Criterion) {
     // population, building a coalesced batch of jobs through `build_jobs`
     // must beat the same work done as N sequential `build_job` calls
     // (shard locks, RNG lock and anonymizer taken per batch, profile and
-    // KNN reads staged through `get_many`).
+    // KNN reads staged through `get_many`). `build_job` is `build_jobs` on
+    // a batch of one, so the `*sequential*` cases time N batches of one —
+    // a lone `/online/` request's job build, N times.
     let mut group = c.benchmark_group("batched");
     group.sample_size(15);
     let population = build_population(10_000, 100, 10, 11);
@@ -280,6 +282,8 @@ fn bench_batched_encoder(c: &mut Criterion) {
 }
 
 fn bench_sampler(c: &mut Criterion) {
+    // `candidate-set`: one job per call, i.e. `build_jobs` on a batch of
+    // one — what a lone `/online/` request runs.
     let mut group = c.benchmark_group("sampler");
     group.sample_size(30);
     for k in [10usize, 20] {
@@ -293,6 +297,23 @@ fn bench_sampler(c: &mut Criterion) {
             });
         });
     }
+
+    // `build_jobs/32`: the batch a coalesced `/online/` burst serves, on
+    // perfbench's `online_read` population (10k users, 100-item profiles,
+    // k = 10 random neighbours) with distinct, scattered requesters.
+    const BATCH: usize = 32;
+    let population = build_population(10_000, 100, 10, 1);
+    let n = population.users.len();
+    group.bench_with_input(BenchmarkId::new("build_jobs", BATCH), &BATCH, |bench, _| {
+        let mut i = 0usize;
+        bench.iter(|| {
+            let users: Vec<UserId> = (0..BATCH)
+                .map(|j| population.users[((i + j) * 7_919) % n])
+                .collect();
+            i += BATCH;
+            std::hint::black_box(population.server.build_jobs(&users))
+        });
+    });
     group.finish();
 }
 

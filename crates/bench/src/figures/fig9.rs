@@ -1,8 +1,10 @@
 //! Figure 9: response time under growing concurrency.
 //!
 //! Closed-loop clients against the real HTTP stack: one epoll reactor
-//! serving the scalar `/online-fast/` and `/crecommend/` routes, so every
-//! request is one job on a fixed worker pool. Paper: HyRec serves as many
+//! serving the API's `/online/` route and a `/crecommend/` route, both
+//! scalar, so every request is one job on a fixed worker pool. `/online/`
+//! runs the server's one job builder on a batch of one, the code a lone
+//! request runs in deployment. Paper: HyRec serves as many
 //! concurrent requests at ps=1000 as CRec at ps=10 (a 100-fold
 //! scalability gain); both degrade as the worker pool saturates.
 
@@ -38,8 +40,8 @@ pub fn run(options: &RunOptions) {
     for &clients in clients_axis {
         let mut row = [0.0f64; 4];
         for (i, (ps, path)) in [
-            (10usize, "/online-fast/"),
-            (100, "/online-fast/"),
+            (10usize, "/online/"),
+            (100, "/online/"),
             (10, "/crecommend/"),
             (100, "/crecommend/"),
         ]

@@ -24,20 +24,63 @@ fn shard_of(user: UserId) -> usize {
     ((user.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize & (SHARDS - 1)
 }
 
-/// Groups `keys` by shard so a batch operation takes each shard lock once.
-///
-/// Returns, per touched shard, the list of *positions* into `keys` (so the
-/// caller can write results back in input order).
-fn group_by_shard(keys: &[UserId]) -> Vec<(usize, Vec<usize>)> {
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); SHARDS];
-    for (pos, &user) in keys.iter().enumerate() {
-        groups[shard_of(user)].push(pos);
+/// Positions of a batch's items grouped by shard, so a batch operation
+/// takes each touched shard lock once: one counting sort. `order` lists
+/// the positions shard by shard, in input order within a shard (later
+/// items see the effect of earlier ones), and `ends[s]` closes shard `s`'s
+/// run. Only the shards in the `touched` bit set are walked.
+struct ShardGroups {
+    touched: u64,
+    ends: [usize; SHARDS],
+    order: Vec<usize>,
+}
+
+const _: () = assert!(SHARDS <= 64, "`touched` is a u64 bit set");
+
+impl ShardGroups {
+    fn new<T>(items: &[T], key: impl Fn(&T) -> UserId) -> Self {
+        let (mut ends, mut touched) = ([0; SHARDS], 0u64);
+        for item in items {
+            let shard = shard_of(key(item));
+            ends[shard] += 1;
+            touched |= 1 << shard;
+        }
+        // Counts become run starts; placement advances them to run ends.
+        let mut start = 0;
+        for shard in shards(touched) {
+            (ends[shard], start) = (start, start + ends[shard]);
+        }
+        let mut order = vec![0; items.len()];
+        for (pos, item) in items.iter().enumerate() {
+            let end = &mut ends[shard_of(key(item))];
+            order[*end] = pos;
+            *end += 1;
+        }
+        Self {
+            touched,
+            ends,
+            order,
+        }
     }
-    groups
-        .into_iter()
-        .enumerate()
-        .filter(|(_, positions)| !positions.is_empty())
-        .collect()
+
+    /// Each touched shard with its positions, in shard order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
+        let mut start = 0;
+        shards(self.touched).map(move |shard| {
+            let positions = &self.order[start..self.ends[shard]];
+            start = self.ends[shard];
+            (shard, positions)
+        })
+    }
+}
+
+/// The shards in a bit set, in ascending order.
+fn shards(mut touched: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let shard = touched.trailing_zeros() as usize;
+        touched &= touched.wrapping_sub(1);
+        (shard < SHARDS).then_some(shard)
+    })
 }
 
 /// Sharded, thread-safe map from user to profile.
@@ -83,26 +126,23 @@ impl ProfileTable {
     /// Returns `true` when the vote changed the profile — the signal the
     /// orchestrator uses to decide whether a new KNN iteration is worthwhile.
     pub fn record(&self, user: UserId, item: ItemId, vote: Vote) -> bool {
-        let mut shard = self.shards[shard_of(user)].write();
-        Arc::make_mut(shard.entry(user).or_default()).record(item, vote)
+        self.record_many(&[(user, item, vote)])[0]
     }
 
-    /// Batched [`Self::record`]: ingests many votes while taking each
-    /// touched shard's *write* lock exactly once.
+    /// Ingests many votes while taking each touched shard's *write* lock
+    /// exactly once; [`Self::record`] is a batch of one.
     ///
-    /// Results are in input order and semantically identical to calling
-    /// `record` once per vote in order: votes for the same user always land
-    /// in the same shard, and positions within a shard group preserve input
-    /// order, so later votes see the effect of earlier ones. This is the
-    /// ingestion half of request coalescing — a burst of `/rate/` traffic
-    /// costs one lock acquisition per touched shard instead of one per vote.
+    /// Results are in input order, and votes for one user apply in input
+    /// order (they share a shard), so any split of a vote stream into
+    /// batches gives the same tables and flags. This is the ingestion half
+    /// of request coalescing — a burst of `/rate/` traffic costs one lock
+    /// acquisition per touched shard instead of one per vote.
     #[must_use]
     pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)]) -> Vec<bool> {
-        let keys: Vec<UserId> = votes.iter().map(|&(user, _, _)| user).collect();
         let mut out = vec![false; votes.len()];
-        for (shard_idx, positions) in group_by_shard(&keys) {
+        for (shard_idx, positions) in ShardGroups::new(votes, |&(user, _, _)| user).iter() {
             let mut shard = self.shards[shard_idx].write();
-            for pos in positions {
+            for &pos in positions {
                 let (user, item, vote) = votes[pos];
                 out[pos] = Arc::make_mut(shard.entry(user).or_default()).record(item, vote);
             }
@@ -137,9 +177,9 @@ impl ProfileTable {
     #[must_use]
     pub fn get_many(&self, users: &[UserId]) -> Vec<Option<Arc<Profile>>> {
         let mut out = vec![None; users.len()];
-        for (shard_idx, positions) in group_by_shard(users) {
+        for (shard_idx, positions) in ShardGroups::new(users, |&user| user).iter() {
             let shard = self.shards[shard_idx].read();
-            for pos in positions {
+            for &pos in positions {
                 out[pos] = shard.get(&users[pos]).cloned();
             }
         }
@@ -227,21 +267,21 @@ impl KnnTable {
     /// Stores the new KNN approximation sent back by a widget (Arrow 3 in
     /// Figure 1), replacing the previous one.
     pub fn update(&self, user: UserId, hood: Neighborhood) {
-        self.shards[shard_of(user)].write().insert(user, hood);
+        self.update_many(vec![(user, hood)]);
     }
 
-    /// Batched [`Self::update`]: applies many write-backs while taking each
-    /// touched shard's write lock exactly once — the write half of
-    /// `HyRecServer::apply_updates`.
+    /// Applies many write-backs while taking each touched shard's write
+    /// lock exactly once — the write half of `HyRecServer::apply_updates`;
+    /// [`Self::update`] is a batch of one.
     pub fn update_many(&self, entries: Vec<(UserId, Neighborhood)>) {
-        let keys: Vec<UserId> = entries.iter().map(|(u, _)| *u).collect();
-        let mut slots: Vec<Option<Neighborhood>> =
-            entries.into_iter().map(|(_, h)| Some(h)).collect();
-        for (shard_idx, positions) in group_by_shard(&keys) {
+        let groups = ShardGroups::new(&entries, |&(user, _)| user);
+        let mut slots: Vec<Option<(UserId, Neighborhood)>> =
+            entries.into_iter().map(Some).collect();
+        for (shard_idx, positions) in groups.iter() {
             let mut shard = self.shards[shard_idx].write();
-            for pos in positions {
-                let hood = slots[pos].take().expect("each position visited once");
-                shard.insert(keys[pos], hood);
+            for &pos in positions {
+                let (user, hood) = slots[pos].take().expect("each position visited once");
+                shard.insert(user, hood);
             }
         }
     }
@@ -270,9 +310,9 @@ impl KnnTable {
         mut f: impl FnMut(&Neighborhood) -> R,
     ) -> Vec<Option<R>> {
         let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(users.len()).collect();
-        for (shard_idx, positions) in group_by_shard(users) {
+        for (shard_idx, positions) in ShardGroups::new(users, |&user| user).iter() {
             let shard = self.shards[shard_idx].read();
-            for pos in positions {
+            for &pos in positions {
                 out[pos] = shard.get(&users[pos]).map(&mut f);
             }
         }

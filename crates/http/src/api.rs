@@ -31,8 +31,9 @@
 //! stage their votes through the shard-grouped
 //! [`HyRecServer::record_many`]; `POST /neighbors/` bursts apply through
 //! [`HyRecServer::apply_updates`]. A request that gathers alone runs as a
-//! batch of one, and every batched response is byte-identical to what the
-//! sequential scalar path produces.
+//! batch of one. Those batched calls are the server's only implementations
+//! (its scalar calls are batches of one), so a response is byte-identical
+//! however its requests were gathered, by construction.
 
 use crate::reactor::ReactorStats;
 use crate::request::Request;
@@ -152,18 +153,18 @@ pub fn hyrec_scheduled_router(
         "/neighbors/",
         policy,
         move |requests: &[Request], out: &mut Vec<Response>| {
-            let parsed: Vec<Result<KnnUpdate, Response>> = requests
+            // Decoded updates move into the batch; each request keeps only
+            // its decode error, if any.
+            let mut updates = Vec::with_capacity(requests.len());
+            let decode_errors: Vec<Option<Response>> = requests
                 .iter()
-                .map(|req| decode_update(&req.body))
-                .collect();
-            let updates: Vec<KnnUpdate> = parsed
-                .iter()
-                .filter_map(|p| p.as_ref().ok().cloned())
+                .map(|req| decode_update(&req.body).map(|u| updates.push(u)).err())
                 .collect();
             let mut outcomes = post.complete_updates(&updates, post.now_ms()).into_iter();
-            out.extend(parsed.into_iter().map(|p| match p {
-                Ok(_) => completion_response(outcomes.next().expect("one outcome per update")),
-                Err(response) => response,
+            out.extend(decode_errors.into_iter().map(|error| {
+                error.unwrap_or_else(|| {
+                    completion_response(outcomes.next().expect("one outcome per update"))
+                })
             }));
         },
     );

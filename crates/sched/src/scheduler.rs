@@ -332,26 +332,20 @@ impl Scheduler {
     ///    the requester and has no job in flight,
     /// 3. the requester itself.
     pub fn issue(&self, requested: UserId, now: Tick) -> JobGrant {
-        self.issue_many(std::slice::from_ref(&requested), now)
+        self.issue_mixed(&[Some(requested)], now)
             .pop()
-            .expect("one request in, one grant out")
+            .flatten()
+            .expect("a requested slot is always granted")
     }
 
-    /// Issues a lease for an *anonymous* request — one whose nominal uid
-    /// the caller refuses to register (e.g. an unknown browser-supplied
-    /// id, which must not mint permanent scheduler state or fallback
-    /// obligations). Serves the re-issue backlog or the staleness-queue
-    /// top; returns `None` when no registered user needs work.
-    #[must_use]
-    pub fn issue_anonymous(&self, now: Tick) -> Option<JobGrant> {
-        self.issue_mixed(&[None], now)
-            .pop()
-            .expect("one slot in, one slot out")
-    }
-
-    /// Batched mixed issue under one lock: `Some(uid)` slots behave like
-    /// [`Self::issue_many`], `None` slots like [`Self::issue_anonymous`]
-    /// (and may come back `None` when no registered user needs work).
+    /// Issues leases for a coalesced `/online/` batch under one lock
+    /// acquisition, in request order. A `Some(uid)` slot is granted as
+    /// [`Self::issue`] describes. A `None` slot is an *anonymous* request —
+    /// one whose nominal uid the caller refuses to register (e.g. an
+    /// unknown browser-supplied id, which must not mint permanent
+    /// scheduler state or fallback obligations): it is served the re-issue
+    /// backlog or the staleness-queue top, and comes back `None` when no
+    /// registered user needs work.
     #[must_use]
     pub fn issue_mixed(&self, requested: &[Option<UserId>], now: Tick) -> Vec<Option<JobGrant>> {
         if requested.is_empty() {
@@ -374,22 +368,6 @@ impl Scheduler {
                     Some(self.grant_locked(inner, pick, now, false))
                 }
             })
-            .collect()
-    }
-
-    /// Batched [`Self::issue`]: grants for a coalesced `/online/` batch
-    /// under one lock acquisition, in request order.
-    #[must_use]
-    pub fn issue_many(&self, requested: &[UserId], now: Tick) -> Vec<JobGrant> {
-        if requested.is_empty() {
-            return Vec::new();
-        }
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        self.sweep_locked(inner, now);
-        requested
-            .iter()
-            .map(|&uid| self.issue_one_locked(inner, uid, now))
             .collect()
     }
 
@@ -1136,7 +1114,7 @@ mod tests {
     #[test]
     fn empty_batches_are_no_ops() {
         let sched = Scheduler::new(config());
-        assert!(sched.issue_many(&[], 0).is_empty());
+        assert!(sched.issue_mixed(&[], 0).is_empty());
         sched.note_votes(&[], 0);
         assert_eq!(sched.user_count(), 0);
         assert_eq!(sched.stats().issued(), 0);

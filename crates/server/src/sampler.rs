@@ -7,12 +7,14 @@
 //!
 //! The [`Sampler`] trait is the paper's `interface Sampler {…}` (Table 1):
 //! content providers can swap the strategy without touching the
-//! orchestrator.
+//! orchestrator. The server calls [`Sampler::sample_batch`] only, a lone
+//! request being a batch of one.
 
 use hyrec_core::{CandidateSet, KnnTable, ProfileTable, UserId};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::ops::Range;
 
 /// Read-only view of server state handed to samplers.
 pub struct SamplerContext<'a> {
@@ -84,32 +86,6 @@ impl UserDirectory {
             .collect()
     }
 
-    /// Draws `groups` independent legs of `per_group` random users while
-    /// holding the registry lock once.
-    ///
-    /// Draw order is identical to `groups` sequential [`Self::random_users`]
-    /// calls, so batched and per-user sampling consume the same RNG stream
-    /// and produce the same candidates.
-    pub fn random_users_many(
-        &self,
-        per_group: usize,
-        groups: usize,
-        rng: &mut StdRng,
-    ) -> Vec<Vec<UserId>> {
-        let inner = self.inner.read();
-        let users = &inner.list;
-        if users.is_empty() {
-            return vec![Vec::new(); groups];
-        }
-        (0..groups)
-            .map(|_| {
-                (0..per_group)
-                    .map(|_| users[rng.gen_range(0..users.len())])
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Snapshot of all registered users.
     #[must_use]
     pub fn snapshot(&self) -> Vec<UserId> {
@@ -137,9 +113,10 @@ pub trait Sampler: Send + Sync {
     ///
     /// The default implementation loops [`Self::sample`]; strategies that
     /// can amortize table traffic across the batch (see [`DefaultSampler`])
-    /// override it. Implementations must return one set per user, in input
-    /// order, and must consume the RNG exactly as the sequential loop would
-    /// so batched and per-user request paths stay replay-identical.
+    /// override it, and may then implement `sample` as a batch of one.
+    /// Implementations must return one set per user, in input order, and
+    /// must consume the RNG exactly as the sequential loop would so any
+    /// split of a request stream into batches replays identically.
     fn sample_batch(
         &self,
         users: &[UserId],
@@ -161,6 +138,11 @@ pub trait Sampler: Send + Sync {
 }
 
 /// The paper's sampler: `N_u ∪ KNN(N_u) ∪ random`.
+///
+/// [`Sampler::sample_batch`] holds the only candidate-assembly body;
+/// [`Sampler::sample`] runs it on a batch of one, so a lone request and a
+/// coalesced batch produce the same sets from the same RNG stream by
+/// construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DefaultSampler;
 
@@ -173,51 +155,25 @@ impl Sampler for DefaultSampler {
         ctx: &SamplerContext<'_>,
         rng: &mut StdRng,
     ) -> CandidateSet {
-        let mut set = CandidateSet::with_capacity(2 * k + k * k);
-        let push = |set: &mut CandidateSet, candidate: UserId| {
-            if candidate != user && !set.contains(candidate) {
-                if let Some(profile) = ctx.profiles.get(candidate) {
-                    set.insert(candidate, profile);
-                }
-            }
-        };
-
-        // (i) current KNN of u; (ii) KNN of each neighbour (2-hop).
-        let neighbors: Vec<UserId> = ctx
-            .knn
-            .with(user, |hood| hood.users().collect())
-            .unwrap_or_default();
-        for &v in &neighbors {
-            push(&mut set, v);
-        }
-        for &v in &neighbors {
-            let two_hop: Vec<UserId> = ctx
-                .knn
-                .with(v, |hood| hood.users().collect())
-                .unwrap_or_default();
-            for w in two_hop {
-                push(&mut set, w);
-            }
-        }
-
-        // (iii) k random users (bootstraps new users and prevents local
-        // optima).
-        for w in ctx.directory.random_users(random_candidates, rng) {
-            push(&mut set, w);
-        }
-        set
+        self.sample_batch(std::slice::from_ref(&user), k, random_candidates, ctx, rng)
+            .pop()
+            .expect("one user in, one set out")
     }
 
-    /// Batched candidate assembly with amortized table traffic.
+    /// Candidate assembly for a batch, with table traffic amortized.
     ///
-    /// The sequential path acquires a KNN-shard lock per neighbourhood read
-    /// and a profile-shard lock per candidate; for a batch of `B` users with
-    /// `|S_u|` candidates each that is `O(B · |S_u|)` acquisitions. This
-    /// override stages the same reads through the tables' `get_many`
-    /// batch operations — one acquisition per *touched shard* per stage —
-    /// and produces byte-identical candidate sets: random legs are drawn in
-    /// user order (same RNG stream), and per-user insertion order (1-hop,
-    /// 2-hop, random) is preserved.
+    /// Each user's set holds, in order and first occurrence only, their
+    /// KNN, their neighbours' KNN and `random_candidates` random users,
+    /// minus the requester and users without a profile. Every table read
+    /// is staged: neighbourhoods and profiles come through the tables'
+    /// batch reads (one lock per touched shard per stage), each distinct
+    /// neighbour's KNN is read once per batch, and each distinct candidate
+    /// profile is fetched once and fanned out as `Arc` clones — converged
+    /// tables make a batch's candidates overlap heavily.
+    ///
+    /// Every candidate id is hashed once, into a batch-wide slot. A slot's
+    /// "last user" tag dedups within a set, and the slot itself dedups
+    /// across the batch.
     fn sample_batch(
         &self,
         users: &[UserId],
@@ -226,113 +182,140 @@ impl Sampler for DefaultSampler {
         ctx: &SamplerContext<'_>,
         rng: &mut StdRng,
     ) -> Vec<CandidateSet> {
-        // Random legs first, in user order — identical RNG consumption to
-        // looping `sample`, with the directory lock held once.
-        let random_legs = ctx
+        // Random legs (they bootstrap new users and keep the gossip out of
+        // local optima) first, in user order, under one directory lock: the
+        // back-to-back draws consume the RNG exactly as per-user draws do.
+        // An empty directory draws nothing, so every leg is empty.
+        let random = ctx
             .directory
-            .random_users_many(random_candidates, users.len(), rng);
-
-        // 1-hop neighbourhoods of the whole batch (ids extracted under the
-        // shard locks; no Neighborhood is cloned).
-        let one_hop: Vec<Vec<UserId>> = ctx
-            .knn
-            .map_many(users, |h| h.users().collect())
-            .into_iter()
-            .map(Option::unwrap_or_default)
-            .collect();
-
-        // 2-hop: every distinct 1-hop neighbour across the batch, fetched
-        // once (converged tables repeat the same neighbours heavily).
-        // `hop_ids` stays sorted, so lookups are binary searches into the
-        // parallel list — no hash map in the hot path.
-        let mut hop_ids: Vec<UserId> = one_hop.iter().flatten().copied().collect();
-        hop_ids.sort_unstable();
-        hop_ids.dedup();
-        let two_hop_lists: Vec<Vec<UserId>> = ctx
-            .knn
-            .map_many(&hop_ids, |h| h.users().collect())
-            .into_iter()
-            .map(Option::unwrap_or_default)
-            .collect();
-        let two_hop = |v: UserId| -> &[UserId] {
-            hop_ids
-                .binary_search(&v)
-                .map_or(&[][..], |idx| &two_hop_lists[idx])
+            .random_users(random_candidates * users.len(), rng);
+        let random_leg = |i: usize| {
+            random
+                .get(i * random_candidates..(i + 1) * random_candidates)
+                .unwrap_or_default()
         };
 
-        // Per-user candidate id lists in the sequential insertion order,
-        // concatenated flat. The dedup scratch set is allocated once and
-        // reused across the whole batch.
-        let mut flat_ids: Vec<UserId> = Vec::with_capacity(users.len() * (2 * k + k * k));
+        let mut slots = Slots::with_capacity(users.len() * (k + k * k + random_candidates));
+        // Neighbour lists as slots in one flat buffer: first the batch's
+        // 1-hop lists (ids extracted under the shard locks; no Neighborhood
+        // is cloned), then the 2-hop list of each distinct 1-hop neighbour,
+        // read once per batch.
+        let mut hops = Vec::with_capacity(users.len() * (k + k * k));
+        let one_hop_spans = ctx
+            .knn
+            .map_many(users, |hood| slots.extend(&mut hops, hood));
+        let mut hop_of = vec![NONE; slots.ids.len()];
+        let mut hop_ids = Vec::with_capacity(hops.len());
+        for &v in &hops {
+            if hop_of[v as usize] == NONE {
+                hop_of[v as usize] = hop_ids.len() as u32;
+                hop_ids.push(slots.ids[v as usize]);
+            }
+        }
+        let two_hop_spans = ctx
+            .knn
+            .map_many(&hop_ids, |hood| slots.extend(&mut hops, hood));
+
+        // Each user's picks, in insertion order, concatenated flat.
+        let mut picked = Vec::with_capacity(hops.len() + random.len());
         let mut spans = Vec::with_capacity(users.len());
-        let mut scratch =
-            hyrec_core::FastHashSet::with_capacity_and_hasher(2 * k + k * k, Default::default());
-        for (i, &user) in users.iter().enumerate() {
-            let start = flat_ids.len();
-            scratch.clear();
-            let mut push = |candidate: UserId, flat_ids: &mut Vec<UserId>| {
-                if candidate != user && scratch.insert(candidate) {
-                    flat_ids.push(candidate);
-                }
-            };
-            for &v in &one_hop[i] {
-                push(v, &mut flat_ids);
+        // A batch position is its set's `u32` owner tag (`NONE` excluded).
+        assert!(users.len() < NONE as usize, "batch of 2^32 users or more");
+        for (owner, &user) in (0u32..).zip(users) {
+            let start = picked.len();
+            let one_hop = &hops[one_hop_spans[owner as usize].clone().unwrap_or_default()];
+            for &v in one_hop {
+                slots.pick(v, owner, user, &mut picked);
             }
-            for &v in &one_hop[i] {
-                for &w in two_hop(v) {
-                    push(w, &mut flat_ids);
+            for &v in one_hop {
+                let two_hop = two_hop_spans[hop_of[v as usize] as usize].clone();
+                for &w in &hops[two_hop.unwrap_or_default()] {
+                    slots.pick(w, owner, user, &mut picked);
                 }
             }
-            for &w in &random_legs[i] {
-                push(w, &mut flat_ids);
+            for &w in random_leg(owner as usize) {
+                let w = slots.slot(w);
+                slots.pick(w, owner, user, &mut picked);
             }
-            spans.push(start..flat_ids.len());
+            spans.push(start..picked.len());
         }
 
-        // Cross-batch dedup, then one shard-grouped fetch of each distinct
-        // profile. Once the KNN tables converge, the users of a batch draw
-        // from heavily overlapping communities ("more and more as the KNN
-        // tables converge"), so the distinct-profile count is a small
-        // fraction of the flat id count — each distinct profile is fetched
-        // once and fanned out as `Arc` clones.
-        let mut index_of: hyrec_core::FastHashMap<UserId, u32> =
-            hyrec_core::FastHashMap::with_capacity_and_hasher(flat_ids.len(), Default::default());
-        let mut unique: Vec<UserId> = Vec::with_capacity(flat_ids.len());
-        let slot_of: Vec<u32> = flat_ids
-            .iter()
-            .map(|&id| {
-                *index_of.entry(id).or_insert_with(|| {
-                    unique.push(id);
-                    (unique.len() - 1) as u32
-                })
-            })
-            .collect();
-        let profiles = ctx.profiles.get_many(&unique);
-
-        spans
-            .into_iter()
-            .map(|span| {
-                // Ids were deduplicated during list assembly, so the set is
-                // constructed without re-hashing anything.
-                let members = flat_ids[span.clone()]
-                    .iter()
-                    .zip(&slot_of[span])
-                    .filter_map(|(&id, &slot)| {
-                        profiles[slot as usize].as_ref().map(|profile| {
-                            hyrec_core::CandidateProfile {
-                                user: id,
-                                profile: hyrec_core::SharedProfile::clone(profile),
-                            }
-                        })
-                    })
-                    .collect();
-                CandidateSet::from_deduped(members)
-            })
-            .collect()
+        // One fetch per distinct candidate. A set takes the fetched handle
+        // itself when it is the slot's last user, a clone otherwise.
+        let mut profiles = ctx.profiles.get_many(&slots.ids);
+        let mut sets = Vec::with_capacity(users.len());
+        for (owner, span) in (0u32..).zip(spans) {
+            let mut members = Vec::with_capacity(span.len());
+            for &slot in &picked[span] {
+                let slot = slot as usize;
+                let profile = if slots.last[slot] == owner {
+                    profiles[slot].take()
+                } else {
+                    profiles[slot].clone()
+                };
+                if let Some(profile) = profile {
+                    members.push(hyrec_core::CandidateProfile {
+                        user: slots.ids[slot],
+                        profile,
+                    });
+                }
+            }
+            sets.push(CandidateSet::from_deduped(members));
+        }
+        sets
     }
 
     fn name(&self) -> &'static str {
         "default"
+    }
+}
+
+/// "No slot" / "no user yet" marker.
+const NONE: u32 = u32::MAX;
+
+/// The batch-wide slot table of [`DefaultSampler::sample_batch`]: every
+/// distinct candidate id gets one `u32` slot, found by one hash lookup.
+struct Slots {
+    index: hyrec_core::FastHashMap<UserId, u32>,
+    /// The id of each slot.
+    ids: Vec<UserId>,
+    /// The batch position of the last user whose set took the slot.
+    last: Vec<u32>,
+}
+
+impl Slots {
+    fn with_capacity(capacity: usize) -> Self {
+        Self {
+            index: hyrec_core::FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            ids: Vec::with_capacity(capacity),
+            last: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// The slot of `id`, created on first sight.
+    fn slot(&mut self, id: UserId) -> u32 {
+        *self.index.entry(id).or_insert_with(|| {
+            self.ids.push(id);
+            self.last.push(NONE);
+            u32::try_from(self.ids.len() - 1).expect("fewer than 2^32 candidates per batch")
+        })
+    }
+
+    /// Appends the slots of `hood`'s users to `hops`, returning their span.
+    fn extend(&mut self, hops: &mut Vec<u32>, hood: &hyrec_core::Neighborhood) -> Range<usize> {
+        let start = hops.len();
+        hops.extend(hood.users().map(|user| self.slot(user)));
+        start..hops.len()
+    }
+
+    /// Appends `slot` to the set of the user at batch position `owner`
+    /// unless it is that user or the set already holds it.
+    fn pick(&mut self, slot: u32, owner: u32, requester: UserId, picked: &mut Vec<u32>) {
+        let index = slot as usize;
+        if self.last[index] != owner && self.ids[index] != requester {
+            self.last[index] = owner;
+            picked.push(slot);
+        }
     }
 }
 

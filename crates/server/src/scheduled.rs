@@ -134,16 +134,13 @@ impl ScheduledServer {
         u64::try_from(self.origin.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
-    /// Records a rating and, leased, bumps the user's staleness priority.
+    /// Records a rating and, leased, bumps the user's staleness priority:
+    /// a one-vote [`Self::record_many`].
     pub fn record(&self, user: UserId, item: ItemId, vote: Vote, now: Tick) -> bool {
-        let changed = self.inner.record(user, item, vote);
-        if self.leased {
-            self.sched.note_vote(user, now);
-        }
-        changed
+        self.record_many(&[(user, item, vote)], now)[0]
     }
 
-    /// Batched [`Self::record`]: one table sweep (and, leased, one
+    /// Records a burst of ratings: one table sweep (and, leased, one
     /// scheduler lock) for a coalesced `/rate/` burst.
     #[must_use]
     pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)], now: Tick) -> Vec<bool> {
@@ -239,15 +236,16 @@ impl ScheduledServer {
         outcomes
     }
 
-    /// Applies the updates whose outcome is `Ok` in one batch.
+    /// Applies the updates whose outcome is `Ok` in one batch, by
+    /// reference.
     fn apply_accepted(&self, updates: &[KnnUpdate], outcomes: &[Result<(), RejectReason>]) {
-        let accepted: Vec<KnnUpdate> = updates
-            .iter()
-            .zip(outcomes)
-            .filter(|(_, outcome)| outcome.is_ok())
-            .map(|(update, _)| update.clone())
-            .collect();
-        self.inner.apply_updates(&accepted);
+        self.inner.apply_updates(
+            updates
+                .iter()
+                .zip(outcomes)
+                .filter(|(_, outcome)| outcome.is_ok())
+                .map(|(update, _)| update),
+        );
     }
 
     /// Expires overdue leases and immediately recomputes every user whose

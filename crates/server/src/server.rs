@@ -116,24 +116,21 @@ impl HyRecServer {
     /// Records a rating into the user's profile (arrow 1 of Figure 1: the
     /// server "first updates u's profile in its global data structure").
     ///
-    /// Returns `true` when the vote changed the profile.
+    /// Returns `true` when the vote changed the profile. A one-vote
+    /// [`Self::record_many`].
     pub fn record(&self, user: UserId, item: ItemId, vote: Vote) -> bool {
-        if !self.profiles.contains(user) {
-            self.directory.register(user);
-        }
-        self.profiles.record(user, item, vote)
+        self.record_many(&[(user, item, vote)])[0]
     }
 
-    /// Batched [`Self::record`]: ingests a burst of votes through
-    /// [`ProfileTable::record_many`], which takes each touched shard's write
-    /// lock once for the whole batch instead of once per vote.
+    /// Ingests a burst of votes through [`ProfileTable::record_many`], which
+    /// takes each touched shard's write lock once for the whole batch
+    /// instead of once per vote.
     ///
-    /// Semantically identical to `votes.iter().map(|&(u, i, v)|
-    /// self.record(u, i, v))`: change flags come back in input order and new
-    /// users are registered in first-occurrence order, so the user directory
-    /// (which feeds the sampler's random leg) ends up byte-identical to the
-    /// sequential path. This is the ingestion entry point for coalescing
-    /// front-ends staging `/rate/` traffic.
+    /// Change flags come back in input order, and users without a profile
+    /// are registered in first-occurrence order, so the user directory
+    /// (which feeds the sampler's random leg) is the same however a vote
+    /// stream is split into batches. This is the ingestion entry point for
+    /// coalescing front-ends staging `/rate/` traffic.
     #[must_use]
     pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)]) -> Vec<bool> {
         let mut seen = hyrec_core::FastHashSet::default();
@@ -181,47 +178,13 @@ impl HyRecServer {
         self.knn.average_view_similarity()
     }
 
-    /// Builds the personalization job for `user` (arrow 2 of Figure 1).
-    ///
-    /// The sampler assembles the candidate set; candidate user ids are
-    /// pseudonymized under the current anonymization epoch when the config
-    /// says so. An unknown user receives an empty profile and whatever the
-    /// random leg of the sampler provides — exactly how cold-start behaves
-    /// in the paper (new users start with random neighbours).
+    /// Builds the personalization job for `user` (arrow 2 of Figure 1): a
+    /// batch of one through [`Self::build_jobs`].
     #[must_use]
     pub fn build_job(&self, user: UserId) -> PersonalizationJob {
-        self.requests_served.fetch_add(1, Ordering::Relaxed);
-        let ctx = SamplerContext {
-            profiles: &self.profiles,
-            knn: &self.knn,
-            directory: &self.directory,
-        };
-        let candidates = {
-            let mut rng = self.rng.lock();
-            self.sampler.sample(
-                user,
-                self.config.k,
-                self.config.random_candidates,
-                &ctx,
-                &mut rng,
-            )
-        };
-
-        let profile = self.profiles.get(user).unwrap_or_default();
-        let profile = match self.config.profile_cap {
-            Some(_) => self.cap_profile(user, profile, &mut self.capped.lock()),
-            None => profile,
-        };
-        let candidates = self.finalize_candidates(candidates);
-        PersonalizationJob {
-            uid: user,
-            k: self.config.k,
-            r: self.config.r,
-            lease: 0,
-            epoch: 0,
-            profile,
-            candidates,
-        }
+        self.build_jobs(std::slice::from_ref(&user))
+            .pop()
+            .expect("one user in, one job out")
     }
 
     /// Applies the optional profile cap to `user`'s shared handle.
@@ -258,18 +221,9 @@ impl HyRecServer {
         }
     }
 
-    /// Applies profile capping and pseudonymization to a raw candidate set.
-    fn finalize_candidates(&self, raw: CandidateSet) -> CandidateSet {
-        if !self.config.anonymize_users && self.config.profile_cap.is_none() {
-            return raw;
-        }
-        let mut anonymizer = self.anonymizer.lock();
-        let mut capped = self.capped.lock();
-        self.finalize_with(raw, &mut anonymizer, &mut capped)
-    }
-
-    /// [`Self::finalize_candidates`] with the anonymizer and capped-copy
-    /// locks already held — the batch path locks once for all jobs.
+    /// Applies profile capping and pseudonymization to a raw candidate set,
+    /// with the anonymizer and capped-copy locks already held — taken once
+    /// per batch of jobs.
     fn finalize_with(
         &self,
         raw: CandidateSet,
@@ -297,15 +251,19 @@ impl HyRecServer {
 
     /// Builds personalization jobs for a whole batch of users.
     ///
-    /// Semantically identical to `users.iter().map(|&u| self.build_job(u))`
-    /// — same candidate sets, same RNG stream, same pseudonyms — but the
-    /// table traffic is amortized: the sampler stages its reads through the
-    /// tables' `get_many` operations (one lock acquisition per touched
-    /// shard per stage instead of one per user per candidate), requester
-    /// profiles are fetched in one sweep, and the RNG and anonymizer locks
-    /// are taken once per batch instead of once per job. This is the entry
-    /// point for request coalescing front-ends and for the simulation
-    /// harnesses that drive thousands of users per tick.
+    /// The sampler assembles each candidate set; candidate user ids are
+    /// pseudonymized under the current anonymization epoch when the config
+    /// says so. An unknown user receives an empty profile and whatever the
+    /// random leg of the sampler provides — exactly how cold-start behaves
+    /// in the paper (new users start with random neighbours).
+    ///
+    /// This is the only job builder ([`Self::build_job`] is a batch of
+    /// one), so any split of a request stream into batches yields the same
+    /// jobs: same candidate sets, same RNG stream, same pseudonyms. Table
+    /// traffic is amortized over the batch: the sampler stages its reads
+    /// through the tables' batch reads (one lock acquisition per touched
+    /// shard per stage), requester profiles are fetched in one sweep, and
+    /// the RNG, anonymizer and capped-copy locks are taken once per batch.
     #[must_use]
     pub fn build_jobs(&self, users: &[UserId]) -> Vec<PersonalizationJob> {
         self.requests_served
@@ -327,83 +285,56 @@ impl HyRecServer {
         };
 
         let profiles = self.profiles.get_many(users);
-        let (profiles, finalized): (Vec<Arc<Profile>>, Vec<CandidateSet>) =
-            if self.config.anonymize_users || self.config.profile_cap.is_some() {
-                let mut anonymizer = self.anonymizer.lock();
-                let mut capped = self.capped.lock();
-                (
-                    users
-                        .iter()
-                        .zip(profiles)
-                        .map(|(&user, profile)| {
-                            self.cap_profile(user, profile.unwrap_or_default(), &mut capped)
-                        })
-                        .collect(),
-                    candidate_sets
-                        .into_iter()
-                        .map(|set| self.finalize_with(set, &mut anonymizer, &mut capped))
-                        .collect(),
-                )
-            } else {
-                (
-                    profiles
-                        .into_iter()
-                        .map(Option::unwrap_or_default)
-                        .collect(),
-                    candidate_sets,
-                )
-            };
-
+        // Capping and pseudonymization share the anonymizer and
+        // capped-copy locks, taken once for the batch.
+        let mut finalize = (self.config.anonymize_users || self.config.profile_cap.is_some())
+            .then(|| (self.anonymizer.lock(), self.capped.lock()));
         users
             .iter()
             .zip(profiles)
-            .zip(finalized)
-            .map(|((&user, profile), candidates)| PersonalizationJob {
-                uid: user,
-                k: self.config.k,
-                r: self.config.r,
-                lease: 0,
-                epoch: 0,
-                profile,
-                candidates,
+            .zip(candidate_sets)
+            .map(|((&user, profile), candidates)| {
+                let profile = profile.unwrap_or_default();
+                let (profile, candidates) = match &mut finalize {
+                    Some((anonymizer, capped)) => (
+                        self.cap_profile(user, profile, capped),
+                        self.finalize_with(candidates, anonymizer, capped),
+                    ),
+                    None => (profile, candidates),
+                };
+                PersonalizationJob {
+                    uid: user,
+                    k: self.config.k,
+                    r: self.config.r,
+                    lease: 0,
+                    epoch: 0,
+                    profile,
+                    candidates,
+                }
             })
             .collect()
     }
 
-    /// Applies a KNN update sent back by a widget (arrow 3 of Figure 1).
-    ///
-    /// Pseudonymous neighbour ids are resolved through the anonymous
-    /// mapping; pseudonyms from epochs older than one reshuffle are dropped
-    /// (the widget will simply refine again on its next request).
+    /// Applies a KNN update sent back by a widget (arrow 3 of Figure 1): a
+    /// batch of one through [`Self::apply_updates`].
     pub fn apply_update(&self, update: &KnnUpdate) {
-        self.updates_applied.fetch_add(1, Ordering::Relaxed);
-        let hood = if self.config.anonymize_users {
-            let anonymizer = self.anonymizer.lock();
-            Neighborhood::from_neighbors(update.neighbors.iter().filter_map(|n| {
-                anonymizer.resolve(n.user).map(|real| hyrec_core::Neighbor {
-                    user: real,
-                    similarity: n.similarity,
-                })
-            }))
-        } else {
-            update.to_neighborhood()
-        };
-        self.knn.update(update.uid, hood);
+        self.apply_updates(std::slice::from_ref(update));
     }
 
     /// Applies a batch of KNN updates.
     ///
-    /// Semantically identical to `updates.iter().for_each(|u|
-    /// self.apply_update(u))`, but the anonymizer lock is taken once and the
-    /// KNN write-backs go through `KnnTable::update_many`, which takes each
-    /// touched shard's write lock once for the whole batch.
-    pub fn apply_updates(&self, updates: &[KnnUpdate]) {
-        self.updates_applied
-            .fetch_add(updates.len() as u64, Ordering::Relaxed);
+    /// Pseudonymous neighbour ids are resolved through the anonymous
+    /// mapping; pseudonyms from epochs older than one reshuffle are dropped
+    /// (the widget will simply refine again on its next request). The
+    /// anonymizer lock is taken once, and the write-backs go through
+    /// `KnnTable::update_many`, which takes each touched shard's write
+    /// lock once for the whole batch. Updates are read by reference, so a
+    /// caller can pass a filtered view of its batch without copying.
+    pub fn apply_updates<'a>(&self, updates: impl IntoIterator<Item = &'a KnnUpdate>) {
+        let updates = updates.into_iter();
         let entries: Vec<(UserId, Neighborhood)> = if self.config.anonymize_users {
             let anonymizer = self.anonymizer.lock();
             updates
-                .iter()
                 .map(|update| {
                     let hood =
                         Neighborhood::from_neighbors(update.neighbors.iter().filter_map(|n| {
@@ -417,28 +348,22 @@ impl HyRecServer {
                 .collect()
         } else {
             updates
-                .iter()
                 .map(|update| (update.uid, update.to_neighborhood()))
                 .collect()
         };
+        self.updates_applied
+            .fetch_add(entries.len() as u64, Ordering::Relaxed);
         self.knn.update_many(entries);
     }
 
-    /// Whether a neighbour id reported in a `KnnUpdate` is resolvable by
-    /// this server: under pseudonymization the id must resolve through a
-    /// live anonymization epoch; otherwise the user must own a profile.
+    /// Runs `f` with a neighbour-resolvability predicate: under
+    /// pseudonymization an id must resolve through a live anonymization
+    /// epoch; otherwise the user must own a profile. This is the `known`
+    /// predicate the job-lifecycle scheduler's update validation uses to
+    /// reject fabricated neighbour ids before they reach the KNN table.
     ///
-    /// This is the `known` predicate the job-lifecycle scheduler's update
-    /// validation uses to reject fabricated neighbour ids before they
-    /// reach the KNN table.
-    #[must_use]
-    pub fn neighbor_known(&self, user: UserId) -> bool {
-        self.with_neighbor_checker(|known| known(user))
-    }
-
-    /// Runs `f` with a neighbour-resolvability predicate, taking the
-    /// anonymizer lock **once** for the whole closure — the batched form
-    /// of [`Self::neighbor_known`] for validating bursts of completions.
+    /// The anonymizer lock is taken **once** for the whole closure, so a
+    /// burst of completions is validated without re-locking.
     pub fn with_neighbor_checker<R>(
         &self,
         f: impl FnOnce(&mut dyn FnMut(UserId) -> bool) -> R,
@@ -675,7 +600,11 @@ mod tests {
             for u in 1..5u32 {
                 raw.insert(UserId(u), server.profile_of(UserId(u)).unwrap());
             }
-            let set = server.finalize_candidates(raw);
+            let set = server.finalize_with(
+                raw,
+                &mut server.anonymizer.lock(),
+                &mut server.capped.lock(),
+            );
             set.pairs()
                 .map(|(_, profile)| {
                     assert_eq!(profile.liked_len(), 3);

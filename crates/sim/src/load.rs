@@ -10,14 +10,19 @@
 //!   front-end) and encode the small result.
 //! * **Online Ideal**: brute-force KNN over every user, then recommend.
 //!
+//! The server's job builder has one implementation, the batched one: the
+//! `build_job` calls timed here are batches of one, the code a lone
+//! `/online/` request runs.
+//!
 //! Figure 9 drives the real HTTP stack (the epoll reactor) with
-//! closed-loop clients and measures latency as concurrency grows. It uses
-//! only the scalar `/online-fast/` and `/crecommend/` routes, so each
-//! request is one job on the reactor's worker pool and the pool size
-//! bounds concurrent handler work, as the paper's servlet pool did.
+//! closed-loop clients and measures latency as concurrency grows. It
+//! requests the API's `/online/` route and a `/crecommend/` route mounted
+//! beside it, both scalar (never gathered), so each request is one job on
+//! the reactor's worker pool and the pool size bounds concurrent handler
+//! work, as the paper's servlet pool did.
 
 use hyrec_core::{recommend, ItemId, Neighbor, Neighborhood, UserId, Vote};
-use hyrec_http::{HttpClient, ReactorServer, Response, Router};
+use hyrec_http::{api, BatchPolicy, HttpClient, ReactorServer, Response, Router};
 use hyrec_server::{HyRecConfig, HyRecServer, JobEncoder, OnlineIdeal};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -254,24 +259,16 @@ fn recs_json(recs: &[hyrec_core::Recommendation]) -> String {
 }
 
 /// Builds the HTTP router for the Figure 9 concurrency experiment: the
-/// scalar `/online-fast/` (HyRec: sampling + the population's
-/// fragment-cache encoder) and `/crecommend/` (CRec: sampling, then
-/// Algorithm 2 on the server).
+/// API router over the population (HyRec's `/online/`: sampling + the
+/// population's fragment-cache encoder) with every route scalar, plus
+/// `/crecommend/` (CRec: sampling, then Algorithm 2 on the server).
 #[must_use]
 pub fn benchmark_router(population: &Population) -> Router {
-    let mut router = Router::new();
-    let server = Arc::clone(&population.server);
-    let encoder = Arc::clone(&population.encoder);
-    router.get("/online-fast/", move |req| {
-        match req.query_param("uid").and_then(|v| v.parse::<u32>().ok()) {
-            Some(uid) => {
-                let job = server.build_job(UserId(uid));
-                Response::ok_pregzipped_json(encoder.encode(&job))
-            }
-            None => Response::bad_request("missing uid"),
-        }
-    });
-
+    let mut router = api::hyrec_router_with(
+        Arc::clone(&population.server),
+        Arc::clone(&population.encoder),
+        BatchPolicy::scalar(),
+    );
     let server = Arc::clone(&population.server);
     router.get("/crecommend/", move |req| {
         match req.query_param("uid").and_then(|v| v.parse::<u32>().ok()) {
@@ -578,7 +575,7 @@ mod tests {
     fn closed_loop_over_real_http() {
         let population = build_population(40, 10, 3, 6);
         let (handle, addr) = spawn_benchmark_server(&population, 4);
-        let stats = closed_loop(addr, "/online-fast/", 40, 4, 5);
+        let stats = closed_loop(addr, "/online/", 40, 4, 5);
         assert_eq!(stats.samples, 20);
         assert!(stats.mean > Duration::ZERO);
         let stats = closed_loop(addr, "/crecommend/", 40, 2, 5);
