@@ -427,12 +427,6 @@ impl GossipNetwork {
         self.nodes.iter().map(|n| n.bytes_sent).sum()
     }
 
-    /// Bytes sent by one node.
-    #[must_use]
-    pub fn bytes_sent_by(&self, user: UserId) -> Option<u64> {
-        self.index.get(&user).map(|&i| self.nodes[i].bytes_sent)
-    }
-
     /// Full bandwidth report (the Section 5.6 numbers).
     #[must_use]
     pub fn bandwidth_report(&self) -> BandwidthReport {

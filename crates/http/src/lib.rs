@@ -12,16 +12,17 @@
 //! `Connection`/version fields, the connection's request budget and
 //! shutdown state — never a hardcoded header.
 //!
-//! * [`reactor`] — the one server front-end: N epoll readiness loops
-//!   ("shards", raw bindings in a private `sys` module, no external deps)
-//!   with persistent per-connection state machines (rolling read buffer
-//!   holding pipelined requests, in-order response queue, idle sweep,
-//!   max-requests-per-connection), recycled buffers, a **shared** worker
-//!   pool, and **process-wide request coalescing**: concurrent and
-//!   pipelined requests to batched routes are gathered — up to a cap,
-//!   within a gather window, across every shard — and handed to one
-//!   handler call. Every shard owns an `SO_REUSEPORT` listener and the
-//!   kernel spreads connections across them.
+//! * [`reactor`] — the one server front-end: N independent epoll
+//!   readiness loops ("shards", raw bindings in a private `sys` module, no
+//!   external deps) with persistent per-connection state machines (rolling
+//!   read buffer holding pipelined requests, in-order response queue, idle
+//!   sweep, max-requests-per-connection), a **shared** worker pool, and
+//!   **shard-local request coalescing**: concurrent and pipelined requests
+//!   to batched routes are gathered — up to a cap, within a gather window,
+//!   among one shard's connections — and handed to one handler call; a
+//!   shard with nothing in flight flushes at once. Every shard owns an
+//!   `SO_REUSEPORT` listener and the kernel spreads connections across
+//!   them.
 //! * [`request`] / [`response`] — HTTP parsing (the one request parser,
 //!   [`Request::try_parse_resuming`], frames the reactor's rolling
 //!   buffers in time linear in the bytes received; the mirror-image
@@ -46,7 +47,7 @@
 //!
 //! let hyrec = Arc::new(HyRecServer::new());
 //! // 4 reactor event loops, each with its own SO_REUSEPORT listener,
-//! // over a shared pool of 4 × 2 workers and one process-wide gather.
+//! // over a shared pool of 4 × 2 workers; each loop gathers its own batches.
 //! let server = ReactorServer::bind_sharded("127.0.0.1:0", 4, 2)?
 //!     .with_max_requests_per_conn(10_000);
 //! let addr = server.local_addr();

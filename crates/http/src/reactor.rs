@@ -1,6 +1,6 @@
-//! The epoll reactor front-end: N event-loop threads ("shards"), each
-//! multiplexing its own subset of the connections, over one **shared**
-//! worker pool, router, and request-coalescing gather layer.
+//! The epoll reactor front-end: N independent event loops ("shards"), each
+//! multiplexing its own subset of the connections and gathering its own
+//! batches, over one **shared** worker pool and router.
 //!
 //! A thread-per-connection server holds one OS thread hostage per
 //! in-flight connection — fine for hundreds of browsers, fatal for the
@@ -9,8 +9,7 @@
 //!
 //! * **Persistent, pipelined connections.** Each connection owns a rolling
 //!   read buffer that may hold several back-to-back requests at once and a
-//!   staged write buffer; both are recycled through a buffer pool when the
-//!   connection closes. Framing resumes where the previous read left off
+//!   staged write buffer. Framing resumes where the previous read left off
 //!   ([`Request::try_parse_resuming`]), so however the network splits a
 //!   request, framing it costs time linear in its bytes. Requests are numbered per connection and responses
 //!   flush strictly in request order (a reorder queue holds completions
@@ -34,16 +33,18 @@
 //! * **A readiness loop** per shard over raw `epoll` (see [`crate::sys`];
 //!   no external dependencies), level-triggered, with a wakeup `eventfd`
 //!   per shard for response completions coming back from the workers.
-//! * **Process-wide request coalescing.** Requests resolving to a route
+//! * **Shard-local request coalescing.** Requests resolving to a route
 //!   whose [`crate::BatchPolicy`] allows batching are *gathered* rather
-//!   than dispatched — into one gather shared by **all** shards (see
-//!   [`crate::router`]'s `Gather`), so concurrent `/online/` calls
-//!   coalesce across the whole process, not per shard. A batch flushes to
-//!   the worker pool when it reaches the route's `max_batch`, when its
-//!   oldest request has waited the route's `gather_window`, or as soon as
-//!   the pipeline goes idle. Pipelining widens this: a browser that writes
-//!   three `/online/` calls back-to-back delivers a ready-made batch in a
-//!   single read, without paying the gather window as latency.
+//!   than dispatched, into the gather of the shard that framed them (see
+//!   [`crate::router`]'s `Gather`). A batch flushes to the worker pool when
+//!   it reaches the route's `max_batch`, when its oldest request has
+//!   waited the route's `gather_window`, or as soon as its shard has
+//!   nothing in flight. A shard never waits on another shard's work, so a
+//!   lone request on an idle shard is served at once however busy the
+//!   rest of the process is. Pipelining widens batches: a browser that
+//!   writes three `/online/` calls back-to-back delivers a ready-made batch
+//!   in a single read, without paying the gather window as latency. A
+//!   scalar route's request is a batch of one on the same worker path.
 //!
 //! Shutdown drains every shard: listeners close immediately (so racing
 //! connects are refused instead of sitting accepted-but-unserved in a dead
@@ -53,7 +54,7 @@
 
 use crate::request::{FrameCursor, Request};
 use crate::response::{Disposition, Response};
-use crate::router::{Gather, GatheredBatch, Resolution, Route, Router};
+use crate::router::{Gather, GatheredBatch, Resolution, Router};
 use crate::sys::{self, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::threadpool::ThreadPool;
 use parking_lot::Mutex;
@@ -90,11 +91,6 @@ const MAX_PIPELINE: u64 = 64;
 const MAX_STAGED_OUT: usize = 1024 * 1024;
 /// How long a draining shutdown waits before abandoning in-flight work.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
-/// Buffers recycled through a shard's pool are capped at this many.
-const BUFFER_POOL_CAP: usize = 1024;
-/// Buffers that grew beyond this are dropped instead of recycled, so a
-/// burst of large requests/responses cannot pin gigabytes in the pool.
-const BUFFER_RECYCLE_MAX: usize = 64 * 1024;
 /// How long a listener stays deregistered after an accept failure like
 /// EMFILE (level-triggered readiness would otherwise busy-spin the loop).
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
@@ -103,8 +99,9 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 /// queue.
 const ACCEPT_BACKLOG: i32 = 4096;
 
-/// Destination of a response: (shard, connection token, sequence number).
-type Dest = (usize, u64, u64);
+/// Destination of a response on its shard: (connection token, sequence
+/// number).
+type Dest = (u64, u64);
 
 /// Per-shard serving counters (one entry per reactor event loop).
 #[derive(Debug, Default)]
@@ -163,8 +160,8 @@ impl ReactorStats {
         self.connections.load(Ordering::Relaxed)
     }
 
-    /// Number of coalesced batches flushed to batched routes. Batches are
-    /// gathered process-wide, so there is no per-shard breakdown.
+    /// Number of coalesced batches flushed to batched routes, summed over
+    /// the shards (each shard gathers its own connections' requests).
     #[must_use]
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
@@ -241,6 +238,8 @@ impl std::fmt::Debug for ReactorServer {
 pub struct ReactorHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    /// One per shard, to wake every loop for shutdown.
+    mailboxes: Vec<Arc<Mailbox>>,
     threads: Vec<thread::JoinHandle<()>>,
 }
 
@@ -283,7 +282,7 @@ impl ReactorHandle {
     fn shutdown_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Fan the shutdown out to every loop: each shard owns an eventfd.
-        for mailbox in self.shared.mailboxes.iter() {
+        for mailbox in &self.mailboxes {
             mailbox.waker.wake();
         }
         for handle in self.threads.drain(..) {
@@ -314,10 +313,9 @@ impl ReactorServer {
     }
 
     /// Binds a server sharded across `reactors` epoll event loops over a
-    /// **shared** pool of `reactors × workers_per_reactor` workers and one
-    /// process-wide gather layer (so `/online/` coalescing still gathers
-    /// across the whole process, not per shard). Every shard binds its own
-    /// `SO_REUSEPORT` listener on the same address.
+    /// **shared** pool of `reactors × workers_per_reactor` workers. Each
+    /// shard gathers batches from its own connections only. Every shard
+    /// binds its own `SO_REUSEPORT` listener on the same address.
     ///
     /// # Errors
     ///
@@ -395,36 +393,37 @@ impl ReactorServer {
     ///
     /// # Panics
     ///
-    /// Panics if an epoll instance, wakeup eventfd, or reactor thread
-    /// cannot be created (resource exhaustion at startup).
+    /// Panics if an epoll instance, wakeup eventfd, listener registration
+    /// or reactor thread cannot be set up (resource exhaustion at startup).
     #[must_use]
     pub fn serve(self, router: Router) -> ReactorHandle {
-        let mailboxes: Arc<Vec<Mailbox>> =
-            Arc::new(self.listeners.iter().map(|_| Mailbox::new()).collect());
-        let gather = Gather::new(&router);
         let shared = Arc::new(Shared {
             router,
             pool: ThreadPool::new(self.workers),
-            gather,
             stats: Arc::clone(&self.stats),
             shutdown: AtomicBool::new(false),
-            in_flight: Arc::new(AtomicUsize::new(0)),
-            mailboxes,
             idle_timeout: self.idle_timeout,
             max_requests_per_conn: self.max_requests_per_conn,
         });
-        let threads = self
+        // Every shard is set up before any loop starts, so a setup failure
+        // leaves no thread running.
+        let shards: Vec<Shard> = self
             .listeners
             .into_iter()
             .enumerate()
             .map(|(id, listener)| {
-                let shard = Shard {
-                    id,
-                    listener: Some(listener),
-                    shared: Arc::clone(&shared),
-                };
+                Shard::new(id, listener, Arc::clone(&shared)).expect("set up reactor shard")
+            })
+            .collect();
+        let mailboxes = shards
+            .iter()
+            .map(|shard| Arc::clone(&shard.mailbox))
+            .collect();
+        let threads = shards
+            .into_iter()
+            .map(|shard| {
                 thread::Builder::new()
-                    .name(format!("hyrec-reactor-{id}"))
+                    .name(format!("hyrec-reactor-{}", shard.id))
                     .spawn(move || shard.run())
                     .expect("spawn reactor shard thread")
             })
@@ -432,6 +431,7 @@ impl ReactorServer {
         ReactorHandle {
             addr: self.local_addr,
             shared,
+            mailboxes,
             threads,
         }
     }
@@ -440,10 +440,9 @@ impl ReactorServer {
 /// A persistent connection's state machine.
 struct Conn {
     stream: TcpStream,
-    /// Rolling read buffer; may hold several pipelined requests (recycled
-    /// through the buffer pool).
+    /// Rolling read buffer; may hold several pipelined requests.
     buf: ReadBuf,
-    /// Staged response bytes (recycled through the buffer pool).
+    /// Staged response bytes.
     out: Vec<u8>,
     written: usize,
     /// Last activity (read progress, request framed, write completed) —
@@ -511,11 +510,6 @@ impl ReadBuf {
     fn clear(&mut self) {
         self.bytes.clear();
         self.start = 0;
-    }
-
-    /// The allocation, for the buffer pool.
-    fn into_vec(self) -> Vec<u8> {
-        self.bytes
     }
 }
 
@@ -619,52 +613,77 @@ enum FrameStep {
     Stop,
 }
 
-/// A shard's inbox of completions computed by the workers. A
-/// non-poisoning mutex — a panicking worker must not wedge every live
-/// connection on the shard behind a poisoned queue (the panic itself is
-/// already translated into a 500 by the dispatch path).
+/// A shard's inbox of completions computed by the workers, with the count
+/// of the shard's jobs still running. A non-poisoning mutex — a panicking
+/// worker must not wedge every live connection on the shard behind a
+/// poisoned queue (the panic itself is already translated into a 500 by
+/// the worker path).
 struct Mailbox {
-    completions: Mutex<Vec<(u64, u64, Response)>>,
+    completions: Mutex<Vec<(Dest, Response)>>,
     waker: Waker,
+    /// Worker-pool jobs this shard submitted whose completions are not yet
+    /// posted. Zero means the shard is idle, so its gather flushes at once.
+    in_flight: AtomicUsize,
 }
 
 impl Mailbox {
-    fn new() -> Self {
-        Self {
+    fn new() -> io::Result<Self> {
+        Ok(Self {
             completions: Mutex::new(Vec::new()),
-            waker: Waker::new().expect("create eventfd"),
-        }
+            waker: Waker::new()?,
+            in_flight: AtomicUsize::new(0),
+        })
     }
 }
 
-/// State shared by every reactor shard: the router and its process-wide
-/// gather, the worker pool, aggregate stats, and each shard's mailbox.
+/// State shared by every reactor shard: the router, the worker pool,
+/// aggregate stats, the shutdown flag and the connection settings.
 struct Shared {
     router: Router,
     pool: ThreadPool,
-    gather: Gather<Dest>,
     stats: Arc<ReactorStats>,
     shutdown: AtomicBool,
-    /// Worker-pool jobs in flight. `Arc` so worker closures can decrement
-    /// without holding an `Arc<Shared>` (which would cycle through the
-    /// pool's own job queue).
-    in_flight: Arc<AtomicUsize>,
-    /// One mailbox per shard. `Arc` for the same reason as `in_flight`.
-    mailboxes: Arc<Vec<Mailbox>>,
     idle_timeout: Duration,
     max_requests_per_conn: u64,
 }
 
-/// One reactor event loop: owns a private listener and the connections
-/// the kernel hashes onto it.
+/// One reactor event loop: owns a private listener, the connections the
+/// kernel hashes onto it, and the gather their batched requests wait in.
 struct Shard {
+    /// This shard's entry in [`ReactorStats::shards`].
     id: usize,
     /// This shard's listener, taken (closed) the moment draining starts.
     listener: Option<TcpListener>,
+    epoll: Epoll,
+    slab: Slab,
+    gather: Gather<Dest>,
+    /// Shared with the workers running this shard's jobs (`Arc` so they
+    /// need no `Arc<Shared>`, which would cycle through the pool's own job
+    /// queue).
+    mailbox: Arc<Mailbox>,
     shared: Arc<Shared>,
 }
 
 impl Shard {
+    /// Registers the listener and a completion waker with a fresh epoll
+    /// instance.
+    fn new(id: usize, listener: TcpListener, shared: Arc<Shared>) -> io::Result<Self> {
+        let epoll = Epoll::new()?;
+        listener.set_nonblocking(true)?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
+        let mailbox = Arc::new(Mailbox::new()?);
+        epoll.add(mailbox.waker.raw_fd(), EPOLLIN, WAKER_TOKEN)?;
+        Ok(Self {
+            id,
+            listener: Some(listener),
+            epoll,
+            slab: Slab::new(),
+            gather: Gather::new(&shared.router),
+            mailbox,
+            shared,
+        })
+    }
+
     /// Idle-sweep cadence: frequent enough to honour short test timeouts,
     /// capped at once a second.
     fn sweep_interval(&self) -> Duration {
@@ -673,26 +692,6 @@ impl Shard {
 
     #[allow(clippy::too_many_lines)]
     fn run(mut self) {
-        let Ok(epoll) = Epoll::new() else { return };
-        if let Some(listener) = &self.listener {
-            if listener.set_nonblocking(true).is_err() {
-                return;
-            }
-            if epoll
-                .add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)
-                .is_err()
-            {
-                return;
-            }
-        }
-        let _ = epoll.add(
-            self.shared.mailboxes[self.id].waker.raw_fd(),
-            EPOLLIN,
-            WAKER_TOKEN,
-        );
-
-        let mut slab = Slab::new();
-        let mut buffer_pool: Vec<Vec<u8>> = Vec::new();
         let mut events = vec![EpollEvent::zeroed(); 1024];
         let mut accepting = true;
         // While Some, the listener is deregistered (accept failed with
@@ -708,7 +707,9 @@ impl Shard {
                 if accepting && Instant::now() >= deadline {
                     accept_paused_until = None;
                     if let Some(listener) = &self.listener {
-                        let _ = epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN);
+                        let _ = self
+                            .epoll
+                            .add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN);
                     }
                 }
             }
@@ -716,69 +717,49 @@ impl Shard {
             if accept_paused_until.is_some() {
                 timeout = timeout.min(i32::try_from(ACCEPT_BACKOFF.as_millis()).unwrap_or(50));
             }
-            let ready = epoll.wait(&mut events, Some(timeout)).unwrap_or(0);
+            let ready = self.epoll.wait(&mut events, Some(timeout)).unwrap_or(0);
 
             for event in &events[..ready] {
                 match event.token() {
                     LISTENER_TOKEN => {
-                        if accepting && !self.accept_ready(&epoll, &mut slab, &mut buffer_pool) {
+                        if accepting && !self.accept_ready() {
                             // Resource exhaustion: back off the listener.
                             if let Some(listener) = &self.listener {
-                                let _ = epoll.delete(listener.as_raw_fd());
+                                let _ = self.epoll.delete(listener.as_raw_fd());
                             }
                             accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
                         }
                     }
-                    WAKER_TOKEN => self.shared.mailboxes[self.id].waker.drain(),
-                    token => self.conn_ready(
-                        &epoll,
-                        &mut slab,
-                        &mut buffer_pool,
-                        token,
-                        event.readiness(),
-                    ),
+                    WAKER_TOKEN => self.mailbox.waker.drain(),
+                    token => self.conn_ready(token, event.readiness()),
                 }
             }
 
             // Responses computed by the workers since the last pass; after
             // queueing them, resume framing on those connections — their
             // pipelines may have been paused by the MAX_PIPELINE cap.
-            let done: Vec<(u64, u64, Response)> =
-                std::mem::take(&mut *self.shared.mailboxes[self.id].completions.lock());
+            let done: Vec<(Dest, Response)> = std::mem::take(&mut *self.mailbox.completions.lock());
             let mut touched: Vec<u64> = Vec::with_capacity(done.len());
-            for (token, seq, response) in done {
-                self.queue_response(&epoll, &mut slab, &mut buffer_pool, token, seq, response);
+            for ((token, seq), response) in done {
+                self.queue_response(token, seq, response);
                 if !touched.contains(&token) {
                     touched.push(token);
                 }
             }
             for token in touched {
-                self.frame_and_dispatch(&epoll, &mut slab, &mut buffer_pool, token);
-                self.close_if_drained(&epoll, &mut slab, &mut buffer_pool, token);
-                self.sync_interest(&epoll, &mut slab, token);
+                self.frame_and_dispatch(token);
+                self.close_if_drained(token);
+                self.sync_interest(token);
             }
 
-            // Flush gathered batches. Full batches flush at push time on
-            // whichever shard crossed the threshold; the *time-based*
-            // triggers — expired windows, pipeline-idle, and the tight
-            // epoll timeout that services them — are shard 0's job alone
-            // ("gather coordinator"). With N loops all polling, any-shard
-            // checks would multiply the wakeups and fire the idle trigger
-            // N× as often as the single-reactor loop did, stealing batches
-            // early and shrinking them. During drain every shard steals
-            // everything: each loop's exit condition requires the gather
-            // empty, and the coordinator may already be gone.
+            // Flush gathered batches whose window expired; once nothing of
+            // this shard's is in flight (or it drains), flush them all. Full
+            // batches already flushed when they filled.
             let now = Instant::now();
-            if self.id == 0 || drain_started.is_some() {
-                let flush_all =
-                    drain_started.is_some() || self.shared.in_flight.load(Ordering::Acquire) == 0;
-                for batch in self
-                    .shared
-                    .gather
-                    .take_due(&self.shared.router, now, flush_all)
-                {
-                    self.flush_batch(batch);
-                }
+            let flush_all =
+                drain_started.is_some() || self.mailbox.in_flight.load(Ordering::Acquire) == 0;
+            for batch in self.gather.take_due(&self.shared.router, now, flush_all) {
+                self.flush_batch(batch);
             }
 
             // Periodic sweep: reap connections that have sat quiet longer
@@ -786,8 +767,8 @@ impl Shard {
             // clients stalled mid-request and idle keep-alive connections.
             if now.duration_since(last_sweep) >= sweep_every {
                 last_sweep = now;
-                for token in slab.live_tokens() {
-                    let expired = slab.get_mut(token).is_some_and(|conn| {
+                for token in self.slab.live_tokens() {
+                    let expired = self.slab.get_mut(token).is_some_and(|conn| {
                         // Quiet connections with nothing in flight, and
                         // vanished readers whose staged bytes stopped
                         // draining, are both reaped; connections merely
@@ -797,7 +778,7 @@ impl Shard {
                             && now.duration_since(conn.since) > self.shared.idle_timeout
                     });
                     if expired {
-                        self.close_conn(&epoll, &mut slab, &mut buffer_pool, token);
+                        self.close_conn(token);
                     }
                 }
             }
@@ -814,22 +795,22 @@ impl Shard {
                 accepting = false;
                 // Closing the fd also removes it from the epoll set.
                 drop(self.listener.take());
-                for token in slab.live_tokens() {
-                    let done = slab.get_mut(token).is_some_and(|conn| {
+                for token in self.slab.live_tokens() {
+                    let done = self.slab.get_mut(token).is_some_and(|conn| {
                         conn.closing = true;
                         conn.buf.clear();
                         conn.drained()
                     });
                     if done {
-                        self.close_conn(&epoll, &mut slab, &mut buffer_pool, token);
+                        self.close_conn(token);
                     }
                 }
             }
             if let Some(started) = drain_started {
-                let drained = self.shared.gather.is_empty()
-                    && self.shared.in_flight.load(Ordering::Acquire) == 0
-                    && self.shared.mailboxes[self.id].completions.lock().is_empty()
-                    && slab.is_empty();
+                let drained = self.gather.is_empty()
+                    && self.mailbox.in_flight.load(Ordering::Acquire) == 0
+                    && self.mailbox.completions.lock().is_empty()
+                    && self.slab.is_empty();
                 if drained || now.duration_since(started) > DRAIN_DEADLINE {
                     break;
                 }
@@ -837,10 +818,8 @@ impl Shard {
         }
     }
 
-    /// Epoll timeout: tight when a gather window is pending anywhere in
-    /// the process (gather-coordinator shard only — the others are woken
-    /// by their own I/O and completions, not by windows shard 0 will
-    /// service), bounded by the idle-sweep cadence otherwise, short while
+    /// Epoll timeout: tight while one of this shard's gather windows is
+    /// pending, bounded by the idle-sweep cadence otherwise, short while
     /// draining.
     fn wait_timeout(&self, sweep_every: Duration, draining: bool) -> i32 {
         if draining {
@@ -849,28 +828,20 @@ impl Shard {
         let base = i32::try_from(sweep_every.as_millis().max(1))
             .unwrap_or(1_000)
             .min(1_000);
-        if self.id != 0 {
-            return base;
-        }
-        match self
-            .shared
-            .gather
+        self.gather
             .next_deadline_ms(&self.shared.router, Instant::now())
-        {
-            Some(ms) => base.min(ms),
-            None => base,
-        }
+            .map_or(base, |ms| base.min(ms))
     }
 
     /// Drains the accept queue into this shard. Returns `false` when
     /// accepting failed in a way that warrants backing the listener off
     /// (fd exhaustion and friends — with level-triggered readiness,
     /// leaving the listener registered would spin the loop at 100% CPU).
-    fn accept_ready(&self, epoll: &Epoll, slab: &mut Slab, buffer_pool: &mut Vec<Vec<u8>>) -> bool {
-        let Some(listener) = &self.listener else {
-            return true;
-        };
+    fn accept_ready(&mut self) -> bool {
         loop {
+            let Some(listener) = &self.listener else {
+                return true;
+            };
             match listener.accept() {
                 Ok((stream, _)) => {
                     // A connect racing the shutdown: drop it for a prompt
@@ -882,7 +853,7 @@ impl Shard {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    self.register_conn(epoll, slab, buffer_pool, stream);
+                    self.register_conn(stream);
                 }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
@@ -895,13 +866,7 @@ impl Shard {
 
     /// Adopts a fresh (already nonblocking) connection into this shard's
     /// slab and epoll set.
-    fn register_conn(
-        &self,
-        epoll: &Epoll,
-        slab: &mut Slab,
-        buffer_pool: &mut Vec<Vec<u8>>,
-        stream: TcpStream,
-    ) {
+    fn register_conn(&mut self, stream: TcpStream) {
         self.shared
             .stats
             .connections
@@ -909,13 +874,11 @@ impl Shard {
         self.shared.stats.shards[self.id]
             .connections
             .fetch_add(1, Ordering::Relaxed);
-        let conn = Conn {
+        let fd = stream.as_raw_fd();
+        let token = self.slab.insert(Conn {
             stream,
-            buf: ReadBuf {
-                bytes: buffer_pool.pop().unwrap_or_default(),
-                start: 0,
-            },
-            out: buffer_pool.pop().unwrap_or_default(),
+            buf: ReadBuf::default(),
+            out: Vec::new(),
             written: 0,
             since: Instant::now(),
             next_assign: 0,
@@ -925,57 +888,38 @@ impl Shard {
             peer_eof: false,
             interest: EPOLLIN,
             framing: FrameCursor::default(),
-        };
-        let token = slab.insert(conn);
-        let fd = slab
-            .get_mut(token)
-            .expect("just inserted")
-            .stream
-            .as_raw_fd();
-        if epoll.add(fd, EPOLLIN, token).is_err() {
-            let _ = slab.remove(token);
+        });
+        if self.epoll.add(fd, EPOLLIN, token).is_err() {
+            let _ = self.slab.remove(token);
         }
     }
 
-    fn conn_ready(
-        &self,
-        epoll: &Epoll,
-        slab: &mut Slab,
-        buffer_pool: &mut Vec<Vec<u8>>,
-        token: u64,
-        readiness: u32,
-    ) {
-        if slab.get_mut(token).is_none() {
+    fn conn_ready(&mut self, token: u64, readiness: u32) {
+        if self.slab.get_mut(token).is_none() {
             return; // Stale token: connection already recycled.
         }
         if readiness & (EPOLLERR | EPOLLHUP) != 0 {
-            self.close_conn(epoll, slab, buffer_pool, token);
+            self.close_conn(token);
             return;
         }
         if readiness & EPOLLIN != 0 {
-            self.read_ready(epoll, slab, buffer_pool, token);
+            self.read_ready(token);
         }
-        if readiness & EPOLLOUT != 0 && slab.get_mut(token).is_some() {
-            self.try_write(epoll, slab, buffer_pool, token);
+        if readiness & EPOLLOUT != 0 && self.slab.get_mut(token).is_some() {
+            self.try_write(token);
             // Write progress may have released the staged-bytes gate on
             // framing (a pipelining client fed by a slow reader).
-            self.frame_and_dispatch(epoll, slab, buffer_pool, token);
-            self.close_if_drained(epoll, slab, buffer_pool, token);
+            self.frame_and_dispatch(token);
+            self.close_if_drained(token);
         }
-        self.sync_interest(epoll, slab, token);
+        self.sync_interest(token);
     }
 
     /// Pulls everything currently readable, frames and dispatches as many
     /// pipelined requests as the buffer holds, and handles peer EOF.
-    fn read_ready(
-        &self,
-        epoll: &Epoll,
-        slab: &mut Slab,
-        buffer_pool: &mut Vec<Vec<u8>>,
-        token: u64,
-    ) {
+    fn read_ready(&mut self, token: u64) {
         let pulled = {
-            let Some(conn) = slab.get_mut(token) else {
+            let Some(conn) = self.slab.get_mut(token) else {
                 return;
             };
             if conn.closing {
@@ -985,29 +929,22 @@ impl Shard {
         };
         match pulled {
             Pull::Closed => {
-                self.close_conn(epoll, slab, buffer_pool, token);
+                self.close_conn(token);
             }
             Pull::TooLarge => {
                 let seq = {
-                    let conn = slab.get_mut(token).expect("checked above");
+                    let conn = self.slab.get_mut(token).expect("checked above");
                     let seq = conn.next_assign;
                     conn.next_assign += 1;
                     conn.closing = true;
                     conn.buf.clear();
                     seq
                 };
-                self.queue_response(
-                    epoll,
-                    slab,
-                    buffer_pool,
-                    token,
-                    seq,
-                    Response::payload_too_large("request too large"),
-                );
+                self.queue_response(token, seq, Response::payload_too_large("request too large"));
             }
             Pull::Data { eof } => {
                 if eof {
-                    if let Some(conn) = slab.get_mut(token) {
+                    if let Some(conn) = self.slab.get_mut(token) {
                         conn.peer_eof = true;
                     }
                 }
@@ -1016,29 +953,20 @@ impl Shard {
                 // flush; `peer_eof` only forbids *new* bytes. The framing
                 // loop flips the connection to closing once the buffer can
                 // never yield another request.
-                self.frame_and_dispatch(epoll, slab, buffer_pool, token);
-                self.close_if_drained(epoll, slab, buffer_pool, token);
+                self.frame_and_dispatch(token);
+                self.close_if_drained(token);
             }
         }
     }
 
     /// Frames as many complete requests as the connection's buffer holds
-    /// (bounded by the pipeline cap) and dispatches each. Requests to
-    /// batched routes are buffered across the framing loop and pushed into
-    /// the shared gather as one atomic burst per route — a pipelined burst
-    /// arriving in one read must not be interleaved with (or stolen by) a
-    /// coordinator flush running on another core.
-    fn frame_and_dispatch(
-        &self,
-        epoll: &Epoll,
-        slab: &mut Slab,
-        buffer_pool: &mut Vec<Vec<u8>>,
-        token: u64,
-    ) {
-        let mut burst: Vec<(usize, Vec<(Dest, Request)>)> = Vec::new();
+    /// (bounded by the pipeline cap) and dispatches each. A pipelined burst
+    /// framed here joins the gather before this pass of the loop checks
+    /// its flush triggers, so it leaves as one batch.
+    fn frame_and_dispatch(&mut self, token: u64) {
         loop {
             let step = {
-                let Some(conn) = slab.get_mut(token) else {
+                let Some(conn) = self.slab.get_mut(token) else {
                     break;
                 };
                 if conn.closing
@@ -1089,158 +1017,63 @@ impl Shard {
                     self.shared.stats.shards[self.id]
                         .requests
                         .fetch_add(1, Ordering::Relaxed);
-                    self.dispatch(epoll, slab, buffer_pool, token, seq, request, &mut burst);
+                    self.dispatch(token, seq, request);
                 }
                 FrameStep::Bad(seq, response) => {
-                    self.queue_response(epoll, slab, buffer_pool, token, seq, response);
+                    self.queue_response(token, seq, response);
                     break;
                 }
                 FrameStep::Stop => break,
             }
         }
-        self.flush_burst(burst);
     }
 
-    /// Pushes the framing pass's buffered batched-route requests into the
-    /// shared gather, one atomic `push_many` per route, flushing any batch
-    /// the burst filled and nudging the coordinator shard when a fresh
-    /// gather window opened.
-    fn flush_burst(&self, burst: Vec<(usize, Vec<(Dest, Request)>)>) {
-        for (route, entries) in burst {
-            let (full, first) = self
-                .shared
-                .gather
-                .push_many(&self.shared.router, route, entries);
-            for batch in full {
-                self.flush_batch(batch);
-            }
-            if first && self.id != 0 {
-                self.shared.mailboxes[0].waker.wake();
-            }
-        }
-    }
-
-    /// Routes a parsed request: batched routes buffer into the caller's
-    /// burst (pushed to the process-wide gather when the framing pass
-    /// ends), scalar routes go to the shared pool, and routing misses
-    /// answer immediately (in order).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &self,
-        epoll: &Epoll,
-        slab: &mut Slab,
-        buffer_pool: &mut Vec<Vec<u8>>,
-        token: u64,
-        seq: u64,
-        request: Request,
-        burst: &mut Vec<(usize, Vec<(Dest, Request)>)>,
-    ) {
+    /// Routes a parsed request into the shard's gather, flushing the batch
+    /// it fills (a scalar route's policy-of-1 fills one at once); routing
+    /// misses answer immediately (in order).
+    fn dispatch(&mut self, token: u64, seq: u64, request: Request) {
         match self.shared.router.resolve(&request) {
-            Resolution::Route(index)
-                if self.shared.router.route_at(index).policy().is_batched() =>
-            {
-                let dest = (self.id, token, seq);
-                match burst.iter_mut().find(|(route, _)| *route == index) {
-                    Some((_, entries)) => entries.push((dest, request)),
-                    None => burst.push((index, vec![(dest, request)])),
+            Resolution::Route(route) => {
+                let entry = ((token, seq), request);
+                for batch in self.gather.push_many(&self.shared.router, route, [entry]) {
+                    self.flush_batch(batch);
                 }
             }
-            Resolution::Route(index) => {
-                self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
-                let route: Arc<Route> = Arc::clone(self.shared.router.route_at(index));
-                let mailboxes = Arc::clone(&self.shared.mailboxes);
-                let in_flight = Arc::clone(&self.shared.in_flight);
-                let shard = self.id;
-                self.shared.pool.execute(move || {
-                    let response = catch_unwind(AssertUnwindSafe(|| {
-                        let mut out = route.run(std::slice::from_ref(&request));
-                        out.pop().expect("arity asserted by Route::run")
-                    }))
-                    .unwrap_or_else(|_| Response::error(500, "handler panicked"));
-                    mailboxes[shard]
-                        .completions
-                        .lock()
-                        .push((token, seq, response));
-                    let now_idle = in_flight.fetch_sub(1, Ordering::AcqRel) == 1;
-                    mailboxes[shard].waker.wake();
-                    // The pipeline just went idle: the coordinator shard
-                    // owns the idle-flush trigger, so it must wake now —
-                    // not at its next sweep — or gathered batches wait out
-                    // their whole window.
-                    if now_idle && shard != 0 {
-                        mailboxes[0].waker.wake();
-                    }
-                });
-            }
             Resolution::MethodNotAllowed => {
-                self.queue_response(
-                    epoll,
-                    slab,
-                    buffer_pool,
-                    token,
-                    seq,
-                    Response::error(405, "method not allowed"),
-                );
+                self.queue_response(token, seq, Response::error(405, "method not allowed"));
             }
-            Resolution::NotFound => {
-                self.queue_response(epoll, slab, buffer_pool, token, seq, Response::not_found());
-            }
+            Resolution::NotFound => self.queue_response(token, seq, Response::not_found()),
         }
     }
 
-    /// Hands a gathered batch to the worker pool as one handler call; the
-    /// worker fans the responses back out to the owning shards' mailboxes.
+    /// Hands a batch to the worker pool as one handler call; the worker
+    /// posts the responses to this shard's mailbox. Only batches of
+    /// coalescable routes count in the batch stats.
     fn flush_batch(&self, batch: GatheredBatch<Dest>) {
-        let mut destinations = Vec::with_capacity(batch.entries.len());
-        let mut requests = Vec::with_capacity(batch.entries.len());
-        for (dest, request) in batch.entries {
-            destinations.push(dest);
-            requests.push(request);
+        let route = Arc::clone(self.shared.router.route_at(batch.route));
+        if route.policy().is_batched() {
+            let stats = &self.shared.stats;
+            stats.batches.fetch_add(1, Ordering::Relaxed);
+            stats
+                .batched_requests
+                .fetch_add(batch.entries.len() as u64, Ordering::Relaxed);
         }
-        if requests.is_empty() {
-            return;
-        }
-        let shared = &self.shared;
-        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .batched_requests
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        let route: Arc<Route> = Arc::clone(shared.router.route_at(batch.route));
-        let mailboxes = Arc::clone(&shared.mailboxes);
-        let in_flight = Arc::clone(&shared.in_flight);
-        shared.pool.execute(move || {
+        let (destinations, requests): (Vec<Dest>, Vec<Request>) = batch.entries.into_iter().unzip();
+        let mailbox = Arc::clone(&self.mailbox);
+        mailbox.in_flight.fetch_add(1, Ordering::AcqRel);
+        self.shared.pool.execute(move || {
             let responses =
                 catch_unwind(AssertUnwindSafe(|| route.run(&requests))).unwrap_or_else(|_| {
                     (0..destinations.len())
-                        .map(|_| Response::error(500, "batch handler panicked"))
+                        .map(|_| Response::error(500, "handler panicked"))
                         .collect()
                 });
-            // Group per shard: one lock round-trip and one wake per shard
-            // touched, not per response.
-            let mut touched = vec![false; mailboxes.len()];
-            let mut by_shard: Vec<Vec<(u64, u64, Response)>> =
-                (0..mailboxes.len()).map(|_| Vec::new()).collect();
-            for ((shard, token, seq), response) in destinations.into_iter().zip(responses) {
-                by_shard[shard].push((token, seq, response));
-                touched[shard] = true;
-            }
-            for (shard, items) in by_shard.into_iter().enumerate() {
-                if !items.is_empty() {
-                    mailboxes[shard].completions.lock().extend(items);
-                }
-            }
-            // Going idle hands the idle-flush trigger to the coordinator
-            // shard; wake it even if no response of this batch was its.
-            if in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
-                touched[0] = true;
-            }
-            for (shard, hit) in touched.iter().enumerate() {
-                if *hit {
-                    mailboxes[shard].waker.wake();
-                }
-            }
+            mailbox
+                .completions
+                .lock()
+                .extend(destinations.into_iter().zip(responses));
+            mailbox.in_flight.fetch_sub(1, Ordering::AcqRel);
+            mailbox.waker.wake();
         });
     }
 
@@ -1248,17 +1081,9 @@ impl Shard {
     /// strictly in request order, with early finishers parked in the
     /// reorder queue. The final response of a closing connection is
     /// stamped `Connection: close`; everything else keep-alive.
-    fn queue_response(
-        &self,
-        epoll: &Epoll,
-        slab: &mut Slab,
-        buffer_pool: &mut Vec<Vec<u8>>,
-        token: u64,
-        seq: u64,
-        response: Response,
-    ) {
+    fn queue_response(&mut self, token: u64, seq: u64, response: Response) {
         let progressed = {
-            let Some(conn) = slab.get_mut(token) else {
+            let Some(conn) = self.slab.get_mut(token) else {
                 return; // Connection died while the response was computed.
             };
             conn.reorder.push((seq, response));
@@ -1279,22 +1104,16 @@ impl Shard {
             progressed
         };
         if progressed {
-            self.try_write(epoll, slab, buffer_pool, token);
+            self.try_write(token);
         }
     }
 
     /// Writes as much of the staged response bytes as the socket accepts;
     /// closes when a closing connection fully drains, re-arms `EPOLLOUT`
     /// on short writes.
-    fn try_write(
-        &self,
-        epoll: &Epoll,
-        slab: &mut Slab,
-        buffer_pool: &mut Vec<Vec<u8>>,
-        token: u64,
-    ) {
+    fn try_write(&mut self, token: u64) {
         let outcome = {
-            let Some(conn) = slab.get_mut(token) else {
+            let Some(conn) = self.slab.get_mut(token) else {
                 return;
             };
             push_staged(conn)
@@ -1302,28 +1121,28 @@ impl Shard {
         match outcome {
             WriteOutcome::Done => {
                 let close_now = {
-                    let conn = slab.get_mut(token).expect("written just now");
+                    let conn = self.slab.get_mut(token).expect("written just now");
                     conn.out.clear();
                     conn.written = 0;
                     conn.since = Instant::now();
                     conn.closing && conn.pending_responses() == 0
                 };
                 if close_now {
-                    self.close_conn(epoll, slab, buffer_pool, token);
+                    self.close_conn(token);
                 } else {
-                    self.sync_interest(epoll, slab, token);
+                    self.sync_interest(token);
                 }
             }
-            WriteOutcome::Blocked => self.sync_interest(epoll, slab, token),
-            WriteOutcome::Failed => self.close_conn(epoll, slab, buffer_pool, token),
+            WriteOutcome::Blocked => self.sync_interest(token),
+            WriteOutcome::Failed => self.close_conn(token),
         }
     }
 
     /// Reconciles the connection's epoll registration with its state:
     /// `EPOLLIN` while it still accepts requests, `EPOLLOUT` while staged
     /// bytes remain unwritten.
-    fn sync_interest(&self, epoll: &Epoll, slab: &mut Slab, token: u64) {
-        let Some(conn) = slab.get_mut(token) else {
+    fn sync_interest(&mut self, token: u64) {
+        let Some(conn) = self.slab.get_mut(token) else {
             return;
         };
         let mut desired = 0;
@@ -1336,46 +1155,27 @@ impl Shard {
         if desired != conn.interest {
             conn.interest = desired;
             let fd = conn.stream.as_raw_fd();
-            let _ = epoll.modify(fd, desired, token);
+            let _ = self.epoll.modify(fd, desired, token);
         }
     }
 
     /// Closes a connection that has flipped to closing with nothing left
     /// to compute or write (the try_write path handles the staged-bytes
     /// case; this covers closings decided with an already-empty queue).
-    fn close_if_drained(
-        &self,
-        epoll: &Epoll,
-        slab: &mut Slab,
-        buffer_pool: &mut Vec<Vec<u8>>,
-        token: u64,
-    ) {
-        let done = slab
+    fn close_if_drained(&mut self, token: u64) {
+        let done = self
+            .slab
             .get_mut(token)
             .is_some_and(|conn| conn.closing && conn.drained());
         if done {
-            self.close_conn(epoll, slab, buffer_pool, token);
+            self.close_conn(token);
         }
     }
 
-    /// Tears a connection down and recycles its buffers.
-    #[allow(clippy::unused_self)]
-    fn close_conn(
-        &self,
-        epoll: &Epoll,
-        slab: &mut Slab,
-        buffer_pool: &mut Vec<Vec<u8>>,
-        token: u64,
-    ) {
-        if let Some(mut conn) = slab.remove(token) {
-            let _ = epoll.delete(conn.stream.as_raw_fd());
-            let read = std::mem::take(&mut conn.buf).into_vec();
-            for mut buf in [read, std::mem::take(&mut conn.out)] {
-                if buffer_pool.len() < BUFFER_POOL_CAP && buf.capacity() <= BUFFER_RECYCLE_MAX {
-                    buf.clear();
-                    buffer_pool.push(buf);
-                }
-            }
+    /// Tears a connection down.
+    fn close_conn(&mut self, token: u64) {
+        if let Some(conn) = self.slab.remove(token) {
+            let _ = self.epoll.delete(conn.stream.as_raw_fd());
         }
     }
 }
@@ -1662,15 +1462,13 @@ mod tests {
         handle.stop();
     }
 
-    #[test]
-    fn sharded_gather_coalesces_across_shards() {
-        // Twelve connections on each of 2 shards while both workers are
-        // pinned by slow requests: the batched requests arriving on
-        // *different* event loops must still gather into common flushes —
-        // the shared-gather design.
+    /// A router with a `/slow` scalar route that sleeps `slow`, and a
+    /// `/batch/` route (10 s window) answering `u{uid}` that records the
+    /// uids of every batch it serves.
+    fn slow_and_batch_router(slow: Duration, batches: Arc<Mutex<Vec<Vec<usize>>>>) -> Router {
         let mut router = Router::new();
-        router.get("/slow", |_| {
-            thread::sleep(Duration::from_millis(500));
+        router.get("/slow", move |_| {
+            thread::sleep(slow);
             Response::ok("text/plain", b"slow".to_vec())
         });
         router.route(
@@ -1680,57 +1478,120 @@ mod tests {
                 max_batch: 64,
                 gather_window: Duration::from_secs(10),
             },
-            |requests: &[Request], out: &mut Vec<Response>| {
-                out.extend(requests.iter().map(|r| {
-                    let uid = r.query_param("uid").unwrap_or("?");
-                    Response::ok("text/plain", format!("u{uid}").into_bytes())
-                }));
+            move |requests: &[Request], out: &mut Vec<Response>| {
+                let uids: Vec<usize> = requests
+                    .iter()
+                    .map(|r| r.query_param("uid").unwrap().parse().unwrap())
+                    .collect();
+                out.extend(
+                    uids.iter()
+                        .map(|uid| Response::ok("text/plain", format!("u{uid}").into_bytes())),
+                );
+                batches.lock().push(uids);
             },
         );
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", 2, 1).unwrap();
-        let addr = server.local_addr();
-        let handle = server.serve(router);
-        let mut streams: Vec<TcpStream> = connections_on_every_shard(&handle, 12)
-            .into_iter()
-            .flatten()
-            .collect();
+        router
+    }
 
-        let mut joins = Vec::new();
-        for _ in 0..2 {
-            joins.push(thread::spawn(move || {
-                let client = HttpClient::new(addr);
-                assert_eq!(client.get("/slow").unwrap().status, 200);
-            }));
+    #[test]
+    fn sharded_gather_coalesces_within_each_shard() {
+        // Twelve batched requests on each of 2 shards while each shard's
+        // own slow request pins one of the 2 workers: every shard gathers
+        // its 12 into at most 2 flushes (one, plus a straggler that missed
+        // it), and no batch mixes requests from two shards.
+        const PER_SHARD: usize = 12;
+        let batches: Arc<Mutex<Vec<Vec<usize>>>> = Arc::default();
+        let router = slow_and_batch_router(Duration::from_millis(500), Arc::clone(&batches));
+        let server = ReactorServer::bind_sharded("127.0.0.1:0", 2, 1).unwrap();
+        let handle = server.serve(router);
+        let mut groups = connections_on_every_shard(&handle, PER_SHARD + 1);
+        let mut slow: Vec<TcpStream> = groups.iter_mut().map(|g| g.pop().unwrap()).collect();
+        for stream in &mut slow {
+            stream
+                .write_all(b"GET /slow HTTP/1.1\r\nhost: x\r\n\r\n")
+                .unwrap();
         }
         thread::sleep(Duration::from_millis(100));
+        // uid / PER_SHARD names the shard that owns the connection.
+        let mut streams: Vec<TcpStream> = groups.into_iter().flatten().collect();
         for (uid, stream) in streams.iter_mut().enumerate() {
             stream
                 .write_all(format!("GET /batch/?uid={uid} HTTP/1.1\r\nhost: x\r\n\r\n").as_bytes())
                 .unwrap();
         }
-        for (uid, stream) in streams.iter_mut().enumerate() {
+        for (uid, stream) in streams.iter_mut().chain(&mut slow).enumerate() {
             stream
                 .set_read_timeout(Some(Duration::from_secs(10)))
                 .unwrap();
             let response = read_response(stream, &mut Vec::new());
             assert_eq!(response.status, 200);
-            assert_eq!(response.body, format!("u{uid}").into_bytes());
-        }
-        for j in joins {
-            j.join().unwrap();
+            if uid < 2 * PER_SHARD {
+                assert_eq!(response.body, format!("u{uid}").into_bytes());
+            }
         }
         let stats = handle.stats();
         assert_eq!(stats.batched_requests(), 24);
-        // Both shards carried batch traffic, yet the requests coalesced
-        // into a handful of process-wide flushes — a per-shard gather
-        // would produce roughly one flush per shard per round instead.
         assert!(
             stats.batches() <= 4,
-            "cross-shard coalescing regressed: {} batches for 24 requests",
+            "per-shard coalescing regressed: {} batches for 24 requests",
             stats.batches()
+        );
+        let batches = batches.lock();
+        for shard in 0..2 {
+            let flushes = batches
+                .iter()
+                .filter(|batch| batch.iter().any(|uid| uid / PER_SHARD == shard))
+                .count();
+            assert!(
+                flushes <= 2,
+                "shard {shard}'s {PER_SHARD} requests took {flushes} flushes"
+            );
+        }
+        assert!(
+            batches.iter().all(|batch| batch
+                .iter()
+                .all(|uid| uid / PER_SHARD == batch[0] / PER_SHARD)),
+            "a batch mixed two shards' requests: {batches:?}"
         );
         let active = stats.shards().iter().filter(|s| s.requests() > 0).count();
         assert_eq!(active, 2, "batch traffic should have loaded both shards");
+        drop(batches);
+        handle.stop();
+    }
+
+    #[test]
+    fn an_idle_shard_flushes_without_waiting_for_another_shards_work() {
+        // Shard 0 runs a 3 s request on one of the 2 workers; shard 1 has
+        // nothing in flight, so its lone batched request flushes at once
+        // to the free worker instead of waiting out its 10 s window or
+        // shard 0's work.
+        let router = slow_and_batch_router(Duration::from_secs(3), Arc::default());
+        let server = ReactorServer::bind_sharded("127.0.0.1:0", 2, 1).unwrap();
+        let handle = server.serve(router);
+        let mut groups = connections_on_every_shard(&handle, 1);
+        let mut busy = groups[0].pop().unwrap();
+        let mut idle = groups[1].pop().unwrap();
+        busy.write_all(b"GET /slow HTTP/1.1\r\nhost: x\r\n\r\n")
+            .unwrap();
+        thread::sleep(Duration::from_millis(100));
+
+        let started = Instant::now();
+        idle.write_all(b"GET /batch/?uid=7 HTTP/1.1\r\nhost: x\r\n\r\n")
+            .unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let response = read_response(&mut idle, &mut Vec::new());
+        let waited = started.elapsed();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.body, b"u7");
+        assert!(
+            waited < Duration::from_secs(1),
+            "the idle shard's request waited {waited:?}"
+        );
+
+        busy.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(read_response(&mut busy, &mut Vec::new()).status, 200);
         handle.stop();
     }
 
@@ -1896,9 +1757,8 @@ mod tests {
     #[test]
     fn sharded_pipelined_burst_stays_one_batch() {
         // The ready-made-batch property must survive sharding: a burst
-        // framed in one read on shard 1 enters the shared gather
-        // atomically (push_many), so a coordinator idle-flush on shard 0
-        // cannot splinter it into per-request handler calls.
+        // framed in one read on shard 1 joins that shard's gather before
+        // its loop checks the idle trigger, so it is one handler call.
         let mut router = Router::new();
         router.route(
             "GET",

@@ -3,16 +3,15 @@
 //! Every route is a batched handler behind a [`BatchPolicy`]: the handler
 //! receives a slice of requests and must append exactly one response per
 //! request, in order. A *scalar* route is the policy-of-1 special case
-//! ([`BatchPolicy::scalar`]) — it is never gathered, so plain
-//! request/response endpoints pay nothing for the unified shape. Routes
-//! whose policy allows more than one request per call are *coalescable*:
-//! the reactor front-end gathers concurrent (and pipelined) requests to
-//! them — up to the policy cap, within the gather window — and hands whole
-//! bursts to one handler call.
+//! ([`BatchPolicy::scalar`]) — each request fills its batch at once, so
+//! plain request/response endpoints never wait for company. Routes whose
+//! policy allows more than one request per call are *coalescable*: each
+//! reactor shard gathers the concurrent (and pipelined) requests its own
+//! connections send to them — up to the policy cap, within the gather
+//! window — and hands whole bursts to one handler call.
 
 use crate::request::Request;
 use crate::response::Response;
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,8 +55,8 @@ pub struct BatchPolicy {
     /// Flush as soon as this many requests are pending. `1` disables
     /// gathering entirely (the scalar special case).
     pub max_batch: usize,
-    /// Flush when the oldest pending request has waited this long (the
-    /// reactor also flushes early whenever the event loop goes quiescent,
+    /// Flush when the oldest pending request has waited this long (a
+    /// reactor shard also flushes early whenever it has nothing in flight,
     /// so lightly-loaded servers do not pay the window as latency).
     pub gather_window: Duration,
 }
@@ -283,23 +282,18 @@ impl Router {
     }
 }
 
-/// Process-wide gather state for coalescable routes — **shard-safe**: one
-/// pending batch per route behind a non-poisoning mutex, shared by every
-/// reactor event loop, so `/online/` requests landing on *different*
-/// reactor shards still coalesce into one handler call. Entries carry an
-/// opaque destination `D` (shard, connection, sequence) that the flusher
-/// uses to route each response back to the loop that owns its connection.
-///
-/// The lock is held only for push/steal bookkeeping — never across handler
-/// execution — so shards contend for nanoseconds per request, not for the
-/// batch's service time.
+/// A reactor shard's gather state: one pending batch per route. Each shard
+/// owns one and touches it only from its own event loop, so it takes no
+/// lock, and a shard's batches never wait on another shard's work.
+/// Entries carry an opaque destination `D` (connection, sequence) that the
+/// flusher uses to route each response back to its connection.
 pub(crate) struct Gather<D> {
-    /// One slot per route (indexed by route-table index); only slots of
-    /// coalescable routes are ever touched.
-    slots: Vec<Mutex<GatherSlot<D>>>,
+    /// One slot per route (indexed by route-table index). A scalar route's
+    /// slot fills and empties within one push.
+    slots: Vec<GatherSlot<D>>,
     /// Route indices whose policy can gather — the only slots the sweep
-    /// loops visit, so the coordinator's per-pass cost scales with the
-    /// number of *batched* routes, not the whole route table.
+    /// loops visit, so a shard's per-pass cost scales with the number of
+    /// *batched* routes, not the whole route table.
     batched: Vec<usize>,
 }
 
@@ -310,7 +304,7 @@ struct GatherSlot<D> {
     oldest: Option<Instant>,
 }
 
-/// A batch stolen from the gather, ready for one handler call.
+/// A batch taken from the gather, ready for one handler call.
 pub(crate) struct GatheredBatch<D> {
     /// Route-table index the batch belongs to.
     pub route: usize,
@@ -318,34 +312,14 @@ pub(crate) struct GatheredBatch<D> {
     pub entries: Vec<(D, Request)>,
 }
 
-/// What [`Gather::push`] did with the request (single-entry convenience
-/// used by the unit tests; the reactor pushes whole bursts via
-/// [`Gather::push_many`]).
-#[cfg(test)]
-pub(crate) enum Pushed<D> {
-    /// The push crossed the route's `max_batch`: the whole batch comes
-    /// back, and this pusher (exactly one concurrent pusher can cross the
-    /// threshold) is responsible for flushing it.
-    Full(GatheredBatch<D>),
-    /// The request is pending. `first` means it opened a fresh slot, so a
-    /// gather window is now running that somebody must service — the
-    /// reactor uses it to nudge the coordinator shard awake.
-    Pending {
-        /// Whether this entry is the new oldest of its slot.
-        first: bool,
-    },
-}
-
 impl<D> Gather<D> {
     /// One empty slot per route in `router`.
     pub(crate) fn new(router: &Router) -> Self {
         Self {
             slots: (0..router.route_count())
-                .map(|_| {
-                    Mutex::new(GatherSlot {
-                        entries: Vec::new(),
-                        oldest: None,
-                    })
+                .map(|_| GatherSlot {
+                    entries: Vec::new(),
+                    oldest: None,
                 })
                 .collect(),
             batched: (0..router.route_count())
@@ -354,46 +328,21 @@ impl<D> Gather<D> {
         }
     }
 
-    /// Adds a request to `route`'s pending batch; see [`Pushed`] for the
-    /// outcomes.
-    #[cfg(test)]
-    pub(crate) fn push(
-        &self,
-        router: &Router,
-        route: usize,
-        dest: D,
-        request: Request,
-    ) -> Pushed<D> {
-        let (mut full, first) = self.push_many(router, route, vec![(dest, request)]);
-        match full.pop() {
-            Some(batch) => Pushed::Full(batch),
-            None => Pushed::Pending { first },
-        }
-    }
-
-    /// Adds a whole burst of requests to `route`'s pending batch under
-    /// **one** lock acquisition — so a pipelined burst framed in one read
-    /// enters the gather atomically, and a coordinator idle-flush running
-    /// on another core cannot steal the slot between its entries and
-    /// splinter a ready-made batch into per-request handler calls.
-    ///
-    /// Returns every batch the burst filled (a long burst can cross
-    /// `max_batch` several times) plus whether a fresh slot was opened (a
-    /// gather window is now running that the coordinator must service).
+    /// Adds requests to `route`'s pending batch, in order, and returns
+    /// every batch they filled (a long burst can cross `max_batch` several
+    /// times; under the policy-of-1 every request fills one).
     pub(crate) fn push_many(
-        &self,
+        &mut self,
         router: &Router,
         route: usize,
-        entries: Vec<(D, Request)>,
-    ) -> (Vec<GatheredBatch<D>>, bool) {
+        entries: impl IntoIterator<Item = (D, Request)>,
+    ) -> Vec<GatheredBatch<D>> {
         let max_batch = router.route_at(route).policy().max_batch;
-        let mut slot = self.slots[route].lock();
-        let mut first = false;
+        let slot = &mut self.slots[route];
         let mut full = Vec::new();
         for entry in entries {
             if slot.entries.is_empty() {
                 slot.oldest = Some(Instant::now());
-                first = true;
             }
             slot.entries.push(entry);
             if slot.entries.len() >= max_batch {
@@ -404,20 +353,20 @@ impl<D> Gather<D> {
                 });
             }
         }
-        (full, first)
+        full
     }
 
-    /// Steals every batch that is due: its gather window expired, or
-    /// `flush_all` (pipeline idle / drain) forces everything out.
+    /// Takes every batch that is due: its gather window expired, or
+    /// `flush_all` (shard idle / drain) forces everything out.
     pub(crate) fn take_due(
-        &self,
+        &mut self,
         router: &Router,
         now: Instant,
         flush_all: bool,
     ) -> Vec<GatheredBatch<D>> {
         let mut due = Vec::new();
         for &route in &self.batched {
-            let mut slot = self.slots[route].lock();
+            let slot = &mut self.slots[route];
             let expired = slot.oldest.is_some_and(|oldest| {
                 flush_all
                     || now.duration_since(oldest) >= router.route_at(route).policy().gather_window
@@ -439,8 +388,7 @@ impl<D> Gather<D> {
     pub(crate) fn next_deadline_ms(&self, router: &Router, now: Instant) -> Option<i32> {
         let mut soonest: Option<i32> = None;
         for &route in &self.batched {
-            let slot = self.slots[route].lock();
-            if let Some(oldest) = slot.oldest {
+            if let Some(oldest) = self.slots[route].oldest {
                 let window = router.route_at(route).policy().gather_window;
                 let remaining = window.saturating_sub(now.duration_since(oldest));
                 let ms = i32::try_from(remaining.as_millis())
@@ -456,7 +404,7 @@ impl<D> Gather<D> {
     pub(crate) fn is_empty(&self) -> bool {
         self.batched
             .iter()
-            .all(|&route| self.slots[route].lock().entries.is_empty())
+            .all(|&route| self.slots[route].entries.is_empty())
     }
 }
 
@@ -634,48 +582,40 @@ mod tests {
                 );
             },
         );
-        let gather: Gather<u32> = Gather::new(&router);
+        let mut gather: Gather<u32> = Gather::new(&router);
         assert!(gather.is_empty());
 
-        // The first push opens the slot (a window starts), the second
-        // joins it, the third crosses max_batch and returns the whole
-        // batch to its pusher.
-        assert!(matches!(
-            gather.push(&router, 0, 1, req("GET", "/g/")),
-            Pushed::Pending { first: true }
-        ));
-        assert!(matches!(
-            gather.push(&router, 0, 2, req("GET", "/g/")),
-            Pushed::Pending { first: false }
-        ));
+        // The first two entries open the slot (a window starts) and join
+        // it; the third crosses max_batch and comes back as the whole
+        // batch.
+        let pending =
+            gather.push_many(&router, 0, [(1, req("GET", "/g/")), (2, req("GET", "/g/"))]);
+        assert!(pending.is_empty());
         assert!(!gather.is_empty());
         let now = Instant::now();
         assert!(gather.next_deadline_ms(&router, now).is_some());
-        let Pushed::Full(full) = gather.push(&router, 0, 3, req("GET", "/g/")) else {
-            panic!("third push must fill the batch");
-        };
-        assert_eq!(full.route, 0);
+        let full = gather.push_many(&router, 0, [(3, req("GET", "/g/"))]);
+        assert_eq!(full.len(), 1, "third push must fill the batch");
+        assert_eq!(full[0].route, 0);
         assert_eq!(
-            full.entries.iter().map(|(d, _)| *d).collect::<Vec<_>>(),
+            full[0].entries.iter().map(|(d, _)| *d).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
         assert!(gather.is_empty());
         assert_eq!(gather.next_deadline_ms(&router, now), None);
 
-        // A lone pending entry is stolen once its window expires (or
+        // A lone pending entry is taken once its window expires (or
         // unconditionally with flush_all).
-        assert!(matches!(
-            gather.push(&router, 0, 4, req("GET", "/g/")),
-            Pushed::Pending { first: true }
-        ));
+        assert!(gather
+            .push_many(&router, 0, [(4, req("GET", "/g/"))])
+            .is_empty());
         assert!(gather.take_due(&router, Instant::now(), false).is_empty());
         let due = gather.take_due(&router, Instant::now() + Duration::from_millis(10), false);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].entries.len(), 1);
-        assert!(matches!(
-            gather.push(&router, 0, 5, req("GET", "/g/")),
-            Pushed::Pending { first: true }
-        ));
+        assert!(gather
+            .push_many(&router, 0, [(5, req("GET", "/g/"))])
+            .is_empty());
         let forced = gather.take_due(&router, Instant::now(), true);
         assert_eq!(forced.len(), 1);
         assert!(gather.is_empty());

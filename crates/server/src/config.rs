@@ -6,7 +6,10 @@ use std::fmt;
 ///
 /// Defaults follow the paper: `k = 10` neighbours ("k is a system parameter
 /// ranging from ten to a few tens of nodes"), `r = 10` recommendations, `k`
-/// random users per candidate set, anonymization epoch of one day.
+/// random users per candidate set, pseudonymized candidate ids. Pseudonyms
+/// are reshuffled only when the operator (or the simulator, once per
+/// simulated epoch) calls [`crate::HyRecServer::rotate_pseudonyms`]; the
+/// configuration sets no period.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HyRecConfig {
     /// Neighbourhood size `k`.
@@ -18,9 +21,6 @@ pub struct HyRecConfig {
     pub random_candidates: usize,
     /// Whether candidate user ids are pseudonymized (Section 3.1).
     pub anonymize_users: bool,
-    /// Seconds between pseudonym reshuffles ("periodically, the identifiers
-    /// … are anonymously shuffled").
-    pub anonymize_epoch_seconds: u64,
     /// Optional cap on profile sizes shipped in jobs (Section 6 suggests
     /// content providers may constrain profiles). `None` = unbounded.
     pub profile_cap: Option<usize>,
@@ -35,7 +35,6 @@ impl Default for HyRecConfig {
             r: 10,
             random_candidates: 10,
             anonymize_users: true,
-            anonymize_epoch_seconds: 86_400,
             profile_cap: None,
             seed: 0xC0FFEE,
         }
@@ -112,13 +111,6 @@ impl HyRecConfigBuilder {
     #[must_use]
     pub fn anonymize_users(mut self, on: bool) -> Self {
         self.config.anonymize_users = on;
-        self
-    }
-
-    /// Sets the pseudonym reshuffle period in seconds.
-    #[must_use]
-    pub fn anonymize_epoch_seconds(mut self, seconds: u64) -> Self {
-        self.config.anonymize_epoch_seconds = seconds;
         self
     }
 

@@ -1,19 +1,21 @@
 //! Concurrency test for the leased pipeline: many browser threads fetch
-//! jobs, a fixed fraction abandon them mid-flight, a wall-clock sweeper
-//! re-issues (and eventually server-side-recomputes) the abandoned work —
-//! and every user's KNN still converges to their taste group.
+//! jobs, a fixed fraction abandon them mid-flight, sweeps on a tick the
+//! test owns re-issue (and eventually server-side-recompute) the abandoned
+//! work — and every user's KNN still converges to their taste group.
 
 use hyrec_client::Widget;
 use hyrec_core::{ItemId, UserId, Vote};
 use hyrec_sched::SchedConfig;
 use hyrec_server::{HyRecConfig, HyRecServer, ScheduledServer};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 const USERS: u32 = 30;
 const GROUPS: u32 = 3;
 const THREADS: usize = 8;
 const ROUNDS: usize = 10;
+/// Lease lifetime in ticks (milliseconds).
+const LEASE_TIMEOUT: u64 = 120;
 
 fn taste_group_server(seed: u64) -> Arc<ScheduledServer> {
     let server = Arc::new(HyRecServer::with_config(
@@ -27,10 +29,7 @@ fn taste_group_server(seed: u64) -> Arc<ScheduledServer> {
     let scheduled = Arc::new(ScheduledServer::new(
         server,
         SchedConfig {
-            // Short enough that abandoned leases expire within the test,
-            // long enough that an honest completion usually beats it even
-            // when the whole workspace's test binaries share the core.
-            lease_timeout: 120, // ms
+            lease_timeout: LEASE_TIMEOUT,
             max_reissues: 1,
             ..SchedConfig::default()
         },
@@ -48,7 +47,15 @@ fn taste_group_server(seed: u64) -> Arc<ScheduledServer> {
 #[test]
 fn concurrent_browsers_with_abandonment_still_converge() {
     let scheduled = taste_group_server(17);
-    let sweeper = scheduled.spawn_sweeper(Duration::from_millis(10));
+    // The test owns the clock: it advances one tick per fetch, and a
+    // browser completes at the tick of its own fetch. Threads meet at a
+    // barrier after every round, where one of them sweeps, and a round
+    // fetches fewer than LEASE_TIMEOUT jobs: no honest lease can expire
+    // mid-flight however the OS schedules the threads, and an abandoned
+    // one expires about two rounds later. (The wall-clock sweeper has
+    // tests of its own.)
+    let clock = Arc::new(AtomicU64::new(scheduled.now_ms()));
+    let round_end = Arc::new(Barrier::new(THREADS));
 
     // 8 browser threads × 10 rounds over 30 users; every 4th fetch is
     // abandoned (25% churn). Deterministic per-thread abandon pattern so
@@ -56,13 +63,14 @@ fn concurrent_browsers_with_abandonment_still_converge() {
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let scheduled = Arc::clone(&scheduled);
+            let (clock, round_end) = (Arc::clone(&clock), Arc::clone(&round_end));
             std::thread::spawn(move || {
                 let widget = Widget::new();
                 let mut completed = 0usize;
                 let mut abandoned = 0usize;
                 for round in 0..ROUNDS {
                     for u in (t as u32 % GROUPS..USERS).step_by(THREADS / 2) {
-                        let now = scheduled.now_ms();
+                        let now = clock.fetch_add(1, Ordering::SeqCst);
                         let job = scheduled.issue_jobs(&[UserId(u)], now).pop().unwrap();
                         assert!(job.lease > 0, "every issued job carries a lease");
                         if (round + u as usize + t).is_multiple_of(4) {
@@ -70,14 +78,16 @@ fn concurrent_browsers_with_abandonment_still_converge() {
                             continue;
                         }
                         let update = widget.run_job(&job).update;
-                        let now = scheduled.now_ms();
-                        // Rejections are legitimate under concurrency
-                        // (a sibling lease may have completed first, or the
-                        // sweeper may have re-issued a slow fetch); they
+                        // Rejections are legitimate under concurrency (a
+                        // sibling lease may have completed first); they
                         // must never panic the pipeline.
                         let _ = scheduled.complete_updates(&[update], now);
                         completed += 1;
                     }
+                    if round_end.wait().is_leader() {
+                        let _ = scheduled.sweep_and_recover(clock.load(Ordering::SeqCst));
+                    }
+                    round_end.wait();
                 }
                 (completed, abandoned)
             })
@@ -91,14 +101,15 @@ fn concurrent_browsers_with_abandonment_still_converge() {
     }
     assert!(completed > 0 && abandoned > 0);
 
-    // Let the sweeper chase the abandoned tail: every abandoned lease
-    // expires within lease_timeout, climbs the ladder, and lands either on
-    // another browser (none left now) or in server-side fallback. Drained
-    // means no live leases, an empty re-issue backlog, an empty fallback
-    // pen, and nobody overdue.
-    let deadline = Instant::now() + Duration::from_secs(10);
+    // Advance the clock one lease timeout per sweep to chase the abandoned
+    // tail: every abandoned lease expires, climbs the ladder, and lands
+    // either on another browser (none left now) or in server-side
+    // fallback. Drained means no live leases, an empty re-issue backlog,
+    // an empty fallback pen, and nobody overdue.
+    let mut now = clock.load(Ordering::SeqCst);
+    let deadline = now + 10_000;
     loop {
-        let now = scheduled.now_ms();
+        now += LEASE_TIMEOUT;
         let (report, _) = scheduled.sweep_and_recover(now);
         let outstanding = scheduled.scheduler().outstanding_leases();
         let overdue = scheduled.scheduler().overdue_users(now, 500);
@@ -110,13 +121,11 @@ fn concurrent_browsers_with_abandonment_still_converge() {
             break;
         }
         assert!(
-            Instant::now() < deadline,
+            now < deadline,
             "sweeper failed to drain: {outstanding} leases, {} overdue, {report:?}",
             overdue.len()
         );
-        std::thread::sleep(Duration::from_millis(20));
     }
-    sweeper.stop();
 
     // Despite 25% abandonment, every user has a neighbourhood and the
     // table converged to the taste groups.
@@ -127,12 +136,12 @@ fn concurrent_browsers_with_abandonment_still_converge() {
                 "u{u} has no KNN after recovery (stats {:?}, state {:?}, now {})",
                 scheduled.scheduler().stats().snapshot(),
                 scheduled.scheduler().user_snapshot(UserId(u)),
-                scheduled.now_ms(),
+                now,
             )
         });
         assert!(!hood.is_empty(), "u{u} has an empty neighbourhood");
     }
-    // Under parallel-test CPU contention some in-flight completions lose
+    // Threads fetching the same user race: some in-flight completions lose
     // their epoch race and a few users keep an older (mid-convergence)
     // refresh, so the bound is looser than the single-test ideal (~1.0).
     assert!(

@@ -42,12 +42,6 @@ impl KnnSnapshot {
         self.table.is_empty()
     }
 
-    /// The stored neighbour ids of `user`.
-    #[must_use]
-    pub fn neighbors_of(&self, user: UserId) -> Option<&[UserId]> {
-        self.table.get(&user).map(Vec::as_slice)
-    }
-
     /// Re-scores the stored neighbour choices against `profiles` (current
     /// state) and returns the mean view similarity over users present in
     /// both the snapshot and the profile map.
@@ -130,16 +124,6 @@ pub fn ideal_knn(profiles: &HashMap<UserId, SharedProfile>, k: usize) -> KnnSnap
 #[must_use]
 pub fn ideal_view_similarity(profiles: &HashMap<UserId, SharedProfile>, k: usize) -> f64 {
     ideal_knn(profiles, k).view_similarity_against(profiles)
-}
-
-/// Convenience: mean cosine view similarity of a live server KNN table
-/// against current profiles.
-#[must_use]
-pub fn server_view_similarity(server: &hyrec_server::HyRecServer) -> f64 {
-    let profiles: HashMap<UserId, SharedProfile> =
-        server.profiles().snapshot().into_iter().collect();
-    let table = server.knn_table().snapshot();
-    KnnSnapshot::from_table(&table).view_similarity_against(&profiles)
 }
 
 #[cfg(test)]

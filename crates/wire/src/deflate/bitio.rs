@@ -86,12 +86,6 @@ impl BitWriter {
         self.bytes.extend_from_slice(data);
     }
 
-    /// Number of complete bytes written so far.
-    #[must_use]
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len() + self.bit_count as usize / 8
-    }
-
     /// Finishes the stream, flushing any partial byte (zero-padded).
     #[must_use]
     pub fn into_bytes(mut self) -> Vec<u8> {

@@ -18,9 +18,9 @@ use std::sync::Arc;
 fn main() {
     let hyrec = Arc::new(HyRecServer::builder().k(5).r(5).seed(11).build());
     // The sharded epoll reactor front-end: two event loops, each with its
-    // own SO_REUSEPORT listener, over a shared worker pool; concurrent
-    // /online/ and /rate/ traffic is coalesced process-wide onto the
-    // batched pipeline (build_jobs / record_many).
+    // own SO_REUSEPORT listener, over a shared worker pool; each loop
+    // coalesces its connections' concurrent /online/ and /rate/ traffic
+    // onto the batched pipeline (build_jobs / record_many).
     let server = ReactorServer::bind_sharded("127.0.0.1:0", 2, 2).expect("bind");
     let addr = server.local_addr();
     println!(
