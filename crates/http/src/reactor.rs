@@ -124,13 +124,12 @@ impl ShardStats {
     }
 }
 
-/// Serving statistics: a process-wide atomic aggregate shared by every
-/// reactor shard, with per-shard breakdowns for observing the kernel's
-/// accept sharding actually spreading load.
+/// Serving statistics shared by every reactor shard: per-shard request
+/// and connection counts (observing the kernel's accept sharding actually
+/// spreading load), whose sums are the aggregates, and process-wide batch
+/// counts.
 #[derive(Debug)]
 pub struct ReactorStats {
-    requests: AtomicU64,
-    connections: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
     shards: Vec<ShardStats>,
@@ -139,8 +138,6 @@ pub struct ReactorStats {
 impl ReactorStats {
     fn with_shards(shards: usize) -> Self {
         Self {
-            requests: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
             shards: (0..shards).map(|_| ShardStats::default()).collect(),
@@ -150,14 +147,14 @@ impl ReactorStats {
     /// Number of complete requests parsed, across all shards.
     #[must_use]
     pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.shards.iter().map(ShardStats::requests).sum()
     }
 
     /// Number of connections accepted (so `requests / connections` is the
     /// achieved keep-alive reuse factor), across all shards.
     #[must_use]
     pub fn connections(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
+        self.shards.iter().map(ShardStats::connections).sum()
     }
 
     /// Number of coalesced batches flushed to batched routes, summed over
@@ -867,10 +864,6 @@ impl Shard {
     /// Adopts a fresh (already nonblocking) connection into this shard's
     /// slab and epoll set.
     fn register_conn(&mut self, stream: TcpStream) {
-        self.shared
-            .stats
-            .connections
-            .fetch_add(1, Ordering::Relaxed);
         self.shared.stats.shards[self.id]
             .connections
             .fetch_add(1, Ordering::Relaxed);
@@ -1013,7 +1006,6 @@ impl Shard {
             };
             match step {
                 FrameStep::Frame(seq, request) => {
-                    self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                     self.shared.stats.shards[self.id]
                         .requests
                         .fetch_add(1, Ordering::Relaxed);

@@ -9,7 +9,7 @@ use hyrec_core::{ItemId, UserId, Vote};
 use hyrec_http::api::{hyrec_router, hyrec_scheduled_router};
 use hyrec_http::reactor::ReactorHandle;
 use hyrec_http::{BatchPolicy, HttpClient, ReactorServer};
-use hyrec_sched::SchedConfig;
+use hyrec_sched::{RejectReason, SchedConfig};
 use hyrec_server::{HyRecServer, JobEncoder, ScheduledServer};
 use hyrec_wire::{KnnUpdate, PersonalizationJob};
 use std::sync::Arc;
@@ -334,8 +334,8 @@ fn unleased_stats_match_the_leased_schema_and_count_payload_rejects() {
     );
 
     let stats = scheduled.scheduler().stats();
-    assert_eq!(stats.rejected_nan_similarity(), 1);
-    assert_eq!(stats.rejected_out_of_range_similarity(), 1);
+    assert_eq!(stats.rejected(RejectReason::NanSimilarity), 1);
+    assert_eq!(stats.rejected(RejectReason::OutOfRangeSimilarity), 1);
     assert_eq!(stats.rejected_total(), 2);
     assert_eq!(scheduled.server().updates_applied(), 0);
 

@@ -15,7 +15,8 @@
 //!   which the user is surrendered to the caller for server-side
 //!   (centralized, CRec-style) recomputation.
 //! * **Staleness-driven priority** — votes recorded since the last KNN
-//!   refresh plus wall-clock age decide who gets recomputed first, so a
+//!   refresh, plus the ticks elapsed since it weighted by
+//!   [`SchedConfig::age_weight`], decide who gets recomputed first, so a
 //!   request for `uid=A` may be answered with the job of a *staler* user B
 //!   (freshness-driven scheduling in the spirit of Agarwal et al.'s
 //!   item-item models). The requesting browser computes B's neighbourhood;
@@ -39,6 +40,6 @@ mod stats;
 
 pub use scheduler::{
     JobGrant, RejectReason, SchedConfig, Scheduler, SweepReport, Tick, UserSnapshot,
-    DEFAULT_SIMILARITY_TOLERANCE,
+    SIMILARITY_TOLERANCE,
 };
 pub use stats::{SchedStats, SchedStatsSnapshot};

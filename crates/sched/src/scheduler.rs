@@ -1,40 +1,38 @@
-//! The lease table, staleness queue and validation core.
+//! The lease table, staleness index and validation core.
 
 use crate::stats::SchedStats;
-use hyrec_core::{FastHashMap, UserId};
+use hyrec_core::{FastHashMap, Neighbor, UserId};
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// Logical time. The scheduler never reads a clock: every entry point
 /// takes `now` explicitly, so the HTTP front-end can feed monotonic
 /// milliseconds while the churn replay feeds simulated ticks.
 pub type Tick = u64;
 
-/// Default slack above `1.0` tolerated in completion similarities
-/// (floating point: the widget's cosine can land at `1.0 + ulp`).
-/// [`SchedConfig::default`] takes it, so the payload check of leased
-/// ([`Scheduler::complete`]) and unleased ([`Scheduler::check_unleased`])
-/// completions uses it unless a config overrides it.
-pub const DEFAULT_SIMILARITY_TOLERANCE: f64 = 1e-6;
+/// Slack above `1.0` tolerated in completion similarities (floating
+/// point: the widget's cosine can land at `1.0 + ulp`), by the payload
+/// check of leased ([`Scheduler::complete`]) and unleased
+/// ([`Scheduler::check_unleased`]) completions alike.
+pub const SIMILARITY_TOLERANCE: f64 = 1e-6;
 
 /// The payload check every completion passes, leased or not: each
-/// neighbour's similarity is a number in `[0, 1 + tolerance]` and its id
-/// satisfies `known`, checked in that order per neighbour, in list order.
-/// Returns the first failing check's reason.
-fn check_payload<I, F>(neighbors: I, tolerance: f64, mut known: F) -> Result<(), RejectReason>
+/// neighbour's similarity is a number in `[0, 1 + SIMILARITY_TOLERANCE]`
+/// and its id satisfies `known`, checked in that order per neighbour, in
+/// list order. Returns the first failing check's reason.
+fn check_payload<F>(neighbors: &[Neighbor], mut known: F) -> Result<(), RejectReason>
 where
-    I: IntoIterator<Item = (UserId, f64)>,
     F: FnMut(UserId) -> bool,
 {
-    for (neighbor, similarity) in neighbors {
-        if similarity.is_nan() {
+    for neighbor in neighbors {
+        if neighbor.similarity.is_nan() {
             return Err(RejectReason::NanSimilarity);
         }
-        if !(0.0..=1.0 + tolerance).contains(&similarity) {
+        if !(0.0..=1.0 + SIMILARITY_TOLERANCE).contains(&neighbor.similarity) {
             return Err(RejectReason::OutOfRangeSimilarity);
         }
-        if !known(neighbor) {
+        if !known(neighbor.user) {
             return Err(RejectReason::UnknownNeighbor);
         }
     }
@@ -50,13 +48,14 @@ pub struct SchedConfig {
     /// How many times an expired job is re-issued to another browser
     /// before the user is surrendered to server-side fallback compute.
     pub max_reissues: u32,
-    /// Priority weight of one vote recorded since the last KNN refresh.
-    pub vote_weight: f64,
-    /// Priority weight of one tick of age since the last KNN refresh.
+    /// Priority weight of one tick of age since the last KNN refresh (one
+    /// vote recorded since then weighs `1`).
+    ///
+    /// Equal priority goes to the requester: another user is served only
+    /// while strictly more urgent. With `age_weight = 0`, or a clock that
+    /// does not advance, a user nobody requests is therefore served only
+    /// while strictly staler than the requester.
     pub age_weight: f64,
-    /// Slack above `1.0` tolerated in completion similarities (floating
-    /// point; the widget's cosine can land at `1.0 + ulp`).
-    pub similarity_tolerance: f64,
 }
 
 impl Default for SchedConfig {
@@ -64,9 +63,7 @@ impl Default for SchedConfig {
         Self {
             lease_timeout: 30_000, // 30 s at millisecond ticks
             max_reissues: 2,
-            vote_weight: 1.0,
             age_weight: 1e-4,
-            similarity_tolerance: DEFAULT_SIMILARITY_TOLERANCE,
         }
     }
 }
@@ -149,6 +146,42 @@ pub struct UserSnapshot {
     pub in_fallback: bool,
 }
 
+/// Where a user stands on the escalation ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// No recovery pending.
+    Idle,
+    /// Waiting in the re-issue backlog.
+    Reissue,
+    /// Waiting in the fallback pen.
+    Fallback,
+}
+
+/// A staleness-index key: the time-shifted priority
+/// `votes − age_weight·last_refresh`. Comparing priorities
+/// `votes + age_weight·(now − last_refresh)` of two users at any common
+/// `now` is equivalent to comparing their keys, which are constant, so
+/// entries need no re-scoring as time passes. Ordered by `f64::total_cmp`.
+#[derive(Debug, Clone, Copy)]
+struct Key(f64);
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Key {}
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
 /// Per-user lifecycle state.
 #[derive(Debug)]
 struct UserState {
@@ -164,15 +197,12 @@ struct UserState {
     attempts: u32,
     /// Live leases for this user.
     outstanding: u32,
-    /// Version of this user's live staleness-queue entry (lazy heap
-    /// invalidation: entries with an older version are discarded on pop).
-    queue_version: u64,
-    /// Whether the user sits in the re-issue backlog.
-    in_reissue: bool,
-    /// Whether the user sits in the fallback pen.
-    in_fallback: bool,
+    /// The key of this user's staleness-index entry, if they have one.
+    queued: Option<Key>,
+    phase: Phase,
     /// Taken from the pen by [`Scheduler::take_fallback`]; the recompute
-    /// has not been reported back yet.
+    /// has not been reported back yet. A sibling lease expiring meanwhile
+    /// may put the user back on the ladder, so this is not a [`Phase`].
     recomputing: bool,
 }
 
@@ -184,43 +214,10 @@ impl UserState {
             last_refresh: now,
             attempts: 0,
             outstanding: 0,
-            queue_version: 0,
-            in_reissue: false,
-            in_fallback: false,
+            queued: None,
+            phase: Phase::Idle,
             recomputing: false,
         }
-    }
-}
-
-/// One staleness-queue entry. `key` is time-shifted priority: comparing
-/// `vote_weight·votes + age_weight·(now − last_refresh)` between two users
-/// at any common `now` is equivalent to comparing
-/// `vote_weight·votes − age_weight·last_refresh`, which is constant — so
-/// entries need no re-scoring as time passes.
-#[derive(Debug)]
-struct QueueEntry {
-    key: f64,
-    version: u64,
-    user: UserId,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for QueueEntry {}
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Ties broken by user id for determinism across runs.
-        self.key
-            .total_cmp(&other.key)
-            .then_with(|| self.user.raw().cmp(&other.user.raw()))
     }
 }
 
@@ -234,6 +231,8 @@ struct LeaseEntry {
     epoch: u64,
 }
 
+/// The scheduler's state. `users` is never pruned, so every id held by
+/// any other field is a key of `users`.
 #[derive(Debug, Default)]
 struct Inner {
     next_lease: u64,
@@ -243,17 +242,36 @@ struct Inner {
     /// Recently consumed lease ids → completion tick (duplicate
     /// detection); pruned against the lease timeout so it stays bounded.
     completed: FastHashMap<u64, Tick>,
-    /// Staleness priority queue (max-heap over `QueueEntry::key`).
-    queue: BinaryHeap<QueueEntry>,
+    /// Staleness index: one entry per queued user, the most urgent last
+    /// (ties broken by user id for determinism across runs).
+    queue: BTreeSet<(Key, UserId)>,
     /// Expired users awaiting re-issue to the next requesting browser,
     /// with the tick they entered the backlog (waiting longer than one
     /// lease timeout promotes them straight to fallback — recomputation
-    /// latency stays bounded even if request traffic dries up).
+    /// latency stays bounded even if request traffic dries up). An entry
+    /// whose user has since left [`Phase::Reissue`] is skipped on pop.
     reissue: VecDeque<(UserId, Tick)>,
-    /// Users whose escalation ladder is exhausted.
+    /// Users whose escalation ladder is exhausted (skipped on drain once
+    /// they leave [`Phase::Fallback`]).
     fallback: Vec<UserId>,
     /// Expiry index: min-heap of `(deadline, lease id)`.
     expiry: BinaryHeap<Reverse<(Tick, u64)>>,
+}
+
+impl Inner {
+    fn user(&mut self, user: UserId) -> &mut UserState {
+        self.users.get_mut(&user).expect("users are never removed")
+    }
+
+    /// Moves `user`'s staleness-index entry to their current key.
+    fn requeue(&mut self, user: UserId, age_weight: f64) {
+        let state = self.users.get_mut(&user).expect("users are never removed");
+        let key = Key(state.votes as f64 - age_weight * state.last_refresh as f64);
+        if let Some(old) = state.queued.replace(key) {
+            self.queue.remove(&(old, user));
+        }
+        self.queue.insert((key, user));
+    }
 }
 
 /// The job-lifecycle scheduler. See the crate docs for the model.
@@ -301,7 +319,7 @@ impl Scheduler {
     }
 
     /// Records that `user` voted at `now`: their staleness priority rises
-    /// by one vote weight.
+    /// by one.
     pub fn note_vote(&self, user: UserId, now: Tick) {
         self.note_votes(std::slice::from_ref(&user), now);
     }
@@ -312,15 +330,14 @@ impl Scheduler {
         if users.is_empty() {
             return;
         }
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
+        let mut inner = self.inner.lock();
         for &user in users {
-            let state = inner
+            inner
                 .users
                 .entry(user)
-                .or_insert_with(|| UserState::new(now));
-            state.votes += 1;
-            Self::requeue(&self.config, state, user, &mut inner.queue);
+                .or_insert_with(|| UserState::new(now))
+                .votes += 1;
+            inner.requeue(user, self.config.age_weight);
         }
     }
 
@@ -328,8 +345,9 @@ impl Scheduler {
     ///
     /// The pick order is the crate's scheduling policy:
     /// 1. the re-issue backlog (churn recovery beats everything),
-    /// 2. the staleness-queue top, when it is strictly more urgent than
-    ///    the requester and has no job in flight,
+    /// 2. the most urgent user in the staleness index with no job in
+    ///    flight and no recovery pending, when strictly more urgent than
+    ///    the requester (equal priority goes to the requester),
     /// 3. the requester itself.
     pub fn issue(&self, requested: UserId, now: Tick) -> JobGrant {
         self.issue_mixed(&[Some(requested)], now)
@@ -344,7 +362,7 @@ impl Scheduler {
     /// one whose nominal uid the caller refuses to register (e.g. an
     /// unknown browser-supplied id, which must not mint permanent
     /// scheduler state or fallback obligations): it is served the re-issue
-    /// backlog or the staleness-queue top, and comes back `None` when no
+    /// backlog or the staleness-index pick, and comes back `None` when no
     /// registered user needs work.
     #[must_use]
     pub fn issue_mixed(&self, requested: &[Option<UserId>], now: Tick) -> Vec<Option<JobGrant>> {
@@ -356,34 +374,36 @@ impl Scheduler {
         self.sweep_locked(inner, now);
         requested
             .iter()
-            .map(|&slot| match slot {
-                Some(uid) => Some(self.issue_one_locked(inner, uid, now)),
-                None => {
-                    if let Some(grant) = self.pop_reissue_locked(inner, now) {
-                        return Some(grant);
-                    }
-                    // No user id exists to self-serve: only a strictly
-                    // positive-priority registered user is picked.
-                    let pick = self.pop_queue_pick_locked(inner, None, now)?;
-                    Some(self.grant_locked(inner, pick, now, false))
+            .map(|&slot| {
+                if let Some(grant) = self.pop_reissue_locked(inner, now) {
+                    return Some(grant);
                 }
+                if let Some(uid) = slot {
+                    // Cold start registers the requester here.
+                    inner
+                        .users
+                        .entry(uid)
+                        .or_insert_with(|| UserState::new(now));
+                }
+                // An anonymous slot has no user to self-serve: only a
+                // strictly positive-priority registered user is picked.
+                let pick = self.pick_locked(inner, slot, now).or(slot)?;
+                Some(self.grant_locked(inner, pick, now, false))
             })
             .collect()
     }
 
-    /// Rung 1: churn recovery. Pops the oldest abandoned user (skimming
-    /// entries whose flag was cleared by a late completion) and re-grants
-    /// under a bumped epoch, so the vanished browser's completion — if it
-    /// ever arrives — is recognizably stale.
+    /// Rung 1: churn recovery. Pops the oldest abandoned user (skipping
+    /// entries whose user left the backlog through a late completion or a
+    /// refresh) and re-grants under a bumped epoch, so the vanished
+    /// browser's completion — if it ever arrives — is recognizably stale.
     fn pop_reissue_locked(&self, inner: &mut Inner, now: Tick) -> Option<JobGrant> {
         while let Some((user, _)) = inner.reissue.pop_front() {
-            let Some(state) = inner.users.get_mut(&user) else {
-                continue;
-            };
-            if !state.in_reissue {
+            let state = inner.user(user);
+            if state.phase != Phase::Reissue {
                 continue;
             }
-            state.in_reissue = false;
+            state.phase = Phase::Idle;
             state.epoch += 1;
             self.stats.inc_reissued();
             return Some(self.grant_locked(inner, user, now, true));
@@ -391,76 +411,40 @@ impl Scheduler {
         None
     }
 
-    fn issue_one_locked(&self, inner: &mut Inner, requested: UserId, now: Tick) -> JobGrant {
-        if let Some(grant) = self.pop_reissue_locked(inner, now) {
-            return grant;
-        }
-
-        // Make sure the requester exists (cold start registers here).
-        inner
-            .users
-            .entry(requested)
-            .or_insert_with(|| UserState::new(now));
-
-        // Rung 2: the staleness queue, when its top is strictly more
-        // urgent than the requester.
-        let pick = self
-            .pop_queue_pick_locked(inner, Some(requested), now)
-            .unwrap_or(requested);
-        self.grant_locked(inner, pick, now, false)
-    }
-
-    /// Pops the staleness-queue top if it should be served *instead of*
-    /// `requested` (`None` = anonymous request: any strictly
-    /// positive-priority eligible user wins). Stale heap entries are
-    /// discarded; valid entries of currently ineligible users (job in
-    /// flight, queued for re-issue or fallback) are stashed and restored.
-    fn pop_queue_pick_locked(
+    /// Rung 2: scans the staleness index from its most urgent entry and
+    /// takes the first user with no job in flight and no recovery pending,
+    /// if they are strictly more urgent than `requested` (`None` =
+    /// anonymous request, priority 0). Reaching the requester's own entry
+    /// first ends the scan: the requester is then served via rung 3 and
+    /// their entry stays for the refresh to move.
+    ///
+    /// Rung 1 runs first and empties the backlog, so no user in
+    /// [`Phase::Reissue`] is left for this scan to meet.
+    fn pick_locked(
         &self,
         inner: &mut Inner,
         requested: Option<UserId>,
         now: Tick,
     ) -> Option<UserId> {
-        let requested_priority = requested
-            .and_then(|uid| inner.users.get(&uid))
-            .map_or(0.0, |s| self.priority_at(s, now));
-        let mut stash = Vec::new();
-        let mut pick = None;
-        while let Some(top) = inner.queue.peek() {
-            let user = top.user;
-            let version = top.version;
-            let Some(state) = inner.users.get(&user) else {
-                inner.queue.pop();
-                continue;
-            };
-            if version != state.queue_version {
-                inner.queue.pop(); // superseded entry
-                continue;
-            }
-            if Some(user) == requested {
-                // The requester *is* the most urgent user; serve them via
-                // rung 3 and leave their entry for the refresh to clear.
-                break;
-            }
-            if state.outstanding > 0 || state.in_reissue || state.in_fallback {
-                stash.push(inner.queue.pop().expect("peeked entry exists"));
-                continue;
-            }
-            if self.priority_at(state, now) > requested_priority {
-                inner.queue.pop();
-                pick = Some(user);
-            }
-            break;
+        let users = &inner.users;
+        let requested_priority = requested.map_or(0.0, |uid| self.priority_at(&users[&uid], now));
+        let &(key, user) = inner.queue.iter().rev().find(|&&(_, user)| {
+            let state = &users[&user];
+            Some(user) == requested || (state.outstanding == 0 && state.phase == Phase::Idle)
+        })?;
+        if Some(user) == requested || self.priority_at(&users[&user], now) <= requested_priority {
+            return None;
         }
-        inner.queue.extend(stash);
-        pick
+        inner.queue.remove(&(key, user));
+        inner.user(user).queued = None;
+        Some(user)
     }
 
     fn grant_locked(&self, inner: &mut Inner, user: UserId, now: Tick, reissue: bool) -> JobGrant {
         let lease = inner.next_lease;
         inner.next_lease += 1;
         let deadline = now + self.config.lease_timeout;
-        let state = inner.users.get_mut(&user).expect("pick is registered");
+        let state = inner.user(user);
         state.outstanding += 1;
         let epoch = state.epoch;
         inner.leases.insert(lease, LeaseEntry { user, epoch });
@@ -502,9 +486,9 @@ impl Scheduler {
         uid: UserId,
         lease: u64,
         epoch: u64,
-        neighbors: &[(UserId, f64)],
+        neighbors: &[Neighbor],
         now: Tick,
-        mut known: F,
+        known: F,
     ) -> Result<(), RejectReason>
     where
         F: FnMut(UserId) -> bool,
@@ -524,41 +508,30 @@ impl Scheduler {
             if entry.user != uid {
                 return Err(RejectReason::WrongUser);
             }
-            let current_epoch = inner.users.get(&uid).map_or(0, |s| s.epoch);
-            if epoch != entry.epoch || entry.epoch != current_epoch {
+            if epoch != entry.epoch || entry.epoch != inner.users[&uid].epoch {
                 return Err(RejectReason::StaleEpoch);
             }
             // Payload validation last, under a proven-live lease. A
             // malformed payload does not consume the lease (the browser
             // may retry; expiry re-issues otherwise).
-            check_payload(
-                neighbors.iter().copied(),
-                self.config.similarity_tolerance,
-                &mut known,
-            )
+            check_payload(neighbors, known)
         })();
-        match verdict {
-            Ok(()) => {
-                inner.leases.remove(&lease);
-                inner.completed.insert(lease, now);
-                let config = self.config;
-                let state = inner.users.get_mut(&uid).expect("leased user exists");
-                state.outstanding = state.outstanding.saturating_sub(1);
-                state.votes = 0;
-                state.attempts = 0;
-                state.last_refresh = now;
-                state.epoch += 1; // any sibling lease is now stale
-                state.in_reissue = false;
-                state.in_fallback = false;
-                Self::requeue(&config, state, uid, &mut inner.queue);
-                self.stats.inc_completed();
-                Ok(())
-            }
-            Err(reason) => {
-                self.stats.inc_reject(reason);
-                Err(reason)
-            }
+        if let Err(reason) = verdict {
+            self.stats.inc_reject(reason);
+            return Err(reason);
         }
+        inner.leases.remove(&lease);
+        inner.completed.insert(lease, now);
+        let state = inner.user(uid);
+        state.outstanding = state.outstanding.saturating_sub(1);
+        state.votes = 0;
+        state.attempts = 0;
+        state.last_refresh = now;
+        state.epoch += 1; // any sibling lease is now stale
+        state.phase = Phase::Idle;
+        inner.requeue(uid, self.config.age_weight);
+        self.stats.inc_completed();
+        Ok(())
     }
 
     /// Validates the payload of a completion that carries no lease (the
@@ -570,12 +543,8 @@ impl Scheduler {
     ///
     /// Returns the NaN or out-of-range [`RejectReason`] of the first bad
     /// similarity.
-    pub fn check_unleased<I>(&self, neighbors: I) -> Result<(), RejectReason>
-    where
-        I: IntoIterator<Item = (UserId, f64)>,
-    {
-        check_payload(neighbors, self.config.similarity_tolerance, |_| true)
-            .inspect_err(|&reason| self.stats.inc_reject(reason))
+    pub fn check_unleased(&self, neighbors: &[Neighbor]) -> Result<(), RejectReason> {
+        check_payload(neighbors, |_| true).inspect_err(|&reason| self.stats.inc_reject(reason))
     }
 
     /// Expires overdue leases, climbing each user one rung up the
@@ -605,34 +574,28 @@ impl Scheduler {
             };
             expired += 1;
             self.stats.inc_expired();
-            let max_reissues = self.config.max_reissues;
-            let user = entry.user;
-            let Some(state) = inner.users.get_mut(&user) else {
-                continue;
-            };
+            let state = inner.user(entry.user);
             state.outstanding = state.outstanding.saturating_sub(1);
             // A superseded lease (the user refreshed, or was re-issued,
             // under a newer epoch since this one was granted) expires
             // without climbing the ladder: the work it covered is already
             // done or already being recovered. Only current-epoch expiries
             // mean a user is actually stranded.
-            if entry.epoch != state.epoch {
-                continue;
-            }
+            //
             // One abandonment event climbs one rung: sibling leases (two
             // tabs fetching the same user, same epoch) expiring in one
             // sweep must not burn several re-issues at once, so the
             // attempt counter moves only when a recovery is enqueued.
-            if state.in_reissue || state.in_fallback {
+            if entry.epoch != state.epoch || state.phase != Phase::Idle {
                 continue;
             }
             state.attempts += 1;
-            if state.attempts > max_reissues {
-                state.in_fallback = true;
-                inner.fallback.push(user);
+            if state.attempts > self.config.max_reissues {
+                state.phase = Phase::Fallback;
+                inner.fallback.push(entry.user);
             } else {
-                state.in_reissue = true;
-                inner.reissue.push_back((user, now));
+                state.phase = Phase::Reissue;
+                inner.reissue.push_back((entry.user, now));
             }
         }
         // Liveness: a backlog entry that no browser showed up to adopt
@@ -643,37 +606,17 @@ impl Scheduler {
                 break;
             }
             inner.reissue.pop_front();
-            let Some(state) = inner.users.get_mut(&user) else {
-                continue;
-            };
-            if !state.in_reissue {
-                continue;
+            let state = inner.user(user);
+            if state.phase == Phase::Reissue {
+                state.phase = Phase::Fallback;
+                inner.fallback.push(user);
             }
-            state.in_reissue = false;
-            state.in_fallback = true;
-            inner.fallback.push(user);
         }
         // Keep the duplicate-detection set bounded: a completion older than
         // a few lease lifetimes can no longer collide with a live retry.
         if inner.completed.len() > 4096 {
             let horizon = now.saturating_sub(4 * self.config.lease_timeout);
             inner.completed.retain(|_, &mut t| t >= horizon);
-        }
-        // Compact the staleness heap when superseded entries dominate:
-        // every vote/refresh pushes a fresh entry and only invalidates the
-        // old one lazily, so a vote-heavy workload would otherwise grow
-        // the heap with total votes ever recorded.
-        if inner.queue.len() > 64 && inner.queue.len() > 2 * inner.users.len() {
-            let users = &inner.users;
-            let live: Vec<QueueEntry> = std::mem::take(&mut inner.queue)
-                .into_iter()
-                .filter(|entry| {
-                    users
-                        .get(&entry.user)
-                        .is_some_and(|s| s.queue_version == entry.version)
-                })
-                .collect();
-            inner.queue = BinaryHeap::from(live);
         }
         expired
     }
@@ -686,20 +629,18 @@ impl Scheduler {
     pub fn take_fallback(&self) -> Vec<UserId> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let drained: Vec<UserId> = inner.fallback.drain(..).collect();
-        let mut taken = Vec::with_capacity(drained.len());
-        for user in drained {
-            let Some(state) = inner.users.get_mut(&user) else {
-                continue;
-            };
-            // A late valid completion may have refreshed the user while
-            // they sat in the pen; skip those.
-            if state.in_fallback {
-                state.in_fallback = false;
+        let mut taken = std::mem::take(&mut inner.fallback);
+        // A late valid completion may have refreshed the user while they
+        // sat in the pen; skip those.
+        taken.retain(|&user| {
+            let state = inner.user(user);
+            let ready = state.phase == Phase::Fallback;
+            if ready {
+                state.phase = Phase::Idle;
                 state.recomputing = true;
-                taken.push(user);
             }
-        }
+            ready
+        });
         taken
     }
 
@@ -708,9 +649,7 @@ impl Scheduler {
     /// browser completion is recognizably stale. For a user taken from the
     /// pen this counts the fallback.
     pub fn mark_refreshed(&self, user: UserId, now: Tick) {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let config = self.config;
+        let mut inner = self.inner.lock();
         let state = inner
             .users
             .entry(user)
@@ -719,12 +658,11 @@ impl Scheduler {
         state.attempts = 0;
         state.last_refresh = now;
         state.epoch += 1;
-        state.in_reissue = false;
-        state.in_fallback = false;
+        state.phase = Phase::Idle;
         if std::mem::take(&mut state.recomputing) {
             self.stats.inc_fallbacks();
         }
-        Self::requeue(&config, state, user, &mut inner.queue);
+        inner.requeue(user, self.config.age_weight);
     }
 
     /// Users who still owe a recomputation `budget` ticks after their
@@ -738,7 +676,7 @@ impl Scheduler {
             .filter(|(_, s)| s.votes > 0 && now.saturating_sub(s.last_refresh) > budget)
             .map(|(&u, _)| u)
             .collect();
-        overdue.sort_unstable_by_key(|user| user.raw());
+        overdue.sort_unstable();
         overdue
     }
 
@@ -753,8 +691,8 @@ impl Scheduler {
             last_refresh: s.last_refresh,
             attempts: s.attempts,
             outstanding: s.outstanding,
-            in_reissue: s.in_reissue,
-            in_fallback: s.in_fallback,
+            in_reissue: s.phase == Phase::Reissue,
+            in_fallback: s.phase == Phase::Fallback,
         })
     }
 
@@ -771,24 +709,7 @@ impl Scheduler {
     }
 
     fn priority_at(&self, state: &UserState, now: Tick) -> f64 {
-        self.config.vote_weight * state.votes as f64
-            + self.config.age_weight * now.saturating_sub(state.last_refresh) as f64
-    }
-
-    /// Pushes a fresh queue entry for `user`, superseding any live one.
-    fn requeue(
-        config: &SchedConfig,
-        state: &mut UserState,
-        user: UserId,
-        queue: &mut BinaryHeap<QueueEntry>,
-    ) {
-        state.queue_version += 1;
-        queue.push(QueueEntry {
-            key: config.vote_weight * state.votes as f64
-                - config.age_weight * state.last_refresh as f64,
-            version: state.queue_version,
-            user,
-        });
+        state.votes as f64 + self.config.age_weight * now.saturating_sub(state.last_refresh) as f64
     }
 }
 
@@ -800,14 +721,19 @@ mod tests {
         SchedConfig {
             lease_timeout: 10,
             max_reissues: 2,
-            vote_weight: 1.0,
             age_weight: 0.01,
-            similarity_tolerance: 1e-6,
         }
     }
 
-    fn ok_neighbors() -> Vec<(UserId, f64)> {
-        vec![(UserId(7), 0.5), (UserId(8), 0.25)]
+    fn neighbor(user: u32, similarity: f64) -> Neighbor {
+        Neighbor {
+            user: UserId(user),
+            similarity,
+        }
+    }
+
+    fn ok_neighbors() -> Vec<Neighbor> {
+        vec![neighbor(7, 0.5), neighbor(8, 0.25)]
     }
 
     #[test]
@@ -841,7 +767,7 @@ mod tests {
         );
         assert_eq!(dup, Err(RejectReason::Duplicate));
         assert_eq!(sched.stats().completed(), 1);
-        assert_eq!(sched.stats().rejected_duplicate(), 1);
+        assert_eq!(sched.stats().rejected(RejectReason::Duplicate), 1);
     }
 
     #[test]
@@ -851,7 +777,7 @@ mod tests {
         assert_eq!(no_lease, Err(RejectReason::NotLeased));
         let unknown = sched.complete(UserId(1), 999, 1, &ok_neighbors(), 0, |_| true);
         assert_eq!(unknown, Err(RejectReason::NotLeased));
-        assert_eq!(sched.stats().rejected_not_leased(), 2);
+        assert_eq!(sched.stats().rejected(RejectReason::NotLeased), 2);
     }
 
     #[test]
@@ -862,7 +788,7 @@ mod tests {
         // otherwise enumerate live pseudonyms via the reject reason).
         let sched = Scheduler::new(config());
         let mut probed = false;
-        let outcome = sched.complete(UserId(1), 777, 1, &[(UserId(2), 0.5)], 0, |_| {
+        let outcome = sched.complete(UserId(1), 777, 1, &[neighbor(2, 0.5)], 0, |_| {
             probed = true;
             false
         });
@@ -879,7 +805,7 @@ mod tests {
             grant.user,
             grant.lease,
             grant.epoch,
-            &[(UserId(2), f64::NAN)],
+            &[neighbor(2, f64::NAN)],
             1,
             |_| true,
         );
@@ -888,7 +814,7 @@ mod tests {
             grant.user,
             grant.lease,
             grant.epoch,
-            &[(UserId(2), -0.1)],
+            &[neighbor(2, -0.1)],
             1,
             |_| true,
         );
@@ -897,7 +823,7 @@ mod tests {
             grant.user,
             grant.lease,
             grant.epoch,
-            &[(UserId(2), 1.5)],
+            &[neighbor(2, 1.5)],
             1,
             |_| true,
         );
@@ -906,7 +832,7 @@ mod tests {
             grant.user,
             grant.lease,
             grant.epoch,
-            &[(UserId(2), 0.5)],
+            &[neighbor(2, 0.5)],
             1,
             |_| false,
         );

@@ -14,13 +14,8 @@ pub struct SchedStats {
     completed: AtomicU64,
     expired: AtomicU64,
     fallbacks: AtomicU64,
-    rejected_not_leased: AtomicU64,
-    rejected_stale_epoch: AtomicU64,
-    rejected_duplicate: AtomicU64,
-    rejected_wrong_user: AtomicU64,
-    rejected_nan_similarity: AtomicU64,
-    rejected_out_of_range_similarity: AtomicU64,
-    rejected_unknown_neighbor: AtomicU64,
+    /// Rejects per reason, indexed in [`RejectReason`]'s declaration order.
+    rejected: [AtomicU64; 7],
 }
 
 macro_rules! counter {
@@ -64,82 +59,44 @@ impl SchedStats {
         fallbacks,
         inc_fallbacks
     );
-    counter!(
-        /// Completions presenting no (or an unknown / expired) lease.
-        rejected_not_leased,
-        inc_rejected_not_leased
-    );
-    counter!(
-        /// Completions whose lease was superseded by a newer epoch.
-        rejected_stale_epoch,
-        inc_rejected_stale_epoch
-    );
-    counter!(
-        /// Completions for a lease that was already consumed.
-        rejected_duplicate,
-        inc_rejected_duplicate
-    );
-    counter!(
-        /// Completions whose uid does not match the leased user.
-        rejected_wrong_user,
-        inc_rejected_wrong_user
-    );
-    counter!(
-        /// Completions carrying a NaN similarity.
-        rejected_nan_similarity,
-        inc_rejected_nan_similarity
-    );
-    counter!(
-        /// Completions carrying a similarity outside `[0, 1]`.
-        rejected_out_of_range_similarity,
-        inc_rejected_out_of_range_similarity
-    );
-    counter!(
-        /// Completions naming a neighbour the server does not know.
-        rejected_unknown_neighbor,
-        inc_rejected_unknown_neighbor
-    );
+
+    /// Completions rejected for `reason`.
+    #[must_use]
+    pub fn rejected(&self, reason: RejectReason) -> u64 {
+        self.rejected[reason as usize].load(Ordering::Relaxed)
+    }
 
     /// Sum over every reject reason.
     #[must_use]
     pub fn rejected_total(&self) -> u64 {
-        self.rejected_not_leased()
-            + self.rejected_stale_epoch()
-            + self.rejected_duplicate()
-            + self.rejected_wrong_user()
-            + self.rejected_nan_similarity()
-            + self.rejected_out_of_range_similarity()
-            + self.rejected_unknown_neighbor()
+        self.rejected
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
     }
 
     pub(crate) fn inc_reject(&self, reason: RejectReason) {
-        match reason {
-            RejectReason::NotLeased => self.inc_rejected_not_leased(),
-            RejectReason::StaleEpoch => self.inc_rejected_stale_epoch(),
-            RejectReason::Duplicate => self.inc_rejected_duplicate(),
-            RejectReason::WrongUser => self.inc_rejected_wrong_user(),
-            RejectReason::NanSimilarity => self.inc_rejected_nan_similarity(),
-            RejectReason::OutOfRangeSimilarity => self.inc_rejected_out_of_range_similarity(),
-            RejectReason::UnknownNeighbor => self.inc_rejected_unknown_neighbor(),
-        }
+        self.rejected[reason as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// A consistent-enough point-in-time copy of every counter.
     #[must_use]
     pub fn snapshot(&self) -> SchedStatsSnapshot {
+        let [not_leased, stale_epoch, duplicate, wrong_user, nan, out_of_range, unknown] =
+            self.rejected.each_ref().map(|c| c.load(Ordering::Relaxed));
         SchedStatsSnapshot {
             issued: self.issued(),
             reissued: self.reissued(),
             completed: self.completed(),
             expired: self.expired(),
             fallbacks: self.fallbacks(),
-            rejected_not_leased: self.rejected_not_leased(),
-            rejected_stale_epoch: self.rejected_stale_epoch(),
-            rejected_duplicate: self.rejected_duplicate(),
-            rejected_wrong_user: self.rejected_wrong_user(),
-            rejected_nan_similarity: self.rejected_nan_similarity(),
-            rejected_out_of_range_similarity: self.rejected_out_of_range_similarity(),
-            rejected_unknown_neighbor: self.rejected_unknown_neighbor(),
+            rejected_not_leased: not_leased,
+            rejected_stale_epoch: stale_epoch,
+            rejected_duplicate: duplicate,
+            rejected_wrong_user: wrong_user,
+            rejected_nan_similarity: nan,
+            rejected_out_of_range_similarity: out_of_range,
+            rejected_unknown_neighbor: unknown,
         }
     }
 }
@@ -231,5 +188,36 @@ mod tests {
         assert!(json.contains("\"issued\":1"));
         assert!(json.contains("\"duplicate\":1"));
         assert!(json.contains("\"total\":1"));
+    }
+
+    #[test]
+    fn snapshot_json_bytes_are_pinned() {
+        // Every counter distinct, so a swapped field or key shows.
+        let stats = SchedStats::default();
+        stats.inc_issued();
+        (0..2).for_each(|_| stats.inc_reissued());
+        (0..3).for_each(|_| stats.inc_completed());
+        (0..4).for_each(|_| stats.inc_expired());
+        (0..5).for_each(|_| stats.inc_fallbacks());
+        let reasons = [
+            RejectReason::NotLeased,
+            RejectReason::StaleEpoch,
+            RejectReason::Duplicate,
+            RejectReason::WrongUser,
+            RejectReason::NanSimilarity,
+            RejectReason::OutOfRangeSimilarity,
+            RejectReason::UnknownNeighbor,
+        ];
+        for (i, reason) in reasons.into_iter().enumerate() {
+            (0..10 + i).for_each(|_| stats.inc_reject(reason));
+            assert_eq!(stats.rejected(reason), 10 + i as u64);
+        }
+        assert_eq!(
+            stats.snapshot().to_json(),
+            "{\"issued\":1,\"reissued\":2,\"completed\":3,\"expired\":4,\"fallbacks\":5,\
+             \"rejected\":{\"not_leased\":10,\"stale_epoch\":11,\"duplicate\":12,\
+             \"wrong_user\":13,\"nan_similarity\":14,\"out_of_range_similarity\":15,\
+             \"unknown_neighbor\":16,\"total\":91}}"
+        );
     }
 }

@@ -2,12 +2,15 @@
 //! or resurface after churn, each user's recomputation round is applied
 //! **exactly once** per refresh epoch.
 
-use hyrec_core::UserId;
+use hyrec_core::{Neighbor, UserId};
 use hyrec_sched::{RejectReason, SchedConfig, Scheduler};
 use proptest::prelude::*;
 
-fn neighbors() -> Vec<(UserId, f64)> {
-    vec![(UserId(1000), 0.5)]
+fn neighbors() -> Vec<Neighbor> {
+    vec![Neighbor {
+        user: UserId(1000),
+        similarity: 0.5,
+    }]
 }
 
 /// One user, a chain of issues where every lease but the last is allowed

@@ -176,7 +176,7 @@ impl ScheduledServer {
         }
         let slots: Vec<Option<UserId>> = requested
             .iter()
-            .map(|&uid| self.inner.profile_of(uid).is_some().then_some(uid))
+            .map(|&uid| self.inner.profiles().contains(uid).then_some(uid))
             .collect();
         let grants = self.sched.issue_mixed(&slots, now);
         let picks: Vec<UserId> = grants
@@ -206,7 +206,7 @@ impl ScheduledServer {
         if !self.leased {
             let outcomes: Vec<Result<(), RejectReason>> = updates
                 .iter()
-                .map(|update| self.sched.check_unleased(neighbor_pairs(update)))
+                .map(|update| self.sched.check_unleased(&update.neighbors))
                 .collect();
             self.apply_accepted(updates, &outcomes);
             return outcomes;
@@ -220,12 +220,11 @@ impl ScheduledServer {
             updates
                 .iter()
                 .map(|update| {
-                    let neighbors: Vec<(UserId, f64)> = neighbor_pairs(update).collect();
                     self.sched.complete(
                         update.uid,
                         update.lease,
                         update.epoch,
-                        &neighbors,
+                        &update.neighbors,
                         now,
                         &mut *known,
                     )
@@ -302,12 +301,6 @@ impl ScheduledServer {
             thread: Some(thread),
         }
     }
-}
-
-/// A completion's `(neighbour, similarity)` pairs, as the scheduler's
-/// payload check reads them.
-fn neighbor_pairs(update: &KnnUpdate) -> impl Iterator<Item = (UserId, f64)> + '_ {
-    update.neighbors.iter().map(|n| (n.user, n.similarity))
 }
 
 /// Handle owning the background sweeper thread.
