@@ -18,7 +18,7 @@ use hyrec_wire::{gzip, PersonalizationJob};
 fn job_bytes(ps: usize) -> Vec<u8> {
     synthetic_job(ps, 10, hyrec_core::candidate_set_bound(10))
         .to_json()
-        .to_bytes()
+        .into_bytes()
 }
 
 fn bench_json(c: &mut Criterion) {
@@ -30,7 +30,7 @@ fn bench_json(c: &mut Criterion) {
         let text = String::from_utf8(raw.clone()).unwrap();
         group.throughput(Throughput::Bytes(raw.len() as u64));
         group.bench_with_input(BenchmarkId::new("serialize", ps), &ps, |bench, _| {
-            bench.iter(|| std::hint::black_box(job.to_json().to_bytes()));
+            bench.iter(|| std::hint::black_box(job.to_json().into_bytes()));
         });
         group.bench_with_input(BenchmarkId::new("parse", ps), &ps, |bench, _| {
             bench.iter(|| std::hint::black_box(JsonValue::parse(&text).unwrap()));

@@ -4,7 +4,8 @@ use crate::cluster::ClusterView;
 use crate::rps;
 use crate::view::{PartialView, ViewEntry};
 use hyrec_core::{recommend, Neighbor, Neighborhood, Profile, Recommendation, UserId, Vote};
-use hyrec_wire::json::{object, JsonValue};
+use hyrec_wire::json::push_uint;
+use hyrec_wire::messages::push_items;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -351,29 +352,23 @@ impl GossipNetwork {
 
     fn rps_message_bytes(descriptors: usize, mode: SizeMode) -> u64 {
         // uid (u32 as decimal) + age: ~16 bytes JSON per descriptor.
-        let doc: JsonValue = (0..descriptors)
-            .map(|i| {
-                object([
-                    ("uid", JsonValue::from(i as u32 * 7919)),
-                    ("age", JsonValue::from(2u32)),
-                ])
-            })
-            .collect();
-        finish_size(doc, mode)
+        message_size(0..descriptors, mode, |out, i| {
+            out.extend_from_slice(b"{\"uid\":");
+            push_uint(out, u64::from(i as u32 * 7919));
+            out.extend_from_slice(b",\"age\":2}");
+        })
     }
 
     fn cluster_message_bytes(payload: &[(UserId, Profile, u32)], mode: SizeMode) -> u64 {
-        let doc: JsonValue = payload
-            .iter()
-            .map(|(u, p, age)| {
-                object([
-                    ("uid", JsonValue::from(u.raw())),
-                    ("age", JsonValue::from(*age)),
-                    ("liked", p.liked().map(|i| i.raw()).collect::<JsonValue>()),
-                ])
-            })
-            .collect();
-        finish_size(doc, mode)
+        message_size(payload, mode, |out, (u, p, age)| {
+            out.extend_from_slice(b"{\"uid\":");
+            push_uint(out, u64::from(u.raw()));
+            out.extend_from_slice(b",\"age\":");
+            push_uint(out, u64::from(*age));
+            out.extend_from_slice(b",\"liked\":[");
+            push_items(out, p.liked());
+            out.extend_from_slice(b"]}");
+        })
     }
 
     /// The node's current KNN approximation (its cluster view).
@@ -457,8 +452,21 @@ fn descriptor_payload(node: &Node) -> Vec<(UserId, Profile, u32)> {
     payload
 }
 
-fn finish_size(doc: JsonValue, mode: SizeMode) -> u64 {
-    let raw = doc.to_bytes();
+/// Size of the JSON array of `descriptors`, each written by `write`,
+/// counted as `mode` says.
+fn message_size<T>(
+    descriptors: impl IntoIterator<Item = T>,
+    mode: SizeMode,
+    write: impl Fn(&mut Vec<u8>, T),
+) -> u64 {
+    let mut raw = vec![b'['];
+    for (i, descriptor) in descriptors.into_iter().enumerate() {
+        if i > 0 {
+            raw.push(b',');
+        }
+        write(&mut raw, descriptor);
+    }
+    raw.push(b']');
     match mode {
         SizeMode::Json => raw.len() as u64,
         SizeMode::Gzip => hyrec_wire::gzip::compress(&raw).len() as u64,
@@ -517,6 +525,19 @@ mod tests {
         assert_eq!(report.cycles, 10);
         assert!(report.mean_bytes_per_node > 0.0);
         assert!(report.max_bytes_per_node >= report.mean_bytes_per_node as u64);
+    }
+
+    #[test]
+    fn bandwidth_totals_are_pinned_in_both_size_modes() {
+        // The metered descriptor bytes are part of the Section 5.6
+        // comparison: a change to how they are written must count the
+        // same bytes in either mode.
+        for (size_mode, expected) in [(SizeMode::Json, 187_806u64), (SizeMode::Gzip, 102_599)] {
+            let mut network = clustered_network(3, 12);
+            network.config.size_mode = size_mode;
+            network.run(6);
+            assert_eq!(network.total_bytes_sent(), expected, "{size_mode:?}");
+        }
     }
 
     #[test]

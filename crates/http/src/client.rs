@@ -94,8 +94,7 @@ impl HttpClient {
         self.request("POST", target, body)
     }
 
-    /// Drops the cached connection (the next request reconnects). Also the
-    /// `--requests-per-conn` knob of the load harness.
+    /// Drops the cached connection (the next request reconnects).
     pub fn reset_connection(&self) {
         *self.conn.lock().expect("client connection poisoned") = None;
     }

@@ -1,8 +1,6 @@
 //! HTTP/1.1 response building and parsing, with optional gzip content
 //! encoding and an explicit connection [`Disposition`].
 
-use std::collections::HashMap;
-
 /// What happens to the connection after this response — serialized as the
 /// `Connection` header.
 ///
@@ -25,8 +23,9 @@ pub enum Disposition {
 pub struct Response {
     /// Status code (200, 404, …).
     pub status: u16,
-    /// Header map, names lowercased.
-    pub headers: HashMap<String, String>,
+    /// Headers in the order they are written (or were parsed), names
+    /// lowercased.
+    pub headers: Vec<(String, String)>,
     /// Body bytes as they will appear on the wire.
     pub body: Vec<u8>,
     /// Connection lifetime after this response (drives the `Connection`
@@ -38,11 +37,9 @@ impl Response {
     /// A `200 OK` with a body and content type.
     #[must_use]
     pub fn ok(content_type: &str, body: Vec<u8>) -> Self {
-        let mut headers = HashMap::new();
-        headers.insert("content-type".to_owned(), content_type.to_owned());
         Self {
             status: 200,
-            headers,
+            headers: vec![("content-type".to_owned(), content_type.to_owned())],
             body,
             disposition: Disposition::default(),
         }
@@ -52,11 +49,7 @@ impl Response {
     /// ("compressed on the fly by the server using gzip", Section 4.2).
     #[must_use]
     pub fn ok_json_gzip(json_bytes: &[u8]) -> Self {
-        let mut response = Self::ok("application/json", hyrec_wire::gzip::compress(json_bytes));
-        response
-            .headers
-            .insert("content-encoding".to_owned(), "gzip".to_owned());
-        response
+        Self::ok_pregzipped_json(hyrec_wire::gzip::compress(json_bytes))
     }
 
     /// A pre-gzipped JSON `200 OK` (body already compressed by the caller).
@@ -65,18 +58,16 @@ impl Response {
         let mut response = Self::ok("application/json", gzipped);
         response
             .headers
-            .insert("content-encoding".to_owned(), "gzip".to_owned());
+            .push(("content-encoding".to_owned(), "gzip".to_owned()));
         response
     }
 
     /// An error response with a plain-text body.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Self {
-        let mut headers = HashMap::new();
-        headers.insert("content-type".to_owned(), "text/plain".to_owned());
         Self {
             status,
-            headers,
+            headers: vec![("content-type".to_owned(), "text/plain".to_owned())],
             body: message.as_bytes().to_vec(),
             disposition: Disposition::default(),
         }
@@ -118,12 +109,10 @@ impl Response {
         self.disposition == Disposition::Close
     }
 
-    /// Header value (name case-insensitive).
+    /// Header value (name case-insensitive); the first, if repeated.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .get(&name.to_ascii_lowercase())
-            .map(String::as_str)
+        lookup(&self.headers, name)
     }
 
     /// The body, transparently gunzipped when `Content-Encoding: gzip`.
@@ -152,6 +141,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            409 => "Conflict",
             413 => "Payload Too Large",
             500 => "Internal Server Error",
             _ => "Unknown",
@@ -198,7 +188,7 @@ impl Response {
         let Some((status, headers, head_end)) = parse_head(buf)? else {
             return Ok(None);
         };
-        let Some(length) = headers.get("content-length") else {
+        let Some(length) = lookup(&headers, "content-length") else {
             return Ok(None); // Close-delimited body: needs EOF.
         };
         let total = length
@@ -228,7 +218,7 @@ impl Response {
         match parse_head(buf)? {
             Some((status, headers, head_end)) => {
                 let body = buf[head_end..].to_vec();
-                if let Some(length) = headers.get("content-length") {
+                if let Some(length) = lookup(&headers, "content-length") {
                     let length: usize = length
                         .parse()
                         .map_err(|_| "bad content-length".to_owned())?;
@@ -246,10 +236,18 @@ impl Response {
     }
 }
 
+/// The value of the first header called `name`, compared case-insensitively.
+fn lookup<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(key, _)| key.eq_ignore_ascii_case(name))
+        .map(|(_, value)| value.as_str())
+}
+
 /// Builds a `Response` from parsed parts, deriving the disposition from
 /// the `Connection` header (absent ⇒ keep-alive, the HTTP/1.1 default).
-fn assemble(status: u16, headers: HashMap<String, String>, body: Vec<u8>) -> Response {
-    let disposition = match headers.get("connection") {
+fn assemble(status: u16, headers: Vec<(String, String)>, body: Vec<u8>) -> Response {
+    let disposition = match lookup(&headers, "connection") {
         Some(v) if v.eq_ignore_ascii_case("close") => Disposition::Close,
         _ => Disposition::KeepAlive,
     };
@@ -262,7 +260,7 @@ fn assemble(status: u16, headers: HashMap<String, String>, body: Vec<u8>) -> Res
 }
 
 /// A parsed response head: `(status, headers, offset_past_blank_line)`.
-type ResponseHead = (u16, HashMap<String, String>, usize);
+type ResponseHead = (u16, Vec<(String, String)>, usize);
 
 /// Parses the status line + header block if `buf` holds a complete one.
 fn parse_head(buf: &[u8]) -> Result<Option<ResponseHead>, String> {
@@ -283,10 +281,10 @@ fn parse_head(buf: &[u8]) -> Result<Option<ResponseHead>, String> {
         .ok_or("missing status code")?
         .parse()
         .map_err(|_| "non-numeric status".to_owned())?;
-    let mut headers = HashMap::new();
+    let mut headers = Vec::new();
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
-            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_owned());
+            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
         }
     }
     Ok(Some((status, headers, blank + 4)))
@@ -303,6 +301,23 @@ mod tests {
         assert_eq!(response.status, 200);
         assert_eq!(response.header("content-encoding"), Some("gzip"));
         assert_eq!(response.decoded_body().unwrap(), body);
+    }
+
+    #[test]
+    fn pregzipped_json_and_conflict_serialize_to_fixed_bytes() {
+        // Headers go out in insertion order, so identical responses are
+        // identical bytes; a dead-lease rejection carries its reason phrase.
+        let mut wire = Vec::new();
+        Response::ok_pregzipped_json(b"x".to_vec()).write_into(&mut wire);
+        assert_eq!(
+            wire,
+            b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+              content-encoding: gzip\r\ncontent-length: 1\r\n\
+              connection: keep-alive\r\n\r\nx"
+        );
+        let mut wire = Vec::new();
+        Response::error(409, "stale").write_into(&mut wire);
+        assert!(wire.starts_with(b"HTTP/1.1 409 Conflict\r\n"));
     }
 
     #[test]

@@ -242,6 +242,10 @@ struct Inner {
     /// Recently consumed lease ids → completion tick (duplicate
     /// detection); pruned against the lease timeout so it stays bounded.
     completed: FastHashMap<u64, Tick>,
+    /// At most the smallest tick in `completed`: while the prune horizon
+    /// has not passed it, the sweep has nothing to prune and skips the
+    /// walk over the map.
+    oldest_completion: Tick,
     /// Staleness index: one entry per queued user, the most urgent last
     /// (ties broken by user id for determinism across runs).
     queue: BTreeSet<(Key, UserId)>,
@@ -522,6 +526,8 @@ impl Scheduler {
         }
         inner.leases.remove(&lease);
         inner.completed.insert(lease, now);
+        // Ticks may step back, so a new completion can be the oldest.
+        inner.oldest_completion = inner.oldest_completion.min(now);
         let state = inner.user(uid);
         state.outstanding = state.outstanding.saturating_sub(1);
         state.votes = 0;
@@ -614,9 +620,17 @@ impl Scheduler {
         }
         // Keep the duplicate-detection set bounded: a completion older than
         // a few lease lifetimes can no longer collide with a live retry.
-        if inner.completed.len() > 4096 {
-            let horizon = now.saturating_sub(4 * self.config.lease_timeout);
-            inner.completed.retain(|_, &mut t| t >= horizon);
+        let horizon = now.saturating_sub(4 * self.config.lease_timeout);
+        if inner.completed.len() > 4096 && inner.oldest_completion < horizon {
+            let mut oldest = Tick::MAX;
+            inner.completed.retain(|_, &mut t| {
+                let keep = t >= horizon;
+                if keep {
+                    oldest = oldest.min(t);
+                }
+                keep
+            });
+            inner.oldest_completion = oldest;
         }
         expired
     }
@@ -768,6 +782,31 @@ mod tests {
         assert_eq!(dup, Err(RejectReason::Duplicate));
         assert_eq!(sched.stats().completed(), 1);
         assert_eq!(sched.stats().rejected(RejectReason::Duplicate), 1);
+    }
+
+    #[test]
+    fn sweep_prunes_a_completion_whose_tick_stepped_back() {
+        // Past 4096 consumed leases the sweep prunes those older than 4
+        // lease timeouts (40 ticks), skipping the walk while the oldest
+        // one is younger; a completion stamped with an earlier tick than
+        // the rest must still be found and pruned on time.
+        let sched = Scheduler::new(config());
+        let run = |now: Tick| {
+            let grant = sched.issue(UserId(1), now);
+            let done = sched.complete(grant.user, grant.lease, grant.epoch, &[], now, |_| true);
+            assert_eq!(done, Ok(()));
+            grant
+        };
+        (0..4097).for_each(|_| _ = run(1000));
+        let _ = sched.sweep(1041); // prunes all of them
+        (0..4097).for_each(|_| _ = run(2000));
+        let late = run(1500);
+        let replay = |sched: &Scheduler| {
+            sched.complete(late.user, late.lease, late.epoch, &[], 1600, |_| true)
+        };
+        assert_eq!(replay(&sched), Err(RejectReason::Duplicate));
+        let _ = sched.sweep(1600);
+        assert_eq!(replay(&sched), Err(RejectReason::NotLeased));
     }
 
     #[test]

@@ -49,9 +49,11 @@
 //! candidate profile per request, while HyRec's per-request CPU is
 //! memcpys.
 //!
-//! The emitted JSON is schema-compatible with
-//! [`PersonalizationJob::decode`]: the candidates array carries a leading
-//! `null` sentinel (chunk-alignment artifact) which the decoder skips.
+//! Every piece of JSON text comes from the writers in
+//! [`hyrec_wire::messages`], the ones [`PersonalizationJob::to_json`] uses,
+//! so a body inflates to that text with one difference: the candidates
+//! array carries a leading `null` sentinel (so every candidate fragment can
+//! be comma-prefixed), which [`PersonalizationJob::decode`] skips.
 
 use hyrec_core::fast_hash::KeyedHashMap;
 use hyrec_core::FastHashMap;
@@ -60,6 +62,7 @@ use hyrec_wire::crc::{crc32, ShiftOp};
 use hyrec_wire::deflate::lz77::Effort;
 use hyrec_wire::deflate::{compress_chunk, STREAM_TERMINATOR};
 use hyrec_wire::gzip;
+use hyrec_wire::messages::{write_candidate, write_requester, JOB_END};
 use hyrec_wire::PersonalizationJob;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,41 +75,6 @@ use std::sync::{Arc, LazyLock};
 /// million-user deployments should size it to their hot set via
 /// [`JobEncoder::with_capacity`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024;
-
-/// Appends `value` in decimal, with no intermediate allocation.
-fn push_uint(out: &mut Vec<u8>, mut value: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[start..]);
-}
-
-/// Appends comma-separated item ids.
-fn push_items(out: &mut Vec<u8>, items: impl Iterator<Item = hyrec_core::ItemId>) {
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_uint(out, u64::from(item.raw()));
-    }
-}
-
-/// Serializes one profile to the exact JSON shape of
-/// `hyrec_wire::messages` (`{"liked":[…],"disliked":[…]}`).
-fn profile_json(out: &mut Vec<u8>, profile: &Profile) {
-    out.extend_from_slice(b"{\"liked\":[");
-    push_items(out, profile.liked());
-    out.extend_from_slice(b"],\"disliked\":[");
-    push_items(out, profile.disliked());
-    out.extend_from_slice(b"]}");
-}
 
 /// Appends `data` as one non-final stored DEFLATE block (RFC 1951 §3.2.4):
 /// a header byte with BFINAL = 0 and BTYPE = 00, whose padding bits align
@@ -153,9 +121,9 @@ impl Fragment {
     }
 }
 
-/// The body's closing `]}`, identical in every job: compressed once per
-/// process.
-static SUFFIX: LazyLock<Fragment> = LazyLock::new(|| Fragment::compress(b"]}"));
+/// The body's closing [`JOB_END`], identical in every job: compressed once
+/// per process.
+static SUFFIX: LazyLock<Fragment> = LazyLock::new(|| Fragment::compress(JOB_END));
 
 /// The requester chunk of an empty profile, identical for every user the
 /// server has never seen: compressed once per process and never cached, so
@@ -184,15 +152,12 @@ enum Slot {
 fn slot_json(out: &mut Vec<u8>, slot: Slot, user: UserId, profile: &Profile) {
     match slot {
         Slot::Candidate => {
-            out.extend_from_slice(b",{\"uid\":");
-            push_uint(out, u64::from(user.raw()));
-            out.extend_from_slice(b",\"profile\":");
-            profile_json(out, profile);
-            out.push(b'}');
+            out.push(b',');
+            write_candidate(out, user, profile);
         }
         Slot::Requester => {
-            profile_json(out, profile);
-            out.extend_from_slice(b",\"candidates\":[null");
+            write_requester(out, profile);
+            out.extend_from_slice(b"null");
         }
     }
 }
@@ -552,21 +517,7 @@ impl ResolvedBatch {
                 // Per-request head: requester id, parameters and the key
                 // the requester chunk completes.
                 head.clear();
-                head.extend_from_slice(b"{\"uid\":");
-                push_uint(&mut head, u64::from(job.uid.raw()));
-                head.extend_from_slice(b",\"k\":");
-                push_uint(&mut head, job.k as u64);
-                head.extend_from_slice(b",\"r\":");
-                push_uint(&mut head, job.r as u64);
-                if job.lease != 0 || job.epoch != 0 {
-                    // Same conditional shape as `PersonalizationJob::to_json`:
-                    // unleased jobs keep the seed wire format byte-for-byte.
-                    head.extend_from_slice(b",\"lease\":");
-                    push_uint(&mut head, job.lease);
-                    head.extend_from_slice(b",\"epoch\":");
-                    push_uint(&mut head, job.epoch);
-                }
-                head.extend_from_slice(b",\"profile\":");
+                job.write_head(&mut head);
 
                 let body_len = gzip::HEADER.len()
                     + STORED_OVERHEAD
@@ -638,6 +589,42 @@ mod tests {
         assert!(text.starts_with("{\"uid\":1"));
         assert!(text.contains("\"candidates\":[null,"));
         assert!(text.ends_with("]}"));
+    }
+
+    #[test]
+    fn bodies_inflate_to_the_job_text_with_a_null_sentinel() {
+        // The encoder's pieces and `PersonalizationJob::to_json` come from
+        // the same writers: a body is the job's text with `null` first in
+        // its candidates array, cold cache or warm.
+        let leased = PersonalizationJob {
+            lease: 31,
+            epoch: 4,
+            ..job()
+        };
+        let unknown_requester = PersonalizationJob {
+            profile: Profile::new().into(),
+            ..job()
+        };
+        let no_candidates = PersonalizationJob {
+            candidates: CandidateSet::new(),
+            ..job()
+        };
+        let encoder = JobEncoder::new();
+        for job in [job(), leased, unknown_requester, no_candidates] {
+            let sentinel = if job.candidates.is_empty() {
+                "null"
+            } else {
+                "null,"
+            };
+            let open = "\"candidates\":[";
+            let expected = job
+                .to_json()
+                .replacen(open, &format!("{open}{sentinel}"), 1);
+            for _ in 0..2 {
+                let raw = hyrec_wire::gzip::decompress(&encoder.encode(&job)).unwrap();
+                assert_eq!(String::from_utf8(raw).unwrap(), expected);
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper measures the widget on a Dell laptop and a Wiko smartphone
 //! while `stress`/AnTuTu generate background CPU load. We cannot ship that
-//! hardware, so the substitution (recorded in DESIGN.md) is:
+//! hardware, so the substitution is:
 //!
 //! * The **kernel time** — how long one widget run takes at a given profile
 //!   size and `k` — is *really measured* on this machine via

@@ -399,12 +399,12 @@ mod tests {
 
     #[test]
     fn parses_scalars() {
-        assert_eq!(parse("null").unwrap(), JsonValue::null());
-        assert_eq!(parse("true").unwrap(), JsonValue::from(true));
-        assert_eq!(parse("false").unwrap(), JsonValue::from(false));
-        assert_eq!(parse("42").unwrap(), JsonValue::from(42.0));
-        assert_eq!(parse("-0.5e2").unwrap(), JsonValue::from(-50.0));
-        assert_eq!(parse(r#""hi""#).unwrap(), JsonValue::from("hi"));
+        assert!(parse("null").unwrap().root().is_null());
+        assert_eq!(parse("true").unwrap().root().as_bool(), Some(true));
+        assert_eq!(parse("false").unwrap().root().as_bool(), Some(false));
+        assert_eq!(parse("42").unwrap().root().as_f64(), Some(42.0));
+        assert_eq!(parse("-0.5e2").unwrap().root().as_f64(), Some(-50.0));
+        assert_eq!(parse(r#""hi""#).unwrap().root().as_str(), Some("hi"));
     }
 
     #[test]
@@ -547,16 +547,32 @@ mod tests {
 
     mod properties {
         use super::*;
-        use crate::json::object;
         use proptest::prelude::*;
 
-        fn arb_json(depth: u32) -> BoxedStrategy<JsonValue> {
+        /// `s` as a JSON string literal.
+        fn quoted(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+
+        /// JSON text of a random document.
+        fn arb_json(depth: u32) -> BoxedStrategy<String> {
             let leaf = prop_oneof![
-                Just(JsonValue::null()),
-                any::<bool>().prop_map(JsonValue::from),
-                (-1e9f64..1e9).prop_map(JsonValue::from),
-                any::<i32>().prop_map(JsonValue::from),
-                "[a-zA-Z0-9 _\\-\"\\\\\n\t\u{00e9}\u{4e16}]{0,20}".prop_map(JsonValue::from),
+                Just("null".to_owned()),
+                any::<bool>().prop_map(|b| b.to_string()),
+                (-1e9f64..1e9).prop_map(|n| n.to_string()),
+                any::<i32>().prop_map(|n| n.to_string()),
+                "[a-zA-Z0-9 _\\-\"\\\\\n\t\u{00e9}\u{4e16}]{0,20}".prop_map(|s| quoted(&s)),
             ];
             if depth == 0 {
                 leaf.boxed()
@@ -564,11 +580,17 @@ mod tests {
                 prop_oneof![
                     4 => leaf,
                     1 => proptest::collection::vec(arb_json(depth - 1), 0..5)
-                        .prop_map(|items| items.into_iter().collect()),
+                        .prop_map(|items| format!("[{}]", items.join(","))),
                     1 => proptest::collection::vec(
                         ("[a-z]{1,8}", arb_json(depth - 1)),
                         0..5
-                    ).prop_map(object),
+                    ).prop_map(|members| {
+                        let members: Vec<String> = members
+                            .iter()
+                            .map(|(key, value)| format!("{}:{value}", quoted(key)))
+                            .collect();
+                        format!("{{{}}}", members.join(","))
+                    }),
                 ]
                 .boxed()
             }
@@ -576,8 +598,8 @@ mod tests {
 
         proptest! {
             #[test]
-            fn serialize_parse_round_trips(v in arb_json(3)) {
-                let text = v.to_string();
+            fn serialize_parse_round_trips(source in arb_json(3)) {
+                let text = parse(&source).unwrap().to_string();
                 let back = parse(&text).unwrap();
                 // Numbers may differ representation-wise; compare re-serialized.
                 prop_assert_eq!(back.to_string(), text);

@@ -1,11 +1,17 @@
-//! A from-scratch JSON document (tape, serializer, parser).
+//! JSON on the wire: a parsed document, plus the byte writers the message
+//! encoders append with.
 //!
 //! Mirrors what the paper's stack (Jackson on the server, `JSON.parse` in the
 //! browser) does with personalization jobs: order-preserving objects, UTF-8
-//! text, no streaming. The serializer emits compact JSON (no whitespace) —
-//! the same shape the paper measures in Figure 10 before gzip.
+//! text, no streaming. Output is compact JSON (no whitespace) — the same
+//! shape the paper measures in Figure 10 before gzip.
 //!
-//! A [`JsonValue`] is a flat tape, not a tree of boxed values:
+//! Messages are never built as documents: [`crate::messages`] writes their
+//! bytes straight into a buffer with [`push_uint`] and [`push_number`], the
+//! same number formatting a document's `Display` uses.
+//!
+//! A [`JsonValue`] is what [`parse`] returns, a flat tape, not a tree of
+//! boxed values:
 //!
 //! * one `Vec` of 16-byte nodes in document order, the root first;
 //! * scalars live in their node, numbers inline as `f64`;
@@ -15,17 +21,15 @@
 //! * one `String` holds the bytes of every string and key.
 //!
 //! Reads go through [`JsonRef`], a `Copy` view of one node borrowed from
-//! the document. [`object`], `collect` and the `From` impls build a tape by
-//! appending; [`array()`] and [`object_with`] append nested values in place,
-//! so a message serializes from one pass over its fields. Parsing a
-//! personalization job is one pass that appends ~12k number nodes to one
-//! buffer; the message decoders then walk the tape and fold each id array
-//! straight into its `Vec<ItemId>`.
+//! the document. Parsing a personalization job is one pass that appends
+//! ~12k number nodes to one buffer; the message decoders then walk the tape
+//! and fold each id array straight into its `Vec<ItemId>`.
 
 mod de;
 mod ser;
 
 pub use de::parse;
+pub use ser::{push_number, push_uint};
 
 use crate::error::WireError;
 use std::fmt;
@@ -59,12 +63,11 @@ enum Node {
 
 const _: () = assert!(std::mem::size_of::<Node>() == 16);
 
-/// A JSON document.
+/// A parsed JSON document.
 ///
-/// Objects preserve insertion order (like Jackson's default `ObjectNode`
-/// serialization), which keeps serialized bytes deterministic — important for
-/// reproducible message-size measurements. Two documents are equal when they
-/// hold the same values in the same order.
+/// Objects keep their members in document order, so `Display` reprints a
+/// document's values in the order it was written. Two documents are equal
+/// when they hold the same values in the same order.
 ///
 /// ```
 /// use hyrec_wire::json::JsonValue;
@@ -92,15 +95,6 @@ impl JsonValue {
         de::parse(text)
     }
 
-    /// The document `null`.
-    #[must_use]
-    pub fn null() -> Self {
-        Self {
-            nodes: vec![Node::Null],
-            strings: String::new(),
-        }
-    }
-
     /// A view of the root value.
     #[must_use]
     pub fn root(&self) -> JsonRef<'_> {
@@ -110,31 +104,11 @@ impl JsonValue {
         }
     }
 
-    /// Serializes to compact JSON bytes (no whitespace).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_string().into_bytes()
-    }
-
     fn with_capacity(nodes: usize) -> Self {
         Self {
             nodes: Vec::with_capacity(nodes),
             strings: String::new(),
         }
-    }
-
-    /// A document holding `value`.
-    fn build(value: impl IntoJson) -> Self {
-        let mut doc = Self::with_capacity(1);
-        value.append_to(&mut doc);
-        doc
-    }
-
-    /// Appends a string node holding `s`.
-    fn push_str(&mut self, s: &str) {
-        let start = to_u32(self.strings.len());
-        self.strings.push_str(s);
-        self.push_string_from(start);
     }
 
     /// Appends a string node for the bytes pushed since `start`.
@@ -161,22 +135,6 @@ impl JsonValue {
             }
             _ => unreachable!("only containers are opened"),
         }
-    }
-
-    /// Appends another document's tape as one value.
-    fn append(&mut self, other: &JsonValue) {
-        let base = to_u32(self.strings.len());
-        self.strings.push_str(&other.strings);
-        // Checked here, so the shifted offsets below cannot wrap.
-        to_u32(self.strings.len());
-        self.nodes
-            .extend(other.nodes.iter().map(|&node| match node {
-                Node::String { start, len } => Node::String {
-                    start: start + base,
-                    len,
-                },
-                node => node,
-            }));
     }
 }
 
@@ -417,202 +375,6 @@ impl<'a> Iterator for Members<'a> {
 
 impl ExactSizeIterator for Members<'_> {}
 
-mod sealed {
-    pub trait Sealed {}
-}
-
-/// A value that appends itself to a tape as exactly one JSON value:
-/// numbers, bools, strings, documents, and the in-place [`array()`] and
-/// [`object_with`]. `collect`, [`object`], [`array()`] and
-/// [`ObjectWriter::field`] take any of them, so a list of ids builds
-/// without a document per id.
-pub trait IntoJson: sealed::Sealed {
-    #[doc(hidden)]
-    fn append_to(self, doc: &mut JsonValue);
-}
-
-impl sealed::Sealed for JsonValue {}
-
-impl IntoJson for JsonValue {
-    fn append_to(self, doc: &mut JsonValue) {
-        doc.append(&self);
-    }
-}
-
-impl sealed::Sealed for bool {}
-
-impl IntoJson for bool {
-    fn append_to(self, doc: &mut JsonValue) {
-        doc.nodes.push(Node::Bool(self));
-    }
-}
-
-impl From<bool> for JsonValue {
-    fn from(b: bool) -> Self {
-        Self::build(b)
-    }
-}
-
-macro_rules! number_into_json {
-    ($($t:ty),*) => {$(
-        impl sealed::Sealed for $t {}
-
-        impl IntoJson for $t {
-            fn append_to(self, doc: &mut JsonValue) {
-                doc.nodes.push(Node::Number(self as f64));
-            }
-        }
-
-        impl From<$t> for JsonValue {
-            fn from(n: $t) -> Self {
-                Self::build(n)
-            }
-        }
-    )*};
-}
-
-number_into_json!(f64, u32, i32, u64, usize);
-
-impl sealed::Sealed for &str {}
-
-impl IntoJson for &str {
-    fn append_to(self, doc: &mut JsonValue) {
-        doc.push_str(self);
-    }
-}
-
-impl sealed::Sealed for String {}
-
-impl IntoJson for String {
-    fn append_to(self, doc: &mut JsonValue) {
-        doc.push_str(&self);
-    }
-}
-
-impl From<&str> for JsonValue {
-    fn from(s: &str) -> Self {
-        Self::build(s)
-    }
-}
-
-impl From<String> for JsonValue {
-    fn from(s: String) -> Self {
-        Self::build(s)
-    }
-}
-
-/// Builds an array, appending each item to one tape.
-impl<T: IntoJson> FromIterator<T> for JsonValue {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        Self::build(array(iter))
-    }
-}
-
-/// Builds an object from `(key, value)` pairs, preserving order.
-///
-/// ```
-/// use hyrec_wire::json::{object, JsonValue};
-/// let o = object([("a", JsonValue::from(1u32)), ("b", JsonValue::from("x"))]);
-/// assert_eq!(o.to_string(), r#"{"a":1,"b":"x"}"#);
-/// ```
-pub fn object<K, V, I>(entries: I) -> JsonValue
-where
-    K: AsRef<str>,
-    V: IntoJson,
-    I: IntoIterator<Item = (K, V)>,
-{
-    JsonValue::build(object_with(|o| {
-        for (key, value) in entries {
-            o.field(key.as_ref(), value);
-        }
-    }))
-}
-
-/// An array of `items` that appends them straight into the tape it is
-/// appended to. Nested with [`object_with`], a whole message builds in
-/// one pass: no value is built as a document of its own and copied.
-pub fn array<I>(items: I) -> Array<I::IntoIter>
-where
-    I: IntoIterator,
-    I::Item: IntoJson,
-{
-    Array(items.into_iter())
-}
-
-/// See [`array()`].
-#[derive(Debug, Clone)]
-pub struct Array<I>(I);
-
-impl<I> sealed::Sealed for Array<I> {}
-
-impl<I> IntoJson for Array<I>
-where
-    I: Iterator,
-    I::Item: IntoJson,
-{
-    fn append_to(self, doc: &mut JsonValue) {
-        let at = doc.open(Node::Array { len: 0, span: 0 });
-        doc.nodes.reserve(self.0.size_hint().0);
-        let mut len = 0;
-        for item in self.0 {
-            item.append_to(doc);
-            len += 1;
-        }
-        doc.close(at, len);
-    }
-}
-
-/// An object whose members `fill` appends, through an [`ObjectWriter`],
-/// straight into the tape the object is appended to (see [`array()`]).
-///
-/// ```
-/// use hyrec_wire::json::{array, object_with, JsonValue};
-/// let doc = JsonValue::from(object_with(|o| {
-///     o.field("uid", 7u32).field("liked", array([1u32, 2]));
-/// }));
-/// assert_eq!(doc.to_string(), r#"{"uid":7,"liked":[1,2]}"#);
-/// ```
-pub fn object_with<F: FnOnce(&mut ObjectWriter<'_>)>(fill: F) -> ObjectWith<F> {
-    ObjectWith(fill)
-}
-
-/// See [`object_with`].
-pub struct ObjectWith<F>(F);
-
-/// Appends an object's members in order (see [`object_with`]).
-pub struct ObjectWriter<'a> {
-    doc: &'a mut JsonValue,
-    len: usize,
-}
-
-impl ObjectWriter<'_> {
-    /// Appends the member `key: value`.
-    pub fn field(&mut self, key: &str, value: impl IntoJson) -> &mut Self {
-        self.doc.push_str(key);
-        value.append_to(self.doc);
-        self.len += 1;
-        self
-    }
-}
-
-impl<F> sealed::Sealed for ObjectWith<F> {}
-
-impl<F: FnOnce(&mut ObjectWriter<'_>)> IntoJson for ObjectWith<F> {
-    fn append_to(self, doc: &mut JsonValue) {
-        let at = doc.open(Node::Object { len: 0, span: 0 });
-        let mut writer = ObjectWriter { doc, len: 0 };
-        (self.0)(&mut writer);
-        let len = writer.len;
-        doc.close(at, len);
-    }
-}
-
-impl<F: FnOnce(&mut ObjectWriter<'_>)> From<ObjectWith<F>> for JsonValue {
-    fn from(object: ObjectWith<F>) -> Self {
-        Self::build(object)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,19 +399,19 @@ mod tests {
 
     #[test]
     fn integer_accessors_reject_fractions_and_out_of_range() {
-        let u = |x: f64| JsonValue::from(x).root().as_u64();
-        let i = |x: f64| JsonValue::from(x).root().as_i64();
-        assert_eq!(u(0.0), Some(0));
-        assert_eq!(u(-0.0), Some(0));
-        assert_eq!(u(2f64.powi(53)), Some(1 << 53));
-        assert_eq!(u(2f64.powi(53) + 2.0), None);
-        assert_eq!(u(0.5), None);
-        assert_eq!(u(-1.0), None);
-        assert_eq!(u(f64::NAN), None);
-        assert_eq!(u(f64::INFINITY), None);
-        assert_eq!(i(-(2f64.powi(53))), Some(-(1 << 53)));
-        assert_eq!(i(-2.5), None);
-        assert_eq!(i(f64::NEG_INFINITY), None);
+        let u = |x: &str| JsonValue::parse(x).unwrap().root().as_u64();
+        let i = |x: &str| JsonValue::parse(x).unwrap().root().as_i64();
+        assert_eq!(u("0"), Some(0));
+        assert_eq!(u("-0"), Some(0));
+        assert_eq!(u("9007199254740992"), Some(1 << 53));
+        assert_eq!(u("9007199254740994"), None);
+        assert_eq!(u("0.5"), None);
+        assert_eq!(u("-1"), None);
+        // Past `f64`'s range, a number parses as an infinity.
+        assert_eq!(u("1e400"), None);
+        assert_eq!(i("-9007199254740992"), Some(-(1 << 53)));
+        assert_eq!(i("-2.5"), None);
+        assert_eq!(i("-1e400"), None);
     }
 
     #[test]
@@ -660,19 +422,20 @@ mod tests {
     }
 
     #[test]
-    fn from_impls() {
-        assert_eq!(JsonValue::from(true).root().as_bool(), Some(true));
-        assert_eq!(JsonValue::from(3u32).root().as_u64(), Some(3));
-        assert_eq!(JsonValue::from("x").root().as_str(), Some("x"));
-        assert!(JsonValue::null().root().is_null());
-        let arr: JsonValue = [1u32, 2, 3].into_iter().collect();
+    fn scalars_and_arrays_read_back() {
+        let read = |text: &str| JsonValue::parse(text).unwrap();
+        assert_eq!(read("true").root().as_bool(), Some(true));
+        assert_eq!(read("3").root().as_u64(), Some(3));
+        assert_eq!(read("\"x\"").root().as_str(), Some("x"));
+        assert!(read("null").root().is_null());
+        let arr = read(" [ 1, 2, 3 ] ");
         assert_eq!(arr.root().as_array().unwrap().len(), 3);
-        assert_eq!(arr, JsonValue::parse("[1,2,3]").unwrap());
+        assert_eq!(arr, read("[1,2,3]"));
     }
 
     #[test]
     fn object_preserves_order() {
-        let o = object([("z", JsonValue::from(1u32)), ("a", JsonValue::from(2u32))]);
+        let o = JsonValue::parse(r#"{ "z": 1, "a": 2 }"#).unwrap();
         assert_eq!(o.to_string(), r#"{"z":1,"a":2}"#);
     }
 
@@ -688,18 +451,17 @@ mod tests {
 
     #[test]
     fn built_documents_nest_and_equal_their_parse() {
-        let inner = object([("s", "é"), ("t", "\"")]);
-        let doc = object([
-            ("x", inner.clone()),
-            ("y", ["p", "q"].into_iter().collect()),
-            ("z", JsonValue::null()),
-        ]);
+        let inner = r#"{"s":"é","t":"\""}"#;
+        let doc = JsonValue::parse(&format!(
+            r#"{{ "x": {inner}, "y": [ "p", "q" ], "z": null }}"#
+        ))
+        .unwrap();
         let text = doc.to_string();
         assert_eq!(text, r#"{"x":{"s":"é","t":"\""},"y":["p","q"],"z":null}"#);
         assert_eq!(JsonValue::parse(&text).unwrap(), doc);
         let x = doc.root().get("x").unwrap();
         assert_eq!(x.get("t").unwrap().as_str(), Some("\""));
-        assert_eq!(x.to_string(), inner.to_string());
+        assert_eq!(x.to_string(), inner);
         let keys: Vec<&str> = doc.root().as_object().unwrap().map(|(k, _)| k).collect();
         assert_eq!(keys, ["x", "y", "z"]);
     }

@@ -1,4 +1,5 @@
-//! Compact JSON serialization.
+//! Compact JSON output: the `Display` of a parsed document, and the byte
+//! writers the message encoders append with.
 //!
 //! Emits the exact byte shape the paper's server produces before gzip:
 //! compact separators, integers without a fractional part, control characters
@@ -6,6 +7,7 @@
 
 use super::{JsonRef, Node};
 use std::fmt;
+use std::io::Write as _;
 
 pub(super) fn write_value(f: &mut fmt::Formatter<'_>, value: JsonRef<'_>) -> fmt::Result {
     match value.node() {
@@ -52,6 +54,27 @@ fn write_number(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
     }
 }
 
+/// Appends `n` as JSON text, formatted as a parsed document's numbers are.
+pub fn push_number(out: &mut Vec<u8>, n: f64) {
+    write!(out, "{}", fmt::from_fn(|f| write_number(f, n))).expect("a Vec takes every write");
+}
+
+/// Appends `value` in decimal with a digit loop: no `fmt` machinery and no
+/// allocation, so a per-request job head costs only its bytes.
+pub fn push_uint(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
 fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {
@@ -72,45 +95,62 @@ fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 
 #[cfg(test)]
 mod tests {
-    use crate::json::{object, JsonValue};
+    use super::{push_number, push_uint};
+    use crate::json::JsonValue;
+
+    fn reprint(text: &str) -> String {
+        JsonValue::parse(text).unwrap().to_string()
+    }
+
+    fn number(n: f64) -> String {
+        let mut out = Vec::new();
+        push_number(&mut out, n);
+        String::from_utf8(out).unwrap()
+    }
 
     #[test]
     fn scalars() {
-        assert_eq!(JsonValue::null().to_string(), "null");
-        assert_eq!(JsonValue::from(true).to_string(), "true");
-        assert_eq!(JsonValue::from(false).to_string(), "false");
-        assert_eq!(JsonValue::from(3.0).to_string(), "3");
-        assert_eq!(JsonValue::from(-2.5).to_string(), "-2.5");
-        assert_eq!(JsonValue::from(f64::NAN).to_string(), "null");
-        assert_eq!(JsonValue::from(f64::INFINITY).to_string(), "null");
+        assert_eq!(reprint("null"), "null");
+        assert_eq!(reprint("true"), "true");
+        assert_eq!(reprint("false"), "false");
+        assert_eq!(reprint("3.0"), "3");
+        assert_eq!(reprint("-2.5"), "-2.5");
+        assert_eq!(number(3.0), "3");
+        assert_eq!(number(-2.5), "-2.5");
+        assert_eq!(number(f64::NAN), "null");
+        assert_eq!(number(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn uints_print_every_digit() {
+        for n in [0, 7, 10, 4_294_967_295, (1 << 53) + 1, u64::MAX] {
+            let mut out = b"x".to_vec();
+            push_uint(&mut out, n);
+            assert_eq!(out, format!("x{n}").into_bytes());
+        }
     }
 
     #[test]
     fn string_escapes() {
-        let s = JsonValue::from("a\"b\\c\nd\te\u{0001}");
-        assert_eq!(s.to_string(), "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+        let s = reprint(r#""a\"b\\c\nd\te\u0001""#);
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
     }
 
     #[test]
     fn unicode_passthrough() {
-        let s = JsonValue::from("héllo — 世界");
-        assert_eq!(s.to_string(), "\"héllo — 世界\"");
+        assert_eq!(reprint("\"héllo — 世界\""), "\"héllo — 世界\"");
     }
 
     #[test]
     fn nested_structure_is_compact() {
-        let v = object([(
-            "outer",
-            [object([("x", 1u32)]), JsonValue::null()]
-                .into_iter()
-                .collect::<JsonValue>(),
-        )]);
-        assert_eq!(v.to_string(), r#"{"outer":[{"x":1},null]}"#);
+        let v = reprint(r#"{ "outer" : [ { "x" : 1 } , null ] }"#);
+        assert_eq!(v, r#"{"outer":[{"x":1},null]}"#);
     }
 
     #[test]
     fn large_integers_stay_integral() {
-        let v = JsonValue::from(4_294_967_295.0); // u32::MAX
-        assert_eq!(v.to_string(), "4294967295");
+        // u32::MAX
+        assert_eq!(reprint("4294967295.0"), "4294967295");
+        assert_eq!(number(4_294_967_295.0), "4294967295");
     }
 }

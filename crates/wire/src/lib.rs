@@ -2,18 +2,19 @@
 //!
 //! The wire substrate of the HyRec reproduction, built entirely from scratch:
 //!
-//! * [`json`] — a JSON document stored as a flat tape, with a serializer
-//!   and a parser. The paper's implementation exchanges Jackson-produced
-//!   JSON between the J2EE server
-//!   and the jQuery widget (Section 4.2); our codec produces byte-identical
-//!   shapes so message-size measurements (Figure 10) are faithful.
+//! * [`json`] — a parsed JSON document stored as a flat tape, plus the
+//!   byte writers messages are serialized with. The paper's implementation
+//!   exchanges Jackson-produced JSON between the J2EE server and the jQuery
+//!   widget (Section 4.2); our output has the same compact shape, so
+//!   message-size measurements (Figure 10) are faithful.
 //! * [`deflate`] — a DEFLATE (RFC 1951) compressor and decompressor: LZ77
 //!   hash-chain matching plus fixed and dynamic Huffman blocks.
 //! * [`gzip`] — gzip (RFC 1952) framing with CRC-32, the on-the-fly
 //!   `Content-Encoding: gzip` the paper's server applies to every response.
 //! * [`messages`] — the personalization-job and KNN-update schemas of the
-//!   HyRec web API (Table 1), with JSON round-trips and exact byte
-//!   accounting for the bandwidth experiments.
+//!   HyRec web API (Table 1): the one place that writes their JSON text
+//!   (the server's job encoder caches pieces from the same writers), the
+//!   decoders, and exact byte accounting for the bandwidth experiments.
 //!
 //! ## Why from scratch?
 //!

@@ -12,10 +12,16 @@
 //! Both serialize to the JSON shapes the paper's Jackson stack would emit,
 //! and both report their exact wire size raw and gzipped — the quantities of
 //! Figure 10 and the client-bandwidth comparison of Section 5.6.
+//!
+//! The byte writers here ([`PersonalizationJob::write_head`],
+//! [`write_requester`], [`write_candidate`], [`JOB_END`]) are the only code
+//! that knows a job's JSON shape: [`PersonalizationJob::to_json`] chains
+//! them, and the server's chunk-caching encoder compresses the same pieces
+//! separately, so both produce the same text.
 
 use crate::error::WireError;
 use crate::gzip;
-use crate::json::{array, object_with, IntoJson, JsonRef, JsonValue};
+use crate::json::{push_number, push_uint, JsonRef, JsonValue};
 use hyrec_core::{CandidateSet, ItemId, Neighbor, Neighborhood, Profile, UserId};
 use std::sync::Arc;
 
@@ -46,27 +52,37 @@ pub struct PersonalizationJob {
 }
 
 impl PersonalizationJob {
-    /// Serializes to the compact JSON wire shape, in one pass over the
-    /// tape.
+    /// Serializes to the compact JSON wire shape:
+    /// [`Self::write_head`], [`write_requester`], the candidates through
+    /// [`write_candidate`] separated by commas, then [`JOB_END`].
     #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::from(object_with(|o| {
-            o.field("uid", self.uid.raw())
-                .field("k", self.k)
-                .field("r", self.r);
-            if self.lease != 0 || self.epoch != 0 {
-                o.field("lease", self.lease).field("epoch", self.epoch);
+    pub fn to_json(&self) -> String {
+        let mut out = Vec::new();
+        self.write_head(&mut out);
+        write_requester(&mut out, &self.profile);
+        for (i, candidate) in self.candidates.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
             }
-            o.field("profile", profile_json(&self.profile)).field(
-                "candidates",
-                array(self.candidates.iter().map(|c| {
-                    object_with(move |o| {
-                        o.field("uid", c.user.raw())
-                            .field("profile", profile_json(&c.profile));
-                    })
-                })),
-            );
-        }))
+            write_candidate(&mut out, candidate.user, &candidate.profile);
+        }
+        out.extend_from_slice(JOB_END);
+        String::from_utf8(out).expect("the writers emit ASCII")
+    }
+
+    /// Appends the job's head,
+    /// `{"uid":…,"k":…,"r":…[,"lease":…,"epoch":…],"profile":`. An
+    /// unleased job (lease and epoch both 0) has no lease keys, the wire
+    /// shape from before the scheduler.
+    pub fn write_head(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"uid\":");
+        push_uint(out, u64::from(self.uid.raw()));
+        out.extend_from_slice(b",\"k\":");
+        push_uint(out, self.k as u64);
+        out.extend_from_slice(b",\"r\":");
+        push_uint(out, self.r as u64);
+        push_lease(out, self.lease, self.epoch);
+        out.extend_from_slice(b",\"profile\":");
     }
 
     /// Reads a job from its parsed JSON wire shape, walking the tape once:
@@ -121,19 +137,19 @@ impl PersonalizationJob {
     /// Serialized size in bytes, raw JSON (the `json` series of Figure 10).
     #[must_use]
     pub fn json_bytes(&self) -> usize {
-        self.to_json().to_bytes().len()
+        self.to_json().len()
     }
 
     /// Serialized size in bytes after gzip (the `gzip` series of Figure 10).
     #[must_use]
     pub fn gzip_bytes(&self) -> usize {
-        gzip::compress(&self.to_json().to_bytes()).len()
+        self.encode().len()
     }
 
     /// Encodes to gzipped JSON bytes, the exact on-the-wire representation.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        gzip::compress(&self.to_json().to_bytes())
+        gzip::compress(self.to_json().as_bytes())
     }
 
     /// Decodes from gzipped JSON bytes.
@@ -189,24 +205,28 @@ impl KnnUpdate {
         Neighborhood::from_neighbors(self.neighbors.iter().copied())
     }
 
-    /// Serializes to the compact JSON wire shape.
+    /// Serializes to the compact JSON wire shape,
+    /// `{"uid":…[,"lease":…,"epoch":…],"neighbors":[{"uid":…,"sim":…},…]}`,
+    /// each similarity quantized to 6 decimal digits.
     #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::from(object_with(|o| {
-            o.field("uid", self.uid.raw());
-            if self.lease != 0 || self.epoch != 0 {
-                o.field("lease", self.lease).field("epoch", self.epoch);
+    pub fn to_json(&self) -> String {
+        let mut out = Vec::new();
+        out.extend_from_slice(b"{\"uid\":");
+        push_uint(&mut out, u64::from(self.uid.raw()));
+        push_lease(&mut out, self.lease, self.epoch);
+        out.extend_from_slice(b",\"neighbors\":[");
+        for (i, n) in self.neighbors.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
             }
-            o.field(
-                "neighbors",
-                array(self.neighbors.iter().map(|n| {
-                    object_with(move |o| {
-                        o.field("uid", n.user.raw())
-                            .field("sim", quantize(n.similarity));
-                    })
-                })),
-            );
-        }))
+            out.extend_from_slice(b"{\"uid\":");
+            push_uint(&mut out, u64::from(n.user.raw()));
+            out.extend_from_slice(b",\"sim\":");
+            push_number(&mut out, quantize(n.similarity));
+            out.push(b'}');
+        }
+        out.extend_from_slice(b"]}");
+        String::from_utf8(out).expect("the writer emits ASCII")
     }
 
     /// Reads an update from its parsed JSON wire shape.
@@ -246,13 +266,13 @@ impl KnnUpdate {
     /// Serialized size in bytes, raw JSON.
     #[must_use]
     pub fn json_bytes(&self) -> usize {
-        self.to_json().to_bytes().len()
+        self.to_json().len()
     }
 
     /// Encodes to gzipped JSON bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        gzip::compress(&self.to_json().to_bytes())
+        gzip::compress(self.to_json().as_bytes())
     }
 
     /// Most JSON bytes [`KnnUpdate::decode`] inflates: 1 MiB, some twenty
@@ -275,12 +295,54 @@ impl KnnUpdate {
     }
 }
 
-/// `{"liked":[…],"disliked":[…]}`, written in place.
-fn profile_json(p: &Profile) -> impl IntoJson + '_ {
-    object_with(move |o| {
-        o.field("liked", array(p.liked().map(|i| i.raw())))
-            .field("disliked", array(p.disliked().map(|i| i.raw())));
-    })
+/// The end of a job, `]}`: it closes the candidates array and the job.
+pub const JOB_END: &[u8] = b"]}";
+
+/// Appends the requester's part of a job, which follows
+/// [`PersonalizationJob::write_head`]: the profile, then the key that opens
+/// the candidates array, `{"liked":[…],"disliked":[…]},"candidates":[`.
+pub fn write_requester(out: &mut Vec<u8>, profile: &Profile) {
+    write_profile(out, profile);
+    out.extend_from_slice(b",\"candidates\":[");
+}
+
+/// Appends one element of a job's candidates array,
+/// `{"uid":…,"profile":{"liked":[…],"disliked":[…]}}`.
+pub fn write_candidate(out: &mut Vec<u8>, user: UserId, profile: &Profile) {
+    out.extend_from_slice(b"{\"uid\":");
+    push_uint(out, u64::from(user.raw()));
+    out.extend_from_slice(b",\"profile\":");
+    write_profile(out, profile);
+    out.push(b'}');
+}
+
+/// `{"liked":[…],"disliked":[…]}`.
+fn write_profile(out: &mut Vec<u8>, profile: &Profile) {
+    out.extend_from_slice(b"{\"liked\":[");
+    push_items(out, profile.liked());
+    out.extend_from_slice(b"],\"disliked\":[");
+    push_items(out, profile.disliked());
+    out.extend_from_slice(b"]}");
+}
+
+/// Appends comma-separated item ids, the inside of a JSON id array.
+pub fn push_items(out: &mut Vec<u8>, items: impl Iterator<Item = ItemId>) {
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_uint(out, u64::from(item.raw()));
+    }
+}
+
+/// `,"lease":…,"epoch":…`, or nothing for an unleased message.
+fn push_lease(out: &mut Vec<u8>, lease: u64, epoch: u64) {
+    if lease != 0 || epoch != 0 {
+        out.extend_from_slice(b",\"lease\":");
+        push_uint(out, lease);
+        out.extend_from_slice(b",\"epoch\":");
+        push_uint(out, epoch);
+    }
 }
 
 /// Rounds similarity to 6 decimal digits so the wire shape is compact and
@@ -356,7 +418,8 @@ mod tests {
     #[test]
     fn job_json_round_trip() {
         let job = sample_job();
-        let back = PersonalizationJob::from_json(&job.to_json()).unwrap();
+        let back =
+            PersonalizationJob::from_json(&JsonValue::parse(&job.to_json()).unwrap()).unwrap();
         assert_eq!(back, job);
     }
 
@@ -423,7 +486,7 @@ mod tests {
                 similarity: 1.0 / 3.0,
             }],
         };
-        let back = KnnUpdate::from_json(&update.to_json()).unwrap();
+        let back = KnnUpdate::from_json(&JsonValue::parse(&update.to_json()).unwrap()).unwrap();
         assert!((back.neighbors[0].similarity - 0.333_333).abs() < 1e-9);
     }
 

@@ -1,5 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out: the sampler's
-//! three legs, offline-user leverage, and compression effort.
+//! Ablations of three design choices: the sampler's three legs,
+//! offline-user leverage, and compression effort.
 
 use hyrec::prelude::*;
 use hyrec::server::sampler::{NoRandomSampler, RandomOnlySampler};
@@ -133,7 +133,7 @@ fn compression_effort_tradeoff_is_monotone() {
         let job = server.build_job(UserId(u));
         server.apply_update(&widget.run_job(&job).update);
     }
-    let raw = server.build_job(UserId(0)).to_json().to_bytes();
+    let raw = server.build_job(UserId(0)).to_json().into_bytes();
     let fast = gzip::compress_with(&raw, Effort::FAST);
     let default = gzip::compress_with(&raw, Effort::DEFAULT);
     let best = gzip::compress_with(&raw, Effort::BEST);

@@ -35,7 +35,7 @@ fn sample_payload() -> Vec<u8> {
         let job = server.build_job(UserId(u));
         server.apply_update(&widget.run_job(&job).update);
     }
-    server.build_job(UserId(7)).to_json().to_bytes()
+    server.build_job(UserId(7)).to_json().into_bytes()
 }
 
 /// `zcat` must decode our gzip output byte-for-byte.
