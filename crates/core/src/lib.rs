@@ -66,7 +66,7 @@ pub use knn::{Neighbor, Neighborhood};
 pub use profile::{Profile, SharedProfile, Vote};
 pub use recommend::Recommendation;
 pub use similarity::{Cosine, Jaccard, Overlap, Similarity};
-pub use tables::{KnnTable, ProfileTable};
+pub use tables::{KnnTable, ProfileTable, Recorded, UserTable};
 
 /// Convenient glob import for downstream code and doc examples.
 pub mod prelude {

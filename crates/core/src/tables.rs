@@ -3,10 +3,12 @@
 //! Section 2.2/3.1 of the paper: "the server maintains two global data
 //! structures: a Profile Table, recording the profiles of all the users in
 //! the system, and the KNN Table containing the k nearest neighbors of each
-//! user". Both tables sit on the request path of every online user, so they
-//! are sharded and guarded by `parking_lot` RwLocks: reads (sampler pulling
-//! candidate profiles) massively dominate writes (one profile update and one
-//! KNN write-back per request).
+//! user". Both are one sharded map, [`UserTable`], under two aliases;
+//! only their writes and the KNN table's average view similarity are their
+//! own. Both sit on the request path of every online user, so the map is
+//! sharded and guarded by `parking_lot` RwLocks: reads (sampler pulling
+//! candidate profiles) massively dominate writes (one profile update and
+//! one KNN write-back per request).
 
 use crate::fast_hash::FastHashMap;
 use crate::id::UserId;
@@ -83,7 +85,122 @@ fn shards(mut touched: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Sharded, thread-safe map from user to profile.
+/// Sharded, thread-safe map from user to `V`: the one map behind
+/// [`ProfileTable`] and [`KnnTable`].
+///
+/// Single reads take one shard's read lock; batched reads and writes take
+/// each touched shard's lock once, visiting a shard's items in input order.
+#[derive(Debug)]
+pub struct UserTable<V> {
+    shards: Vec<RwLock<FastHashMap<UserId, V>>>,
+}
+
+impl<V> Default for UserTable<V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<V> UserTable<V> {
+    /// Creates an empty table.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(FastHashMap::default()))
+                .collect(),
+        }
+    }
+
+    /// Runs `f` on `user`'s value without cloning (read lock held).
+    pub fn with<R>(&self, user: UserId, f: impl FnOnce(&V) -> R) -> Option<R> {
+        self.shards[shard_of(user)].read().get(&user).map(f)
+    }
+
+    /// Batched [`Self::with`]: runs `f` on each present value under its
+    /// shard's read lock (taken once per touched shard), returning results
+    /// in input order. The zero-clone read path of the batched sampler:
+    /// extracting just the neighbour ids never copies a [`Neighborhood`].
+    pub fn map_many<R>(&self, users: &[UserId], mut f: impl FnMut(&V) -> R) -> Vec<Option<R>> {
+        let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(users.len()).collect();
+        for (shard_idx, positions) in ShardGroups::new(users, |&user| user).iter() {
+            let shard = self.shards[shard_idx].read();
+            for &pos in positions {
+                out[pos] = shard.get(&users[pos]).map(&mut f);
+            }
+        }
+        out
+    }
+
+    /// Whether the table has an entry for `user`.
+    #[must_use]
+    pub fn contains(&self, user: UserId) -> bool {
+        self.shards[shard_of(user)].read().contains_key(&user)
+    }
+
+    /// Number of users with an entry.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.read().len()).sum()
+    }
+
+    /// True when no user has an entry.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.shards.iter().all(|s| s.read().is_empty())
+    }
+
+    /// Runs `f` on every entry, shard by shard (unordered).
+    fn map_all<R>(&self, mut f: impl FnMut(&V) -> R) -> Vec<(UserId, R)> {
+        let mut all = Vec::with_capacity(self.len());
+        for shard in &self.shards {
+            all.extend(shard.read().iter().map(|(u, v)| (*u, f(v))));
+        }
+        all
+    }
+
+    /// The one batched write: runs `f` on each position of `groups` with
+    /// its shard's map, taking each touched shard's write lock once.
+    fn write_many(
+        &self,
+        groups: &ShardGroups,
+        mut f: impl FnMut(&mut FastHashMap<UserId, V>, usize),
+    ) {
+        for (shard_idx, positions) in groups.iter() {
+            let mut shard = self.shards[shard_idx].write();
+            for &pos in positions {
+                f(&mut shard, pos);
+            }
+        }
+    }
+}
+
+impl<V: Clone> UserTable<V> {
+    /// Returns a clone of `user`'s value: for a profile an `Arc` bump, so
+    /// jobs share the stored allocation (the zero-copy hot path) and the
+    /// short read lock is released before any work on it.
+    #[must_use]
+    pub fn get(&self, user: UserId) -> Option<V> {
+        self.with(user, V::clone)
+    }
+
+    /// Batched [`Self::get`]: one read lock per touched shard, results in
+    /// input order (the profile fetch of `HyRecServer::build_jobs`).
+    #[must_use]
+    pub fn get_many(&self, users: &[UserId]) -> Vec<Option<V>> {
+        self.map_many(users, V::clone)
+    }
+
+    /// Snapshot of the whole table (unordered), for offline back-ends that
+    /// batch over every user (Offline-Ideal, Offline-CRec, Mahout-like). A
+    /// profile snapshot costs one `Arc` bump per user, no deep copies.
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<(UserId, V)> {
+        self.map_all(V::clone)
+    }
+}
+
+/// The Profile Table: user to profile.
 ///
 /// Profiles are stored behind [`Arc`] so that readers — the sampler
 /// assembling candidate sets, the job encoder serializing them — share the
@@ -99,34 +216,25 @@ fn shards(mut touched: u64) -> impl Iterator<Item = usize> {
 /// assert_eq!(table.get(UserId(1)).unwrap().liked_len(), 1);
 /// assert_eq!(table.len(), 1);
 /// ```
-#[derive(Debug)]
-pub struct ProfileTable {
-    shards: Vec<RwLock<FastHashMap<UserId, Arc<Profile>>>>,
+pub type ProfileTable = UserTable<Arc<Profile>>;
+
+/// What [`ProfileTable::record_many`] did to each vote, in input order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Recorded {
+    /// Whether the vote changed its profile.
+    pub changed: Vec<bool>,
+    /// Whether the vote created its profile, as decided under the shard's
+    /// write lock: racing batches create a user once.
+    pub created: Vec<bool>,
 }
 
-impl Default for ProfileTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ProfileTable {
-    /// Creates an empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            shards: (0..SHARDS)
-                .map(|_| RwLock::new(FastHashMap::default()))
-                .collect(),
-        }
-    }
-
+impl UserTable<Arc<Profile>> {
     /// Records a vote into `user`'s profile, creating the profile if absent.
     ///
     /// Returns `true` when the vote changed the profile — the signal the
     /// orchestrator uses to decide whether a new KNN iteration is worthwhile.
     pub fn record(&self, user: UserId, item: ItemId, vote: Vote) -> bool {
-        self.record_many(&[(user, item, vote)])[0]
+        self.record_many(&[(user, item, vote)]).changed[0]
     }
 
     /// Ingests many votes while taking each touched shard's *write* lock
@@ -134,107 +242,27 @@ impl ProfileTable {
     ///
     /// Results are in input order, and votes for one user apply in input
     /// order (they share a shard), so any split of a vote stream into
-    /// batches gives the same tables and flags. This is the ingestion half
-    /// of request coalescing — a burst of `/rate/` traffic costs one lock
-    /// acquisition per touched shard instead of one per vote.
+    /// batches gives the same tables and change flags. This is the ingestion
+    /// half of request coalescing — a burst of `/rate/` traffic costs one
+    /// lock acquisition per touched shard instead of one per vote.
     #[must_use]
-    pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)]) -> Vec<bool> {
-        let mut out = vec![false; votes.len()];
-        for (shard_idx, positions) in ShardGroups::new(votes, |&(user, _, _)| user).iter() {
-            let mut shard = self.shards[shard_idx].write();
-            for &pos in positions {
-                let (user, item, vote) = votes[pos];
-                out[pos] = Arc::make_mut(shard.entry(user).or_default()).record(item, vote);
-            }
-        }
-        out
-    }
-
-    /// Replaces `user`'s whole profile, returning the previous one if any.
-    pub fn insert(&self, user: UserId, profile: impl Into<Arc<Profile>>) -> Option<Arc<Profile>> {
-        let mut shard = self.shards[shard_of(user)].write();
-        shard.insert(user, profile.into())
-    }
-
-    /// Returns a shared handle to `user`'s profile.
-    ///
-    /// This is an `Arc` bump, not a deep clone: candidate assembly, job
-    /// construction and serialization all borrow the same stored allocation
-    /// (the zero-copy hot path), and the short read lock is released before
-    /// any of that work happens.
-    #[must_use]
-    pub fn get(&self, user: UserId) -> Option<Arc<Profile>> {
-        self.shards[shard_of(user)].read().get(&user).cloned()
-    }
-
-    /// Batched [`Self::get`]: fetches many profiles while taking each
-    /// touched shard lock exactly once.
-    ///
-    /// Results are in input order. This is the profile-fetch path of
-    /// `HyRecServer::build_jobs`: for a batch of jobs the per-user lock
-    /// traffic (one acquisition per candidate) collapses into at most
-    /// one acquisition per shard.
-    #[must_use]
-    pub fn get_many(&self, users: &[UserId]) -> Vec<Option<Arc<Profile>>> {
-        let mut out = vec![None; users.len()];
-        for (shard_idx, positions) in ShardGroups::new(users, |&user| user).iter() {
-            let shard = self.shards[shard_idx].read();
-            for &pos in positions {
-                out[pos] = shard.get(&users[pos]).cloned();
-            }
-        }
-        out
-    }
-
-    /// Runs `f` on the profile without cloning (read lock held during `f`).
-    pub fn with<R>(&self, user: UserId, f: impl FnOnce(&Profile) -> R) -> Option<R> {
-        self.shards[shard_of(user)].read().get(&user).map(|p| f(p))
-    }
-
-    /// Whether the table has a profile for `user`.
-    #[must_use]
-    pub fn contains(&self, user: UserId) -> bool {
-        self.shards[shard_of(user)].read().contains_key(&user)
-    }
-
-    /// Total number of users with a profile.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True when no user has a profile.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
-    }
-
-    /// Snapshot of all user ids (unordered).
-    #[must_use]
-    pub fn user_ids(&self) -> Vec<UserId> {
-        let mut ids = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            ids.extend(shard.read().keys().copied());
-        }
-        ids
-    }
-
-    /// Snapshot of the whole table (unordered), for offline back-ends that
-    /// batch over every user (Offline-Ideal, Offline-CRec, Mahout-like).
-    ///
-    /// Shares the stored profiles (`Arc` bumps, no deep copies), so a
-    /// snapshot of millions of users costs one pointer pair per user.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(UserId, Arc<Profile>)> {
-        let mut all = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.read().iter().map(|(u, p)| (*u, Arc::clone(p))));
-        }
-        all
+    pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)]) -> Recorded {
+        let mut changed = vec![false; votes.len()];
+        let mut created = vec![false; votes.len()];
+        let groups = ShardGroups::new(votes, |&(user, _, _)| user);
+        self.write_many(&groups, |shard, pos| {
+            let (user, item, vote) = votes[pos];
+            let profile = shard.entry(user).or_insert_with(|| {
+                created[pos] = true;
+                Arc::default()
+            });
+            changed[pos] = Arc::make_mut(profile).record(item, vote);
+        });
+        Recorded { changed, created }
     }
 }
 
-/// Sharded, thread-safe map from user to current KNN approximation.
+/// The KNN Table: user to current KNN approximation.
 ///
 /// ```
 /// use hyrec_core::{KnnTable, Neighborhood, UserId};
@@ -242,28 +270,9 @@ impl ProfileTable {
 /// table.update(UserId(1), Neighborhood::new());
 /// assert!(table.get(UserId(1)).is_some());
 /// ```
-#[derive(Debug)]
-pub struct KnnTable {
-    shards: Vec<RwLock<FastHashMap<UserId, Neighborhood>>>,
-}
+pub type KnnTable = UserTable<Neighborhood>;
 
-impl Default for KnnTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl KnnTable {
-    /// Creates an empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            shards: (0..SHARDS)
-                .map(|_| RwLock::new(FastHashMap::default()))
-                .collect(),
-        }
-    }
-
+impl UserTable<Neighborhood> {
     /// Stores the new KNN approximation sent back by a widget (Arrow 3 in
     /// Figure 1), replacing the previous one.
     pub fn update(&self, user: UserId, hood: Neighborhood) {
@@ -275,71 +284,12 @@ impl KnnTable {
     /// [`Self::update`] is a batch of one.
     pub fn update_many(&self, entries: Vec<(UserId, Neighborhood)>) {
         let groups = ShardGroups::new(&entries, |&(user, _)| user);
-        let mut slots: Vec<Option<(UserId, Neighborhood)>> =
+        let mut entries: Vec<Option<(UserId, Neighborhood)>> =
             entries.into_iter().map(Some).collect();
-        for (shard_idx, positions) in groups.iter() {
-            let mut shard = self.shards[shard_idx].write();
-            for &pos in positions {
-                let (user, hood) = slots[pos].take().expect("each position visited once");
-                shard.insert(user, hood);
-            }
-        }
-    }
-
-    /// Returns a clone of `user`'s current neighbourhood.
-    #[must_use]
-    pub fn get(&self, user: UserId) -> Option<Neighborhood> {
-        self.shards[shard_of(user)].read().get(&user).cloned()
-    }
-
-    /// Batched [`Self::get`]: fetches many neighbourhoods while taking each
-    /// touched shard lock exactly once. Results are in input order.
-    #[must_use]
-    pub fn get_many(&self, users: &[UserId]) -> Vec<Option<Neighborhood>> {
-        self.map_many(users, Neighborhood::clone)
-    }
-
-    /// Batched [`Self::with`]: runs `f` on each present neighbourhood under
-    /// its shard's read lock (taken once per touched shard), returning
-    /// results in input order. The zero-clone read path of the batched
-    /// sampler: extracting just the neighbour ids never copies a
-    /// [`Neighborhood`].
-    pub fn map_many<R>(
-        &self,
-        users: &[UserId],
-        mut f: impl FnMut(&Neighborhood) -> R,
-    ) -> Vec<Option<R>> {
-        let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(users.len()).collect();
-        for (shard_idx, positions) in ShardGroups::new(users, |&user| user).iter() {
-            let shard = self.shards[shard_idx].read();
-            for &pos in positions {
-                out[pos] = shard.get(&users[pos]).map(&mut f);
-            }
-        }
-        out
-    }
-
-    /// Runs `f` on the neighbourhood without cloning.
-    pub fn with<R>(&self, user: UserId, f: impl FnOnce(&Neighborhood) -> R) -> Option<R> {
-        self.shards[shard_of(user)].read().get(&user).map(f)
-    }
-
-    /// Whether the table has an entry for `user`.
-    #[must_use]
-    pub fn contains(&self, user: UserId) -> bool {
-        self.shards[shard_of(user)].read().contains_key(&user)
-    }
-
-    /// Number of users with a stored neighbourhood.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True when no neighbourhood is stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.write_many(&groups, |shard, pos| {
+            let (user, hood) = entries[pos].take().expect("each position visited once");
+            shard.insert(user, hood);
+        });
     }
 
     /// Mean view similarity across all users with a non-empty neighbourhood —
@@ -350,30 +300,12 @@ impl KnnTable {
     /// random, and f64 addition is not associative).
     #[must_use]
     pub fn average_view_similarity(&self) -> f64 {
-        let mut values: Vec<(UserId, f64)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            values.extend(
-                shard
-                    .read()
-                    .iter()
-                    .map(|(u, hood)| (*u, hood.view_similarity())),
-            );
-        }
+        let mut values = self.map_all(Neighborhood::view_similarity);
         if values.is_empty() {
             return 0.0;
         }
         values.sort_unstable_by_key(|(u, _)| *u);
         values.iter().map(|(_, v)| v).sum::<f64>() / values.len() as f64
-    }
-
-    /// Snapshot of the whole table (unordered).
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(UserId, Neighborhood)> {
-        let mut all = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.read().iter().map(|(u, n)| (*u, n.clone())));
-        }
-        all
     }
 }
 
@@ -410,7 +342,6 @@ mod tests {
         }
         assert_eq!(t.len(), 100);
         assert_eq!(t.snapshot().len(), 100);
-        assert_eq!(t.user_ids().len(), 100);
     }
 
     #[test]
@@ -512,7 +443,7 @@ mod tests {
                 (user, item, vote)
             })
             .collect();
-        let batch_flags = batched.record_many(&votes);
+        let batch_flags = batched.record_many(&votes).changed;
         let seq_flags: Vec<bool> = votes
             .iter()
             .map(|&(user, item, vote)| sequential.record(user, item, vote))
@@ -523,7 +454,24 @@ mod tests {
             assert_eq!(batched.get(user), sequential.get(user), "user {user}");
         }
         // Empty batch is a no-op.
-        assert!(batched.record_many(&[]).is_empty());
+        assert!(batched.record_many(&[]).changed.is_empty());
+    }
+
+    #[test]
+    fn record_many_flags_each_users_first_vote_as_created() {
+        let t = ProfileTable::new();
+        t.record(UserId(2), ItemId(1), Vote::Like);
+        let votes = [
+            (UserId(1), ItemId(1), Vote::Like),
+            (UserId(2), ItemId(2), Vote::Like),
+            (UserId(1), ItemId(2), Vote::Dislike),
+            (UserId(65), ItemId(1), Vote::Dislike),
+            (UserId(65), ItemId(1), Vote::Dislike),
+        ];
+        let recorded = t.record_many(&votes);
+        assert_eq!(recorded.created, [true, false, false, true, false]);
+        assert_eq!(recorded.changed, [true, true, true, true, false]);
+        assert!(!t.record_many(&votes).created.contains(&true));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! gather-and-batch path must be **byte-identical** to the scalar
 //! `build_job` + encode pipeline.
 //!
-//! The populations here disable the sampler's random leg
-//! (`random_candidates = 0`), which makes every personalization job a pure
+//! The populations here sample without a random leg
+//! ([`NoRandomSampler`]), which makes every personalization job a pure
 //! function of table state — so concurrent arrival order (which the OS
 //! scheduler controls) cannot change any response, and each client's body
 //! can be checked against a twin server driven scalarly.
@@ -11,7 +11,7 @@
 use hyrec_core::{ItemId, Neighbor, Neighborhood, UserId, Vote};
 use hyrec_http::api;
 use hyrec_http::{BatchPolicy, HttpClient, ReactorServer};
-use hyrec_server::{HyRecConfig, HyRecServer, JobEncoder};
+use hyrec_server::{HyRecConfig, HyRecServer, JobEncoder, NoRandomSampler};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -22,14 +22,14 @@ const K: usize = 4;
 /// A deterministic population: dense profiles in five taste groups and a
 /// warm ring-shaped KNN table. No RNG is consumed building jobs.
 fn populated_server() -> Arc<HyRecServer> {
-    let server = HyRecServer::with_config(
+    let server = HyRecServer::with_sampler(
         HyRecConfig::builder()
             .k(K)
             .r(5)
-            .random_candidates(0)
             .anonymize_users(false)
             .seed(77)
             .build(),
+        NoRandomSampler,
     );
     for u in 0..USERS {
         for i in 0..10u32 {

@@ -1,24 +1,24 @@
 //! Server configuration.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Configuration of a [`crate::HyRecServer`].
 ///
 /// Defaults follow the paper: `k = 10` neighbours ("k is a system parameter
-/// ranging from ten to a few tens of nodes"), `r = 10` recommendations, `k`
-/// random users per candidate set, pseudonymized candidate ids. Pseudonyms
-/// are reshuffled only when the operator (or the simulator, once per
-/// simulated epoch) calls [`crate::HyRecServer::rotate_pseudonyms`]; the
-/// configuration sets no period.
+/// ranging from ten to a few tens of nodes"), `r = 10` recommendations,
+/// pseudonymized candidate ids. The sampler's random leg is `k` users, as
+/// in the paper; a custom [`crate::Sampler`] (such as
+/// [`crate::NoRandomSampler`]) changes how candidates are drawn.
+/// Pseudonyms are reshuffled only when the operator (or the simulator, once
+/// per simulated epoch) calls [`crate::HyRecServer::rotate_pseudonyms`];
+/// the configuration sets no period.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HyRecConfig {
     /// Neighbourhood size `k`.
     pub k: usize,
     /// Recommendation list size `r`.
     pub r: usize,
-    /// Number of uniformly random users added to every candidate set
-    /// (the paper uses `k`; exposed separately for ablations).
-    pub random_candidates: usize,
     /// Whether candidate user ids are pseudonymized (Section 3.1).
     pub anonymize_users: bool,
     /// Optional cap on profile sizes shipped in jobs (Section 6 suggests
@@ -33,7 +33,6 @@ impl Default for HyRecConfig {
         Self {
             k: 10,
             r: 10,
-            random_candidates: 10,
             anonymize_users: true,
             profile_cap: None,
             seed: 0xC0FFEE,
@@ -49,10 +48,10 @@ impl HyRecConfig {
     }
 
     /// The paper's candidate-set size bound for this configuration:
-    /// `k + k² + random_candidates` (equals `2k + k²` at defaults).
+    /// `2k + k²`.
     #[must_use]
     pub fn candidate_bound(&self) -> usize {
-        self.k + self.k * self.k + self.random_candidates
+        2 * self.k + self.k * self.k
     }
 }
 
@@ -60,13 +59,15 @@ impl fmt::Display for HyRecConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "k={} r={} rand={} anon={} cap={:?}",
-            self.k, self.r, self.random_candidates, self.anonymize_users, self.profile_cap
+            "k={} r={} anon={} cap={:?}",
+            self.k, self.r, self.anonymize_users, self.profile_cap
         )
     }
 }
 
-/// Builder for [`HyRecConfig`] (Rust guideline C-BUILDER).
+/// Builder for [`HyRecConfig`] (Rust guideline C-BUILDER), finishing in
+/// `T`: the config itself, or a server built from it
+/// ([`crate::HyRecServer::builder`]).
 ///
 /// ```
 /// use hyrec_server::HyRecConfig;
@@ -75,20 +76,16 @@ impl fmt::Display for HyRecConfig {
 /// assert_eq!(config.candidate_bound(), 2 * 20 + 20 * 20);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct HyRecConfigBuilder {
+pub struct HyRecConfigBuilder<T = HyRecConfig> {
     config: HyRecConfig,
-    random_explicit: bool,
+    output: PhantomData<fn() -> T>,
 }
 
-impl HyRecConfigBuilder {
-    /// Sets the neighbourhood size `k`. Unless overridden, the number of
-    /// random candidates follows `k` as in the paper.
+impl<T: From<HyRecConfig>> HyRecConfigBuilder<T> {
+    /// Sets the neighbourhood size `k`.
     #[must_use]
     pub fn k(mut self, k: usize) -> Self {
         self.config.k = k;
-        if !self.random_explicit {
-            self.config.random_candidates = k;
-        }
         self
     }
 
@@ -96,14 +93,6 @@ impl HyRecConfigBuilder {
     #[must_use]
     pub fn r(mut self, r: usize) -> Self {
         self.config.r = r;
-        self
-    }
-
-    /// Overrides the number of random users per candidate set.
-    #[must_use]
-    pub fn random_candidates(mut self, n: usize) -> Self {
-        self.config.random_candidates = n;
-        self.random_explicit = true;
         self
     }
 
@@ -135,9 +124,9 @@ impl HyRecConfigBuilder {
     /// Panics if `k == 0` — a recommender with no neighbours is meaningless
     /// and would make every candidate set empty.
     #[must_use]
-    pub fn build(self) -> HyRecConfig {
+    pub fn build(self) -> T {
         assert!(self.config.k > 0, "k must be positive");
-        self.config
+        T::from(self.config)
     }
 }
 
@@ -150,7 +139,6 @@ mod tests {
         let c = HyRecConfig::default();
         assert_eq!(c.k, 10);
         assert_eq!(c.r, 10);
-        assert_eq!(c.random_candidates, 10);
         assert!(c.anonymize_users);
         assert_eq!(c.candidate_bound(), 120); // 2k + k^2 for k = 10
     }
@@ -158,14 +146,7 @@ mod tests {
     #[test]
     fn builder_random_follows_k() {
         let c = HyRecConfig::builder().k(20).build();
-        assert_eq!(c.random_candidates, 20);
         assert_eq!(c.candidate_bound(), 440);
-    }
-
-    #[test]
-    fn builder_random_override_sticks() {
-        let c = HyRecConfig::builder().random_candidates(5).k(20).build();
-        assert_eq!(c.random_candidates, 5);
     }
 
     #[test]

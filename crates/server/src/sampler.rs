@@ -30,20 +30,13 @@ pub struct SamplerContext<'a> {
 ///
 /// The profile table shards make "pick a uniformly random user" awkward;
 /// this directory keeps a flat list, which also matches the paper's server
-/// that knows the full user population. Registration is idempotent — a
-/// membership set lives under the same lock as the list — so racing
-/// first-vote ingest paths (two coalesced `/rate/` batches carrying the
-/// same new user on different workers) cannot double-weight a user in the
-/// sampler's random leg.
+/// that knows the full user population. It keeps no membership set: the
+/// server registers a user exactly once, where the profile table reports
+/// that their first vote created their profile
+/// (`HyRecServer::record_many`).
 #[derive(Debug, Default)]
 pub struct UserDirectory {
-    inner: RwLock<DirectoryInner>,
-}
-
-#[derive(Debug, Default)]
-struct DirectoryInner {
-    list: Vec<UserId>,
-    members: hyrec_core::FastHashSet<UserId>,
+    list: RwLock<Vec<UserId>>,
 }
 
 impl UserDirectory {
@@ -53,31 +46,28 @@ impl UserDirectory {
         Self::default()
     }
 
-    /// Registers a user; duplicate registrations are no-ops.
+    /// Appends a user. Each user must be registered once: a repeat would
+    /// double their weight in the random leg.
     pub fn register(&self, user: UserId) {
-        let mut inner = self.inner.write();
-        if inner.members.insert(user) {
-            inner.list.push(user);
-        }
+        self.list.write().push(user);
     }
 
     /// Number of registered users.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.read().list.len()
+        self.list.read().len()
     }
 
     /// True when no user is registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inner.read().list.is_empty()
+        self.list.read().is_empty()
     }
 
     /// Draws up to `n` users uniformly at random (with replacement across
     /// draws, deduplicated by the candidate set downstream).
     pub fn random_users(&self, n: usize, rng: &mut StdRng) -> Vec<UserId> {
-        let inner = self.inner.read();
-        let users = &inner.list;
+        let users = self.list.read();
         if users.is_empty() {
             return Vec::new();
         }
@@ -89,7 +79,7 @@ impl UserDirectory {
     /// Snapshot of all registered users.
     #[must_use]
     pub fn snapshot(&self) -> Vec<UserId> {
-        self.inner.read().list.clone()
+        self.list.read().clone()
     }
 }
 
@@ -492,19 +482,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let set = DefaultSampler.sample(UserId(0), 2, 0, &ctx, &mut rng);
         assert!(set.is_empty());
-    }
-
-    #[test]
-    fn directory_registration_is_idempotent() {
-        // Racing first-vote paths may register the same user twice; the
-        // directory must not double-weight them in the random leg.
-        let directory = UserDirectory::new();
-        for _ in 0..3 {
-            directory.register(UserId(7));
-        }
-        directory.register(UserId(8));
-        assert_eq!(directory.len(), 2);
-        assert_eq!(directory.snapshot(), vec![UserId(7), UserId(8)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The HyRec server: global tables + sampler + personalization orchestrator.
 
 use crate::anonymize::AnonymousMapping;
-use crate::config::HyRecConfig;
+use crate::config::{HyRecConfig, HyRecConfigBuilder};
 use crate::sampler::{DefaultSampler, Sampler, SamplerContext, UserDirectory};
 use hyrec_core::{
     CandidateSet, FastHashMap, ItemId, KnnTable, Neighborhood, Profile, ProfileTable, UserId, Vote,
@@ -101,10 +101,8 @@ impl HyRecServer {
 
     /// Shorthand for `HyRecConfig::builder()` + `HyRecServer::with_config`.
     #[must_use]
-    pub fn builder() -> ServerBuilder {
-        ServerBuilder {
-            config: HyRecConfig::builder(),
-        }
+    pub fn builder() -> HyRecConfigBuilder<Self> {
+        HyRecConfigBuilder::default()
     }
 
     /// The active configuration.
@@ -126,20 +124,21 @@ impl HyRecServer {
     /// takes each touched shard's write lock once for the whole batch
     /// instead of once per vote.
     ///
-    /// Change flags come back in input order, and users without a profile
-    /// are registered in first-occurrence order, so the user directory
-    /// (which feeds the sampler's random leg) is the same however a vote
-    /// stream is split into batches. This is the ingestion entry point for
-    /// coalescing front-ends staging `/rate/` traffic.
+    /// Change flags come back in input order. This is the one place a user
+    /// joins the directory (the sampler's random leg): when the table
+    /// reports, from under its shard lock, that their vote created their
+    /// profile. So racing batches register a user once, and registering in
+    /// input order keeps first-vote order however a stream is split. This
+    /// is the ingestion entry point for coalescing `/rate/` front-ends.
     #[must_use]
     pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)]) -> Vec<bool> {
-        let mut seen = hyrec_core::FastHashSet::default();
-        for &(user, _, _) in votes {
-            if seen.insert(user) && !self.profiles.contains(user) {
+        let recorded = self.profiles.record_many(votes);
+        for (&(user, _, _), &created) in votes.iter().zip(&recorded.created) {
+            if created {
                 self.directory.register(user);
             }
         }
-        self.profiles.record_many(votes)
+        recorded.changed
     }
 
     /// Number of users known to the server.
@@ -170,6 +169,12 @@ impl HyRecServer {
     #[must_use]
     pub fn knn_table(&self) -> &KnnTable {
         &self.knn
+    }
+
+    /// Direct read access to the user directory, in registration order.
+    #[must_use]
+    pub fn directory(&self) -> &UserDirectory {
+        &self.directory
     }
 
     /// Average view similarity across the KNN table (Figures 3–4).
@@ -275,13 +280,8 @@ impl HyRecServer {
         };
         let candidate_sets = {
             let mut rng = self.rng.lock();
-            self.sampler.sample_batch(
-                users,
-                self.config.k,
-                self.config.random_candidates,
-                &ctx,
-                &mut rng,
-            )
+            let k = self.config.k;
+            self.sampler.sample_batch(users, k, k, &ctx, &mut rng)
         };
 
         let profiles = self.profiles.get_many(users);
@@ -398,52 +398,9 @@ impl HyRecServer {
     }
 }
 
-/// Builder wiring [`HyRecConfig`] straight into a server.
-#[derive(Debug)]
-pub struct ServerBuilder {
-    config: crate::config::HyRecConfigBuilder,
-}
-
-impl ServerBuilder {
-    /// Sets the neighbourhood size `k`.
-    #[must_use]
-    pub fn k(mut self, k: usize) -> Self {
-        self.config = self.config.k(k);
-        self
-    }
-
-    /// Sets the recommendation list size `r`.
-    #[must_use]
-    pub fn r(mut self, r: usize) -> Self {
-        self.config = self.config.r(r);
-        self
-    }
-
-    /// Enables or disables pseudonymization.
-    #[must_use]
-    pub fn anonymize_users(mut self, on: bool) -> Self {
-        self.config = self.config.anonymize_users(on);
-        self
-    }
-
-    /// Caps profile sizes in jobs.
-    #[must_use]
-    pub fn profile_cap(mut self, cap: usize) -> Self {
-        self.config = self.config.profile_cap(cap);
-        self
-    }
-
-    /// Seeds the sampler RNG.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config = self.config.seed(seed);
-        self
-    }
-
-    /// Builds the server.
-    #[must_use]
-    pub fn build(self) -> HyRecServer {
-        HyRecServer::with_config(self.config.build())
+impl From<HyRecConfig> for HyRecServer {
+    fn from(config: HyRecConfig) -> Self {
+        Self::with_config(config)
     }
 }
 

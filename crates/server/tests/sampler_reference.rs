@@ -284,8 +284,11 @@ proptest! {
         // registered in first-vote order and the server's seeded RNG.
         let server = server(seed, n, k, false, 0);
         let directory = UserDirectory::new();
+        let mut registered = std::collections::HashSet::new();
         for (user, _, _) in votes(seed, n) {
-            directory.register(user);
+            if registered.insert(user) {
+                directory.register(user);
+            }
         }
         let ctx = SamplerContext {
             profiles: server.profiles(),

@@ -96,13 +96,16 @@ pub fn build_population(n_users: usize, profile_size: usize, k: usize, seed: u64
             server.record(user, ItemId(item), Vote::Like);
         }
     }
-    // Warm KNN table: k distinct random neighbours per user.
+    // Warm KNN table: k distinct random neighbours per user, kept in draw
+    // order. Every similarity is equal, so this order is the stored
+    // neighbourhood's order, and with it the candidate order of every job.
     for &user in &users {
-        let mut picks = std::collections::HashSet::new();
-        while picks.len() < k.min(n_users.saturating_sub(1)) {
+        let want = k.min(n_users.saturating_sub(1));
+        let mut picks = Vec::with_capacity(want);
+        while picks.len() < want {
             let v = users[rng.gen_range(0..users.len())];
-            if v != user {
-                picks.insert(v);
+            if v != user && !picks.contains(&v) {
+                picks.push(v);
             }
         }
         let hood = Neighborhood::from_neighbors(picks.into_iter().map(|v| Neighbor {
@@ -350,6 +353,19 @@ mod tests {
         for &user in &population.users {
             assert_eq!(population.server.profile_of(user).unwrap().liked_len(), 20);
             assert_eq!(population.server.knn_of(user).unwrap().len(), 5);
+        }
+    }
+
+    #[test]
+    fn population_is_the_same_for_the_same_seed() {
+        let (a, b) = (build_population(60, 8, 5, 7), build_population(60, 8, 5, 7));
+        for &user in &a.users {
+            assert_eq!(a.server.knn_of(user), b.server.knn_of(user), "{user}");
+            assert_eq!(
+                a.server.build_job(user).gzip_bytes(),
+                b.server.build_job(user).gzip_bytes(),
+                "{user}"
+            );
         }
     }
 

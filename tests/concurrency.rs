@@ -166,3 +166,44 @@ fn concurrent_readers_see_consistent_snapshots() {
     stop.store(1, Ordering::Relaxed);
     writer.join().expect("writer panicked");
 }
+
+#[test]
+fn racing_first_votes_register_each_user_once() {
+    // Every thread rates the same fresh users, each in its own order and
+    // in small batches, so first votes for one user race across threads.
+    // The table creates a profile once, under its shard lock, and only
+    // that creation registers the user.
+    const FRESH: u32 = 500;
+    let server = shared_server(false);
+    let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    let handles: Vec<_> = [1u32, 3, 7, 9, 11, 13, 17, 19]
+        .into_iter()
+        .enumerate()
+        .map(|(t, stride)| {
+            let server = Arc::clone(&server);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let offset = t as u32 * 37;
+                let votes: Vec<(UserId, ItemId, Vote)> = (0..FRESH)
+                    .map(|i| {
+                        let user = UserId(10_000 + (i * stride + offset) % FRESH);
+                        (user, ItemId(t as u32), Vote::Like)
+                    })
+                    .collect();
+                start.wait();
+                for batch in votes.chunks(25) {
+                    let changed = server.record_many(batch);
+                    assert!(changed.iter().all(|&c| c), "a new item changes a profile");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("worker thread panicked");
+    }
+    assert_eq!(server.user_count(), FRESH as usize);
+    let mut registered = server.directory().snapshot();
+    registered.sort_unstable();
+    let expected: Vec<UserId> = (0..FRESH).map(|i| UserId(10_000 + i)).collect();
+    assert_eq!(registered, expected, "duplicate or missing registrations");
+}
