@@ -1,12 +1,13 @@
 //! Figure 9: response time under growing concurrency.
 //!
-//! Closed-loop clients against the real HTTP stack: one epoll reactor
-//! serving the API's `/online/` route and a `/crecommend/` route, both
-//! scalar, so every request is one job on a fixed worker pool. `/online/`
-//! runs the server's one job builder on a batch of one, the code a lone
-//! request runs in deployment. Paper: HyRec serves as many
-//! concurrent requests at ps=1000 as CRec at ps=10 (a 100-fold
-//! scalability gain); both degrade as the worker pool saturates.
+//! Closed-loop clients against the real HTTP stack: eight epoll reactor
+//! shards serving the API's `/online/` route and a `/crecommend/` route,
+//! both scalar, so every request runs alone on the shard that owns its
+//! connection, and a slow request holds up that shard's other
+//! connections while it runs. `/online/` runs the server's one job builder
+//! on a batch of one, the code a lone request runs in deployment. Paper:
+//! HyRec serves as many concurrent requests at ps=1000 as CRec at ps=10 (a
+//! 100-fold scalability gain); both degrade as the shards saturate.
 
 use crate::{banner, header, RunOptions};
 use hyrec_sim::load::{build_population, closed_loop, spawn_benchmark_server};
@@ -18,7 +19,7 @@ pub fn run(options: &RunOptions) {
         "Avg response time vs concurrent clients (paper: HyRec sustains ~100x the load)",
     );
     let users = 500;
-    let workers = 8;
+    let shards = 8;
     let clients_axis: &[usize] = if options.full {
         &[1, 2, 5, 10, 20, 50, 100, 200, 400]
     } else {
@@ -26,7 +27,7 @@ pub fn run(options: &RunOptions) {
     };
     let requests_per_client = if options.full { 20 } else { 10 };
     println!(
-        "({users} users, 1 reactor + {workers} workers, scalar routes, {requests_per_client} req/client)"
+        "({users} users, {shards} reactor shards, scalar routes, {requests_per_client} req/client)"
     );
 
     header(&[
@@ -49,7 +50,7 @@ pub fn run(options: &RunOptions) {
         .enumerate()
         {
             let population = build_population(users, *ps, 10, options.seed + i as u64);
-            let (handle, addr) = spawn_benchmark_server(&population, workers);
+            let (handle, addr) = spawn_benchmark_server(&population, shards);
             let stats = closed_loop(addr, path, users, clients, requests_per_client);
             row[i] = stats.mean.as_secs_f64() * 1e3;
             handle.stop();

@@ -292,8 +292,10 @@ impl UserTable<Neighborhood> {
         });
     }
 
-    /// Mean view similarity across all users with a non-empty neighbourhood —
-    /// the paper's *average view similarity* metric (Figures 3–4).
+    /// Mean view similarity across every stored neighbourhood — the
+    /// paper's *average view similarity* metric (Figures 3–4). A user whose
+    /// stored neighbourhood is empty counts, with similarity 0.0; a user
+    /// with no stored neighbourhood does not. An empty table gives 0.0.
     ///
     /// Summation runs in user-id order so the floating-point result is
     /// identical across runs (hash-map iteration order is per-instance

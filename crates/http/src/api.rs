@@ -23,17 +23,19 @@
 //! ## Coalescing
 //!
 //! The hot endpoints register [`crate::Handler`]s with batched
-//! [`BatchPolicy`]s: under the reactor front-end, concurrent — and, with
-//! keep-alive, *pipelined* — `/online/` requests inside a gather window
-//! funnel into a single [`ScheduledServer::issue_jobs`] call (one
-//! [`HyRecServer::build_jobs`]) whose outputs are serialized by the
-//! batched, fragment-caching [`JobEncoder::encode_jobs`]; `/rate/` bursts
-//! stage their votes through the shard-grouped
-//! [`HyRecServer::record_many`]; `POST /neighbors/` bursts apply through
-//! [`HyRecServer::apply_updates`]. A request that gathers alone runs as a
-//! batch of one. Those batched calls are the server's only implementations
-//! (its scalar calls are batches of one), so a response is byte-identical
-//! however its requests were gathered, by construction.
+//! [`BatchPolicy`]s: under the reactor front-end, the `/online/` requests
+//! one shard frames in one pass of its event loop — concurrent
+//! connections' and, with keep-alive, *pipelined* ones — funnel into a
+//! single [`ScheduledServer::issue_jobs`] call (one
+//! [`HyRecServer::build_jobs`]) whose outputs are planned by the batched,
+//! fragment-caching [`JobEncoder::plan_jobs`] and copied once, piece by
+//! piece, into the connection's send buffer; `/rate/` bursts stage their
+//! votes through the shard-grouped [`HyRecServer::record_many`];
+//! `POST /neighbors/` bursts apply through [`HyRecServer::apply_updates`].
+//! A request that gathers alone runs as a batch of one. Those batched
+//! calls are the server's only implementations (its scalar calls are
+//! batches of one), so a response is byte-identical however its requests
+//! were gathered, by construction.
 
 use crate::reactor::ReactorStats;
 use crate::request::Request;
@@ -104,7 +106,7 @@ pub fn hyrec_scheduled_router(
     let mut router = Router::new();
 
     // GET /online/?uid=N — the "Client request" row of Table 1. Gathered
-    // requests become one issue_jobs + encode_jobs round; arrival order is
+    // requests become one issue_jobs + plan_jobs round; arrival order is
     // batch order, so the RNG stream matches the sequential path.
     let online = Arc::clone(&scheduled);
     router.route(
@@ -118,11 +120,9 @@ pub fn hyrec_scheduled_router(
                 .filter_map(|p| p.as_ref().ok().copied())
                 .collect();
             let jobs = online.issue_jobs(&uids, online.now_ms());
-            let mut bodies = encoder.encode_jobs(&jobs).into_iter();
+            let mut bodies = encoder.plan_jobs(&jobs).into_iter();
             out.extend(parsed.into_iter().map(|p| match p {
-                Ok(_) => Response::ok_pregzipped_json(
-                    bodies.next().expect("one encoded body per valid uid"),
-                ),
+                Ok(_) => Response::ok_job(bodies.next().expect("one planned body per valid uid")),
                 Err(reason) => Response::bad_request(&reason),
             }));
         },
@@ -504,8 +504,7 @@ mod tests {
     fn full_widget_round_trip_over_reactor() {
         // The same round trip on a sharded reactor, plus a vote on the
         // same keep-alive connection.
-        let (handle, client, hyrec) =
-            spawn_api_on(ReactorServer::bind_sharded("127.0.0.1:0", 2, 2).unwrap());
+        let (handle, client, hyrec) = spawn_api_on(ReactorServer::bind("127.0.0.1:0", 2).unwrap());
 
         let response = client.get("/online/?uid=1").unwrap();
         assert_eq!(response.status, 200);

@@ -16,13 +16,13 @@
 //!   readiness loops ("shards", raw bindings in a private `sys` module, no
 //!   external deps) with persistent per-connection state machines (rolling
 //!   read buffer holding pipelined requests, in-order response queue, idle
-//!   sweep, max-requests-per-connection), a **shared** worker pool, and
-//!   **shard-local request coalescing**: concurrent and pipelined requests
-//!   to batched routes are gathered — up to a cap, within a gather window,
-//!   among one shard's connections — and handed to one handler call; a
-//!   shard with nothing in flight flushes at once. Every shard owns an
-//!   `SO_REUSEPORT` listener and the kernel spreads connections across
-//!   them.
+//!   sweep, max-requests-per-connection). Each shard **runs its own
+//!   handlers**: a scalar route's request runs as soon as it is framed,
+//!   and the requests one epoll pass framed for a batched route — a
+//!   pipelined burst, or requests from several of the shard's connections
+//!   — run as one handler call when the pass ends, capped at the route's
+//!   `max_batch`. Every shard owns an `SO_REUSEPORT` listener and the
+//!   kernel spreads connections across them; no request crosses a thread.
 //! * [`request`] / [`response`] — HTTP parsing (the one request parser,
 //!   [`Request::try_parse_resuming`], frames the reactor's rolling
 //!   buffers in time linear in the bytes received; the mirror-image
@@ -35,7 +35,8 @@
 //!   generators and examples.
 //! * [`api`] — the HyRec web API of Table 1, mounted with batched
 //!   policies: `GET /online/?uid=<uid>` batches into
-//!   `HyRecServer::build_jobs` + `JobEncoder::encode_jobs`,
+//!   `HyRecServer::build_jobs` + `JobEncoder::plan_jobs` (each body's
+//!   cached pieces are copied once, into the connection's send buffer),
 //!   `GET /rate/` batches into the shard-grouped
 //!   `HyRecServer::record_many`, and `POST /neighbors/` batches into
 //!   `HyRecServer::apply_updates`.
@@ -46,18 +47,18 @@
 //! use hyrec_server::HyRecServer;
 //!
 //! let hyrec = Arc::new(HyRecServer::new());
-//! // 4 reactor event loops, each with its own SO_REUSEPORT listener,
-//! // over a shared pool of 4 × 2 workers; each loop gathers its own batches.
-//! let server = ReactorServer::bind_sharded("127.0.0.1:0", 4, 2)?
+//! // 4 reactor event loops, each with its own SO_REUSEPORT listener; each
+//! // loop gathers and runs its own connections' batches.
+//! let server = ReactorServer::bind("127.0.0.1:0", 4)?
 //!     .with_max_requests_per_conn(10_000);
 //! let addr = server.local_addr();
 //! let handle = server.serve(api::hyrec_router(hyrec));
 //! println!("HyRec API listening on http://{addr}");
-//! // … handle.stop() drains in-flight work and joins every event loop.
+//! // … handle.stop() drains every loop and joins its thread.
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-#![deny(unsafe_code)] // allowed only in `sys` (raw epoll/eventfd bindings)
+#![deny(unsafe_code)] // allowed only in `sys` (raw epoll and socket bindings)
 #![warn(missing_docs)]
 
 pub mod api;
@@ -67,9 +68,8 @@ pub mod request;
 pub mod response;
 pub mod router;
 #[cfg(test)]
-mod server;
+mod sharded;
 mod sys;
-mod threadpool;
 
 pub use client::HttpClient;
 pub use reactor::ReactorServer;

@@ -1,6 +1,6 @@
 //! The epoll reactor front-end: N independent event loops ("shards"), each
-//! multiplexing its own subset of the connections and gathering its own
-//! batches, over one **shared** worker pool and router.
+//! multiplexing its own subset of the connections and running their
+//! handlers itself, over one shared router.
 //!
 //! A thread-per-connection server holds one OS thread hostage per
 //! in-flight connection — fine for hundreds of browsers, fatal for the
@@ -11,19 +11,19 @@
 //!   read buffer that may hold several back-to-back requests at once and a
 //!   staged write buffer. Framing resumes where the previous read left off
 //!   ([`Request::try_parse_resuming`]), so however the network splits a
-//!   request, framing it costs time linear in its bytes. Requests are numbered per connection and responses
-//!   flush strictly in request order (a reorder queue holds completions
-//!   that finish early), so browsers holding one socket across many
-//!   Table 1 calls — and pipelining them — are served correctly and
-//!   cheaply: no per-request TCP connect/accept at all.
+//!   request, framing it costs time linear in its bytes. Requests are
+//!   numbered per connection and responses flush strictly in request order
+//!   (a reorder queue holds responses that finish early), so browsers
+//!   holding one socket across many Table 1 calls — and pipelining them —
+//!   are served correctly and cheaply: no per-request TCP connect/accept at
+//!   all.
 //! * **Connection lifetime management.** Each response's `Connection`
 //!   header is derived per request ([`Request::wants_keep_alive`] ∧
 //!   requests-served < [`ReactorServer::with_max_requests_per_conn`] ∧ not
 //!   shutting down); an idle sweep reaps connections that have sat quiet
 //!   longer than [`ReactorServer::with_idle_timeout`] so dead browsers do
 //!   not pin buffers.
-//! * **Multi-reactor accept sharding.** One event loop saturates a core
-//!   before the workers do, so [`ReactorServer::bind_sharded`] spins one
+//! * **Multi-reactor accept sharding.** [`ReactorServer::bind`] spins one
 //!   epoll loop per shard. Each shard owns a private `SO_REUSEPORT`
 //!   listener and the kernel hashes incoming connections across them, so
 //!   accepts never cross threads. A connection lives on exactly one shard
@@ -31,46 +31,43 @@
 //!   needs no cross-shard coordination. A kernel without `SO_REUSEPORT`
 //!   (Linux before 3.9) fails the bind.
 //! * **A readiness loop** per shard over raw `epoll` (see [`crate::sys`];
-//!   no external dependencies), level-triggered, with a wakeup `eventfd`
-//!   per shard for response completions coming back from the workers.
-//! * **Shard-local request coalescing.** Requests resolving to a route
-//!   whose [`crate::BatchPolicy`] allows batching are *gathered* rather
-//!   than dispatched, into the gather of the shard that framed them (see
-//!   [`crate::router`]'s `Gather`). A batch flushes to the worker pool when
-//!   it reaches the route's `max_batch`, when its oldest request has
-//!   waited the route's `gather_window`, or as soon as its shard has
-//!   nothing in flight. A shard never waits on another shard's work, so a
-//!   lone request on an idle shard is served at once however busy the
-//!   rest of the process is. Pipelining widens batches: a browser that
-//!   writes three `/online/` calls back-to-back delivers a ready-made batch
-//!   in a single read, without paying the gather window as latency. A
-//!   scalar route's request is a batch of one on the same worker path.
+//!   no external dependencies), level-triggered.
+//! * **Run-to-completion shards.** A shard runs its handlers on its own
+//!   thread: no request crosses a thread. A scalar route's request runs as
+//!   soon as it is framed. A request to a route whose
+//!   [`crate::BatchPolicy`] allows batching waits in the shard's gather
+//!   (see [`crate::router`]'s `Gather`) until the end of the epoll pass
+//!   that framed it; then each route's pending requests run as one handler
+//!   call (split at `max_batch`), in route order. What a pass framed — a
+//!   pipelined burst, several connections' requests — decides a batch, not
+//!   a timer. Responses leave through each connection's reorder queue in
+//!   request order, with one write per touched connection per pass. The
+//!   price: a slow handler stalls the other connections of its shard
+//!   (never another shard's) while it runs.
 //!
-//! Shutdown drains every shard: listeners close immediately (so racing
-//! connects are refused instead of sitting accepted-but-unserved in a dead
-//! queue), pending batches are flushed, in-flight work completes, staged
-//! responses are written out (stamped `Connection: close`), then each loop
-//! exits, the threads join deterministically, and the shared pool joins.
+//! Shutdown drains every shard: [`ReactorHandle::stop`] raises a flag and
+//! shuts every listening socket down at once, even while its shard is busy
+//! in a handler, so racing connects are refused instead of sitting
+//! accepted-but-unserved in a dead queue; the shut-down listener's
+//! readiness wakes an idle shard. Each shard then runs its pending
+//! batches, writes its staged responses (stamped `Connection: close`) and
+//! exits, and the threads join deterministically.
 
 use crate::request::{FrameCursor, Request};
 use crate::response::{Disposition, Response};
 use crate::router::{Gather, GatheredBatch, Resolution, Router};
-use crate::sys::{self, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use crate::threadpool::ThreadPool;
-use parking_lot::Mutex;
+use crate::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, OwnedFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// Epoll token of the listening socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
-/// Epoll token of the completion-wakeup eventfd.
-const WAKER_TOKEN: u64 = u64::MAX - 1;
 /// Read chunk size for the nonblocking read loop.
 const READ_CHUNK: usize = 16 * 1024;
 /// Hard cap on a connection's accumulated request bytes (headers + body
@@ -89,7 +86,7 @@ const MAX_PIPELINE: u64 = 64;
 /// pipelining client that never reads cannot grow the write buffer without
 /// bound.
 const MAX_STAGED_OUT: usize = 1024 * 1024;
-/// How long a draining shutdown waits before abandoning in-flight work.
+/// How long a draining shutdown waits for staged responses to leave.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// How long a listener stays deregistered after an accept failure like
 /// EMFILE (level-triggered readiness would otherwise busy-spin the loop).
@@ -205,12 +202,11 @@ impl ReactorStats {
 }
 
 /// An epoll-based nonblocking HTTP/1.1 server with persistent (keep-alive,
-/// pipelined) connections, optionally sharded across several reactor event
-/// loops.
+/// pipelined) connections, sharded across one or more reactor event loops
+/// that run their own handlers.
 pub struct ReactorServer {
     /// One `SO_REUSEPORT` listener per shard, all on one address.
     listeners: Vec<TcpListener>,
-    workers: usize,
     local_addr: SocketAddr,
     idle_timeout: Duration,
     max_requests_per_conn: u64,
@@ -224,7 +220,6 @@ impl std::fmt::Debug for ReactorServer {
         f.debug_struct("ReactorServer")
             .field("addr", &self.local_addr)
             .field("reactors", &self.listeners.len())
-            .field("workers", &self.workers)
             .field("idle_timeout", &self.idle_timeout)
             .field("max_requests_per_conn", &self.max_requests_per_conn)
             .finish()
@@ -235,8 +230,9 @@ impl std::fmt::Debug for ReactorServer {
 pub struct ReactorHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// One per shard, to wake every loop for shutdown.
-    mailboxes: Vec<Arc<Mailbox>>,
+    /// A second descriptor of each shard's listening socket, so `stop` can
+    /// shut the socket down however busy its shard is.
+    listeners: Vec<TcpListener>,
     threads: Vec<thread::JoinHandle<()>>,
 }
 
@@ -270,24 +266,24 @@ impl ReactorHandle {
         &self.shared.stats
     }
 
-    /// Signals shutdown and waits for every reactor shard to drain and
-    /// exit, then for the shared worker pool to join.
+    /// Signals shutdown, refuses new connections at once and waits for
+    /// every reactor shard to drain and exit.
     pub fn stop(mut self) {
         self.shutdown_and_join();
     }
 
     fn shutdown_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Fan the shutdown out to every loop: each shard owns an eventfd.
-        for mailbox in &self.mailboxes {
-            mailbox.waker.wake();
+        // shutdown(2) on a listening socket stops it listening: queued and
+        // racing connects are reset or refused, and epoll reports the
+        // socket ready, which wakes its shard. `std` offers `shutdown` on
+        // `TcpStream` only; the call is the same for any socket.
+        for listener in self.listeners.drain(..) {
+            let _ = TcpStream::from(OwnedFd::from(listener)).shutdown(Shutdown::Both);
         }
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        // Dropping the handle's `Arc<Shared>` (the last one once every
-        // shard thread has exited) runs `ThreadPool::drop`, which joins the
-        // workers — so by the time `stop` returns, every thread is gone.
     }
 }
 
@@ -298,33 +294,19 @@ impl Drop for ReactorHandle {
 }
 
 impl ReactorServer {
-    /// Binds a single-reactor server to `addr` (`127.0.0.1:0` for an
-    /// ephemeral port) with `workers` request-processing threads behind
-    /// the event loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from binding.
-    pub fn bind<A: ToSocketAddrs>(addr: A, workers: usize) -> io::Result<Self> {
-        Self::bind_sharded(addr, 1, workers)
-    }
-
-    /// Binds a server sharded across `reactors` epoll event loops over a
-    /// **shared** pool of `reactors × workers_per_reactor` workers. Each
-    /// shard gathers batches from its own connections only. Every shard
-    /// binds its own `SO_REUSEPORT` listener on the same address.
+    /// Binds a server with `shards` epoll event loops (at least one) to
+    /// `addr` (`127.0.0.1:0` for an ephemeral port). Each shard runs the
+    /// handlers of the connections the kernel hashes onto it and gathers
+    /// batches from those connections only. Every shard binds its own
+    /// `SO_REUSEPORT` listener on the same address.
     ///
     /// # Errors
     ///
     /// Propagates socket errors from binding any of the listeners; on a
     /// kernel without `SO_REUSEPORT` that is the `setsockopt` errno
     /// (`ENOPROTOOPT`).
-    pub fn bind_sharded<A: ToSocketAddrs>(
-        addr: A,
-        reactors: usize,
-        workers_per_reactor: usize,
-    ) -> io::Result<Self> {
-        let reactors = reactors.max(1);
+    pub fn bind<A: ToSocketAddrs>(addr: A, shards: usize) -> io::Result<Self> {
+        let shards = shards.max(1);
         let requested = addr
             .to_socket_addrs()?
             .next()
@@ -334,17 +316,32 @@ impl ReactorServer {
         let first = sys::bind_reuseport(requested, ACCEPT_BACKLOG)?;
         let local_addr = first.local_addr()?;
         let mut listeners = vec![first];
-        for _ in 1..reactors {
+        for _ in 1..shards {
             listeners.push(sys::bind_reuseport(local_addr, ACCEPT_BACKLOG)?);
         }
         Ok(Self {
             listeners,
-            workers: reactors * workers_per_reactor.max(1),
             local_addr,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
             max_requests_per_conn: u64::MAX,
-            stats: Arc::new(ReactorStats::with_shards(reactors)),
+            stats: Arc::new(ReactorStats::with_shards(shards)),
         })
+    }
+
+    /// [`Self::bind`] with `shards` shards. The third argument, a worker
+    /// count per shard when handlers ran on a worker pool, is ignored:
+    /// `bind_sharded(addr, 1, n)` is one shard for every `n`. Kept only
+    /// until its last caller moves to [`Self::bind`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::bind`].
+    pub fn bind_sharded<A: ToSocketAddrs>(
+        addr: A,
+        shards: usize,
+        _ignored: usize,
+    ) -> io::Result<Self> {
+        Self::bind(addr, shards)
     }
 
     /// A shared handle to this server's statistics, available *before*
@@ -390,13 +387,12 @@ impl ReactorServer {
     ///
     /// # Panics
     ///
-    /// Panics if an epoll instance, wakeup eventfd, listener registration
+    /// Panics if an epoll instance, listener registration or descriptor,
     /// or reactor thread cannot be set up (resource exhaustion at startup).
     #[must_use]
     pub fn serve(self, router: Router) -> ReactorHandle {
         let shared = Arc::new(Shared {
             router,
-            pool: ThreadPool::new(self.workers),
             stats: Arc::clone(&self.stats),
             shutdown: AtomicBool::new(false),
             idle_timeout: self.idle_timeout,
@@ -404,6 +400,11 @@ impl ReactorServer {
         });
         // Every shard is set up before any loop starts, so a setup failure
         // leaves no thread running.
+        let listeners = self
+            .listeners
+            .iter()
+            .map(|listener| listener.try_clone().expect("duplicate listener descriptor"))
+            .collect();
         let shards: Vec<Shard> = self
             .listeners
             .into_iter()
@@ -411,10 +412,6 @@ impl ReactorServer {
             .map(|(id, listener)| {
                 Shard::new(id, listener, Arc::clone(&shared)).expect("set up reactor shard")
             })
-            .collect();
-        let mailboxes = shards
-            .iter()
-            .map(|shard| Arc::clone(&shard.mailbox))
             .collect();
         let threads = shards
             .into_iter()
@@ -428,7 +425,7 @@ impl ReactorServer {
         ReactorHandle {
             addr: self.local_addr,
             shared,
-            mailboxes,
+            listeners,
             threads,
         }
     }
@@ -450,8 +447,11 @@ struct Conn {
     /// Sequence number whose response serializes next (responses flush in
     /// request order).
     next_flush: u64,
-    /// Completed responses that arrived ahead of `next_flush`.
+    /// Completed responses not yet serialized: every response until its
+    /// pass ends, and those that finished ahead of `next_flush`.
     reorder: Vec<(u64, Response)>,
+    /// Listed in the shard's `touched` for the end of this pass.
+    touched: bool,
     /// No further requests are accepted; the connection closes once every
     /// assigned response has flushed.
     closing: bool,
@@ -520,11 +520,67 @@ impl Conn {
     fn drained(&self) -> bool {
         self.pending_responses() == 0 && self.written >= self.out.len()
     }
+
+    /// Takes the sequence number of a final error response and stops
+    /// reading: the connection closes once that response is written.
+    fn answer_last(&mut self) -> u64 {
+        let seq = self.next_assign;
+        self.next_assign += 1;
+        self.closing = true;
+        self.buf.clear();
+        seq
+    }
+
+    /// Writes staged bytes until all are written or the socket would
+    /// block (`EPOLLOUT` then brings the rest); `false` when the socket
+    /// failed.
+    fn write_staged(&mut self) -> bool {
+        while self.written < self.out.len() {
+            match self.stream.write(&self.out[self.written..]) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    self.written += n;
+                    // Progress resets the idle clock, mirroring the read
+                    // side.
+                    self.since = Instant::now();
+                }
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        self.out.clear();
+        self.written = 0;
+        true
+    }
+
+    /// Serializes the parked responses that are next in request order
+    /// into the send buffer; a response that finished ahead of an earlier
+    /// one stays parked. Staging happens when a pass ends, so the
+    /// `Connection` header reflects everything the pass learned (a
+    /// half-close, a spent request budget). The final response of a
+    /// closing connection is stamped `Connection: close`; everything else
+    /// keep-alive.
+    fn stage_in_order(&mut self) {
+        while let Some(position) = self.reorder.iter().position(|(s, _)| *s == self.next_flush) {
+            let (_, mut response) = self.reorder.swap_remove(position);
+            let last = self.closing && self.next_flush + 1 == self.next_assign;
+            response.set_disposition(if last {
+                Disposition::Close
+            } else {
+                Disposition::KeepAlive
+            });
+            response.write_into(&mut self.out);
+            self.next_flush += 1;
+        }
+    }
 }
 
 /// Connection storage with generation-tagged slots: a token names a
-/// (slot, generation) pair so completions for closed-and-recycled
-/// connections are recognized as stale and dropped.
+/// (slot, generation) pair, so an event or a batch's response for a
+/// connection closed earlier in the pass is recognized as stale and
+/// dropped even when a new connection reuses the slot.
+#[derive(Default)]
 struct Slab {
     slots: Vec<Option<Conn>>,
     generations: Vec<u32>,
@@ -532,14 +588,6 @@ struct Slab {
 }
 
 impl Slab {
-    fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            generations: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
     fn insert(&mut self, conn: Conn) -> u64 {
         let index = match self.free.pop() {
             Some(index) => {
@@ -610,34 +658,10 @@ enum FrameStep {
     Stop,
 }
 
-/// A shard's inbox of completions computed by the workers, with the count
-/// of the shard's jobs still running. A non-poisoning mutex — a panicking
-/// worker must not wedge every live connection on the shard behind a
-/// poisoned queue (the panic itself is already translated into a 500 by
-/// the worker path).
-struct Mailbox {
-    completions: Mutex<Vec<(Dest, Response)>>,
-    waker: Waker,
-    /// Worker-pool jobs this shard submitted whose completions are not yet
-    /// posted. Zero means the shard is idle, so its gather flushes at once.
-    in_flight: AtomicUsize,
-}
-
-impl Mailbox {
-    fn new() -> io::Result<Self> {
-        Ok(Self {
-            completions: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
-            in_flight: AtomicUsize::new(0),
-        })
-    }
-}
-
-/// State shared by every reactor shard: the router, the worker pool,
-/// aggregate stats, the shutdown flag and the connection settings.
+/// State shared by every reactor shard: the router, aggregate stats, the
+/// shutdown flag and the connection settings.
 struct Shared {
     router: Router,
-    pool: ThreadPool,
     stats: Arc<ReactorStats>,
     shutdown: AtomicBool,
     idle_timeout: Duration,
@@ -645,7 +669,8 @@ struct Shared {
 }
 
 /// One reactor event loop: owns a private listener, the connections the
-/// kernel hashes onto it, and the gather their batched requests wait in.
+/// kernel hashes onto it, and the gather their batched requests wait in
+/// until the end of a pass.
 struct Shard {
     /// This shard's entry in [`ReactorStats::shards`].
     id: usize,
@@ -654,37 +679,27 @@ struct Shard {
     epoll: Epoll,
     slab: Slab,
     gather: Gather<Dest>,
-    /// Shared with the workers running this shard's jobs (`Arc` so they
-    /// need no `Arc<Shared>`, which would cycle through the pool's own job
-    /// queue).
-    mailbox: Arc<Mailbox>,
+    /// Connections that had an event or a response in this pass; each is
+    /// staged, written once and settled when the pass ends.
+    touched: Vec<u64>,
     shared: Arc<Shared>,
 }
 
 impl Shard {
-    /// Registers the listener and a completion waker with a fresh epoll
-    /// instance.
+    /// Registers the listener with a fresh epoll instance.
     fn new(id: usize, listener: TcpListener, shared: Arc<Shared>) -> io::Result<Self> {
         let epoll = Epoll::new()?;
         listener.set_nonblocking(true)?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
-        let mailbox = Arc::new(Mailbox::new()?);
-        epoll.add(mailbox.waker.raw_fd(), EPOLLIN, WAKER_TOKEN)?;
         Ok(Self {
             id,
             listener: Some(listener),
             epoll,
-            slab: Slab::new(),
+            slab: Slab::default(),
             gather: Gather::new(&shared.router),
-            mailbox,
+            touched: Vec::new(),
             shared,
         })
-    }
-
-    /// Idle-sweep cadence: frequent enough to honour short test timeouts,
-    /// capped at once a second.
-    fn sweep_interval(&self) -> Duration {
-        (self.shared.idle_timeout / 4).clamp(Duration::from_millis(10), Duration::from_secs(1))
     }
 
     #[allow(clippy::too_many_lines)]
@@ -695,7 +710,10 @@ impl Shard {
         // e.g. EMFILE); re-armed once the deadline passes so a full fd
         // table degrades to brief accept pauses instead of a busy spin.
         let mut accept_paused_until: Option<Instant> = None;
-        let sweep_every = self.sweep_interval();
+        // Idle-sweep cadence: frequent enough to honour short test
+        // timeouts, capped at once a second.
+        let sweep_every =
+            (self.shared.idle_timeout / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
         let mut last_sweep = Instant::now();
         let mut drain_started: Option<Instant> = None;
 
@@ -719,6 +737,11 @@ impl Shard {
             for event in &events[..ready] {
                 match event.token() {
                     LISTENER_TOKEN => {
+                        // A shut-down listener wakes the loop for the drain
+                        // below; there is nothing left to accept.
+                        if self.shared.shutdown.load(Ordering::SeqCst) {
+                            continue;
+                        }
                         if accepting && !self.accept_ready() {
                             // Resource exhaustion: back off the listener.
                             if let Some(listener) = &self.listener {
@@ -727,49 +750,23 @@ impl Shard {
                             accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
                         }
                     }
-                    WAKER_TOKEN => self.mailbox.waker.drain(),
                     token => self.conn_ready(token, event.readiness()),
                 }
             }
-
-            // Responses computed by the workers since the last pass; after
-            // queueing them, resume framing on those connections — their
-            // pipelines may have been paused by the MAX_PIPELINE cap.
-            let done: Vec<(Dest, Response)> = std::mem::take(&mut *self.mailbox.completions.lock());
-            let mut touched: Vec<u64> = Vec::with_capacity(done.len());
-            for ((token, seq), response) in done {
-                self.queue_response(token, seq, response);
-                if !touched.contains(&token) {
-                    touched.push(token);
-                }
-            }
-            for token in touched {
-                self.frame_and_dispatch(token);
-                self.close_if_drained(token);
-                self.sync_interest(token);
-            }
-
-            // Flush gathered batches whose window expired; once nothing of
-            // this shard's is in flight (or it drains), flush them all. Full
-            // batches already flushed when they filled.
-            let now = Instant::now();
-            let flush_all =
-                drain_started.is_some() || self.mailbox.in_flight.load(Ordering::Acquire) == 0;
-            for batch in self.gather.take_due(&self.shared.router, now, flush_all) {
-                self.flush_batch(batch);
-            }
+            self.end_pass();
 
             // Periodic sweep: reap connections that have sat quiet longer
             // than the idle timeout with nothing in flight — covers both
             // clients stalled mid-request and idle keep-alive connections.
+            let now = Instant::now();
             if now.duration_since(last_sweep) >= sweep_every {
                 last_sweep = now;
                 for token in self.slab.live_tokens() {
                     let expired = self.slab.get_mut(token).is_some_and(|conn| {
                         // Quiet connections with nothing in flight, and
                         // vanished readers whose staged bytes stopped
-                        // draining, are both reaped; connections merely
-                        // waiting on a slow handler are not.
+                        // draining, are both reaped; connections whose
+                        // requests wait for the next pass are not.
                         let stalled_write = conn.written < conn.out.len();
                         (conn.drained() || stalled_write)
                             && now.duration_since(conn.since) > self.shared.idle_timeout
@@ -785,8 +782,7 @@ impl Shard {
             // queue nobody will ever serve and hanging until the client
             // times out), mark every connection closing (drained ones drop
             // at once; the rest flush their pending responses, stamped
-            // `Connection: close`), then drain in-flight work before
-            // exiting.
+            // `Connection: close`), then exit once they are written.
             if self.shared.shutdown.load(Ordering::SeqCst) && drain_started.is_none() {
                 drain_started = Some(now);
                 accepting = false;
@@ -804,10 +800,7 @@ impl Shard {
                 }
             }
             if let Some(started) = drain_started {
-                let drained = self.gather.is_empty()
-                    && self.mailbox.in_flight.load(Ordering::Acquire) == 0
-                    && self.mailbox.completions.lock().is_empty()
-                    && self.slab.is_empty();
+                let drained = self.gather.is_empty() && self.slab.is_empty();
                 if drained || now.duration_since(started) > DRAIN_DEADLINE {
                     break;
                 }
@@ -815,19 +808,72 @@ impl Shard {
         }
     }
 
-    /// Epoll timeout: tight while one of this shard's gather windows is
-    /// pending, bounded by the idle-sweep cadence otherwise, short while
-    /// draining.
+    /// Epoll timeout: zero while requests framed by the last pass wait to
+    /// run or responses to be written, short while draining, bounded by
+    /// the idle-sweep cadence otherwise.
     fn wait_timeout(&self, sweep_every: Duration, draining: bool) -> i32 {
+        if !self.gather.is_empty() || !self.touched.is_empty() {
+            return 0;
+        }
         if draining {
             return 10;
         }
-        let base = i32::try_from(sweep_every.as_millis().max(1))
+        i32::try_from(sweep_every.as_millis().max(1))
             .unwrap_or(1_000)
-            .min(1_000);
-        self.gather
-            .next_deadline_ms(&self.shared.router, Instant::now())
-            .map_or(base, |ms| base.min(ms))
+            .min(1_000)
+    }
+
+    /// Ends a pass of the event loop: runs every batch the pass gathered,
+    /// then, for each touched connection, stages its responses in request
+    /// order and writes them at once, resumes framing (written bytes may
+    /// lift the pipeline caps; batched requests framed now run at the end
+    /// of the next pass), closes it if it is done and syncs its epoll
+    /// interest.
+    fn end_pass(&mut self) {
+        for batch in self.gather.take_all() {
+            self.run_batch(batch);
+        }
+        for token in std::mem::take(&mut self.touched) {
+            let Some(conn) = self.slab.get_mut(token) else {
+                continue;
+            };
+            conn.touched = false;
+            conn.stage_in_order();
+            if !conn.write_staged() {
+                self.close_conn(token);
+                continue;
+            }
+            self.frame_and_dispatch(token);
+            let Some(conn) = self.slab.get_mut(token) else {
+                continue;
+            };
+            if conn.closing && conn.drained() {
+                self.close_conn(token);
+                continue;
+            }
+            // EPOLLIN while the connection still accepts requests, EPOLLOUT
+            // while staged bytes remain unwritten.
+            let desired = if conn.closing { 0 } else { EPOLLIN }
+                | if conn.written < conn.out.len() {
+                    EPOLLOUT
+                } else {
+                    0
+                };
+            if desired != conn.interest {
+                conn.interest = desired;
+                let _ = self.epoll.modify(conn.stream.as_raw_fd(), desired, token);
+            }
+        }
+    }
+
+    /// Lists a connection for the end of this pass.
+    fn touch(&mut self, token: u64) {
+        if let Some(conn) = self.slab.get_mut(token) {
+            if !conn.touched {
+                conn.touched = true;
+                self.touched.push(token);
+            }
+        }
     }
 
     /// Drains the accept queue into this shard. Returns `false` when
@@ -877,6 +923,7 @@ impl Shard {
             next_assign: 0,
             next_flush: 0,
             reorder: Vec::new(),
+            touched: false,
             closing: false,
             peer_eof: false,
             interest: EPOLLIN,
@@ -898,14 +945,9 @@ impl Shard {
         if readiness & EPOLLIN != 0 {
             self.read_ready(token);
         }
-        if readiness & EPOLLOUT != 0 && self.slab.get_mut(token).is_some() {
-            self.try_write(token);
-            // Write progress may have released the staged-bytes gate on
-            // framing (a pipelining client fed by a slow reader).
-            self.frame_and_dispatch(token);
-            self.close_if_drained(token);
-        }
-        self.sync_interest(token);
+        // The end of the pass writes what is staged (on EPOLLOUT, what a
+        // slow reader left), frames on, and closes the connection if done.
+        self.touch(token);
     }
 
     /// Pulls everything currently readable, frames and dispatches as many
@@ -925,14 +967,11 @@ impl Shard {
                 self.close_conn(token);
             }
             Pull::TooLarge => {
-                let seq = {
-                    let conn = self.slab.get_mut(token).expect("checked above");
-                    let seq = conn.next_assign;
-                    conn.next_assign += 1;
-                    conn.closing = true;
-                    conn.buf.clear();
-                    seq
-                };
+                let seq = self
+                    .slab
+                    .get_mut(token)
+                    .expect("checked above")
+                    .answer_last();
                 self.queue_response(token, seq, Response::payload_too_large("request too large"));
             }
             Pull::Data { eof } => {
@@ -947,15 +986,14 @@ impl Shard {
                 // loop flips the connection to closing once the buffer can
                 // never yield another request.
                 self.frame_and_dispatch(token);
-                self.close_if_drained(token);
             }
         }
     }
 
     /// Frames as many complete requests as the connection's buffer holds
     /// (bounded by the pipeline cap) and dispatches each. A pipelined burst
-    /// framed here joins the gather before this pass of the loop checks
-    /// its flush triggers, so it leaves as one batch.
+    /// framed here joins the gather before this pass ends, so it runs as
+    /// one batch.
     fn frame_and_dispatch(&mut self, token: u64) {
         loop {
             let step = {
@@ -994,13 +1032,7 @@ impl Shard {
                             }
                             FrameStep::Stop
                         }
-                        Err(err) => {
-                            let seq = conn.next_assign;
-                            conn.next_assign += 1;
-                            conn.closing = true;
-                            conn.buf.clear();
-                            FrameStep::Bad(seq, err.response())
-                        }
+                        Err(err) => FrameStep::Bad(conn.answer_last(), err.response()),
                     }
                 }
             };
@@ -1020,15 +1052,14 @@ impl Shard {
         }
     }
 
-    /// Routes a parsed request into the shard's gather, flushing the batch
+    /// Routes a parsed request into the shard's gather, running the batch
     /// it fills (a scalar route's policy-of-1 fills one at once); routing
     /// misses answer immediately (in order).
     fn dispatch(&mut self, token: u64, seq: u64, request: Request) {
         match self.shared.router.resolve(&request) {
             Resolution::Route(route) => {
-                let entry = ((token, seq), request);
-                for batch in self.gather.push_many(&self.shared.router, route, [entry]) {
-                    self.flush_batch(batch);
+                if let Some(batch) = self.gather.push(route, (token, seq), request) {
+                    self.run_batch(batch);
                 }
             }
             Resolution::MethodNotAllowed => {
@@ -1038,130 +1069,39 @@ impl Shard {
         }
     }
 
-    /// Hands a batch to the worker pool as one handler call; the worker
-    /// posts the responses to this shard's mailbox. Only batches of
-    /// coalescable routes count in the batch stats.
-    fn flush_batch(&self, batch: GatheredBatch<Dest>) {
-        let route = Arc::clone(self.shared.router.route_at(batch.route));
+    /// Runs a batch as one handler call on this shard's thread and queues
+    /// its responses. A panicking handler answers 500 to every request of
+    /// its batch, and the shard keeps serving. Only batches of coalescable
+    /// routes count in the batch stats.
+    fn run_batch(&mut self, batch: GatheredBatch<Dest>) {
+        let route = self.shared.router.route_at(batch.route);
         if route.policy().is_batched() {
             let stats = &self.shared.stats;
             stats.batches.fetch_add(1, Ordering::Relaxed);
             stats
                 .batched_requests
-                .fetch_add(batch.entries.len() as u64, Ordering::Relaxed);
+                .fetch_add(batch.requests.len() as u64, Ordering::Relaxed);
         }
-        let (destinations, requests): (Vec<Dest>, Vec<Request>) = batch.entries.into_iter().unzip();
-        let mailbox = Arc::clone(&self.mailbox);
-        mailbox.in_flight.fetch_add(1, Ordering::AcqRel);
-        self.shared.pool.execute(move || {
-            let responses =
-                catch_unwind(AssertUnwindSafe(|| route.run(&requests))).unwrap_or_else(|_| {
-                    (0..destinations.len())
-                        .map(|_| Response::error(500, "handler panicked"))
-                        .collect()
-                });
-            mailbox
-                .completions
-                .lock()
-                .extend(destinations.into_iter().zip(responses));
-            mailbox.in_flight.fetch_sub(1, Ordering::AcqRel);
-            mailbox.waker.wake();
-        });
+        let responses = catch_unwind(AssertUnwindSafe(|| route.run(&batch.requests)))
+            .unwrap_or_else(|_| {
+                (0..batch.requests.len())
+                    .map(|_| Response::error(500, "handler panicked"))
+                    .collect()
+            });
+        for ((token, seq), response) in batch.destinations.into_iter().zip(responses) {
+            self.queue_response(token, seq, response);
+        }
     }
 
-    /// Queues a completed response on its connection: responses serialize
-    /// strictly in request order, with early finishers parked in the
-    /// reorder queue. The final response of a closing connection is
-    /// stamped `Connection: close`; everything else keep-alive.
+    /// Parks a completed response on its connection until the pass ends,
+    /// when [`Conn::stage_in_order`] serializes it and the connection is
+    /// written.
     fn queue_response(&mut self, token: u64, seq: u64, response: Response) {
-        let progressed = {
-            let Some(conn) = self.slab.get_mut(token) else {
-                return; // Connection died while the response was computed.
-            };
-            conn.reorder.push((seq, response));
-            let mut progressed = false;
-            while let Some(position) = conn.reorder.iter().position(|(s, _)| *s == conn.next_flush)
-            {
-                let (_, mut response) = conn.reorder.swap_remove(position);
-                let last = conn.closing && conn.next_flush + 1 == conn.next_assign;
-                response.set_disposition(if last {
-                    Disposition::Close
-                } else {
-                    Disposition::KeepAlive
-                });
-                response.write_into(&mut conn.out);
-                conn.next_flush += 1;
-                progressed = true;
-            }
-            progressed
-        };
-        if progressed {
-            self.try_write(token);
-        }
-    }
-
-    /// Writes as much of the staged response bytes as the socket accepts;
-    /// closes when a closing connection fully drains, re-arms `EPOLLOUT`
-    /// on short writes.
-    fn try_write(&mut self, token: u64) {
-        let outcome = {
-            let Some(conn) = self.slab.get_mut(token) else {
-                return;
-            };
-            push_staged(conn)
-        };
-        match outcome {
-            WriteOutcome::Done => {
-                let close_now = {
-                    let conn = self.slab.get_mut(token).expect("written just now");
-                    conn.out.clear();
-                    conn.written = 0;
-                    conn.since = Instant::now();
-                    conn.closing && conn.pending_responses() == 0
-                };
-                if close_now {
-                    self.close_conn(token);
-                } else {
-                    self.sync_interest(token);
-                }
-            }
-            WriteOutcome::Blocked => self.sync_interest(token),
-            WriteOutcome::Failed => self.close_conn(token),
-        }
-    }
-
-    /// Reconciles the connection's epoll registration with its state:
-    /// `EPOLLIN` while it still accepts requests, `EPOLLOUT` while staged
-    /// bytes remain unwritten.
-    fn sync_interest(&mut self, token: u64) {
         let Some(conn) = self.slab.get_mut(token) else {
-            return;
+            return; // Connection died while the response was computed.
         };
-        let mut desired = 0;
-        if !conn.closing {
-            desired |= EPOLLIN;
-        }
-        if conn.written < conn.out.len() {
-            desired |= EPOLLOUT;
-        }
-        if desired != conn.interest {
-            conn.interest = desired;
-            let fd = conn.stream.as_raw_fd();
-            let _ = self.epoll.modify(fd, desired, token);
-        }
-    }
-
-    /// Closes a connection that has flipped to closing with nothing left
-    /// to compute or write (the try_write path handles the staged-bytes
-    /// case; this covers closings decided with an already-empty queue).
-    fn close_if_drained(&mut self, token: u64) {
-        let done = self
-            .slab
-            .get_mut(token)
-            .is_some_and(|conn| conn.closing && conn.drained());
-        if done {
-            self.close_conn(token);
-        }
+        conn.reorder.push((seq, response));
+        self.touch(token);
     }
 
     /// Tears a connection down.
@@ -1212,43 +1152,12 @@ fn pull_bytes(conn: &mut Conn) -> Pull {
     Pull::Data { eof }
 }
 
-/// Result of pushing staged response bytes to the socket.
-enum WriteOutcome {
-    /// Everything currently staged has been written.
-    Done,
-    /// Socket buffer full; re-arm `EPOLLOUT` on this fd.
-    Blocked,
-    /// The socket failed; drop the connection.
-    Failed,
-}
-
-/// Writes staged bytes until done or the socket stops accepting.
-fn push_staged(conn: &mut Conn) -> WriteOutcome {
-    loop {
-        if conn.written >= conn.out.len() {
-            return WriteOutcome::Done;
-        }
-        match conn.stream.write(&conn.out[conn.written..]) {
-            Ok(0) => return WriteOutcome::Failed,
-            Ok(n) => {
-                conn.written += n;
-                // Progress resets the idle clock, mirroring the read side.
-                conn.since = Instant::now();
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                return WriteOutcome::Blocked;
-            }
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return WriteOutcome::Failed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::HttpClient;
     use crate::router::BatchPolicy;
+    use parking_lot::Mutex;
 
     fn ping_router() -> Router {
         let mut router = Router::new();
@@ -1308,7 +1217,7 @@ mod tests {
     fn sharded_reactor_serves_across_shards() {
         // Four event loops behind one address: every request is served,
         // and the per-shard breakdowns sum to the aggregate.
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", 4, 1).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", 4).unwrap();
         assert_eq!(server.reactors(), 4);
         let addr = server.local_addr();
         let handle = server.serve(ping_router());
@@ -1393,10 +1302,10 @@ mod tests {
 
     #[test]
     fn batched_route_coalesces_concurrent_requests() {
-        // Deterministic gathering: two slow scalar requests occupy both
-        // workers, so the batched route's requests pile up (the pipeline is
-        // never idle and the gather window is far away) and flush together
-        // once the workers free up.
+        // Deterministic gathering: a slow scalar request runs on the one
+        // shard's thread, so the batched route's requests from 24 other
+        // connections pile up in their sockets and are framed in the same
+        // pass once the shard is free again: one handler call for them all.
         let mut router = Router::new();
         router.get("/slow", |_| {
             thread::sleep(Duration::from_millis(500));
@@ -1405,10 +1314,7 @@ mod tests {
         router.route(
             "GET",
             "/batch/",
-            BatchPolicy {
-                max_batch: 64,
-                gather_window: Duration::from_secs(10),
-            },
+            BatchPolicy { max_batch: 64 },
             |requests: &[Request], out: &mut Vec<Response>| {
                 out.extend(requests.iter().map(|r| {
                     let uid = r.query_param("uid").unwrap_or("?");
@@ -1416,18 +1322,15 @@ mod tests {
                 }));
             },
         );
-        let server = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr();
         let handle = server.serve(router);
 
-        let mut joins = Vec::new();
-        for _ in 0..2 {
-            joins.push(thread::spawn(move || {
-                let client = HttpClient::new(addr);
-                assert_eq!(client.get("/slow").unwrap().status, 200);
-            }));
-        }
-        // Give the slow requests time to reach the workers.
+        let mut joins = vec![thread::spawn(move || {
+            let client = HttpClient::new(addr);
+            assert_eq!(client.get("/slow").unwrap().status, 200);
+        })];
+        // Give the slow request time to start running.
         thread::sleep(Duration::from_millis(100));
         for uid in 0..24u32 {
             joins.push(thread::spawn(move || {
@@ -1443,9 +1346,9 @@ mod tests {
         let stats = handle.stats();
         assert_eq!(stats.batched_requests(), 24);
         assert!(stats.batches() >= 1);
-        // The 24 requests gathered while the workers were busy; even
-        // allowing stragglers, they must have coalesced into far fewer
-        // flushes than requests.
+        // The 24 requests gathered while the shard was busy; even allowing
+        // stragglers, they must have coalesced into far fewer handler calls
+        // than requests.
         assert!(
             stats.batches() <= 4,
             "coalescing regressed: {} batches for 24 requests",
@@ -1455,8 +1358,8 @@ mod tests {
     }
 
     /// A router with a `/slow` scalar route that sleeps `slow`, and a
-    /// `/batch/` route (10 s window) answering `u{uid}` that records the
-    /// uids of every batch it serves.
+    /// `/batch/` route answering `u{uid}` that records the uids of every
+    /// batch it serves.
     fn slow_and_batch_router(slow: Duration, batches: Arc<Mutex<Vec<Vec<usize>>>>) -> Router {
         let mut router = Router::new();
         router.get("/slow", move |_| {
@@ -1466,10 +1369,7 @@ mod tests {
         router.route(
             "GET",
             "/batch/",
-            BatchPolicy {
-                max_batch: 64,
-                gather_window: Duration::from_secs(10),
-            },
+            BatchPolicy { max_batch: 64 },
             move |requests: &[Request], out: &mut Vec<Response>| {
                 let uids: Vec<usize> = requests
                     .iter()
@@ -1488,13 +1388,13 @@ mod tests {
     #[test]
     fn sharded_gather_coalesces_within_each_shard() {
         // Twelve batched requests on each of 2 shards while each shard's
-        // own slow request pins one of the 2 workers: every shard gathers
-        // its 12 into at most 2 flushes (one, plus a straggler that missed
-        // it), and no batch mixes requests from two shards.
+        // own slow request keeps its thread busy: every shard gathers its
+        // 12 into at most 2 handler calls (one, plus a straggler that
+        // missed its pass), and no batch mixes requests from two shards.
         const PER_SHARD: usize = 12;
         let batches: Arc<Mutex<Vec<Vec<usize>>>> = Arc::default();
         let router = slow_and_batch_router(Duration::from_millis(500), Arc::clone(&batches));
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", 2, 1).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
         let handle = server.serve(router);
         let mut groups = connections_on_every_shard(&handle, PER_SHARD + 1);
         let mut slow: Vec<TcpStream> = groups.iter_mut().map(|g| g.pop().unwrap()).collect();
@@ -1553,12 +1453,11 @@ mod tests {
 
     #[test]
     fn an_idle_shard_flushes_without_waiting_for_another_shards_work() {
-        // Shard 0 runs a 3 s request on one of the 2 workers; shard 1 has
-        // nothing in flight, so its lone batched request flushes at once
-        // to the free worker instead of waiting out its 10 s window or
-        // shard 0's work.
+        // Shard 0 runs a 3 s request on its own thread; shard 1 has
+        // nothing to do, so its lone batched request runs at the end of the
+        // pass that framed it instead of waiting for shard 0's work.
         let router = slow_and_batch_router(Duration::from_secs(3), Arc::default());
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", 2, 1).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
         let handle = server.serve(router);
         let mut groups = connections_on_every_shard(&handle, 1);
         let mut busy = groups[0].pop().unwrap();
@@ -1688,15 +1587,12 @@ mod tests {
     fn pipelined_requests_deliver_a_ready_made_batch() {
         // Three requests written back-to-back on one socket arrive in one
         // read and join the same gather — the keep-alive redesign's
-        // "ready-made batch" without paying the gather window.
+        // "ready-made batch", run as one handler call when the pass ends.
         let mut router = Router::new();
         router.route(
             "GET",
             "/batch/",
-            BatchPolicy {
-                max_batch: 64,
-                gather_window: Duration::from_millis(200),
-            },
+            BatchPolicy { max_batch: 64 },
             |requests: &[Request], out: &mut Vec<Response>| {
                 let size = requests.len();
                 out.extend(requests.iter().map(|r| {
@@ -1750,15 +1646,12 @@ mod tests {
     fn sharded_pipelined_burst_stays_one_batch() {
         // The ready-made-batch property must survive sharding: a burst
         // framed in one read on shard 1 joins that shard's gather before
-        // its loop checks the idle trigger, so it is one handler call.
+        // its pass ends, so it is one handler call.
         let mut router = Router::new();
         router.route(
             "GET",
             "/batch/",
-            BatchPolicy {
-                max_batch: 64,
-                gather_window: Duration::from_millis(200),
-            },
+            BatchPolicy { max_batch: 64 },
             |requests: &[Request], out: &mut Vec<Response>| {
                 let size = requests.len();
                 out.extend(requests.iter().map(|r| {
@@ -1767,7 +1660,7 @@ mod tests {
                 }));
             },
         );
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", 2, 1).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", 2).unwrap();
         let handle = server.serve(router);
         let mut stream = connections_on_every_shard(&handle, 1)
             .swap_remove(1)
@@ -1866,7 +1759,7 @@ mod tests {
     #[test]
     fn panicking_handler_answers_500_and_the_reactor_survives() {
         // One bad handler must cost its request a 500 — never the
-        // connection, the completion queue, or a pool worker.
+        // connection or the shard that ran it.
         let mut router = ping_router();
         router.get("/boom", |_| -> Response { panic!("handler bug") });
         let server = ReactorServer::bind("127.0.0.1:0", 1).unwrap();
@@ -1876,8 +1769,8 @@ mod tests {
         let client = HttpClient::new(addr);
         assert_eq!(client.get("/boom").unwrap().status, 500);
         // Same connection keeps working (the panic was translated, not
-        // propagated), and with a 1-worker pool a dead worker would hang
-        // this request forever.
+        // propagated), and on a 1-shard server a dead shard thread would
+        // hang this request forever.
         assert_eq!(client.get("/ping").unwrap().status, 200);
         assert_eq!(client.get("/boom").unwrap().status, 500);
         assert_eq!(client.get("/ping").unwrap().status, 200);
@@ -1910,7 +1803,7 @@ mod tests {
 
     #[test]
     fn sharded_stop_terminates_every_event_loop() {
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", 4, 1).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", 4).unwrap();
         let addr = server.local_addr();
         let handle = server.serve(ping_router());
         // Serve at least one request so the loops are demonstrably up.

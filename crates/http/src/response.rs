@@ -1,6 +1,8 @@
 //! HTTP/1.1 response building and parsing, with optional gzip content
 //! encoding and an explicit connection [`Disposition`].
 
+use hyrec_server::JobBody;
+
 /// What happens to the connection after this response — serialized as the
 /// `Connection` header.
 ///
@@ -26,11 +28,15 @@ pub struct Response {
     /// Headers in the order they are written (or were parsed), names
     /// lowercased.
     pub headers: Vec<(String, String)>,
-    /// Body bytes as they will appear on the wire.
+    /// Body bytes as they will appear on the wire. Empty on a
+    /// [`Response::ok_job`], whose body is its job's pieces.
     pub body: Vec<u8>,
     /// Connection lifetime after this response (drives the `Connection`
     /// header on serialization).
     pub disposition: Disposition,
+    /// A planned job body, written piece by piece by [`Self::write_into`]
+    /// instead of `body`.
+    job: Option<JobBody>,
 }
 
 impl Response {
@@ -42,6 +48,7 @@ impl Response {
             headers: vec![("content-type".to_owned(), content_type.to_owned())],
             body,
             disposition: Disposition::default(),
+            job: None,
         }
     }
 
@@ -62,6 +69,17 @@ impl Response {
         response
     }
 
+    /// A personalization job's `200 OK`: the pre-gzipped JSON body of
+    /// [`Self::ok_pregzipped_json`], kept as the encoder's planned pieces so
+    /// [`Self::write_into`] copies each cached chunk once, straight into
+    /// the connection's send buffer.
+    #[must_use]
+    pub fn ok_job(job: JobBody) -> Self {
+        let mut response = Self::ok_pregzipped_json(Vec::new());
+        response.job = Some(job);
+        response
+    }
+
     /// An error response with a plain-text body.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Self {
@@ -70,6 +88,7 @@ impl Response {
             headers: vec![("content-type".to_owned(), "text/plain".to_owned())],
             body: message.as_bytes().to_vec(),
             disposition: Disposition::default(),
+            job: None,
         }
     }
 
@@ -121,10 +140,14 @@ impl Response {
     ///
     /// Returns the gzip error message if the body is corrupt.
     pub fn decoded_body(&self) -> Result<Vec<u8>, String> {
+        let body = match &self.job {
+            Some(job) => job.to_vec(),
+            None => self.body.clone(),
+        };
         if self.header("content-encoding") == Some("gzip") {
-            hyrec_wire::gzip::decompress(&self.body).map_err(|e| e.to_string())
+            hyrec_wire::gzip::decompress(&body).map_err(|e| e.to_string())
         } else {
-            Ok(self.body.clone())
+            Ok(body)
         }
     }
 
@@ -133,7 +156,8 @@ impl Response {
     /// response's [`Disposition`].
     ///
     /// The reactor's write path: the buffer is per-connection and reused, so
-    /// staging a response costs no allocation in steady state.
+    /// staging a response costs no allocation in steady state, and a job
+    /// body's pieces are copied into it once.
     pub fn write_into(&self, out: &mut Vec<u8>) {
         use std::io::Write as _;
         let reason = match self.status {
@@ -151,13 +175,17 @@ impl Response {
         for (name, value) in &self.headers {
             let _ = write!(out, "{name}: {value}\r\n");
         }
-        let _ = write!(out, "content-length: {}\r\n", self.body.len());
+        let body_len = self.job.as_ref().map_or(self.body.len(), JobBody::byte_len);
+        let _ = write!(out, "content-length: {body_len}\r\n");
         let connection = match self.disposition {
             Disposition::KeepAlive => "keep-alive",
             Disposition::Close => "close",
         };
         let _ = write!(out, "connection: {connection}\r\n\r\n");
-        out.extend_from_slice(&self.body);
+        match &self.job {
+            Some(job) => job.write_into(out),
+            None => out.extend_from_slice(&self.body),
+        }
     }
 
     /// Total bytes this response occupies on the wire (status line +
@@ -256,6 +284,7 @@ fn assemble(status: u16, headers: Vec<(String, String)>, body: Vec<u8>) -> Respo
         headers,
         body,
         disposition,
+        job: None,
     }
 }
 
@@ -318,6 +347,31 @@ mod tests {
         let mut wire = Vec::new();
         Response::error(409, "stale").write_into(&mut wire);
         assert!(wire.starts_with(b"HTTP/1.1 409 Conflict\r\n"));
+    }
+
+    #[test]
+    fn job_response_writes_the_pregzipped_bytes() {
+        // A job kept as pieces serializes exactly like its body copied into
+        // a pre-gzipped response, and decodes the same on the client side.
+        use hyrec_core::{ItemId, UserId, Vote};
+        let server = hyrec_server::HyRecServer::new();
+        server.record(UserId(1), ItemId(5), Vote::Like);
+        server.record(UserId(2), ItemId(5), Vote::Like);
+        let job = server.build_job(UserId(1));
+        let planned = hyrec_server::JobEncoder::new()
+            .plan_jobs(std::slice::from_ref(&job))
+            .pop()
+            .unwrap();
+        let (mut pieces, mut copied) = (b"prefix".to_vec(), b"prefix".to_vec());
+        let response = Response::ok_job(planned.clone());
+        response.write_into(&mut pieces);
+        Response::ok_pregzipped_json(planned.to_vec()).write_into(&mut copied);
+        assert_eq!(pieces, copied);
+        assert_eq!(response.wire_len(), copied.len() - b"prefix".len());
+        assert_eq!(
+            response.decoded_body().unwrap(),
+            hyrec_wire::gzip::decompress(&planned.to_vec()).unwrap()
+        );
     }
 
     #[test]

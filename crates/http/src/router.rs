@@ -3,17 +3,16 @@
 //! Every route is a batched handler behind a [`BatchPolicy`]: the handler
 //! receives a slice of requests and must append exactly one response per
 //! request, in order. A *scalar* route is the policy-of-1 special case
-//! ([`BatchPolicy::scalar`]) — each request fills its batch at once, so
-//! plain request/response endpoints never wait for company. Routes whose
-//! policy allows more than one request per call are *coalescable*: each
-//! reactor shard gathers the concurrent (and pipelined) requests its own
-//! connections send to them — up to the policy cap, within the gather
-//! window — and hands whole bursts to one handler call.
+//! ([`BatchPolicy::scalar`]) — each request fills its batch at once and
+//! runs as soon as it is framed. Routes whose policy allows more than one
+//! request per call are *coalescable*: each reactor shard gathers the
+//! requests its own connections send to them during one pass of its event
+//! loop (pipelined bursts and concurrent connections alike), up to the
+//! policy cap, and runs them as one handler call at the end of the pass.
+//! Batch composition follows from what one pass framed, never from a timer.
 
 use crate::request::Request;
 use crate::response::Response;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A request handler: the one trait the reactor dispatches through.
 ///
@@ -52,32 +51,24 @@ where
 /// Coalescing parameters of a route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Flush as soon as this many requests are pending. `1` disables
-    /// gathering entirely (the scalar special case).
+    /// Most requests one handler call serves. Requests one shard frames in
+    /// one pass of its event loop run together, split into calls of at
+    /// most this many; `1` runs every request alone (the scalar special
+    /// case).
     pub max_batch: usize,
-    /// Flush when the oldest pending request has waited this long (a
-    /// reactor shard also flushes early whenever it has nothing in flight,
-    /// so lightly-loaded servers do not pay the window as latency).
-    pub gather_window: Duration,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        Self {
-            max_batch: 128,
-            gather_window: Duration::from_millis(1),
-        }
+        Self { max_batch: 128 }
     }
 }
 
 impl BatchPolicy {
-    /// The policy-of-1: dispatch immediately, never gather.
+    /// The policy-of-1: every request runs alone, as soon as it is framed.
     #[must_use]
     pub fn scalar() -> Self {
-        Self {
-            max_batch: 1,
-            gather_window: Duration::ZERO,
-        }
+        Self { max_batch: 1 }
     }
 
     /// Whether this policy ever gathers more than one request per call.
@@ -151,9 +142,9 @@ pub enum Resolution {
 /// let Resolution::Route(index) = router.resolve(&req) else { panic!("unrouted") };
 /// assert_eq!(router.route_at(index).run(&[req])[0].body, b"pong");
 /// ```
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Router {
-    routes: Vec<Arc<Route>>,
+    routes: Vec<Route>,
 }
 
 impl std::fmt::Debug for Router {
@@ -208,12 +199,12 @@ impl Router {
         policy: BatchPolicy,
         handler: H,
     ) -> &mut Self {
-        self.routes.push(Arc::new(Route {
+        self.routes.push(Route {
             method: method.to_ascii_uppercase(),
             prefix: prefix.to_owned(),
             policy,
             handler: Box::new(handler),
-        }));
+        });
         self
     }
 
@@ -245,7 +236,7 @@ impl Router {
     ///
     /// Panics if `index` is out of range.
     #[must_use]
-    pub fn route_at(&self, index: usize) -> &Arc<Route> {
+    pub fn route_at(&self, index: usize) -> &Route {
         &self.routes[index]
     }
 
@@ -282,34 +273,39 @@ impl Router {
     }
 }
 
-/// A reactor shard's gather state: one pending batch per route. Each shard
-/// owns one and touches it only from its own event loop, so it takes no
-/// lock, and a shard's batches never wait on another shard's work.
-/// Entries carry an opaque destination `D` (connection, sequence) that the
-/// flusher uses to route each response back to its connection.
+/// A reactor shard's gather state: one pending batch per route. Each
+/// shard owns one and touches it only from its own event loop,
+/// so it takes no lock, and a shard's batches never wait on another
+/// shard's work. Entries carry an opaque destination `D` (connection,
+/// sequence) that the shard uses to route each response back to its
+/// connection.
 pub(crate) struct Gather<D> {
     /// One slot per route (indexed by route-table index). A scalar route's
     /// slot fills and empties within one push.
-    slots: Vec<GatherSlot<D>>,
-    /// Route indices whose policy can gather — the only slots the sweep
-    /// loops visit, so a shard's per-pass cost scales with the number of
-    /// *batched* routes, not the whole route table.
-    batched: Vec<usize>,
+    slots: Vec<GatheredBatch<D>>,
+    /// Each route's `max_batch`.
+    caps: Vec<usize>,
 }
 
-/// One route's pending batch.
-struct GatherSlot<D> {
-    entries: Vec<(D, Request)>,
-    /// Arrival time of the oldest pending entry (`None` when empty).
-    oldest: Option<Instant>,
-}
-
-/// A batch taken from the gather, ready for one handler call.
+/// A batch for one handler call: destination-tagged requests of one route,
+/// in arrival order.
 pub(crate) struct GatheredBatch<D> {
     /// Route-table index the batch belongs to.
     pub route: usize,
-    /// Destination-tagged requests, in arrival order.
-    pub entries: Vec<(D, Request)>,
+    /// Where each response goes, parallel to `requests`.
+    pub destinations: Vec<D>,
+    /// The requests, in arrival order.
+    pub requests: Vec<Request>,
+}
+
+impl<D> GatheredBatch<D> {
+    fn empty(route: usize) -> Self {
+        Self {
+            route,
+            destinations: Vec::new(),
+            requests: Vec::new(),
+        }
+    }
 }
 
 impl<D> Gather<D> {
@@ -317,94 +313,42 @@ impl<D> Gather<D> {
     pub(crate) fn new(router: &Router) -> Self {
         Self {
             slots: (0..router.route_count())
-                .map(|_| GatherSlot {
-                    entries: Vec::new(),
-                    oldest: None,
-                })
+                .map(GatheredBatch::empty)
                 .collect(),
-            batched: (0..router.route_count())
-                .filter(|&route| router.route_at(route).policy().is_batched())
-                .collect(),
+            caps: router.routes.iter().map(|r| r.policy.max_batch).collect(),
         }
     }
 
-    /// Adds requests to `route`'s pending batch, in order, and returns
-    /// every batch they filled (a long burst can cross `max_batch` several
-    /// times; under the policy-of-1 every request fills one).
-    pub(crate) fn push_many(
+    /// Adds a request to `route`'s pending batch and returns the batch if
+    /// that filled it (under the policy-of-1, every request does).
+    pub(crate) fn push(
         &mut self,
-        router: &Router,
         route: usize,
-        entries: impl IntoIterator<Item = (D, Request)>,
-    ) -> Vec<GatheredBatch<D>> {
-        let max_batch = router.route_at(route).policy().max_batch;
+        destination: D,
+        request: Request,
+    ) -> Option<GatheredBatch<D>> {
         let slot = &mut self.slots[route];
-        let mut full = Vec::new();
-        for entry in entries {
-            if slot.entries.is_empty() {
-                slot.oldest = Some(Instant::now());
-            }
-            slot.entries.push(entry);
-            if slot.entries.len() >= max_batch {
-                slot.oldest = None;
-                full.push(GatheredBatch {
-                    route,
-                    entries: std::mem::take(&mut slot.entries),
-                });
-            }
-        }
-        full
+        slot.destinations.push(destination);
+        slot.requests.push(request);
+        (slot.requests.len() >= self.caps[route])
+            .then(|| std::mem::replace(slot, GatheredBatch::empty(route)))
     }
 
-    /// Takes every batch that is due: its gather window expired, or
-    /// `flush_all` (shard idle / drain) forces everything out.
-    pub(crate) fn take_due(
-        &mut self,
-        router: &Router,
-        now: Instant,
-        flush_all: bool,
-    ) -> Vec<GatheredBatch<D>> {
-        let mut due = Vec::new();
-        for &route in &self.batched {
-            let slot = &mut self.slots[route];
-            let expired = slot.oldest.is_some_and(|oldest| {
-                flush_all
-                    || now.duration_since(oldest) >= router.route_at(route).policy().gather_window
-            });
-            if expired {
-                slot.oldest = None;
-                due.push(GatheredBatch {
-                    route,
-                    entries: std::mem::take(&mut slot.entries),
-                });
-            }
-        }
-        due
+    /// Takes every pending batch, in route order.
+    pub(crate) fn take_all(&mut self) -> Vec<GatheredBatch<D>> {
+        self.slots
+            .iter_mut()
+            .filter(|slot| !slot.requests.is_empty())
+            .map(|slot| {
+                let route = slot.route;
+                std::mem::replace(slot, GatheredBatch::empty(route))
+            })
+            .collect()
     }
 
-    /// Milliseconds until the soonest pending gather window expires
-    /// (rounded up; ≥ 1 so callers never busy-spin on a sub-millisecond
-    /// remainder), or `None` when nothing is pending.
-    pub(crate) fn next_deadline_ms(&self, router: &Router, now: Instant) -> Option<i32> {
-        let mut soonest: Option<i32> = None;
-        for &route in &self.batched {
-            if let Some(oldest) = self.slots[route].oldest {
-                let window = router.route_at(route).policy().gather_window;
-                let remaining = window.saturating_sub(now.duration_since(oldest));
-                let ms = i32::try_from(remaining.as_millis())
-                    .unwrap_or(i32::MAX)
-                    .max(1);
-                soonest = Some(soonest.map_or(ms, |s| s.min(ms)));
-            }
-        }
-        soonest
-    }
-
-    /// Whether every slot is empty (the drain-completion condition).
+    /// Whether every slot is empty.
     pub(crate) fn is_empty(&self) -> bool {
-        self.batched
-            .iter()
-            .all(|&route| self.slots[route].entries.is_empty())
+        self.slots.iter().all(|slot| slot.requests.is_empty())
     }
 }
 
@@ -565,60 +509,53 @@ mod tests {
     }
 
     #[test]
-    fn gather_fills_expires_and_drains() {
+    fn gather_fills_and_takes_pending_batches() {
         let mut router = Router::new();
-        router.route(
-            "GET",
-            "/g/",
-            BatchPolicy {
-                max_batch: 3,
-                gather_window: Duration::from_millis(5),
-            },
-            |requests: &[Request], out: &mut Vec<Response>| {
-                out.extend(
-                    requests
-                        .iter()
-                        .map(|_| Response::ok("text/plain", Vec::new())),
-                );
-            },
-        );
+        let answer = |requests: &[Request], out: &mut Vec<Response>| {
+            out.extend(
+                requests
+                    .iter()
+                    .map(|_| Response::ok("text/plain", Vec::new())),
+            );
+        };
+        router.route("GET", "/g/", BatchPolicy { max_batch: 3 }, answer);
+        router.route("GET", "/h/", BatchPolicy { max_batch: 3 }, answer);
+        router.get("/s/", |_| Response::ok("text/plain", Vec::new()));
         let mut gather: Gather<u32> = Gather::new(&router);
         assert!(gather.is_empty());
 
-        // The first two entries open the slot (a window starts) and join
-        // it; the third crosses max_batch and comes back as the whole
-        // batch.
-        let pending =
-            gather.push_many(&router, 0, [(1, req("GET", "/g/")), (2, req("GET", "/g/"))]);
-        assert!(pending.is_empty());
+        // The first two entries join the slot; the third crosses max_batch
+        // and comes back as the whole batch.
+        assert!(gather.push(0, 1, req("GET", "/g/")).is_none());
+        assert!(gather.push(0, 2, req("GET", "/g/")).is_none());
         assert!(!gather.is_empty());
-        let now = Instant::now();
-        assert!(gather.next_deadline_ms(&router, now).is_some());
-        let full = gather.push_many(&router, 0, [(3, req("GET", "/g/"))]);
-        assert_eq!(full.len(), 1, "third push must fill the batch");
-        assert_eq!(full[0].route, 0);
+        let full = gather
+            .push(0, 3, req("GET", "/g/"))
+            .expect("third push fills");
+        assert_eq!(full.route, 0);
+        assert_eq!(full.destinations, vec![1, 2, 3]);
+        assert_eq!(full.requests.len(), 3);
+        assert!(gather.is_empty());
+
+        // A scalar route's request is a full batch of one at once.
+        let alone = gather.push(2, 4, req("GET", "/s/")).expect("policy-of-1");
+        assert_eq!((alone.route, alone.destinations), (2, vec![4]));
+
+        // Partial batches leave together, in route order, however their
+        // requests arrived.
+        assert!(gather.push(1, 5, req("GET", "/h/")).is_none());
+        assert!(gather.push(0, 6, req("GET", "/g/")).is_none());
+        assert!(gather.push(1, 7, req("GET", "/h/")).is_none());
+        let pending = gather.take_all();
         assert_eq!(
-            full[0].entries.iter().map(|(d, _)| *d).collect::<Vec<_>>(),
-            vec![1, 2, 3]
+            pending
+                .iter()
+                .map(|b| (b.route, b.destinations.clone()))
+                .collect::<Vec<_>>(),
+            vec![(0, vec![6]), (1, vec![5, 7])]
         );
         assert!(gather.is_empty());
-        assert_eq!(gather.next_deadline_ms(&router, now), None);
-
-        // A lone pending entry is taken once its window expires (or
-        // unconditionally with flush_all).
-        assert!(gather
-            .push_many(&router, 0, [(4, req("GET", "/g/"))])
-            .is_empty());
-        assert!(gather.take_due(&router, Instant::now(), false).is_empty());
-        let due = gather.take_due(&router, Instant::now() + Duration::from_millis(10), false);
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].entries.len(), 1);
-        assert!(gather
-            .push_many(&router, 0, [(5, req("GET", "/g/"))])
-            .is_empty());
-        let forced = gather.take_due(&router, Instant::now(), true);
-        assert_eq!(forced.len(), 1);
-        assert!(gather.is_empty());
+        assert!(gather.take_all().is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Whole-server behaviour of the front-end as a client sees it: serving,
 //! keep-alive, the per-connection request budget, malformed input and
-//! shutdown. The reactor's own unit tests run one shard; these run the
-//! same scenarios on a sharded server, where every shard owns an
-//! `SO_REUSEPORT` listener on the one address.
+//! shutdown. The reactor's own unit tests mostly run one shard; these run
+//! the same scenarios on a sharded server, where every shard owns an
+//! `SO_REUSEPORT` listener on the one address and runs its own handlers.
 
 mod tests {
     use crate::client::HttpClient;
@@ -45,7 +45,7 @@ mod tests {
 
     #[test]
     fn serves_requests_over_tcp() {
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", SHARDS, 1).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", SHARDS).unwrap();
         let addr = server.local_addr();
         let handle = server.serve(ping_router());
 
@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn keep_alive_connection_carries_multiple_requests() {
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", SHARDS, 1).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", SHARDS).unwrap();
         let addr = server.local_addr();
         let handle = server.serve(ping_router());
 
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn max_requests_budget_closes_the_connection() {
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", SHARDS, 1)
+        let server = ReactorServer::bind("127.0.0.1:0", SHARDS)
             .unwrap()
             .with_max_requests_per_conn(2);
         let addr = server.local_addr();
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_are_served() {
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", SHARDS, 2).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", SHARDS).unwrap();
         let addr = server.local_addr();
         let handle = server.serve(ping_router());
 
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn malformed_request_gets_400() {
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", SHARDS, 1).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", SHARDS).unwrap();
         let addr = server.local_addr();
         let handle = server.serve(ping_router());
 
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn stop_terminates_accept_loop() {
-        let server = ReactorServer::bind_sharded("127.0.0.1:0", SHARDS, 1).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", SHARDS).unwrap();
         let addr = server.local_addr();
         let handle = server.serve(ping_router());
         handle.stop();

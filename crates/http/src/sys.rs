@@ -1,7 +1,8 @@
-//! Raw `epoll`/`eventfd` bindings — the only unsafe code in the crate.
+//! Raw `epoll` and listener-socket bindings — the only unsafe code in the
+//! crate.
 //!
 //! The build environment vendors no `libc` crate, so the reactor declares
-//! the four syscall wrappers it needs directly against the C library that
+//! the seven syscall wrappers it needs directly against the C library that
 //! `std` already links. Everything is wrapped in a safe API around
 //! [`std::os::fd::OwnedFd`]; file descriptors are closed on drop by `std`.
 
@@ -23,8 +24,6 @@ const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0x80000;
-const EFD_CLOEXEC: i32 = 0x80000;
-const EFD_NONBLOCK: i32 = 0x800;
 // Socket-creation constants (Linux generic ABI; x86-64 and aarch64 share
 // these values — the architectures this reproduction targets).
 const AF_INET: i32 = 2;
@@ -73,13 +72,10 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
     fn socket(domain: i32, kind: i32, protocol: i32) -> i32;
     fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
     fn bind(fd: i32, addr: *const u8, addrlen: u32) -> i32;
     fn listen(fd: i32, backlog: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
 /// `struct sockaddr_in` (network byte order for port and address).
@@ -276,88 +272,9 @@ impl Epoll {
     }
 }
 
-/// A wakeup channel into an epoll loop, backed by an `eventfd`.
-///
-/// Worker threads call [`Waker::wake`] after pushing completions; the
-/// reactor registers the fd for `EPOLLIN` and [`Waker::drain`]s it on
-/// wakeup.
-#[derive(Debug)]
-pub struct Waker {
-    fd: OwnedFd,
-}
-
-impl Waker {
-    /// Creates a nonblocking eventfd.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the `eventfd` errno.
-    pub fn new() -> io::Result<Self> {
-        // SAFETY: eventfd takes no pointers; a non-negative return is a
-        // fresh fd we take ownership of.
-        let raw = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        Ok(Self {
-            // SAFETY: `raw` is a valid fd owned by nobody else.
-            fd: unsafe { OwnedFd::from_raw_fd(raw) },
-        })
-    }
-
-    /// The raw fd, for epoll registration.
-    #[must_use]
-    pub fn raw_fd(&self) -> RawFd {
-        self.fd.as_raw_fd()
-    }
-
-    /// Signals the epoll loop. Best-effort: an already-signalled eventfd
-    /// needs no second nudge.
-    pub fn wake(&self) {
-        let one: u64 = 1;
-        // SAFETY: writes exactly 8 bytes from a live stack value; an
-        // EAGAIN (counter saturated) still leaves the fd readable.
-        let _ = unsafe { write(self.fd.as_raw_fd(), one.to_ne_bytes().as_ptr(), 8) };
-    }
-
-    /// Clears the pending wakeup counter.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        // SAFETY: reads at most 8 bytes into a live stack buffer.
-        let _ = unsafe { read(self.fd.as_raw_fd(), buf.as_mut_ptr(), 8) };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn epoll_reports_eventfd_readiness() {
-        let epoll = Epoll::new().unwrap();
-        let waker = Waker::new().unwrap();
-        epoll.add(waker.raw_fd(), EPOLLIN, 42).unwrap();
-
-        // Nothing pending: a zero-timeout wait returns no events.
-        let mut events = [EpollEvent::zeroed(); 4];
-        assert_eq!(epoll.wait(&mut events, Some(0)).unwrap(), 0);
-
-        // After a wake, the fd is readable and carries our token.
-        waker.wake();
-        let n = epoll.wait(&mut events, Some(1000)).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token(), 42);
-        assert_ne!(events[0].readiness() & EPOLLIN, 0);
-
-        // Draining clears readiness.
-        waker.drain();
-        assert_eq!(epoll.wait(&mut events, Some(0)).unwrap(), 0);
-
-        // Interest modification and removal round-trip.
-        epoll
-            .modify(waker.raw_fd(), EPOLLIN | EPOLLOUT, 43)
-            .unwrap();
-        epoll.delete(waker.raw_fd()).unwrap();
-        waker.wake();
-        assert_eq!(epoll.wait(&mut events, Some(0)).unwrap(), 0);
-    }
 
     #[test]
     fn reuseport_listeners_share_one_port_and_split_accepts() {
@@ -407,5 +324,19 @@ mod tests {
         client.write_all(b"hi").unwrap();
         let n = epoll.wait(&mut events, Some(2000)).unwrap();
         assert!((0..n).any(|i| events[i].token() == 2));
+
+        // Interest modification and removal round-trip: the unread bytes
+        // keep the socket readable under its new token, and a deleted fd
+        // reports nothing.
+        epoll.delete(listener.as_raw_fd()).unwrap();
+        epoll
+            .modify(accepted.as_raw_fd(), EPOLLIN | EPOLLOUT, 3)
+            .unwrap();
+        let n = epoll.wait(&mut events, Some(2000)).unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token(), 3);
+        assert_ne!(events[0].readiness() & EPOLLIN, 0);
+        epoll.delete(accepted.as_raw_fd()).unwrap();
+        assert_eq!(epoll.wait(&mut events, Some(0)).unwrap(), 0);
     }
 }

@@ -60,12 +60,9 @@ fn spawn_sharded(
     HttpClient,
     std::net::SocketAddr,
 ) {
-    let policy = BatchPolicy {
-        max_batch: 32,
-        gather_window: Duration::from_millis(2),
-    };
+    let policy = BatchPolicy { max_batch: 32 };
     let router = api::hyrec_router_with(Arc::clone(server), Arc::new(JobEncoder::new()), policy);
-    let http = ReactorServer::bind_sharded("127.0.0.1:0", reactors, 2).expect("bind reactor");
+    let http = ReactorServer::bind("127.0.0.1:0", reactors).expect("bind reactor");
     let addr = http.local_addr();
     let handle = http.serve(router);
     (handle, HttpClient::new(addr), addr)
@@ -168,6 +165,67 @@ fn interleaved_rate_and_online_traffic_matches_scalar_path() {
     }
     for j in joins {
         j.join().unwrap();
+    }
+
+    // Phase 3 — one connection pipelines /rate/, /online/, /rate/,
+    // /online/ and a 404 in a single write. Its shard frames the whole
+    // burst in one pass and runs it batch by batch in route order, so the
+    // responses reach the socket through the reorder queue: they must come
+    // back in request order, with job bodies equal to the scalar path's.
+    // The votes go to users outside both requesters' two-hop rings, so
+    // neither job depends on when the votes land.
+    {
+        use std::io::{Read, Write};
+        use std::net::TcpStream;
+
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let wire: String = [
+            "/rate/?uid=20&item=3000&like=1",
+            "/online/?uid=0",
+            "/rate/?uid=21&item=3001&like=1",
+            "/online/?uid=1",
+            "/missing/",
+        ]
+        .iter()
+        .map(|target| format!("GET {target} HTTP/1.1\r\nhost: x\r\n\r\n"))
+        .collect();
+        stream
+            .write_all(wire.as_bytes())
+            .expect("pipeline requests");
+
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 16 * 1024];
+        let mut responses = Vec::new();
+        while responses.len() < 5 {
+            let n = stream.read(&mut chunk).expect("read");
+            assert!(n > 0, "server closed mid-pipeline");
+            buf.extend_from_slice(&chunk[..n]);
+            while let Some((response, consumed)) =
+                hyrec_http::Response::try_parse(&buf).expect("parse")
+            {
+                buf.drain(..consumed);
+                responses.push(response);
+            }
+        }
+        assert_eq!(
+            responses.iter().map(|r| r.status).collect::<Vec<_>>(),
+            vec![200, 200, 200, 200, 404]
+        );
+        for rate in [&responses[0], &responses[2]] {
+            assert!(String::from_utf8_lossy(&rate.body).contains("\"changed\":true"));
+        }
+        for (response, uid) in [(&responses[1], 0), (&responses[3], 1)] {
+            assert_eq!(
+                response.body,
+                twin_encoder.encode(&twin.build_job(UserId(uid))),
+                "pipelined mixed-route body diverged for uid {uid}"
+            );
+        }
+        assert!(twin.record(UserId(20), ItemId(3000), Vote::Like));
+        assert!(twin.record(UserId(21), ItemId(3001), Vote::Like));
     }
 
     // The coalesced ingest produced identical profile state.

@@ -273,7 +273,7 @@ fn stop_racing_a_connect_fails_fast_instead_of_hanging() {
     let addr = server.local_addr();
     let handle = server.serve(router);
 
-    // Occupy the (only) worker so the drain has something to wait for.
+    // Occupy the (only) shard so the drain has something to wait for.
     let slow_client = std::thread::spawn(move || {
         let client = HttpClient::new(addr).with_timeout(Duration::from_secs(10));
         let response = client.get("/slow").unwrap();

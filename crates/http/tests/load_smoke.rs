@@ -77,12 +77,7 @@ impl Browser {
 
 /// Runs the load in `mode` and returns the still-running server.
 fn run_load(mode: Mode) -> ReactorHandle {
-    let server = if mode.reactors == 1 {
-        ReactorServer::bind("127.0.0.1:0", 4)
-    } else {
-        ReactorServer::bind_sharded("127.0.0.1:0", mode.reactors, 1)
-    }
-    .unwrap();
+    let server = ReactorServer::bind("127.0.0.1:0", mode.reactors).unwrap();
     let addr = server.local_addr();
     let handle = server.serve(hyrec_router(populated_server()));
 

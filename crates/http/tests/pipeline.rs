@@ -75,16 +75,13 @@ fn sharded_echo_addr() -> SocketAddr {
     SERVER
         .get_or_init(|| {
             let mut router = Router::new();
-            // A coalescable route: bursts may gather across shards, so the
-            // reorder queue and cross-shard completion fan-out are on the
-            // hot path of this property.
+            // A coalescable route: its requests run when a pass ends, after
+            // scalar requests framed in the same pass, so the reorder queue
+            // is on the hot path of this property.
             router.route(
                 "GET",
                 "/b/",
-                BatchPolicy {
-                    max_batch: 8,
-                    gather_window: Duration::from_millis(1),
-                },
+                BatchPolicy { max_batch: 8 },
                 |requests: &[Request], out: &mut Vec<Response>| {
                     out.extend(requests.iter().map(|r| {
                         let qid = r.query_param("qid").unwrap_or("?");
@@ -97,8 +94,7 @@ fn sharded_echo_addr() -> SocketAddr {
                 let qid = r.query_param("qid").unwrap_or("?");
                 Response::ok("text/plain", format!("q{qid}").into_bytes())
             });
-            let server =
-                ReactorServer::bind_sharded("127.0.0.1:0", 4, 1).expect("bind sharded reactor");
+            let server = ReactorServer::bind("127.0.0.1:0", 4).expect("bind sharded reactor");
             let addr = server.local_addr();
             (server.serve(router), addr)
         })
@@ -206,7 +202,7 @@ proptest! {
     // batched and scalar routes — must never reorder responses *within* a
     // connection: per-connection sequence numbers and the reorder queue
     // hold regardless of which shard a connection landed on or which
-    // shard flushed the gather.
+    // pass ran its batch.
     #[test]
     fn sharded_pipelined_bursts_never_reorder_within_a_connection(
         conns in proptest::collection::vec(

@@ -491,8 +491,8 @@ fn bad_vote_in_coalesced_burst_fails_alone() {
     let addr = server.local_addr();
     let handle = server.serve(hyrec_router(Arc::clone(&hyrec)));
 
-    // A barrier-aligned burst inside one gather window: 7 valid votes and
-    // one malformed one.
+    // A barrier-aligned burst, likely framed in one pass of a shard: 7
+    // valid votes and one malformed one.
     let barrier = Arc::new(std::sync::Barrier::new(8));
     let threads: Vec<_> = (0..8u32)
         .map(|i| {

@@ -33,16 +33,21 @@
 //!    `{"uid":…,"k":…,"r":…[,"lease":…,"epoch":…],"profile":`, written as
 //!    one non-final *stored* block — a copy, no Huffman work;
 //! 3. the requester's cached chunk;
-//! 4. the cached candidate fragments, memcpy'd;
+//! 4. the cached candidate fragments;
 //! 5. the precomputed `]}` suffix chunk, the stream terminator and the
 //!    gzip trailer, whose CRC folds the cached CRCs with
 //!    [`hyrec_wire::crc::ShiftOp::combine`].
 //!
-//! On a warm cache a request runs no compressor, leased or not: a CRC-32 of
-//! the few dozen head bytes, memcpys and CRC folds.
-//! [`JobEncoder::resolve`] and [`ResolvedBatch::assemble`] expose the two
-//! halves (cache work, then per-job assembly) so each can be timed alone;
-//! [`JobEncoder::stats`] counts the cache's hits, misses and evictions.
+//! Planning a body ([`JobEncoder::plan_jobs`]) writes only its head and
+//! its 13-byte tail; the cached chunks stay shared, so the front-end copies
+//! each of them once, straight into a connection's send buffer, with
+//! [`JobBody::write_into`]. [`JobEncoder::encode_jobs`] writes the same
+//! pieces into a `Vec` per job. On a warm cache a request runs no
+//! compressor, leased or not: a CRC-32 of the few dozen head bytes, CRC
+//! folds and one copy of each chunk. [`JobEncoder::resolve`] and
+//! [`ResolvedBatch::assemble`] expose the two halves (cache work, then
+//! per-job assembly) so each can be timed alone; [`JobEncoder::stats`]
+//! counts the cache's hits, misses and evictions.
 //!
 //! This is the engineering reason the HyRec front-end outruns the CRec
 //! front-end in Figure 8: CRec must recompute item popularity over every
@@ -76,20 +81,14 @@ use std::sync::{Arc, LazyLock};
 /// [`JobEncoder::with_capacity`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024;
 
-/// Appends `data` as one non-final stored DEFLATE block (RFC 1951 §3.2.4):
-/// a header byte with BFINAL = 0 and BTYPE = 00, whose padding bits align
-/// the block, then LEN, NLEN and the bytes as they are. It follows the
-/// gzip header or a byte-aligned chunk, so it starts on a byte boundary.
-fn push_stored_block(out: &mut Vec<u8>, data: &[u8]) {
-    let len = u16::try_from(data.len()).expect("a job head fits one stored block");
-    out.push(0);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&(!len).to_le_bytes());
-    out.extend_from_slice(data);
-}
-
-/// Bytes a stored block adds to its payload: header byte, LEN and NLEN.
+/// Bytes a stored DEFLATE block adds to its payload (RFC 1951 §3.2.4): a
+/// header byte with BFINAL = 0 and BTYPE = 00, whose padding bits align the
+/// block, then LEN and NLEN.
 const STORED_OVERHEAD: usize = 5;
+
+/// Bytes after a body's last chunk: the stream terminator, then the gzip
+/// trailer (CRC-32 and ISIZE, little-endian).
+const TAIL_LEN: usize = STREAM_TERMINATOR.len() + 8;
 
 /// A pre-compressed piece of a job body: its DEFLATE chunk plus what the
 /// gzip trailer needs to account for it without touching the raw bytes.
@@ -111,11 +110,9 @@ impl Fragment {
         }
     }
 
-    /// Appends the chunk to `out` and folds the raw bytes into the running
-    /// CRC and length.
+    /// Folds the raw bytes into a running CRC and length.
     #[inline]
-    fn append(&self, out: &mut Vec<u8>, crc: &mut u32, total_len: &mut u64) {
-        out.extend_from_slice(&self.chunk);
+    fn fold(&self, crc: &mut u32, total_len: &mut u64) {
         *crc = self.shift.combine(*crc, self.crc);
         *total_len += self.shift.len();
     }
@@ -248,13 +245,79 @@ pub struct EncoderStats {
 }
 
 /// Every cached piece of a batch of jobs, resolved against the cache by
-/// [`JobEncoder::resolve`]; [`ResolvedBatch::assemble`] turns it into
-/// bodies.
+/// [`JobEncoder::resolve`]; [`ResolvedBatch::plan`] turns it into bodies.
 pub struct ResolvedBatch {
     /// Per job, in order: its requester chunk, then one fragment per
-    /// candidate.
-    slots: Vec<Arc<Cached>>,
+    /// candidate. Shared with the batch's [`JobBody`]s.
+    slots: Arc<Vec<Arc<Cached>>>,
 }
+
+/// One job body, planned but not copied: its head, its cached pieces and
+/// its tail. [`JobBody::write_into`] is the only code that lays a body
+/// out, so a body written into a socket's send buffer and one returned by
+/// [`JobEncoder::encode`] are the same bytes.
+#[derive(Clone)]
+pub struct JobBody {
+    /// The gzip header, then the per-request head
+    /// `{"uid":…,"k":…,"r":…[,"lease":…,"epoch":…],"profile":` as one
+    /// non-final stored block — a copy, no Huffman work.
+    head: Box<[u8]>,
+    /// The batch's resolved pieces; this body's are `batch[pieces]`: the
+    /// requester chunk, then one fragment per candidate.
+    batch: Arc<Vec<Arc<Cached>>>,
+    pieces: std::ops::Range<usize>,
+    /// The stream terminator and the gzip trailer, whose CRC was folded
+    /// from the head's and the cached CRCs when the body was planned.
+    tail: [u8; TAIL_LEN],
+    /// Total bytes on the wire.
+    len: usize,
+}
+
+impl JobBody {
+    /// The body's length in bytes.
+    #[must_use]
+    pub fn byte_len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends the body to `out`: the head, each cached chunk, the `]}`
+    /// suffix chunk and the tail, each copied once.
+    pub fn write_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.len);
+        out.extend_from_slice(&self.head);
+        for cached in &self.batch[self.pieces.clone()] {
+            out.extend_from_slice(&cached.fragment.chunk);
+        }
+        out.extend_from_slice(&SUFFIX.chunk);
+        out.extend_from_slice(&self.tail);
+    }
+
+    /// The body as one buffer.
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len);
+        self.write_into(&mut out);
+        out
+    }
+}
+
+impl std::fmt::Debug for JobBody {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JobBody")
+            .field("len", &self.len)
+            .field("pieces", &self.pieces.len())
+            .finish()
+    }
+}
+
+/// Bodies are equal when their bytes are.
+impl PartialEq for JobBody {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.to_vec() == other.to_vec()
+    }
+}
+
+impl Eq for JobBody {}
 
 impl Default for JobEncoder {
     fn default() -> Self {
@@ -333,11 +396,19 @@ impl JobEncoder {
     /// The batch amortizes what the scalar path pays per request: the
     /// cache is consulted under **one** read lock for all jobs, freshly
     /// compressed pieces are installed under one write lock, and one JSON
-    /// scratch buffer serves all misses, another all heads. A piece
-    /// missing for several jobs of the batch is compressed once.
+    /// scratch buffer serves all misses. A piece missing for several jobs
+    /// of the batch is compressed once.
     #[must_use]
     pub fn encode_jobs(&self, jobs: &[PersonalizationJob]) -> Vec<Vec<u8>> {
         self.resolve(jobs).assemble(jobs)
+    }
+
+    /// [`Self::encode_jobs`] without the copies: one planned [`JobBody`] per
+    /// job, for a caller that writes each body straight into its own
+    /// buffer (the HTTP front-end's send buffer).
+    #[must_use]
+    pub fn plan_jobs(&self, jobs: &[PersonalizationJob]) -> Vec<JobBody> {
+        self.resolve(jobs).plan(jobs)
     }
 
     /// First half of [`Self::encode_jobs`]: finds every job's requester
@@ -463,10 +534,12 @@ impl JobEncoder {
         }
 
         ResolvedBatch {
-            slots: slots
-                .into_iter()
-                .map(|slot| slot.expect("every miss compressed"))
-                .collect(),
+            slots: Arc::new(
+                slots
+                    .into_iter()
+                    .map(|slot| slot.expect("every miss compressed"))
+                    .collect(),
+            ),
         }
     }
 
@@ -496,56 +569,71 @@ impl JobEncoder {
 }
 
 impl ResolvedBatch {
-    /// Second half of [`JobEncoder::encode_jobs`]: one gzip member per job
-    /// from its head and the resolved pieces.
+    /// Second half of [`JobEncoder::encode_jobs`]: plans one body per job.
+    /// Each body's head is written and its trailer CRC folded from the
+    /// head's and the cached CRCs with [`ShiftOp::combine`]; the cached
+    /// chunks are shared, not copied.
+    ///
+    /// # Panics
+    ///
+    /// If `jobs` are not the jobs this batch was resolved from.
+    #[must_use]
+    pub fn plan(&self, jobs: &[PersonalizationJob]) -> Vec<JobBody> {
+        let total: usize = jobs.iter().map(|job| 1 + job.candidates.len()).sum();
+        assert_eq!(total, self.slots.len(), "jobs differ from the batch");
+        let suffix = &*SUFFIX;
+        let mut head = Vec::new();
+        let mut start = 0;
+        jobs.iter()
+            .map(|job| {
+                let pieces = start..start + 1 + job.candidates.len();
+                start = pieces.end;
+
+                // The stored block's header goes in first; LEN and NLEN
+                // are filled in once the head text's length is known.
+                head.clear();
+                head.extend_from_slice(&gzip::HEADER);
+                head.extend_from_slice(&[0; STORED_OVERHEAD]);
+                let text = head.len();
+                job.write_head(&mut head);
+                let len =
+                    u16::try_from(head.len() - text).expect("a job head fits one stored block");
+                head[text - 4..text - 2].copy_from_slice(&len.to_le_bytes());
+                head[text - 2..text].copy_from_slice(&(!len).to_le_bytes());
+
+                let mut crc = crc32(&head[text..]);
+                let mut total_len = u64::from(len);
+                let mut body_len = head.len() + suffix.chunk.len() + TAIL_LEN;
+                for cached in &self.slots[pieces.clone()] {
+                    cached.fragment.fold(&mut crc, &mut total_len);
+                    body_len += cached.fragment.chunk.len();
+                }
+                suffix.fold(&mut crc, &mut total_len);
+
+                let mut tail = [0; TAIL_LEN];
+                tail[..STREAM_TERMINATOR.len()].copy_from_slice(&STREAM_TERMINATOR);
+                tail[TAIL_LEN - 8..TAIL_LEN - 4].copy_from_slice(&crc.to_le_bytes());
+                tail[TAIL_LEN - 4..]
+                    .copy_from_slice(&((total_len & 0xFFFF_FFFF) as u32).to_le_bytes());
+                JobBody {
+                    head: head.as_slice().into(),
+                    batch: Arc::clone(&self.slots),
+                    pieces,
+                    tail,
+                    len: body_len,
+                }
+            })
+            .collect()
+    }
+
+    /// [`Self::plan`], each body written into a buffer of its own.
     ///
     /// # Panics
     ///
     /// If `jobs` are not the jobs this batch was resolved from.
     #[must_use]
     pub fn assemble(&self, jobs: &[PersonalizationJob]) -> Vec<Vec<u8>> {
-        let total: usize = jobs.iter().map(|job| 1 + job.candidates.len()).sum();
-        assert_eq!(total, self.slots.len(), "jobs differ from the batch");
-        let suffix = &*SUFFIX;
-        let mut head = Vec::new();
-        let mut rest = &self.slots[..];
-        jobs.iter()
-            .map(|job| {
-                let (pieces, tail) = rest.split_at(1 + job.candidates.len());
-                rest = tail;
-
-                // Per-request head: requester id, parameters and the key
-                // the requester chunk completes.
-                head.clear();
-                job.write_head(&mut head);
-
-                let body_len = gzip::HEADER.len()
-                    + STORED_OVERHEAD
-                    + head.len()
-                    + pieces
-                        .iter()
-                        .map(|cached| cached.fragment.chunk.len())
-                        .sum::<usize>()
-                    + suffix.chunk.len()
-                    + STREAM_TERMINATOR.len()
-                    + 8;
-                let mut out = Vec::with_capacity(body_len);
-                out.extend_from_slice(&gzip::HEADER);
-                push_stored_block(&mut out, &head);
-                let mut crc = crc32(&head);
-                let mut total_len = head.len() as u64;
-                for cached in pieces {
-                    cached.fragment.append(&mut out, &mut crc, &mut total_len);
-                }
-                suffix.append(&mut out, &mut crc, &mut total_len);
-
-                out.extend_from_slice(&STREAM_TERMINATOR);
-                out.extend_from_slice(&crc.to_le_bytes());
-                out.extend_from_slice(&((total_len & 0xFFFF_FFFF) as u32).to_le_bytes());
-                debug_assert_eq!(out.len(), body_len);
-                out
-            })
-            .collect()
+        self.plan(jobs).iter().map(JobBody::to_vec).collect()
     }
 }
 
@@ -623,6 +711,54 @@ mod tests {
             for _ in 0..2 {
                 let raw = hyrec_wire::gzip::decompress(&encoder.encode(&job)).unwrap();
                 assert_eq!(String::from_utf8(raw).unwrap(), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn planned_pieces_write_the_encoded_bytes() {
+        // A batch planned as pieces and written into a send buffer that
+        // already holds bytes must append exactly what `encode` returns for
+        // each job alone, from a cold cache and from a warm one.
+        let jobs = [
+            job(),
+            PersonalizationJob {
+                lease: 31,
+                epoch: 4,
+                ..job()
+            },
+            PersonalizationJob {
+                uid: UserId(1_000_000),
+                profile: Profile::new().into(),
+                ..job()
+            },
+            PersonalizationJob {
+                candidates: CandidateSet::new(),
+                ..job()
+            },
+        ];
+        let (planner, scalar) = (JobEncoder::new(), JobEncoder::new());
+        for pass in ["cold", "warm"] {
+            let bodies = planner.plan_jobs(&jobs);
+            assert_eq!(bodies.len(), jobs.len());
+            for (job, body) in jobs.iter().zip(&bodies) {
+                let mut out = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
+                let prefix = out.len();
+                body.write_into(&mut out);
+                let expected = scalar.encode(job);
+                assert_eq!(
+                    &out[prefix..],
+                    &expected[..],
+                    "{pass} uid {}",
+                    job.uid.raw()
+                );
+                assert_eq!(
+                    body.byte_len(),
+                    expected.len(),
+                    "{pass} uid {}",
+                    job.uid.raw()
+                );
+                assert_eq!(&PersonalizationJob::decode(&out[prefix..]).unwrap(), job);
             }
         }
     }

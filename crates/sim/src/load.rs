@@ -17,9 +17,9 @@
 //! Figure 9 drives the real HTTP stack (the epoll reactor) with
 //! closed-loop clients and measures latency as concurrency grows. It
 //! requests the API's `/online/` route and a `/crecommend/` route mounted
-//! beside it, both scalar (never gathered), so each request is one job on
-//! the reactor's worker pool and the pool size bounds concurrent handler
-//! work, as the paper's servlet pool did.
+//! beside it, both scalar (never gathered), so each request runs alone on
+//! the reactor shard that owns its connection and the shard count bounds
+//! concurrent handler work, as the paper's servlet pool did.
 
 use hyrec_core::{recommend, ItemId, Neighbor, Neighborhood, UserId, Vote};
 use hyrec_http::{api, BatchPolicy, HttpClient, ReactorServer, Response, Router};
@@ -328,15 +328,15 @@ pub fn closed_loop(
     LatencyStats::from_samples(all)
 }
 
-/// Convenience: spin up a single-reactor server over
-/// [`benchmark_router`] with `workers` handler threads and return
+/// Convenience: spin up a server over [`benchmark_router`] with `shards`
+/// reactor shards (each runs its own connections' handlers) and return
 /// (handle, addr).
 #[must_use]
 pub fn spawn_benchmark_server(
     population: &Population,
-    workers: usize,
+    shards: usize,
 ) -> (hyrec_http::reactor::ReactorHandle, std::net::SocketAddr) {
-    let server = ReactorServer::bind("127.0.0.1:0", workers).expect("bind benchmark server");
+    let server = ReactorServer::bind("127.0.0.1:0", shards).expect("bind benchmark server");
     let addr = server.local_addr();
     let handle = server.serve(benchmark_router(population));
     (handle, addr)

@@ -18,10 +18,10 @@ use std::sync::Arc;
 fn main() {
     let hyrec = Arc::new(HyRecServer::builder().k(5).r(5).seed(11).build());
     // The sharded epoll reactor front-end: two event loops, each with its
-    // own SO_REUSEPORT listener, over a shared worker pool; each loop
+    // own SO_REUSEPORT listener, each running its own handlers; each loop
     // coalesces its connections' concurrent /online/ and /rate/ traffic
     // onto the batched pipeline (build_jobs / record_many).
-    let server = ReactorServer::bind_sharded("127.0.0.1:0", 2, 2).expect("bind");
+    let server = ReactorServer::bind("127.0.0.1:0", 2).expect("bind");
     let addr = server.local_addr();
     println!(
         "== HyRec web API: {} reactor shards on http://{addr}",
