@@ -25,21 +25,30 @@ pub fn run(options: &RunOptions) {
     } else {
         &[1, 2, 5, 10, 20, 50]
     };
-    let requests_per_client = if options.full { 20 } else { 10 };
+    // At least 2,000 timed requests per cell, so a cell's median holds
+    // still between runs even at one client.
+    let floor = if options.full { 20 } else { 10 };
     println!(
-        "({users} users, {shards} reactor shards, scalar routes, {requests_per_client} req/client)"
+        "({users} users, {shards} reactor shards, scalar routes, \
+         max({floor}, 2000 / clients) req/client; mean and p50 per cell)"
     );
 
     header(&[
         "clients",
         "hyrec-ps10(ms)",
+        "p50",
         "hyrec-ps100(ms)",
+        "p50",
         "crec-ps10(ms)",
+        "p50",
         "crec-ps100(ms)",
+        "p50",
     ]);
-    let mut rows: Vec<[f64; 4]> = Vec::new();
+    // Per cell: (mean, p50) in milliseconds.
+    let mut rows: Vec<[(f64, f64); 4]> = Vec::new();
     for &clients in clients_axis {
-        let mut row = [0.0f64; 4];
+        let requests_per_client = floor.max(2000usize.div_ceil(clients));
+        let mut row = [(0.0f64, 0.0f64); 4];
         for (i, (ps, path)) in [
             (10usize, "/online/"),
             (100, "/online/"),
@@ -52,19 +61,23 @@ pub fn run(options: &RunOptions) {
             let population = build_population(users, *ps, 10, options.seed + i as u64);
             let (handle, addr) = spawn_benchmark_server(&population, shards);
             let stats = closed_loop(addr, path, users, clients, requests_per_client);
-            row[i] = stats.mean.as_secs_f64() * 1e3;
+            row[i] = (
+                stats.mean.as_secs_f64() * 1e3,
+                stats.p50.as_secs_f64() * 1e3,
+            );
             handle.stop();
         }
-        println!(
-            "{clients}\t{:.2}\t{:.2}\t{:.2}\t{:.2}",
-            row[0], row[1], row[2], row[3]
-        );
+        print!("{clients}");
+        for (mean, p50) in row {
+            print!("\t{mean:.2}\t{p50:.2}");
+        }
+        println!();
         rows.push(row);
     }
     if let Some(last) = rows.last() {
         println!(
-            "# at max concurrency: HyRec ps=100 {:.1}ms vs CRec ps=100 {:.1}ms (paper: HyRec sustains far more)",
-            last[1], last[3]
+            "# at max concurrency: p50 HyRec ps=100 {:.2}ms vs CRec ps=100 {:.2}ms (paper: HyRec sustains far more)",
+            last[1].1, last[3].1
         );
     }
 }

@@ -65,10 +65,19 @@ impl Neighborhood {
         Self { neighbors }
     }
 
-    /// Number of neighbours currently held (`<= k`).
+    /// Number of neighbours currently held. At most `k` for every
+    /// neighbourhood that [`select`] ranks or that the server stores:
+    /// `HyRecServer::apply_updates` keeps each update's `k` best through
+    /// [`Self::truncate`].
     #[must_use]
     pub fn len(&self) -> usize {
         self.neighbors.len()
+    }
+
+    /// Keeps the `k` most similar neighbours (Algorithm 1's
+    /// `subList(0, k)`).
+    pub fn truncate(&mut self, k: usize) {
+        self.neighbors.truncate(k);
     }
 
     /// True for a user with no neighbours yet.

@@ -160,10 +160,9 @@ impl Profile {
     /// The profile's version stamp.
     ///
     /// Two profiles with the same stamp hold the same votes: every change
-    /// of content ([`Self::record`] returning `true`, a cutting
-    /// [`Self::truncate_liked`], [`Extend`]) and every constructor takes a
-    /// fresh stamp from a process-wide counter, and only `Clone` copies
-    /// one. Caches keyed on a profile's content (the job encoder's
+    /// of content ([`Self::record`] returning `true`, [`Extend`]) and every
+    /// constructor takes a fresh stamp from a process-wide counter, and only
+    /// `Clone` copies one. Caches keyed on a profile's content (the job encoder's
     /// compressed fragments) validate an entry with one integer compare
     /// instead of rehashing the item lists.
     ///
@@ -292,20 +291,6 @@ impl Profile {
     pub fn liked_intersection_len(&self, other: &Profile) -> usize {
         intersection_len(&self.liked, &other.liked)
     }
-
-    /// Truncates the profile to the `max` most recent liked items by id order.
-    ///
-    /// Content providers can bound profile size (Section 6: "constrain
-    /// profiles by selecting only specific subsets of items"). Items are kept
-    /// from the *largest* ids downward because the synthetic traces allocate
-    /// ids in arrival order, so large ids are the most recent items.
-    pub fn truncate_liked(&mut self, max: usize) {
-        if self.liked.len() > max {
-            let cut = self.liked.len() - max;
-            self.liked.drain(..cut);
-            self.stamp = Stamp::fresh();
-        }
-    }
 }
 
 impl FromIterator<ItemId> for Profile {
@@ -407,16 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_keeps_most_recent_ids() {
-        let mut p = Profile::from_liked([1u32, 2, 3, 4, 5]);
-        p.truncate_liked(2);
-        assert_eq!(p.liked().collect::<Vec<_>>(), vec![ItemId(4), ItemId(5)]);
-        // Truncating to a larger bound is a no-op.
-        p.truncate_liked(10);
-        assert_eq!(p.liked_len(), 2);
-    }
-
-    #[test]
     fn mutated_clone_takes_a_fresh_stamp() {
         let source = Profile::from_liked([1u32, 2]);
         let mut copy = source.clone();
@@ -430,29 +405,6 @@ mod tests {
         assert_eq!(extended.stamp(), source.stamp(), "no-op extend");
         extended.extend([ItemId(9)]);
         assert_ne!(extended.stamp(), source.stamp());
-    }
-
-    #[test]
-    fn capped_copy_never_shares_its_source_stamp() {
-        let source = Profile::from_liked([1u32, 2, 3, 4, 5]);
-        let mut uncut = source.clone();
-        uncut.truncate_liked(5);
-        assert_eq!(
-            uncut.stamp(),
-            source.stamp(),
-            "a non-cutting cap is a no-op"
-        );
-        let mut capped = source.clone();
-        capped.truncate_liked(3);
-        assert_ne!(capped.stamp(), source.stamp());
-        let mut again = source.clone();
-        again.truncate_liked(3);
-        assert_eq!(again, capped);
-        assert_ne!(
-            again.stamp(),
-            capped.stamp(),
-            "every cut draws a fresh stamp"
-        );
     }
 
     #[test]

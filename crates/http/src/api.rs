@@ -270,32 +270,46 @@ fn parse_uid(req: &Request) -> Result<UserId, String> {
 /// Parses the Table 1 query form: `id0=..&sim0=..&id1=..&sim1=..`, plus
 /// the scheduler's optional `lease=..&epoch=..` credentials.
 ///
-/// Structural strictness: malformed id/sim pairs — more sims than ids, or
-/// `idN`/`simN` keys outside the contiguous run from 0 (a gap would
-/// silently drop the keys after it) — are an error, never silently
-/// applied. Similarity *range* validation is the scheduler's payload
-/// check, leased or not ([`ScheduledServer::complete_updates`]).
+/// One pass over the query files each `idN`/`simN` value into slot `N` of
+/// its run. Structural strictness: malformed id/sim pairs — more sims than
+/// ids, a repeated or non-canonical key (`id01`), or a gap in a run from 0
+/// (which would silently drop the keys after it) — are an error, never
+/// silently applied. Similarity *range* validation is the scheduler's
+/// payload check, leased or not ([`ScheduledServer::complete_updates`]).
 fn parse_knn_query(req: &Request) -> Result<KnnUpdate, String> {
     let uid = parse_uid(req)?;
     let lease = parse_optional_u64(req, "lease")?;
     let epoch = parse_optional_u64(req, "epoch")?;
-    let ids = req.indexed_params("id");
-    let sims = req.indexed_params("sim");
+    let mut runs: [Vec<Option<&str>>; 2] = [Vec::new(), Vec::new()];
+    for (key, value) in &req.query {
+        let Some((run, digits)) = indexed_key(key) else {
+            continue;
+        };
+        // A gapless run has at most one key per query parameter, so a
+        // larger index leaves a gap; `id01` is not the key `id1`.
+        let canonical = digits.len() == 1 || !digits.starts_with('0');
+        let slot = match digits.parse::<usize>() {
+            Ok(slot) if canonical && slot < req.query.len() => slot,
+            _ => return Err(format!("`{key}` is out of range or not canonical")),
+        };
+        let run = &mut runs[run];
+        if run.len() <= slot {
+            run.resize(slot + 1, None);
+        }
+        if run[slot].replace(value).is_some() {
+            return Err(format!("repeated `{key}` (malformed id/sim pairs)"));
+        }
+    }
+    let [Some(ids), Some(sims)] = runs.map(|run| run.into_iter().collect::<Option<Vec<&str>>>())
+    else {
+        return Err("an idN or simN run from 0 has a gap (gapped id/sim pairs)".to_owned());
+    };
     if sims.len() > ids.len() {
         return Err(format!(
             "{} sim values for {} ids (malformed id/sim pairs)",
             sims.len(),
             ids.len()
         ));
-    }
-    for (prefix, run) in [("id", ids.len()), ("sim", sims.len())] {
-        let total = indexed_key_count(req, prefix);
-        if total != run {
-            return Err(format!(
-                "{total} {prefix}N parameters but the contiguous run from \
-                 {prefix}0 is {run} (gapped id/sim pairs)"
-            ));
-        }
     }
     let mut neighbors = Vec::with_capacity(ids.len());
     for (index, id) in ids.iter().enumerate() {
@@ -319,16 +333,17 @@ fn parse_knn_query(req: &Request) -> Result<KnnUpdate, String> {
     })
 }
 
-/// How many query keys have the shape `<prefix><digits>` — compared with
-/// the contiguous `indexed_params` run to detect gapped pairs.
-fn indexed_key_count(req: &Request, prefix: &str) -> usize {
-    req.query
-        .iter()
-        .filter(|(key, _)| {
-            key.strip_prefix(prefix)
-                .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
+/// Splits an `idN`/`simN` query key into its run (0 for ids, 1 for sims)
+/// and the digits of `N`; any other key is `None`.
+fn indexed_key(key: &str) -> Option<(usize, &str)> {
+    ["id", "sim"]
+        .into_iter()
+        .enumerate()
+        .find_map(|(run, prefix)| {
+            let digits = key.strip_prefix(prefix)?;
+            (!digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
+                .then_some((run, digits))
         })
-        .count()
 }
 
 /// Strict `u32` parse: ASCII digits only (no sign, no whitespace — the
@@ -358,6 +373,151 @@ mod tests {
     use crate::reactor::{ReactorHandle, ReactorServer};
     use hyrec_client::Widget;
     use hyrec_wire::PersonalizationJob;
+    use proptest::prelude::*;
+
+    /// The `GET /neighbors/` query parse that `parse_knn_query` replaced,
+    /// kept to check it: one scan of the query per `idN`/`simN` key, so
+    /// quadratic in the number of keys.
+    mod reference {
+        use super::super::{parse_optional_u64, parse_u32_strict, parse_uid};
+        use crate::request::Request;
+        use hyrec_core::{Neighbor, UserId};
+        use hyrec_wire::KnnUpdate;
+
+        /// Values of `prefix0`, `prefix1`, … in index order, up to the
+        /// first missing index (first occurrence of each key).
+        fn indexed_params<'a>(req: &'a Request, prefix: &str) -> Vec<&'a str> {
+            let mut out = Vec::new();
+            let mut index = 0usize;
+            while let Some(value) = req.query_param(&format!("{prefix}{index}")) {
+                out.push(value);
+                index += 1;
+            }
+            out
+        }
+
+        /// How many query keys have the shape `<prefix><digits>`.
+        fn indexed_key_count(req: &Request, prefix: &str) -> usize {
+            req.query
+                .iter()
+                .filter(|(key, _)| {
+                    key.strip_prefix(prefix).is_some_and(|rest| {
+                        !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit())
+                    })
+                })
+                .count()
+        }
+
+        pub fn parse_knn_query(req: &Request) -> Result<KnnUpdate, String> {
+            let uid = parse_uid(req)?;
+            let lease = parse_optional_u64(req, "lease")?;
+            let epoch = parse_optional_u64(req, "epoch")?;
+            let ids = indexed_params(req, "id");
+            let sims = indexed_params(req, "sim");
+            if sims.len() > ids.len() {
+                return Err("more sims than ids".to_owned());
+            }
+            for (prefix, run) in [("id", ids.len()), ("sim", sims.len())] {
+                if indexed_key_count(req, prefix) != run {
+                    return Err("gapped id/sim pairs".to_owned());
+                }
+            }
+            let mut neighbors = Vec::with_capacity(ids.len());
+            for (index, id) in ids.iter().enumerate() {
+                let user = parse_u32_strict(id)
+                    .map(UserId)
+                    .ok_or_else(|| format!("invalid id{index}"))?;
+                let similarity = match sims.get(index) {
+                    Some(s) => s
+                        .parse::<f64>()
+                        .map_err(|_| format!("invalid sim{index}"))?,
+                    None => 0.0,
+                };
+                neighbors.push(Neighbor { user, similarity });
+            }
+            Ok(KnnUpdate {
+                uid,
+                lease,
+                epoch,
+                neighbors,
+            })
+        }
+    }
+
+    /// Index digits of an `idN`/`simN` key: canonical, non-canonical,
+    /// past any query's length, past `usize`, or empty.
+    fn index_digits() -> impl Strategy<Value = String> {
+        prop_oneof![
+            4 => (0usize..8).prop_map(|i| i.to_string()),
+            1 => Just("00".to_owned()),
+            1 => Just("01".to_owned()),
+            1 => Just("99".to_owned()),
+            1 => Just("18446744073709551616".to_owned()),
+            1 => Just(String::new()),
+        ]
+    }
+
+    /// A query parameter beyond the well-formed runs: a stray `idN` or
+    /// `simN` key, or noise (a second `uid`, credentials, look-alikes).
+    fn extra_param() -> impl Strategy<Value = (String, String)> {
+        let key = prop_oneof![
+            2 => index_digits().prop_map(|digits| format!("id{digits}")),
+            2 => index_digits().prop_map(|digits| format!("sim{digits}")),
+            1 => Just("uid".to_owned()),
+            1 => Just("lease".to_owned()),
+            1 => Just("epoch".to_owned()),
+            1 => Just("idx".to_owned()),
+            1 => Just("simid0".to_owned()),
+            1 => Just("x".to_owned()),
+        ];
+        let value = prop_oneof![
+            3 => "[0-9]{1,3}",
+            1 => Just("0.25".to_owned()),
+            1 => Just("1e-3".to_owned()),
+            1 => Just("+7".to_owned()),
+            1 => Just("4294967296".to_owned()),
+            1 => Just("zz".to_owned()),
+            1 => Just(String::new()),
+        ];
+        (key, value)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn one_pass_query_parse_matches_the_reference(
+            ids in 0usize..6,
+            sims in 0usize..7,
+            dropped in prop_oneof![3 => Just(None), 1 => (1usize..12).prop_map(Some)],
+            extras in proptest::collection::vec(extra_param(), 0..4),
+            order in proptest::collection::vec(any::<u32>(), 24),
+        ) {
+            // Well-formed id and sim runs, perhaps with one key dropped,
+            // plus stray keys, in a random order.
+            let mut query = vec![("uid".to_owned(), "1".to_owned())];
+            query.extend((0..ids).map(|i| (format!("id{i}"), (i * 7).to_string())));
+            query.extend((0..sims).map(|i| (format!("sim{i}"), format!("0.{i}"))));
+            if let Some(dropped) = dropped.filter(|&d| d < query.len()) {
+                query.remove(dropped);
+            }
+            query.extend(extras);
+            let mut keyed: Vec<_> = order.into_iter().zip(query).collect();
+            keyed.sort_by_key(|&(rank, _)| rank);
+            let req = Request {
+                method: "GET".to_owned(),
+                path: "/neighbors/".to_owned(),
+                query: keyed.into_iter().map(|(_, param)| param).collect(),
+                headers: std::collections::HashMap::new(),
+                body: Vec::new(),
+                minor_version: 1,
+            };
+            prop_assert_eq!(
+                parse_knn_query(&req).ok(),
+                reference::parse_knn_query(&req).ok()
+            );
+        }
+    }
 
     fn spawn_api_on(server: ReactorServer) -> (ReactorHandle, HttpClient, Arc<HyRecServer>) {
         let addr = server.local_addr();
@@ -392,6 +552,36 @@ mod tests {
         let hood = hyrec.knn_of(UserId(2)).unwrap();
         assert_eq!(hood.len(), 2);
         assert_eq!(hood.best().unwrap().user, UserId(5));
+        handle.stop();
+    }
+
+    #[test]
+    fn a_long_get_update_is_stored_as_its_k_best() {
+        // 1,500 known neighbours in one Table 1 query: the table keeps the
+        // 3 most similar, so the sender's next job stays within the bound.
+        let server = ReactorServer::bind("127.0.0.1:0", 1).unwrap();
+        let client = HttpClient::new(server.local_addr());
+        let hyrec = Arc::new(
+            HyRecServer::builder()
+                .k(3)
+                .anonymize_users(false)
+                .seed(5)
+                .build(),
+        );
+        for u in 0..=1_500u32 {
+            hyrec.record(UserId(u), ItemId(u % 40), Vote::Like);
+        }
+        let handle = server.serve(hyrec_router(Arc::clone(&hyrec)));
+        let mut target = "/neighbors/?uid=1".to_owned();
+        let others = (0..=1_500u32).filter(|&u| u != 1);
+        for (i, u) in others.enumerate() {
+            target.push_str(&format!("&id{i}={u}&sim{i}={:.4}", f64::from(u) / 2_000.0));
+        }
+        assert_eq!(client.get(&target).unwrap().status, 200);
+        let stored: Vec<UserId> = hyrec.knn_of(UserId(1)).unwrap().users().collect();
+        assert_eq!(stored, vec![UserId(1_500), UserId(1_499), UserId(1_498)]);
+        let job = hyrec.build_job(UserId(1));
+        assert!(job.candidates.len() <= hyrec.config().candidate_bound());
         handle.stop();
     }
 

@@ -78,24 +78,6 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// All query values for keys of the form `prefix0`, `prefix1`, … in
-    /// index order — the shape of the `/neighbors/?id0=…&id1=…` call in
-    /// Table 1 of the paper.
-    #[must_use]
-    pub fn indexed_params(&self, prefix: &str) -> Vec<&str> {
-        let mut out = Vec::new();
-        let mut index = 0usize;
-        loop {
-            let key = format!("{prefix}{index}");
-            match self.query_param(&key) {
-                Some(v) => out.push(v),
-                None => break,
-            }
-            index += 1;
-        }
-        out
-    }
-
     /// Header value (name case-insensitive).
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
@@ -401,15 +383,6 @@ mod tests {
         assert_eq!(req.header("host"), Some("hyrec"));
         assert_eq!(req.header("HOST"), Some("hyrec"));
         assert!(req.body.is_empty());
-    }
-
-    #[test]
-    fn parses_indexed_params_in_order() {
-        let req =
-            parse_str("GET /neighbors/?uid=1&id0=7&id1=9&id2=3&sim0=0.5 HTTP/1.1\r\n\r\n").unwrap();
-        assert_eq!(req.indexed_params("id"), vec!["7", "9", "3"]);
-        assert_eq!(req.indexed_params("sim"), vec!["0.5"]);
-        assert!(req.indexed_params("x").is_empty());
     }
 
     #[test]

@@ -10,9 +10,10 @@ use std::marker::PhantomData;
 /// pseudonymized candidate ids. The sampler's random leg is `k` users, as
 /// in the paper; a custom [`crate::Sampler`] (such as
 /// [`crate::NoRandomSampler`]) changes how candidates are drawn.
-/// Pseudonyms are reshuffled only when the operator (or the simulator, once
-/// per simulated epoch) calls [`crate::HyRecServer::rotate_pseudonyms`];
-/// the configuration sets no period.
+/// Pseudonyms are reshuffled only when the operator calls
+/// [`crate::HyRecServer::rotate_pseudonyms`] (no simulator or figure does;
+/// only tests call it); the configuration sets no period. Jobs ship whole
+/// profiles, as in the paper (§3.1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HyRecConfig {
     /// Neighbourhood size `k`.
@@ -21,9 +22,6 @@ pub struct HyRecConfig {
     pub r: usize,
     /// Whether candidate user ids are pseudonymized (Section 3.1).
     pub anonymize_users: bool,
-    /// Optional cap on profile sizes shipped in jobs (Section 6 suggests
-    /// content providers may constrain profiles). `None` = unbounded.
-    pub profile_cap: Option<usize>,
     /// RNG seed for the sampler (determinism for experiments).
     pub seed: u64,
 }
@@ -34,7 +32,6 @@ impl Default for HyRecConfig {
             k: 10,
             r: 10,
             anonymize_users: true,
-            profile_cap: None,
             seed: 0xC0FFEE,
         }
     }
@@ -57,11 +54,7 @@ impl HyRecConfig {
 
 impl fmt::Display for HyRecConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "k={} r={} anon={} cap={:?}",
-            self.k, self.r, self.anonymize_users, self.profile_cap
-        )
+        write!(f, "k={} r={} anon={}", self.k, self.r, self.anonymize_users)
     }
 }
 
@@ -100,13 +93,6 @@ impl<T: From<HyRecConfig>> HyRecConfigBuilder<T> {
     #[must_use]
     pub fn anonymize_users(mut self, on: bool) -> Self {
         self.config.anonymize_users = on;
-        self
-    }
-
-    /// Caps profile sizes shipped in personalization jobs.
-    #[must_use]
-    pub fn profile_cap(mut self, cap: usize) -> Self {
-        self.config.profile_cap = Some(cap);
         self
     }
 
@@ -157,8 +143,9 @@ mod tests {
 
     #[test]
     fn display_and_cap() {
-        let c = HyRecConfig::builder().profile_cap(100).build();
-        assert_eq!(c.profile_cap, Some(100));
-        assert!(c.to_string().contains("cap=Some(100)"));
+        // The only cap left is the candidate-set bound.
+        let c = HyRecConfig::builder().k(4).r(6).build();
+        assert_eq!(c.to_string(), "k=4 r=6 anon=true");
+        assert_eq!(c.candidate_bound(), 24);
     }
 }

@@ -4,7 +4,8 @@ use crate::anonymize::AnonymousMapping;
 use crate::config::{HyRecConfig, HyRecConfigBuilder};
 use crate::sampler::{DefaultSampler, Sampler, SamplerContext, UserDirectory};
 use hyrec_core::{
-    CandidateSet, FastHashMap, ItemId, KnnTable, Neighborhood, Profile, ProfileTable, UserId, Vote,
+    CandidateProfile, CandidateSet, ItemId, KnnTable, Neighborhood, Profile, ProfileTable, UserId,
+    Vote,
 };
 use hyrec_wire::{KnnUpdate, PersonalizationJob};
 use parking_lot::Mutex;
@@ -40,12 +41,6 @@ pub struct HyRecServer {
     directory: UserDirectory,
     sampler: Box<dyn Sampler>,
     anonymizer: Mutex<AnonymousMapping>,
-    /// Capped copies of over-cap profiles, requesters' and candidates'
-    /// alike, with the stamp of the table profile each was cut from.
-    /// Reusing a copy until its source changes keeps its stamp, so the job
-    /// encoder's cache hits under a profile cap too. Holds at most one copy
-    /// per user; taken only after `anonymizer`.
-    capped: Mutex<FastHashMap<UserId, (u64, Arc<Profile>)>>,
     rng: Mutex<StdRng>,
     requests_served: AtomicU64,
     updates_applied: AtomicU64,
@@ -92,7 +87,6 @@ impl HyRecServer {
             directory: UserDirectory::new(),
             sampler: Box::new(sampler),
             anonymizer: Mutex::new(AnonymousMapping::new(seed ^ 0xA11CE)),
-            capped: Mutex::new(FastHashMap::default()),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             requests_served: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
@@ -192,63 +186,19 @@ impl HyRecServer {
             .expect("one user in, one job out")
     }
 
-    /// Applies the optional profile cap to `user`'s shared handle.
-    ///
-    /// Uncapped (the default) or already-small profiles pass through as the
-    /// same `Arc` — no copy. An over-cap profile is cut once per version of
-    /// its source: the copy is kept in `capped` beside the source's stamp
-    /// and reused until the source changes, so the copy keeps its stamp and
-    /// the job encoder's cache hits under a cap too. Truncation never
-    /// mutates the table's stored profile.
-    fn cap_profile(
-        &self,
-        user: UserId,
-        profile: Arc<Profile>,
-        capped: &mut FastHashMap<UserId, (u64, Arc<Profile>)>,
-    ) -> Arc<Profile> {
-        let Some(cap) = self
-            .config
-            .profile_cap
-            .filter(|&cap| profile.liked_len() > cap)
-        else {
-            return profile;
-        };
-        let source = profile.stamp();
-        match capped.get(&user) {
-            Some((stamp, copy)) if *stamp == source => Arc::clone(copy),
-            _ => {
-                let mut owned = (*profile).clone();
-                owned.truncate_liked(cap);
-                let copy = Arc::new(owned);
-                capped.insert(user, (source, Arc::clone(&copy)));
-                copy
-            }
-        }
-    }
-
-    /// Applies profile capping and pseudonymization to a raw candidate set,
-    /// with the anonymizer and capped-copy locks already held — taken once
-    /// per batch of jobs.
-    fn finalize_with(
-        &self,
-        raw: CandidateSet,
-        anonymizer: &mut AnonymousMapping,
-        capped: &mut FastHashMap<UserId, (u64, Arc<Profile>)>,
-    ) -> CandidateSet {
-        // Pseudonymization is injective within an epoch and capping keeps
-        // user ids untouched, so the input's uniqueness survives and the
-        // output set needs no re-hashed dedup index.
+    /// Replaces each candidate's id with its pseudonym under the current
+    /// epoch, with the anonymizer lock already held (taken once per batch
+    /// of jobs). Profiles pass through as the table's own `Arc`s.
+    fn pseudonymize(raw: CandidateSet, anonymizer: &mut AnonymousMapping) -> CandidateSet {
+        // Pseudonymization is injective within an epoch, so the input's
+        // uniqueness survives and the output set needs no re-hashed dedup
+        // index.
         let members = raw
             .into_vec()
             .into_iter()
-            .map(|c| {
-                let profile = self.cap_profile(c.user, c.profile, capped);
-                let user = if self.config.anonymize_users {
-                    anonymizer.pseudonymize(c.user)
-                } else {
-                    c.user
-                };
-                hyrec_core::CandidateProfile { user, profile }
+            .map(|c| CandidateProfile {
+                user: anonymizer.pseudonymize(c.user),
+                profile: c.profile,
             })
             .collect();
         CandidateSet::from_deduped(members)
@@ -265,10 +215,12 @@ impl HyRecServer {
     /// This is the only job builder ([`Self::build_job`] is a batch of
     /// one), so any split of a request stream into batches yields the same
     /// jobs: same candidate sets, same RNG stream, same pseudonyms. Table
-    /// traffic is amortized over the batch: the sampler stages its reads
-    /// through the tables' batch reads (one lock acquisition per touched
-    /// shard per stage), requester profiles are fetched in one sweep, and
-    /// the RNG, anonymizer and capped-copy locks are taken once per batch.
+    /// traffic is amortized over the batch: requester profiles are fetched
+    /// in one sweep, then the sampler stages its reads through the tables'
+    /// batch reads (one lock acquisition per touched shard per stage) under
+    /// the RNG lock, taken once. After sampling the only lock is the
+    /// anonymizer's, taken once and only when `anonymize_users` is set.
+    /// Every profile in a job is the table's own `Arc`.
     #[must_use]
     pub fn build_jobs(&self, users: &[UserId]) -> Vec<PersonalizationJob> {
         self.requests_served
@@ -278,39 +230,28 @@ impl HyRecServer {
             knn: &self.knn,
             directory: &self.directory,
         };
+        let profiles = self.profiles.get_many(users);
         let candidate_sets = {
             let mut rng = self.rng.lock();
             let k = self.config.k;
             self.sampler.sample_batch(users, k, k, &ctx, &mut rng)
         };
-
-        let profiles = self.profiles.get_many(users);
-        // Capping and pseudonymization share the anonymizer and
-        // capped-copy locks, taken once for the batch.
-        let mut finalize = (self.config.anonymize_users || self.config.profile_cap.is_some())
-            .then(|| (self.anonymizer.lock(), self.capped.lock()));
+        let mut anonymizer = self.config.anonymize_users.then(|| self.anonymizer.lock());
         users
             .iter()
             .zip(profiles)
             .zip(candidate_sets)
-            .map(|((&user, profile), candidates)| {
-                let profile = profile.unwrap_or_default();
-                let (profile, candidates) = match &mut finalize {
-                    Some((anonymizer, capped)) => (
-                        self.cap_profile(user, profile, capped),
-                        self.finalize_with(candidates, anonymizer, capped),
-                    ),
-                    None => (profile, candidates),
-                };
-                PersonalizationJob {
-                    uid: user,
-                    k: self.config.k,
-                    r: self.config.r,
-                    lease: 0,
-                    epoch: 0,
-                    profile,
-                    candidates,
-                }
+            .map(|((&user, profile), candidates)| PersonalizationJob {
+                uid: user,
+                k: self.config.k,
+                r: self.config.r,
+                lease: 0,
+                epoch: 0,
+                profile: profile.unwrap_or_default(),
+                candidates: match &mut anonymizer {
+                    Some(anonymizer) => Self::pseudonymize(candidates, anonymizer),
+                    None => candidates,
+                },
             })
             .collect()
     }
@@ -328,11 +269,14 @@ impl HyRecServer {
     /// (the widget will simply refine again on its next request). The
     /// anonymizer lock is taken once, and the write-backs go through
     /// `KnnTable::update_many`, which takes each touched shard's write
-    /// lock once for the whole batch. Updates are read by reference, so a
-    /// caller can pass a filtered view of its batch without copying.
+    /// lock once for the whole batch. Each update keeps its `k` most similar
+    /// neighbours, so a client cannot grow a stored neighbourhood (and with
+    /// it the requester's next candidate set) past the paper's bound.
+    /// Updates are read by reference, so a caller can pass a filtered view
+    /// of its batch without copying.
     pub fn apply_updates<'a>(&self, updates: impl IntoIterator<Item = &'a KnnUpdate>) {
         let updates = updates.into_iter();
-        let entries: Vec<(UserId, Neighborhood)> = if self.config.anonymize_users {
+        let mut entries: Vec<(UserId, Neighborhood)> = if self.config.anonymize_users {
             let anonymizer = self.anonymizer.lock();
             updates
                 .map(|update| {
@@ -351,6 +295,11 @@ impl HyRecServer {
                 .map(|update| (update.uid, update.to_neighborhood()))
                 .collect()
         };
+        // A client may send any number of neighbours; the table stores the
+        // `k` best, as Algorithm 1 does.
+        for (_, hood) in &mut entries {
+            hood.truncate(self.config.k);
+        }
         self.updates_applied
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
         self.knn.update_many(entries);
@@ -379,8 +328,8 @@ impl HyRecServer {
     }
 
     /// Rotates the anonymization epoch ("periodically, the identifiers …
-    /// are anonymously shuffled"). Call on a timer in deployments; the
-    /// simulator calls it per simulated epoch.
+    /// are anonymously shuffled"). Call on a timer in deployments. No
+    /// simulator or figure calls it; only tests do.
     pub fn rotate_pseudonyms(&self) {
         self.anonymizer.lock().reshuffle();
     }
@@ -522,97 +471,44 @@ mod tests {
     }
 
     #[test]
-    fn profile_cap_bounds_job_sizes() {
-        let server =
-            HyRecServer::with_config(HyRecConfig::builder().k(2).profile_cap(3).seed(1).build());
-        for u in 0..5u32 {
-            for i in 0..50u32 {
-                server.record(UserId(u), ItemId(i), Vote::Like);
-            }
-        }
-        let job = server.build_job(UserId(0));
-        assert!(job.profile.liked_len() <= 3);
-        for c in job.candidates.iter() {
-            assert!(c.profile.liked_len() <= 3);
-        }
-    }
-
-    #[test]
-    fn capped_candidates_keep_their_stamp_until_the_source_changes() {
-        let server = HyRecServer::with_config(
-            HyRecConfig::builder()
-                .k(2)
-                .anonymize_users(false)
-                .profile_cap(3)
-                .seed(1)
-                .build(),
-        );
-        for u in 0..5u32 {
-            for i in 0..50u32 {
-                server.record(UserId(u), ItemId(i), Vote::Like);
-            }
-        }
-        let finalized_stamps = || -> Vec<u64> {
-            let mut raw = CandidateSet::new();
-            for u in 1..5u32 {
-                raw.insert(UserId(u), server.profile_of(UserId(u)).unwrap());
-            }
-            let set = server.finalize_with(
-                raw,
-                &mut server.anonymizer.lock(),
-                &mut server.capped.lock(),
+    fn stored_updates_keep_the_k_most_similar_neighbours() {
+        // An update may carry any number of neighbours; the table stores
+        // the `k` best, so the sender's next job stays within the bound.
+        for anonymize in [false, true] {
+            let server = HyRecServer::with_config(
+                HyRecConfig::builder()
+                    .k(10)
+                    .anonymize_users(anonymize)
+                    .seed(5)
+                    .build(),
             );
-            set.pairs()
-                .map(|(_, profile)| {
-                    assert_eq!(profile.liked_len(), 3);
-                    profile.stamp()
-                })
-                .collect()
-        };
-        let first = finalized_stamps();
-        assert_eq!(
-            finalized_stamps(),
-            first,
-            "unchanged sources reuse their copies"
-        );
-
-        // A vote on user 1's table profile cuts a fresh copy for user 1
-        // only.
-        assert!(server.record(UserId(1), ItemId(999), Vote::Like));
-        let after = finalized_stamps();
-        assert_ne!(after[0], first[0]);
-        assert_eq!(after[1..], first[1..]);
-    }
-
-    #[test]
-    fn capped_requesters_keep_their_copy_until_they_vote() {
-        let server = HyRecServer::with_config(
-            HyRecConfig::builder()
-                .k(2)
-                .anonymize_users(false)
-                .profile_cap(3)
-                .seed(1)
-                .build(),
-        );
-        for u in 0..5u32 {
-            for i in 0..50u32 {
-                server.record(UserId(u), ItemId(i), Vote::Like);
+            for u in 0..300u32 {
+                for i in 0..5u32 {
+                    server.record(UserId(u), ItemId(u % 50 + i), Vote::Like);
+                }
             }
+            let neighbors = (2..300u32)
+                .map(|u| hyrec_core::Neighbor {
+                    user: if anonymize {
+                        server.anonymizer.lock().pseudonymize(UserId(u))
+                    } else {
+                        UserId(u)
+                    },
+                    similarity: f64::from(u) / 300.0,
+                })
+                .collect();
+            server.apply_update(&KnnUpdate {
+                uid: UserId(1),
+                lease: 0,
+                epoch: 0,
+                neighbors,
+            });
+            let stored: Vec<UserId> = server.knn_of(UserId(1)).unwrap().users().collect();
+            let best: Vec<UserId> = (290..300u32).rev().map(UserId).collect();
+            assert_eq!(stored, best, "anonymize = {anonymize}");
+            let job = server.build_job(UserId(1));
+            assert!(job.candidates.len() <= server.config().candidate_bound());
         }
-        let own = |jobs: Vec<PersonalizationJob>| Arc::clone(&jobs[0].profile);
-        let first = own(server.build_jobs(&[UserId(0)]));
-        assert_eq!(first.liked_len(), 3);
-        let second = own(server.build_jobs(&[UserId(0)]));
-        assert!(Arc::ptr_eq(&first, &second), "unchanged requester recut");
-        // The scalar path shares the same copy.
-        assert!(Arc::ptr_eq(&first, &server.build_job(UserId(0)).profile));
-
-        // A vote cuts one fresh copy, then that copy is reused.
-        assert!(server.record(UserId(0), ItemId(999), Vote::Like));
-        let voted = own(server.build_jobs(&[UserId(0)]));
-        assert!(!Arc::ptr_eq(&first, &voted));
-        assert_ne!(voted.stamp(), first.stamp());
-        assert!(Arc::ptr_eq(&voted, &own(server.build_jobs(&[UserId(0)]))));
     }
 
     #[test]
@@ -629,8 +525,8 @@ mod tests {
 
     #[test]
     fn build_job_shares_table_profiles_without_copying() {
-        // The zero-copy contract: with no cap and no pseudonymization, every
-        // profile in a job IS the table's allocation (same Arc), not a copy.
+        // The zero-copy contract: every profile in a job IS the table's
+        // allocation (same Arc), not a copy.
         let server = HyRecServer::with_config(
             HyRecConfig::builder()
                 .k(3)

@@ -14,8 +14,7 @@
 //! repeated across 1-hop and 2-hop lists and across users, unknown
 //! neighbour ids, repeated uids in one batch, an empty directory, and `k`
 //! and `random_candidates` equal to 0. `build_jobs` must likewise give the
-//! same jobs under any split, with pseudonymization on and off and with a
-//! profile cap.
+//! same jobs under any split, with pseudonymization on and off.
 
 use hyrec_client::Widget;
 use hyrec_core::{
@@ -230,12 +229,11 @@ proptest! {
         len in 0usize..24,
         k in 1usize..5,
         anonymize in any::<bool>(),
-        cap in 0usize..4,
     ) {
         // Three identical servers: one builds each round as one batch, one
         // in random batches, one a job at a time. Round two runs on the
         // neighbourhoods the first round's widgets sent back.
-        let servers: Vec<HyRecServer> = (0..3).map(|_| server(seed, n, k, anonymize, cap)).collect();
+        let servers: Vec<HyRecServer> = (0..3).map(|_| server(seed, n, k, anonymize)).collect();
         let users = requesters(seed ^ 0x5EED, n, len);
         let widget = Widget::new();
         for round in 0..2u64 {
@@ -248,12 +246,6 @@ proptest! {
                 users.iter().map(|&user| servers[2].build_job(user)).collect();
             prop_assert_eq!(&split_jobs, &whole);
             prop_assert_eq!(&one_by_one, &whole);
-            if cap > 0 {
-                for job in &whole {
-                    prop_assert!(job.profile.liked_len() <= cap);
-                    prop_assert!(job.candidates.profiles().all(|p| p.liked_len() <= cap));
-                }
-            }
 
             let updates: Vec<KnnUpdate> = whole.iter().map(|job| widget.run_job(job).update).collect();
             servers[0].apply_updates(&updates);
@@ -279,10 +271,10 @@ proptest! {
         len in 0usize..24,
         k in 1usize..5,
     ) {
-        // Without pseudonyms or a cap a job is the requester's table
+        // Without pseudonyms a job is the requester's table
         // profile plus the reference sampler's set, drawn from a directory
         // registered in first-vote order and the server's seeded RNG.
-        let server = server(seed, n, k, false, 0);
+        let server = server(seed, n, k, false);
         let directory = UserDirectory::new();
         let mut registered = std::collections::HashSet::new();
         for (user, _, _) in votes(seed, n) {
@@ -338,17 +330,16 @@ fn votes(seed: u64, n: u32) -> Vec<(UserId, ItemId, Vote)> {
 }
 
 /// A server holding [`votes`] and random neighbourhoods (see
-/// [`random_hood`]); `cap == 0` means no profile cap.
-fn server(seed: u64, n: u32, k: usize, anonymize: bool, cap: usize) -> HyRecServer {
-    let mut config = HyRecConfig::builder()
-        .k(k)
-        .r(3)
-        .anonymize_users(anonymize)
-        .seed(seed);
-    if cap > 0 {
-        config = config.profile_cap(cap);
-    }
-    let server = HyRecServer::with_config(config.build());
+/// [`random_hood`]).
+fn server(seed: u64, n: u32, k: usize, anonymize: bool) -> HyRecServer {
+    let server = HyRecServer::with_config(
+        HyRecConfig::builder()
+            .k(k)
+            .r(3)
+            .anonymize_users(anonymize)
+            .seed(seed)
+            .build(),
+    );
     let votes = votes(seed, n);
     let (head, tail) = votes.split_at(votes.len() / 2);
     for &(user, item, vote) in head {

@@ -1,14 +1,14 @@
 //! The job encoder validates a cached candidate fragment or requester
-//! chunk by the profile's stamp alone, and under a profile cap the server
-//! reuses capped copies until their source changes. This suite drives
-//! random interleavings of votes (new likes, like→dislike flips, repeated
-//! votes; through `record` and `record_many`, including a requester voting
-//! between its own encodes), profile caps, pseudonymization and batched
-//! encodes over overlapping user sets (including a user who is both
-//! requester and candidate in one batch), and asserts that every job
-//! carries current profiles and that every body one long-lived encoder
-//! emits is byte-identical to a cold encoder's body for the same job —
-//! i.e. no stale fragment, requester chunk or capped copy is ever served.
+//! chunk by the profile's stamp alone, and every profile in a job is the
+//! table's own `Arc`. This suite drives random interleavings of votes (new
+//! likes, like→dislike flips, repeated votes; through `record` and
+//! `record_many`, including a requester voting between its own encodes),
+//! pseudonymization and batched encodes over overlapping user sets
+//! (including a user who is both requester and candidate in one batch),
+//! and asserts that every job carries current profiles and that every body
+//! one long-lived encoder emits is byte-identical to a cold encoder's body
+//! for the same job — i.e. no stale fragment or requester chunk is ever
+//! served.
 
 use hyrec_core::{ItemId, UserId, Vote};
 use hyrec_server::encoder::{JobEncoder, DEFAULT_CACHE_CAPACITY};
@@ -109,16 +109,13 @@ proptest! {
     #[test]
     fn warm_bodies_equal_cold_bodies(
         anonymize in any::<bool>(),
-        cap in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
         capacity in prop_oneof![Just(6usize), Just(DEFAULT_CACHE_CAPACITY)],
         seed in any::<u64>(),
         ops in proptest::collection::vec(op(), 1..40),
     ) {
-        let mut config = HyRecConfig::builder().k(3).r(3).anonymize_users(anonymize).seed(seed);
-        if let Some(cap) = cap {
-            config = config.profile_cap(cap);
-        }
-        let server = HyRecServer::with_config(config.build());
+        let server = HyRecServer::with_config(
+            HyRecConfig::builder().k(3).r(3).anonymize_users(anonymize).seed(seed).build(),
+        );
         for u in 0..USERS {
             for i in 0..4 {
                 server.record(UserId(u), ItemId((u * 3 + i) % 20), Vote::Like);
@@ -145,13 +142,11 @@ proptest! {
                     let fresh = server.build_jobs(&users);
                     if !anonymize {
                         // The jobs themselves are current: every candidate
-                        // carries its table profile, capped.
+                        // carries its table profile.
                         for candidate in fresh.iter().flat_map(|job| job.candidates.iter()) {
-                            let mut expected =
-                                (*server.profile_of(candidate.user).unwrap_or_default()).clone();
-                            expected.truncate_liked(cap.unwrap_or(usize::MAX));
+                            let expected = server.profile_of(candidate.user).unwrap_or_default();
                             prop_assert!(
-                                *candidate.profile == expected,
+                                candidate.profile == expected,
                                 "candidate {} is out of date",
                                 candidate.user
                             );
@@ -169,10 +164,9 @@ proptest! {
                     let (user, item, vote) = concrete(&server, &mut next_item, (u, s, k));
                     server.record(user, item, vote);
                     let jobs = server.build_jobs(&[UserId(u)]);
-                    // The requester's own profile is current, capped.
-                    let mut expected = (*server.profile_of(user).unwrap_or_default()).clone();
-                    expected.truncate_liked(cap.unwrap_or(usize::MAX));
-                    prop_assert!(*jobs[0].profile == expected, "requester {} is stale", u);
+                    // The requester's own profile is current.
+                    let expected = server.profile_of(user).unwrap_or_default();
+                    prop_assert!(jobs[0].profile == expected, "requester {} is stale", u);
                     check_against_cold(&encoder, &jobs)?;
                 }
                 Op::SelfCandidate(u, v) => {

@@ -12,6 +12,7 @@ use hyrec_core::{SharedProfile, UserId};
 use hyrec_datasets::{Timestamp, Trace};
 use hyrec_server::offline::{ExhaustiveBackend, OfflineBackend};
 use hyrec_server::{HyRecConfig, HyRecServer};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Configuration for a HyRec replay.
@@ -105,168 +106,155 @@ impl ReplayResult {
     }
 }
 
-/// Replays a binary trace through the full HyRec loop (server + widget).
-///
-/// Each rating event records the vote, then triggers a personalization job
-/// and a KNN write-back, exactly the paper's request flow.
-#[must_use]
-pub fn replay_hyrec(trace: &Trace, config: &ReplayConfig) -> ReplayResult {
-    let server = HyRecServer::with_config(
-        HyRecConfig::builder()
-            .k(config.k)
-            .r(config.r)
-            .seed(config.seed)
-            .build(),
-    );
-    let widget = Widget::new();
+/// The state of one HyRec replay: the server and widget, the counters
+/// behind the probes, and the IR-bounded variant's refresh queue.
+struct HyRecReplay<'a> {
+    config: &'a ReplayConfig,
+    server: HyRecServer,
+    widget: Widget,
+    iterations: HashMap<UserId, u64>,
+    probes: Vec<ProbePoint>,
+    candidate_sizes_sum: u64,
+    candidate_jobs: u64,
+    /// Synthetic refresh requests for the IR-bounded variant: a min-heap
+    /// of `(due_time, user)`.
+    refresh_queue: BinaryHeap<Reverse<(u64, u32)>>,
+    last_request: HashMap<UserId, u64>,
+}
 
-    let mut iterations: HashMap<UserId, u64> = HashMap::new();
-    let mut probes = Vec::new();
-    let mut candidate_sizes_sum = 0u64;
-    let mut candidate_jobs = 0u64;
-    let mut next_probe = config.probe_interval;
-
-    // Synthetic refresh requests for the IR-bounded variant: a min-heap of
-    // (due_time, user).
-    let mut refresh_queue: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
-    let mut last_request: HashMap<UserId, u64> = HashMap::new();
-
-    let run_request =
-        |server: &HyRecServer,
-         user: UserId,
-         now: u64,
-         iterations: &mut HashMap<UserId, u64>,
-         candidate_sizes_sum: &mut u64,
-         candidate_jobs: &mut u64,
-         last_request: &mut HashMap<UserId, u64>,
-         refresh_queue: &mut BinaryHeap<std::cmp::Reverse<(u64, u32)>>| {
-            let job = server.build_job(user);
-            *candidate_sizes_sum += job.candidates.len() as u64;
-            *candidate_jobs += 1;
-            let out = widget.run_job(&job);
-            server.apply_update(&out.update);
-            *iterations.entry(user).or_insert(0) += 1;
-            last_request.insert(user, now);
-            if let Some(bound) = config.inter_request_bound {
-                refresh_queue.push(std::cmp::Reverse((now + bound, user.0)));
+impl HyRecReplay<'_> {
+    /// Serves a batch of requests, each a user and the time it is due at,
+    /// through the server's batched entry points: one `build_jobs`, the
+    /// widget on every job, one `apply_updates`. A trace event is a batch
+    /// of one; both calls give the same result however a request stream is
+    /// split, so batching the refresh backlog changes no job.
+    fn serve(&mut self, batch: &[(UserId, u64)]) {
+        let users: Vec<UserId> = batch.iter().map(|&(user, _)| user).collect();
+        let jobs = self.server.build_jobs(&users);
+        let updates: Vec<_> = jobs
+            .iter()
+            .map(|job| {
+                self.candidate_sizes_sum += job.candidates.len() as u64;
+                self.candidate_jobs += 1;
+                self.widget.run_job(job).update
+            })
+            .collect();
+        self.server.apply_updates(&updates);
+        for &(user, due) in batch {
+            *self.iterations.entry(user).or_insert(0) += 1;
+            self.last_request.insert(user, due);
+            if let Some(bound) = self.config.inter_request_bound {
+                self.refresh_queue.push(Reverse((due + bound, user.0)));
             }
+        }
+    }
+
+    /// Fires the synthetic refreshes due by `now` (IR-bounded variant).
+    /// The due entries at each queue drain are served as one batch. The
+    /// outer loop re-drains until quiescent so cascaded refreshes (a
+    /// long-idle user owes several bound-spaced refreshes before `now`)
+    /// still fire; `last_request` is updated at collection time so an entry
+    /// later in the same drain sees the refresh.
+    fn refresh_due(&mut self, now: u64) {
+        let Some(bound) = self.config.inter_request_bound else {
+            return;
         };
-
-    let probe = |server: &HyRecServer,
-                 time: u64,
-                 candidate_sizes_sum: &mut u64,
-                 candidate_jobs: &mut u64,
-                 probes: &mut Vec<ProbePoint>| {
-        // The paper's metric uses the similarities *stored* in the KNN
-        // table (computed at selection time): an inactive user's entry
-        // goes stale, which is exactly the activity effect Figures 3-4
-        // measure. The ideal bound is evaluated on current profiles.
-        let view = server.average_view_similarity();
-        let ideal = if config.compute_ideal {
-            let profiles: HashMap<UserId, SharedProfile> =
-                server.profiles().snapshot().into_iter().collect();
-            Some(metrics::ideal_view_similarity(&profiles, config.k))
-        } else {
-            None
-        };
-        probes.push(ProbePoint {
-            time: Timestamp(time),
-            view_similarity: view,
-            ideal_view_similarity: ideal,
-            avg_candidate_size: if *candidate_jobs == 0 {
-                0.0
-            } else {
-                *candidate_sizes_sum as f64 / *candidate_jobs as f64
-            },
-        });
-        *candidate_sizes_sum = 0;
-        *candidate_jobs = 0;
-    };
-
-    for event in trace.iter() {
-        let now = event.time.0;
-
-        // Fire due synthetic refreshes first (IR-bounded variant). The due
-        // entries at each queue drain form one coalesced batch through the
-        // server's batched entry points — the request-coalescing shape a
-        // production front-end would use for its refresh backlog. The outer
-        // loop re-drains until quiescent so cascaded refreshes (a long-idle
-        // user owes several bound-spaced refreshes before `now`) still fire,
-        // exactly as the one-at-a-time harness did; `last_request` is
-        // updated at collection time so one user never enters a batch twice.
         loop {
             let mut due_refreshes: Vec<(UserId, u64)> = Vec::new();
-            while let Some(&std::cmp::Reverse((due, uid))) = refresh_queue.peek() {
+            while let Some(&Reverse((due, uid))) = self.refresh_queue.peek() {
                 if due > now {
                     break;
                 }
-                refresh_queue.pop();
+                self.refresh_queue.pop();
                 let user = UserId(uid);
                 // Only refresh if the user has actually been idle that long.
-                let idle_since = last_request.get(&user).copied().unwrap_or(0);
-                if now.saturating_sub(idle_since) >= config.inter_request_bound.unwrap_or(u64::MAX)
-                {
-                    last_request.insert(user, due);
+                let idle_since = self.last_request.get(&user).copied().unwrap_or(0);
+                if now.saturating_sub(idle_since) >= bound {
+                    self.last_request.insert(user, due);
                     due_refreshes.push((user, due));
                 }
             }
             if due_refreshes.is_empty() {
                 break;
             }
-            let users: Vec<UserId> = due_refreshes.iter().map(|(u, _)| *u).collect();
-            let jobs = server.build_jobs(&users);
-            let updates: Vec<_> = jobs
-                .iter()
-                .map(|job| {
-                    candidate_sizes_sum += job.candidates.len() as u64;
-                    candidate_jobs += 1;
-                    widget.run_job(job).update
-                })
-                .collect();
-            server.apply_updates(&updates);
-            for (user, due) in due_refreshes {
-                *iterations.entry(user).or_insert(0) += 1;
-                if let Some(bound) = config.inter_request_bound {
-                    refresh_queue.push(std::cmp::Reverse((due + bound, user.0)));
-                }
-            }
+            self.serve(&due_refreshes);
         }
-
-        // Probes due before this event.
-        while now >= next_probe {
-            probe(
-                &server,
-                next_probe,
-                &mut candidate_sizes_sum,
-                &mut candidate_jobs,
-                &mut probes,
-            );
-            next_probe += config.probe_interval;
-        }
-
-        // The paper's flow: profile update, then the personalization job.
-        server.record(event.user, event.item, event.vote);
-        run_request(
-            &server,
-            event.user,
-            now,
-            &mut iterations,
-            &mut candidate_sizes_sum,
-            &mut candidate_jobs,
-            &mut last_request,
-            &mut refresh_queue,
-        );
     }
 
-    // Final probe at the horizon.
-    probe(
-        &server,
-        trace.horizon().0,
-        &mut candidate_sizes_sum,
-        &mut candidate_jobs,
-        &mut probes,
-    );
+    /// Records a metric probe at `time` and resets the candidate-size
+    /// counters.
+    fn probe(&mut self, time: u64) {
+        // The paper's metric uses the similarities *stored* in the KNN
+        // table (computed at selection time): an inactive user's entry
+        // goes stale, which is exactly the activity effect Figures 3-4
+        // measure. The ideal bound is evaluated on current profiles.
+        let view = self.server.average_view_similarity();
+        let ideal = self.config.compute_ideal.then(|| {
+            let profiles: HashMap<UserId, SharedProfile> =
+                self.server.profiles().snapshot().into_iter().collect();
+            metrics::ideal_view_similarity(&profiles, self.config.k)
+        });
+        self.probes.push(ProbePoint {
+            time: Timestamp(time),
+            view_similarity: view,
+            ideal_view_similarity: ideal,
+            avg_candidate_size: if self.candidate_jobs == 0 {
+                0.0
+            } else {
+                self.candidate_sizes_sum as f64 / self.candidate_jobs as f64
+            },
+        });
+        self.candidate_sizes_sum = 0;
+        self.candidate_jobs = 0;
+    }
+}
 
+/// Replays a binary trace through the full HyRec loop (server + widget).
+///
+/// Each rating event records the vote, then triggers a personalization job
+/// and a KNN write-back, exactly the paper's request flow.
+#[must_use]
+pub fn replay_hyrec(trace: &Trace, config: &ReplayConfig) -> ReplayResult {
+    let mut replay = HyRecReplay {
+        config,
+        server: HyRecServer::with_config(
+            HyRecConfig::builder()
+                .k(config.k)
+                .r(config.r)
+                .seed(config.seed)
+                .build(),
+        ),
+        widget: Widget::new(),
+        iterations: HashMap::new(),
+        probes: Vec::new(),
+        candidate_sizes_sum: 0,
+        candidate_jobs: 0,
+        refresh_queue: BinaryHeap::new(),
+        last_request: HashMap::new(),
+    };
+    let mut next_probe = config.probe_interval;
+
+    for event in trace.iter() {
+        let now = event.time.0;
+        // Synthetic refreshes due before this event, then the probes.
+        replay.refresh_due(now);
+        while now >= next_probe {
+            replay.probe(next_probe);
+            next_probe += config.probe_interval;
+        }
+        // The paper's flow: profile update, then the personalization job.
+        replay.server.record(event.user, event.item, event.vote);
+        replay.serve(&[(event.user, now)]);
+    }
+    // Final probe at the horizon.
+    replay.probe(trace.horizon().0);
+
+    let HyRecReplay {
+        server,
+        iterations,
+        probes,
+        ..
+    } = replay;
     let final_per_user: HashMap<UserId, f64> = server
         .knn_table()
         .snapshot()

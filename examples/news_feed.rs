@@ -20,14 +20,8 @@ fn main() {
     println!("== generating workload: {spec}");
     let trace = TraceGenerator::new(spec, 9).generate().binarize();
 
-    // Content providers can cap profile sizes for feed workloads
-    // (Section 6) and swap both widget hooks (Table 1).
-    let server = HyRecServer::builder()
-        .k(10)
-        .r(10)
-        .profile_cap(50)
-        .seed(3)
-        .build();
+    // Content providers can swap both widget hooks (Table 1).
+    let server = HyRecServer::builder().k(10).r(10).seed(3).build();
     let widget = Widget::builder()
         .similarity(Jaccard)
         .policy(Serendipity::default())

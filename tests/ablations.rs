@@ -148,35 +148,3 @@ fn compression_effort_tradeoff_is_monotone() {
         assert_eq!(gzip::decompress(packed).unwrap(), raw);
     }
 }
-
-/// Profile-cap ablation (Section 6): capping trades quality for bandwidth
-/// but never breaks the loop.
-#[test]
-fn profile_cap_ablation() {
-    let mut sizes = Vec::new();
-    for cap in [4usize, 16, 64] {
-        let server = HyRecServer::builder()
-            .k(4)
-            .profile_cap(cap)
-            .anonymize_users(false)
-            .seed(2)
-            .build();
-        for u in 0..40u32 {
-            for i in 0..64u32 {
-                server.record(UserId(u), ItemId((u % 4) * 200 + i), Vote::Like);
-            }
-        }
-        let quality = run_rounds(&server, 40, 3);
-        let job = server.build_job(UserId(0));
-        sizes.push((cap, job.json_bytes(), quality));
-    }
-    // Bigger caps, bigger messages.
-    assert!(
-        sizes[0].1 < sizes[1].1 && sizes[1].1 < sizes[2].1,
-        "{sizes:?}"
-    );
-    // The loop converges at every cap (identical in-group profiles).
-    for (cap, _, quality) in &sizes {
-        assert!(*quality > 0.9, "cap {cap} broke convergence: {quality}");
-    }
-}

@@ -76,38 +76,6 @@ fn anonymization_rotation_is_transparent_to_convergence() {
     }
 }
 
-/// Profile caps propagate through the wire and bound message sizes.
-#[test]
-fn profile_caps_bound_wire_sizes() {
-    let capped = HyRecServer::builder().k(5).profile_cap(20).seed(3).build();
-    let uncapped = HyRecServer::builder().k(5).seed(3).build();
-    for server in [&capped, &uncapped] {
-        for u in 0..30u32 {
-            for i in 0..200u32 {
-                server.record(UserId(u), ItemId(i), Vote::Like);
-            }
-        }
-    }
-    // Warm both KNN tables so candidate sets are comparable.
-    let widget = Widget::new();
-    for server in [&capped, &uncapped] {
-        for u in 0..30u32 {
-            let job = server.build_job(UserId(u));
-            let out = widget.run_job(&job);
-            server.apply_update(&out.update);
-        }
-    }
-    let capped_job = capped.build_job(UserId(0));
-    let uncapped_job = uncapped.build_job(UserId(0));
-    assert!(capped_job.profile.liked_len() <= 20);
-    assert!(
-        capped_job.json_bytes() < uncapped_job.json_bytes() / 3,
-        "cap should shrink messages: {} vs {}",
-        capped_job.json_bytes(),
-        uncapped_job.json_bytes()
-    );
-}
-
 /// New users (cold start) get jobs immediately and join the graph.
 #[test]
 fn cold_start_user_joins_within_one_round() {
