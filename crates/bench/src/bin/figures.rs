@@ -10,6 +10,10 @@
 use hyrec_bench::figures;
 use hyrec_bench::RunOptions;
 
+/// Artifacts whose workload is fixed (or set by `--full` alone): they never
+/// read `--scale`.
+const SCALE_IGNORED: [&str; 6] = ["fig8", "fig9", "fig10", "fig11", "fig12", "fig13"];
+
 const USAGE: &str = "usage: figures [--scale F] [--full] [--seed N] <artifact>...
 artifacts: table2 fig3 fig4 fig5 fig6 fig7 table3 fig8 fig9 fig10 fig11 fig12 fig13 bandwidth all";
 
@@ -80,6 +84,9 @@ fn main() {
     // prints) at most once per invocation, whichever of the two comes first.
     let mut fig7 = None;
     for target in &targets {
+        if options.scale.is_some() && SCALE_IGNORED.contains(&target.as_str()) {
+            println!("# --scale does not apply to {target}");
+        }
         match target.as_str() {
             "table2" => figures::table2::run(&options),
             "fig3" => figures::fig3::run(&options),

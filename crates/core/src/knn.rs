@@ -67,7 +67,7 @@ impl Neighborhood {
 
     /// Number of neighbours currently held. At most `k` for every
     /// neighbourhood that [`select`] ranks or that the server stores:
-    /// `HyRecServer::apply_updates` keeps each update's `k` best through
+    /// `HyRecServer::admit_and_apply` keeps each update's `k` best through
     /// [`Self::truncate`].
     #[must_use]
     pub fn len(&self) -> usize {

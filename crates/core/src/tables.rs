@@ -280,7 +280,7 @@ impl UserTable<Neighborhood> {
     }
 
     /// Applies many write-backs while taking each touched shard's write
-    /// lock exactly once — the write half of `HyRecServer::apply_updates`;
+    /// lock exactly once — the write half of `HyRecServer::admit_and_apply`;
     /// [`Self::update`] is a batch of one.
     pub fn update_many(&self, entries: Vec<(UserId, Neighborhood)>) {
         let groups = ShardGroups::new(&entries, |&(user, _)| user);

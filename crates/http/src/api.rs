@@ -30,12 +30,13 @@
 //! [`HyRecServer::build_jobs`]) whose outputs are planned by the batched,
 //! fragment-caching [`JobEncoder::plan_jobs`] and copied once, piece by
 //! piece, into the connection's send buffer; `/rate/` bursts stage their
-//! votes through the shard-grouped [`HyRecServer::record_many`];
-//! `POST /neighbors/` bursts apply through [`HyRecServer::apply_updates`].
-//! A request that gathers alone runs as a batch of one. Those batched
-//! calls are the server's only implementations (its scalar calls are
-//! batches of one), so a response is byte-identical however its requests
-//! were gathered, by construction.
+//! votes through the shard-grouped [`HyRecServer::record_many`]; bursts of
+//! either `/neighbors/` form (one handler; GET and POST differ only in
+//! the parse) are admitted and applied in one
+//! [`ScheduledServer::complete_updates`] pass. A request that gathers
+//! alone runs as a batch of one. Those batched calls are the server's only
+//! implementations (its scalar calls are batches of one), so a response
+//! is byte-identical however its requests were gathered, by construction.
 
 use crate::reactor::ReactorStats;
 use crate::request::Request;
@@ -81,14 +82,15 @@ pub fn hyrec_router_with(
 ///   may override the requested uid — and every job carries
 ///   `lease`/`epoch` credentials the widget must echo. Unleased, it is the
 ///   job of the uid asked for, at the seed wire shape.
-/// * Both `/neighbors/` forms go through
+/// * Both `/neighbors/` forms are one batched handler over
 ///   [`ScheduledServer::complete_updates`] (leased: query params
 ///   `lease=&epoch=` on GET, message fields on POST). A structurally
 ///   malformed query or body is a 400 (a body past the size cap a 413); a
-///   NaN or out-of-range similarity is a 400 and a well-formed completion
-///   whose lease is dead (expired, superseded, already consumed, wrong
-///   user, fabricated neighbour) a 409, both with an
-///   `{"ok":false,"reject":"<reason>"}` body, and neither is applied.
+///   NaN or out-of-range similarity is a 400, and a well-formed completion
+///   that names a neighbour id the server cannot resolve (leased or not)
+///   or whose lease is dead (expired, superseded, already consumed, wrong
+///   user) a 409, both with an `{"ok":false,"reject":"<reason>"}` body,
+///   and neither is applied.
 /// * `GET /rate/` records votes (leased: bumping staleness priorities).
 /// * `GET /stats/` exposes the scheduler's [`hyrec_sched::SchedStats`]
 ///   (and, when a handle is supplied, the reactor's [`ReactorStats`]).
@@ -128,46 +130,40 @@ pub fn hyrec_scheduled_router(
         },
     );
 
-    // GET /neighbors/?uid=&lease=&epoch=&id0=&sim0=… — "Update KNN
-    // selection" (the Table 1 query form). The HTTP layer rejects only
-    // structurally malformed queries; payload checks run in the scheduler
-    // with its configured similarity tolerance.
-    let neighbors = Arc::clone(&scheduled);
-    router.get("/neighbors/", move |req| match parse_knn_query(req) {
-        Ok(update) => {
-            let outcome = neighbors
-                .complete_updates(std::slice::from_ref(&update), neighbors.now_ms())
-                .pop()
-                .expect("one outcome per update");
-            completion_response(outcome)
-        }
-        Err(reason) => Response::bad_request(&reason),
-    });
-
-    // POST /neighbors/ with a gzipped KnnUpdate body (our wire form):
-    // decode errors are a 400 (413 past the size cap); gathered updates go
-    // through one batched validation + apply pass.
-    let post = Arc::clone(&scheduled);
-    router.route(
-        "POST",
-        "/neighbors/",
-        policy,
-        move |requests: &[Request], out: &mut Vec<Response>| {
-            // Decoded updates move into the batch; each request keeps only
-            // its decode error, if any.
-            let mut updates = Vec::with_capacity(requests.len());
-            let decode_errors: Vec<Option<Response>> = requests
-                .iter()
-                .map(|req| decode_update(&req.body).map(|u| updates.push(u)).err())
-                .collect();
-            let mut outcomes = post.complete_updates(&updates, post.now_ms()).into_iter();
-            out.extend(decode_errors.into_iter().map(|error| {
-                error.unwrap_or_else(|| {
-                    completion_response(outcomes.next().expect("one outcome per update"))
-                })
-            }));
-        },
-    );
+    // "Update KNN selection": the Table 1 query form (GET ?uid=&lease=&
+    // epoch=&id0=&sim0=…) and our message form (POST, a gzipped KnnUpdate)
+    // differ only in their parse; a burst's updates go through one
+    // complete_updates pass, where the scheduler checks the payloads.
+    let forms: [(&str, ParseUpdate); 2] = [
+        ("GET", |req| {
+            parse_knn_query(req).map_err(|reason| Response::bad_request(&reason))
+        }),
+        ("POST", decode_update),
+    ];
+    for (method, parse) in forms {
+        let neighbors = Arc::clone(&scheduled);
+        router.route(
+            method,
+            "/neighbors/",
+            policy,
+            move |requests: &[Request], out: &mut Vec<Response>| {
+                // Parsed updates move into the batch; each request keeps
+                // only its parse error, if any.
+                let mut updates = Vec::with_capacity(requests.len());
+                let errors: Vec<Option<Response>> = requests
+                    .iter()
+                    .map(|req| parse(req).map(|u| updates.push(u)).err())
+                    .collect();
+                let now = neighbors.now_ms();
+                let mut outcomes = neighbors.complete_updates(&updates, now).into_iter();
+                out.extend(errors.into_iter().map(|error| {
+                    error.unwrap_or_else(|| {
+                        completion_response(outcomes.next().expect("one outcome per update"))
+                    })
+                }));
+            },
+        );
+    }
 
     // GET /rate/?uid=N&item=I&like=0|1 — profile update. Gathered votes
     // ingest through one record_many: one write lock per touched shard.
@@ -210,11 +206,14 @@ pub fn hyrec_scheduled_router(
     router
 }
 
+/// Parses a `/neighbors/` request into its update or its error response.
+type ParseUpdate = fn(&Request) -> Result<KnnUpdate, Response>;
+
 /// Decodes a `POST /neighbors/` body: one that inflates past
 /// [`KnnUpdate::MAX_JSON_BYTES`] is a 413, any other undecodable body a
 /// 400.
-fn decode_update(body: &[u8]) -> Result<KnnUpdate, Response> {
-    KnnUpdate::decode(body).map_err(|err| match err {
+fn decode_update(req: &Request) -> Result<KnnUpdate, Response> {
+    KnnUpdate::decode(&req.body).map_err(|err| match err {
         WireError::TooLarge { .. } => Response::payload_too_large(&err.to_string()),
         _ => Response::bad_request(&err.to_string()),
     })
@@ -222,7 +221,8 @@ fn decode_update(body: &[u8]) -> Result<KnnUpdate, Response> {
 
 /// Maps a completion outcome onto the wire: applied completions ack;
 /// malformed payloads (NaN / out-of-range similarities) are a 400 and
-/// dead-lease conflicts a 409, both naming the (counted) reason.
+/// unknown-neighbour or dead-lease conflicts a 409, both naming the
+/// (counted) reason.
 fn completion_response(outcome: Result<(), RejectReason>) -> Response {
     match outcome {
         Ok(()) => Response::ok("application/json", b"{\"ok\":true}".to_vec()),
@@ -274,8 +274,9 @@ fn parse_uid(req: &Request) -> Result<UserId, String> {
 /// its run. Structural strictness: malformed id/sim pairs — more sims than
 /// ids, a repeated or non-canonical key (`id01`), or a gap in a run from 0
 /// (which would silently drop the keys after it) — are an error, never
-/// silently applied. Similarity *range* validation is the scheduler's
-/// payload check, leased or not ([`ScheduledServer::complete_updates`]).
+/// silently applied. Similarity *range* and neighbour-id validation are
+/// the scheduler's payload check, leased or not
+/// ([`ScheduledServer::complete_updates`]).
 fn parse_knn_query(req: &Request) -> Result<KnnUpdate, String> {
     let uid = parse_uid(req)?;
     let lease = parse_optional_u64(req, "lease")?;
@@ -582,6 +583,36 @@ mod tests {
         assert_eq!(stored, vec![UserId(1_500), UserId(1_499), UserId(1_498)]);
         let job = hyrec.build_job(UserId(1));
         assert!(job.candidates.len() <= hyrec.config().candidate_bound());
+        handle.stop();
+    }
+
+    #[test]
+    fn unleased_completions_naming_unknown_users_are_rejected() {
+        // Users 0–11 own profiles and 999 names nobody: both forms answer
+        // 409, count the reject and store nothing.
+        let (handle, client, hyrec) = spawn_api();
+        let get = client.get("/neighbors/?uid=2&id0=999&sim0=0.5").unwrap();
+        let update = KnnUpdate {
+            uid: UserId(3),
+            lease: 0,
+            epoch: 0,
+            neighbors: vec![Neighbor {
+                user: UserId(999),
+                similarity: 0.5,
+            }],
+        };
+        let post = client.post("/neighbors/", &update.encode()).unwrap();
+        for response in [get, post] {
+            assert_eq!(response.status, 409);
+            assert_eq!(
+                response.body,
+                b"{\"ok\":false,\"reject\":\"unknown_neighbor\"}"
+            );
+        }
+        assert!(hyrec.knn_of(UserId(2)).is_none());
+        assert!(hyrec.knn_of(UserId(3)).is_none());
+        let stats = client.get("/stats/").unwrap();
+        assert!(String::from_utf8_lossy(&stats.body).contains("\"unknown_neighbor\":2"));
         handle.stop();
     }
 

@@ -38,8 +38,9 @@
 //!   `HyRecServer::build_jobs` + `JobEncoder::plan_jobs` (each body's
 //!   cached pieces are copied once, into the connection's send buffer),
 //!   `GET /rate/` batches into the shard-grouped
-//!   `HyRecServer::record_many`, and `POST /neighbors/` batches into
-//!   `HyRecServer::apply_updates`.
+//!   `HyRecServer::record_many`, and both `/neighbors/` forms (GET query,
+//!   POST message) batch into one `ScheduledServer::complete_updates`
+//!   pass (`HyRecServer::admit_and_apply`).
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -24,7 +24,10 @@
 //! * **Update validation** — stale-epoch, non-leased, duplicate,
 //!   NaN/out-of-range-similarity and unknown-neighbor completions are
 //!   rejected *before* they reach the KNN table, with per-reason counters
-//!   in [`SchedStats`].
+//!   in [`SchedStats`]. A completion that carries no lease passes the
+//!   same payload check ([`Scheduler::check_payload`]: NaN, range, then
+//!   every neighbour id resolvable), so leased or not, a stored
+//!   neighbourhood names only users the server can resolve.
 //!
 //! The scheduler is pure bookkeeping over a logical clock (`u64` ticks —
 //! milliseconds under the HTTP front-end, simulated seconds in the churn

@@ -14,7 +14,7 @@ pub type Tick = u64;
 /// Slack above `1.0` tolerated in completion similarities (floating
 /// point: the widget's cosine can land at `1.0 + ulp`), by the payload
 /// check of leased ([`Scheduler::complete`]) and unleased
-/// ([`Scheduler::check_unleased`]) completions alike.
+/// ([`Scheduler::check_payload`]) completions alike.
 pub const SIMILARITY_TOLERANCE: f64 = 1e-6;
 
 /// The payload check every completion passes, leased or not: each
@@ -471,7 +471,7 @@ impl Scheduler {
     /// resolves", not "the raw id exists").
     ///
     /// The *caller* applies the update to the KNN table iff this returns
-    /// `Ok` — validation happens strictly before `apply_updates`.
+    /// `Ok` — validation happens strictly before the KNN write.
     ///
     /// # Errors
     ///
@@ -541,16 +541,18 @@ impl Scheduler {
     }
 
     /// Validates the payload of a completion that carries no lease (the
-    /// unleased configuration): the same NaN and range checks as
-    /// [`Self::complete`], with every neighbour id accepted, the reject
-    /// counted in [`SchedStats`]. Takes no lock.
+    /// unleased configuration): the NaN, range and `known` checks of
+    /// [`Self::complete`], in the same order, the reject counted in
+    /// [`SchedStats`]. Takes no lock.
     ///
     /// # Errors
     ///
-    /// Returns the NaN or out-of-range [`RejectReason`] of the first bad
-    /// similarity.
-    pub fn check_unleased(&self, neighbors: &[Neighbor]) -> Result<(), RejectReason> {
-        check_payload(neighbors, |_| true).inspect_err(|&reason| self.stats.inc_reject(reason))
+    /// Returns the [`RejectReason`] of the first failing check.
+    pub fn check_payload<F>(&self, neighbors: &[Neighbor], known: F) -> Result<(), RejectReason>
+    where
+        F: FnMut(UserId) -> bool,
+    {
+        check_payload(neighbors, known).inspect_err(|&reason| self.stats.inc_reject(reason))
     }
 
     /// Expires overdue leases, climbing each user one rung up the

@@ -24,7 +24,7 @@ mod reference {
         /// Default slack above `1.0` tolerated in completion similarities
         /// (floating point: the widget's cosine can land at `1.0 + ulp`).
         /// [`SchedConfig::default`] takes it, so the payload check of leased
-        /// ([`Scheduler::complete`]) and unleased ([`Scheduler::check_unleased`])
+        /// ([`Scheduler::complete`]) and unleased ([`Scheduler::check_payload`])
         /// completions uses it unless a config overrides it.
         pub const DEFAULT_SIMILARITY_TOLERANCE: f64 = 1e-6;
 
@@ -591,19 +591,25 @@ mod reference {
             }
 
             /// Validates the payload of a completion that carries no lease (the
-            /// unleased configuration): the same NaN and range checks as
-            /// [`Self::complete`], with every neighbour id accepted, the reject
-            /// counted in [`SchedStats`]. Takes no lock.
+            /// unleased configuration): the NaN, range and `known` checks of
+            /// [`Self::complete`], in the same order, the reject counted in
+            /// [`SchedStats`]. Takes no lock.
             ///
             /// # Errors
             ///
-            /// Returns the NaN or out-of-range [`RejectReason`] of the first bad
-            /// similarity.
-            pub fn check_unleased(&self, neighbors: &[Neighbor]) -> Result<(), RejectReason> {
+            /// Returns the [`RejectReason`] of the first failing check.
+            pub fn check_payload<F>(
+                &self,
+                neighbors: &[Neighbor],
+                known: F,
+            ) -> Result<(), RejectReason>
+            where
+                F: FnMut(UserId) -> bool,
+            {
                 check_payload(
                     neighbors.iter().map(|n| (n.user, n.similarity)),
                     self.config.similarity_tolerance,
-                    |_| true,
+                    known,
                 )
                 .inspect_err(|&reason| self.stats.inc_reject(reason))
             }
@@ -1232,11 +1238,21 @@ impl Pair {
         self.equal("complete probes", new_probes, old_probes)
     }
 
-    fn check_unleased(&mut self, payload: &[Neighbor]) -> Result<(), String> {
-        self.log.push(format!("check_unleased({payload:?})"));
-        let new = self.new.check_unleased(payload);
-        let old = self.old.check_unleased(payload);
-        self.equal("check_unleased", new, old)
+    /// Sends one unleased payload to both sides, recording which
+    /// neighbour ids each one probed.
+    fn check_payload(&mut self, payload: &[Neighbor]) -> Result<(), String> {
+        self.log.push(format!("check_payload({payload:?})"));
+        let (mut new_probes, mut old_probes) = (Vec::new(), Vec::new());
+        let new = self.new.check_payload(payload, |u| {
+            new_probes.push(u);
+            u.0 < KNOWN_BELOW
+        });
+        let old = self.old.check_payload(payload, |u| {
+            old_probes.push(u);
+            u.0 < KNOWN_BELOW
+        });
+        self.equal("check_payload", new, old)?;
+        self.equal("check_payload probes", new_probes, old_probes)
     }
 
     fn sweep(&mut self) -> Result<(), String> {
@@ -1282,7 +1298,7 @@ impl Pair {
                 self.note_votes(&users);
             }
             45..=74 => self.complete_op(a, b)?,
-            75..=79 => self.check_unleased(&payload(a))?,
+            75..=79 => self.check_payload(&payload(a))?,
             80..=89 => self.sweep()?,
             90..=94 => self.take_fallback()?,
             _ => {

@@ -11,8 +11,8 @@
 //! * `complete_updates` validates every [`KnnUpdate`] against the lease
 //!   table — stale-epoch, non-leased, duplicate, NaN/out-of-range
 //!   similarity and unknown-neighbor completions are rejected with
-//!   per-reason counters — and applies only the survivors through
-//!   [`HyRecServer::apply_updates`].
+//!   per-reason counters — and applies only the survivors, in the same
+//!   [`HyRecServer::admit_and_apply`] pass.
 //! * `sweep_and_recover` expires abandoned leases; users whose escalation
 //!   ladder is exhausted are recomputed **server-side** by running the
 //!   widget kernel on the server (the centralized CRec-style path the
@@ -24,8 +24,9 @@
 //! [`ScheduledServer::unleased`] is the same surface with leases off: jobs
 //! are built for the uid asked for, votes touch no scheduler state, and a
 //! completion passes the payload check alone
-//! ([`Scheduler::check_unleased`]) before it is applied. Nothing on that
-//! path takes the scheduler's lock.
+//! ([`Scheduler::check_payload`]) on the same path. Leased or not, a
+//! completion naming a neighbour id that does not resolve is rejected.
+//! Nothing on the unleased path takes the scheduler's lock.
 
 use crate::server::HyRecServer;
 use hyrec_client::Widget;
@@ -70,7 +71,7 @@ pub struct ScheduledServer {
     /// Serializes validated-completion *application* (browser completions
     /// and fallback recomputes alike). The scheduler's epoch check gates
     /// admission, but without an ordering lock a thread preempted between
-    /// validation and `apply_updates` could write an older neighbourhood
+    /// validation and its KNN write could write an older neighbourhood
     /// over a newer one.
     apply_order: parking_lot::Mutex<()>,
     /// Origin of the wall-clock tick stream ([`Self::now_ms`]).
@@ -105,8 +106,9 @@ impl ScheduledServer {
     /// [`HyRecServer::build_jobs`], [`Self::record`] and
     /// [`Self::record_many`] write the profile tables only, and
     /// [`Self::complete_updates`] applies every completion whose payload
-    /// passes [`Scheduler::check_unleased`]. The scheduler only counts
-    /// payload rejects.
+    /// passes [`Scheduler::check_payload`] (finite similarities in range,
+    /// every neighbour id resolvable). The scheduler only counts payload
+    /// rejects.
     #[must_use]
     pub fn unleased(server: Arc<HyRecServer>) -> Self {
         Self {
@@ -194,57 +196,28 @@ impl ScheduledServer {
         jobs
     }
 
-    /// Validates a batch of completions; the survivors are applied through
-    /// one batched [`HyRecServer::apply_updates`] call. Outcomes come back
-    /// in input order, each `Err` naming its (already counted) reason.
+    /// Validates a batch of completions and applies the survivors, both in
+    /// one [`HyRecServer::admit_and_apply`] pass: leased, each must pass
+    /// [`Scheduler::complete`]; unleased, [`Scheduler::check_payload`].
+    /// Either way every neighbour id must resolve. Outcomes come back in
+    /// input order, each `Err` naming its (already counted) reason.
     #[must_use]
     pub fn complete_updates(
         &self,
         updates: &[KnnUpdate],
         now: Tick,
     ) -> Vec<Result<(), RejectReason>> {
-        if !self.leased {
-            let outcomes: Vec<Result<(), RejectReason>> = updates
-                .iter()
-                .map(|update| self.sched.check_unleased(&update.neighbors))
-                .collect();
-            self.apply_accepted(updates, &outcomes);
-            return outcomes;
-        }
-        // Admission (scheduler) and application (KNN table) must be
+        // Leased admission (scheduler) and application (KNN table) must be
         // ordered together: see the `apply_order` field.
-        let _ordered = self.apply_order.lock();
-        // One anonymizer (or profile-table) checker for the whole burst —
-        // the per-neighbour resolvability probe never re-locks.
-        let outcomes: Vec<Result<(), RejectReason>> = self.inner.with_neighbor_checker(|known| {
-            updates
-                .iter()
-                .map(|update| {
-                    self.sched.complete(
-                        update.uid,
-                        update.lease,
-                        update.epoch,
-                        &update.neighbors,
-                        now,
-                        &mut *known,
-                    )
-                })
-                .collect()
-        });
-        self.apply_accepted(updates, &outcomes);
-        outcomes
-    }
-
-    /// Applies the updates whose outcome is `Ok` in one batch, by
-    /// reference.
-    fn apply_accepted(&self, updates: &[KnnUpdate], outcomes: &[Result<(), RejectReason>]) {
-        self.inner.apply_updates(
-            updates
-                .iter()
-                .zip(outcomes)
-                .filter(|(_, outcome)| outcome.is_ok())
-                .map(|(update, _)| update),
-        );
+        let _ordered = self.leased.then(|| self.apply_order.lock());
+        self.inner.admit_and_apply(updates, |u, known| {
+            if self.leased {
+                self.sched
+                    .complete(u.uid, u.lease, u.epoch, &u.neighbors, now, known)
+            } else {
+                self.sched.check_payload(&u.neighbors, known)
+            }
+        })
     }
 
     /// Expires overdue leases and immediately recomputes every user whose

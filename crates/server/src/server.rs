@@ -4,9 +4,10 @@ use crate::anonymize::AnonymousMapping;
 use crate::config::{HyRecConfig, HyRecConfigBuilder};
 use crate::sampler::{DefaultSampler, Sampler, SamplerContext, UserDirectory};
 use hyrec_core::{
-    CandidateProfile, CandidateSet, ItemId, KnnTable, Neighborhood, Profile, ProfileTable, UserId,
-    Vote,
+    CandidateProfile, CandidateSet, ItemId, KnnTable, Neighbor, Neighborhood, Profile,
+    ProfileTable, UserId, Vote,
 };
+use hyrec_sched::RejectReason;
 use hyrec_wire::{KnnUpdate, PersonalizationJob};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -262,68 +263,72 @@ impl HyRecServer {
         self.apply_updates(std::slice::from_ref(update));
     }
 
-    /// Applies a batch of KNN updates.
-    ///
-    /// Pseudonymous neighbour ids are resolved through the anonymous
-    /// mapping; pseudonyms from epochs older than one reshuffle are dropped
-    /// (the widget will simply refine again on its next request). The
-    /// anonymizer lock is taken once, and the write-backs go through
-    /// `KnnTable::update_many`, which takes each touched shard's write
-    /// lock once for the whole batch. Each update keeps its `k` most similar
-    /// neighbours, so a client cannot grow a stored neighbourhood (and with
-    /// it the requester's next candidate set) past the paper's bound.
-    /// Updates are read by reference, so a caller can pass a filtered view
-    /// of its batch without copying.
+    /// Applies a batch of KNN updates: [`Self::admit_and_apply`] admitting
+    /// every update. Updates are read by reference, so a caller can pass a
+    /// filtered view of its batch without copying.
     pub fn apply_updates<'a>(&self, updates: impl IntoIterator<Item = &'a KnnUpdate>) {
-        let updates = updates.into_iter();
-        let mut entries: Vec<(UserId, Neighborhood)> = if self.config.anonymize_users {
-            let anonymizer = self.anonymizer.lock();
+        self.admit_and_apply(updates, |_, _| Ok(()));
+    }
+
+    /// Admits and applies a batch of KNN updates, returning the outcomes
+    /// in input order.
+    ///
+    /// `admit(update, known)` decides each update; `known(id)` says whether
+    /// a neighbour id resolves (pseudonymized: through a live epoch, under
+    /// the anonymizer lock taken once per batch; plain: to a user who owns
+    /// a profile). An admitted
+    /// update is stored with the neighbours that resolve, as real ids, and
+    /// keeps its `k` most similar, so a client cannot grow a stored
+    /// neighbourhood (and with it the requester's next candidate set) past
+    /// the paper's bound. The write-backs go through
+    /// `KnnTable::update_many`: each touched shard's lock once per batch.
+    pub fn admit_and_apply<'a>(
+        &self,
+        updates: impl IntoIterator<Item = &'a KnnUpdate>,
+        mut admit: impl FnMut(&KnnUpdate, &dyn Fn(UserId) -> bool) -> Result<(), RejectReason>,
+    ) -> Vec<Result<(), RejectReason>> {
+        let mut entries = Vec::new();
+        let outcomes = self.with_resolver(|resolve| {
+            let known = |user: UserId| resolve(user).is_some();
             updates
+                .into_iter()
                 .map(|update| {
-                    let hood =
-                        Neighborhood::from_neighbors(update.neighbors.iter().filter_map(|n| {
-                            anonymizer.resolve(n.user).map(|real| hyrec_core::Neighbor {
-                                user: real,
+                    let outcome = admit(update, &known);
+                    if outcome.is_ok() {
+                        // Sized exactly: the stored neighbourhood keeps
+                        // this allocation.
+                        let mut neighbors = Vec::with_capacity(update.neighbors.len());
+                        neighbors.extend(update.neighbors.iter().filter_map(|n| {
+                            resolve(n.user).map(|user| Neighbor {
+                                user,
                                 similarity: n.similarity,
                             })
                         }));
-                    (update.uid, hood)
+                        let mut hood = Neighborhood::from_neighbors(neighbors);
+                        hood.truncate(self.config.k);
+                        entries.push((update.uid, hood));
+                    }
+                    outcome
                 })
                 .collect()
-        } else {
-            updates
-                .map(|update| (update.uid, update.to_neighborhood()))
-                .collect()
-        };
-        // A client may send any number of neighbours; the table stores the
-        // `k` best, as Algorithm 1 does.
-        for (_, hood) in &mut entries {
-            hood.truncate(self.config.k);
-        }
+        });
         self.updates_applied
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
         self.knn.update_many(entries);
+        outcomes
     }
 
-    /// Runs `f` with a neighbour-resolvability predicate: under
-    /// pseudonymization an id must resolve through a live anonymization
-    /// epoch; otherwise the user must own a profile. This is the `known`
-    /// predicate the job-lifecycle scheduler's update validation uses to
-    /// reject fabricated neighbour ids before they reach the KNN table.
-    ///
-    /// The anonymizer lock is taken **once** for the whole closure, so a
-    /// burst of completions is validated without re-locking.
-    pub fn with_neighbor_checker<R>(
-        &self,
-        f: impl FnOnce(&mut dyn FnMut(UserId) -> bool) -> R,
-    ) -> R {
+    /// Runs `f` with the one neighbour-id resolver: pseudonymized, the real
+    /// id behind a pseudonym of the current or previous epoch (older ones
+    /// are dropped; the widget refines again on its next request), under
+    /// one anonymizer lock; plain, the id itself if that user owns a
+    /// profile.
+    fn with_resolver<R>(&self, f: impl FnOnce(&dyn Fn(UserId) -> Option<UserId>) -> R) -> R {
         if self.config.anonymize_users {
             let anonymizer = self.anonymizer.lock();
-            let mut known = |user: UserId| anonymizer.resolve(user).is_some();
-            f(&mut known)
+            f(&|user| anonymizer.resolve(user))
         } else {
-            let mut known = |user: UserId| self.profiles.contains(user);
-            f(&mut known)
+            f(&|user| self.profiles.contains(user).then_some(user))
         }
     }
 
@@ -509,6 +514,25 @@ mod tests {
             let job = server.build_job(UserId(1));
             assert!(job.candidates.len() <= server.config().candidate_bound());
         }
+    }
+
+    #[test]
+    fn plain_updates_drop_neighbours_without_a_profile() {
+        // Without pseudonyms an id resolves only to a user who owns a
+        // profile (users 0–29 here); any other id never reaches the table.
+        let server = populated_server(false);
+        let neighbor = |user, similarity| Neighbor {
+            user: UserId(user),
+            similarity,
+        };
+        server.apply_update(&KnnUpdate {
+            uid: UserId(1),
+            lease: 0,
+            epoch: 0,
+            neighbors: vec![neighbor(999, 0.9), neighbor(2, 0.5), neighbor(30, 0.4)],
+        });
+        let stored: Vec<UserId> = server.knn_of(UserId(1)).unwrap().users().collect();
+        assert_eq!(stored, vec![UserId(2)]);
     }
 
     #[test]
