@@ -53,7 +53,7 @@ fn bench_frontends(c: &mut Criterion) {
             BenchmarkId::new("online-ideal-recommend", ps),
             &ps,
             |bench, _| {
-                let ideal = OnlineIdeal::new(population.server.profiles(), Cosine, 10);
+                let ideal = OnlineIdeal::new(population.server.table(), Cosine, 10);
                 let mut i = 0usize;
                 bench.iter(|| {
                     let user = population.users[i % population.users.len()];
@@ -70,10 +70,10 @@ fn bench_batched(c: &mut Criterion) {
     // The acceptance bench for the batched pipeline: on a 10k-user
     // population, building a coalesced batch of jobs through `build_jobs`
     // must beat the same work done as N sequential `build_job` calls
-    // (shard locks, RNG lock and anonymizer taken per batch, profile and
-    // KNN reads staged through `get_many`). `build_job` is `build_jobs` on
-    // a batch of one, so the `*sequential*` cases time N batches of one —
-    // a lone `/online/` request's job build, N times.
+    // (RNG lock, anonymizer and the table's slot views taken per batch).
+    // `build_job` is `build_jobs` on a batch of one, so the `*sequential*`
+    // cases time N batches of one — a lone `/online/` request's job build,
+    // N times.
     let mut group = c.benchmark_group("batched");
     group.sample_size(15);
     let population = build_population(10_000, 100, 10, 11);
@@ -104,9 +104,7 @@ fn bench_batched(c: &mut Criterion) {
     });
 
     // Steady state: a converged KNN table, where a batch's candidate pool
-    // collapses onto shared communities and the batched sampler fetches
-    // each neighbourhood and profile once per batch instead of once per
-    // requester.
+    // collapses onto shared communities.
     let converged = build_converged_population(10_000, 100, 10, 12);
     let n_converged = converged.users.len();
     group.bench_with_input(

@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 /// A candidate user as shipped to the widget: pseudonymous id plus profile.
 ///
 /// The profile is held behind [`Arc`]: candidate sets are assembled from
-/// the server's [`crate::ProfileTable`], and sharing the stored allocation
+/// the server's [`crate::UserTable`], and sharing the stored allocation
 /// keeps job assembly free of deep profile copies (the zero-copy hot path).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CandidateProfile {

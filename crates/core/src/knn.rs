@@ -65,6 +65,12 @@ impl Neighborhood {
         Self { neighbors }
     }
 
+    /// Wraps a list that is already ranked and free of repeats (a stored
+    /// KNN row mapped back to ids).
+    pub(crate) fn from_ranked(neighbors: Vec<Neighbor>) -> Self {
+        Self { neighbors }
+    }
+
     /// Number of neighbours currently held. At most `k` for every
     /// neighbourhood that [`select`] ranks or that the server stores:
     /// `HyRecServer::admit_and_apply` keeps each update's `k` best through

@@ -13,7 +13,8 @@
 //! * [`recommend`] — *Algorithm 2*: most-popular item recommendation
 //!   `α(S_u, P_u)`.
 //! * [`candidate`] — the candidate set `S_u` shipped to clients.
-//! * [`tables`] — the server-side global Profile and KNN tables.
+//! * [`tables`] — the server-side global Profile and KNN tables: one keyed
+//!   index and slot-indexed columns.
 //!
 //! Everything here is deliberately free of I/O so the same code runs inside
 //! the server, the simulator, and a `wasm32` build of the client widget.
@@ -66,7 +67,7 @@ pub use knn::{Neighbor, Neighborhood};
 pub use profile::{Profile, SharedProfile, Vote};
 pub use recommend::Recommendation;
 pub use similarity::{Cosine, Jaccard, Overlap, Similarity};
-pub use tables::{KnnTable, ProfileTable, Recorded, UserTable};
+pub use tables::{Recorded, Row, Slot, SlotView, UserTable};
 
 /// Convenient glob import for downstream code and doc examples.
 pub mod prelude {
@@ -76,7 +77,7 @@ pub mod prelude {
     pub use crate::profile::{Profile, SharedProfile, Vote};
     pub use crate::recommend::{self, Recommendation};
     pub use crate::similarity::{Cosine, Jaccard, Overlap, Similarity};
-    pub use crate::tables::{KnnTable, ProfileTable};
+    pub use crate::tables::UserTable;
 }
 
 /// The maximum candidate-set size produced by the paper's sampler:

@@ -3,204 +3,91 @@
 //! Section 2.2/3.1 of the paper: "the server maintains two global data
 //! structures: a Profile Table, recording the profiles of all the users in
 //! the system, and the KNN Table containing the k nearest neighbors of each
-//! user". Both are one sharded map, [`UserTable`], under two aliases;
-//! only their writes and the KNN table's average view similarity are their
-//! own. Both sit on the request path of every online user, so the map is
-//! sharded and guarded by `parking_lot` RwLocks: reads (sampler pulling
-//! candidate profiles) massively dominate writes (one profile update and
-//! one KNN write-back per request).
+//! user". Both are columns of one store, [`UserTable`].
+//!
+//! **One index, slot columns.** Every user has one dense [`Slot`], a `u32`
+//! handed out in first-write order. The index (`UserId` → slot, a
+//! [`KeyedHashMap`]: uids come from clients) is the only map keyed by a user
+//! id. Everything else is a column indexed by slot: the user's id, their
+//! profile and their KNN [`Row`], which names its neighbours by slot. The
+//! columns are sharded by `slot % 64`, one `RwLock` per shard, so sequential
+//! slots spread evenly whatever ids clients choose. A slot's data is index
+//! arithmetic away: the batched sampler reads rows and profiles through a
+//! [`SlotView`] without hashing a candidate.
+//!
+//! **When a slot is minted.** The first time an id is written: a vote
+//! creates their profile, a KNN row is stored for them, or a direct
+//! [`UserTable::update`] names them as a neighbour. Within a batch, slots
+//! are minted in input order. A slot is never freed.
+//!
+//! **Lock order.** The anonymizer (held by the server), then the index, then
+//! shards in ascending order. A write holds at most one shard lock at a
+//! time; minting holds the index's write lock while it grows the columns,
+//! so any slot the index or a row names has its column entries. A
+//! [`SlotView`] holds the index and every shard for reading. No path takes a
+//! lock it already holds: `std`'s `RwLock` (behind the `parking_lot` shim)
+//! can deadlock on a recursive read while a writer waits.
 
-use crate::fast_hash::FastHashMap;
+use crate::fast_hash::KeyedHashMap;
 use crate::id::UserId;
-use crate::knn::Neighborhood;
+use crate::knn::{Neighbor, Neighborhood};
 use crate::profile::{Profile, Vote};
 use crate::ItemId;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::Arc;
 
-/// Number of lock shards. Power of two so the shard of a user is a mask away.
+/// A user's dense position in the table's columns. `Slot::MAX` is never
+/// minted, so callers may use it as a marker.
+pub type Slot = u32;
+
+/// A stored KNN row: the neighbours' slots and similarities, best first (the
+/// order of the [`Neighborhood`] it stores), allocated at exact size.
+pub type Row = Box<[(Slot, f64)]>;
+
+/// Number of lock shards. Slot `s` lives in shard `s % SHARDS`.
 const SHARDS: usize = 64;
 
-fn shard_of(user: UserId) -> usize {
-    // Fibonacci hashing spreads sequential uids across shards.
-    ((user.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize & (SHARDS - 1)
+/// The shard holding `slot`'s columns and its position there.
+fn locate(slot: Slot) -> (usize, usize) {
+    (slot as usize % SHARDS, slot as usize / SHARDS)
 }
 
-/// Positions of a batch's items grouped by shard, so a batch operation
-/// takes each touched shard lock once: one counting sort. `order` lists
-/// the positions shard by shard, in input order within a shard (later
-/// items see the effect of earlier ones), and `ends[s]` closes shard `s`'s
-/// run. Only the shards in the `touched` bit set are walked.
-struct ShardGroups {
-    touched: u64,
-    ends: [usize; SHARDS],
-    order: Vec<usize>,
+/// `lookup` of each id, called once per run of equal ids (a user's burst of
+/// votes arrives as one run); `None` as soon as a lookup fails.
+fn per_run(users: &[UserId], mut lookup: impl FnMut(UserId) -> Option<Slot>) -> Option<Vec<Slot>> {
+    let mut slots: Vec<Slot> = Vec::with_capacity(users.len());
+    for (i, &user) in users.iter().enumerate() {
+        let slot = match slots.last() {
+            Some(&prev) if users[i - 1] == user => prev,
+            _ => lookup(user)?,
+        };
+        slots.push(slot);
+    }
+    Some(slots)
 }
 
-const _: () = assert!(SHARDS <= 64, "`touched` is a u64 bit set");
-
-impl ShardGroups {
-    fn new<T>(items: &[T], key: impl Fn(&T) -> UserId) -> Self {
-        let (mut ends, mut touched) = ([0; SHARDS], 0u64);
-        for item in items {
-            let shard = shard_of(key(item));
-            ends[shard] += 1;
-            touched |= 1 << shard;
-        }
-        // Counts become run starts; placement advances them to run ends.
-        let mut start = 0;
-        for shard in shards(touched) {
-            (ends[shard], start) = (start, start + ends[shard]);
-        }
-        let mut order = vec![0; items.len()];
-        for (pos, item) in items.iter().enumerate() {
-            let end = &mut ends[shard_of(key(item))];
-            order[*end] = pos;
-            *end += 1;
-        }
-        Self {
-            touched,
-            ends,
-            order,
-        }
-    }
-
-    /// Each touched shard with its positions, in shard order.
-    fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
-        let mut start = 0;
-        shards(self.touched).map(move |shard| {
-            let positions = &self.order[start..self.ends[shard]];
-            start = self.ends[shard];
-            (shard, positions)
-        })
-    }
+/// One shard's columns; a slot's entries sit at the same position in each.
+#[derive(Debug, Default)]
+struct Shard {
+    ids: Vec<UserId>,
+    profiles: Vec<Option<Arc<Profile>>>,
+    rows: Vec<Option<Row>>,
 }
 
-/// The shards in a bit set, in ascending order.
-fn shards(mut touched: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let shard = touched.trailing_zeros() as usize;
-        touched &= touched.wrapping_sub(1);
-        (shard < SHARDS).then_some(shard)
-    })
+/// What [`UserTable::record_many`] did to each vote, in input order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Recorded {
+    /// Whether the vote changed its profile.
+    pub changed: Vec<bool>,
+    /// Whether the vote created its profile, as decided under the shard's
+    /// write lock: racing batches create a user once.
+    pub created: Vec<bool>,
+    /// The voter's slot.
+    pub slots: Vec<Slot>,
 }
 
-/// Sharded, thread-safe map from user to `V`: the one map behind
-/// [`ProfileTable`] and [`KnnTable`].
-///
-/// Single reads take one shard's read lock; batched reads and writes take
-/// each touched shard's lock once, visiting a shard's items in input order.
-#[derive(Debug)]
-pub struct UserTable<V> {
-    shards: Vec<RwLock<FastHashMap<UserId, V>>>,
-}
-
-impl<V> Default for UserTable<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<V> UserTable<V> {
-    /// Creates an empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            shards: (0..SHARDS)
-                .map(|_| RwLock::new(FastHashMap::default()))
-                .collect(),
-        }
-    }
-
-    /// Runs `f` on `user`'s value without cloning (read lock held).
-    pub fn with<R>(&self, user: UserId, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.shards[shard_of(user)].read().get(&user).map(f)
-    }
-
-    /// Batched [`Self::with`]: runs `f` on each present value under its
-    /// shard's read lock (taken once per touched shard), returning results
-    /// in input order. The zero-clone read path of the batched sampler:
-    /// extracting just the neighbour ids never copies a [`Neighborhood`].
-    pub fn map_many<R>(&self, users: &[UserId], mut f: impl FnMut(&V) -> R) -> Vec<Option<R>> {
-        let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(users.len()).collect();
-        for (shard_idx, positions) in ShardGroups::new(users, |&user| user).iter() {
-            let shard = self.shards[shard_idx].read();
-            for &pos in positions {
-                out[pos] = shard.get(&users[pos]).map(&mut f);
-            }
-        }
-        out
-    }
-
-    /// Whether the table has an entry for `user`.
-    #[must_use]
-    pub fn contains(&self, user: UserId) -> bool {
-        self.shards[shard_of(user)].read().contains_key(&user)
-    }
-
-    /// Number of users with an entry.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True when no user has an entry.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
-    }
-
-    /// Runs `f` on every entry, shard by shard (unordered).
-    fn map_all<R>(&self, mut f: impl FnMut(&V) -> R) -> Vec<(UserId, R)> {
-        let mut all = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.read().iter().map(|(u, v)| (*u, f(v))));
-        }
-        all
-    }
-
-    /// The one batched write: runs `f` on each position of `groups` with
-    /// its shard's map, taking each touched shard's write lock once.
-    fn write_many(
-        &self,
-        groups: &ShardGroups,
-        mut f: impl FnMut(&mut FastHashMap<UserId, V>, usize),
-    ) {
-        for (shard_idx, positions) in groups.iter() {
-            let mut shard = self.shards[shard_idx].write();
-            for &pos in positions {
-                f(&mut shard, pos);
-            }
-        }
-    }
-}
-
-impl<V: Clone> UserTable<V> {
-    /// Returns a clone of `user`'s value: for a profile an `Arc` bump, so
-    /// jobs share the stored allocation (the zero-copy hot path) and the
-    /// short read lock is released before any work on it.
-    #[must_use]
-    pub fn get(&self, user: UserId) -> Option<V> {
-        self.with(user, V::clone)
-    }
-
-    /// Batched [`Self::get`]: one read lock per touched shard, results in
-    /// input order (the profile fetch of `HyRecServer::build_jobs`).
-    #[must_use]
-    pub fn get_many(&self, users: &[UserId]) -> Vec<Option<V>> {
-        self.map_many(users, V::clone)
-    }
-
-    /// Snapshot of the whole table (unordered), for offline back-ends that
-    /// batch over every user (Offline-Ideal, Offline-CRec, Mahout-like). A
-    /// profile snapshot costs one `Arc` bump per user, no deep copies.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(UserId, V)> {
-        self.map_all(V::clone)
-    }
-}
-
-/// The Profile Table: user to profile.
+/// The Profile Table and the KNN Table: one keyed index and slot-indexed
+/// columns (see the module doc).
 ///
 /// Profiles are stored behind [`Arc`] so that readers — the sampler
 /// assembling candidate sets, the job encoder serializing them — share the
@@ -210,25 +97,121 @@ impl<V: Clone> UserTable<V> {
 /// place until the next job pins it again.
 ///
 /// ```
-/// use hyrec_core::{ItemId, Profile, ProfileTable, UserId, Vote};
-/// let table = ProfileTable::new();
+/// use hyrec_core::{ItemId, Neighbor, Neighborhood, UserId, UserTable, Vote};
+/// let table = UserTable::new();
 /// table.record(UserId(1), ItemId(10), Vote::Like);
-/// assert_eq!(table.get(UserId(1)).unwrap().liked_len(), 1);
+/// assert_eq!(table.profile_of(UserId(1)).unwrap().liked_len(), 1);
+/// table.update(
+///     UserId(1),
+///     Neighborhood::from_neighbors([Neighbor { user: UserId(2), similarity: 0.5 }]),
+/// );
+/// assert_eq!(table.knn_of(UserId(1)).unwrap().best().unwrap().user, UserId(2));
+/// // User 2 is named as a neighbour, so they have a slot, but no profile.
+/// assert!(table.slot_of(UserId(2)).is_some());
 /// assert_eq!(table.len(), 1);
 /// ```
-pub type ProfileTable = UserTable<Arc<Profile>>;
-
-/// What [`ProfileTable::record_many`] did to each vote, in input order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Recorded {
-    /// Whether the vote changed its profile.
-    pub changed: Vec<bool>,
-    /// Whether the vote created its profile, as decided under the shard's
-    /// write lock: racing batches create a user once.
-    pub created: Vec<bool>,
+#[derive(Debug)]
+pub struct UserTable {
+    index: RwLock<KeyedHashMap<UserId, Slot>>,
+    shards: Vec<RwLock<Shard>>,
 }
 
-impl UserTable<Arc<Profile>> {
+/// The paper's Profile Table: the profile column of a [`UserTable`].
+///
+/// ```
+/// use hyrec_core::tables::ProfileTable;
+/// use hyrec_core::{ItemId, UserId, Vote};
+/// let table = ProfileTable::new();
+/// table.record(UserId(1), ItemId(10), Vote::Like);
+/// assert_eq!(table.profile_of(UserId(1)).unwrap().liked_len(), 1);
+/// assert_eq!(table.len(), 1);
+/// ```
+pub type ProfileTable = UserTable;
+
+/// The paper's KNN Table: the row column of a [`UserTable`].
+///
+/// ```
+/// use hyrec_core::tables::KnnTable;
+/// use hyrec_core::{Neighborhood, UserId};
+/// let table = KnnTable::new();
+/// table.update(UserId(1), Neighborhood::new());
+/// assert!(table.knn_of(UserId(1)).is_some());
+/// ```
+pub type KnnTable = UserTable;
+
+impl Default for UserTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl UserTable {
+    /// Creates an empty table.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            index: RwLock::new(KeyedHashMap::default()),
+            shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
+        }
+    }
+
+    /// The slot of each id, minting in input order those not seen yet. An
+    /// all-known batch takes the index's read lock only.
+    fn mint(&self, users: &[UserId]) -> Vec<Slot> {
+        {
+            let index = self.index.read();
+            if let Some(slots) = per_run(users, |user| index.get(&user).copied()) {
+                return slots;
+            }
+        }
+        let mut index = self.index.write();
+        let first = index.len();
+        let mut fresh = Vec::new();
+        let slots = per_run(users, |user| {
+            let next = index.len();
+            Some(*index.entry(user).or_insert_with(|| {
+                fresh.push(user);
+                Slot::try_from(next)
+                    .ok()
+                    .filter(|&slot| slot < Slot::MAX)
+                    .expect("fewer than 2^32 - 1 users")
+            }))
+        })
+        .expect("every id gets a slot");
+        // Fresh slot `first + i` goes to shard `(first + i) % SHARDS`; each
+        // shard's share is appended in slot order, shards in ascending order.
+        for shard in 0..SHARDS {
+            let offset = (shard + SHARDS - first % SHARDS) % SHARDS;
+            if offset >= fresh.len() {
+                continue;
+            }
+            let mut columns = self.shards[shard].write();
+            debug_assert_eq!(columns.ids.len(), locate((first + offset) as Slot).1);
+            for &user in fresh[offset..].iter().step_by(SHARDS) {
+                columns.ids.push(user);
+                columns.profiles.push(None);
+                columns.rows.push(None);
+            }
+        }
+        slots
+    }
+
+    /// The one batched write: runs `f(shard, position in shard, batch
+    /// position)` for each of `slots`, taking each touched shard's write
+    /// lock once, shards in ascending order and input order within a shard
+    /// (later items see the effect of earlier ones).
+    fn write_many(&self, slots: &[Slot], mut f: impl FnMut(&mut Shard, usize, usize)) {
+        let shard_at = |pos: &usize| locate(slots[*pos]).0;
+        let mut order: Vec<usize> = (0..slots.len()).collect();
+        order.sort_by_key(shard_at);
+        for run in order.chunk_by(|a, b| shard_at(a) == shard_at(b)) {
+            let mut shard = self.shards[shard_at(&run[0])].write();
+            for &pos in run {
+                f(&mut shard, locate(slots[pos]).1, pos);
+            }
+        }
+    }
+
     /// Records a vote into `user`'s profile, creating the profile if absent.
     ///
     /// Returns `true` when the vote changed the profile — the signal the
@@ -241,104 +224,328 @@ impl UserTable<Arc<Profile>> {
     /// exactly once; [`Self::record`] is a batch of one.
     ///
     /// Results are in input order, and votes for one user apply in input
-    /// order (they share a shard), so any split of a vote stream into
+    /// order (they share a slot), so any split of a vote stream into
     /// batches gives the same tables and change flags. This is the ingestion
     /// half of request coalescing — a burst of `/rate/` traffic costs one
     /// lock acquisition per touched shard instead of one per vote.
     #[must_use]
     pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)]) -> Recorded {
+        let users: Vec<UserId> = votes.iter().map(|&(user, _, _)| user).collect();
+        let slots = self.mint(&users);
         let mut changed = vec![false; votes.len()];
         let mut created = vec![false; votes.len()];
-        let groups = ShardGroups::new(votes, |&(user, _, _)| user);
-        self.write_many(&groups, |shard, pos| {
-            let (user, item, vote) = votes[pos];
-            let profile = shard.entry(user).or_insert_with(|| {
+        self.write_many(&slots, |shard, at, pos| {
+            let (_, item, vote) = votes[pos];
+            let profile = shard.profiles[at].get_or_insert_with(|| {
                 created[pos] = true;
                 Arc::default()
             });
             changed[pos] = Arc::make_mut(profile).record(item, vote);
         });
-        Recorded { changed, created }
+        Recorded {
+            changed,
+            created,
+            slots,
+        }
     }
-}
 
-/// The KNN Table: user to current KNN approximation.
-///
-/// ```
-/// use hyrec_core::{KnnTable, Neighborhood, UserId};
-/// let table = KnnTable::new();
-/// table.update(UserId(1), Neighborhood::new());
-/// assert!(table.get(UserId(1)).is_some());
-/// ```
-pub type KnnTable = UserTable<Neighborhood>;
-
-impl UserTable<Neighborhood> {
-    /// Stores the new KNN approximation sent back by a widget (Arrow 3 in
-    /// Figure 1), replacing the previous one.
+    /// Stores a KNN approximation, replacing the previous one: a batch of
+    /// one through [`Self::update_many`].
     pub fn update(&self, user: UserId, hood: Neighborhood) {
         self.update_many(vec![(user, hood)]);
     }
 
-    /// Applies many write-backs while taking each touched shard's write
-    /// lock exactly once — the write half of `HyRecServer::admit_and_apply`;
-    /// [`Self::update`] is a batch of one.
+    /// Stores many neighbourhoods as they are (simulators and tests seed
+    /// tables this way), minting slots entry by entry, the owner before its
+    /// neighbours. The server's write-back is [`Self::update_rows`].
     pub fn update_many(&self, entries: Vec<(UserId, Neighborhood)>) {
-        let groups = ShardGroups::new(&entries, |&(user, _)| user);
-        let mut entries: Vec<Option<(UserId, Neighborhood)>> =
-            entries.into_iter().map(Some).collect();
-        self.write_many(&groups, |shard, pos| {
-            let (user, hood) = entries[pos].take().expect("each position visited once");
-            shard.insert(user, hood);
-        });
+        let ids: Vec<UserId> = entries
+            .iter()
+            .flat_map(|(user, hood)| std::iter::once(*user).chain(hood.users()))
+            .collect();
+        let slots = self.mint(&ids);
+        let mut owners = Vec::with_capacity(entries.len());
+        let mut rows = Vec::with_capacity(entries.len());
+        let mut at = 0;
+        for (_, hood) in &entries {
+            owners.push(slots[at]);
+            let neighbors = &slots[at + 1..at + 1 + hood.len()];
+            rows.push(Some(
+                neighbors
+                    .iter()
+                    .zip(hood.iter())
+                    .map(|(&slot, n)| (slot, n.similarity))
+                    .collect(),
+            ));
+            at += 1 + hood.len();
+        }
+        self.store(&owners, rows);
     }
 
-    /// Mean view similarity across every stored neighbourhood — the
-    /// paper's *average view similarity* metric (Figures 3–4). A user whose
-    /// stored neighbourhood is empty counts, with similarity 0.0; a user
-    /// with no stored neighbourhood does not. An empty table gives 0.0.
+    /// Stores rows that already name their neighbours by slot, replacing
+    /// each owner's previous row and minting owners in input order: the
+    /// write-back of `HyRecServer::admit_and_apply` (Arrow 3 in Figure 1),
+    /// each touched shard's lock once.
+    pub fn update_rows(&self, rows: Vec<(UserId, Row)>) {
+        let owners: Vec<UserId> = rows.iter().map(|(user, _)| *user).collect();
+        let owners = self.mint(&owners);
+        self.store(
+            &owners,
+            rows.into_iter().map(|(_, row)| Some(row)).collect(),
+        );
+    }
+
+    fn store(&self, owners: &[Slot], mut rows: Vec<Option<Row>>) {
+        self.write_many(owners, |shard, at, pos| shard.rows[at] = rows[pos].take());
+    }
+
+    /// `user`'s slot, if the table has ever written their id.
+    #[must_use]
+    pub fn slot_of(&self, user: UserId) -> Option<Slot> {
+        self.index.read().get(&user).copied()
+    }
+
+    /// Shared handle to `user`'s profile: an `Arc` bump, so jobs share the
+    /// stored allocation (the zero-copy hot path).
+    #[must_use]
+    pub fn profile_of(&self, user: UserId) -> Option<Arc<Profile>> {
+        let (shard, at) = locate(self.slot_of(user)?);
+        self.shards[shard].read().profiles[at].clone()
+    }
+
+    /// Batched [`Self::profile_of`], in input order, under one
+    /// [`Self::read`] view (the requester profiles of
+    /// `HyRecServer::build_jobs`).
+    #[must_use]
+    pub fn profiles_of(&self, users: &[UserId]) -> Vec<Option<Arc<Profile>>> {
+        let view = self.read();
+        users
+            .iter()
+            .map(|&user| view.profile(view.slot_of(user)?).cloned())
+            .collect()
+    }
+
+    /// `user`'s stored neighbourhood, neighbour slots mapped back to ids.
+    #[must_use]
+    pub fn knn_of(&self, user: UserId) -> Option<Neighborhood> {
+        let view = self.read();
+        let row = view.row(view.slot_of(user)?)?;
+        Some(Neighborhood::from_ranked(
+            row.iter()
+                .map(|&(slot, similarity)| Neighbor {
+                    user: view.id(slot),
+                    similarity,
+                })
+                .collect(),
+        ))
+    }
+
+    /// Whether `user` owns a profile.
+    #[must_use]
+    pub fn contains(&self, user: UserId) -> bool {
+        self.slot_of(user).is_some_and(|slot| {
+            let (shard, at) = locate(slot);
+            self.shards[shard].read().profiles[at].is_some()
+        })
+    }
+
+    /// Number of users who own a profile.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| shard.read().profiles.iter().flatten().count())
+            .sum()
+    }
+
+    /// True when no user owns a profile.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every profile with its owner (unordered), for offline back-ends that
+    /// batch over every user (Offline-Ideal, Offline-CRec, Mahout-like). A
+    /// snapshot costs one `Arc` bump per user, no deep copies.
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<(UserId, Arc<Profile>)> {
+        let mut all = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.read();
+            all.extend(
+                shard
+                    .ids
+                    .iter()
+                    .zip(&shard.profiles)
+                    .filter_map(|(&user, profile)| Some((user, Arc::clone(profile.as_ref()?)))),
+            );
+        }
+        all
+    }
+
+    /// The view similarity of every stored row, in user-id order: a row's
+    /// mean similarity, 0.0 for an empty row ([`Neighborhood::view_similarity`]).
+    /// A user without a row has no entry.
+    #[must_use]
+    pub fn view_similarities(&self) -> Vec<(UserId, f64)> {
+        let mut values = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.read();
+            values.extend(
+                shard
+                    .ids
+                    .iter()
+                    .zip(&shard.rows)
+                    .filter_map(|(&user, row)| {
+                        let row = row.as_ref()?;
+                        let sum: f64 = row.iter().map(|&(_, similarity)| similarity).sum();
+                        Some((
+                            user,
+                            if row.is_empty() {
+                                0.0
+                            } else {
+                                sum / row.len() as f64
+                            },
+                        ))
+                    }),
+            );
+        }
+        values.sort_unstable_by_key(|&(user, _)| user);
+        values
+    }
+
+    /// Mean view similarity across every stored row — the paper's *average
+    /// view similarity* metric (Figures 3–4). A user whose stored row is
+    /// empty counts, with similarity 0.0; a user with no stored row does
+    /// not. An empty table gives 0.0.
     ///
-    /// Summation runs in user-id order so the floating-point result is
-    /// identical across runs (hash-map iteration order is per-instance
-    /// random, and f64 addition is not associative).
+    /// Summation runs in user-id order, not slot order, so the
+    /// floating-point result does not depend on the order slots were minted
+    /// in (f64 addition is not associative).
     #[must_use]
     pub fn average_view_similarity(&self) -> f64 {
-        let mut values = self.map_all(Neighborhood::view_similarity);
+        let values = self.view_similarities();
         if values.is_empty() {
             return 0.0;
         }
-        values.sort_unstable_by_key(|(u, _)| *u);
         values.iter().map(|(_, v)| v).sum::<f64>() / values.len() as f64
     }
+
+    /// Opens a slot-space view: the index's read lock, then every shard's
+    /// read lock in ascending order, held until the view drops. The batched
+    /// sampler's one table read. Do not call another table method while
+    /// holding a view: that would take a lock the view already holds.
+    #[must_use]
+    pub fn read(&self) -> SlotView<'_> {
+        let index = self.index.read();
+        SlotView {
+            index,
+            shards: std::array::from_fn(|shard| self.shards[shard].read()),
+        }
+    }
+}
+
+/// Read access to the whole table in slot space ([`UserTable::read`]):
+/// after one keyed lookup per requester, every read is index arithmetic.
+pub struct SlotView<'a> {
+    index: RwLockReadGuard<'a, KeyedHashMap<UserId, Slot>>,
+    shards: [RwLockReadGuard<'a, Shard>; SHARDS],
+}
+
+impl SlotView<'_> {
+    /// `user`'s slot, if the table has ever written their id.
+    #[must_use]
+    pub fn slot_of(&self, user: UserId) -> Option<Slot> {
+        self.index.get(&user).copied()
+    }
+
+    /// The id behind a slot.
+    ///
+    /// # Panics
+    /// If `slot` was never minted.
+    #[must_use]
+    pub fn id(&self, slot: Slot) -> UserId {
+        let (shard, at) = locate(slot);
+        self.shards[shard].ids[at]
+    }
+
+    /// The profile in `slot`, if its user owns one.
+    #[must_use]
+    pub fn profile(&self, slot: Slot) -> Option<&Arc<Profile>> {
+        let (shard, at) = locate(slot);
+        self.shards[shard].profiles[at].as_ref()
+    }
+
+    /// The KNN row in `slot`, if one is stored.
+    #[must_use]
+    pub fn row(&self, slot: Slot) -> Option<&[(Slot, f64)]> {
+        let (shard, at) = locate(slot);
+        self.shards[shard].rows[at].as_deref()
+    }
+}
+
+/// Ranks a write-back's resolved neighbours into a [`Row`]: by descending
+/// similarity (ties and NaN keep input order), each slot's best entry only,
+/// then the `k` best — [`Neighborhood::from_neighbors`] followed by
+/// [`Neighborhood::truncate`], in slot space.
+#[must_use]
+pub fn ranked_row(mut neighbors: Vec<(Slot, f64)>, k: usize) -> Row {
+    neighbors.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    // The first `k` distinct slots are all that is kept, so the dedup scan
+    // stays within them.
+    let mut kept = 0;
+    for i in 0..neighbors.len() {
+        if kept == k {
+            break;
+        }
+        let entry = neighbors[i];
+        if neighbors[..kept].iter().all(|&(slot, _)| slot != entry.0) {
+            neighbors[kept] = entry;
+            kept += 1;
+        }
+    }
+    neighbors.truncate(kept);
+    neighbors.into_boxed_slice()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::Neighbor;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
+
+    fn hood(neighbors: &[(u32, f64)]) -> Neighborhood {
+        Neighborhood::from_neighbors(neighbors.iter().map(|&(user, similarity)| Neighbor {
+            user: UserId(user),
+            similarity,
+        }))
+    }
 
     #[test]
     fn profile_record_and_get() {
-        let t = ProfileTable::new();
+        let t = UserTable::new();
         assert!(t.record(UserId(1), ItemId(5), Vote::Like));
         assert!(!t.record(UserId(1), ItemId(5), Vote::Like));
         assert!(t.contains(UserId(1)));
-        assert_eq!(t.get(UserId(1)).unwrap().liked_len(), 1);
-        assert_eq!(t.get(UserId(2)), None);
+        assert_eq!(t.profile_of(UserId(1)).unwrap().liked_len(), 1);
+        assert_eq!(t.profile_of(UserId(2)), None);
     }
 
     #[test]
     fn profile_with_avoids_clone() {
-        let t = ProfileTable::new();
+        // A view reads a profile in place; the slot is the only key.
+        let t = UserTable::new();
         t.record(UserId(3), ItemId(1), Vote::Like);
-        let n = t.with(UserId(3), |p| p.liked_len());
-        assert_eq!(n, Some(1));
-        assert_eq!(t.with(UserId(99), |p| p.liked_len()), None);
+        let view = t.read();
+        let slot = view.slot_of(UserId(3)).unwrap();
+        assert_eq!(view.profile(slot).map(|p| p.liked_len()), Some(1));
+        assert_eq!(view.id(slot), UserId(3));
+        assert_eq!(view.slot_of(UserId(99)), None);
     }
 
     #[test]
     fn snapshot_contains_everything() {
-        let t = ProfileTable::new();
+        let t = UserTable::new();
         for u in 0..100u32 {
             t.record(UserId(u), ItemId(u), Vote::Like);
         }
@@ -348,44 +555,36 @@ mod tests {
 
     #[test]
     fn knn_update_and_view_similarity() {
-        let t = KnnTable::new();
-        t.update(
-            UserId(1),
-            Neighborhood::from_neighbors([Neighbor {
-                user: UserId(2),
-                similarity: 0.8,
-            }]),
-        );
-        t.update(
-            UserId(2),
-            Neighborhood::from_neighbors([Neighbor {
-                user: UserId(1),
-                similarity: 0.4,
-            }]),
-        );
+        let t = UserTable::new();
+        t.update(UserId(1), hood(&[(2, 0.8)]));
+        t.update(UserId(2), hood(&[(1, 0.4)]));
         assert!((t.average_view_similarity() - 0.6).abs() < 1e-12);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.view_similarities().len(), 2);
+        // Rows alone own no profile.
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn empty_tables() {
-        let p = ProfileTable::new();
-        let k = KnnTable::new();
-        assert!(p.is_empty());
-        assert!(k.is_empty());
-        assert_eq!(k.average_view_similarity(), 0.0);
+        let t = UserTable::new();
+        assert!(t.is_empty());
+        assert!(t.view_similarities().is_empty());
+        assert_eq!(t.average_view_similarity(), 0.0);
+        assert_eq!(t.knn_of(UserId(1)), None);
     }
 
     #[test]
     fn concurrent_access_is_safe() {
-        let table = Arc::new(ProfileTable::new());
+        let table = Arc::new(UserTable::new());
         let mut handles = Vec::new();
         for t in 0..8u32 {
             let table = Arc::clone(&table);
             handles.push(std::thread::spawn(move || {
                 for i in 0..500u32 {
                     table.record(UserId(t * 1000 + i), ItemId(i), Vote::Like);
-                    let _ = table.get(UserId(i));
+                    let _ = table.profile_of(UserId(i));
+                    table.update(UserId(t * 1000 + i), hood(&[(i, 0.5)]));
+                    let _ = table.knn_of(UserId(i));
                 }
             }));
         }
@@ -393,45 +592,49 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(table.len(), 8 * 500);
+        assert_eq!(table.view_similarities().len(), 8 * 500);
     }
 
     #[test]
     fn get_returns_shared_handle_not_copy() {
-        let t = ProfileTable::new();
+        let t = UserTable::new();
         t.record(UserId(5), ItemId(1), Vote::Like);
-        let a = t.get(UserId(5)).unwrap();
-        let b = t.get(UserId(5)).unwrap();
+        let a = t.profile_of(UserId(5)).unwrap();
+        let b = t.profile_of(UserId(5)).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "get must share the stored allocation");
         // A write through record() must not mutate the held handle.
         t.record(UserId(5), ItemId(2), Vote::Like);
         assert_eq!(a.liked_len(), 1);
-        assert_eq!(t.get(UserId(5)).unwrap().liked_len(), 2);
+        assert_eq!(t.profile_of(UserId(5)).unwrap().liked_len(), 2);
     }
 
     #[test]
     fn get_many_matches_get_in_input_order() {
-        let t = ProfileTable::new();
+        let t = UserTable::new();
         for u in 0..200u32 {
             t.record(UserId(u), ItemId(u), Vote::Like);
         }
-        let query: Vec<UserId> = [7u32, 500, 3, 3, 199, 0, 42]
+        // 300 has a slot (a neighbour) but no profile; 500 has no slot.
+        t.update(UserId(7), hood(&[(300, 0.5)]));
+        let query: Vec<UserId> = [7u32, 500, 3, 3, 199, 300, 0, 42]
             .into_iter()
             .map(UserId)
             .collect();
-        let batch = t.get_many(&query);
+        let batch = t.profiles_of(&query);
         assert_eq!(batch.len(), query.len());
         for (user, got) in query.iter().zip(&batch) {
-            assert_eq!(got.is_some(), t.get(*user).is_some(), "mismatch for {user}");
+            let single = t.profile_of(*user);
+            assert_eq!(got.is_some(), single.is_some(), "mismatch for {user}");
             if let Some(profile) = got {
-                assert!(Arc::ptr_eq(profile, &t.get(*user).unwrap()));
+                assert!(Arc::ptr_eq(profile, &single.unwrap()));
             }
         }
     }
 
     #[test]
     fn record_many_matches_sequential_record() {
-        let batched = ProfileTable::new();
-        let sequential = ProfileTable::new();
+        let batched = UserTable::new();
+        let sequential = UserTable::new();
         // A churn-heavy stream: repeats, flips, and cross-shard users.
         let votes: Vec<(UserId, ItemId, Vote)> = (0..500u32)
             .map(|i| {
@@ -453,7 +656,13 @@ mod tests {
         assert_eq!(batch_flags, seq_flags);
         assert_eq!(batched.len(), sequential.len());
         for &(user, _, _) in &votes {
-            assert_eq!(batched.get(user), sequential.get(user), "user {user}");
+            assert_eq!(
+                batched.profile_of(user),
+                sequential.profile_of(user),
+                "user {user}"
+            );
+            // First votes mint slots in input order, however they batch.
+            assert_eq!(batched.slot_of(user), sequential.slot_of(user));
         }
         // Empty batch is a no-op.
         assert!(batched.record_many(&[]).changed.is_empty());
@@ -461,8 +670,10 @@ mod tests {
 
     #[test]
     fn record_many_flags_each_users_first_vote_as_created() {
-        let t = ProfileTable::new();
+        let t = UserTable::new();
         t.record(UserId(2), ItemId(1), Vote::Like);
+        // User 65 holds a slot as a neighbour before their first vote.
+        t.update(UserId(2), hood(&[(65, 0.5)]));
         let votes = [
             (UserId(1), ItemId(1), Vote::Like),
             (UserId(2), ItemId(2), Vote::Like),
@@ -473,42 +684,137 @@ mod tests {
         let recorded = t.record_many(&votes);
         assert_eq!(recorded.created, [true, false, false, true, false]);
         assert_eq!(recorded.changed, [true, true, true, true, false]);
+        assert_eq!(recorded.slots, [2, 0, 2, 1, 1]);
         assert!(!t.record_many(&votes).created.contains(&true));
     }
 
     #[test]
     fn knn_batch_ops_match_scalar_ops() {
-        let t = KnnTable::new();
+        let batched = UserTable::new();
+        let scalar = UserTable::new();
         let entries: Vec<(UserId, Neighborhood)> = (0..100u32)
             .map(|u| {
                 (
                     UserId(u),
-                    Neighborhood::from_neighbors([Neighbor {
-                        user: UserId(u + 1),
-                        similarity: f64::from(u) / 100.0,
-                    }]),
+                    hood(&[(u + 1, f64::from(u) / 100.0), (u + 2, 0.0)]),
                 )
             })
             .collect();
-        t.update_many(entries.clone());
-        assert_eq!(t.len(), 100);
-        let users: Vec<UserId> = entries.iter().map(|(u, _)| *u).collect();
-        let fetched = t.get_many(&users);
-        for ((user, hood), got) in entries.iter().zip(fetched) {
-            assert_eq!(got.as_ref(), Some(hood), "mismatch for {user}");
+        batched.update_many(entries.clone());
+        for (user, hood) in entries.clone() {
+            scalar.update(user, hood);
         }
-        assert_eq!(t.get_many(&[UserId(999)]), vec![None]);
+        assert_eq!(batched.view_similarities(), scalar.view_similarities());
+        for (user, hood) in &entries {
+            assert_eq!(
+                batched.knn_of(*user).as_ref(),
+                Some(hood),
+                "mismatch for {user}"
+            );
+            assert_eq!(batched.slot_of(*user), scalar.slot_of(*user));
+        }
+        assert_eq!(batched.knn_of(UserId(999)), None);
+        // Owner, then its neighbours: 0 → slot 0, 1 → 1, 2 → 2, 3 → 3, ...
+        assert_eq!(batched.slot_of(UserId(101)), Some(101));
     }
 
     #[test]
     fn shard_distribution_is_reasonable() {
-        // Sequential uids must not all land in one shard.
-        let mut counts = [0usize; SHARDS];
-        for u in 0..10_000u32 {
-            counts[shard_of(UserId(u))] += 1;
-        }
+        // Slots fill shards round-robin, whatever the ids.
+        let t = UserTable::new();
+        let votes: Vec<(UserId, ItemId, Vote)> = (0..10_000u32)
+            .map(|u| (UserId(u.wrapping_mul(2_654_435_761)), ItemId(0), Vote::Like))
+            .collect();
+        let _ = t.record_many(&votes);
+        let counts: Vec<usize> = t.shards.iter().map(|s| s.read().ids.len()).collect();
         let max = *counts.iter().max().unwrap();
         let min = *counts.iter().min().unwrap();
-        assert!(max < 10_000 / 8, "shard imbalance: max={max} min={min}");
+        assert!(max - min <= 1, "shard imbalance: max={max} min={min}");
+    }
+
+    #[test]
+    fn ids_sharing_one_fibonacci_shard_spread_over_slot_shards() {
+        // The parent keyed shards by a fixed multiplicative hash of the raw
+        // id; these 64k ids all hashed to its shard 0. Slots ignore the id.
+        let fibonacci_shard =
+            |user: u32| ((u64::from(user)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+        let users: Vec<u32> = (0u32..)
+            .filter(|&user| fibonacci_shard(user) == 0)
+            .take(64_000)
+            .collect();
+        let votes: Vec<(UserId, ItemId, Vote)> = users
+            .iter()
+            .map(|&user| (UserId(user), ItemId(1), Vote::Like))
+            .collect();
+        let t = UserTable::new();
+        for batch in votes.chunks(1000) {
+            let _ = t.record_many(batch);
+        }
+        assert_eq!(t.len(), 64_000);
+        let mean = 64_000 / SHARDS;
+        for (shard, columns) in t.shards.iter().enumerate() {
+            let held = columns.read().ids.len();
+            assert!(held <= 2 * mean, "shard {shard} holds {held}, mean {mean}");
+        }
+    }
+
+    #[test]
+    fn average_view_similarity_sums_rows_in_user_id_order() {
+        // Users 20 and 30 get slots before user 10, and the similarities are
+        // chosen so that summing in slot order rounds differently.
+        let t = UserTable::new();
+        let rows: [(u32, &[(u32, f64)]); 5] = [
+            (20, &[(30, 1.0e-16)]),
+            (30, &[(20, 1.0e-16)]),
+            (40, &[]),
+            (10, &[(20, 1.0)]),
+            (50, &[(70, 0.75), (60, 0.25)]),
+        ];
+        for (user, neighbors) in rows {
+            t.update(UserId(user), hood(neighbors));
+        }
+        // 60 owns a profile and 70 is only ever a neighbour: neither has a
+        // row, so neither counts.
+        t.record(UserId(60), ItemId(1), Vote::Like);
+
+        let reference = BTreeMap::from([
+            (UserId(10), 1.0),
+            (UserId(20), 1.0e-16),
+            (UserId(30), 1.0e-16),
+            (UserId(40), 0.0), // an empty row counts as 0.0
+            (UserId(50), 0.5),
+        ]);
+        let expected = reference.values().sum::<f64>() / reference.len() as f64;
+        assert_eq!(t.average_view_similarity().to_bits(), expected.to_bits());
+
+        let mut by_slot: Vec<(Slot, f64)> = reference
+            .iter()
+            .map(|(&user, &v)| (t.slot_of(user).unwrap(), v))
+            .collect();
+        by_slot.sort_unstable_by_key(|&(slot, _)| slot);
+        let in_slot_order = by_slot.iter().map(|(_, v)| v).sum::<f64>() / by_slot.len() as f64;
+        assert_ne!(in_slot_order.to_bits(), expected.to_bits());
+        let users: Vec<UserId> = t.view_similarities().iter().map(|&(u, _)| u).collect();
+        assert!(users.iter().eq(reference.keys()));
+    }
+
+    #[test]
+    fn ranked_row_matches_neighborhood_ranking() {
+        let entries = [
+            (4, 0.2),
+            (1, 0.9),
+            (4, 0.7),
+            (2, f64::NAN),
+            (3, 0.9),
+            (1, 0.1),
+        ];
+        for k in 0..7 {
+            let row = ranked_row(entries.to_vec(), k);
+            let mut expected = hood(&entries.map(|(slot, similarity)| (slot, similarity)));
+            expected.truncate(k);
+            let got = row.to_vec();
+            let want: Vec<(u32, f64)> = expected.iter().map(|n| (n.user.0, n.similarity)).collect();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "k = {k}");
+        }
     }
 }

@@ -41,7 +41,7 @@ fn populated_server() -> Arc<HyRecServer> {
             user: UserId((u + d) % USERS),
             similarity: 0.5,
         }));
-        server.knn_table().update(UserId(u), hood);
+        server.table().update(UserId(u), hood);
     }
     Arc::new(server)
 }

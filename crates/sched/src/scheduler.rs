@@ -1,6 +1,7 @@
 //! The lease table, staleness index and validation core.
 
 use crate::stats::SchedStats;
+use hyrec_core::fast_hash::KeyedHashMap;
 use hyrec_core::{FastHashMap, Neighbor, UserId};
 use parking_lot::Mutex;
 use std::cmp::{Ordering, Reverse};
@@ -236,7 +237,8 @@ struct LeaseEntry {
 #[derive(Debug, Default)]
 struct Inner {
     next_lease: u64,
-    users: FastHashMap<UserId, UserState>,
+    /// Keyed: `/rate/` uids fill it, so clients choose its keys.
+    users: KeyedHashMap<UserId, UserState>,
     /// Outstanding leases by id.
     leases: FastHashMap<u64, LeaseEntry>,
     /// Recently consumed lease ids → completion tick (duplicate

@@ -7,43 +7,39 @@
 //! size because Algorithm 2 runs server-side, whereas HyRec's server only
 //! assembles and compresses a message.
 
-use hyrec_core::{
-    recommend, KnnTable, Neighborhood, Profile, ProfileTable, Recommendation, UserId,
-};
+use hyrec_core::{recommend, Neighborhood, Profile, Recommendation, UserId, UserTable};
 
 /// Centralized front-end serving recommendations from precomputed KNN.
 ///
-/// Borrows the global tables; the back-end (any [`crate::OfflineBackend`])
-/// refreshes the KNN table out of band.
+/// Borrows the global table; the back-end (any [`crate::OfflineBackend`])
+/// refreshes its KNN rows out of band.
 ///
 /// ```
-/// use hyrec_core::{ItemId, KnnTable, Neighbor, Neighborhood, ProfileTable, UserId, Vote};
+/// use hyrec_core::{ItemId, Neighbor, Neighborhood, UserId, UserTable, Vote};
 /// use hyrec_server::CRecFrontEnd;
 ///
-/// let profiles = ProfileTable::new();
-/// let knn = KnnTable::new();
-/// profiles.record(UserId(1), ItemId(1), Vote::Like);
-/// profiles.record(UserId(2), ItemId(1), Vote::Like);
-/// profiles.record(UserId(2), ItemId(2), Vote::Like);
-/// knn.update(UserId(1), Neighborhood::from_neighbors([
+/// let table = UserTable::new();
+/// table.record(UserId(1), ItemId(1), Vote::Like);
+/// table.record(UserId(2), ItemId(1), Vote::Like);
+/// table.record(UserId(2), ItemId(2), Vote::Like);
+/// table.update(UserId(1), Neighborhood::from_neighbors([
 ///     Neighbor { user: UserId(2), similarity: 0.7 },
 /// ]));
 ///
-/// let front = CRecFrontEnd::new(&profiles, &knn);
+/// let front = CRecFrontEnd::new(&table);
 /// let recs = front.recommend(UserId(1), 5);
 /// assert_eq!(recs[0].item, ItemId(2));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct CRecFrontEnd<'a> {
-    profiles: &'a ProfileTable,
-    knn: &'a KnnTable,
+    table: &'a UserTable,
 }
 
 impl<'a> CRecFrontEnd<'a> {
-    /// Creates a front-end over the global tables.
+    /// Creates a front-end over the global table.
     #[must_use]
-    pub fn new(profiles: &'a ProfileTable, knn: &'a KnnTable) -> Self {
-        Self { profiles, knn }
+    pub fn new(table: &'a UserTable) -> Self {
+        Self { table }
     }
 
     /// Serves one request: Algorithm 2 over the user's stored neighbours.
@@ -53,8 +49,8 @@ impl<'a> CRecFrontEnd<'a> {
     /// KNN pass — the cold-start weakness Section 5.3 highlights).
     #[must_use]
     pub fn recommend(&self, user: UserId, r: usize) -> Vec<Recommendation> {
-        let profile = self.profiles.get(user).unwrap_or_default();
-        let hood = self.knn.get(user).unwrap_or_default();
+        let profile = self.table.profile_of(user).unwrap_or_default();
+        let hood = self.table.knn_of(user).unwrap_or_default();
         self.recommend_from(&profile, &hood, r)
     }
 
@@ -67,9 +63,11 @@ impl<'a> CRecFrontEnd<'a> {
         hood: &Neighborhood,
         r: usize,
     ) -> Vec<Recommendation> {
-        // `get` hands back shared handles; no profile is copied here.
-        let neighbor_profiles: Vec<std::sync::Arc<Profile>> =
-            hood.users().filter_map(|v| self.profiles.get(v)).collect();
+        // `profile_of` hands back shared handles; no profile is copied here.
+        let neighbor_profiles: Vec<std::sync::Arc<Profile>> = hood
+            .users()
+            .filter_map(|v| self.table.profile_of(v))
+            .collect();
         recommend::most_popular(profile, neighbor_profiles.iter().map(AsRef::as_ref), r)
     }
 }
@@ -79,18 +77,17 @@ mod tests {
     use super::*;
     use hyrec_core::{ItemId, Neighbor, Vote};
 
-    fn tables() -> (ProfileTable, KnnTable) {
-        let profiles = ProfileTable::new();
-        let knn = KnnTable::new();
+    fn table() -> UserTable {
+        let table = UserTable::new();
         // u1 likes 1; u2 and u3 like overlapping sets.
-        profiles.record(UserId(1), ItemId(1), Vote::Like);
+        table.record(UserId(1), ItemId(1), Vote::Like);
         for i in [1u32, 2, 3] {
-            profiles.record(UserId(2), ItemId(i), Vote::Like);
+            table.record(UserId(2), ItemId(i), Vote::Like);
         }
         for i in [2u32, 3, 4] {
-            profiles.record(UserId(3), ItemId(i), Vote::Like);
+            table.record(UserId(3), ItemId(i), Vote::Like);
         }
-        knn.update(
+        table.update(
             UserId(1),
             Neighborhood::from_neighbors([
                 Neighbor {
@@ -103,13 +100,13 @@ mod tests {
                 },
             ]),
         );
-        (profiles, knn)
+        table
     }
 
     #[test]
     fn recommends_neighbors_popular_unseen_items() {
-        let (profiles, knn) = tables();
-        let front = CRecFrontEnd::new(&profiles, &knn);
+        let table = table();
+        let front = CRecFrontEnd::new(&table);
         let recs = front.recommend(UserId(1), 10);
         // Items 2 and 3 are liked by both neighbours; 1 is excluded (seen).
         assert_eq!(recs[0].item, ItemId(2));
@@ -119,33 +116,32 @@ mod tests {
 
     #[test]
     fn user_without_knn_gets_nothing() {
-        let (profiles, knn) = tables();
-        let front = CRecFrontEnd::new(&profiles, &knn);
+        let table = table();
+        let front = CRecFrontEnd::new(&table);
         assert!(front.recommend(UserId(2), 5).is_empty());
         assert!(front.recommend(UserId(999), 5).is_empty());
     }
 
     #[test]
     fn respects_r() {
-        let (profiles, knn) = tables();
-        let front = CRecFrontEnd::new(&profiles, &knn);
+        let table = table();
+        let front = CRecFrontEnd::new(&table);
         assert_eq!(front.recommend(UserId(1), 1).len(), 1);
         assert!(front.recommend(UserId(1), 0).is_empty());
     }
 
     #[test]
     fn missing_neighbor_profiles_are_skipped() {
-        let profiles = ProfileTable::new();
-        let knn = KnnTable::new();
-        profiles.record(UserId(1), ItemId(1), Vote::Like);
-        knn.update(
+        let table = UserTable::new();
+        table.record(UserId(1), ItemId(1), Vote::Like);
+        table.update(
             UserId(1),
             Neighborhood::from_neighbors([Neighbor {
                 user: UserId(77),
                 similarity: 0.9,
             }]),
         );
-        let front = CRecFrontEnd::new(&profiles, &knn);
+        let front = CRecFrontEnd::new(&table);
         assert!(front.recommend(UserId(1), 5).is_empty());
     }
 }

@@ -12,9 +12,10 @@
 //!    sampled by the [`sampler::Sampler`] (current KNN ∪ 2-hop KNN ∪ `k`
 //!    random users) — ships it to the widget, and writes the returned KNN
 //!    selection back into the global tables.
-//! 2. **Global state** ([`hyrec_core::ProfileTable`], [`hyrec_core::KnnTable`])
-//!    behind sharded locks, with an epoch-based [`anonymize::AnonymousMapping`]
-//!    hiding user/profile associations from clients.
+//! 2. **Global state** ([`hyrec_core::UserTable`]: profiles and KNN rows
+//!    as slot-indexed columns behind one keyed index and sharded locks),
+//!    with an epoch-based [`anonymize::AnonymousMapping`] hiding
+//!    user/profile associations from clients.
 //!
 //! Baselines (Section 5 competitors):
 //!

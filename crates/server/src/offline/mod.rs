@@ -25,7 +25,7 @@ use hyrec_core::{Neighborhood, SharedProfile, UserId};
 pub trait OfflineBackend: Send + Sync {
     /// Computes the k-nearest-neighbour table for every user in `profiles`.
     ///
-    /// Takes shared profile handles — a `ProfileTable::snapshot()` or a
+    /// Takes shared profile handles — a `UserTable::snapshot()` or a
     /// trace's `final_profiles()` feeds in without copying any item vector.
     /// Result order matches the input order.
     fn compute(

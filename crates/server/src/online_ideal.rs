@@ -6,12 +6,12 @@
 //! inapplicable due to its huge response times" (Sections 5.2–5.3, the
 //! `Online Ideal` series of Figures 3, 6 and 8).
 
-use hyrec_core::{knn, recommend, Neighborhood, ProfileTable, Recommendation, Similarity, UserId};
+use hyrec_core::{knn, recommend, Neighborhood, Recommendation, Similarity, UserId, UserTable};
 
 /// Brute-force per-request recommender over the full profile table.
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineIdeal<'a, S> {
-    profiles: &'a ProfileTable,
+    profiles: &'a UserTable,
     metric: S,
     k: usize,
 }
@@ -19,7 +19,7 @@ pub struct OnlineIdeal<'a, S> {
 impl<'a, S: Similarity> OnlineIdeal<'a, S> {
     /// Creates the baseline over the global profile table.
     #[must_use]
-    pub fn new(profiles: &'a ProfileTable, metric: S, k: usize) -> Self {
+    pub fn new(profiles: &'a UserTable, metric: S, k: usize) -> Self {
         Self {
             profiles,
             metric,
@@ -30,7 +30,7 @@ impl<'a, S: Similarity> OnlineIdeal<'a, S> {
     /// Computes the exact KNN of `user` by scanning every profile.
     #[must_use]
     pub fn ideal_knn(&self, user: UserId) -> Neighborhood {
-        let profile = self.profiles.get(user).unwrap_or_default();
+        let profile = self.profiles.profile_of(user).unwrap_or_default();
         let snapshot = self.profiles.snapshot();
         knn::select(
             &profile,
@@ -46,9 +46,12 @@ impl<'a, S: Similarity> OnlineIdeal<'a, S> {
     /// Serves one request: exact KNN, then Algorithm 2 over the result.
     #[must_use]
     pub fn recommend(&self, user: UserId, r: usize) -> Vec<Recommendation> {
-        let profile = self.profiles.get(user).unwrap_or_default();
+        let profile = self.profiles.profile_of(user).unwrap_or_default();
         let hood = self.ideal_knn(user);
-        let neighbor_profiles: Vec<_> = hood.users().filter_map(|v| self.profiles.get(v)).collect();
+        let neighbor_profiles: Vec<_> = hood
+            .users()
+            .filter_map(|v| self.profiles.profile_of(v))
+            .collect();
         recommend::most_popular(&profile, neighbor_profiles.iter().map(AsRef::as_ref), r)
     }
 }
@@ -58,8 +61,8 @@ mod tests {
     use super::*;
     use hyrec_core::{Cosine, ItemId, Vote};
 
-    fn table() -> ProfileTable {
-        let profiles = ProfileTable::new();
+    fn table() -> UserTable {
+        let profiles = UserTable::new();
         // Two clusters: users 0-4 like items 0-5, users 5-9 like 100-105.
         for u in 0..10u32 {
             let base = if u < 5 { 0 } else { 100 };

@@ -9,34 +9,41 @@
 //! content providers can swap the strategy without touching the
 //! orchestrator. The server calls [`Sampler::sample_batch`] only, a lone
 //! request being a batch of one.
+//!
+//! [`DefaultSampler`] works in slot space (`hyrec_core::tables`): stored
+//! KNN rows name neighbours by slot, the [`UserDirectory`] lists slots, and
+//! one [`SlotView`] per batch serves every row, profile and id as a column
+//! read. The only keyed lookups are the requesters' own ids; a candidate is
+//! never hashed by id, and the set's dedup is a small open-addressed set of
+//! slots sized from the paper's bound.
 
-use hyrec_core::{CandidateSet, KnnTable, ProfileTable, UserId};
+use hyrec_core::{
+    candidate_set_bound, CandidateProfile, CandidateSet, Profile, Slot, SlotView, UserId, UserTable,
+};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::ops::Range;
+use std::sync::Arc;
 
 /// Read-only view of server state handed to samplers.
 pub struct SamplerContext<'a> {
-    /// The global profile table.
-    pub profiles: &'a ProfileTable,
-    /// The global KNN table.
-    pub knn: &'a KnnTable,
-    /// Registry of all user ids ever seen (for uniform random picks).
+    /// The global profile and KNN table.
+    pub table: &'a UserTable,
+    /// The slots of all profile owners (for uniform random picks).
     pub directory: &'a UserDirectory,
 }
 
-/// Append-only registry of user ids supporting O(1) uniform sampling.
+/// Append-only registry of slots supporting O(1) uniform sampling.
 ///
-/// The profile table shards make "pick a uniformly random user" awkward;
-/// this directory keeps a flat list, which also matches the paper's server
-/// that knows the full user population. It keeps no membership set: the
-/// server registers a user exactly once, where the profile table reports
-/// that their first vote created their profile
+/// The table's shards make "pick a uniformly random user" awkward; this
+/// directory keeps a flat list of slots in profile-creation order, which
+/// also matches the paper's server that knows the full user population. It
+/// keeps no membership set: the server registers a user exactly once, where
+/// the table reports that their first vote created their profile
 /// (`HyRecServer::record_many`).
 #[derive(Debug, Default)]
 pub struct UserDirectory {
-    list: RwLock<Vec<UserId>>,
+    list: RwLock<Vec<Slot>>,
 }
 
 impl UserDirectory {
@@ -46,10 +53,10 @@ impl UserDirectory {
         Self::default()
     }
 
-    /// Appends a user. Each user must be registered once: a repeat would
-    /// double their weight in the random leg.
-    pub fn register(&self, user: UserId) {
-        self.list.write().push(user);
+    /// Appends a user's slot. Each user must be registered once: a repeat
+    /// would double their weight in the random leg.
+    pub fn register(&self, slot: Slot) {
+        self.list.write().push(slot);
     }
 
     /// Number of registered users.
@@ -64,21 +71,22 @@ impl UserDirectory {
         self.list.read().is_empty()
     }
 
-    /// Draws up to `n` users uniformly at random (with replacement across
-    /// draws, deduplicated by the candidate set downstream).
-    pub fn random_users(&self, n: usize, rng: &mut StdRng) -> Vec<UserId> {
-        let users = self.list.read();
-        if users.is_empty() {
+    /// Draws `n` slots uniformly at random (with replacement across draws,
+    /// deduplicated by the candidate set downstream); none from an empty
+    /// directory.
+    pub fn random_slots(&self, n: usize, rng: &mut StdRng) -> Vec<Slot> {
+        let slots = self.list.read();
+        if slots.is_empty() {
             return Vec::new();
         }
         (0..n)
-            .map(|_| users[rng.gen_range(0..users.len())])
+            .map(|_| slots[rng.gen_range(0..slots.len())])
             .collect()
     }
 
-    /// Snapshot of all registered users.
+    /// Snapshot of all registered slots, in registration order.
     #[must_use]
-    pub fn snapshot(&self) -> Vec<UserId> {
+    pub fn snapshot(&self) -> Vec<Slot> {
         self.list.read().clone()
     }
 }
@@ -150,20 +158,14 @@ impl Sampler for DefaultSampler {
             .expect("one user in, one set out")
     }
 
-    /// Candidate assembly for a batch, with table traffic amortized.
+    /// Candidate assembly for a batch, in slot space.
     ///
     /// Each user's set holds, in order and first occurrence only, their
-    /// KNN, their neighbours' KNN and `random_candidates` random users,
-    /// minus the requester and users without a profile. Every table read
-    /// is staged: neighbourhoods and profiles come through the tables'
-    /// batch reads (one lock per touched shard per stage), each distinct
-    /// neighbour's KNN is read once per batch, and each distinct candidate
-    /// profile is fetched once and fanned out as `Arc` clones — converged
-    /// tables make a batch's candidates overlap heavily.
-    ///
-    /// Every candidate id is hashed once, into a batch-wide slot. A slot's
-    /// "last user" tag dedups within a set, and the slot itself dedups
-    /// across the batch.
+    /// KNN row, each neighbour's row and `random_candidates` random users,
+    /// minus the requester and users without a profile. The random legs are
+    /// drawn first, under one directory lock; then one [`SlotView`] serves
+    /// the whole batch: one index lookup per requester, then rows, profiles
+    /// and ids by slot. Every profile is the table's own `Arc`.
     fn sample_batch(
         &self,
         users: &[UserId],
@@ -173,86 +175,36 @@ impl Sampler for DefaultSampler {
         rng: &mut StdRng,
     ) -> Vec<CandidateSet> {
         // Random legs (they bootstrap new users and keep the gossip out of
-        // local optima) first, in user order, under one directory lock: the
-        // back-to-back draws consume the RNG exactly as per-user draws do.
-        // An empty directory draws nothing, so every leg is empty.
+        // local optima) first, in user order: the back-to-back draws consume
+        // the RNG exactly as per-user draws do. An empty directory draws
+        // nothing, so every leg is empty.
         let random = ctx
             .directory
-            .random_users(random_candidates * users.len(), rng);
-        let random_leg = |i: usize| {
-            random
-                .get(i * random_candidates..(i + 1) * random_candidates)
-                .unwrap_or_default()
-        };
-
-        let mut slots = Slots::with_capacity(users.len() * (k + k * k + random_candidates));
-        // Neighbour lists as slots in one flat buffer: first the batch's
-        // 1-hop lists (ids extracted under the shard locks; no Neighborhood
-        // is cloned), then the 2-hop list of each distinct 1-hop neighbour,
-        // read once per batch.
-        let mut hops = Vec::with_capacity(users.len() * (k + k * k));
-        let one_hop_spans = ctx
-            .knn
-            .map_many(users, |hood| slots.extend(&mut hops, hood));
-        let mut hop_of = vec![NONE; slots.ids.len()];
-        let mut hop_ids = Vec::with_capacity(hops.len());
-        for &v in &hops {
-            if hop_of[v as usize] == NONE {
-                hop_of[v as usize] = hop_ids.len() as u32;
-                hop_ids.push(slots.ids[v as usize]);
-            }
-        }
-        let two_hop_spans = ctx
-            .knn
-            .map_many(&hop_ids, |hood| slots.extend(&mut hops, hood));
-
-        // Each user's picks, in insertion order, concatenated flat.
-        let mut picked = Vec::with_capacity(hops.len() + random.len());
-        let mut spans = Vec::with_capacity(users.len());
-        // A batch position is its set's `u32` owner tag (`NONE` excluded).
-        assert!(users.len() < NONE as usize, "batch of 2^32 users or more");
-        for (owner, &user) in (0u32..).zip(users) {
-            let start = picked.len();
-            let one_hop = &hops[one_hop_spans[owner as usize].clone().unwrap_or_default()];
-            for &v in one_hop {
-                slots.pick(v, owner, user, &mut picked);
-            }
-            for &v in one_hop {
-                let two_hop = two_hop_spans[hop_of[v as usize] as usize].clone();
-                for &w in &hops[two_hop.unwrap_or_default()] {
-                    slots.pick(w, owner, user, &mut picked);
-                }
-            }
-            for &w in random_leg(owner as usize) {
-                let w = slots.slot(w);
-                slots.pick(w, owner, user, &mut picked);
-            }
-            spans.push(start..picked.len());
-        }
-
-        // One fetch per distinct candidate. A set takes the fetched handle
-        // itself when it is the slot's last user, a clone otherwise.
-        let mut profiles = ctx.profiles.get_many(&slots.ids);
-        let mut sets = Vec::with_capacity(users.len());
-        for (owner, span) in (0u32..).zip(spans) {
-            let mut members = Vec::with_capacity(span.len());
-            for &slot in &picked[span] {
-                let slot = slot as usize;
-                let profile = if slots.last[slot] == owner {
-                    profiles[slot].take()
-                } else {
-                    profiles[slot].clone()
-                };
-                if let Some(profile) = profile {
-                    members.push(hyrec_core::CandidateProfile {
-                        user: slots.ids[slot],
-                        profile,
-                    });
-                }
-            }
-            sets.push(CandidateSet::from_deduped(members));
-        }
-        sets
+            .random_slots(random_candidates * users.len(), rng);
+        let view = ctx.table.read();
+        let mut builder = SetBuilder::new(candidate_set_bound(k));
+        users
+            .iter()
+            .enumerate()
+            .map(|(i, &user)| {
+                let requester = view.slot_of(user);
+                let row = requester
+                    .and_then(|slot| view.row(slot))
+                    .unwrap_or_default();
+                let two_hop = row
+                    .iter()
+                    .flat_map(|&(v, _)| view.row(v).unwrap_or_default());
+                let random_leg = random
+                    .get(i * random_candidates..(i + 1) * random_candidates)
+                    .unwrap_or_default();
+                let candidates = row
+                    .iter()
+                    .chain(two_hop)
+                    .map(|&(slot, _)| slot)
+                    .chain(random_leg.iter().copied());
+                builder.build(&view, requester, candidates)
+            })
+            .collect()
     }
 
     fn name(&self) -> &'static str {
@@ -260,52 +212,93 @@ impl Sampler for DefaultSampler {
     }
 }
 
-/// "No slot" / "no user yet" marker.
-const NONE: u32 = u32::MAX;
+/// "No slot here" in [`SetBuilder`]'s buckets; never minted.
+const EMPTY: Slot = Slot::MAX;
 
-/// The batch-wide slot table of [`DefaultSampler::sample_batch`]: every
-/// distinct candidate id gets one `u32` slot, found by one hash lookup.
-struct Slots {
-    index: hyrec_core::FastHashMap<UserId, u32>,
-    /// The id of each slot.
-    ids: Vec<UserId>,
-    /// The batch position of the last user whose set took the slot.
-    last: Vec<u32>,
+/// Builds candidate sets from slots: first occurrence only, never the
+/// requester, never a slot without a profile. Reused across a batch, so its
+/// cost does not grow with the population.
+///
+/// The dedup set is open addressing over a power-of-two bucket array kept
+/// at most half full (Fibonacci hashing of the slot); `picked` lists the
+/// set's slots with their profiles in insertion order and is what a rehash
+/// replays.
+struct SetBuilder<'v> {
+    buckets: Vec<Slot>,
+    /// `64 - log2(buckets.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    picked: Vec<(Slot, &'v Arc<Profile>)>,
 }
 
-impl Slots {
-    fn with_capacity(capacity: usize) -> Self {
+impl<'v> SetBuilder<'v> {
+    /// A builder whose buckets hold `bound` slots without growing.
+    fn new(bound: usize) -> Self {
+        let buckets = (2 * bound).next_power_of_two().max(16);
         Self {
-            index: hyrec_core::FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            ids: Vec::with_capacity(capacity),
-            last: Vec::with_capacity(capacity),
+            buckets: vec![EMPTY; buckets],
+            shift: 64 - buckets.trailing_zeros(),
+            picked: Vec::with_capacity(bound),
         }
     }
 
-    /// The slot of `id`, created on first sight.
-    fn slot(&mut self, id: UserId) -> u32 {
-        *self.index.entry(id).or_insert_with(|| {
-            self.ids.push(id);
-            self.last.push(NONE);
-            u32::try_from(self.ids.len() - 1).expect("fewer than 2^32 candidates per batch")
-        })
+    fn bucket(&self, slot: Slot) -> usize {
+        (u64::from(slot).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// Appends the slots of `hood`'s users to `hops`, returning their span.
-    fn extend(&mut self, hops: &mut Vec<u32>, hood: &hyrec_core::Neighborhood) -> Range<usize> {
-        let start = hops.len();
-        hops.extend(hood.users().map(|user| self.slot(user)));
-        start..hops.len()
-    }
-
-    /// Appends `slot` to the set of the user at batch position `owner`
-    /// unless it is that user or the set already holds it.
-    fn pick(&mut self, slot: u32, owner: u32, requester: UserId, picked: &mut Vec<u32>) {
-        let index = slot as usize;
-        if self.last[index] != owner && self.ids[index] != requester {
-            self.last[index] = owner;
-            picked.push(slot);
+    /// Adds `slot` with its profile unless the set holds it already.
+    fn insert(&mut self, slot: Slot, profile: &'v Arc<Profile>) {
+        if 2 * (self.picked.len() + 1) > self.buckets.len() {
+            self.buckets = vec![EMPTY; 2 * self.buckets.len()];
+            self.shift -= 1;
+            for i in 0..self.picked.len() {
+                let at = self.probe(self.picked[i].0);
+                self.buckets[at] = self.picked[i].0;
+            }
         }
+        let at = self.probe(slot);
+        if self.buckets[at] != slot {
+            self.buckets[at] = slot;
+            self.picked.push((slot, profile));
+        }
+    }
+
+    /// The bucket holding `slot`, or the empty one where it would go.
+    fn probe(&self, slot: Slot) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut at = self.bucket(slot);
+        while self.buckets[at] != EMPTY && self.buckets[at] != slot {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// The candidate set of `requester` over `candidates`, in order.
+    fn build(
+        &mut self,
+        view: &'v SlotView<'_>,
+        requester: Option<Slot>,
+        candidates: impl IntoIterator<Item = Slot>,
+    ) -> CandidateSet {
+        if !self.picked.is_empty() {
+            self.buckets.fill(EMPTY);
+            self.picked.clear();
+        }
+        for slot in candidates {
+            if Some(slot) != requester {
+                if let Some(profile) = view.profile(slot) {
+                    self.insert(slot, profile);
+                }
+            }
+        }
+        CandidateSet::from_deduped(
+            self.picked
+                .iter()
+                .map(|&(slot, profile)| CandidateProfile {
+                    user: view.id(slot),
+                    profile: Arc::clone(profile),
+                })
+                .collect(),
+        )
     }
 }
 
@@ -324,15 +317,9 @@ impl Sampler for RandomOnlySampler {
         rng: &mut StdRng,
     ) -> CandidateSet {
         let budget = k + k * k + random_candidates;
-        let mut set = CandidateSet::with_capacity(budget);
-        for w in ctx.directory.random_users(budget, rng) {
-            if w != user && !set.contains(w) {
-                if let Some(profile) = ctx.profiles.get(w) {
-                    set.insert(w, profile);
-                }
-            }
-        }
-        set
+        let random = ctx.directory.random_slots(budget, rng);
+        let view = ctx.table.read();
+        SetBuilder::new(budget).build(&view, view.slot_of(user), random)
     }
 
     fn name(&self) -> &'static str {
@@ -368,15 +355,14 @@ mod tests {
     use hyrec_core::{ItemId, Neighbor, Neighborhood, Vote};
     use rand::SeedableRng;
 
-    fn context() -> (ProfileTable, KnnTable, UserDirectory) {
-        let profiles = ProfileTable::new();
-        let knn = KnnTable::new();
+    fn context() -> (UserTable, UserDirectory) {
+        let table = UserTable::new();
         let directory = UserDirectory::new();
         for u in 0..50u32 {
-            profiles.record(UserId(u), ItemId(u % 7), Vote::Like);
-            directory.register(UserId(u));
+            table.record(UserId(u), ItemId(u % 7), Vote::Like);
+            directory.register(table.slot_of(UserId(u)).unwrap());
         }
-        (profiles, knn, directory)
+        (table, directory)
     }
 
     fn hood(users: &[u32]) -> Neighborhood {
@@ -388,13 +374,12 @@ mod tests {
 
     #[test]
     fn aggregates_one_hop_two_hop_and_random() {
-        let (profiles, knn, directory) = context();
-        knn.update(UserId(0), hood(&[1, 2]));
-        knn.update(UserId(1), hood(&[3, 4]));
-        knn.update(UserId(2), hood(&[5]));
+        let (table, directory) = context();
+        table.update(UserId(0), hood(&[1, 2]));
+        table.update(UserId(1), hood(&[3, 4]));
+        table.update(UserId(2), hood(&[5]));
         let ctx = SamplerContext {
-            profiles: &profiles,
-            knn: &knn,
+            table: &table,
             directory: &directory,
         };
         let mut rng = StdRng::seed_from_u64(1);
@@ -409,7 +394,7 @@ mod tests {
 
     #[test]
     fn respects_size_bound() {
-        let (profiles, knn, directory) = context();
+        let (table, directory) = context();
         // Fully-populated tables: every user has k neighbours.
         let k = 5usize;
         for u in 0..50u32 {
@@ -417,11 +402,10 @@ mod tests {
                 .filter(|&v| v != u)
                 .take(k as u32 as usize)
                 .collect();
-            knn.update(UserId(u), hood(&others));
+            table.update(UserId(u), hood(&others));
         }
         let ctx = SamplerContext {
-            profiles: &profiles,
-            knn: &knn,
+            table: &table,
             directory: &directory,
         };
         let mut rng = StdRng::seed_from_u64(2);
@@ -438,10 +422,9 @@ mod tests {
 
     #[test]
     fn bootstrap_user_gets_random_candidates() {
-        let (profiles, knn, directory) = context();
+        let (table, directory) = context();
         let ctx = SamplerContext {
-            profiles: &profiles,
-            knn: &knn,
+            table: &table,
             directory: &directory,
         };
         let mut rng = StdRng::seed_from_u64(3);
@@ -453,12 +436,10 @@ mod tests {
 
     #[test]
     fn empty_directory_yields_empty_set() {
-        let profiles = ProfileTable::new();
-        let knn = KnnTable::new();
+        let table = UserTable::new();
         let directory = UserDirectory::new();
         let ctx = SamplerContext {
-            profiles: &profiles,
-            knn: &knn,
+            table: &table,
             directory: &directory,
         };
         let mut rng = StdRng::seed_from_u64(4);
@@ -468,20 +449,41 @@ mod tests {
 
     #[test]
     fn candidates_without_profiles_are_skipped() {
-        let profiles = ProfileTable::new();
-        let knn = KnnTable::new();
+        let table = UserTable::new();
         let directory = UserDirectory::new();
         // u1 is in u0's KNN but has no profile (e.g. purged).
-        knn.update(UserId(0), hood(&[1]));
-        directory.register(UserId(0));
+        table.update(UserId(0), hood(&[1]));
+        directory.register(table.slot_of(UserId(0)).unwrap());
         let ctx = SamplerContext {
-            profiles: &profiles,
-            knn: &knn,
+            table: &table,
             directory: &directory,
         };
         let mut rng = StdRng::seed_from_u64(5);
         let set = DefaultSampler.sample(UserId(0), 2, 0, &ctx, &mut rng);
         assert!(set.is_empty());
+    }
+
+    #[test]
+    fn sets_past_the_bound_keep_every_first_occurrence() {
+        // A direct update may store a row longer than `k`: the dedup set
+        // grows past its initial size, keeps insertion order, and is reused
+        // by the next requester of the batch.
+        let (table, directory) = context();
+        let row: Vec<u32> = (1..50).rev().collect();
+        let others: Vec<u32> = (0..49).collect();
+        table.update(UserId(0), hood(&row));
+        table.update(UserId(49), hood(&others));
+        let ctx = SamplerContext {
+            table: &table,
+            directory: &directory,
+        };
+        let mut rng = StdRng::seed_from_u64(8);
+        let users = [UserId(0), UserId(49), UserId(0)];
+        let sets = DefaultSampler.sample_batch(&users, 1, 0, &ctx, &mut rng);
+        let ids = |set: &CandidateSet| set.iter().map(|c| c.user.0).collect::<Vec<_>>();
+        assert_eq!(ids(&sets[0]), row);
+        assert_eq!(ids(&sets[1]), others);
+        assert_eq!(sets[2], sets[0]);
     }
 
     #[test]
@@ -493,10 +495,9 @@ mod tests {
 
     #[test]
     fn no_random_sampler_is_empty_without_knn() {
-        let (profiles, knn, directory) = context();
+        let (table, directory) = context();
         let ctx = SamplerContext {
-            profiles: &profiles,
-            knn: &knn,
+            table: &table,
             directory: &directory,
         };
         let mut rng = StdRng::seed_from_u64(6);
@@ -506,10 +507,9 @@ mod tests {
 
     #[test]
     fn random_only_excludes_requester() {
-        let (profiles, knn, directory) = context();
+        let (table, directory) = context();
         let ctx = SamplerContext {
-            profiles: &profiles,
-            knn: &knn,
+            table: &table,
             directory: &directory,
         };
         let mut rng = StdRng::seed_from_u64(7);

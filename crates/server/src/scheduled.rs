@@ -178,7 +178,7 @@ impl ScheduledServer {
         }
         let slots: Vec<Option<UserId>> = requested
             .iter()
-            .map(|&uid| self.inner.profiles().contains(uid).then_some(uid))
+            .map(|&uid| self.inner.table().contains(uid).then_some(uid))
             .collect();
         let grants = self.sched.issue_mixed(&slots, now);
         let picks: Vec<UserId> = grants

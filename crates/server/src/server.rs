@@ -3,9 +3,9 @@
 use crate::anonymize::AnonymousMapping;
 use crate::config::{HyRecConfig, HyRecConfigBuilder};
 use crate::sampler::{DefaultSampler, Sampler, SamplerContext, UserDirectory};
+use hyrec_core::tables::ranked_row;
 use hyrec_core::{
-    CandidateProfile, CandidateSet, ItemId, KnnTable, Neighbor, Neighborhood, Profile,
-    ProfileTable, UserId, Vote,
+    CandidateProfile, CandidateSet, ItemId, Neighborhood, Profile, Slot, UserId, UserTable, Vote,
 };
 use hyrec_sched::RejectReason;
 use hyrec_wire::{KnnUpdate, PersonalizationJob};
@@ -37,8 +37,7 @@ use std::sync::Arc;
 /// ```
 pub struct HyRecServer {
     config: HyRecConfig,
-    profiles: ProfileTable,
-    knn: KnnTable,
+    table: UserTable,
     directory: UserDirectory,
     sampler: Box<dyn Sampler>,
     anonymizer: Mutex<AnonymousMapping>,
@@ -83,8 +82,7 @@ impl HyRecServer {
         let seed = config.seed;
         Self {
             config,
-            profiles: ProfileTable::new(),
-            knn: KnnTable::new(),
+            table: UserTable::new(),
             directory: UserDirectory::new(),
             sampler: Box::new(sampler),
             anonymizer: Mutex::new(AnonymousMapping::new(seed ^ 0xA11CE)),
@@ -115,22 +113,23 @@ impl HyRecServer {
         self.record_many(&[(user, item, vote)])[0]
     }
 
-    /// Ingests a burst of votes through [`ProfileTable::record_many`], which
+    /// Ingests a burst of votes through [`UserTable::record_many`], which
     /// takes each touched shard's write lock once for the whole batch
     /// instead of once per vote.
     ///
     /// Change flags come back in input order. This is the one place a user
-    /// joins the directory (the sampler's random leg): when the table
-    /// reports, from under its shard lock, that their vote created their
-    /// profile. So racing batches register a user once, and registering in
-    /// input order keeps first-vote order however a stream is split. This
-    /// is the ingestion entry point for coalescing `/rate/` front-ends.
+    /// joins the directory (the sampler's random leg), by slot: when the
+    /// table reports, from under its shard lock, that their vote created
+    /// their profile. So racing batches register a user once, and
+    /// registering in input order keeps first-vote order however a stream is
+    /// split. This is the ingestion entry point for coalescing `/rate/`
+    /// front-ends.
     #[must_use]
     pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)]) -> Vec<bool> {
-        let recorded = self.profiles.record_many(votes);
-        for (&(user, _, _), &created) in votes.iter().zip(&recorded.created) {
+        let recorded = self.table.record_many(votes);
+        for (&slot, &created) in recorded.slots.iter().zip(&recorded.created) {
             if created {
-                self.directory.register(user);
+                self.directory.register(slot);
             }
         }
         recorded.changed
@@ -145,28 +144,24 @@ impl HyRecServer {
     /// Shared handle to a user's profile, if any.
     #[must_use]
     pub fn profile_of(&self, user: UserId) -> Option<Arc<Profile>> {
-        self.profiles.get(user)
+        self.table.profile_of(user)
     }
 
     /// Clone of a user's current KNN approximation, if any.
     #[must_use]
     pub fn knn_of(&self, user: UserId) -> Option<Neighborhood> {
-        self.knn.get(user)
+        self.table.knn_of(user)
     }
 
-    /// Direct read access to the profile table (offline back-ends, metrics).
+    /// Direct access to the profile and KNN table (offline back-ends,
+    /// metrics, and simulators that seed neighbourhoods).
     #[must_use]
-    pub fn profiles(&self) -> &ProfileTable {
-        &self.profiles
+    pub fn table(&self) -> &UserTable {
+        &self.table
     }
 
-    /// Direct read access to the KNN table (metrics).
-    #[must_use]
-    pub fn knn_table(&self) -> &KnnTable {
-        &self.knn
-    }
-
-    /// Direct read access to the user directory, in registration order.
+    /// Direct read access to the user directory: slots, in registration
+    /// order.
     #[must_use]
     pub fn directory(&self) -> &UserDirectory {
         &self.directory
@@ -175,7 +170,7 @@ impl HyRecServer {
     /// Average view similarity across the KNN table (Figures 3–4).
     #[must_use]
     pub fn average_view_similarity(&self) -> f64 {
-        self.knn.average_view_similarity()
+        self.table.average_view_similarity()
     }
 
     /// Builds the personalization job for `user` (arrow 2 of Figure 1): a
@@ -215,23 +210,26 @@ impl HyRecServer {
     ///
     /// This is the only job builder ([`Self::build_job`] is a batch of
     /// one), so any split of a request stream into batches yields the same
-    /// jobs: same candidate sets, same RNG stream, same pseudonyms. Table
-    /// traffic is amortized over the batch: requester profiles are fetched
-    /// in one sweep, then the sampler stages its reads through the tables'
-    /// batch reads (one lock acquisition per touched shard per stage) under
-    /// the RNG lock, taken once. After sampling the only lock is the
-    /// anonymizer's, taken once and only when `anonymize_users` is set.
+    /// jobs: same candidate sets, same RNG stream, same pseudonyms. Locks,
+    /// each taken once per batch and released before the next:
+    ///
+    /// 1. one `SlotView` of the table (its index, then every shard in
+    ///    ascending order) for the requester profiles
+    ///    ([`UserTable::profiles_of`]);
+    /// 2. the RNG, held while the sampler runs; inside it the directory
+    ///    (random legs), then a second `SlotView` for the whole batch;
+    /// 3. the anonymizer, only when `anonymize_users` is set.
+    ///
     /// Every profile in a job is the table's own `Arc`.
     #[must_use]
     pub fn build_jobs(&self, users: &[UserId]) -> Vec<PersonalizationJob> {
         self.requests_served
             .fetch_add(users.len() as u64, Ordering::Relaxed);
         let ctx = SamplerContext {
-            profiles: &self.profiles,
-            knn: &self.knn,
+            table: &self.table,
             directory: &self.directory,
         };
-        let profiles = self.profiles.get_many(users);
+        let profiles = self.table.profiles_of(users);
         let candidate_sets = {
             let mut rng = self.rng.lock();
             let k = self.config.k;
@@ -276,12 +274,12 @@ impl HyRecServer {
     /// `admit(update, known)` decides each update; `known(id)` says whether
     /// a neighbour id resolves (pseudonymized: through a live epoch, under
     /// the anonymizer lock taken once per batch; plain: to a user who owns
-    /// a profile). An admitted
-    /// update is stored with the neighbours that resolve, as real ids, and
-    /// keeps its `k` most similar, so a client cannot grow a stored
-    /// neighbourhood (and with it the requester's next candidate set) past
-    /// the paper's bound. The write-backs go through
-    /// `KnnTable::update_many`: each touched shard's lock once per batch.
+    /// a profile). An admitted update is stored as a row of the slots its
+    /// neighbours resolve to, keeping the `k` most similar, so a client
+    /// cannot grow a stored neighbourhood (and with it the requester's next
+    /// candidate set) past the paper's bound. The write-backs go through
+    /// [`UserTable::update_rows`] once the resolver's locks are released:
+    /// each touched shard's lock once per batch.
     pub fn admit_and_apply<'a>(
         &self,
         updates: impl IntoIterator<Item = &'a KnnUpdate>,
@@ -295,18 +293,12 @@ impl HyRecServer {
                 .map(|update| {
                     let outcome = admit(update, &known);
                     if outcome.is_ok() {
-                        // Sized exactly: the stored neighbourhood keeps
-                        // this allocation.
-                        let mut neighbors = Vec::with_capacity(update.neighbors.len());
-                        neighbors.extend(update.neighbors.iter().filter_map(|n| {
-                            resolve(n.user).map(|user| Neighbor {
-                                user,
-                                similarity: n.similarity,
-                            })
-                        }));
-                        let mut hood = Neighborhood::from_neighbors(neighbors);
-                        hood.truncate(self.config.k);
-                        entries.push((update.uid, hood));
+                        let neighbors = update
+                            .neighbors
+                            .iter()
+                            .filter_map(|n| Some((resolve(n.user)?, n.similarity)))
+                            .collect();
+                        entries.push((update.uid, ranked_row(neighbors, self.config.k)));
                     }
                     outcome
                 })
@@ -314,21 +306,27 @@ impl HyRecServer {
         });
         self.updates_applied
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        self.knn.update_many(entries);
+        self.table.update_rows(entries);
         outcomes
     }
 
-    /// Runs `f` with the one neighbour-id resolver: pseudonymized, the real
-    /// id behind a pseudonym of the current or previous epoch (older ones
-    /// are dropped; the widget refines again on its next request), under
-    /// one anonymizer lock; plain, the id itself if that user owns a
-    /// profile.
-    fn with_resolver<R>(&self, f: impl FnOnce(&dyn Fn(UserId) -> Option<UserId>) -> R) -> R {
+    /// Runs `f` with the one neighbour-id resolver, which answers a slot:
+    /// pseudonymized, the slot of the real id behind a pseudonym of the
+    /// current or previous epoch (older ones are dropped; the widget refines
+    /// again on its next request); plain, the id's slot if that user owns a
+    /// profile. Locks: the anonymizer (pseudonymized only), then one
+    /// `SlotView` of the table, both held while `f` runs.
+    fn with_resolver<R>(&self, f: impl FnOnce(&dyn Fn(UserId) -> Option<Slot>) -> R) -> R {
         if self.config.anonymize_users {
             let anonymizer = self.anonymizer.lock();
-            f(&|user| anonymizer.resolve(user))
+            let view = self.table.read();
+            f(&|user| view.slot_of(anonymizer.resolve(user)?))
         } else {
-            f(&|user| self.profiles.contains(user).then_some(user))
+            let view = self.table.read();
+            f(&|user| {
+                view.slot_of(user)
+                    .filter(|&slot| view.profile(slot).is_some())
+            })
         }
     }
 
@@ -362,6 +360,7 @@ impl From<HyRecConfig> for HyRecServer {
 mod tests {
     use super::*;
     use hyrec_client::Widget;
+    use hyrec_core::Neighbor;
 
     fn populated_server(anonymize: bool) -> HyRecServer {
         let server = HyRecServer::with_config(

@@ -17,9 +17,7 @@
 //! same jobs under any split, with pseudonymization on and off.
 
 use hyrec_client::Widget;
-use hyrec_core::{
-    CandidateSet, ItemId, KnnTable, Neighbor, Neighborhood, ProfileTable, UserId, Vote,
-};
+use hyrec_core::{CandidateSet, ItemId, Neighbor, Neighborhood, UserId, UserTable, Vote};
 use hyrec_server::sampler::{SamplerContext, UserDirectory};
 use hyrec_server::{DefaultSampler, HyRecConfig, HyRecServer, NoRandomSampler, Sampler};
 use hyrec_wire::{KnnUpdate, PersonalizationJob};
@@ -43,7 +41,7 @@ mod reference {
         let mut set = CandidateSet::with_capacity(2 * k + k * k);
         let push = |set: &mut CandidateSet, candidate: UserId| {
             if candidate != user && !set.contains(candidate) {
-                if let Some(profile) = ctx.profiles.get(candidate) {
+                if let Some(profile) = ctx.table.profile_of(candidate) {
                     set.insert(candidate, profile);
                 }
             }
@@ -51,24 +49,32 @@ mod reference {
 
         // (i) current KNN of u; (ii) KNN of each neighbour (2-hop).
         let neighbors: Vec<UserId> = ctx
-            .knn
-            .with(user, |hood| hood.users().collect())
+            .table
+            .knn_of(user)
+            .map(|hood| hood.users().collect())
             .unwrap_or_default();
         for &v in &neighbors {
             push(&mut set, v);
         }
         for &v in &neighbors {
             let two_hop: Vec<UserId> = ctx
-                .knn
-                .with(v, |hood| hood.users().collect())
+                .table
+                .knn_of(v)
+                .map(|hood| hood.users().collect())
                 .unwrap_or_default();
             for w in two_hop {
                 push(&mut set, w);
             }
         }
 
-        // (iii) k random users.
-        for w in ctx.directory.random_users(random_candidates, rng) {
+        // (iii) k random users: the directory lists slots, named here by
+        // id (the view is dropped before the keyed reads above run).
+        let random: Vec<UserId> = {
+            let slots = ctx.directory.random_slots(random_candidates, rng);
+            let view = ctx.table.read();
+            slots.into_iter().map(|slot| view.id(slot)).collect()
+        };
+        for w in random {
             push(&mut set, w);
         }
         set
@@ -106,27 +112,35 @@ fn random_hood(user: u32, n: u32, rng: &mut StdRng) -> Neighborhood {
 
 /// Random tables: most users have a profile, most are registered (some
 /// registered users have no profile, and 15% of worlds have an empty
-/// directory), and most ids, unknown ones too, have a neighbourhood.
-fn world(seed: u64, n: u32) -> (ProfileTable, KnnTable, UserDirectory) {
+/// directory), and most ids, unknown ones too, have a neighbourhood. The
+/// directory lists slots, so a registered user is one the table has a slot
+/// for: a profile owner, a row owner or a named neighbour.
+fn world(seed: u64, n: u32) -> (UserTable, UserDirectory) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let profiles = ProfileTable::new();
-    let knn = KnnTable::new();
+    let table = UserTable::new();
     let directory = UserDirectory::new();
     let empty_directory = rng.gen_bool(0.15);
+    let mut registered = Vec::new();
     for u in 0..n + UNKNOWN / 2 {
         if u < n && rng.gen_bool(0.8) {
             for _ in 0..rng.gen_range(1..6u32) {
-                profiles.record(UserId(u), ItemId(rng.gen_range(0..20u32)), Vote::Like);
+                table.record(UserId(u), ItemId(rng.gen_range(0..20u32)), Vote::Like);
             }
         }
         if u < n && !empty_directory && rng.gen_bool(0.9) {
-            directory.register(UserId(u));
+            registered.push(UserId(u));
         }
         if rng.gen_bool(0.8) {
-            knn.update(UserId(u), random_hood(u, n, &mut rng));
+            table.update(UserId(u), random_hood(u, n, &mut rng));
         }
     }
-    (profiles, knn, directory)
+    for slot in registered
+        .into_iter()
+        .filter_map(|user| table.slot_of(user))
+    {
+        directory.register(slot);
+    }
+    (table, directory)
 }
 
 /// Requesters over ids `0..n + UNKNOWN`, with repeats.
@@ -165,8 +179,8 @@ proptest! {
         k in 0usize..6,
         random_candidates in 0usize..6,
     ) {
-        let (profiles, knn, directory) = world(seed, n);
-        let ctx = SamplerContext { profiles: &profiles, knn: &knn, directory: &directory };
+        let (table, directory) = world(seed, n);
+        let ctx = SamplerContext { table: &table, directory: &directory };
         let users = requesters(seed ^ 0x5EED, n, len);
 
         let mut reference_rng = StdRng::seed_from_u64(seed ^ 1);
@@ -210,8 +224,8 @@ proptest! {
     ) {
         // Every user once, then every user again: the second pass repeats
         // every uid of the first inside one batch.
-        let (profiles, knn, directory) = world(seed, n);
-        let ctx = SamplerContext { profiles: &profiles, knn: &knn, directory: &directory };
+        let (table, directory) = world(seed, n);
+        let ctx = SamplerContext { table: &table, directory: &directory };
         let users: Vec<UserId> = (0..n).chain(0..n).map(UserId).collect();
         let mut reference_rng = StdRng::seed_from_u64(seed);
         let expected: Vec<CandidateSet> = users
@@ -257,7 +271,7 @@ proptest! {
             }
         }
         for server in &servers[1..] {
-            prop_assert_eq!(server.knn_table().snapshot().len(), servers[0].knn_table().snapshot().len());
+            prop_assert_eq!(server.table().view_similarities().len(), servers[0].table().view_similarities().len());
             for user in 0..n + UNKNOWN {
                 prop_assert_eq!(server.knn_of(UserId(user)), servers[0].knn_of(UserId(user)));
             }
@@ -279,12 +293,11 @@ proptest! {
         let mut registered = std::collections::HashSet::new();
         for (user, _, _) in votes(seed, n) {
             if registered.insert(user) {
-                directory.register(user);
+                directory.register(server.table().slot_of(user).unwrap());
             }
         }
         let ctx = SamplerContext {
-            profiles: server.profiles(),
-            knn: server.knn_table(),
+            table: server.table(),
             directory: &directory,
         };
         let mut rng = StdRng::seed_from_u64(seed);
@@ -350,7 +363,7 @@ fn server(seed: u64, n: u32, k: usize, anonymize: bool) -> HyRecServer {
     for user in 0..n + UNKNOWN / 2 {
         if rng.gen_bool(0.7) {
             server
-                .knn_table()
+                .table()
                 .update(UserId(user), random_hood(user, n, &mut rng));
         }
     }

@@ -112,7 +112,7 @@ pub fn build_population(n_users: usize, profile_size: usize, k: usize, seed: u64
             user: v,
             similarity: 0.5,
         }));
-        server.knn_table().update(user, hood);
+        server.table().update(user, hood);
     }
     Population {
         server,
@@ -169,7 +169,7 @@ pub fn build_converged_population(
                 })
                 .take(k),
         );
-        server.knn_table().update(user, hood);
+        server.table().update(user, hood);
     }
     Population {
         server,
@@ -220,7 +220,7 @@ pub fn measure_online_ideal_response(
     seed: u64,
 ) -> LatencyStats {
     sample_response(population, requests, seed, |user| {
-        let ideal = OnlineIdeal::new(population.server.profiles(), hyrec_core::Cosine, 10);
+        let ideal = OnlineIdeal::new(population.server.table(), hyrec_core::Cosine, 10);
         recs_json(&ideal.recommend(user, 10))
     })
 }
@@ -414,7 +414,7 @@ mod tests {
         // Warm the fragment cache to steady state (profiles are static in
         // this population, so production behaviour is all cache hits).
         warm_cache(&population, 128);
-        let ideal = OnlineIdeal::new(population.server.profiles(), hyrec_core::Cosine, 10);
+        let ideal = OnlineIdeal::new(population.server.table(), hyrec_core::Cosine, 10);
         let mut hyrec_samples = Vec::new();
         let mut ideal_samples = Vec::new();
         for _ in 0..30 {

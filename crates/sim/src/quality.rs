@@ -13,7 +13,7 @@
 //! would in production.
 
 use hyrec_client::Widget;
-use hyrec_core::{KnnTable, ProfileTable};
+use hyrec_core::UserTable;
 use hyrec_core::{Profile, UserId, Vote};
 use hyrec_datasets::Trace;
 use hyrec_server::offline::{ExhaustiveBackend, OfflineBackend};
@@ -109,15 +109,14 @@ pub fn quality_offline(
     period: u64,
 ) -> QualityCurve {
     let backend = ExhaustiveBackend::default();
-    let profiles = ProfileTable::new();
-    let knn = KnnTable::new();
+    let table = UserTable::new();
     let mut next_recompute = period;
 
     let advance = |now: u64, next_recompute: &mut u64| {
         while now >= *next_recompute {
-            let table = backend.compute(&profiles.snapshot(), k);
-            for (user, hood) in table {
-                knn.update(user, hood);
+            let hoods = backend.compute(&table.snapshot(), k);
+            for (user, hood) in hoods {
+                table.update(user, hood);
             }
             *next_recompute += period;
         }
@@ -125,18 +124,18 @@ pub fn quality_offline(
 
     for event in train.iter() {
         advance(event.time.0, &mut next_recompute);
-        profiles.record(event.user, event.item, event.vote);
+        table.record(event.user, event.item, event.vote);
     }
 
     let mut curve = QualityCurve::new(max_n);
     for event in test.iter() {
         advance(event.time.0, &mut next_recompute);
         if event.vote == Vote::Like {
-            let front = CRecFrontEnd::new(&profiles, &knn);
+            let front = CRecFrontEnd::new(&table);
             let recs = front.recommend(event.user, max_n);
             curve.credit(rank_of(&recs, event.item));
         }
-        profiles.record(event.user, event.item, event.vote);
+        table.record(event.user, event.item, event.vote);
     }
     curve
 }
@@ -145,7 +144,7 @@ pub fn quality_offline(
 /// the quality upper bound (and response-time disaster of Figure 8).
 #[must_use]
 pub fn quality_online_ideal(train: &Trace, test: &Trace, k: usize, max_n: usize) -> QualityCurve {
-    let profiles = ProfileTable::new();
+    let profiles = UserTable::new();
     for event in train.iter() {
         profiles.record(event.user, event.item, event.vote);
     }

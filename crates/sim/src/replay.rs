@@ -191,7 +191,7 @@ impl HyRecReplay<'_> {
         let view = self.server.average_view_similarity();
         let ideal = self.config.compute_ideal.then(|| {
             let profiles: HashMap<UserId, SharedProfile> =
-                self.server.profiles().snapshot().into_iter().collect();
+                self.server.table().snapshot().into_iter().collect();
             metrics::ideal_view_similarity(&profiles, self.config.k)
         });
         self.probes.push(ProbePoint {
@@ -255,15 +255,11 @@ pub fn replay_hyrec(trace: &Trace, config: &ReplayConfig) -> ReplayResult {
         probes,
         ..
     } = replay;
-    let final_per_user: HashMap<UserId, f64> = server
-        .knn_table()
-        .snapshot()
-        .into_iter()
-        .map(|(user, hood)| (user, hood.view_similarity()))
-        .collect();
+    let final_per_user: HashMap<UserId, f64> =
+        server.table().view_similarities().into_iter().collect();
     let ideal_per_user = if config.compute_ideal {
         let profiles: HashMap<UserId, SharedProfile> =
-            server.profiles().snapshot().into_iter().collect();
+            server.table().snapshot().into_iter().collect();
         Some(metrics::ideal_knn(&profiles, config.k).per_user_view_similarity(&profiles))
     } else {
         None

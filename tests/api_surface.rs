@@ -74,17 +74,20 @@ impl Sampler for OneHopSampler {
         rng: &mut rand::rngs::StdRng,
     ) -> CandidateSet {
         let mut set = CandidateSet::new();
-        if let Some(neighbors) = ctx.knn.with(user, |h| h.users().collect::<Vec<_>>()) {
-            for v in neighbors {
-                if let Some(p) = ctx.profiles.get(v) {
+        if let Some(hood) = ctx.table.knn_of(user) {
+            for v in hood.users() {
+                if let Some(p) = ctx.table.profile_of(v) {
                     set.insert(v, p);
                 }
             }
         }
-        for v in ctx.directory.random_users(random_candidates, rng) {
+        let random = ctx.directory.random_slots(random_candidates, rng);
+        let view = ctx.table.read();
+        for slot in random {
+            let v = view.id(slot);
             if v != user {
-                if let Some(p) = ctx.profiles.get(v) {
-                    set.insert(v, p);
+                if let Some(p) = view.profile(slot) {
+                    set.insert(v, std::sync::Arc::clone(p));
                 }
             }
         }

@@ -147,7 +147,7 @@ fn concurrent_readers_see_consistent_snapshots() {
             let server = Arc::clone(&server);
             std::thread::spawn(move || {
                 for _ in 0..200 {
-                    let snapshot = server.profiles().snapshot();
+                    let snapshot = server.table().snapshot();
                     assert_eq!(snapshot.len(), 50);
                     for (_, profile) in &snapshot {
                         // liked() iterates a sorted vector; a torn profile
@@ -202,7 +202,13 @@ fn racing_first_votes_register_each_user_once() {
         h.join().expect("worker thread panicked");
     }
     assert_eq!(server.user_count(), FRESH as usize);
-    let mut registered = server.directory().snapshot();
+    let view = server.table().read();
+    let mut registered: Vec<UserId> = server
+        .directory()
+        .snapshot()
+        .into_iter()
+        .map(|slot| view.id(slot))
+        .collect();
     registered.sort_unstable();
     let expected: Vec<UserId> = (0..FRESH).map(|i| UserId(10_000 + i)).collect();
     assert_eq!(registered, expected, "duplicate or missing registrations");
