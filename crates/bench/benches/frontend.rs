@@ -143,11 +143,11 @@ fn bench_batched(c: &mut Criterion) {
 }
 
 fn bench_batched_encoder(c: &mut Criterion) {
-    // The coalescing front-end's serialization path over a warm cache, at
+    // The coalescing front-end's serialization path over warm memos, at
     // the benchmark's shape (10k users x 100 items, k = 10, batches of 32
     // jobs): the whole `encode_jobs`, the same jobs encoded one by one, and
-    // its stages — `resolve` (cache lookups and stamp checks for each
-    // job's requester chunk and candidate fragments) and `assemble` (stored
+    // its stages — `resolve` (a memo read on the profile for each job's
+    // requester chunk and candidate fragments) and `assemble` (stored
     // heads, memcpys, CRC folds, trailers). Divide a median by 32 for the
     // cost per job. `requester-miss` and `fragment-miss` are what a vote
     // adds to `resolve` when the voter next requests a job or next appears
@@ -162,7 +162,7 @@ fn bench_batched_encoder(c: &mut Criterion) {
         .map(|users| population.server.build_jobs(users))
         .collect();
     for jobs in &batches {
-        let _ = population.encoder.encode_jobs(jobs); // warm the cache
+        let _ = population.encoder.encode_jobs(jobs); // fill the memos
     }
     let mut next = 0usize;
     let mut cycle = || {
@@ -208,8 +208,8 @@ fn bench_batched_encoder(c: &mut Criterion) {
     // A requester-chunk miss as `JobEncoder::resolve` handles one: the
     // requester's profile and the opening of the candidates array (about
     // 400 bytes at 100 liked items) compressed and its CRC-32 taken. Its
-    // shift operator is interned by length, built only for a length no
-    // cached piece has.
+    // shift operator is interned by length, built only for a length not
+    // yet interned.
     let job = &batches[0][0];
     let items = |items: &mut dyn Iterator<Item = hyrec_core::ItemId>| {
         items
@@ -241,8 +241,8 @@ fn bench_batched_encoder(c: &mut Criterion) {
 
     // A fragment miss as `JobEncoder::resolve` handles one: a candidate's
     // fragment (about 650 bytes at 100 liked items) compressed, its CRC-32
-    // taken and its CRC shift operator built (as for a length no cached
-    // piece has; other lengths reuse an interned one). Candidate order is hashed,
+    // taken and its CRC shift operator built (as for a length not yet
+    // interned; other lengths reuse an interned one). Candidate order is hashed,
     // so the job's longest fragment (lowest uid on ties) is timed: the
     // same input on every run.
     let (fragment, _) = job

@@ -26,7 +26,11 @@
 //! so any slot the index or a row names has its column entries. A
 //! [`SlotView`] holds the index and every shard for reading. No path takes a
 //! lock it already holds: `std`'s `RwLock` (behind the `parking_lot` shim)
-//! can deadlock on a recursive read while a writer waits.
+//! can deadlock on a recursive read while a writer waits. A profile's memo
+//! ([`Profile::memo`]) adds no lock: its cells are filled once through
+//! `&Profile` (by the job encoder, outside any table view) and emptied only
+//! through `&mut Profile`, by a vote or [`UserTable::clear_memos`] under the
+//! shard's write lock.
 
 use crate::fast_hash::KeyedHashMap;
 use crate::id::UserId;
@@ -94,7 +98,10 @@ pub struct Recorded {
 /// stored allocation instead of deep-cloning item vectors. Writers use
 /// clone-on-write ([`Arc::make_mut`]): a vote on a profile that is
 /// concurrently referenced by an in-flight job clones once, then mutates in
-/// place until the next job pins it again.
+/// place until the next job pins it again. Either way the stored version's
+/// memo goes with its old content: the clone starts with an empty memo, and
+/// an in-place change clears it, while the in-flight job keeps the old
+/// version and its memo.
 ///
 /// ```
 /// use hyrec_core::{ItemId, Neighbor, Neighborhood, UserId, UserTable, Vote};
@@ -246,6 +253,18 @@ impl UserTable {
             changed,
             created,
             slots,
+        }
+    }
+
+    /// Empties every stored profile's memo ([`Profile::memo`]) without
+    /// changing a vote, taking each shard's write lock once in ascending
+    /// order. A profile an in-flight job still holds is copied first
+    /// ([`Arc::make_mut`]), so that job keeps its version and memo.
+    pub fn clear_memos(&self) {
+        for shard in &self.shards {
+            for profile in shard.write().profiles.iter_mut().flatten() {
+                Arc::make_mut(profile).clear_memo();
+            }
         }
     }
 
@@ -529,6 +548,31 @@ mod tests {
         assert!(t.contains(UserId(1)));
         assert_eq!(t.profile_of(UserId(1)).unwrap().liked_len(), 1);
         assert_eq!(t.profile_of(UserId(2)), None);
+    }
+
+    #[test]
+    fn clear_memos_spares_in_flight_versions() {
+        use crate::profile::MemoSlot;
+        let t = UserTable::new();
+        t.record(UserId(1), ItemId(5), Vote::Like);
+        t.record(UserId(2), ItemId(6), Vote::Like);
+        let in_flight = t.profile_of(UserId(1)).unwrap();
+        for user in [UserId(1), UserId(2)] {
+            let piece: crate::profile::Memoized = Arc::new(user);
+            t.profile_of(user)
+                .unwrap()
+                .set_memo(MemoSlot::Candidate, piece)
+                .unwrap();
+        }
+        t.clear_memos();
+        for user in [UserId(1), UserId(2)] {
+            let stored = t.profile_of(user).unwrap();
+            assert!(stored.memo(MemoSlot::Candidate).is_none(), "{user}");
+            assert_eq!(stored.liked_len(), 1);
+        }
+        // The held version was copied, not emptied.
+        assert!(in_flight.memo(MemoSlot::Candidate).is_some());
+        assert!(!Arc::ptr_eq(&in_flight, &t.profile_of(UserId(1)).unwrap()));
     }
 
     #[test]

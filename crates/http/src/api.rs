@@ -56,8 +56,9 @@ pub fn hyrec_router(server: Arc<HyRecServer>) -> Router {
 }
 
 /// Builds the unleased HyRec API router around a shared server and a
-/// shared [`JobEncoder`] (so several front-ends reuse one fragment cache),
-/// with an explicit coalescing policy for the batch routes: the server is
+/// shared [`JobEncoder`] (so several front-ends share one set of counters;
+/// the compressed pieces live on the profiles, which every front-end over
+/// one server shares anyway), with an explicit coalescing policy for the batch routes: the server is
 /// wrapped as [`ScheduledServer::unleased`] and served by
 /// [`hyrec_scheduled_router`].
 #[must_use]

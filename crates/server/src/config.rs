@@ -45,10 +45,10 @@ impl HyRecConfig {
     }
 
     /// The paper's candidate-set size bound for this configuration:
-    /// `2k + k²`.
+    /// [`hyrec_core::candidate_set_bound`] of `k`, i.e. `2k + k²`.
     #[must_use]
     pub fn candidate_bound(&self) -> usize {
-        2 * self.k + self.k * self.k
+        hyrec_core::candidate_set_bound(self.k)
     }
 }
 

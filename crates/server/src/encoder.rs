@@ -5,26 +5,33 @@
 //! recommendation computation. The dominant cost of shipping a job is
 //! serializing and gzip-compressing ~120 candidate profiles plus the
 //! requester's own; since a profile only changes when its owner rates
-//! something, this encoder caches **already-compressed** DEFLATE chunks
+//! something, this encoder keeps **already-compressed** DEFLATE chunks
 //! (zlib `Z_SYNC_FLUSH` framing, byte-aligned and freely concatenatable),
-//! each with its CRC-32 and a CRC shift operator. The cache holds one entry
-//! per user with two slots, each filled on first use:
+//! each with its CRC-32 and a CRC shift operator. A user's pieces are
+//! memoized on the profile version they were written from
+//! ([`Profile::memo`]), in two slots, each filled on first use:
 //!
 //! - the *candidate fragment* `,{"uid":<uid>,"profile":{…}}`, served
 //!   whenever the user is a candidate in someone's job;
 //! - the *requester chunk* `{"liked":[…],"disliked":[…]},"candidates":[null`,
 //!   served whenever the user asks for a job of their own.
 //!
-//! A slot is valid while the profile keeps the [`Profile::stamp`] the slot
-//! was compressed from. Every change of a profile's votes draws a fresh
-//! stamp and clones keep theirs, so checking a slot is one integer compare
-//! — no pass over the item lists — and a hit costs that compare plus a
-//! reference-count bump. A miss (the user voted since the slot was filled)
-//! recompresses that slot and takes its CRC-32. Shift operators are
-//! interned per raw length, so fragments of one length share one. A
-//! requester with an empty profile (a user the server has never seen) gets
-//! one process-wide constant chunk and creates no entry, so a stream of
-//! fresh uids cannot evict real fragments.
+//! Every change of a profile's votes clears its memo, and a clone starts
+//! with an empty one, so a memoized piece is current by construction: a hit
+//! reads the memo with no lock and clones the piece's `Arc`. A candidate
+//! fragment also names a uid, a pseudonym when anonymizing, so it hits
+//! only for the uid the job shows; rotating the pseudonyms empties the
+//! stored profiles' memos ([`hyrec_core::UserTable::clear_memos`]). A miss
+//! (the user voted since, or the pseudonyms rotated) compresses that piece
+//! and takes its CRC-32, and the piece is memoized when its job is done, so
+//! later jobs of the same batch hit. A slot is filled once per version: a
+//! racing fill, or a job that still shows a pre-rotation pseudonym, uses
+//! its own piece for that batch alone. Pieces live exactly as long as their
+//! profile version: there is no map, no sweep and no bound to tune, and at
+//! most two pieces per live version. Shift operators are interned per raw
+//! length, so pieces of one length share one. A requester with an empty
+//! profile (a user the server has never seen) gets one process-wide
+//! constant chunk and fills nothing.
 //!
 //! A body is then, in order:
 //!
@@ -32,22 +39,22 @@
 //! 2. the per-request head
 //!    `{"uid":…,"k":…,"r":…[,"lease":…,"epoch":…],"profile":`, written as
 //!    one non-final *stored* block — a copy, no Huffman work;
-//! 3. the requester's cached chunk;
-//! 4. the cached candidate fragments;
+//! 3. the requester's memoized chunk;
+//! 4. the memoized candidate fragments;
 //! 5. the precomputed `]}` suffix chunk, the stream terminator and the
-//!    gzip trailer, whose CRC folds the cached CRCs with
+//!    gzip trailer, whose CRC folds the memoized CRCs with
 //!    [`hyrec_wire::crc::ShiftOp::combine`].
 //!
 //! Planning a body ([`JobEncoder::plan_jobs`]) writes only its head and
-//! its 13-byte tail; the cached chunks stay shared, so the front-end copies
-//! each of them once, straight into a connection's send buffer, with
+//! its 13-byte tail; the memoized chunks stay shared, so the front-end
+//! copies each of them once, straight into a connection's send buffer, with
 //! [`JobBody::write_into`]. [`JobEncoder::encode_jobs`] writes the same
-//! pieces into a `Vec` per job. On a warm cache a request runs no
+//! pieces into a `Vec` per job. On warm profiles a request runs no
 //! compressor, leased or not: a CRC-32 of the few dozen head bytes, CRC
 //! folds and one copy of each chunk. [`JobEncoder::resolve`] and
-//! [`ResolvedBatch::assemble`] expose the two halves (cache work, then
-//! per-job assembly) so each can be timed alone; [`JobEncoder::stats`]
-//! counts the cache's hits, misses and evictions.
+//! [`ResolvedBatch::assemble`] expose the two halves (finding the pieces,
+//! then per-job assembly) so each can be timed alone; [`JobEncoder::stats`]
+//! counts hits and misses.
 //!
 //! This is the engineering reason the HyRec front-end outruns the CRec
 //! front-end in Figure 8: CRec must recompute item popularity over every
@@ -60,7 +67,7 @@
 //! array carries a leading `null` sentinel (so every candidate fragment can
 //! be comma-prefixed), which [`PersonalizationJob::decode`] skips.
 
-use hyrec_core::fast_hash::KeyedHashMap;
+use hyrec_core::profile::MemoSlot;
 use hyrec_core::FastHashMap;
 use hyrec_core::{Profile, UserId};
 use hyrec_wire::crc::{crc32, ShiftOp};
@@ -69,17 +76,9 @@ use hyrec_wire::deflate::{compress_chunk, STREAM_TERMINATOR};
 use hyrec_wire::gzip;
 use hyrec_wire::messages::{write_candidate, write_requester, JOB_END};
 use hyrec_wire::PersonalizationJob;
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
-
-/// Default bound on the number of cached users.
-///
-/// At typical profile sizes a user's two slots are a few hundred bytes
-/// each, so the default bound keeps the cache in the tens of megabytes;
-/// million-user deployments should size it to their hot set via
-/// [`JobEncoder::with_capacity`].
-pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024;
 
 /// Bytes a stored DEFLATE block adds to its payload (RFC 1951 §3.2.4): a
 /// header byte with BFINAL = 0 and BTYPE = 00, whose padding bits align the
@@ -92,21 +91,31 @@ const TAIL_LEN: usize = STREAM_TERMINATOR.len() + 8;
 
 /// A pre-compressed piece of a job body: its DEFLATE chunk plus what the
 /// gzip trailer needs to account for it without touching the raw bytes.
-struct Fragment {
+/// Requester chunks and candidate fragments are memoized on the profile
+/// version they were written from.
+struct Piece {
     chunk: Box<[u8]>,
-    crc: u32,
     /// Advances a CRC past the raw bytes; its `len()` is their length.
     shift: Arc<ShiftOp>,
+    /// A clone of the filling encoder's `live` token: while the piece
+    /// lives it counts in [`JobEncoder::cached_profiles`].
+    _live: Arc<()>,
+    crc: u32,
+    /// The uid a candidate fragment was written for; the other pieces
+    /// carry no uid, so there it is not read.
+    user: UserId,
 }
 
-impl Fragment {
-    /// Compresses `raw` with an operator of its own (for the process-wide
-    /// constants; cached fragments share interned operators).
-    fn compress(raw: &[u8]) -> Self {
+impl Piece {
+    /// Compresses `raw` with an operator and a token of its own (for the
+    /// process-wide constants; memoized pieces share interned operators).
+    fn constant(raw: &[u8]) -> Self {
         Self {
             chunk: compress_chunk(raw, Effort::FAST).into_boxed_slice(),
-            crc: crc32(raw),
             shift: Arc::new(ShiftOp::for_len(raw.len() as u64)),
+            _live: Arc::new(()),
+            crc: crc32(raw),
+            user: UserId(0),
         }
     }
 
@@ -120,70 +129,32 @@ impl Fragment {
 
 /// The body's closing [`JOB_END`], identical in every job: compressed once
 /// per process.
-static SUFFIX: LazyLock<Fragment> = LazyLock::new(|| Fragment::compress(JOB_END));
+static SUFFIX: LazyLock<Piece> = LazyLock::new(|| Piece::constant(JOB_END));
 
 /// The requester chunk of an empty profile, identical for every user the
-/// server has never seen: compressed once per process and never cached, so
-/// its stamp is never compared.
-static EMPTY_REQUESTER: LazyLock<Arc<Cached>> = LazyLock::new(|| {
+/// server has never seen: compressed once per process and never memoized.
+static EMPTY_REQUESTER: LazyLock<Arc<Piece>> = LazyLock::new(|| {
     let mut raw = Vec::new();
-    slot_json(&mut raw, Slot::Requester, UserId(0), &Profile::new());
-    Arc::new(Cached {
-        stamp: 0,
-        fragment: Fragment::compress(&raw),
-    })
+    piece_json(&mut raw, MemoSlot::Requester, UserId(0), &Profile::new());
+    Arc::new(Piece::constant(&raw))
 });
 
-/// Which of a user's two cached pieces a body needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Slot {
-    /// `,{"uid":<uid>,"profile":{…}}` (leading comma — the array opens
-    /// with a `null` sentinel so every candidate entry is comma-prefixed).
-    Candidate,
-    /// `{…},"candidates":[null`: the requester's profile, closing the
-    /// head's `"profile":` key and opening the candidates array.
-    Requester,
-}
-
-/// Serializes the raw bytes of `user`'s `slot`.
-fn slot_json(out: &mut Vec<u8>, slot: Slot, user: UserId, profile: &Profile) {
+/// Serializes the raw bytes of `user`'s piece in `slot`: for a candidate
+/// `,{"uid":<uid>,"profile":{…}}` (leading comma — the array opens with a
+/// `null` sentinel so every candidate entry is comma-prefixed); for a
+/// requester `{…},"candidates":[null`, closing the head's `"profile":` key
+/// and opening the candidates array.
+fn piece_json(out: &mut Vec<u8>, slot: MemoSlot, user: UserId, profile: &Profile) {
     match slot {
-        Slot::Candidate => {
+        MemoSlot::Candidate => {
             out.push(b',');
             write_candidate(out, user, profile);
         }
-        Slot::Requester => {
+        MemoSlot::Requester => {
             write_requester(out, profile);
             out.extend_from_slice(b"null");
         }
     }
-}
-
-/// A filled slot: a fragment and the [`Profile::stamp`] of the profile it
-/// was compressed from.
-struct Cached {
-    stamp: u64,
-    fragment: Fragment,
-}
-
-/// One cached user.
-struct Entry {
-    /// Indexed by [`Slot`].
-    slots: [Option<Arc<Cached>>; 2],
-    /// Encoder tick of the last hit on either slot — the eviction clock.
-    /// Atomic so cache hits can refresh it under the *read* lock.
-    last_used: AtomicU64,
-}
-
-/// The cache behind one lock: entries keyed by the client-chosen user ids
-/// (hence the keyed hasher), and the shift operators they share.
-#[derive(Default)]
-struct Cache {
-    entries: KeyedHashMap<UserId, Entry>,
-    /// One operator per raw length in use: fragment lengths take a few
-    /// hundred distinct values, so sharing them saves a 136-byte matrix per
-    /// fragment.
-    shifts: FastHashMap<u64, Arc<ShiftOp>>,
 }
 
 /// Memoizing, chunk-assembling encoder for personalization jobs.
@@ -208,51 +179,48 @@ struct Cache {
 /// assert_eq!(decoded, job);
 /// # Ok::<(), hyrec_wire::WireError>(())
 /// ```
+#[derive(Default)]
 pub struct JobEncoder {
-    cache: RwLock<Cache>,
+    /// One operator per raw length in use: piece lengths take a few hundred
+    /// distinct values, so sharing them saves a 136-byte matrix per piece.
+    /// Never pruned; its size is bounded by the number of distinct lengths.
+    shifts: Mutex<FastHashMap<u64, Arc<ShiftOp>>>,
+    /// Every piece this encoder fills holds a clone, so its strong count
+    /// less one is the number of live pieces.
+    live: Arc<()>,
     /// Totals behind [`Self::stats`], one relaxed add each per batch.
     hits: AtomicU64,
     misses: AtomicU64,
     requester_hits: AtomicU64,
     requester_misses: AtomicU64,
-    evictions: AtomicU64,
-    /// Entry-count bound; exceeding it triggers an epoch sweep back down
-    /// to half the bound (amortized O(1) per insert).
-    capacity: usize,
-    /// Monotonic batch counter driving `last_used` (one tick per
-    /// encode/encode_jobs call, not per fragment — cheaper and just as good
-    /// an LRU approximation).
-    tick: AtomicU64,
 }
 
-/// Cache totals of a [`JobEncoder`] since it was created.
+/// Totals of a [`JobEncoder`] since it was created.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EncoderStats {
-    /// Candidates served from a cached fragment.
+    /// Candidates served from a memoized fragment.
     pub hits: u64,
-    /// Candidates whose fragment was missing or stale. A fragment missing
-    /// for several jobs of one batch is compressed once but counted once
-    /// per candidate.
+    /// Candidate fragments compressed: missing, or written for another
+    /// uid. A fragment several jobs of one batch need is compressed, and
+    /// counted, once; the other jobs hit.
     pub misses: u64,
-    /// Jobs whose requester chunk was served from the cache.
+    /// Jobs whose requester chunk was memoized.
     pub requester_hits: u64,
-    /// Jobs whose requester chunk was missing or stale, counted per job
-    /// like `misses`. A requester with an empty profile uses the shared
-    /// constant chunk and counts as neither hit nor miss.
+    /// Requester chunks compressed, counted like `misses`. A requester with
+    /// an empty profile uses the shared constant chunk and counts as
+    /// neither hit nor miss.
     pub requester_misses: u64,
-    /// Entries (users) dropped by the capacity sweep.
-    pub evictions: u64,
 }
 
-/// Every cached piece of a batch of jobs, resolved against the cache by
+/// Every piece of a batch of jobs, found or compressed by
 /// [`JobEncoder::resolve`]; [`ResolvedBatch::plan`] turns it into bodies.
 pub struct ResolvedBatch {
     /// Per job, in order: its requester chunk, then one fragment per
     /// candidate. Shared with the batch's [`JobBody`]s.
-    slots: Arc<Vec<Arc<Cached>>>,
+    slots: Arc<Vec<Arc<Piece>>>,
 }
 
-/// One job body, planned but not copied: its head, its cached pieces and
+/// One job body, planned but not copied: its head, its memoized pieces and
 /// its tail. [`JobBody::write_into`] is the only code that lays a body
 /// out, so a body written into a socket's send buffer and one returned by
 /// [`JobEncoder::encode`] are the same bytes.
@@ -264,10 +232,10 @@ pub struct JobBody {
     head: Box<[u8]>,
     /// The batch's resolved pieces; this body's are `batch[pieces]`: the
     /// requester chunk, then one fragment per candidate.
-    batch: Arc<Vec<Arc<Cached>>>,
+    batch: Arc<Vec<Arc<Piece>>>,
     pieces: std::ops::Range<usize>,
     /// The stream terminator and the gzip trailer, whose CRC was folded
-    /// from the head's and the cached CRCs when the body was planned.
+    /// from the head's and the pieces' CRCs when the body was planned.
     tail: [u8; TAIL_LEN],
     /// Total bytes on the wire.
     len: usize,
@@ -280,13 +248,13 @@ impl JobBody {
         self.len
     }
 
-    /// Appends the body to `out`: the head, each cached chunk, the `]}`
+    /// Appends the body to `out`: the head, each memoized chunk, the `]}`
     /// suffix chunk and the tail, each copied once.
     pub fn write_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.len);
         out.extend_from_slice(&self.head);
-        for cached in &self.batch[self.pieces.clone()] {
-            out.extend_from_slice(&cached.fragment.chunk);
+        for piece in &self.batch[self.pieces.clone()] {
+            out.extend_from_slice(&piece.chunk);
         }
         out.extend_from_slice(&SUFFIX.chunk);
         out.extend_from_slice(&self.tail);
@@ -319,58 +287,30 @@ impl PartialEq for JobBody {
 
 impl Eq for JobBody {}
 
-impl Default for JobEncoder {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-}
-
 impl std::fmt::Debug for JobEncoder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobEncoder")
             .field("cached_profiles", &self.cached_profiles())
-            .field("capacity", &self.capacity)
             .finish()
     }
 }
 
 impl JobEncoder {
-    /// Creates an empty encoder with the default cache bound.
+    /// Creates an encoder that has filled no piece yet.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty encoder bounded to at most `capacity` cached users
-    /// (minimum 1).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            cache: RwLock::new(Cache::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            requester_hits: AtomicU64::new(0),
-            requester_misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of cached users: entries holding a candidate fragment, a
-    /// requester chunk or both.
+    /// Number of live pieces this encoder filled: candidate fragments and
+    /// requester chunks still memoized on a profile version or held by an
+    /// unsent body. At most two per live profile version.
     #[must_use]
     pub fn cached_profiles(&self) -> usize {
-        self.cache.read().entries.len()
+        Arc::strong_count(&self.live) - 1
     }
 
-    /// The cache bound, in users.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// A snapshot of the cache counters.
+    /// A snapshot of the hit and miss counters.
     #[must_use]
     pub fn stats(&self) -> EncoderStats {
         EncoderStats {
@@ -378,11 +318,10 @@ impl JobEncoder {
             misses: self.misses.load(Ordering::Relaxed),
             requester_hits: self.requester_hits.load(Ordering::Relaxed),
             requester_misses: self.requester_misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 
-    /// Encodes a job to a gzip member assembled from cached fragments.
+    /// Encodes a job to a gzip member assembled from memoized pieces.
     #[must_use]
     pub fn encode(&self, job: &PersonalizationJob) -> Vec<u8> {
         self.encode_jobs(std::slice::from_ref(job))
@@ -393,11 +332,9 @@ impl JobEncoder {
     /// Batched [`Self::encode`]: encodes a coalesced batch of jobs, one gzip
     /// member per job, byte-identical to encoding each job on its own.
     ///
-    /// The batch amortizes what the scalar path pays per request: the
-    /// cache is consulted under **one** read lock for all jobs, freshly
-    /// compressed pieces are installed under one write lock, and one JSON
-    /// scratch buffer serves all misses. A piece missing for several jobs
-    /// of the batch is compressed once.
+    /// One JSON scratch buffer serves all misses, and a piece several jobs
+    /// of the batch need is compressed once: the first job installs it and
+    /// the others hit.
     #[must_use]
     pub fn encode_jobs(&self, jobs: &[PersonalizationJob]) -> Vec<Vec<u8>> {
         self.resolve(jobs).assemble(jobs)
@@ -412,166 +349,112 @@ impl JobEncoder {
     }
 
     /// First half of [`Self::encode_jobs`]: finds every job's requester
-    /// chunk and candidate fragments, compressing and caching the ones
-    /// that are missing or stale.
+    /// chunk and candidate fragments, compressing and memoizing the ones
+    /// that are missing.
+    ///
+    /// One pass over the jobs. A job's misses are compressed as they are
+    /// met and memoized together when the job is done, so later jobs of the
+    /// batch hit and the pieces one job filled sit next to each other in
+    /// memory, apart from their chunks. The hit path then walks densely
+    /// packed pieces: on a 10k-user population in 32-job batches, a warm
+    /// `resolve` took ~75 µs against ~175 µs with each piece allocated
+    /// between chunks (2-vCPU VM).
     #[must_use]
     pub fn resolve(&self, jobs: &[PersonalizationJob]) -> ResolvedBatch {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let candidates: usize = jobs.iter().map(|job| job.candidates.len()).sum();
-        let wanted = jobs.iter().flat_map(|job| {
-            std::iter::once((Slot::Requester, job.uid, &*job.profile)).chain(
+        let mut slots: Vec<Arc<Piece>> = Vec::with_capacity(jobs.len() + candidates);
+        let mut scratch = Vec::new();
+        let mut filled: Vec<(usize, MemoSlot, &Profile, Piece)> = Vec::new();
+        let (mut requesters, mut requester_misses, mut misses) = (0u64, 0u64, 0u64);
+        for job in jobs {
+            let wanted = std::iter::once((MemoSlot::Requester, job.uid, &*job.profile)).chain(
                 job.candidates
                     .iter()
-                    .map(|candidate| (Slot::Candidate, candidate.user, &*candidate.profile)),
-            )
-        });
-
-        // Pass 1 — under one read lock, a hit is a stamp compare and a
-        // refcount bump. A miss records its position and, once per
-        // distinct (slot, user, stamp), the profile to compress after the
-        // lock drops.
-        let mut slots: Vec<Option<Arc<Cached>>> = Vec::with_capacity(jobs.len() + candidates);
-        let mut misses: Vec<(Slot, UserId, &Profile)> = Vec::new();
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        let mut miss_index: KeyedHashMap<(Slot, UserId, u64), usize> = KeyedHashMap::default();
-        let mut requesters = 0u64;
-        let mut requester_misses = 0u64;
-        {
-            let cache = self.cache.read();
+                    .map(|candidate| (MemoSlot::Candidate, candidate.user, &*candidate.profile)),
+            );
             for (slot, user, profile) in wanted {
-                if slot == Slot::Requester {
+                if slot == MemoSlot::Requester {
                     if profile.is_empty() {
-                        slots.push(Some(Arc::clone(&EMPTY_REQUESTER)));
+                        slots.push(Arc::clone(&EMPTY_REQUESTER));
                         continue;
                     }
                     requesters += 1;
                 }
-                let stamp = profile.stamp();
-                if let Some(entry) = cache.entries.get(&user) {
-                    if let Some(hit) = entry.slots[slot as usize]
-                        .as_ref()
-                        .filter(|hit| hit.stamp == stamp)
-                    {
-                        entry.last_used.store(tick, Ordering::Relaxed);
-                        slots.push(Some(Arc::clone(hit)));
-                        continue;
-                    }
+                if let Some(piece) = memoized(slot, user, profile) {
+                    slots.push(piece);
+                    continue;
                 }
-                if slot == Slot::Requester {
-                    requester_misses += 1;
+                match slot {
+                    MemoSlot::Requester => requester_misses += 1,
+                    MemoSlot::Candidate => misses += 1,
                 }
-                let next = misses.len();
-                let miss = *miss_index.entry((slot, user, stamp)).or_insert(next);
-                if miss == next {
-                    misses.push((slot, user, profile));
-                }
-                pending.push((slots.len(), miss));
-                slots.push(None);
+                let piece = self.compress(slot, user, profile, &mut scratch);
+                filled.push((slots.len(), slot, profile, piece));
+                // Replaced once the job's misses are memoized.
+                slots.push(Arc::clone(&EMPTY_REQUESTER));
+            }
+            for (position, slot, profile, piece) in filled.drain(..) {
+                let piece = Arc::new(piece);
+                // A filled slot (a racing fill, or a fragment for another
+                // uid) keeps what it holds; this piece then serves this
+                // batch alone.
+                let _ = profile.set_memo(slot, Arc::clone(&piece) as _);
+                slots[position] = piece;
             }
         }
-        let candidate_misses = pending.len() as u64 - requester_misses;
         self.hits
-            .fetch_add(candidates as u64 - candidate_misses, Ordering::Relaxed);
-        self.misses.fetch_add(candidate_misses, Ordering::Relaxed);
+            .fetch_add(candidates as u64 - misses, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
         self.requester_hits
             .fetch_add(requesters - requester_misses, Ordering::Relaxed);
         self.requester_misses
             .fetch_add(requester_misses, Ordering::Relaxed);
-
-        if !misses.is_empty() {
-            // Pass 2 — compress the misses with no lock held.
-            let mut scratch = Vec::new();
-            let compressed: Vec<(Box<[u8]>, u32, u64)> = misses
-                .iter()
-                .map(|&(slot, user, profile)| {
-                    scratch.clear();
-                    slot_json(&mut scratch, slot, user, profile);
-                    (
-                        compress_chunk(&scratch, Effort::FAST).into_boxed_slice(),
-                        crc32(&scratch),
-                        scratch.len() as u64,
-                    )
-                })
-                .collect();
-
-            // Pass 3 — under one write lock, intern each shift operator
-            // and fill each slot, then sweep if the bound is exceeded. (If
-            // one user's slot appears with two stamps in a batch —
-            // impossible via `build_jobs`, which snapshots each profile
-            // once — the later fill wins; every body still carries the
-            // piece of its own job's profile.)
-            let mut cache = self.cache.write();
-            let Cache { entries, shifts } = &mut *cache;
-            let filled: Vec<Arc<Cached>> = misses
-                .iter()
-                .zip(compressed)
-                .map(|(&(slot, user, profile), (chunk, crc, len))| {
-                    let shift = shifts
-                        .entry(len)
-                        .or_insert_with(|| Arc::new(ShiftOp::for_len(len)));
-                    let cached = Arc::new(Cached {
-                        stamp: profile.stamp(),
-                        fragment: Fragment {
-                            chunk,
-                            crc,
-                            shift: Arc::clone(shift),
-                        },
-                    });
-                    let entry = entries.entry(user).or_insert_with(|| Entry {
-                        slots: [None, None],
-                        last_used: AtomicU64::new(tick),
-                    });
-                    *entry.last_used.get_mut() = tick;
-                    entry.slots[slot as usize] = Some(Arc::clone(&cached));
-                    cached
-                })
-                .collect();
-            self.evict_excess(&mut cache);
-            drop(cache);
-            for (position, miss) in pending {
-                slots[position] = Some(Arc::clone(&filled[miss]));
-            }
-        }
-
         ResolvedBatch {
-            slots: Arc::new(
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every miss compressed"))
-                    .collect(),
-            ),
+            slots: Arc::new(slots),
         }
     }
 
-    /// Epoch sweep: when the cache exceeds its bound, drop the
-    /// least-recently-used half so inserts stay amortized O(1), then the
-    /// shift operators no remaining fragment uses.
-    fn evict_excess(&self, cache: &mut Cache) {
-        if cache.entries.len() <= self.capacity {
-            return;
+    /// Compresses `user`'s piece in `slot` and takes its CRC-32 with no
+    /// lock held, then interns its shift operator.
+    fn compress(
+        &self,
+        slot: MemoSlot,
+        user: UserId,
+        profile: &Profile,
+        scratch: &mut Vec<u8>,
+    ) -> Piece {
+        scratch.clear();
+        piece_json(scratch, slot, user, profile);
+        let len = scratch.len() as u64;
+        let chunk = compress_chunk(scratch, Effort::FAST).into_boxed_slice();
+        let crc = crc32(scratch);
+        let shift = Arc::clone(
+            self.shifts
+                .lock()
+                .entry(len)
+                .or_insert_with(|| Arc::new(ShiftOp::for_len(len))),
+        );
+        Piece {
+            chunk,
+            shift,
+            _live: Arc::clone(&self.live),
+            crc,
+            user,
         }
-        let target = self.capacity / 2;
-        let mut ages: Vec<(u64, UserId)> = cache
-            .entries
-            .iter()
-            .map(|(user, entry)| (entry.last_used.load(Ordering::Relaxed), *user))
-            .collect();
-        ages.sort_unstable();
-        let excess = cache.entries.len() - target;
-        for &(_, user) in ages.iter().take(excess) {
-            cache.entries.remove(&user);
-        }
-        // An operator only the table holds belongs to no fragment, cached
-        // or in flight; new holders appear only under this write lock.
-        cache.shifts.retain(|_, shift| Arc::strong_count(shift) > 1);
-        self.evictions.fetch_add(excess as u64, Ordering::Relaxed);
     }
+}
+
+/// `user`'s piece in `slot` if `profile` memoizes it: a requester chunk
+/// names no uid, a candidate fragment must name `user`.
+fn memoized(slot: MemoSlot, user: UserId, profile: &Profile) -> Option<Arc<Piece>> {
+    let piece = Arc::clone(profile.memo(slot)?).downcast::<Piece>().ok()?;
+    (slot == MemoSlot::Requester || piece.user == user).then_some(piece)
 }
 
 impl ResolvedBatch {
     /// Second half of [`JobEncoder::encode_jobs`]: plans one body per job.
     /// Each body's head is written and its trailer CRC folded from the
-    /// head's and the cached CRCs with [`ShiftOp::combine`]; the cached
+    /// head's and the pieces' CRCs with [`ShiftOp::combine`]; the memoized
     /// chunks are shared, not copied.
     ///
     /// # Panics
@@ -604,9 +487,9 @@ impl ResolvedBatch {
                 let mut crc = crc32(&head[text..]);
                 let mut total_len = u64::from(len);
                 let mut body_len = head.len() + suffix.chunk.len() + TAIL_LEN;
-                for cached in &self.slots[pieces.clone()] {
-                    cached.fragment.fold(&mut crc, &mut total_len);
-                    body_len += cached.fragment.chunk.len();
+                for piece in &self.slots[pieces.clone()] {
+                    piece.fold(&mut crc, &mut total_len);
+                    body_len += piece.chunk.len();
                 }
                 suffix.fold(&mut crc, &mut total_len);
 
@@ -641,6 +524,22 @@ impl ResolvedBatch {
 mod tests {
     use super::*;
     use hyrec_core::CandidateSet;
+
+    /// `job` encoded from deep copies of its profiles by a fresh encoder:
+    /// copies start with empty memos, so nothing memoized on `job`'s own
+    /// profiles reaches this body.
+    fn cold(job: &PersonalizationJob) -> Vec<u8> {
+        let copy = PersonalizationJob {
+            profile: Profile::clone(&job.profile).into(),
+            candidates: job
+                .candidates
+                .pairs()
+                .map(|(user, profile)| (user, profile.clone()))
+                .collect(),
+            ..job.clone()
+        };
+        JobEncoder::new().encode(&copy)
+    }
 
     fn job() -> PersonalizationJob {
         let mut candidates = CandidateSet::new();
@@ -719,7 +618,8 @@ mod tests {
     fn planned_pieces_write_the_encoded_bytes() {
         // A batch planned as pieces and written into a send buffer that
         // already holds bytes must append exactly what `encode` returns for
-        // each job alone, from a cold cache and from a warm one.
+        // each job alone on cold profiles, from cold memos and from warm
+        // ones.
         let jobs = [
             job(),
             PersonalizationJob {
@@ -737,7 +637,7 @@ mod tests {
                 ..job()
             },
         ];
-        let (planner, scalar) = (JobEncoder::new(), JobEncoder::new());
+        let planner = JobEncoder::new();
         for pass in ["cold", "warm"] {
             let bodies = planner.plan_jobs(&jobs);
             assert_eq!(bodies.len(), jobs.len());
@@ -745,7 +645,7 @@ mod tests {
                 let mut out = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
                 let prefix = out.len();
                 body.write_into(&mut out);
-                let expected = scalar.encode(job);
+                let expected = cold(job);
                 assert_eq!(
                     &out[prefix..],
                     &expected[..],
@@ -791,7 +691,7 @@ mod tests {
         let job = job();
         let encoder = JobEncoder::new();
         let _ = encoder.encode(&job);
-        // Two candidates and the requester, one entry each.
+        // Two candidate fragments and the requester chunk, one piece each.
         assert_eq!(encoder.cached_profiles(), 3);
         let a = encoder.encode(&job);
         let b = encoder.encode(&job);
@@ -800,54 +700,56 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_hits_misses_and_evictions() {
-        let encoder = JobEncoder::with_capacity(3);
+    fn stats_count_hits_and_misses() {
+        let encoder = JobEncoder::new();
         let warm = job();
         // Cold batch: the second job repeats the first, so its requester
-        // chunk and two candidates are compressed once but counted as
-        // misses per job and per candidate.
+        // chunk and two candidates are compressed by the first job, which
+        // counts the misses, and memoized for the second, which hits.
         let _ = encoder.encode_jobs(&[warm.clone(), warm.clone()]);
         assert_eq!(
             encoder.stats(),
             EncoderStats {
-                hits: 0,
-                misses: 4,
-                requester_hits: 0,
-                requester_misses: 2,
-                evictions: 0
+                hits: 2,
+                misses: 2,
+                requester_hits: 1,
+                requester_misses: 1,
             }
         );
         // Warm batch: every candidate and both requesters hit.
         let _ = encoder.encode_jobs(&[warm.clone(), warm.clone()]);
-        assert_eq!(encoder.stats().hits, 4);
-        assert_eq!(encoder.stats().misses, 4);
-        assert_eq!(encoder.stats().requester_hits, 2);
+        assert_eq!(encoder.stats().hits, 6);
+        assert_eq!(encoder.stats().misses, 2);
+        assert_eq!(encoder.stats().requester_hits, 3);
 
-        // Changed profile (a clone keeps its stamp until it records a
-        // vote): one candidate misses, one hits.
+        // One candidate is a new version (a deep copy that recorded a
+        // vote), the other keeps its memoized version: one miss, one hit.
         let mut changed = warm.clone();
         changed.candidates = CandidateSet::new();
         for candidate in warm.candidates.iter() {
-            let mut profile = Profile::clone(&candidate.profile);
             if candidate.user == UserId(2) {
+                let mut profile = Profile::clone(&candidate.profile);
                 profile.record(hyrec_core::ItemId(77), hyrec_core::Vote::Like);
+                changed.candidates.insert(candidate.user, profile);
+            } else {
+                changed
+                    .candidates
+                    .insert(candidate.user, Arc::clone(&candidate.profile));
             }
-            changed.candidates.insert(candidate.user, profile);
         }
         let _ = encoder.encode_jobs(&[changed.clone()]);
         assert_eq!(
             encoder.stats(),
             EncoderStats {
-                hits: 5,
-                misses: 5,
-                requester_hits: 3,
-                requester_misses: 2,
-                evictions: 0
+                hits: 7,
+                misses: 3,
+                requester_hits: 4,
+                requester_misses: 1,
             }
         );
 
-        // The requester votes: its chunk misses in both jobs, its
-        // candidates hit.
+        // The requester votes: its chunk is compressed once for both jobs,
+        // its candidates hit.
         let mut voted = changed;
         let mut profile = Profile::clone(&voted.profile);
         profile.record(hyrec_core::ItemId(78), hyrec_core::Vote::Like);
@@ -856,33 +758,19 @@ mod tests {
         assert_eq!(
             encoder.stats(),
             EncoderStats {
-                hits: 9,
-                misses: 5,
-                requester_hits: 3,
-                requester_misses: 4,
-                evictions: 0
+                hits: 11,
+                misses: 3,
+                requester_hits: 5,
+                requester_misses: 2,
             }
         );
-
-        // Two new users overflow the bound of 3 users (requester 1 plus
-        // candidates 2, 3, 8 and 9): the sweep keeps 1.
-        let mut crowd = job();
-        let mut candidates = CandidateSet::new();
-        candidates.insert(UserId(8), Profile::from_liked([1u32]));
-        candidates.insert(UserId(9), Profile::from_liked([2u32]));
-        crowd.candidates = candidates;
-        let _ = encoder.encode_jobs(&[crowd]);
-        assert_eq!(encoder.stats().misses, 7);
-        assert_eq!(encoder.stats().requester_misses, 5);
-        assert_eq!(encoder.stats().evictions, 4);
-        assert_eq!(encoder.cached_profiles(), 1);
     }
 
     #[test]
     fn unknown_requesters_never_enter_the_cache() {
         // Fresh uids carry empty profiles: they share one constant chunk,
-        // so however many arrive they neither fill nor evict entries.
-        let encoder = JobEncoder::with_capacity(4);
+        // so however many arrive they fill no piece.
+        let encoder = JobEncoder::new();
         let known = job();
         let _ = encoder.encode(&known);
         let (cached, before) = (encoder.cached_profiles(), encoder.stats());
@@ -897,11 +785,10 @@ mod tests {
                 .collect();
             let bodies = encoder.encode_jobs(&jobs);
             assert_eq!(PersonalizationJob::decode(&bodies[7]).unwrap(), jobs[7]);
-            assert_eq!(bodies[7], JobEncoder::new().encode(&jobs[7]));
+            assert_eq!(bodies[7], cold(&jobs[7]));
         }
         assert_eq!(encoder.cached_profiles(), cached);
         let after = encoder.stats();
-        assert_eq!(after.evictions, before.evictions);
         assert_eq!(
             (after.requester_hits, after.requester_misses),
             (before.requester_hits, before.requester_misses)
@@ -912,8 +799,8 @@ mod tests {
     #[test]
     fn racing_requester_fills_give_equal_bodies() {
         // Two threads miss on the same requester chunk at once, every
-        // round with a fresh stamp: both compress, both install, and the
-        // bodies agree with each other and with a cold encoder's.
+        // round on a new profile version: both may compress, both install,
+        // and the bodies agree with each other and with a cold encoder's.
         let encoder = JobEncoder::new();
         let barrier = std::sync::Barrier::new(2);
         let mut profile = Profile::from_liked([1u32, 2]);
@@ -933,12 +820,15 @@ mod tests {
                 (a.join().unwrap(), b.join().unwrap())
             });
             assert_eq!(a, b, "round {round}");
-            assert_eq!(a, JobEncoder::new().encode(&racing), "round {round}");
+            assert_eq!(a, cold(&racing), "round {round}");
+            // The job's requester chunk and two candidate fragments; the
+            // losing fill and earlier rounds' versions are gone.
+            assert_eq!(encoder.cached_profiles(), 3, "round {round}");
         }
         let stats = encoder.stats();
         assert_eq!(stats.requester_hits + stats.requester_misses, 400);
         assert!(stats.requester_misses >= 200, "every round misses once");
-        assert_eq!(encoder.cached_profiles(), 3);
+        assert_eq!(encoder.cached_profiles(), 0, "every version is dropped");
     }
 
     #[test]
@@ -986,13 +876,14 @@ mod tests {
     }
 
     #[test]
-    fn stamp_distinguishes_likes_from_dislikes() {
-        // The same items flipped from liked to disliked: a new stamp, so
-        // the cached fragment for that candidate is recompressed.
-        let mut profile = Profile::from_liked([1u32, 2]);
-        let single = |profile: &Profile| {
+    fn a_flipped_vote_replaces_the_fragment() {
+        // The same items flipped from liked to disliked on the same stored
+        // profile (an unshared `Arc`, mutated in place): the votes clear
+        // its memo, so the fragment for that candidate is recompressed.
+        let mut profile = Arc::new(Profile::from_liked([1u32, 2]));
+        let single = |profile: &Arc<Profile>| {
             let mut candidates = CandidateSet::new();
-            candidates.insert(UserId(2), profile.clone());
+            candidates.insert(UserId(2), Arc::clone(profile));
             PersonalizationJob {
                 candidates,
                 ..job()
@@ -1000,14 +891,14 @@ mod tests {
         };
         let encoder = JobEncoder::new();
         let liked = encoder.encode(&single(&profile));
-        let stamp = profile.stamp();
-        assert!(profile.record(hyrec_core::ItemId(1), hyrec_core::Vote::Dislike));
-        assert!(profile.record(hyrec_core::ItemId(2), hyrec_core::Vote::Dislike));
-        assert_ne!(profile.stamp(), stamp);
+        assert!(profile.memo(MemoSlot::Candidate).is_some());
+        let stored = Arc::get_mut(&mut profile).expect("no job holds the profile");
+        assert!(stored.record(hyrec_core::ItemId(1), hyrec_core::Vote::Dislike));
+        assert!(stored.record(hyrec_core::ItemId(2), hyrec_core::Vote::Dislike));
         let disliked_job = single(&profile);
         let disliked = encoder.encode(&disliked_job);
         assert_ne!(liked, disliked);
-        assert_eq!(disliked, JobEncoder::new().encode(&disliked_job));
+        assert_eq!(disliked, cold(&disliked_job));
         assert_eq!(PersonalizationJob::decode(&disliked).unwrap(), disliked_job);
     }
 
@@ -1030,8 +921,8 @@ mod tests {
     #[test]
     fn encode_jobs_matches_scalar_encode() {
         // A batch with heavy candidate overlap (the converged-table regime):
-        // batched output must be byte-identical to scalar encodes, both from
-        // a cold cache and a warm one.
+        // batched output must be byte-identical to scalar encodes of cold
+        // profiles, both from cold memos and warm ones.
         let jobs: Vec<PersonalizationJob> = (0..8u32)
             .map(|j| {
                 let mut candidates = CandidateSet::new();
@@ -1054,104 +945,22 @@ mod tests {
             .collect();
 
         let batch_encoder = JobEncoder::new();
-        let scalar_encoder = JobEncoder::new();
         let batched = batch_encoder.encode_jobs(&jobs);
-        let scalar: Vec<Vec<u8>> = jobs.iter().map(|job| scalar_encoder.encode(job)).collect();
-        assert_eq!(batched, scalar, "cold-cache divergence");
-        assert_eq!(
-            batch_encoder.cached_profiles(),
-            scalar_encoder.cached_profiles()
-        );
+        let scalar: Vec<Vec<u8>> = jobs.iter().map(cold).collect();
+        assert_eq!(batched, scalar, "cold-memo divergence");
+        // Eight requester chunks; each job's candidates are fresh profiles,
+        // so 20 fragments per job.
+        assert_eq!(batch_encoder.cached_profiles(), 8 + 8 * 20);
+        let misses = batch_encoder.stats().misses;
 
         // Warm pass: all hits, still identical.
-        assert_eq!(
-            batch_encoder.encode_jobs(&jobs),
-            jobs.iter()
-                .map(|job| scalar_encoder.encode(job))
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(batch_encoder.encode_jobs(&jobs), scalar);
+        assert_eq!(batch_encoder.stats().misses, misses);
         // Every body decodes to its job.
         for (job, body) in jobs.iter().zip(&batched) {
             assert_eq!(&PersonalizationJob::decode(body).unwrap(), job);
         }
         assert!(batch_encoder.encode_jobs(&[]).is_empty());
-    }
-
-    #[test]
-    fn cache_bound_holds_under_churn() {
-        let encoder = JobEncoder::with_capacity(16);
-        assert_eq!(encoder.capacity(), 16);
-        // 40 rounds of jobs over a rolling window of fresh users: the cache
-        // must never exceed its bound, and recently-used fragments must
-        // survive the sweeps that evict stale ones.
-        for round in 0..40u32 {
-            let mut candidates = CandidateSet::new();
-            for u in 0..8u32 {
-                candidates.insert(
-                    UserId(round * 8 + u),
-                    Profile::from_liked([round * 8 + u, u]),
-                );
-            }
-            let job = PersonalizationJob {
-                uid: UserId(0),
-                k: 3,
-                r: 3,
-                lease: 0,
-                epoch: 0,
-                profile: Profile::from_liked([1u32]).into(),
-                candidates,
-            };
-            let first = encoder.encode(&job);
-            assert!(
-                encoder.cached_profiles() <= 16,
-                "round {round}: cache grew to {}",
-                encoder.cached_profiles()
-            );
-            // Re-encoding right away is served from cache, byte-identical.
-            assert_eq!(encoder.encode(&job), first);
-        }
-    }
-
-    #[test]
-    fn eviction_prefers_stale_fragments() {
-        let encoder = JobEncoder::with_capacity(8);
-        let hot_job = PersonalizationJob {
-            uid: UserId(0),
-            k: 2,
-            r: 2,
-            lease: 0,
-            epoch: 0,
-            profile: Profile::from_liked([1u32]).into(),
-            candidates: {
-                let mut c = CandidateSet::new();
-                c.insert(UserId(1), Profile::from_liked([10u32, 11]));
-                c
-            },
-        };
-        // Touch the hot fragment every round while churning cold users.
-        for round in 0..30u32 {
-            let _ = encoder.encode(&hot_job);
-            let mut candidates = CandidateSet::new();
-            candidates.insert(UserId(1000 + round), Profile::from_liked([round]));
-            let cold = PersonalizationJob {
-                uid: UserId(2),
-                k: 2,
-                r: 2,
-                lease: 0,
-                epoch: 0,
-                profile: Profile::new().into(),
-                candidates,
-            };
-            let _ = encoder.encode(&cold);
-        }
-        // The hot user's fragment was re-ticked every round; a final encode
-        // after all that churn still hits (cache size stays at bound, so a
-        // miss would be observable as a recompression — assert via cache
-        // introspection instead: the bound held and output is stable).
-        assert!(encoder.cached_profiles() <= 8);
-        let a = encoder.encode(&hot_job);
-        let b = encoder.encode(&hot_job);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -333,8 +333,15 @@ impl HyRecServer {
     /// Rotates the anonymization epoch ("periodically, the identifiers …
     /// are anonymously shuffled"). Call on a timer in deployments. No
     /// simulator or figure calls it; only tests do.
+    ///
+    /// Candidate fragments memoized on the profiles name the old
+    /// pseudonyms, so the stored profiles' memos are emptied too
+    /// ([`UserTable::clear_memos`]), under the anonymizer lock. Locks: the
+    /// anonymizer, then every shard in ascending order.
     pub fn rotate_pseudonyms(&self) {
-        self.anonymizer.lock().reshuffle();
+        let mut anonymizer = self.anonymizer.lock();
+        anonymizer.reshuffle();
+        self.table.clear_memos();
     }
 
     /// Number of personalization jobs built so far.

@@ -1,17 +1,19 @@
-//! The job encoder validates a cached candidate fragment or requester
-//! chunk by the profile's stamp alone, and every profile in a job is the
+//! The job encoder memoizes a candidate fragment or requester chunk on the
+//! profile version it was written from, and every profile in a job is the
 //! table's own `Arc`. This suite drives random interleavings of votes (new
 //! likes, like→dislike flips, repeated votes; through `record` and
 //! `record_many`, including a requester voting between its own encodes),
 //! pseudonymization and batched encodes over overlapping user sets
 //! (including a user who is both requester and candidate in one batch),
 //! and asserts that every job carries current profiles and that every body
-//! one long-lived encoder emits is byte-identical to a cold encoder's body
-//! for the same job — i.e. no stale fragment or requester chunk is ever
-//! served.
+//! one long-lived encoder emits is byte-identical to a cold body for the
+//! same job — a fresh encoder's, over deep copies of the job's profiles —
+//! i.e. no stale fragment or requester chunk is ever served. It also checks
+//! that rotating pseudonyms does not grow what the encoder keeps.
 
+use hyrec_core::Profile;
 use hyrec_core::{ItemId, UserId, Vote};
-use hyrec_server::encoder::{JobEncoder, DEFAULT_CACHE_CAPACITY};
+use hyrec_server::encoder::JobEncoder;
 use hyrec_server::{HyRecConfig, HyRecServer};
 use hyrec_wire::PersonalizationJob;
 use proptest::prelude::*;
@@ -88,11 +90,26 @@ fn concrete(
     }
 }
 
+/// `job` encoded by a fresh encoder from deep copies of its profiles, which
+/// start with empty memos: nothing memoized on `job`'s profiles is read.
+fn cold(job: &PersonalizationJob) -> Vec<u8> {
+    let copy = PersonalizationJob {
+        profile: Profile::clone(&job.profile).into(),
+        candidates: job
+            .candidates
+            .pairs()
+            .map(|(user, profile)| (user, profile.clone()))
+            .collect(),
+        ..job.clone()
+    };
+    JobEncoder::new().encode(&copy)
+}
+
 fn check_against_cold(encoder: &JobEncoder, jobs: &[PersonalizationJob]) -> TestCaseResult {
     let bodies = encoder.encode_jobs(jobs);
     prop_assert_eq!(bodies.len(), jobs.len());
     for (job, body) in jobs.iter().zip(&bodies) {
-        let cold = JobEncoder::new().encode(job);
+        let cold = cold(job);
         prop_assert!(
             *body == cold,
             "warm body for requester {} is stale",
@@ -109,7 +126,6 @@ proptest! {
     #[test]
     fn warm_bodies_equal_cold_bodies(
         anonymize in any::<bool>(),
-        capacity in prop_oneof![Just(6usize), Just(DEFAULT_CACHE_CAPACITY)],
         seed in any::<u64>(),
         ops in proptest::collection::vec(op(), 1..40),
     ) {
@@ -121,7 +137,7 @@ proptest! {
                 server.record(UserId(u), ItemId((u * 3 + i) % 20), Vote::Like);
             }
         }
-        let encoder = JobEncoder::with_capacity(capacity);
+        let encoder = JobEncoder::new();
         let mut next_item = 1_000u32;
         let mut previous: Vec<PersonalizationJob> = Vec::new();
         for op in ops {
@@ -155,7 +171,10 @@ proptest! {
                     let mut jobs = if with_previous { previous.clone() } else { Vec::new() };
                     jobs.extend(fresh.iter().cloned());
                     check_against_cold(&encoder, &jobs)?;
-                    prop_assert!(encoder.cached_profiles() <= capacity);
+                    // At most two pieces per live profile version: the
+                    // table's and the ones these jobs hold.
+                    let versions: usize = jobs.iter().map(|job| 1 + job.candidates.len()).sum();
+                    prop_assert!(encoder.cached_profiles() <= 2 * (USERS as usize + versions));
                     previous = fresh;
                 }
                 Op::RotatePseudonyms => server.rotate_pseudonyms(),
@@ -182,5 +201,41 @@ proptest! {
         let jobs = server.build_jobs(&everyone);
         check_against_cold(&encoder, &jobs)?;
         check_against_cold(&encoder, &jobs)?;
+    }
+}
+
+#[test]
+fn pseudonym_rotation_does_not_grow_the_encoder() {
+    // Candidates are shown under pseudonyms that change every epoch. A
+    // fragment written for an old pseudonym is replaced on the profile, not
+    // kept beside the new one, so what the encoder holds stays within two
+    // pieces per user however often the pseudonyms rotate.
+    let server = HyRecServer::with_config(
+        HyRecConfig::builder()
+            .k(3)
+            .r(3)
+            .anonymize_users(true)
+            .build(),
+    );
+    for u in 0..USERS {
+        for i in 0..4 {
+            server.record(UserId(u), ItemId((u * 3 + i) % 20), Vote::Like);
+        }
+    }
+    let everyone: Vec<UserId> = (0..USERS).map(UserId).collect();
+    let encoder = JobEncoder::new();
+    for round in 0..6 {
+        if round > 0 {
+            server.rotate_pseudonyms();
+        }
+        let jobs = server.build_jobs(&everyone);
+        for (job, body) in jobs.iter().zip(encoder.encode_jobs(&jobs)) {
+            assert!(body == cold(job), "round {round}: requester {}", job.uid);
+        }
+        assert!(
+            encoder.cached_profiles() <= 2 * USERS as usize,
+            "round {round}: {} pieces for {USERS} users",
+            encoder.cached_profiles()
+        );
     }
 }

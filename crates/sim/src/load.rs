@@ -178,8 +178,10 @@ pub fn build_converged_population(
     }
 }
 
-/// Warms the encoder's fragment cache to steady state over the first
-/// `users` users — one batched job build instead of a per-user loop.
+/// Encodes the jobs of the first `users` users once, so the pieces they
+/// need (requester chunks, candidate fragments) are memoized on the table's
+/// profiles and later encodes of unchanged profiles hit — one batched job
+/// build instead of a per-user loop.
 pub fn warm_cache(population: &Population, users: usize) {
     let prefix = &population.users[..users.min(population.users.len())];
     for job in population.server.build_jobs(prefix) {
@@ -190,7 +192,7 @@ pub fn warm_cache(population: &Population, users: usize) {
 /// Figure 8, HyRec series: candidate sampling + cached encoding.
 #[must_use]
 pub fn measure_hyrec_response(population: &Population, requests: usize, seed: u64) -> LatencyStats {
-    // Warm the fragment cache once (steady-state behaviour).
+    // Memoize the pieces once (steady-state behaviour).
     warm_cache(population, 64);
     sample_response(population, requests, seed, |user| {
         let job = population.server.build_job(user);
