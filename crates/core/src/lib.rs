@@ -67,7 +67,7 @@ pub use knn::{Neighbor, Neighborhood};
 pub use profile::{Profile, SharedProfile, Vote};
 pub use recommend::Recommendation;
 pub use similarity::{Cosine, Jaccard, Overlap, Similarity};
-pub use tables::{Recorded, Row, Slot, SlotView, UserTable};
+pub use tables::{Row, Slot, SlotView, UserTable};
 
 /// Convenient glob import for downstream code and doc examples.
 pub mod prelude {

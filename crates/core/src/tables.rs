@@ -6,7 +6,7 @@
 //! user". Both are columns of one store, [`UserTable`].
 //!
 //! **One index, slot columns.** Every user has one dense [`Slot`], a `u32`
-//! handed out in first-write order. The index (`UserId` → slot, a
+//! handed out in profile-creation order. The index (`UserId` → slot, a
 //! [`KeyedHashMap`]: uids come from clients) is the only map keyed by a user
 //! id. Everything else is a column indexed by slot: the user's id, their
 //! profile and their KNN [`Row`], which names its neighbours by slot. The
@@ -15,15 +15,17 @@
 //! arithmetic away: the batched sampler reads rows and profiles through a
 //! [`SlotView`] without hashing a candidate.
 //!
-//! **When a slot is minted.** The first time an id is written: a vote
-//! creates their profile, a KNN row is stored for them, or a direct
-//! [`UserTable::update`] names them as a neighbour. Within a batch, slots
-//! are minted in input order. A slot is never freed.
+//! **When a slot is minted.** A user is someone who has voted: a slot is
+//! minted only by [`UserTable::record_many`], for a vote that creates its
+//! user's profile, so slot `i` is the `i`-th profile created and every slot
+//! owns a profile. Within a batch, slots are minted in input order. KNN
+//! writes mint nothing: a row is stored only for a user who owns a profile,
+//! and names only such users. A slot is never freed.
 //!
 //! **Lock order.** The anonymizer (held by the server), then the index, then
 //! shards in ascending order. A write holds at most one shard lock at a
-//! time; minting holds the index's write lock while it grows the columns,
-//! so any slot the index or a row names has its column entries. A
+//! time. A batch that mints holds the index's write lock until its votes
+//! are written, so a slot becomes visible together with its profile. A
 //! [`SlotView`] holds the index and every shard for reading. No path takes a
 //! lock it already holds: `std`'s `RwLock` (behind the `parking_lot` shim)
 //! can deadlock on a recursive read while a writer waits. A profile's memo
@@ -74,20 +76,8 @@ fn per_run(users: &[UserId], mut lookup: impl FnMut(UserId) -> Option<Slot>) -> 
 #[derive(Debug, Default)]
 struct Shard {
     ids: Vec<UserId>,
-    profiles: Vec<Option<Arc<Profile>>>,
+    profiles: Vec<Arc<Profile>>,
     rows: Vec<Option<Row>>,
-}
-
-/// What [`UserTable::record_many`] did to each vote, in input order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Recorded {
-    /// Whether the vote changed its profile.
-    pub changed: Vec<bool>,
-    /// Whether the vote created its profile, as decided under the shard's
-    /// write lock: racing batches create a user once.
-    pub created: Vec<bool>,
-    /// The voter's slot.
-    pub slots: Vec<Slot>,
 }
 
 /// The Profile Table and the KNN Table: one keyed index and slot-indexed
@@ -107,15 +97,14 @@ pub struct Recorded {
 /// use hyrec_core::{ItemId, Neighbor, Neighborhood, UserId, UserTable, Vote};
 /// let table = UserTable::new();
 /// table.record(UserId(1), ItemId(10), Vote::Like);
+/// table.record(UserId(2), ItemId(10), Vote::Like);
 /// assert_eq!(table.profile_of(UserId(1)).unwrap().liked_len(), 1);
-/// table.update(
-///     UserId(1),
-///     Neighborhood::from_neighbors([Neighbor { user: UserId(2), similarity: 0.5 }]),
-/// );
-/// assert_eq!(table.knn_of(UserId(1)).unwrap().best().unwrap().user, UserId(2));
-/// // User 2 is named as a neighbour, so they have a slot, but no profile.
-/// assert!(table.slot_of(UserId(2)).is_some());
-/// assert_eq!(table.len(), 1);
+/// let neighbor = |user| Neighbor { user: UserId(user), similarity: 0.5 };
+/// table.update(UserId(1), Neighborhood::from_neighbors([neighbor(2), neighbor(3)]));
+/// // User 3 never voted: they get no slot, and the row drops them.
+/// assert_eq!(table.knn_of(UserId(1)).unwrap().len(), 1);
+/// assert_eq!(table.slot_of(UserId(3)), None);
+/// assert_eq!(table.len(), 2);
 /// ```
 #[derive(Debug)]
 pub struct UserTable {
@@ -139,8 +128,9 @@ pub type ProfileTable = UserTable;
 ///
 /// ```
 /// use hyrec_core::tables::KnnTable;
-/// use hyrec_core::{Neighborhood, UserId};
+/// use hyrec_core::{ItemId, Neighborhood, UserId, Vote};
 /// let table = KnnTable::new();
+/// table.record(UserId(1), ItemId(10), Vote::Like);
 /// table.update(UserId(1), Neighborhood::new());
 /// assert!(table.knn_of(UserId(1)).is_some());
 /// ```
@@ -160,47 +150,6 @@ impl UserTable {
             index: RwLock::new(KeyedHashMap::default()),
             shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
         }
-    }
-
-    /// The slot of each id, minting in input order those not seen yet. An
-    /// all-known batch takes the index's read lock only.
-    fn mint(&self, users: &[UserId]) -> Vec<Slot> {
-        {
-            let index = self.index.read();
-            if let Some(slots) = per_run(users, |user| index.get(&user).copied()) {
-                return slots;
-            }
-        }
-        let mut index = self.index.write();
-        let first = index.len();
-        let mut fresh = Vec::new();
-        let slots = per_run(users, |user| {
-            let next = index.len();
-            Some(*index.entry(user).or_insert_with(|| {
-                fresh.push(user);
-                Slot::try_from(next)
-                    .ok()
-                    .filter(|&slot| slot < Slot::MAX)
-                    .expect("fewer than 2^32 - 1 users")
-            }))
-        })
-        .expect("every id gets a slot");
-        // Fresh slot `first + i` goes to shard `(first + i) % SHARDS`; each
-        // shard's share is appended in slot order, shards in ascending order.
-        for shard in 0..SHARDS {
-            let offset = (shard + SHARDS - first % SHARDS) % SHARDS;
-            if offset >= fresh.len() {
-                continue;
-            }
-            let mut columns = self.shards[shard].write();
-            debug_assert_eq!(columns.ids.len(), locate((first + offset) as Slot).1);
-            for &user in fresh[offset..].iter().step_by(SHARDS) {
-                columns.ids.push(user);
-                columns.profiles.push(None);
-                columns.rows.push(None);
-            }
-        }
-        slots
     }
 
     /// The one batched write: runs `f(shard, position in shard, batch
@@ -224,36 +173,63 @@ impl UserTable {
     /// Returns `true` when the vote changed the profile — the signal the
     /// orchestrator uses to decide whether a new KNN iteration is worthwhile.
     pub fn record(&self, user: UserId, item: ItemId, vote: Vote) -> bool {
-        self.record_many(&[(user, item, vote)]).changed[0]
+        self.record_many(&[(user, item, vote)])[0]
     }
 
     /// Ingests many votes while taking each touched shard's *write* lock
-    /// exactly once; [`Self::record`] is a batch of one.
+    /// exactly once; [`Self::record`] is a batch of one. Returns whether
+    /// each vote changed its profile, in input order.
     ///
-    /// Results are in input order, and votes for one user apply in input
+    /// The only place a slot is minted: a voter without one gets the next
+    /// slot, in input order, and their profile is created by the same pass
+    /// that writes the vote. An all-known batch takes the index's read lock
+    /// only; a batch that mints holds its write lock until every vote is
+    /// written, so racing first votes give one slot per voter and no reader
+    /// sees a slot before its profile. Votes for one user apply in input
     /// order (they share a slot), so any split of a vote stream into
-    /// batches gives the same tables and change flags. This is the ingestion
-    /// half of request coalescing — a burst of `/rate/` traffic costs one
-    /// lock acquisition per touched shard instead of one per vote.
+    /// batches gives the same tables, slots and change flags. This is the
+    /// ingestion half of request coalescing — a burst of `/rate/` traffic
+    /// costs one lock acquisition per touched shard instead of one per vote.
     #[must_use]
-    pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)]) -> Recorded {
+    pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)]) -> Vec<bool> {
         let users: Vec<UserId> = votes.iter().map(|&(user, _, _)| user).collect();
-        let slots = self.mint(&users);
+        let known = {
+            let index = self.index.read();
+            per_run(&users, |user| index.get(&user).copied())
+        };
+        // A batch that mints keeps the index's write guard until its votes
+        // are written (the end of this function).
+        let (slots, _minting) = match known {
+            Some(slots) => (slots, None),
+            None => {
+                let mut index = self.index.write();
+                let slots = per_run(&users, |user| {
+                    let next = index.len();
+                    Some(*index.entry(user).or_insert_with(|| {
+                        Slot::try_from(next)
+                            .ok()
+                            .filter(|&slot| slot < Slot::MAX)
+                            .expect("fewer than 2^32 - 1 users")
+                    }))
+                })
+                .expect("every voter gets a slot");
+                (slots, Some(index))
+            }
+        };
         let mut changed = vec![false; votes.len()];
-        let mut created = vec![false; votes.len()];
         self.write_many(&slots, |shard, at, pos| {
-            let (_, item, vote) = votes[pos];
-            let profile = shard.profiles[at].get_or_insert_with(|| {
-                created[pos] = true;
-                Arc::default()
-            });
-            changed[pos] = Arc::make_mut(profile).record(item, vote);
+            let (user, item, vote) = votes[pos];
+            // A fresh slot's first vote lands at the end of its shard: slots
+            // are minted in input order, and shards append in slot order.
+            debug_assert!(at <= shard.ids.len());
+            if at == shard.ids.len() {
+                shard.ids.push(user);
+                shard.profiles.push(Arc::default());
+                shard.rows.push(None);
+            }
+            changed[pos] = Arc::make_mut(&mut shard.profiles[at]).record(item, vote);
         });
-        Recorded {
-            changed,
-            created,
-            slots,
-        }
+        changed
     }
 
     /// Empties every stored profile's memo ([`Profile::memo`]) without
@@ -262,7 +238,7 @@ impl UserTable {
     /// ([`Arc::make_mut`]), so that job keeps its version and memo.
     pub fn clear_memos(&self) {
         for shard in &self.shards {
-            for profile in shard.write().profiles.iter_mut().flatten() {
+            for profile in &mut shard.write().profiles {
                 Arc::make_mut(profile).clear_memo();
             }
         }
@@ -274,51 +250,43 @@ impl UserTable {
         self.update_many(vec![(user, hood)]);
     }
 
-    /// Stores many neighbourhoods as they are (simulators and tests seed
-    /// tables this way), minting slots entry by entry, the owner before its
-    /// neighbours. The server's write-back is [`Self::update_rows`].
+    /// Stores many neighbourhoods in their order (simulators and tests seed
+    /// tables this way). An owner without a profile is skipped and a
+    /// neighbour without one is dropped, so nothing is minted. The server's
+    /// write-back is [`Self::update_rows`].
     pub fn update_many(&self, entries: Vec<(UserId, Neighborhood)>) {
-        let ids: Vec<UserId> = entries
-            .iter()
-            .flat_map(|(user, hood)| std::iter::once(*user).chain(hood.users()))
-            .collect();
-        let slots = self.mint(&ids);
-        let mut owners = Vec::with_capacity(entries.len());
-        let mut rows = Vec::with_capacity(entries.len());
-        let mut at = 0;
-        for (_, hood) in &entries {
-            owners.push(slots[at]);
-            let neighbors = &slots[at + 1..at + 1 + hood.len()];
-            rows.push(Some(
-                neighbors
-                    .iter()
-                    .zip(hood.iter())
-                    .map(|(&slot, n)| (slot, n.similarity))
-                    .collect(),
-            ));
-            at += 1 + hood.len();
-        }
-        self.store(&owners, rows);
+        let rows = {
+            let index = self.index.read();
+            let slot_of = |user: &UserId| index.get(user).copied();
+            entries
+                .iter()
+                .filter_map(|(user, hood)| {
+                    let row = hood
+                        .iter()
+                        .filter_map(|n| Some((slot_of(&n.user)?, n.similarity)))
+                        .collect();
+                    Some((slot_of(user)?, row))
+                })
+                .collect()
+        };
+        self.update_rows(rows);
     }
 
-    /// Stores rows that already name their neighbours by slot, replacing
-    /// each owner's previous row and minting owners in input order: the
+    /// Stores rows by owner slot, replacing each owner's previous row: the
     /// write-back of `HyRecServer::admit_and_apply` (Arrow 3 in Figure 1),
     /// each touched shard's lock once.
-    pub fn update_rows(&self, rows: Vec<(UserId, Row)>) {
-        let owners: Vec<UserId> = rows.iter().map(|(user, _)| *user).collect();
-        let owners = self.mint(&owners);
-        self.store(
-            &owners,
-            rows.into_iter().map(|(_, row)| Some(row)).collect(),
-        );
+    ///
+    /// # Panics
+    /// If an owner slot was never minted.
+    pub fn update_rows(&self, rows: Vec<(Slot, Row)>) {
+        let (owners, mut rows): (Vec<Slot>, Vec<Option<Row>>) = rows
+            .into_iter()
+            .map(|(owner, row)| (owner, Some(row)))
+            .unzip();
+        self.write_many(&owners, |shard, at, pos| shard.rows[at] = rows[pos].take());
     }
 
-    fn store(&self, owners: &[Slot], mut rows: Vec<Option<Row>>) {
-        self.write_many(owners, |shard, at, pos| shard.rows[at] = rows[pos].take());
-    }
-
-    /// `user`'s slot, if the table has ever written their id.
+    /// `user`'s slot, if they own a profile.
     #[must_use]
     pub fn slot_of(&self, user: UserId) -> Option<Slot> {
         self.index.read().get(&user).copied()
@@ -329,7 +297,7 @@ impl UserTable {
     #[must_use]
     pub fn profile_of(&self, user: UserId) -> Option<Arc<Profile>> {
         let (shard, at) = locate(self.slot_of(user)?);
-        self.shards[shard].read().profiles[at].clone()
+        Some(Arc::clone(&self.shards[shard].read().profiles[at]))
     }
 
     /// Batched [`Self::profile_of`], in input order, under one
@@ -340,7 +308,7 @@ impl UserTable {
         let view = self.read();
         users
             .iter()
-            .map(|&user| view.profile(view.slot_of(user)?).cloned())
+            .map(|&user| Some(Arc::clone(view.profile(view.slot_of(user)?))))
             .collect()
     }
 
@@ -362,19 +330,13 @@ impl UserTable {
     /// Whether `user` owns a profile.
     #[must_use]
     pub fn contains(&self, user: UserId) -> bool {
-        self.slot_of(user).is_some_and(|slot| {
-            let (shard, at) = locate(slot);
-            self.shards[shard].read().profiles[at].is_some()
-        })
+        self.slot_of(user).is_some()
     }
 
     /// Number of users who own a profile.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.read().profiles.iter().flatten().count())
-            .sum()
+        self.index.read().len()
     }
 
     /// True when no user owns a profile.
@@ -395,8 +357,8 @@ impl UserTable {
                 shard
                     .ids
                     .iter()
-                    .zip(&shard.profiles)
-                    .filter_map(|(&user, profile)| Some((user, Arc::clone(profile.as_ref()?)))),
+                    .copied()
+                    .zip(shard.profiles.iter().cloned()),
             );
         }
         all
@@ -472,10 +434,22 @@ pub struct SlotView<'a> {
 }
 
 impl SlotView<'_> {
-    /// `user`'s slot, if the table has ever written their id.
+    /// `user`'s slot, if they own a profile.
     #[must_use]
     pub fn slot_of(&self, user: UserId) -> Option<Slot> {
         self.index.get(&user).copied()
+    }
+
+    /// Number of users who own a profile; their slots are `0..len()`.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True when no user owns a profile.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
     }
 
     /// The id behind a slot.
@@ -488,11 +462,14 @@ impl SlotView<'_> {
         self.shards[shard].ids[at]
     }
 
-    /// The profile in `slot`, if its user owns one.
+    /// The profile in `slot`.
+    ///
+    /// # Panics
+    /// If `slot` was never minted.
     #[must_use]
-    pub fn profile(&self, slot: Slot) -> Option<&Arc<Profile>> {
+    pub fn profile(&self, slot: Slot) -> &Arc<Profile> {
         let (shard, at) = locate(slot);
-        self.shards[shard].profiles[at].as_ref()
+        &self.shards[shard].profiles[at]
     }
 
     /// The KNN row in `slot`, if one is stored.
@@ -582,7 +559,7 @@ mod tests {
         t.record(UserId(3), ItemId(1), Vote::Like);
         let view = t.read();
         let slot = view.slot_of(UserId(3)).unwrap();
-        assert_eq!(view.profile(slot).map(|p| p.liked_len()), Some(1));
+        assert_eq!(view.profile(slot).liked_len(), 1);
         assert_eq!(view.id(slot), UserId(3));
         assert_eq!(view.slot_of(UserId(99)), None);
     }
@@ -600,12 +577,13 @@ mod tests {
     #[test]
     fn knn_update_and_view_similarity() {
         let t = UserTable::new();
+        t.record(UserId(1), ItemId(1), Vote::Like);
+        t.record(UserId(2), ItemId(1), Vote::Like);
         t.update(UserId(1), hood(&[(2, 0.8)]));
         t.update(UserId(2), hood(&[(1, 0.4)]));
         assert!((t.average_view_similarity() - 0.6).abs() < 1e-12);
         assert_eq!(t.view_similarities().len(), 2);
-        // Rows alone own no profile.
-        assert_eq!(t.len(), 0);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -658,8 +636,10 @@ mod tests {
         for u in 0..200u32 {
             t.record(UserId(u), ItemId(u), Vote::Like);
         }
-        // 300 has a slot (a neighbour) but no profile; 500 has no slot.
+        // 300 is named as a neighbour but never votes, so, like 500, they
+        // have no slot.
         t.update(UserId(7), hood(&[(300, 0.5)]));
+        assert_eq!(t.slot_of(UserId(300)), None);
         let query: Vec<UserId> = [7u32, 500, 3, 3, 199, 300, 0, 42]
             .into_iter()
             .map(UserId)
@@ -692,7 +672,7 @@ mod tests {
                 (user, item, vote)
             })
             .collect();
-        let batch_flags = batched.record_many(&votes).changed;
+        let batch_flags = batched.record_many(&votes);
         let seq_flags: Vec<bool> = votes
             .iter()
             .map(|&(user, item, vote)| sequential.record(user, item, vote))
@@ -709,15 +689,20 @@ mod tests {
             assert_eq!(batched.slot_of(user), sequential.slot_of(user));
         }
         // Empty batch is a no-op.
-        assert!(batched.record_many(&[]).changed.is_empty());
+        assert!(batched.record_many(&[]).is_empty());
     }
 
     #[test]
-    fn record_many_flags_each_users_first_vote_as_created() {
+    fn only_votes_mint_slots_in_first_vote_order() {
         let t = UserTable::new();
         t.record(UserId(2), ItemId(1), Vote::Like);
-        // User 65 holds a slot as a neighbour before their first vote.
+        // Rows mint nothing: neither naming user 65 as a neighbour nor
+        // storing a row for user 9, who never voted.
         t.update(UserId(2), hood(&[(65, 0.5)]));
+        t.update(UserId(9), hood(&[(2, 0.5)]));
+        assert_eq!((t.slot_of(UserId(65)), t.slot_of(UserId(9))), (None, None));
+        assert_eq!(t.knn_of(UserId(2)).unwrap().len(), 0);
+        assert_eq!(t.knn_of(UserId(9)), None);
         let votes = [
             (UserId(1), ItemId(1), Vote::Like),
             (UserId(2), ItemId(2), Vote::Like),
@@ -725,17 +710,22 @@ mod tests {
             (UserId(65), ItemId(1), Vote::Dislike),
             (UserId(65), ItemId(1), Vote::Dislike),
         ];
-        let recorded = t.record_many(&votes);
-        assert_eq!(recorded.created, [true, false, false, true, false]);
-        assert_eq!(recorded.changed, [true, true, true, true, false]);
-        assert_eq!(recorded.slots, [2, 0, 2, 1, 1]);
-        assert!(!t.record_many(&votes).created.contains(&true));
+        assert_eq!(t.record_many(&votes), [true, true, true, true, false]);
+        let slots: Vec<Option<Slot>> = [2, 1, 65].map(|u| t.slot_of(UserId(u))).into();
+        assert_eq!(slots, [Some(0), Some(1), Some(2)]);
+        assert_eq!(t.record_many(&votes), [false, false, false, false, false]);
+        assert_eq!(t.len(), 3);
     }
 
     #[test]
     fn knn_batch_ops_match_scalar_ops() {
         let batched = UserTable::new();
         let scalar = UserTable::new();
+        for table in [&batched, &scalar] {
+            for u in 0..102u32 {
+                table.record(UserId(u), ItemId(u), Vote::Like);
+            }
+        }
         let entries: Vec<(UserId, Neighborhood)> = (0..100u32)
             .map(|u| {
                 (
@@ -758,8 +748,9 @@ mod tests {
             assert_eq!(batched.slot_of(*user), scalar.slot_of(*user));
         }
         assert_eq!(batched.knn_of(UserId(999)), None);
-        // Owner, then its neighbours: 0 → slot 0, 1 → 1, 2 → 2, 3 → 3, ...
+        // Rows mint nothing: user 101 keeps the slot of their vote.
         assert_eq!(batched.slot_of(UserId(101)), Some(101));
+        assert_eq!(batched.len(), 102);
     }
 
     #[test]
@@ -807,6 +798,9 @@ mod tests {
         // Users 20 and 30 get slots before user 10, and the similarities are
         // chosen so that summing in slot order rounds differently.
         let t = UserTable::new();
+        for user in [20, 30, 40, 10, 50, 60, 70] {
+            t.record(UserId(user), ItemId(1), Vote::Like);
+        }
         let rows: [(u32, &[(u32, f64)]); 5] = [
             (20, &[(30, 1.0e-16)]),
             (30, &[(20, 1.0e-16)]),
@@ -817,9 +811,7 @@ mod tests {
         for (user, neighbors) in rows {
             t.update(UserId(user), hood(neighbors));
         }
-        // 60 owns a profile and 70 is only ever a neighbour: neither has a
-        // row, so neither counts.
-        t.record(UserId(60), ItemId(1), Vote::Like);
+        // 60 and 70 own profiles but no rows, so neither counts.
 
         let reference = BTreeMap::from([
             (UserId(10), 1.0),

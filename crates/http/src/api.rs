@@ -88,11 +88,13 @@ pub fn hyrec_router_with(
 ///   `lease=&epoch=` on GET, message fields on POST). A structurally
 ///   malformed query or body is a 400 (a body past the size cap a 413); a
 ///   NaN or out-of-range similarity is a 400, and a well-formed completion
-///   that names a neighbour id the server cannot resolve (leased or not)
-///   or whose lease is dead (expired, superseded, already consumed, wrong
-///   user) a 409, both with an `{"ok":false,"reject":"<reason>"}` body,
-///   and neither is applied.
+///   that names a neighbour id the server cannot resolve (leased or not),
+///   whose lease is dead (expired, superseded, already consumed, wrong
+///   user) or, unleased, whose uid owns no profile a 409, both with an
+///   `{"ok":false,"reject":"<reason>"}` body, and neither is applied.
 /// * `GET /rate/` records votes (leased: bumping staleness priorities).
+///   It is the only route that creates a user: a first vote creates the
+///   profile, and nothing else grows the tables.
 /// * `GET /stats/` exposes the scheduler's [`hyrec_sched::SchedStats`]
 ///   (and, when a handle is supplied, the reactor's [`ReactorStats`]).
 ///
@@ -222,8 +224,8 @@ fn decode_update(req: &Request) -> Result<KnnUpdate, Response> {
 
 /// Maps a completion outcome onto the wire: applied completions ack;
 /// malformed payloads (NaN / out-of-range similarities) are a 400 and
-/// unknown-neighbour or dead-lease conflicts a 409, both naming the
-/// (counted) reason.
+/// unknown-neighbour, unknown-user or dead-lease conflicts a 409, both
+/// naming the (counted) reason.
 fn completion_response(outcome: Result<(), RejectReason>) -> Response {
     match outcome {
         Ok(()) => Response::ok("application/json", b"{\"ok\":true}".to_vec()),

@@ -295,8 +295,9 @@ fn neighbors_validation_is_identical_across_forms() {
     }
 }
 
-/// Unleased, `GET /stats/` has the leased router's schema, and a NaN or
-/// out-of-range completion is counted under its reject reason.
+/// Unleased, `GET /stats/` has the leased router's schema, and a NaN,
+/// out-of-range or unknown-user completion is counted under its reject
+/// reason.
 #[test]
 fn unleased_stats_match_the_leased_schema_and_count_payload_rejects() {
     /// The body with every number replaced by `#`.
@@ -332,11 +333,17 @@ fn unleased_stats_match_the_leased_schema_and_count_payload_rejects() {
         body.contains("\"reject\":\"out_of_range_similarity\""),
         "body: {body}"
     );
+    // A uid without a profile is refused before its payload is read.
+    let response = client.get("/neighbors/?uid=999&id0=5&sim0=NaN").unwrap();
+    assert_eq!(response.status, 409);
+    assert_eq!(response.body, b"{\"ok\":false,\"reject\":\"unknown_user\"}");
 
     let stats = scheduled.scheduler().stats();
     assert_eq!(stats.rejected(RejectReason::NanSimilarity), 1);
     assert_eq!(stats.rejected(RejectReason::OutOfRangeSimilarity), 1);
-    assert_eq!(stats.rejected_total(), 2);
+    assert_eq!(stats.rejected(RejectReason::UnknownUser), 1);
+    assert_eq!(stats.rejected_total(), 3);
+    assert_eq!(stats.snapshot().rejected_unknown_user, 1);
     assert_eq!(scheduled.server().updates_applied(), 0);
 
     let unleased = client.get("/stats/").unwrap();
@@ -345,6 +352,10 @@ fn unleased_stats_match_the_leased_schema_and_count_payload_rejects() {
     assert!(body.contains("\"nan_similarity\":1"), "body: {body}");
     assert!(
         body.contains("\"out_of_range_similarity\":1"),
+        "body: {body}"
+    );
+    assert!(
+        body.contains("\"unknown_user\":1,\"total\":3"),
         "body: {body}"
     );
     let (leased_handle, leased_client, _) = spawn_scheduled_reactor();
@@ -380,6 +391,71 @@ fn unleased_rate_mints_no_scheduler_state() {
     );
     assert_eq!(scheduled.scheduler().user_count(), 0);
     handle.stop();
+}
+
+/// Only a vote creates a user. Fresh uids sent through `/online/` and both
+/// `/neighbors/` forms, on either router, mint no slot and store nothing;
+/// unleased, their completions are refused as `unknown_user` (leased, they
+/// carry no lease). One `/rate/` vote then mints exactly one slot.
+#[test]
+fn fresh_uids_mint_no_slot_until_they_vote() {
+    const FRESH: std::ops::Range<u32> = 1_000_000..1_010_000;
+    for leases in [Leases::Off, Leases::On] {
+        let hyrec = populated_server(23);
+        let (handle, client, scheduled) = spawn_router(Arc::clone(&hyrec), leases);
+        let table = hyrec.table();
+        let slots = || {
+            (0..12u32)
+                .map(|u| table.slot_of(UserId(u)))
+                .collect::<Vec<_>>()
+        };
+        let (users, known) = (table.len(), slots());
+        let reject = match leases {
+            Leases::Off => RejectReason::UnknownUser,
+            Leases::On => RejectReason::NotLeased,
+        };
+        let body = format!("{{\"ok\":false,\"reject\":\"{reject}\"}}");
+        for uid in FRESH {
+            let online = client.get(&format!("/online/?uid={uid}")).unwrap();
+            assert_eq!(online.status, 200);
+            let get = client
+                .get(&format!("/neighbors/?uid={uid}&id0=5&sim0=0.5"))
+                .unwrap();
+            let update = KnnUpdate {
+                uid: UserId(uid),
+                lease: 0,
+                epoch: 0,
+                neighbors: vec![hyrec_core::Neighbor {
+                    user: UserId(6),
+                    similarity: 0.5,
+                }],
+            };
+            let post = client.post("/neighbors/", &update.encode()).unwrap();
+            for response in [get, post] {
+                assert_eq!(response.status, 409, "uid {uid} ({leases:?})");
+                assert_eq!(response.body, body.as_bytes(), "uid {uid} ({leases:?})");
+            }
+        }
+        assert_eq!(table.len(), users, "{leases:?}");
+        assert_eq!(slots(), known, "{leases:?}");
+        assert!(FRESH
+            .into_iter()
+            .all(|uid| table.slot_of(UserId(uid)).is_none()));
+        assert_eq!(hyrec.updates_applied(), 0);
+        let stats = scheduled.scheduler().stats();
+        assert_eq!(
+            stats.rejected(reject),
+            2 * u64::from(FRESH.end - FRESH.start)
+        );
+
+        let response = client.get("/rate/?uid=1000000&item=5&like=1").unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(table.len(), users + 1, "{leases:?}");
+        assert_eq!(slots(), known, "{leases:?}");
+        assert_eq!(table.slot_of(UserId(1_000_000)), Some(users as u32));
+        assert_eq!(table.slot_of(UserId(1_000_001)), None);
+        handle.stop();
+    }
 }
 
 /// A valid gzip member of 256 MiB of spaces in ~256 KiB: one sync-flushed

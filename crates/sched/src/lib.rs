@@ -24,8 +24,9 @@
 //! * **Update validation** — stale-epoch, non-leased, duplicate,
 //!   NaN/out-of-range-similarity and unknown-neighbor completions are
 //!   rejected *before* they reach the KNN table, with per-reason counters
-//!   in [`SchedStats`]. A completion that carries no lease passes the
-//!   same payload check ([`Scheduler::check_payload`]: NaN, range, then
+//!   in [`SchedStats`]. A completion that carries no lease must come from
+//!   a user who owns a profile (`unknown_user` otherwise), then passes the
+//!   same payload check ([`Scheduler::check_unleased`]: NaN, range, then
 //!   every neighbour id resolvable), so leased or not, a stored
 //!   neighbourhood names only users the server can resolve.
 //!

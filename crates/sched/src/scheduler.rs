@@ -15,7 +15,7 @@ pub type Tick = u64;
 /// Slack above `1.0` tolerated in completion similarities (floating
 /// point: the widget's cosine can land at `1.0 + ulp`), by the payload
 /// check of leased ([`Scheduler::complete`]) and unleased
-/// ([`Scheduler::check_payload`]) completions alike.
+/// ([`Scheduler::check_unleased`]) completions alike.
 pub const SIMILARITY_TOLERANCE: f64 = 1e-6;
 
 /// The payload check every completion passes, leased or not: each
@@ -104,6 +104,9 @@ pub enum RejectReason {
     OutOfRangeSimilarity,
     /// A neighbour id the server does not know (and cannot resolve).
     UnknownNeighbor,
+    /// An unleased completion whose uid owns no profile: only a vote
+    /// creates a user.
+    UnknownUser,
 }
 
 impl std::fmt::Display for RejectReason {
@@ -116,6 +119,7 @@ impl std::fmt::Display for RejectReason {
             Self::NanSimilarity => "nan_similarity",
             Self::OutOfRangeSimilarity => "out_of_range_similarity",
             Self::UnknownNeighbor => "unknown_neighbor",
+            Self::UnknownUser => "unknown_user",
         };
         f.write_str(text)
     }
@@ -542,19 +546,30 @@ impl Scheduler {
         Ok(())
     }
 
-    /// Validates the payload of a completion that carries no lease (the
-    /// unleased configuration): the NaN, range and `known` checks of
-    /// [`Self::complete`], in the same order, the reject counted in
-    /// [`SchedStats`]. Takes no lock.
+    /// Validates a completion that carries no lease (the unleased
+    /// configuration): its uid must own a profile (`owned`, else
+    /// [`RejectReason::UnknownUser`]), then its payload passes the NaN,
+    /// range and `known` checks of [`Self::complete`], in the same order.
+    /// The reject is counted in [`SchedStats`]. Takes no lock.
     ///
     /// # Errors
     ///
     /// Returns the [`RejectReason`] of the first failing check.
-    pub fn check_payload<F>(&self, neighbors: &[Neighbor], known: F) -> Result<(), RejectReason>
+    pub fn check_unleased<F>(
+        &self,
+        owned: bool,
+        neighbors: &[Neighbor],
+        known: F,
+    ) -> Result<(), RejectReason>
     where
         F: FnMut(UserId) -> bool,
     {
-        check_payload(neighbors, known).inspect_err(|&reason| self.stats.inc_reject(reason))
+        let verdict = if owned {
+            check_payload(neighbors, known)
+        } else {
+            Err(RejectReason::UnknownUser)
+        };
+        verdict.inspect_err(|&reason| self.stats.inc_reject(reason))
     }
 
     /// Expires overdue leases, climbing each user one rung up the

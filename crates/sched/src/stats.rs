@@ -15,7 +15,7 @@ pub struct SchedStats {
     expired: AtomicU64,
     fallbacks: AtomicU64,
     /// Rejects per reason, indexed in [`RejectReason`]'s declaration order.
-    rejected: [AtomicU64; 7],
+    rejected: [AtomicU64; 8],
 }
 
 macro_rules! counter {
@@ -82,7 +82,7 @@ impl SchedStats {
     /// A consistent-enough point-in-time copy of every counter.
     #[must_use]
     pub fn snapshot(&self) -> SchedStatsSnapshot {
-        let [not_leased, stale_epoch, duplicate, wrong_user, nan, out_of_range, unknown] =
+        let [not_leased, stale_epoch, duplicate, wrong_user, nan, out_of_range, unknown, unknown_user] =
             self.rejected.each_ref().map(|c| c.load(Ordering::Relaxed));
         SchedStatsSnapshot {
             issued: self.issued(),
@@ -97,6 +97,7 @@ impl SchedStats {
             rejected_nan_similarity: nan,
             rejected_out_of_range_similarity: out_of_range,
             rejected_unknown_neighbor: unknown,
+            rejected_unknown_user: unknown_user,
         }
     }
 }
@@ -117,6 +118,7 @@ pub struct SchedStatsSnapshot {
     pub rejected_nan_similarity: u64,
     pub rejected_out_of_range_similarity: u64,
     pub rejected_unknown_neighbor: u64,
+    pub rejected_unknown_user: u64,
 }
 
 impl SchedStatsSnapshot {
@@ -130,6 +132,7 @@ impl SchedStatsSnapshot {
             + self.rejected_nan_similarity
             + self.rejected_out_of_range_similarity
             + self.rejected_unknown_neighbor
+            + self.rejected_unknown_user
     }
 
     /// Serializes the snapshot as a compact JSON object.
@@ -139,7 +142,8 @@ impl SchedStatsSnapshot {
             "{{\"issued\":{},\"reissued\":{},\"completed\":{},\"expired\":{},\
              \"fallbacks\":{},\"rejected\":{{\"not_leased\":{},\"stale_epoch\":{},\
              \"duplicate\":{},\"wrong_user\":{},\"nan_similarity\":{},\
-             \"out_of_range_similarity\":{},\"unknown_neighbor\":{},\"total\":{}}}}}",
+             \"out_of_range_similarity\":{},\"unknown_neighbor\":{},\"unknown_user\":{},\
+             \"total\":{}}}}}",
             self.issued,
             self.reissued,
             self.completed,
@@ -152,6 +156,7 @@ impl SchedStatsSnapshot {
             self.rejected_nan_similarity,
             self.rejected_out_of_range_similarity,
             self.rejected_unknown_neighbor,
+            self.rejected_unknown_user,
             self.rejected_total(),
         )
     }
@@ -207,6 +212,7 @@ mod tests {
             RejectReason::NanSimilarity,
             RejectReason::OutOfRangeSimilarity,
             RejectReason::UnknownNeighbor,
+            RejectReason::UnknownUser,
         ];
         for (i, reason) in reasons.into_iter().enumerate() {
             (0..10 + i).for_each(|_| stats.inc_reject(reason));
@@ -217,7 +223,7 @@ mod tests {
             "{\"issued\":1,\"reissued\":2,\"completed\":3,\"expired\":4,\"fallbacks\":5,\
              \"rejected\":{\"not_leased\":10,\"stale_epoch\":11,\"duplicate\":12,\
              \"wrong_user\":13,\"nan_similarity\":14,\"out_of_range_similarity\":15,\
-             \"unknown_neighbor\":16,\"total\":91}}"
+             \"unknown_neighbor\":16,\"unknown_user\":17,\"total\":108}}"
         );
     }
 }

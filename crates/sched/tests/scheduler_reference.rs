@@ -4,6 +4,11 @@
 //! operation sequences drive both over a grid of configurations; after
 //! every operation the results, counters, per-user snapshots, lease counts
 //! and overdue lists must be equal.
+//!
+//! The reference also carries the `unknown_user` reject of unleased
+//! completions (`check_unleased`, its counter and `/stats/` key), which
+//! came after it: the stats are compared field by field, and the unleased
+//! check is the reference payload check behind the owner test.
 
 #[allow(dead_code, clippy::all, clippy::pedantic)]
 mod reference {
@@ -120,6 +125,8 @@ mod reference {
             OutOfRangeSimilarity,
             /// A neighbour id the server does not know (and cannot resolve).
             UnknownNeighbor,
+            /// An unleased completion whose uid owns no profile.
+            UnknownUser,
         }
 
         impl std::fmt::Display for RejectReason {
@@ -132,6 +139,7 @@ mod reference {
                     Self::NanSimilarity => "nan_similarity",
                     Self::OutOfRangeSimilarity => "out_of_range_similarity",
                     Self::UnknownNeighbor => "unknown_neighbor",
+                    Self::UnknownUser => "unknown_user",
                 };
                 f.write_str(text)
             }
@@ -614,6 +622,24 @@ mod reference {
                 .inspect_err(|&reason| self.stats.inc_reject(reason))
             }
 
+            /// The unleased check: the uid must own a profile (`owned`),
+            /// then [`Self::check_payload`].
+            pub fn check_unleased<F>(
+                &self,
+                owned: bool,
+                neighbors: &[Neighbor],
+                known: F,
+            ) -> Result<(), RejectReason>
+            where
+                F: FnMut(UserId) -> bool,
+            {
+                if !owned {
+                    self.stats.inc_reject(RejectReason::UnknownUser);
+                    return Err(RejectReason::UnknownUser);
+                }
+                self.check_payload(neighbors, known)
+            }
+
             /// Expires overdue leases, climbing each user one rung up the
             /// escalation ladder (re-issue backlog, then the fallback pen).
             pub fn sweep(&self, now: Tick) -> SweepReport {
@@ -853,6 +879,7 @@ mod reference {
             rejected_nan_similarity: AtomicU64,
             rejected_out_of_range_similarity: AtomicU64,
             rejected_unknown_neighbor: AtomicU64,
+            rejected_unknown_user: AtomicU64,
         }
 
         macro_rules! counter {
@@ -931,6 +958,11 @@ mod reference {
                 rejected_unknown_neighbor,
                 inc_rejected_unknown_neighbor
             );
+            counter!(
+                /// Unleased completions whose uid owns no profile.
+                rejected_unknown_user,
+                inc_rejected_unknown_user
+            );
 
             /// Sum over every reject reason.
             #[must_use]
@@ -942,6 +974,7 @@ mod reference {
                     + self.rejected_nan_similarity()
                     + self.rejected_out_of_range_similarity()
                     + self.rejected_unknown_neighbor()
+                    + self.rejected_unknown_user()
             }
 
             pub(crate) fn inc_reject(&self, reason: RejectReason) {
@@ -955,6 +988,7 @@ mod reference {
                         self.inc_rejected_out_of_range_similarity()
                     }
                     RejectReason::UnknownNeighbor => self.inc_rejected_unknown_neighbor(),
+                    RejectReason::UnknownUser => self.inc_rejected_unknown_user(),
                 }
             }
 
@@ -974,6 +1008,7 @@ mod reference {
                     rejected_nan_similarity: self.rejected_nan_similarity(),
                     rejected_out_of_range_similarity: self.rejected_out_of_range_similarity(),
                     rejected_unknown_neighbor: self.rejected_unknown_neighbor(),
+                    rejected_unknown_user: self.rejected_unknown_user(),
                 }
             }
         }
@@ -994,6 +1029,7 @@ mod reference {
             pub rejected_nan_similarity: u64,
             pub rejected_out_of_range_similarity: u64,
             pub rejected_unknown_neighbor: u64,
+            pub rejected_unknown_user: u64,
         }
 
         impl SchedStatsSnapshot {
@@ -1007,6 +1043,7 @@ mod reference {
                     + self.rejected_nan_similarity
                     + self.rejected_out_of_range_similarity
                     + self.rejected_unknown_neighbor
+                    + self.rejected_unknown_user
             }
 
             /// Serializes the snapshot as a compact JSON object.
@@ -1016,7 +1053,8 @@ mod reference {
                     "{{\"issued\":{},\"reissued\":{},\"completed\":{},\"expired\":{},\
                      \"fallbacks\":{},\"rejected\":{{\"not_leased\":{},\"stale_epoch\":{},\
                      \"duplicate\":{},\"wrong_user\":{},\"nan_similarity\":{},\
-                     \"out_of_range_similarity\":{},\"unknown_neighbor\":{},\"total\":{}}}}}",
+                     \"out_of_range_similarity\":{},\"unknown_neighbor\":{},\
+                     \"unknown_user\":{},\"total\":{}}}}}",
                     self.issued,
                     self.reissued,
                     self.completed,
@@ -1029,6 +1067,7 @@ mod reference {
                     self.rejected_nan_similarity,
                     self.rejected_out_of_range_similarity,
                     self.rejected_unknown_neighbor,
+                    self.rejected_unknown_user,
                     self.rejected_total(),
                 )
             }
@@ -1238,21 +1277,22 @@ impl Pair {
         self.equal("complete probes", new_probes, old_probes)
     }
 
-    /// Sends one unleased payload to both sides, recording which
-    /// neighbour ids each one probed.
-    fn check_payload(&mut self, payload: &[Neighbor]) -> Result<(), String> {
-        self.log.push(format!("check_payload({payload:?})"));
+    /// Sends one unleased completion to both sides, from a uid that owns a
+    /// profile or not, recording which neighbour ids each one probed.
+    fn check_unleased(&mut self, owned: bool, payload: &[Neighbor]) -> Result<(), String> {
+        self.log
+            .push(format!("check_unleased({owned}, {payload:?})"));
         let (mut new_probes, mut old_probes) = (Vec::new(), Vec::new());
-        let new = self.new.check_payload(payload, |u| {
+        let new = self.new.check_unleased(owned, payload, |u| {
             new_probes.push(u);
             u.0 < KNOWN_BELOW
         });
-        let old = self.old.check_payload(payload, |u| {
+        let old = self.old.check_unleased(owned, payload, |u| {
             old_probes.push(u);
             u.0 < KNOWN_BELOW
         });
-        self.equal("check_payload", new, old)?;
-        self.equal("check_payload probes", new_probes, old_probes)
+        self.equal("check_unleased", new, old)?;
+        self.equal("check_unleased probes", new_probes, old_probes)
     }
 
     fn sweep(&mut self) -> Result<(), String> {
@@ -1298,7 +1338,7 @@ impl Pair {
                 self.note_votes(&users);
             }
             45..=74 => self.complete_op(a, b)?,
-            75..=79 => self.check_payload(&payload(a))?,
+            75..=79 => self.check_unleased(b % 4 != 0, &payload(a))?,
             80..=89 => self.sweep()?,
             90..=94 => self.take_fallback()?,
             _ => {
@@ -1388,7 +1428,7 @@ proptest! {
 #[test]
 fn every_grid_cell_matches_the_reference() {
     use rand::{Rng, SeedableRng};
-    let mut totals = [0u64; 12];
+    let mut totals = [0u64; 13];
     let mut picked_other = 0;
     for cell in 0..GRID {
         let mut rng = rand::rngs::StdRng::seed_from_u64(cell as u64);
@@ -1418,6 +1458,7 @@ fn every_grid_cell_matches_the_reference() {
             s.rejected_nan_similarity,
             s.rejected_out_of_range_similarity,
             s.rejected_unknown_neighbor,
+            s.rejected_unknown_user,
         ];
         for (total, count) in totals.iter_mut().zip(counts) {
             *total += count;

@@ -11,16 +11,16 @@
 //! request being a batch of one.
 //!
 //! [`DefaultSampler`] works in slot space (`hyrec_core::tables`): stored
-//! KNN rows name neighbours by slot, the [`UserDirectory`] lists slots, and
-//! one [`SlotView`] per batch serves every row, profile and id as a column
-//! read. The only keyed lookups are the requesters' own ids; a candidate is
-//! never hashed by id, and the set's dedup is a small open-addressed set of
-//! slots sized from the paper's bound.
+//! KNN rows name neighbours by slot, every slot is a user who owns a
+//! profile (slot `i` is the `i`-th profile created, so [`random_slots`]
+//! draws users), and one [`SlotView`] per batch serves every row, profile
+//! and id as a column read. The only keyed lookups are the requesters' own
+//! ids; a candidate is never hashed by id, and the set's dedup is a small
+//! open-addressed set of slots sized from the paper's bound.
 
 use hyrec_core::{
     candidate_set_bound, CandidateProfile, CandidateSet, Profile, Slot, SlotView, UserId, UserTable,
 };
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -29,66 +29,19 @@ use std::sync::Arc;
 pub struct SamplerContext<'a> {
     /// The global profile and KNN table.
     pub table: &'a UserTable,
-    /// The slots of all profile owners (for uniform random picks).
-    pub directory: &'a UserDirectory,
 }
 
-/// Append-only registry of slots supporting O(1) uniform sampling.
-///
-/// The table's shards make "pick a uniformly random user" awkward; this
-/// directory keeps a flat list of slots in profile-creation order, which
-/// also matches the paper's server that knows the full user population. It
-/// keeps no membership set: the server registers a user exactly once, where
-/// the table reports that their first vote created their profile
-/// (`HyRecServer::record_many`).
-#[derive(Debug, Default)]
-pub struct UserDirectory {
-    list: RwLock<Vec<Slot>>,
-}
-
-impl UserDirectory {
-    /// Creates an empty directory.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+/// Draws `n` users' slots uniformly at random (with replacement across
+/// draws, deduplicated by the candidate set downstream); none from an empty
+/// table. Every slot below `view.len()` owns a profile.
+pub fn random_slots(view: &SlotView<'_>, n: usize, rng: &mut StdRng) -> Vec<Slot> {
+    let users = view.len();
+    if users == 0 {
+        return Vec::new();
     }
-
-    /// Appends a user's slot. Each user must be registered once: a repeat
-    /// would double their weight in the random leg.
-    pub fn register(&self, slot: Slot) {
-        self.list.write().push(slot);
-    }
-
-    /// Number of registered users.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.list.read().len()
-    }
-
-    /// True when no user is registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.list.read().is_empty()
-    }
-
-    /// Draws `n` slots uniformly at random (with replacement across draws,
-    /// deduplicated by the candidate set downstream); none from an empty
-    /// directory.
-    pub fn random_slots(&self, n: usize, rng: &mut StdRng) -> Vec<Slot> {
-        let slots = self.list.read();
-        if slots.is_empty() {
-            return Vec::new();
-        }
-        (0..n)
-            .map(|_| slots[rng.gen_range(0..slots.len())])
-            .collect()
-    }
-
-    /// Snapshot of all registered slots, in registration order.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<Slot> {
-        self.list.read().clone()
-    }
+    (0..n)
+        .map(|_| Slot::try_from(rng.gen_range(0..users)).expect("slots are u32"))
+        .collect()
 }
 
 /// A candidate-set construction strategy (Table 1's `Sampler` interface).
@@ -162,10 +115,10 @@ impl Sampler for DefaultSampler {
     ///
     /// Each user's set holds, in order and first occurrence only, their
     /// KNN row, each neighbour's row and `random_candidates` random users,
-    /// minus the requester and users without a profile. The random legs are
-    /// drawn first, under one directory lock; then one [`SlotView`] serves
-    /// the whole batch: one index lookup per requester, then rows, profiles
-    /// and ids by slot. Every profile is the table's own `Arc`.
+    /// minus the requester. One [`SlotView`] serves the whole batch: the
+    /// random legs are drawn first ([`random_slots`]), then one index lookup
+    /// per requester, then rows, profiles and ids by slot. Every profile is
+    /// the table's own `Arc`.
     fn sample_batch(
         &self,
         users: &[UserId],
@@ -176,12 +129,10 @@ impl Sampler for DefaultSampler {
     ) -> Vec<CandidateSet> {
         // Random legs (they bootstrap new users and keep the gossip out of
         // local optima) first, in user order: the back-to-back draws consume
-        // the RNG exactly as per-user draws do. An empty directory draws
+        // the RNG exactly as per-user draws do. An empty table draws
         // nothing, so every leg is empty.
-        let random = ctx
-            .directory
-            .random_slots(random_candidates * users.len(), rng);
         let view = ctx.table.read();
+        let random = random_slots(&view, random_candidates * users.len(), rng);
         let mut builder = SetBuilder::new(candidate_set_bound(k));
         users
             .iter()
@@ -216,8 +167,8 @@ impl Sampler for DefaultSampler {
 const EMPTY: Slot = Slot::MAX;
 
 /// Builds candidate sets from slots: first occurrence only, never the
-/// requester, never a slot without a profile. Reused across a batch, so its
-/// cost does not grow with the population.
+/// requester. Reused across a batch, so its cost does not grow with the
+/// population.
 ///
 /// The dedup set is open addressing over a power-of-two bucket array kept
 /// at most half full (Fibonacci hashing of the slot); `picked` lists the
@@ -285,9 +236,7 @@ impl<'v> SetBuilder<'v> {
         }
         for slot in candidates {
             if Some(slot) != requester {
-                if let Some(profile) = view.profile(slot) {
-                    self.insert(slot, profile);
-                }
+                self.insert(slot, view.profile(slot));
             }
         }
         CandidateSet::from_deduped(
@@ -317,8 +266,8 @@ impl Sampler for RandomOnlySampler {
         rng: &mut StdRng,
     ) -> CandidateSet {
         let budget = k + k * k + random_candidates;
-        let random = ctx.directory.random_slots(budget, rng);
         let view = ctx.table.read();
+        let random = random_slots(&view, budget, rng);
         SetBuilder::new(budget).build(&view, view.slot_of(user), random)
     }
 
@@ -355,14 +304,12 @@ mod tests {
     use hyrec_core::{ItemId, Neighbor, Neighborhood, Vote};
     use rand::SeedableRng;
 
-    fn context() -> (UserTable, UserDirectory) {
+    fn context() -> UserTable {
         let table = UserTable::new();
-        let directory = UserDirectory::new();
         for u in 0..50u32 {
             table.record(UserId(u), ItemId(u % 7), Vote::Like);
-            directory.register(table.slot_of(UserId(u)).unwrap());
         }
-        (table, directory)
+        table
     }
 
     fn hood(users: &[u32]) -> Neighborhood {
@@ -374,14 +321,11 @@ mod tests {
 
     #[test]
     fn aggregates_one_hop_two_hop_and_random() {
-        let (table, directory) = context();
+        let table = context();
         table.update(UserId(0), hood(&[1, 2]));
         table.update(UserId(1), hood(&[3, 4]));
         table.update(UserId(2), hood(&[5]));
-        let ctx = SamplerContext {
-            table: &table,
-            directory: &directory,
-        };
+        let ctx = SamplerContext { table: &table };
         let mut rng = StdRng::seed_from_u64(1);
         let set = DefaultSampler.sample(UserId(0), 2, 2, &ctx, &mut rng);
 
@@ -394,7 +338,7 @@ mod tests {
 
     #[test]
     fn respects_size_bound() {
-        let (table, directory) = context();
+        let table = context();
         // Fully-populated tables: every user has k neighbours.
         let k = 5usize;
         for u in 0..50u32 {
@@ -404,10 +348,7 @@ mod tests {
                 .collect();
             table.update(UserId(u), hood(&others));
         }
-        let ctx = SamplerContext {
-            table: &table,
-            directory: &directory,
-        };
+        let ctx = SamplerContext { table: &table };
         let mut rng = StdRng::seed_from_u64(2);
         for u in 0..50u32 {
             let set = DefaultSampler.sample(UserId(u), k, k, &ctx, &mut rng);
@@ -422,11 +363,8 @@ mod tests {
 
     #[test]
     fn bootstrap_user_gets_random_candidates() {
-        let (table, directory) = context();
-        let ctx = SamplerContext {
-            table: &table,
-            directory: &directory,
-        };
+        let table = context();
+        let ctx = SamplerContext { table: &table };
         let mut rng = StdRng::seed_from_u64(3);
         // No KNN entry for u0 yet: candidates come only from the random leg.
         let set = DefaultSampler.sample(UserId(0), 10, 10, &ctx, &mut rng);
@@ -435,13 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_directory_yields_empty_set() {
+    fn empty_table_yields_empty_set() {
         let table = UserTable::new();
-        let directory = UserDirectory::new();
-        let ctx = SamplerContext {
-            table: &table,
-            directory: &directory,
-        };
+        let ctx = SamplerContext { table: &table };
         let mut rng = StdRng::seed_from_u64(4);
         let set = DefaultSampler.sample(UserId(0), 10, 10, &ctx, &mut rng);
         assert!(set.is_empty());
@@ -450,14 +384,11 @@ mod tests {
     #[test]
     fn candidates_without_profiles_are_skipped() {
         let table = UserTable::new();
-        let directory = UserDirectory::new();
-        // u1 is in u0's KNN but has no profile (e.g. purged).
+        // u1 is in u0's neighbourhood but never voted: the table stores
+        // the row without them.
+        table.record(UserId(0), ItemId(0), Vote::Like);
         table.update(UserId(0), hood(&[1]));
-        directory.register(table.slot_of(UserId(0)).unwrap());
-        let ctx = SamplerContext {
-            table: &table,
-            directory: &directory,
-        };
+        let ctx = SamplerContext { table: &table };
         let mut rng = StdRng::seed_from_u64(5);
         let set = DefaultSampler.sample(UserId(0), 2, 0, &ctx, &mut rng);
         assert!(set.is_empty());
@@ -468,15 +399,12 @@ mod tests {
         // A direct update may store a row longer than `k`: the dedup set
         // grows past its initial size, keeps insertion order, and is reused
         // by the next requester of the batch.
-        let (table, directory) = context();
+        let table = context();
         let row: Vec<u32> = (1..50).rev().collect();
         let others: Vec<u32> = (0..49).collect();
         table.update(UserId(0), hood(&row));
         table.update(UserId(49), hood(&others));
-        let ctx = SamplerContext {
-            table: &table,
-            directory: &directory,
-        };
+        let ctx = SamplerContext { table: &table };
         let mut rng = StdRng::seed_from_u64(8);
         let users = [UserId(0), UserId(49), UserId(0)];
         let sets = DefaultSampler.sample_batch(&users, 1, 0, &ctx, &mut rng);
@@ -495,11 +423,8 @@ mod tests {
 
     #[test]
     fn no_random_sampler_is_empty_without_knn() {
-        let (table, directory) = context();
-        let ctx = SamplerContext {
-            table: &table,
-            directory: &directory,
-        };
+        let table = context();
+        let ctx = SamplerContext { table: &table };
         let mut rng = StdRng::seed_from_u64(6);
         let set = NoRandomSampler.sample(UserId(0), 5, 5, &ctx, &mut rng);
         assert!(set.is_empty(), "no-random sampler cannot bootstrap");
@@ -507,11 +432,8 @@ mod tests {
 
     #[test]
     fn random_only_excludes_requester() {
-        let (table, directory) = context();
-        let ctx = SamplerContext {
-            table: &table,
-            directory: &directory,
-        };
+        let table = context();
+        let ctx = SamplerContext { table: &table };
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..20 {
             let set = RandomOnlySampler.sample(UserId(3), 3, 3, &ctx, &mut rng);

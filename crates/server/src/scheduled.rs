@@ -12,7 +12,9 @@
 //!   table — stale-epoch, non-leased, duplicate, NaN/out-of-range
 //!   similarity and unknown-neighbor completions are rejected with
 //!   per-reason counters — and applies only the survivors, in the same
-//!   [`HyRecServer::admit_and_apply`] pass.
+//!   [`HyRecServer::admit_and_apply`] pass. Every leased user comes from a
+//!   vote or a request by a user who owns a profile, so a live lease
+//!   always names one.
 //! * `sweep_and_recover` expires abandoned leases; users whose escalation
 //!   ladder is exhausted are recomputed **server-side** by running the
 //!   widget kernel on the server (the centralized CRec-style path the
@@ -23,8 +25,8 @@
 //!
 //! [`ScheduledServer::unleased`] is the same surface with leases off: jobs
 //! are built for the uid asked for, votes touch no scheduler state, and a
-//! completion passes the payload check alone
-//! ([`Scheduler::check_payload`]) on the same path. Leased or not, a
+//! completion passes [`Scheduler::check_unleased`] on the same path: its
+//! uid must own a profile, then its payload is checked. Leased or not, a
 //! completion naming a neighbour id that does not resolve is rejected.
 //! Nothing on the unleased path takes the scheduler's lock.
 
@@ -105,10 +107,10 @@ impl ScheduledServer {
     /// Wraps a server with leases off: [`Self::issue_jobs`] is
     /// [`HyRecServer::build_jobs`], [`Self::record`] and
     /// [`Self::record_many`] write the profile tables only, and
-    /// [`Self::complete_updates`] applies every completion whose payload
-    /// passes [`Scheduler::check_payload`] (finite similarities in range,
-    /// every neighbour id resolvable). The scheduler only counts payload
-    /// rejects.
+    /// [`Self::complete_updates`] applies every completion that passes
+    /// [`Scheduler::check_unleased`] (a uid that owns a profile, finite
+    /// similarities in range, every neighbour id resolvable). The
+    /// scheduler only counts those rejects.
     #[must_use]
     pub fn unleased(server: Arc<HyRecServer>) -> Self {
         Self {
@@ -198,7 +200,7 @@ impl ScheduledServer {
 
     /// Validates a batch of completions and applies the survivors, both in
     /// one [`HyRecServer::admit_and_apply`] pass: leased, each must pass
-    /// [`Scheduler::complete`]; unleased, [`Scheduler::check_payload`].
+    /// [`Scheduler::complete`]; unleased, [`Scheduler::check_unleased`].
     /// Either way every neighbour id must resolve. Outcomes come back in
     /// input order, each `Err` naming its (already counted) reason.
     #[must_use]
@@ -210,12 +212,12 @@ impl ScheduledServer {
         // Leased admission (scheduler) and application (KNN table) must be
         // ordered together: see the `apply_order` field.
         let _ordered = self.leased.then(|| self.apply_order.lock());
-        self.inner.admit_and_apply(updates, |u, known| {
+        self.inner.admit_and_apply(updates, |u, owned, known| {
             if self.leased {
                 self.sched
                     .complete(u.uid, u.lease, u.epoch, &u.neighbors, now, known)
             } else {
-                self.sched.check_payload(&u.neighbors, known)
+                self.sched.check_unleased(owned, &u.neighbors, known)
             }
         })
     }
@@ -385,6 +387,51 @@ mod tests {
         );
         assert_eq!(scheduled.server().updates_applied(), 1);
         assert!(scheduled.server().knn_of(UserId(1)).is_some());
+    }
+
+    #[test]
+    fn completions_under_a_live_lease_always_resolve_their_owner() {
+        // Leases go only to users who own a profile: a fresh uid gets a
+        // cold-start job without one, or an abandoned job of a voter's.
+        // So every completion the scheduler admits stores its owner's row,
+        // and the table never grows.
+        let config = SchedConfig {
+            lease_timeout: 3,
+            max_reissues: 1,
+            ..SchedConfig::default()
+        };
+        let scheduled = scheduled(false, config);
+        let server = scheduled.server();
+        let widget = Widget::new();
+        let mut leased = 0;
+        for round in 0..40u64 {
+            let now = round * 2;
+            let requested: Vec<UserId> = (0..6u32)
+                .map(|i| UserId(if i % 2 == 0 { 1_000 + i } else { i }))
+                .collect();
+            let jobs = scheduled.issue_jobs(&requested, now);
+            for job in jobs.iter().filter(|job| job.lease > 0) {
+                leased += 1;
+                assert!(server.table().contains(job.uid), "lease for {}", job.uid);
+            }
+            // Every third job is abandoned, so leases expire, re-issue to
+            // fresh uids and fall back to the server.
+            let updates: Vec<KnnUpdate> = jobs
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| !(i as u64 + round).is_multiple_of(3))
+                .map(|(_, job)| widget.run_job(job).update)
+                .collect();
+            let _ = scheduled.complete_updates(&updates, now + 1);
+            let _ = scheduled.sweep_and_recover(now + 1);
+        }
+        let stats = scheduled.scheduler().stats();
+        assert!(leased > 100 && stats.reissued() > 0 && stats.fallbacks() > 0);
+        assert_eq!(
+            server.updates_applied(),
+            stats.completed() + stats.fallbacks()
+        );
+        assert_eq!(server.user_count(), 18);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 
 use crate::anonymize::AnonymousMapping;
 use crate::config::{HyRecConfig, HyRecConfigBuilder};
-use crate::sampler::{DefaultSampler, Sampler, SamplerContext, UserDirectory};
+use crate::sampler::{DefaultSampler, Sampler, SamplerContext};
 use hyrec_core::tables::ranked_row;
 use hyrec_core::{
-    CandidateProfile, CandidateSet, ItemId, Neighborhood, Profile, Slot, UserId, UserTable, Vote,
+    CandidateProfile, CandidateSet, ItemId, Neighborhood, Profile, UserId, UserTable, Vote,
 };
 use hyrec_sched::RejectReason;
 use hyrec_wire::{KnnUpdate, PersonalizationJob};
@@ -38,7 +38,6 @@ use std::sync::Arc;
 pub struct HyRecServer {
     config: HyRecConfig,
     table: UserTable,
-    directory: UserDirectory,
     sampler: Box<dyn Sampler>,
     anonymizer: Mutex<AnonymousMapping>,
     rng: Mutex<StdRng>,
@@ -50,7 +49,7 @@ impl std::fmt::Debug for HyRecServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HyRecServer")
             .field("config", &self.config)
-            .field("users", &self.directory.len())
+            .field("users", &self.table.len())
             .field("sampler", &self.sampler.name())
             .finish()
     }
@@ -83,7 +82,6 @@ impl HyRecServer {
         Self {
             config,
             table: UserTable::new(),
-            directory: UserDirectory::new(),
             sampler: Box::new(sampler),
             anonymizer: Mutex::new(AnonymousMapping::new(seed ^ 0xA11CE)),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
@@ -115,30 +113,20 @@ impl HyRecServer {
 
     /// Ingests a burst of votes through [`UserTable::record_many`], which
     /// takes each touched shard's write lock once for the whole batch
-    /// instead of once per vote.
-    ///
-    /// Change flags come back in input order. This is the one place a user
-    /// joins the directory (the sampler's random leg), by slot: when the
-    /// table reports, from under its shard lock, that their vote created
-    /// their profile. So racing batches register a user once, and
-    /// registering in input order keeps first-vote order however a stream is
-    /// split. This is the ingestion entry point for coalescing `/rate/`
+    /// instead of once per vote, and is the only place a user is created:
+    /// a voter's first vote creates their profile and slot, which the
+    /// sampler's random leg draws from. Change flags come back in input
+    /// order. This is the ingestion entry point for coalescing `/rate/`
     /// front-ends.
     #[must_use]
     pub fn record_many(&self, votes: &[(UserId, ItemId, Vote)]) -> Vec<bool> {
-        let recorded = self.table.record_many(votes);
-        for (&slot, &created) in recorded.slots.iter().zip(&recorded.created) {
-            if created {
-                self.directory.register(slot);
-            }
-        }
-        recorded.changed
+        self.table.record_many(votes)
     }
 
-    /// Number of users known to the server.
+    /// Number of users known to the server: those who own a profile.
     #[must_use]
     pub fn user_count(&self) -> usize {
-        self.directory.len()
+        self.table.len()
     }
 
     /// Shared handle to a user's profile, if any.
@@ -158,13 +146,6 @@ impl HyRecServer {
     #[must_use]
     pub fn table(&self) -> &UserTable {
         &self.table
-    }
-
-    /// Direct read access to the user directory: slots, in registration
-    /// order.
-    #[must_use]
-    pub fn directory(&self) -> &UserDirectory {
-        &self.directory
     }
 
     /// Average view similarity across the KNN table (Figures 3–4).
@@ -216,8 +197,8 @@ impl HyRecServer {
     /// 1. one `SlotView` of the table (its index, then every shard in
     ///    ascending order) for the requester profiles
     ///    ([`UserTable::profiles_of`]);
-    /// 2. the RNG, held while the sampler runs; inside it the directory
-    ///    (random legs), then a second `SlotView` for the whole batch;
+    /// 2. the RNG, held while the sampler runs; inside it a second
+    ///    `SlotView` for the whole batch (random legs, then candidates);
     /// 3. the anonymizer, only when `anonymize_users` is set.
     ///
     /// Every profile in a job is the table's own `Arc`.
@@ -225,10 +206,7 @@ impl HyRecServer {
     pub fn build_jobs(&self, users: &[UserId]) -> Vec<PersonalizationJob> {
         self.requests_served
             .fetch_add(users.len() as u64, Ordering::Relaxed);
-        let ctx = SamplerContext {
-            table: &self.table,
-            directory: &self.directory,
-        };
+        let ctx = SamplerContext { table: &self.table };
         let profiles = self.table.profiles_of(users);
         let candidate_sets = {
             let mut rng = self.rng.lock();
@@ -262,72 +240,65 @@ impl HyRecServer {
     }
 
     /// Applies a batch of KNN updates: [`Self::admit_and_apply`] admitting
-    /// every update. Updates are read by reference, so a caller can pass a
-    /// filtered view of its batch without copying.
+    /// every update, so each one whose uid owns a profile is stored.
+    /// Updates are read by reference, so a caller can pass a filtered view
+    /// of its batch without copying.
     pub fn apply_updates<'a>(&self, updates: impl IntoIterator<Item = &'a KnnUpdate>) {
-        self.admit_and_apply(updates, |_, _| Ok(()));
+        self.admit_and_apply(updates, |_, _, _| Ok(()));
     }
 
     /// Admits and applies a batch of KNN updates, returning the outcomes
     /// in input order.
     ///
-    /// `admit(update, known)` decides each update; `known(id)` says whether
-    /// a neighbour id resolves (pseudonymized: through a live epoch, under
-    /// the anonymizer lock taken once per batch; plain: to a user who owns
-    /// a profile). An admitted update is stored as a row of the slots its
-    /// neighbours resolve to, keeping the `k` most similar, so a client
-    /// cannot grow a stored neighbourhood (and with it the requester's next
-    /// candidate set) past the paper's bound. The write-backs go through
-    /// [`UserTable::update_rows`] once the resolver's locks are released:
-    /// each touched shard's lock once per batch.
+    /// `admit(update, owned, known)` decides each update: `owned` says
+    /// whether its uid owns a profile, and `known(id)` whether a neighbour
+    /// id resolves. This is the one neighbour-id resolver: pseudonymized,
+    /// an id resolves to the user behind a pseudonym of the current or
+    /// previous epoch (older ones are dropped; the widget refines again on
+    /// its next request); plain, to the user with that id. Either way the
+    /// user owns a profile. An admitted update is stored, if its uid owns a
+    /// profile, as a row of the slots its neighbours resolve to, keeping the
+    /// `k` most similar, so a client cannot grow a stored neighbourhood (and
+    /// with it the requester's next candidate set) past the paper's bound.
+    /// Locks: the anonymizer (pseudonymized only), then one `SlotView` of
+    /// the table, both held while `admit` runs; the write-backs go through
+    /// [`UserTable::update_rows`] once they are released, each touched
+    /// shard's lock once per batch.
     pub fn admit_and_apply<'a>(
         &self,
         updates: impl IntoIterator<Item = &'a KnnUpdate>,
-        mut admit: impl FnMut(&KnnUpdate, &dyn Fn(UserId) -> bool) -> Result<(), RejectReason>,
+        mut admit: impl FnMut(&KnnUpdate, bool, &dyn Fn(UserId) -> bool) -> Result<(), RejectReason>,
     ) -> Vec<Result<(), RejectReason>> {
-        let mut entries = Vec::new();
-        let outcomes = self.with_resolver(|resolve| {
+        let mut rows = Vec::new();
+        let outcomes = {
+            let anonymizer = self.config.anonymize_users.then(|| self.anonymizer.lock());
+            let view = self.table.read();
+            let resolve = |user: UserId| match &anonymizer {
+                Some(anonymizer) => view.slot_of(anonymizer.resolve(user)?),
+                None => view.slot_of(user),
+            };
             let known = |user: UserId| resolve(user).is_some();
             updates
                 .into_iter()
                 .map(|update| {
-                    let outcome = admit(update, &known);
-                    if outcome.is_ok() {
+                    let owner = view.slot_of(update.uid);
+                    let outcome = admit(update, owner.is_some(), &known);
+                    if let (Ok(()), Some(owner)) = (outcome, owner) {
                         let neighbors = update
                             .neighbors
                             .iter()
                             .filter_map(|n| Some((resolve(n.user)?, n.similarity)))
                             .collect();
-                        entries.push((update.uid, ranked_row(neighbors, self.config.k)));
+                        rows.push((owner, ranked_row(neighbors, self.config.k)));
                     }
                     outcome
                 })
                 .collect()
-        });
+        };
         self.updates_applied
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        self.table.update_rows(entries);
+            .fetch_add(rows.len() as u64, Ordering::Relaxed);
+        self.table.update_rows(rows);
         outcomes
-    }
-
-    /// Runs `f` with the one neighbour-id resolver, which answers a slot:
-    /// pseudonymized, the slot of the real id behind a pseudonym of the
-    /// current or previous epoch (older ones are dropped; the widget refines
-    /// again on its next request); plain, the id's slot if that user owns a
-    /// profile. Locks: the anonymizer (pseudonymized only), then one
-    /// `SlotView` of the table, both held while `f` runs.
-    fn with_resolver<R>(&self, f: impl FnOnce(&dyn Fn(UserId) -> Option<Slot>) -> R) -> R {
-        if self.config.anonymize_users {
-            let anonymizer = self.anonymizer.lock();
-            let view = self.table.read();
-            f(&|user| view.slot_of(anonymizer.resolve(user)?))
-        } else {
-            let view = self.table.read();
-            f(&|user| {
-                view.slot_of(user)
-                    .filter(|&slot| view.profile(slot).is_some())
-            })
-        }
     }
 
     /// Rotates the anonymization epoch ("periodically, the identifiers …
@@ -539,6 +510,16 @@ mod tests {
         });
         let stored: Vec<UserId> = server.knn_of(UserId(1)).unwrap().users().collect();
         assert_eq!(stored, vec![UserId(2)]);
+        // An update from a uid without a profile is not stored, and mints
+        // no user.
+        server.apply_update(&KnnUpdate {
+            uid: UserId(999),
+            lease: 0,
+            epoch: 0,
+            neighbors: vec![neighbor(2, 0.5)],
+        });
+        assert_eq!(server.knn_of(UserId(999)), None);
+        assert_eq!((server.updates_applied(), server.user_count()), (1, 30));
     }
 
     #[test]
@@ -658,7 +639,7 @@ mod tests {
             .collect();
         assert_eq!(batch_flags, seq_flags);
         assert_eq!(batched.user_count(), sequential.user_count());
-        // Directory registration order matters for the random sampler leg:
+        // Slot order (first-vote order) matters for the random sampler leg:
         // identically-seeded servers must build identical jobs afterwards.
         let users: Vec<UserId> = (0..23u32).map(UserId).collect();
         for &user in &users {

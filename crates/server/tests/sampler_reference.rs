@@ -9,16 +9,19 @@
 //! a batch of one), must give the same sets from the same RNG stream for
 //! any split of a request stream into batches.
 //!
-//! The tables are random and cover users without profiles, registered
-//! users without profiles, requesters inside their own KNN, neighbour ids
-//! repeated across 1-hop and 2-hop lists and across users, unknown
-//! neighbour ids, repeated uids in one batch, an empty directory, and `k`
-//! and `random_candidates` equal to 0. `build_jobs` must likewise give the
-//! same jobs under any split, with pseudonymization on and off.
+//! The tables are random and cover every state the table can reach: users
+//! vote first, in shuffled order, and rows are stored after, so a slot is a
+//! profile owner and a row names profile owners only (the table drops the
+//! other ids, and the row of a user who never voted). They cover requesters
+//! without a profile, requesters inside their own KNN, neighbour ids
+//! repeated across 1-hop and 2-hop lists and across users, repeated uids in
+//! one batch, an empty table, and `k` and `random_candidates` equal to 0.
+//! `build_jobs` must likewise give the same jobs under any split, with
+//! pseudonymization on and off.
 
 use hyrec_client::Widget;
 use hyrec_core::{CandidateSet, ItemId, Neighbor, Neighborhood, UserId, UserTable, Vote};
-use hyrec_server::sampler::{SamplerContext, UserDirectory};
+use hyrec_server::sampler::SamplerContext;
 use hyrec_server::{DefaultSampler, HyRecConfig, HyRecServer, NoRandomSampler, Sampler};
 use hyrec_wire::{KnnUpdate, PersonalizationJob};
 use proptest::prelude::*;
@@ -27,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 mod reference {
     use hyrec_core::{CandidateSet, UserId};
-    use hyrec_server::sampler::SamplerContext;
+    use hyrec_server::sampler::{random_slots, SamplerContext};
     use rand::rngs::StdRng;
 
     /// The paper's sampler, one user at a time: `N_u ∪ KNN(N_u) ∪ random`.
@@ -67,11 +70,11 @@ mod reference {
             }
         }
 
-        // (iii) k random users: the directory lists slots, named here by
-        // id (the view is dropped before the keyed reads above run).
+        // (iii) k random users: slots, named here by id (the view is
+        // dropped before the keyed reads above run).
         let random: Vec<UserId> = {
-            let slots = ctx.directory.random_slots(random_candidates, rng);
             let view = ctx.table.read();
+            let slots = random_slots(&view, random_candidates, rng);
             slots.into_iter().map(|slot| view.id(slot)).collect()
         };
         for w in random {
@@ -82,7 +85,7 @@ mod reference {
 }
 
 /// Ids `0..n` are the population; ids up to `n + UNKNOWN` also appear as
-/// neighbours and requesters but never vote.
+/// neighbours, row owners and requesters but never vote.
 const UNKNOWN: u32 = 6;
 
 /// A random neighbourhood for `user` over ids `0..n + UNKNOWN`: sometimes
@@ -110,37 +113,28 @@ fn random_hood(user: u32, n: u32, rng: &mut StdRng) -> Neighborhood {
     Neighborhood::from_neighbors(neighbors)
 }
 
-/// Random tables: most users have a profile, most are registered (some
-/// registered users have no profile, and 15% of worlds have an empty
-/// directory), and most ids, unknown ones too, have a neighbourhood. The
-/// directory lists slots, so a registered user is one the table has a slot
-/// for: a profile owner, a row owner or a named neighbour.
-fn world(seed: u64, n: u32) -> (UserTable, UserDirectory) {
+/// Random tables: most users vote, in shuffled order, so slot order is
+/// not id order; then most ids, unknown ones too, are given a
+/// neighbourhood, which the table stores for voters only.
+fn world(seed: u64, n: u32) -> UserTable {
+    use rand::seq::SliceRandom;
     let mut rng = StdRng::seed_from_u64(seed);
     let table = UserTable::new();
-    let directory = UserDirectory::new();
-    let empty_directory = rng.gen_bool(0.15);
-    let mut registered = Vec::new();
-    for u in 0..n + UNKNOWN / 2 {
-        if u < n && rng.gen_bool(0.8) {
+    let mut voters: Vec<u32> = (0..n).collect();
+    voters.shuffle(&mut rng);
+    for u in voters {
+        if rng.gen_bool(0.8) {
             for _ in 0..rng.gen_range(1..6u32) {
                 table.record(UserId(u), ItemId(rng.gen_range(0..20u32)), Vote::Like);
             }
         }
-        if u < n && !empty_directory && rng.gen_bool(0.9) {
-            registered.push(UserId(u));
-        }
+    }
+    for u in 0..n + UNKNOWN / 2 {
         if rng.gen_bool(0.8) {
             table.update(UserId(u), random_hood(u, n, &mut rng));
         }
     }
-    for slot in registered
-        .into_iter()
-        .filter_map(|user| table.slot_of(user))
-    {
-        directory.register(slot);
-    }
-    (table, directory)
+    table
 }
 
 /// Requesters over ids `0..n + UNKNOWN`, with repeats.
@@ -179,8 +173,8 @@ proptest! {
         k in 0usize..6,
         random_candidates in 0usize..6,
     ) {
-        let (table, directory) = world(seed, n);
-        let ctx = SamplerContext { table: &table, directory: &directory };
+        let table = world(seed, n);
+        let ctx = SamplerContext { table: &table };
         let users = requesters(seed ^ 0x5EED, n, len);
 
         let mut reference_rng = StdRng::seed_from_u64(seed ^ 1);
@@ -224,8 +218,8 @@ proptest! {
     ) {
         // Every user once, then every user again: the second pass repeats
         // every uid of the first inside one batch.
-        let (table, directory) = world(seed, n);
-        let ctx = SamplerContext { table: &table, directory: &directory };
+        let table = world(seed, n);
+        let ctx = SamplerContext { table: &table };
         let users: Vec<UserId> = (0..n).chain(0..n).map(UserId).collect();
         let mut reference_rng = StdRng::seed_from_u64(seed);
         let expected: Vec<CandidateSet> = users
@@ -285,21 +279,10 @@ proptest! {
         len in 0usize..24,
         k in 1usize..5,
     ) {
-        // Without pseudonyms a job is the requester's table
-        // profile plus the reference sampler's set, drawn from a directory
-        // registered in first-vote order and the server's seeded RNG.
+        // Without pseudonyms a job is the requester's table profile plus
+        // the reference sampler's set, drawn with the server's seeded RNG.
         let server = server(seed, n, k, false);
-        let directory = UserDirectory::new();
-        let mut registered = std::collections::HashSet::new();
-        for (user, _, _) in votes(seed, n) {
-            if registered.insert(user) {
-                directory.register(server.table().slot_of(user).unwrap());
-            }
-        }
-        let ctx = SamplerContext {
-            table: server.table(),
-            directory: &directory,
-        };
+        let ctx = SamplerContext { table: server.table() };
         let mut rng = StdRng::seed_from_u64(seed);
         let users = requesters(seed ^ 0x5EED, n, len);
         let expected: Vec<PersonalizationJob> = users

@@ -4,7 +4,7 @@
 use hyrec::client::{RecommendationPolicy, Widget};
 use hyrec::http::{api, HttpClient, ReactorServer};
 use hyrec::prelude::*;
-use hyrec::server::sampler::{Sampler, SamplerContext};
+use hyrec::server::sampler::{random_slots, Sampler, SamplerContext};
 use hyrec_core::{CandidateSet, Recommendation};
 use std::sync::Arc;
 
@@ -81,14 +81,11 @@ impl Sampler for OneHopSampler {
                 }
             }
         }
-        let random = ctx.directory.random_slots(random_candidates, rng);
         let view = ctx.table.read();
-        for slot in random {
+        for slot in random_slots(&view, random_candidates, rng) {
             let v = view.id(slot);
             if v != user {
-                if let Some(p) = view.profile(slot) {
-                    set.insert(v, std::sync::Arc::clone(p));
-                }
+                set.insert(v, std::sync::Arc::clone(view.profile(slot)));
             }
         }
         set

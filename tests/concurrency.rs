@@ -171,8 +171,8 @@ fn concurrent_readers_see_consistent_snapshots() {
 fn racing_first_votes_register_each_user_once() {
     // Every thread rates the same fresh users, each in its own order and
     // in small batches, so first votes for one user race across threads.
-    // The table creates a profile once, under its shard lock, and only
-    // that creation registers the user.
+    // A vote that creates a profile mints its slot, under the index's
+    // write lock: each voter gets one slot, and no vote is lost.
     const FRESH: u32 = 500;
     let server = shared_server(false);
     let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
@@ -203,13 +203,17 @@ fn racing_first_votes_register_each_user_once() {
     }
     assert_eq!(server.user_count(), FRESH as usize);
     let view = server.table().read();
-    let mut registered: Vec<UserId> = server
-        .directory()
-        .snapshot()
-        .into_iter()
-        .map(|slot| view.id(slot))
-        .collect();
+    assert_eq!(view.len(), FRESH as usize);
+    let mut registered: Vec<UserId> = (0..FRESH).map(|slot| view.id(slot)).collect();
     registered.sort_unstable();
     let expected: Vec<UserId> = (0..FRESH).map(|i| UserId(10_000 + i)).collect();
-    assert_eq!(registered, expected, "duplicate or missing registrations");
+    assert_eq!(registered, expected, "duplicate or missing slots");
+    for slot in 0..FRESH {
+        assert_eq!(view.slot_of(view.id(slot)), Some(slot));
+        assert_eq!(
+            view.profile(slot).liked_len(),
+            THREADS as usize,
+            "lost vote"
+        );
+    }
 }
